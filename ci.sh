@@ -17,6 +17,18 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
+step "loc: non-test Rust lines per crate"
+# Tracked crates/<crate>/src/**/*.rs, each file counted up to its
+# `#[cfg(test)]` module (fixture trees under tests/ are skipped), so the
+# per-crate before/after rows in CHANGES.md can be reproduced at any
+# commit.
+git ls-files 'crates/*/src/*.rs' | grep -v '/tests/' | awk '
+  { split($0, part, "/"); crate = part[2]
+    while ((getline line < $0) > 0) { if (line ~ /^#\[cfg\(test\)\]/) break; loc[crate]++ }
+    close($0) }
+  END { for (crate in loc) { printf "%8d  %s\n", loc[crate], crate; total += loc[crate] }
+        printf "%8d  total\n", total }' | sort -k2
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -37,14 +49,15 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo build --release --offline
 fi
 
-step "cargo test -q"
-cargo test -q --offline
+step "cargo test -q --workspace (crate unit + integration tests, doctests)"
+# Not just the umbrella package's tests/: the wire-format gates live with
+# their owner — dope-trace's schema-table-vs-baseline test (the additive
+# field contract, formerly DL006) and tests/golden.rs (byte-identical
+# JSONL) — and only run when the member crates are tested.
+cargo test -q --offline --workspace
 
 step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
-
-step "cargo test --doc"
-cargo test -q --doc --workspace --offline
 
 if [[ "$QUICK" -eq 0 ]]; then
   step "metrics smoke: live scrape + overhead regression"
@@ -129,11 +142,12 @@ if [[ "$QUICK" -eq 0 ]]; then
 
   step "perf smoke: record-path / snapshot / reconfigure / fig11 gates"
   # Reduced-configuration run of the perf gate (docs/performance.md).
-  # The binary itself enforces the in-run invariant (sharded record path
-  # beats the in-process mutex reference) and diffs against the
-  # checked-in quick-mode baseline. The threshold is deliberately loose:
-  # shared CI machines jitter, and the gate is for gross regressions (a
-  # lock back on the hot path), not scheduler noise.
+  # The binary itself enforces the in-run invariants (the delta drain
+  # pauses >= 4x less than the full drain; the overload frontier holds)
+  # and diffs against the checked-in quick-mode baseline. The threshold
+  # is deliberately loose: shared CI machines jitter, and the gate is
+  # for gross regressions (a lock back on the hot path), not scheduler
+  # noise.
   PERF_OUT="$TRACE_TMP/BENCH_perf.json"
   cargo run -q --release --offline -p dope-bench --bin perf -- \
     --quick --out="$PERF_OUT" \

@@ -6,8 +6,8 @@
 //!     [--out=PATH] [--compare=BASELINE] [--threshold=FRACTION]
 //! ```
 //!
-//! Exits non-zero when an in-run gate fails (the sharded record path
-//! must beat the in-process mutex reference) or, with `--compare`, when
+//! Exits non-zero when an in-run gate fails (the delta drain must beat
+//! the full drain; the overload frontier must hold) or, with `--compare`, when
 //! any tracked metric regresses past the threshold against the
 //! baseline report.
 //!

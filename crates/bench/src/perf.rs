@@ -4,10 +4,8 @@
 //! keep small (see `docs/performance.md`):
 //!
 //! 1. **record path** — ns/op of the sharded task-completion record,
-//!    single-threaded and contended, measured side by side with a
-//!    replica of the retired shared-mutex design
-//!    ([`dope_runtime::perf::bench_record_path`]) so every report
-//!    carries a same-machine before/after;
+//!    single-threaded and contended
+//!    ([`dope_runtime::perf::bench_record_path`]);
 //! 2. **snapshot** — `Monitor::snapshot` latency over a populated path
 //!    set ([`dope_runtime::perf::bench_snapshot`]);
 //! 3. **reconfigure** — pause/relaunch latency of a real suspend +
@@ -28,8 +26,8 @@
 //! The report is strict-codec JSON (`dope_core::json`), diffable with
 //! [`compare`] against a checked-in baseline
 //! (`results/perf-baseline.json`); [`gate_failures`] additionally
-//! enforces the in-run invariants that the sharded record path beats the
-//! mutex reference and that the delta drain beats the full drain.
+//! enforces the in-run invariants: the delta drain beats the full drain
+//! and the overload frontier holds.
 
 use dope_apps::transcode;
 use dope_core::json::{parse, Value};
@@ -124,11 +122,6 @@ pub fn run(quick: bool) -> Value {
                 (
                     "sharded_contended_ns",
                     Value::from_f64(record.sharded_contended_ns),
-                ),
-                ("mutex_single_ns", Value::from_f64(record.mutex_single_ns)),
-                (
-                    "mutex_contended_ns",
-                    Value::from_f64(record.mutex_contended_ns),
                 ),
             ]),
         ),
@@ -375,35 +368,14 @@ fn metric(report: &Value, section: &str, key: &str) -> Option<f64> {
     report.get(section)?.get(key)?.as_f64()
 }
 
-/// In-run invariants a report must satisfy regardless of any baseline:
-/// the sharded record path must beat the mutex reference measured in
-/// the same process on the same machine. Returns violation messages
-/// (empty = pass).
+/// In-run invariants a report must satisfy regardless of any baseline,
+/// each measured in the same process on the same machine: the delta
+/// drain must pause far less than the full drain, and the overload
+/// frontier (bounded shed p99, goodput floor, lossless `Block`) must
+/// hold. Returns violation messages (empty = pass).
 #[must_use]
 pub fn gate_failures(report: &Value) -> Vec<String> {
     let mut failures = Vec::new();
-    let pairs = [
-        ("sharded_single_ns", "mutex_single_ns"),
-        ("sharded_contended_ns", "mutex_contended_ns"),
-    ];
-    for (sharded_key, mutex_key) in pairs {
-        match (
-            metric(report, "record_path", sharded_key),
-            metric(report, "record_path", mutex_key),
-        ) {
-            (Some(sharded), Some(mutex)) => {
-                if sharded >= mutex {
-                    failures.push(format!(
-                        "record_path.{sharded_key} = {sharded:.1} ns does not beat \
-                         the in-run mutex reference {mutex_key} = {mutex:.1} ns"
-                    ));
-                }
-            }
-            _ => failures.push(format!(
-                "report is missing record_path.{sharded_key} / record_path.{mutex_key}"
-            )),
-        }
-    }
     if report.get("partial_reconfig_pause").is_some() {
         match (
             metric(report, "partial_reconfig_pause", "partial_pause_ms"),
@@ -568,8 +540,6 @@ pub fn summary(report: &Value) -> String {
     for &(section, key) in &[
         ("record_path", "sharded_single_ns"),
         ("record_path", "sharded_contended_ns"),
-        ("record_path", "mutex_single_ns"),
-        ("record_path", "mutex_contended_ns"),
         ("snapshot", "snapshot_micros"),
         ("reconfigure", "mean_pause_ms"),
         ("reconfigure", "mean_relaunch_ms"),
@@ -605,7 +575,7 @@ pub fn to_validated_json(report: &Value) -> String {
 mod tests {
     use super::*;
 
-    fn tiny_report(sharded: f64, mutex: f64, snap: f64) -> Value {
+    fn tiny_report(sharded: f64, snap: f64) -> Value {
         obj(vec![
             ("schema", Value::String(SCHEMA.to_string())),
             (
@@ -613,8 +583,6 @@ mod tests {
                 obj(vec![
                     ("sharded_single_ns", Value::from_f64(sharded)),
                     ("sharded_contended_ns", Value::from_f64(sharded * 1.1)),
-                    ("mutex_single_ns", Value::from_f64(mutex)),
-                    ("mutex_contended_ns", Value::from_f64(mutex * 4.0)),
                 ]),
             ),
             (
@@ -625,19 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_accepts_sharded_wins_and_rejects_losses() {
-        assert!(gate_failures(&tiny_report(12.0, 150.0, 80.0)).is_empty());
-        // sharded 700/770 ns vs mutex 150/600 ns: both comparisons lose.
-        let failures = gate_failures(&tiny_report(700.0, 150.0, 80.0));
-        assert_eq!(failures.len(), 2, "{failures:?}");
-    }
-
-    #[test]
     fn compare_flags_only_gross_growth() {
-        let base = tiny_report(10.0, 150.0, 100.0);
-        let same = tiny_report(11.0, 150.0, 110.0);
+        let base = tiny_report(10.0, 100.0);
+        let same = tiny_report(11.0, 110.0);
         assert!(compare(&same, &base, 0.5).is_empty());
-        let slow = tiny_report(40.0, 150.0, 400.0);
+        let slow = tiny_report(40.0, 400.0);
         let regressions = compare(&slow, &base, 0.5);
         assert_eq!(regressions.len(), 3, "{regressions:?}");
         // Missing sections in the baseline are skipped, not errors.
@@ -655,8 +615,6 @@ mod tests {
                     obj(vec![
                         ("sharded_single_ns", Value::from_f64(12.0)),
                         ("sharded_contended_ns", Value::from_f64(14.0)),
-                        ("mutex_single_ns", Value::from_f64(150.0)),
-                        ("mutex_contended_ns", Value::from_f64(600.0)),
                     ]),
                 ),
                 (
@@ -675,7 +633,7 @@ mod tests {
         let empty = gate_failures(&with_ratio(0.0, 20.0));
         assert_eq!(empty.len(), 1, "{empty:?}");
         // Reports without the section (pre-probe baselines) are not judged.
-        assert!(gate_failures(&tiny_report(12.0, 150.0, 80.0)).is_empty());
+        assert!(gate_failures(&tiny_report(12.0, 80.0)).is_empty());
     }
 
     #[test]
@@ -688,8 +646,6 @@ mod tests {
                     obj(vec![
                         ("sharded_single_ns", Value::from_f64(12.0)),
                         ("sharded_contended_ns", Value::from_f64(14.0)),
-                        ("mutex_single_ns", Value::from_f64(150.0)),
-                        ("mutex_contended_ns", Value::from_f64(600.0)),
                     ]),
                 ),
                 (
@@ -737,7 +693,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_the_strict_codec() {
-        let report = tiny_report(10.0, 150.0, 100.0);
+        let report = tiny_report(10.0, 100.0);
         let text = to_validated_json(&report);
         assert_eq!(parse(text.trim()).expect("parse"), report);
         assert!(summary(&report).contains("sharded_single_ns"));

@@ -12,6 +12,12 @@ use dope_core::json::{self, Value};
 
 /// Stable diagnostic codes emitted by the workspace analyzer.
 ///
+/// `DL001` (event-kind exhaustiveness) and `DL006` (additive-field
+/// contract) are **retired**: the trace schema is now generated from one
+/// table in `dope-trace`, so the compiler and a unit test there cover
+/// what those passes policed. Their numbers are never reused, and they
+/// no longer parse.
+///
 /// # Example
 ///
 /// ```
@@ -24,9 +30,6 @@ use dope_core::json::{self, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum DlCode {
-    /// DL001: a `TraceEvent` kind is not handled by every trace consumer
-    /// (codec, timeline, stats, replay) or is missing from `KINDS`.
-    EventKindExhaustiveness,
     /// DL002: a metric name drifted between registration sites,
     /// `dope_metrics::names::ALL`, and the operator guide's table.
     MetricNameDrift,
@@ -41,9 +44,6 @@ pub enum DlCode {
     /// `dope-runtime`, unbounded channel construction, or a wall-clock
     /// read inside `dope-trace` record paths.
     ForbiddenApi,
-    /// DL006: the JSONL schema lost a field or variant relative to the
-    /// committed baseline (the additive-field contract).
-    AdditiveField,
     /// DL007: a relative Markdown link in `README.md` or `docs/*.md`
     /// resolves to no file, or its `#fragment` matches no heading in
     /// the target document.
@@ -52,26 +52,22 @@ pub enum DlCode {
 
 impl DlCode {
     /// All catalogued codes, in numeric order.
-    pub const ALL: [DlCode; 7] = [
-        DlCode::EventKindExhaustiveness,
+    pub const ALL: [DlCode; 5] = [
         DlCode::MetricNameDrift,
         DlCode::DvCodeDrift,
         DlCode::LockOrder,
         DlCode::ForbiddenApi,
-        DlCode::AdditiveField,
         DlCode::DocsLink,
     ];
 
-    /// The stable textual form, e.g. `"DL001"`.
+    /// The stable textual form, e.g. `"DL002"`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            DlCode::EventKindExhaustiveness => "DL001",
             DlCode::MetricNameDrift => "DL002",
             DlCode::DvCodeDrift => "DL003",
             DlCode::LockOrder => "DL004",
             DlCode::ForbiddenApi => "DL005",
-            DlCode::AdditiveField => "DL006",
             DlCode::DocsLink => "DL007",
         }
     }
@@ -80,12 +76,10 @@ impl DlCode {
     #[must_use]
     pub fn title(self) -> &'static str {
         match self {
-            DlCode::EventKindExhaustiveness => "event-kind exhaustiveness across trace consumers",
             DlCode::MetricNameDrift => "metric-name drift between registry, catalogue, and docs",
             DlCode::DvCodeDrift => "DV-code drift between Error::code, DiagCode, and docs",
             DlCode::LockOrder => "lock-order discipline against the declared manifest",
             DlCode::ForbiddenApi => "forbidden APIs in hot paths",
-            DlCode::AdditiveField => "additive-field contract against the schema baseline",
             DlCode::DocsLink => "relative-link integrity across the documentation book",
         }
     }
@@ -152,7 +146,7 @@ pub struct Report {
     /// Findings suppressed by an in-source waiver comment. Kept so the
     /// report stays honest about what was silenced.
     pub waived: Vec<Finding>,
-    /// Pass anchors (e.g. `crates/dope-trace/src/event.rs`) missing from
+    /// Pass anchors (e.g. `crates/dope-lint/lock-order.txt`) missing from
     /// the analyzed tree. Fatal under `--strict`; fixture corpora that
     /// exercise one pass at a time ignore them.
     pub missing_anchors: Vec<String>,
@@ -350,6 +344,9 @@ mod tests {
             assert_eq!(parsed, code);
         }
         assert!("DL099".parse::<DlCode>().is_err());
+        // Retired codes stay retired: they neither parse nor get reused.
+        assert!("DL001".parse::<DlCode>().is_err());
+        assert!("DL006".parse::<DlCode>().is_err());
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //! enforces DoPE's cross-crate contracts.
 //!
 //! The compiler cannot see the conventions DoPE's correctness rests on:
-//! every trace event kind handled by every consumer, every metric name
-//! catalogued and documented, every DV diagnostic documented, a
-//! deadlock-free lock order across the executive/monitor/pool, no
-//! panicking APIs in the runtime's hot paths, a JSONL schema that
-//! only ever grows, and a documentation book whose relative links all
-//! resolve. This crate turns those conventions into seven
-//! analysis passes over a lightweight in-tree Rust lexer (no `rustc` or
-//! `syn` dependency), emitting a stable `DL0xx` catalogue with
-//! `file:line` spans — see `docs/static-analysis.md` for the catalogue,
+//! every metric name catalogued and documented, every DV diagnostic
+//! documented, a deadlock-free lock order across the
+//! executive/monitor/pool, no panicking APIs in the runtime's hot paths,
+//! and a documentation book whose relative links all resolve. This
+//! crate turns those conventions into five analysis passes over a
+//! lightweight in-tree Rust lexer (no `rustc` or `syn` dependency),
+//! emitting a stable `DL0xx` catalogue with `file:line` spans — see `docs/static-analysis.md` for the catalogue,
 //! waiver syntax, and exit-code contract.
 //!
 //! # Example
@@ -22,7 +20,7 @@
 //! let empty = Report::new();
 //! let back = Report::from_json(&empty.to_json()).unwrap();
 //! assert!(back.is_clean(true));
-//! assert_eq!(DlCode::ALL.len(), 7);
+//! assert_eq!(DlCode::ALL.len(), 5);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! The seven analysis passes behind the `DL0xx` catalogue.
+//! The five analysis passes behind the `DL0xx` catalogue.
 //!
 //! Each pass reads its anchors (the files it analyzes) out of the
 //! loaded [`Workspace`]. A pass whose anchors are absent records them
@@ -9,12 +9,10 @@
 use crate::findings::{DlCode, Finding, Report};
 use crate::workspace::Workspace;
 
-pub mod dl001;
 pub mod dl002;
 pub mod dl003;
 pub mod dl004;
 pub mod dl005;
-pub mod dl006;
 pub mod dl007;
 
 /// Shared pass context: the workspace plus the report under
@@ -65,12 +63,10 @@ pub fn run_all(ws: &Workspace) -> Report {
     let mut report = Report::new();
     {
         let mut ctx = Ctx::new(ws, &mut report);
-        dl001::run(&mut ctx);
         dl002::run(&mut ctx);
         dl003::run(&mut ctx);
         dl004::run(&mut ctx);
         dl005::run(&mut ctx);
-        dl006::run(&mut ctx);
         dl007::run(&mut ctx);
     }
     report.sort();

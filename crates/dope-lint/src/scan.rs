@@ -1,8 +1,8 @@
 //! Item-level scanning helpers over the token stream.
 //!
 //! These are deliberately shallow: they recognise the handful of shapes
-//! the passes need (enum bodies, struct fields, `Type::Variant` paths,
-//! `const` string catalogues) rather than parsing Rust. Anything they
+//! the passes need (enum bodies, `Type::Variant` paths, `const`
+//! catalogues) rather than parsing Rust. Anything they
 //! fail to recognise is simply not reported — passes pair these scans
 //! with anchor checks so silent misses surface as missing anchors, not
 //! silent cleanliness.
@@ -12,14 +12,11 @@ use std::collections::BTreeSet;
 use crate::lexer::{TokKind, Token};
 use crate::workspace::SourceFile;
 
-/// One enum variant: name, declared field names (struct variants only),
-/// and the 1-based line of the variant name.
+/// One enum variant: name and the 1-based line of the variant name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Variant {
     /// The variant's name.
     pub name: String,
-    /// Field names for `Name { .. }` variants; empty for unit/tuple.
-    pub fields: Vec<String>,
     /// Line of the variant identifier.
     pub line: u32,
 }
@@ -56,13 +53,8 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Option<Vec<Variant>> {
             let prev_is_sep =
                 toks[i - 1].is_punct('{') || toks[i - 1].is_punct(',') || toks[i - 1].is_punct(']');
             if prev_is_sep {
-                let mut fields = Vec::new();
-                if i + 1 < toks.len() && toks[i + 1].is_punct('{') {
-                    fields = braced_field_names(&toks, i + 1);
-                }
                 variants.push(Variant {
                     name: t.text.clone(),
-                    fields,
                     line: t.line,
                 });
             }
@@ -70,45 +62,6 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Option<Vec<Variant>> {
         i += 1;
     }
     Some(variants)
-}
-
-/// Finds `struct name { ... }` and returns its field names, or `None`.
-#[must_use]
-pub fn struct_fields(file: &SourceFile, name: &str) -> Option<Vec<String>> {
-    let toks = code(file);
-    let open = toks
-        .windows(3)
-        .position(|w| w[0].is_ident("struct") && w[1].is_ident(name) && w[2].is_punct('{'))?;
-    Some(braced_field_names(&toks, open + 2))
-}
-
-/// Collects field names inside a brace-delimited body starting at the
-/// token index of its `{`: identifiers at depth 1 directly followed by
-/// `:` (skipping visibility keywords).
-fn braced_field_names(toks: &[&Token], open: usize) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        let t = toks[i];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            if depth == 1 && t.is_punct('}') {
-                break;
-            }
-            depth = depth.saturating_sub(1);
-        } else if depth == 1
-            && t.kind == TokKind::Ident
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && !(i + 2 < toks.len() && toks[i + 2].is_punct(':'))
-        {
-            fields.push(t.text.clone());
-        }
-        i += 1;
-    }
-    fields
 }
 
 /// Every variant referenced as `type_name::Variant`, with the line of
@@ -130,50 +83,6 @@ pub fn path_refs(file: &SourceFile, type_name: &str) -> Vec<(String, u32)> {
         }
     }
     refs
-}
-
-/// Finds `const name ... = [ "...", ... ]` and returns the string
-/// literal values inside the array, decoded.
-#[must_use]
-pub fn const_str_array(file: &SourceFile, name: &str) -> Option<Vec<(String, u32)>> {
-    let toks = code(file);
-    let at = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("const") && w[1].is_ident(name))?;
-    let open = toks[at..]
-        .iter()
-        .position(|t| t.is_punct('['))
-        .map(|off| at + off)?;
-    // Skip a `&[` / `[&str; N]` type position: take the array after `=`.
-    let eq = toks[at..]
-        .iter()
-        .position(|t| t.is_punct('='))
-        .map(|off| at + off)?;
-    let open = if open > eq {
-        open
-    } else {
-        toks[eq..]
-            .iter()
-            .position(|t| t.is_punct('['))
-            .map(|off| eq + off)?
-    };
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    for t in &toks[open..] {
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.kind == TokKind::Str {
-            if let Some(v) = t.str_value() {
-                out.push((v, t.line));
-            }
-        }
-    }
-    Some(out)
 }
 
 /// Finds `const name ... = [A, B, ...]` and returns the identifier
@@ -278,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn variants_with_fields_and_attributes() {
+    fn variants_with_bodies_and_attributes() {
         let f = file(
             "pub enum Event {\n\
                /// doc\n\
@@ -292,16 +201,6 @@ mod tests {
         let vs = enum_variants(&f, "Event").unwrap();
         let names: Vec<&str> = vs.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, ["Launched", "Finished", "Ping", "Pair"]);
-        assert_eq!(vs[0].fields, ["mechanism", "threads"]);
-        assert_eq!(vs[1].fields, ["completed"]);
-        assert!(vs[2].fields.is_empty());
-        assert!(vs[3].fields.is_empty());
-    }
-
-    #[test]
-    fn generic_field_types_do_not_leak_fields() {
-        let f = file("struct R { map: HashMap<String, u64>, pairs: Vec<(String, Value)> }");
-        assert_eq!(struct_fields(&f, "R").unwrap(), ["map", "pairs"]);
     }
 
     #[test]
@@ -324,9 +223,9 @@ mod tests {
         let consts = str_consts(&f);
         assert_eq!(consts.len(), 2);
         assert_eq!(consts[0].1, "dope_up");
-        let arr = const_str_array(&f, "ALL").unwrap();
+        let arr = const_ident_array(&f, "ALL").unwrap();
         assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].0, "dope_extra");
+        assert_eq!(arr[0].0, "NAME");
     }
 
     #[test]

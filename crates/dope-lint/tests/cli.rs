@@ -40,7 +40,7 @@ fn lint_with_stdin(args: &[&str], stdin: &str) -> Output {
 
 #[test]
 fn clean_fixture_exits_zero() {
-    let out = lint(&[fixture("dl001", "good").to_str().unwrap()]);
+    let out = lint(&[fixture("dl002", "good").to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("0 findings"), "{text}");
@@ -57,8 +57,8 @@ fn bad_fixture_exits_one_and_names_the_code() {
 
 #[test]
 fn strict_turns_missing_anchors_into_failure() {
-    // dl001/good is finding-free but omits other passes' anchors.
-    let root = fixture("dl001", "good");
+    // dl002/good is finding-free but omits other passes' anchors.
+    let root = fixture("dl002", "good");
     let relaxed = lint(&[root.to_str().unwrap()]);
     assert_eq!(relaxed.status.code(), Some(0), "{relaxed:?}");
     let strict = lint(&["--strict", root.to_str().unwrap()]);
@@ -76,14 +76,14 @@ fn json_output_parses_as_a_report() {
 
 #[test]
 fn parse_report_round_trips_json_from_stdin() {
-    let json = lint(&["--json", fixture("dl006", "bad").to_str().unwrap()]);
+    let json = lint(&["--json", fixture("dl003", "bad").to_str().unwrap()]);
     assert_eq!(json.status.code(), Some(1));
     let text = String::from_utf8(json.stdout).unwrap();
     // Re-reading the report applies the same exit contract: findings -> 1.
     let reparse = lint_with_stdin(&["--parse-report", "-"], &text);
     assert_eq!(reparse.status.code(), Some(1), "{reparse:?}");
 
-    let clean = lint(&["--json", fixture("dl006", "good").to_str().unwrap()]);
+    let clean = lint(&["--json", fixture("dl003", "good").to_str().unwrap()]);
     assert_eq!(clean.status.code(), Some(0));
     let text = String::from_utf8(clean.stdout).unwrap();
     let reparse = lint_with_stdin(&["--parse-report", "-"], &text);

@@ -49,35 +49,6 @@ fn assert_silent(code: &str) {
 }
 
 #[test]
-fn dl001_fires_on_inexhaustive_consumer() {
-    assert_fires("dl001", DlCode::EventKindExhaustiveness);
-    let report = run("dl001", "bad");
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| f.file.ends_with("replay.rs")),
-        "only the consumer hiding behind `_ =>` should be flagged: {:?}",
-        report.findings
-    );
-    // The wildcard hides both Finished and the DecisionTraced kind; a
-    // regression that stops tracking DecisionTraced must keep firing.
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("DecisionTraced")),
-        "the hidden DecisionTraced kind should be named: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn dl001_silent_on_exhaustive_consumers() {
-    assert_silent("dl001");
-}
-
-#[test]
 fn dl002_fires_on_catalogued_but_unregistered_metric() {
     assert_fires("dl002", DlCode::MetricNameDrift);
     let report = run("dl002", "bad");
@@ -145,32 +116,6 @@ fn dl005_waivers_suppress_and_are_accounted_for() {
 }
 
 #[test]
-fn dl006_fires_on_removed_baseline_field() {
-    assert_fires("dl006", DlCode::AdditiveField);
-    let report = run("dl006", "bad");
-    assert!(
-        report.findings.iter().any(|f| f.message.contains("goal")),
-        "the removed field should be named: {:?}",
-        report.findings
-    );
-    // The bad flavor also drops `rationale` from DecisionTraced: the
-    // additive-field contract must cover the decision-audit kind too.
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("rationale")),
-        "the removed DecisionTraced field should be named: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn dl006_silent_when_baseline_matches() {
-    assert_silent("dl006");
-}
-
-#[test]
 fn dl007_fires_on_broken_docs_links() {
     assert_fires("dl007", DlCode::DocsLink);
     let report = run("dl007", "bad");
@@ -203,7 +148,7 @@ fn dl007_silent_when_every_link_resolves() {
 fn missing_anchors_are_fatal_only_under_strict() {
     // Every fixture omits some other pass's anchors, so non-strict runs
     // are clean-able while strict runs are not.
-    let report = run("dl001", "good");
+    let report = run("dl002", "good");
     assert!(!report.missing_anchors.is_empty());
     assert!(report.is_clean(false));
     assert!(!report.is_clean(true));
@@ -211,9 +156,7 @@ fn missing_anchors_are_fatal_only_under_strict() {
 
 #[test]
 fn reports_round_trip_through_json_for_every_fixture() {
-    for code in [
-        "dl001", "dl002", "dl003", "dl004", "dl005", "dl006", "dl007",
-    ] {
+    for code in ["dl002", "dl003", "dl004", "dl005", "dl007"] {
         for flavor in ["bad", "good"] {
             let report = run(code, flavor);
             let back = Report::from_json(&report.to_json())

@@ -540,8 +540,7 @@ impl ExecMetrics {
 
 /// Emits one held decision, scored against `realized` (the bottleneck
 /// throughput of the snapshot that followed it), stamped at the
-/// decision's own time. Mirrors `RecordingObserver::emit_decision` in
-/// `dope-trace` so live and simulated traces agree on semantics.
+/// decision's own time, and feeds the same score to the metrics.
 fn emit_decision(
     recorder: &Recorder,
     metrics: Option<&ExecMetrics>,
@@ -550,28 +549,19 @@ fn emit_decision(
     trace: DecisionTrace,
     realized: Option<f64>,
 ) {
-    let prediction_error = match (trace.predicted_throughput, realized) {
-        (Some(predicted), Some(realized)) if realized > 0.0 => {
-            Some((predicted - realized) / realized)
-        }
-        _ => None,
-    };
-    if let Some(m) = metrics {
-        m.record_decision(trace.rationale.code(), prediction_error);
-    }
-    recorder.record_at(
-        time_secs,
+    let event = TraceEvent::decision(mechanism, trace, realized);
+    if let (
+        Some(m),
         TraceEvent::DecisionTraced {
-            mechanism,
-            rationale: trace.rationale,
-            observed: trace.observed,
-            candidates: trace.candidates,
-            chosen: trace.chosen,
-            predicted_throughput: trace.predicted_throughput,
-            realized_throughput: realized,
+            rationale,
             prediction_error,
+            ..
         },
-    );
+    ) = (metrics, &event)
+    {
+        m.record_decision(rationale.code(), *prediction_error);
+    }
+    recorder.record_at(time_secs, event);
 }
 
 /// Debug-build verification gate.

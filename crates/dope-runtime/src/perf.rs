@@ -4,10 +4,8 @@
 //! these probes and emits `BENCH_perf.json`; CI runs them in a reduced
 //! configuration and diffs against a checked-in baseline. They live in
 //! the runtime crate because they exercise crate-private machinery: the
-//! per-worker `RecorderShard` hot path, the monitor's
-//! shard aggregation, and — so every report carries a same-machine
-//! before/after — a faithful replica of the *retired* shared-mutex
-//! record path the shards replaced.
+//! per-worker `RecorderShard` hot path and the monitor's shard
+//! aggregation.
 //!
 //! None of this is statistical benchmarking infrastructure (criterion
 //! covers that in `crates/bench/benches/`); these are cheap wall-clock
@@ -15,16 +13,13 @@
 //! run to run.
 
 use crate::monitor::Monitor;
-use dope_core::{Ewma, TaskPath};
-use dope_metrics::Histogram;
+use dope_core::TaskPath;
 use dope_platform::FeatureRegistry;
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Record-path cost, sharded versus the retired mutex design.
+/// Record-path cost of the sharded design.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordPathReport {
     /// Record calls each thread performed per variant.
@@ -36,10 +31,6 @@ pub struct RecordPathReport {
     /// Sharded record, `threads` concurrent writers (mean ns per op as
     /// experienced by each writer).
     pub sharded_contended_ns: f64,
-    /// Mutex-reference record, one writer (ns per op).
-    pub mutex_single_ns: f64,
-    /// Mutex-reference record, `threads` writers sharing one lock.
-    pub mutex_contended_ns: f64,
 }
 
 /// Monitor snapshot latency over a populated path set.
@@ -81,67 +72,8 @@ fn mean_join(handles: Vec<std::thread::JoinHandle<f64>>) -> f64 {
     }
 }
 
-/// A faithful replica of the retired shared-mutex record path: shared
-/// invocation/busy counters, a shared histogram, and an EWMA plus
-/// completion deque behind one mutex every writer fights over, with the
-/// exact self-timing (two clock reads per record) the old code paid.
-///
-/// Kept runnable so `BENCH_perf.json` always carries a before/after
-/// measured on the same machine in the same run — the regression gate
-/// never compares against numbers from someone else's hardware.
-struct MutexReference {
-    invocations: AtomicU64,
-    busy_nanos: AtomicU64,
-    exec_hist: Histogram,
-    overhead_nanos: AtomicU64,
-    inner: Mutex<ReferenceInner>,
-}
-
-struct ReferenceInner {
-    exec_ewma: Ewma,
-    completions: VecDeque<Instant>,
-}
-
-impl MutexReference {
-    fn new() -> Self {
-        MutexReference {
-            invocations: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            exec_hist: Histogram::new(),
-            overhead_nanos: AtomicU64::new(0),
-            inner: Mutex::new(ReferenceInner {
-                exec_ewma: Ewma::new(0.25),
-                completions: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// The old `PathStats::record`, line for line.
-    fn record_reference(&self, exec: Duration, now: Instant, window: Duration) {
-        let t0 = Instant::now();
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        self.busy_nanos
-            .fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
-        self.exec_hist
-            .record_nanos(u64::try_from(exec.as_nanos()).unwrap_or(u64::MAX));
-        {
-            // dope-lint: allow(DL004): benchmark-only replica of the retired mutex hot path; the lock is private to this probe and nests under nothing
-            let mut inner = self.inner.lock();
-            inner.exec_ewma.update(exec.as_secs_f64());
-            inner.completions.push_back(now);
-            let horizon = now.checked_sub(window).unwrap_or(now);
-            while inner.completions.front().is_some_and(|&t| t < horizon) {
-                inner.completions.pop_front();
-            }
-        }
-        self.overhead_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-/// Measures the task-completion record path: the sharded design (one
-/// private `RecorderShard` per writer, zero locks)
-/// against the retired shared-mutex design, single-threaded and with
+/// Measures the task-completion record path — one private
+/// `RecorderShard` per writer, zero locks — single-threaded and with
 /// `threads` concurrent writers on one task path.
 #[must_use]
 pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
@@ -172,33 +104,11 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
     }
     let sharded_contended_ns = mean_join(handles);
 
-    // Mutex reference, one writer.
-    let reference = Arc::new(MutexReference::new());
-    let now = Instant::now();
-    let mutex_single_ns = time_per_op(iters, |_| reference.record_reference(exec, now, window));
-
-    // Mutex reference, contended: one lock shared by every writer.
-    let reference = Arc::new(MutexReference::new());
-    let barrier = Arc::new(Barrier::new(threads as usize));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let reference = Arc::clone(&reference);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let now = Instant::now();
-            barrier.wait();
-            time_per_op(iters, |_| reference.record_reference(exec, now, window))
-        }));
-    }
-    let mutex_contended_ns = mean_join(handles);
-
     RecordPathReport {
         iters_per_thread: iters.max(1),
         threads,
         sharded_single_ns,
         sharded_contended_ns,
-        mutex_single_ns,
-        mutex_contended_ns,
     }
 }
 
@@ -243,8 +153,6 @@ mod tests {
         let report = bench_record_path(200, 2);
         assert!(report.sharded_single_ns > 0.0);
         assert!(report.sharded_contended_ns > 0.0);
-        assert!(report.mutex_single_ns > 0.0);
-        assert!(report.mutex_contended_ns > 0.0);
         assert_eq!(report.threads, 2);
     }
 
@@ -253,18 +161,5 @@ mod tests {
         let report = bench_snapshot(3, 50, 2);
         assert!(report.snapshot_micros > 0.0);
         assert_eq!(report.paths, 3);
-    }
-
-    #[test]
-    fn mutex_reference_replicates_old_bookkeeping() {
-        let reference = MutexReference::new();
-        let now = Instant::now();
-        for _ in 0..10 {
-            reference.record_reference(Duration::from_millis(1), now, Duration::from_secs(10));
-        }
-        assert_eq!(reference.invocations.load(Ordering::Relaxed), 10);
-        assert_eq!(reference.busy_nanos.load(Ordering::Relaxed), 10_000_000);
-        assert_eq!(reference.inner.lock().completions.len(), 10);
-        assert!(reference.overhead_nanos.load(Ordering::Relaxed) > 0);
     }
 }

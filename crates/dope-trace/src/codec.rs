@@ -8,6 +8,10 @@
 //! shim), so traces parse with byte-offset errors and round-trip
 //! losslessly.
 //!
+//! Which keys a kind carries is declared once, in the schema table of
+//! [`crate::event`]; this module holds what the table is expanded over:
+//! one `Wire` impl per payload type and the four-key envelope.
+//!
 //! # Example
 //!
 //! ```
@@ -30,288 +34,229 @@
 //! assert_eq!(parse_line(&line).unwrap(), record);
 //! ```
 
+use std::collections::BTreeMap;
+
 use crate::event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
 use dope_core::json::{
     config_from_value, config_to_value, parse, shape_from_value, shape_to_value, JsonError, Value,
 };
-use dope_core::{
-    AdmissionStats, DecisionCandidate, DiagCode, MonitorSnapshot, QueueStats, Rationale, TaskPath,
-    TaskStats,
-};
+use dope_core::{Config, DiagCode, ProgramShape, Rationale, TaskPath, TaskStats};
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+/// The wire form of one payload type. `put`/`take` are its JSON value
+/// (`key` names it in error messages only); `put_field`/`take_field` are
+/// the key(s) it owns in an enclosing object — one key, its own, unless
+/// overridden ([`Verdict`] flattens into two).
+pub(crate) trait Wire: Sized {
+    fn put(&self) -> Value;
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError>;
 
-fn queue_to_value(queue: &QueueStats) -> Value {
-    Value::Object(vec![
-        ("occupancy".to_string(), Value::from_f64(queue.occupancy)),
-        (
-            "arrival_rate".to_string(),
-            Value::from_f64(queue.arrival_rate),
-        ),
-        ("enqueued".to_string(), Value::Number(queue.enqueued)),
-        ("completed".to_string(), Value::Number(queue.completed)),
-    ])
+    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
+        out.push((key.to_string(), self.put()));
+    }
+
+    /// A `default` marks an *additive* field: absent or `null` (a trace
+    /// written before the field existed, or a writer that did not
+    /// measure) decodes as the default — so a non-finite additive number,
+    /// which the encoder writes as `null`, also reads back as its
+    /// default. Present-but-mistyped is still an error.
+    fn take_field(obj: &Value, key: &str, default: Option<Self>) -> Result<Self, JsonError> {
+        match (required(obj, key), default) {
+            (Err(_) | Ok(Value::Null), Some(default)) => Ok(default),
+            (value, _) => Self::take(value?, key),
+        }
+    }
 }
 
-fn task_stats_fields(stats: &TaskStats) -> Vec<(String, Value)> {
-    vec![
-        ("invocations".to_string(), Value::Number(stats.invocations)),
-        (
-            "mean_exec_secs".to_string(),
-            Value::from_f64(stats.mean_exec_secs),
-        ),
-        ("throughput".to_string(), Value::from_f64(stats.throughput)),
-        ("load".to_string(), Value::from_f64(stats.load)),
-        (
-            "utilization".to_string(),
-            Value::from_f64(stats.utilization),
-        ),
-        // Additive since the metrics plane landed; readers of older
-        // traces default these to 0.0 ("not measured"), so the schema
-        // version stays 1.
-        (
-            "p50_exec_secs".to_string(),
-            Value::from_f64(stats.p50_exec_secs),
-        ),
-        (
-            "p95_exec_secs".to_string(),
-            Value::from_f64(stats.p95_exec_secs),
-        ),
-        (
-            "p99_exec_secs".to_string(),
-            Value::from_f64(stats.p99_exec_secs),
-        ),
-    ]
+fn required<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, JsonError> {
+    obj.get(key)
+        .ok_or_else(|| JsonError::decode(format!("trace record is missing `{key}`")))
 }
 
-fn admission_to_value(admission: &AdmissionStats) -> Value {
-    Value::Object(vec![
-        ("offered".to_string(), Value::Number(admission.offered)),
-        ("admitted".to_string(), Value::Number(admission.admitted)),
-        (
-            "shed_high_water".to_string(),
-            Value::Number(admission.shed_high_water),
-        ),
-        (
-            "shed_deadline".to_string(),
-            Value::Number(admission.shed_deadline),
-        ),
-        (
-            "mean_queue_delay_secs".to_string(),
-            Value::from_f64(admission.mean_queue_delay_secs),
-        ),
-    ])
+fn mistyped(key: &str, expected: &str) -> JsonError {
+    JsonError::decode(format!("`{key}` must be {expected}"))
 }
 
-fn snapshot_to_value(snap: &MonitorSnapshot) -> Value {
-    let tasks = snap
-        .tasks
-        .iter()
-        .map(|(path, stats)| {
-            let mut fields = vec![("path".to_string(), Value::String(path.to_string()))];
-            fields.extend(task_stats_fields(stats));
-            Value::Object(fields)
-        })
-        .collect();
-    Value::Object(vec![
-        ("time_secs".to_string(), Value::from_f64(snap.time_secs)),
-        ("tasks".to_string(), Value::Array(tasks)),
-        ("queue".to_string(), queue_to_value(&snap.queue)),
-        (
-            "power_watts".to_string(),
-            snap.power_watts.map_or(Value::Null, Value::from_f64),
-        ),
-        (
-            "dispatches_since_reconfig".to_string(),
-            Value::Number(snap.dispatches_since_reconfig),
-        ),
-        // Additive since the admission gate landed; readers of older
-        // traces default the whole object to all-zero ("no gate").
-        ("admission".to_string(), admission_to_value(&snap.admission)),
-    ])
+fn take_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, JsonError> {
+    value.as_str().ok_or_else(|| mistyped(key, "a string"))
+}
+
+fn take_array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], JsonError> {
+    value.as_array().ok_or_else(|| mistyped(key, "an array"))
+}
+
+/// The leaf payload types, one entry each: how `self` becomes a value,
+/// then how a value (named `key` in errors) is read back.
+macro_rules! wire {
+    ($(
+        $(#[$doc:meta])*
+        $ty:ty: |$this:ident| $put:expr, |$value:ident, $key:ident| $take:expr;
+    )+) => {$(
+        $(#[$doc])*
+        impl Wire for $ty {
+            fn put(&self) -> Value {
+                let $this = self;
+                $put
+            }
+
+            fn take($value: &Value, $key: &str) -> Result<Self, JsonError> {
+                $take
+            }
+        }
+    )+};
+}
+
+wire! {
+    u64: |n| Value::Number(*n),
+        |value, key| value.as_u64().ok_or_else(|| mistyped(key, "a non-negative integer"));
+    u32: |n| Value::Number(u64::from(*n)),
+        |value, key| u32::try_from(u64::take(value, key)?)
+            .map_err(|_| JsonError::decode(format!("`{key}` does not fit in u32")));
+    /// JSON has no NaN or infinity, so the encoder writes every
+    /// non-finite float as `null`; a `null` where a number is required
+    /// therefore decodes as NaN ("the writer had no finite reading")
+    /// instead of failing the whole trace. Anything else that is not a
+    /// number is still an error.
+    f64: |x| Value::from_f64(*x),
+        |value, key| match value {
+            Value::Null => Ok(f64::NAN),
+            other => other.as_f64().ok_or_else(|| mistyped(key, "a number")),
+        };
+    String: |s| Value::String(s.clone()),
+        |value, key| take_str(value, key).map(str::to_string);
+    TaskPath: |path| Value::String(path.to_string()),
+        |value, key| take_str(value, key)?.parse()
+            .map_err(|_| mistyped(key, "a valid task path"));
+    DiagCode: |code| Value::String(code.to_string()),
+        |value, key| take_str(value, key)?.parse()
+            .map_err(|_| mistyped(key, "a catalogued DV code"));
+    Rationale: |rationale| Value::String(rationale.code().to_string()),
+        |value, key| Rationale::from_code(take_str(value, key)?)
+            .ok_or_else(|| mistyped(key, "a catalogued rationale code"));
+    Config: |config| config_to_value(config), |value, _key| config_from_value(value);
+    ProgramShape: |shape| shape_to_value(shape), |value, _key| shape_from_value(value);
+    /// One observed `(signal, value)` pair of a decision.
+    (String, f64): |pair| Value::Object(vec![
+            ("signal".to_string(), pair.0.put()),
+            ("value".to_string(), pair.1.put()),
+        ]),
+        |obj, _key| Ok((
+            Wire::take_field(obj, "signal", None)?,
+            Wire::take_field(obj, "value", None)?,
+        ));
+}
+
+/// A snapshot's per-task table: an array of rows, each the task's
+/// `path` followed by its [`TaskStats`] keys, flattened.
+impl Wire for BTreeMap<TaskPath, TaskStats> {
+    fn put(&self) -> Value {
+        let row = |(path, stats): (&TaskPath, &TaskStats)| {
+            let mut row = Vec::new();
+            path.put_field("path", &mut row);
+            if let Value::Object(stats) = stats.put() {
+                row.extend(stats);
+            }
+            Value::Object(row)
+        };
+        Value::Array(self.iter().map(row).collect())
+    }
+
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
+        let row = |row| {
+            Ok((
+                Wire::take_field(row, "path", None)?,
+                TaskStats::take(row, key)?,
+            ))
+        };
+        take_array(value, key)?.iter().map(row).collect()
+    }
+}
+
+/// `None` ("not measured") is `null` on the wire.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Wire::put)
+    }
+
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::take(other, key).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> Value {
+        Value::Array(self.iter().map(Wire::put).collect())
+    }
+
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
+        take_array(value, key)?
+            .iter()
+            .map(|item| T::take(item, key))
+            .collect()
+    }
+}
+
+/// The verdict's tag is its value; a rejection's `DV0xx` diagnostic
+/// rides beside it in the enclosing object, under `code`.
+impl Wire for Verdict {
+    fn put(&self) -> Value {
+        let tag = match self {
+            Verdict::Accepted => "accepted",
+            Verdict::Unchanged => "unchanged",
+            Verdict::Rejected { .. } => "rejected",
+            Verdict::Superseded => "superseded",
+        };
+        Value::String(tag.to_string())
+    }
+
+    /// The three verdicts a bare tag can carry; `"rejected"` needs its
+    /// `code` and is read by `take_field`.
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
+        match take_str(value, key)? {
+            "accepted" => Ok(Verdict::Accepted),
+            "unchanged" => Ok(Verdict::Unchanged),
+            "superseded" => Ok(Verdict::Superseded),
+            other => Err(mistyped(
+                key,
+                &format!(
+                    "\"accepted\", \"unchanged\", \"rejected\" or \"superseded\", got {other:?}"
+                ),
+            )),
+        }
+    }
+
+    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
+        out.push((key.to_string(), self.put()));
+        if let Verdict::Rejected { code } = self {
+            code.put_field("code", out);
+        }
+    }
+
+    fn take_field(obj: &Value, key: &str, _: Option<Self>) -> Result<Self, JsonError> {
+        match required(obj, key)? {
+            Value::String(tag) if tag == "rejected" => Ok(Verdict::Rejected {
+                code: Wire::take_field(obj, "code", None)?,
+            }),
+            value => Self::take(value, key),
+        }
+    }
 }
 
 /// Encodes a record as a JSON [`Value`] (one object per line).
 #[must_use]
 pub fn record_to_value(record: &TraceRecord) -> Value {
-    let mut fields = vec![
-        ("v".to_string(), Value::Number(SCHEMA_VERSION)),
-        ("seq".to_string(), Value::Number(record.seq)),
-        ("t".to_string(), Value::from_f64(record.time_secs)),
-        (
-            "kind".to_string(),
-            Value::String(record.event.kind().to_string()),
-        ),
-    ];
-    match &record.event {
-        TraceEvent::Launched {
-            mechanism,
-            goal,
-            threads,
-            shape,
-            config,
-        } => {
-            fields.push(("mechanism".to_string(), Value::String(mechanism.clone())));
-            fields.push(("goal".to_string(), Value::String(goal.clone())));
-            fields.push(("threads".to_string(), Value::Number(u64::from(*threads))));
-            fields.push(("shape".to_string(), shape_to_value(shape)));
-            fields.push(("config".to_string(), config_to_value(config)));
-        }
-        TraceEvent::SnapshotTaken { snapshot } => {
-            fields.push(("snapshot".to_string(), snapshot_to_value(snapshot)));
-        }
-        TraceEvent::TaskStatsSample { path, stats } => {
-            fields.push(("path".to_string(), Value::String(path.to_string())));
-            fields.push(("stats".to_string(), Value::Object(task_stats_fields(stats))));
-        }
-        TraceEvent::ProposalEvaluated {
-            mechanism,
-            proposal,
-            verdict,
-        } => {
-            fields.push(("mechanism".to_string(), Value::String(mechanism.clone())));
-            fields.push(("proposal".to_string(), config_to_value(proposal)));
-            let (verdict_str, code) = match verdict {
-                Verdict::Accepted => ("accepted", None),
-                Verdict::Unchanged => ("unchanged", None),
-                Verdict::Rejected { code } => ("rejected", Some(*code)),
-                Verdict::Superseded => ("superseded", None),
-            };
-            fields.push((
-                "verdict".to_string(),
-                Value::String(verdict_str.to_string()),
-            ));
-            if let Some(code) = code {
-                fields.push(("code".to_string(), Value::String(code.as_str().to_string())));
-            }
-        }
-        TraceEvent::ReconfigureEpoch {
-            pause_secs,
-            relaunch_secs,
-            jobs,
-            config,
-            scope,
-            paths_drained,
-        } => {
-            fields.push(("pause_secs".to_string(), Value::from_f64(*pause_secs)));
-            fields.push(("relaunch_secs".to_string(), Value::from_f64(*relaunch_secs)));
-            fields.push(("jobs".to_string(), Value::Number(*jobs)));
-            fields.push(("config".to_string(), config_to_value(config)));
-            fields.push(("scope".to_string(), Value::String(scope.clone())));
-            fields.push(("paths_drained".to_string(), Value::Number(*paths_drained)));
-        }
-        TraceEvent::FeatureRead { feature, value } => {
-            fields.push(("feature".to_string(), Value::String(feature.clone())));
-            fields.push(("value".to_string(), Value::from_f64(*value)));
-        }
-        TraceEvent::QueueSample { queue } => {
-            fields.push(("queue".to_string(), queue_to_value(queue)));
-        }
-        TraceEvent::TaskFailed {
-            path,
-            reason,
-            policy,
-        } => {
-            fields.push(("path".to_string(), Value::String(path.to_string())));
-            fields.push(("reason".to_string(), Value::String(reason.clone())));
-            fields.push(("policy".to_string(), Value::String(policy.clone())));
-        }
-        TraceEvent::DecisionTraced {
-            mechanism,
-            rationale,
-            observed,
-            candidates,
-            chosen,
-            predicted_throughput,
-            realized_throughput,
-            prediction_error,
-        } => {
-            fields.push(("mechanism".to_string(), Value::String(mechanism.clone())));
-            fields.push((
-                "rationale".to_string(),
-                Value::String(rationale.code().to_string()),
-            ));
-            fields.push((
-                "observed".to_string(),
-                Value::Array(
-                    observed
-                        .iter()
-                        .map(|(signal, value)| {
-                            Value::Object(vec![
-                                ("signal".to_string(), Value::String(signal.clone())),
-                                ("value".to_string(), Value::from_f64(*value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push((
-                "candidates".to_string(),
-                Value::Array(
-                    candidates
-                        .iter()
-                        .map(|c| {
-                            Value::Object(vec![
-                                ("action".to_string(), Value::String(c.action.clone())),
-                                ("score".to_string(), Value::from_f64(c.score)),
-                                (
-                                    "predicted_throughput".to_string(),
-                                    c.predicted_throughput.map_or(Value::Null, Value::from_f64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push(("chosen".to_string(), Value::String(chosen.clone())));
-            fields.push((
-                "predicted_throughput".to_string(),
-                predicted_throughput.map_or(Value::Null, Value::from_f64),
-            ));
-            fields.push((
-                "realized_throughput".to_string(),
-                realized_throughput.map_or(Value::Null, Value::from_f64),
-            ));
-            fields.push((
-                "prediction_error".to_string(),
-                prediction_error.map_or(Value::Null, Value::from_f64),
-            ));
-        }
-        TraceEvent::AdmissionDecision {
-            policy,
-            verdict,
-            reason,
-            queue_delay_secs,
-            offered,
-            admitted,
-            shed,
-        } => {
-            fields.push(("policy".to_string(), Value::String(policy.clone())));
-            fields.push(("verdict".to_string(), Value::String(verdict.clone())));
-            fields.push(("reason".to_string(), Value::String(reason.clone())));
-            fields.push((
-                "queue_delay_secs".to_string(),
-                Value::from_f64(*queue_delay_secs),
-            ));
-            fields.push(("offered".to_string(), Value::Number(*offered)));
-            fields.push(("admitted".to_string(), Value::Number(*admitted)));
-            fields.push(("shed".to_string(), Value::Number(*shed)));
-        }
-        TraceEvent::Finished {
-            completed,
-            reconfigurations,
-            dropped_events,
-        } => {
-            fields.push(("completed".to_string(), Value::Number(*completed)));
-            fields.push((
-                "reconfigurations".to_string(),
-                Value::Number(*reconfigurations),
-            ));
-            fields.push(("dropped_events".to_string(), Value::Number(*dropped_events)));
-        }
-    }
+    // Room for the envelope plus the widest kind (eight payload keys).
+    let mut fields = Vec::with_capacity(12);
+    SCHEMA_VERSION.put_field("v", &mut fields);
+    record.seq.put_field("seq", &mut fields);
+    record.time_secs.put_field("t", &mut fields);
+    fields.push((
+        "kind".to_string(),
+        Value::String(record.event.kind().to_string()),
+    ));
+    record.event.put_payload(&mut fields);
     Value::Object(fields)
 }
 
@@ -332,162 +277,6 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-fn req<'a>(value: &'a Value, key: &str) -> Result<&'a Value, JsonError> {
-    value
-        .get(key)
-        .ok_or_else(|| JsonError::decode(format!("trace record is missing `{key}`")))
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, JsonError> {
-    req(value, key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::decode(format!("`{key}` must be a non-negative integer")))
-}
-
-fn req_f64(value: &Value, key: &str) -> Result<f64, JsonError> {
-    req(value, key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::decode(format!("`{key}` must be a number")))
-}
-
-fn req_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, JsonError> {
-    req(value, key)?
-        .as_str()
-        .ok_or_else(|| JsonError::decode(format!("`{key}` must be a string")))
-}
-
-fn req_path(value: &Value, key: &str) -> Result<TaskPath, JsonError> {
-    req_str(value, key)?
-        .parse()
-        .map_err(|_| JsonError::decode(format!("`{key}` is not a valid task path")))
-}
-
-fn queue_from_value(value: &Value) -> Result<QueueStats, JsonError> {
-    Ok(QueueStats {
-        occupancy: req_f64(value, "occupancy")?,
-        arrival_rate: req_f64(value, "arrival_rate")?,
-        enqueued: req_u64(value, "enqueued")?,
-        completed: req_u64(value, "completed")?,
-    })
-}
-
-/// Reads an *optional* numeric field: absent (old traces) or `null`
-/// decodes as `default`; present-but-mistyped is still an error.
-fn opt_f64(value: &Value, key: &str, default: f64) -> Result<f64, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| JsonError::decode(format!("`{key}` must be a number or null"))),
-    }
-}
-
-/// Reads an optional numeric field where absence is meaningful: absent or
-/// `null` decodes as `None` ("not measured"); mistyped is an error.
-fn opt_f64_or_none(value: &Value, key: &str) -> Result<Option<f64>, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| JsonError::decode(format!("`{key}` must be a number or null"))),
-    }
-}
-
-/// Reads an *optional* string field: absent or `null` (old traces)
-/// decodes as `default`; present-but-mistyped is still an error.
-fn opt_str(value: &Value, key: &str, default: &str) -> Result<String, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(default.to_string()),
-        Some(v) => v
-            .as_str()
-            .map(ToString::to_string)
-            .ok_or_else(|| JsonError::decode(format!("`{key}` must be a string or null"))),
-    }
-}
-
-/// Reads an *optional* non-negative integer field: absent or `null`
-/// (old traces) decodes as `default`; present-but-mistyped is still an
-/// error.
-fn opt_u64(value: &Value, key: &str, default: u64) -> Result<u64, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            JsonError::decode(format!("`{key}` must be a non-negative integer or null"))
-        }),
-    }
-}
-
-fn task_stats_from_value(value: &Value) -> Result<TaskStats, JsonError> {
-    Ok(TaskStats {
-        invocations: req_u64(value, "invocations")?,
-        mean_exec_secs: req_f64(value, "mean_exec_secs")?,
-        throughput: req_f64(value, "throughput")?,
-        load: req_f64(value, "load")?,
-        utilization: req_f64(value, "utilization")?,
-        // Additive v1 fields: traces written before the metrics plane
-        // landed simply omit them, which decodes as "not measured".
-        p50_exec_secs: opt_f64(value, "p50_exec_secs", 0.0)?,
-        p95_exec_secs: opt_f64(value, "p95_exec_secs", 0.0)?,
-        p99_exec_secs: opt_f64(value, "p99_exec_secs", 0.0)?,
-    })
-}
-
-fn snapshot_from_value(value: &Value) -> Result<MonitorSnapshot, JsonError> {
-    let mut snap = MonitorSnapshot::at(req_f64(value, "time_secs")?);
-    let tasks = req(value, "tasks")?
-        .as_array()
-        .ok_or_else(|| JsonError::decode("snapshot `tasks` must be an array"))?;
-    for task in tasks {
-        snap.tasks
-            .insert(req_path(task, "path")?, task_stats_from_value(task)?);
-    }
-    snap.queue = queue_from_value(req(value, "queue")?)?;
-    snap.power_watts = match value.get("power_watts") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or_else(|| JsonError::decode("`power_watts` must be a number or null"))?,
-        ),
-    };
-    snap.dispatches_since_reconfig = req_u64(value, "dispatches_since_reconfig")?;
-    // Additive v1 object: absent or null (pre-admission traces) decodes
-    // as all-zero; present-but-mistyped is still an error.
-    snap.admission = match value.get("admission") {
-        None | Some(Value::Null) => AdmissionStats::default(),
-        Some(adm) => AdmissionStats {
-            offered: req_u64(adm, "offered")?,
-            admitted: req_u64(adm, "admitted")?,
-            shed_high_water: req_u64(adm, "shed_high_water")?,
-            shed_deadline: req_u64(adm, "shed_deadline")?,
-            mean_queue_delay_secs: req_f64(adm, "mean_queue_delay_secs")?,
-        },
-    };
-    Ok(snap)
-}
-
-fn verdict_from_value(value: &Value) -> Result<Verdict, JsonError> {
-    match req_str(value, "verdict")? {
-        "accepted" => Ok(Verdict::Accepted),
-        "unchanged" => Ok(Verdict::Unchanged),
-        "rejected" => {
-            let code: DiagCode = req_str(value, "code")?
-                .parse()
-                .map_err(|_| JsonError::decode("`code` is not a catalogued DV code"))?;
-            Ok(Verdict::Rejected { code })
-        }
-        "superseded" => Ok(Verdict::Superseded),
-        other => Err(JsonError::decode(format!(
-            "`verdict` must be \"accepted\", \"unchanged\", \"rejected\" or \"superseded\", \
-             got {other:?}"
-        ))),
-    }
-}
-
 /// Decodes a record from a parsed JSON [`Value`].
 ///
 /// # Errors
@@ -495,118 +284,16 @@ fn verdict_from_value(value: &Value) -> Result<Verdict, JsonError> {
 /// Returns a [`JsonError`] on unknown schema versions, unknown `kind`s,
 /// or missing / mistyped fields.
 pub fn record_from_value(value: &Value) -> Result<TraceRecord, JsonError> {
-    let version = req_u64(value, "v")?;
+    let version = u64::take_field(value, "v", None)?;
     if version != SCHEMA_VERSION {
         return Err(JsonError::decode(format!(
             "unsupported trace schema version {version} (this build reads version {SCHEMA_VERSION})"
         )));
     }
-    let seq = req_u64(value, "seq")?;
-    let time_secs = req_f64(value, "t")?;
-    let event = match req_str(value, "kind")? {
-        "Launched" => TraceEvent::Launched {
-            mechanism: req_str(value, "mechanism")?.to_string(),
-            goal: req_str(value, "goal")?.to_string(),
-            threads: u32::try_from(req_u64(value, "threads")?)
-                .map_err(|_| JsonError::decode("`threads` does not fit in u32"))?,
-            shape: shape_from_value(req(value, "shape")?)?,
-            config: config_from_value(req(value, "config")?)?,
-        },
-        "SnapshotTaken" => TraceEvent::SnapshotTaken {
-            snapshot: snapshot_from_value(req(value, "snapshot")?)?,
-        },
-        "TaskStatsSample" => TraceEvent::TaskStatsSample {
-            path: req_path(value, "path")?,
-            stats: task_stats_from_value(req(value, "stats")?)?,
-        },
-        "ProposalEvaluated" => TraceEvent::ProposalEvaluated {
-            mechanism: req_str(value, "mechanism")?.to_string(),
-            proposal: config_from_value(req(value, "proposal")?)?,
-            verdict: verdict_from_value(value)?,
-        },
-        "ReconfigureEpoch" => TraceEvent::ReconfigureEpoch {
-            pause_secs: req_f64(value, "pause_secs")?,
-            relaunch_secs: req_f64(value, "relaunch_secs")?,
-            jobs: req_u64(value, "jobs")?,
-            config: config_from_value(req(value, "config")?)?,
-            // Additive since delta reconfiguration landed: every
-            // pre-delta epoch was a full drain, so absence decodes as
-            // "full"; 0 drained paths means "not measured".
-            scope: opt_str(value, "scope", "full")?,
-            paths_drained: opt_u64(value, "paths_drained", 0)?,
-        },
-        "FeatureRead" => TraceEvent::FeatureRead {
-            feature: req_str(value, "feature")?.to_string(),
-            value: req_f64(value, "value")?,
-        },
-        "QueueSample" => TraceEvent::QueueSample {
-            queue: queue_from_value(req(value, "queue")?)?,
-        },
-        "TaskFailed" => TraceEvent::TaskFailed {
-            path: req_path(value, "path")?,
-            reason: req_str(value, "reason")?.to_string(),
-            policy: req_str(value, "policy")?.to_string(),
-        },
-        "DecisionTraced" => {
-            let rationale_code = req_str(value, "rationale")?;
-            let rationale = Rationale::from_code(rationale_code).ok_or_else(|| {
-                JsonError::decode(format!(
-                    "`rationale` {rationale_code:?} is not a catalogued rationale code"
-                ))
-            })?;
-            let observed = req(value, "observed")?
-                .as_array()
-                .ok_or_else(|| JsonError::decode("`observed` must be an array"))?
-                .iter()
-                .map(|o| Ok((req_str(o, "signal")?.to_string(), req_f64(o, "value")?)))
-                .collect::<Result<Vec<_>, JsonError>>()?;
-            let candidates = req(value, "candidates")?
-                .as_array()
-                .ok_or_else(|| JsonError::decode("`candidates` must be an array"))?
-                .iter()
-                .map(|c| {
-                    Ok(DecisionCandidate {
-                        action: req_str(c, "action")?.to_string(),
-                        score: req_f64(c, "score")?,
-                        predicted_throughput: opt_f64_or_none(c, "predicted_throughput")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?;
-            TraceEvent::DecisionTraced {
-                mechanism: req_str(value, "mechanism")?.to_string(),
-                rationale,
-                observed,
-                candidates,
-                chosen: req_str(value, "chosen")?.to_string(),
-                predicted_throughput: opt_f64_or_none(value, "predicted_throughput")?,
-                realized_throughput: opt_f64_or_none(value, "realized_throughput")?,
-                prediction_error: opt_f64_or_none(value, "prediction_error")?,
-            }
-        }
-        "AdmissionDecision" => TraceEvent::AdmissionDecision {
-            policy: req_str(value, "policy")?.to_string(),
-            verdict: req_str(value, "verdict")?.to_string(),
-            reason: req_str(value, "reason")?.to_string(),
-            queue_delay_secs: req_f64(value, "queue_delay_secs")?,
-            offered: req_u64(value, "offered")?,
-            admitted: req_u64(value, "admitted")?,
-            shed: req_u64(value, "shed")?,
-        },
-        "Finished" => TraceEvent::Finished {
-            completed: req_u64(value, "completed")?,
-            reconfigurations: req_u64(value, "reconfigurations")?,
-            dropped_events: req_u64(value, "dropped_events")?,
-        },
-        other => {
-            return Err(JsonError::decode(format!(
-                "unknown trace event kind {other:?}"
-            )))
-        }
-    };
     Ok(TraceRecord {
-        seq,
-        time_secs,
-        event,
+        seq: Wire::take_field(value, "seq", None)?,
+        time_secs: Wire::take_field(value, "t", None)?,
+        event: TraceEvent::take_payload(take_str(required(value, "kind")?, "kind")?, value)?,
     })
 }
 
@@ -642,7 +329,10 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{Config, ProgramShape, ShapeNode, TaskConfig, TaskKind};
+    use dope_core::{
+        AdmissionStats, DecisionCandidate, MonitorSnapshot, QueueStats, ShapeNode, TaskConfig,
+        TaskKind,
+    };
 
     fn sample_config() -> Config {
         Config::new(vec![TaskConfig::nest(
@@ -949,6 +639,80 @@ mod tests {
         // Present-but-mistyped still errors: additive, not lax.
         let line = r#"{"v": 1, "seq": 3, "t": 0.5, "kind": "SnapshotTaken", "snapshot": {"time_secs": 0.5, "tasks": [], "queue": {"occupancy": 0.0, "arrival_rate": 0.0, "enqueued": 0, "completed": 0}, "power_watts": null, "dispatches_since_reconfig": 0, "admission": "open"}}"#;
         assert!(parse_line(line).is_err());
+    }
+
+    #[test]
+    fn the_reader_accepts_the_nulls_the_writer_emits_for_non_finite_floats() {
+        // One stale sensor reading (NaN) and one unbounded score must not
+        // make the whole trace unreadable: the writer encodes both as
+        // `null`, so the reader has to take `null` back in a required
+        // number — as NaN.
+        let records = vec![
+            TraceRecord {
+                seq: 0,
+                time_secs: 0.5,
+                event: TraceEvent::FeatureRead {
+                    feature: "SystemPower".to_string(),
+                    value: f64::NAN,
+                },
+            },
+            TraceRecord {
+                seq: 1,
+                time_secs: 0.75,
+                event: TraceEvent::DecisionTraced {
+                    mechanism: "TPC".to_string(),
+                    rationale: Rationale::Hold,
+                    observed: vec![("power_watts".to_string(), f64::INFINITY)],
+                    candidates: vec![DecisionCandidate {
+                        action: "hold".to_string(),
+                        score: f64::NEG_INFINITY,
+                        predicted_throughput: None,
+                    }],
+                    chosen: "hold".to_string(),
+                    predicted_throughput: None,
+                    realized_throughput: None,
+                    prediction_error: None,
+                },
+            },
+        ];
+        let text = to_jsonl(&records);
+        assert!(
+            text.contains(r#""feature": "SystemPower", "value": null}"#),
+            "{text}"
+        );
+        let back = parse_jsonl(&text).expect("the writer's own output must parse");
+        let TraceEvent::FeatureRead { value, .. } = &back[0].event else {
+            panic!("wrong kind");
+        };
+        assert!(value.is_nan());
+        let TraceEvent::DecisionTraced {
+            observed,
+            candidates,
+            ..
+        } = &back[1].event
+        else {
+            panic!("wrong kind");
+        };
+        assert!(observed[0].1.is_nan() && candidates[0].score.is_nan());
+        // Re-encoding is a fixed point, and a mistyped value still errors.
+        assert_eq!(to_jsonl(&back), text);
+        assert!(parse_line(&text.lines().next().unwrap().replace("null", "\"hot\"")).is_err());
+
+        // An *additive* number keeps its documented reading of `null`:
+        // a non-finite percentile comes back as the default, 0.0.
+        let stats = TaskStats {
+            p99_exec_secs: f64::NAN,
+            ..TaskStats::default()
+        };
+        let Value::Object(wire) = stats.put() else {
+            panic!("stats encode as an object");
+        };
+        assert_eq!(
+            wire.last(),
+            Some(&("p99_exec_secs".to_string(), Value::Null))
+        );
+        let back = TaskStats::take(&Value::Object(wire), "stats").unwrap();
+        assert_eq!(back.p99_exec_secs, 0.0);
     }
 
     #[test]

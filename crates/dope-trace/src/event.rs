@@ -7,6 +7,13 @@
 //! documented in `docs/event-schema.md` (schema version
 //! [`SCHEMA_VERSION`]).
 //!
+//! That set is declared **once**, in the `trace_schema!` table at the
+//! bottom of this file: the [`TraceEvent`] enum, [`TraceEvent::kind`],
+//! [`TraceEvent::KINDS`], [`TraceEvent::FIELDS`] and both directions of
+//! the JSONL codec are generated from it. Adding a field to a kind is
+//! one line in the table (plus one word appended to
+//! `baseline/event-fields.txt`, the frozen record of what has shipped).
+//!
 //! # Example
 //!
 //! ```
@@ -23,10 +30,13 @@
 //! assert_eq!(record.event.kind(), "FeatureRead");
 //! ```
 
+use dope_core::json::{JsonError, Value};
 use dope_core::{
-    Config, DecisionCandidate, DiagCode, MonitorSnapshot, ProgramShape, QueueStats, Rationale,
-    TaskPath, TaskStats,
+    AdmissionStats, Config, DecisionCandidate, DecisionTrace, DiagCode, MonitorSnapshot,
+    ProgramShape, QueueStats, Rationale, TaskPath, TaskStats,
 };
+
+use crate::codec::Wire;
 
 /// Version of the event schema emitted by this build.
 ///
@@ -70,197 +80,306 @@ pub enum Verdict {
     Superseded,
 }
 
-/// A structured executive event.
-///
-/// Variants mirror the decision loop: launch, monitor, propose, judge,
-/// reconfigure, finish — plus the platform- and queue-level samples that
-/// explain *why* a mechanism decided what it did.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// The executive launched the application.
-    Launched {
-        /// `Mechanism::name()` of the driving mechanism.
-        mechanism: String,
-        /// The administrator's goal, rendered with `Display`.
-        goal: String,
-        /// The thread budget.
-        threads: u32,
-        /// The structural shape derived from the descriptor.
-        shape: ProgramShape,
-        /// The initial configuration.
-        config: Config,
-    },
-    /// A [`MonitorSnapshot`] was frozen for the mechanism.
-    SnapshotTaken {
-        /// The frozen snapshot, verbatim.
-        snapshot: MonitorSnapshot,
-    },
-    /// One task's EWMA statistics, sampled at a control period.
-    TaskStatsSample {
-        /// Configured-tree path of the task.
-        path: TaskPath,
-        /// The task's aggregated statistics.
-        stats: TaskStats,
-    },
-    /// A mechanism proposal was evaluated.
-    ProposalEvaluated {
-        /// `Mechanism::name()` of the proposer.
-        mechanism: String,
-        /// The proposed configuration.
-        proposal: Config,
-        /// Accept / unchanged / reject-with-DV-code.
-        verdict: Verdict,
-    },
-    /// A reconfiguration epoch completed: the old epoch (or, for a
-    /// partial reconfiguration, only its changed paths) drained
-    /// (`pause_secs`) and the new one launched (`relaunch_secs`).
-    ReconfigureEpoch {
-        /// Seconds from the suspend decision until the drained set
-        /// reached a consistent state.
-        pause_secs: f64,
-        /// Seconds to instantiate and submit the new epoch (for partial
-        /// reconfigurations, the relaunched paths).
-        relaunch_secs: f64,
-        /// Worker jobs live after the reconfiguration.
-        jobs: u64,
-        /// The configuration now in force.
-        config: Config,
-        /// `"full"` (the paper protocol: every replica drained) or
-        /// `"partial"` (delta reconfiguration: only changed paths
-        /// drained). Additive in schema v1; absent decodes as `"full"`,
-        /// which every pre-delta trace was.
-        scope: String,
-        /// Replica-carrying paths drained at this boundary. Additive in
-        /// schema v1; absent decodes as 0 ("not measured").
-        paths_drained: u64,
-    },
-    /// A platform feature callback was read (paper Figure 9).
-    FeatureRead {
-        /// Feature name, e.g. `"SystemPower"`.
-        feature: String,
-        /// The value the callback returned.
-        value: f64,
-    },
-    /// A work-queue probe sample.
-    QueueSample {
-        /// The probed statistics.
-        queue: QueueStats,
-    },
-    /// A task replica failed: its body panicked (or its worker vanished
-    /// without reporting) and the supervision layer contained the
-    /// damage. Additive in schema v1 — readers of older traces never
-    /// see it, and `reason`/`policy` explain what happened and how the
-    /// executive responded.
-    TaskFailed {
-        /// Configured-tree path of the failed task.
-        path: TaskPath,
-        /// The downcast panic payload, or a description of the loss.
-        reason: String,
-        /// The failure policy in force, as its stable lowercase tag
-        /// (`"abort"` / `"restart"` / `"degrade"`).
-        policy: String,
-    },
-    /// A mechanism explained one decision (a `DecisionTrace` from
-    /// `Mechanism::explain()`), flattened to stable fields. Additive in
-    /// schema v1. The decision is usually emitted one epoch *after* it
-    /// was taken, once the executive has scored the mechanism's
-    /// throughput prediction against the realized monitor snapshot;
-    /// unscored decisions (the final one of a run, or decisions whose
-    /// proposal was rejected) omit the realized fields.
-    DecisionTraced {
-        /// `Mechanism::name()` of the deciding mechanism.
-        mechanism: String,
-        /// Stable rationale code, e.g. `"QueueAboveHighWater"`.
-        rationale: Rationale,
-        /// The `(signal, value)` pairs the mechanism read.
-        observed: Vec<(String, f64)>,
-        /// The candidate actions it weighed, with scores and optional
-        /// per-candidate throughput predictions.
-        candidates: Vec<DecisionCandidate>,
-        /// The action it chose (`"hold"` when it kept the status quo).
-        chosen: String,
-        /// Its throughput prediction for the chosen action, items/s.
-        predicted_throughput: Option<f64>,
-        /// The bottleneck throughput the monitor realized one epoch
-        /// later, items/s. Absent on unscored decisions.
-        realized_throughput: Option<f64>,
-        /// Signed relative error `(predicted - realized) / realized`.
-        /// Positive means the mechanism over-promised. Absent unless
-        /// both prediction and realization are present.
-        prediction_error: Option<f64>,
-    },
-    /// A sampled summary of the admission gate, emitted once per control
-    /// period while an admission policy is installed and traffic has been
-    /// offered. Additive in schema v1 — readers of older traces never
-    /// see it. Counters are cumulative since launch; `verdict` and
-    /// `reason` describe the window since the *previous* sample
-    /// (`"shed"` when any offer was dropped in the window, with the
-    /// dominant drop reason).
-    AdmissionDecision {
-        /// The policy's stable lowercase tag
-        /// (`"open"` / `"block"` / `"shed"` / `"deadline"`).
-        policy: String,
-        /// `"admitted"` when every offer in the window was admitted,
-        /// `"shed"` when at least one was dropped.
-        verdict: String,
-        /// Dominant drop reason in the window
-        /// (`"high_water"` / `"deadline"`), or `"none"`.
-        reason: String,
-        /// Mean queue delay (offer to dispatch) of served requests so
-        /// far, in seconds.
-        queue_delay_secs: f64,
-        /// Requests offered to the gate since launch.
-        offered: u64,
-        /// Offers admitted since launch.
-        admitted: u64,
-        /// Offers dropped since launch, all reasons combined.
-        shed: u64,
-    },
-    /// The run ended.
-    Finished {
-        /// Requests completed over the whole run.
-        completed: u64,
-        /// Applied reconfigurations.
-        reconfigurations: u64,
-        /// Events the bounded ring buffer had to drop.
-        dropped_events: u64,
-    },
+/// Expands the schema table into everything that used to be spelled by
+/// hand per kind. A field is `name: Type`, optionally `= default`: the
+/// value an *additive* field decodes to when a trace written before the
+/// field existed omits it (or carries `null`). The trailing `struct`
+/// entries give the same treatment to the payload structs `dope-core`
+/// defines: their wire keys are their field names, in table order.
+macro_rules! trace_schema {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$kind_meta:meta])*
+                $kind:ident {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $field:ident: $ty:ty $(= $default:expr)?
+                    ),+ $(,)?
+                }
+            ),+ $(,)?
+        }
+        $(struct $payload:ident { $($pfield:ident $(= $pdefault:expr)?),+ $(,)? })+
+    ) => {
+        $(#[$enum_meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$kind_meta])*
+                $kind { $($(#[$field_meta])* $field: $ty),+ }
+            ),+
+        }
+
+        impl TraceEvent {
+            /// The stable `"kind"` discriminator this event serializes under.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$kind { .. } => stringify!($kind)),+
+                }
+            }
+
+            /// All `"kind"` discriminators of schema version
+            /// [`SCHEMA_VERSION`], in documentation order.
+            pub const KINDS: [&'static str; [$(stringify!($kind)),+].len()] =
+                [$(stringify!($kind)),+];
+
+            /// The wire keys of every kind (in [`Self::KINDS`] order, each
+            /// in encoding order), followed by those of the nested payload
+            /// structs. `ProposalEvaluated`'s `verdict` additionally owns
+            /// the `code` key of a rejection.
+            pub const FIELDS: &'static [(&'static str, &'static [&'static str])] = &[
+                $((stringify!($kind), &[$(stringify!($field)),+])),+,
+                $((stringify!($payload), &[$(stringify!($pfield)),+])),+
+            ];
+
+            /// Appends this event's payload keys to a record under
+            /// construction.
+            pub(crate) fn put_payload(&self, out: &mut Vec<(String, Value)>) {
+                match self {
+                    $(TraceEvent::$kind { $($field),+ } => {
+                        $($field.put_field(stringify!($field), out);)+
+                    })+
+                }
+            }
+
+            /// Reads the payload of a `kind` record back from its object.
+            pub(crate) fn take_payload(kind: &str, obj: &Value) -> Result<Self, JsonError> {
+                Ok(match kind {
+                    $(stringify!($kind) => TraceEvent::$kind {
+                        $($field: Wire::take_field(
+                            obj, stringify!($field), None$(.or(Some($default)))?
+                        )?),+
+                    },)+
+                    other => {
+                        return Err(JsonError::decode(format!(
+                            "unknown trace event kind {other:?}"
+                        )))
+                    }
+                })
+            }
+        }
+
+        $(impl Wire for $payload {
+            fn put(&self) -> Value {
+                let mut out = Vec::with_capacity([$(stringify!($pfield)),+].len());
+                $(self.$pfield.put_field(stringify!($pfield), &mut out);)+
+                Value::Object(out)
+            }
+
+            fn take(obj: &Value, _key: &str) -> Result<Self, JsonError> {
+                Ok($payload {
+                    $($pfield: Wire::take_field(
+                        obj, stringify!($pfield), None$(.or(Some($pdefault)))?
+                    )?),+
+                })
+            }
+        })+
+    };
+}
+
+trace_schema! {
+    /// A structured executive event.
+    ///
+    /// Variants mirror the decision loop: launch, monitor, propose, judge,
+    /// reconfigure, finish — plus the platform- and queue-level samples that
+    /// explain *why* a mechanism decided what it did.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// The executive launched the application.
+        Launched {
+            /// `Mechanism::name()` of the driving mechanism.
+            mechanism: String,
+            /// The administrator's goal, rendered with `Display`.
+            goal: String,
+            /// The thread budget.
+            threads: u32,
+            /// The structural shape derived from the descriptor.
+            shape: ProgramShape,
+            /// The initial configuration.
+            config: Config,
+        },
+        /// A [`MonitorSnapshot`] was frozen for the mechanism.
+        SnapshotTaken {
+            /// The frozen snapshot, verbatim.
+            snapshot: MonitorSnapshot,
+        },
+        /// One task's EWMA statistics, sampled at a control period.
+        TaskStatsSample {
+            /// Configured-tree path of the task.
+            path: TaskPath,
+            /// The task's aggregated statistics.
+            stats: TaskStats,
+        },
+        /// A mechanism proposal was evaluated.
+        ProposalEvaluated {
+            /// `Mechanism::name()` of the proposer.
+            mechanism: String,
+            /// The proposed configuration.
+            proposal: Config,
+            /// Accept / unchanged / reject-with-DV-code.
+            verdict: Verdict,
+        },
+        /// A reconfiguration epoch completed: the old epoch (or, for a
+        /// partial reconfiguration, only its changed paths) drained
+        /// (`pause_secs`) and the new one launched (`relaunch_secs`).
+        ReconfigureEpoch {
+            /// Seconds from the suspend decision until the drained set
+            /// reached a consistent state.
+            pause_secs: f64,
+            /// Seconds to instantiate and submit the new epoch (for partial
+            /// reconfigurations, the relaunched paths).
+            relaunch_secs: f64,
+            /// Worker jobs live after the reconfiguration.
+            jobs: u64,
+            /// The configuration now in force.
+            config: Config,
+            /// `"full"` (the paper protocol: every replica drained) or
+            /// `"partial"` (delta reconfiguration: only changed paths
+            /// drained). Additive in schema v1; absent decodes as `"full"`,
+            /// which every pre-delta trace was.
+            scope: String = "full".to_string(),
+            /// Replica-carrying paths drained at this boundary. Additive in
+            /// schema v1; absent decodes as 0 ("not measured").
+            paths_drained: u64 = 0,
+        },
+        /// A platform feature callback was read (paper Figure 9).
+        FeatureRead {
+            /// Feature name, e.g. `"SystemPower"`.
+            feature: String,
+            /// The value the callback returned.
+            value: f64,
+        },
+        /// A work-queue probe sample.
+        QueueSample {
+            /// The probed statistics.
+            queue: QueueStats,
+        },
+        /// A task replica failed: its body panicked (or its worker vanished
+        /// without reporting) and the supervision layer contained the
+        /// damage. Additive in schema v1 — readers of older traces never
+        /// see it, and `reason`/`policy` explain what happened and how the
+        /// executive responded.
+        TaskFailed {
+            /// Configured-tree path of the failed task.
+            path: TaskPath,
+            /// The downcast panic payload, or a description of the loss.
+            reason: String,
+            /// The failure policy in force, as its stable lowercase tag
+            /// (`"abort"` / `"restart"` / `"degrade"`).
+            policy: String,
+        },
+        /// A mechanism explained one decision (a `DecisionTrace` from
+        /// `Mechanism::explain()`), flattened to stable fields. Additive in
+        /// schema v1. The decision is usually emitted one epoch *after* it
+        /// was taken, once the executive has scored the mechanism's
+        /// throughput prediction against the realized monitor snapshot;
+        /// unscored decisions (the final one of a run, or decisions whose
+        /// proposal was rejected) omit the realized fields.
+        DecisionTraced {
+            /// `Mechanism::name()` of the deciding mechanism.
+            mechanism: String,
+            /// Stable rationale code, e.g. `"QueueAboveHighWater"`.
+            rationale: Rationale,
+            /// The `(signal, value)` pairs the mechanism read.
+            observed: Vec<(String, f64)>,
+            /// The candidate actions it weighed, with scores and optional
+            /// per-candidate throughput predictions.
+            candidates: Vec<DecisionCandidate>,
+            /// The action it chose (`"hold"` when it kept the status quo).
+            chosen: String,
+            /// Its throughput prediction for the chosen action, items/s.
+            predicted_throughput: Option<f64> = None,
+            /// The bottleneck throughput the monitor realized one epoch
+            /// later, items/s. Absent on unscored decisions.
+            realized_throughput: Option<f64> = None,
+            /// Signed relative error `(predicted - realized) / realized`.
+            /// Positive means the mechanism over-promised. Absent unless
+            /// both prediction and realization are present.
+            prediction_error: Option<f64> = None,
+        },
+        /// A sampled summary of the admission gate, emitted once per control
+        /// period while an admission policy is installed and traffic has been
+        /// offered. Additive in schema v1 — readers of older traces never
+        /// see it. Counters are cumulative since launch; `verdict` and
+        /// `reason` describe the window since the *previous* sample
+        /// (`"shed"` when any offer was dropped in the window, with the
+        /// dominant drop reason).
+        AdmissionDecision {
+            /// The policy's stable lowercase tag
+            /// (`"open"` / `"block"` / `"shed"` / `"deadline"`).
+            policy: String,
+            /// `"admitted"` when every offer in the window was admitted,
+            /// `"shed"` when at least one was dropped.
+            verdict: String,
+            /// Dominant drop reason in the window
+            /// (`"high_water"` / `"deadline"`), or `"none"`.
+            reason: String,
+            /// Mean queue delay (offer to dispatch) of served requests so
+            /// far, in seconds.
+            queue_delay_secs: f64,
+            /// Requests offered to the gate since launch.
+            offered: u64,
+            /// Offers admitted since launch.
+            admitted: u64,
+            /// Offers dropped since launch, all reasons combined.
+            shed: u64,
+        },
+        /// The run ended.
+        Finished {
+            /// Requests completed over the whole run.
+            completed: u64,
+            /// Applied reconfigurations.
+            reconfigurations: u64,
+            /// Events the bounded ring buffer had to drop.
+            dropped_events: u64,
+        },
+    }
+
+    // The `p*_exec_secs` percentiles arrived with the metrics plane;
+    // older traces omit them, which reads as 0.0 ("not measured").
+    struct TaskStats {
+        invocations, mean_exec_secs, throughput, load, utilization,
+        p50_exec_secs = 0.0, p95_exec_secs = 0.0, p99_exec_secs = 0.0,
+    }
+    struct QueueStats { occupancy, arrival_rate, enqueued, completed }
+    struct AdmissionStats {
+        offered, admitted, shed_high_water, shed_deadline, mean_queue_delay_secs,
+    }
+    struct DecisionCandidate { action, score, predicted_throughput = None }
+    // `admission` arrived with the admission gate; pre-admission traces
+    // omit it, which reads as all-zero counters ("no gate installed").
+    struct MonitorSnapshot {
+        time_secs, tasks, queue, power_watts = None, dispatches_since_reconfig,
+        admission = AdmissionStats::default(),
+    }
 }
 
 impl TraceEvent {
-    /// The stable `"kind"` discriminator this event serializes under.
+    /// One mechanism decision, scored against `realized` — the
+    /// bottleneck throughput of the snapshot that followed it (`None`
+    /// when there was nothing to score against). The live executive and
+    /// the simulator observer both build their `DecisionTraced` events
+    /// here, so the prediction-error formula exists once.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Launched { .. } => "Launched",
-            TraceEvent::SnapshotTaken { .. } => "SnapshotTaken",
-            TraceEvent::TaskStatsSample { .. } => "TaskStatsSample",
-            TraceEvent::ProposalEvaluated { .. } => "ProposalEvaluated",
-            TraceEvent::ReconfigureEpoch { .. } => "ReconfigureEpoch",
-            TraceEvent::FeatureRead { .. } => "FeatureRead",
-            TraceEvent::QueueSample { .. } => "QueueSample",
-            TraceEvent::TaskFailed { .. } => "TaskFailed",
-            TraceEvent::DecisionTraced { .. } => "DecisionTraced",
-            TraceEvent::AdmissionDecision { .. } => "AdmissionDecision",
-            TraceEvent::Finished { .. } => "Finished",
+    pub fn decision(mechanism: String, trace: DecisionTrace, realized: Option<f64>) -> Self {
+        let prediction_error = match (trace.predicted_throughput, realized) {
+            (Some(predicted), Some(realized)) if realized > 0.0 => {
+                Some((predicted - realized) / realized)
+            }
+            _ => None,
+        };
+        TraceEvent::DecisionTraced {
+            mechanism,
+            rationale: trace.rationale,
+            observed: trace.observed,
+            candidates: trace.candidates,
+            chosen: trace.chosen,
+            predicted_throughput: trace.predicted_throughput,
+            realized_throughput: realized,
+            prediction_error,
         }
     }
-
-    /// All `"kind"` discriminators of schema version [`SCHEMA_VERSION`],
-    /// in documentation order.
-    pub const KINDS: [&'static str; 11] = [
-        "Launched",
-        "SnapshotTaken",
-        "TaskStatsSample",
-        "ProposalEvaluated",
-        "ReconfigureEpoch",
-        "FeatureRead",
-        "QueueSample",
-        "TaskFailed",
-        "DecisionTraced",
-        "AdmissionDecision",
-        "Finished",
-    ];
 }
 
 #[cfg(test)]
@@ -275,6 +394,56 @@ mod tests {
             dropped_events: 0,
         };
         assert!(TraceEvent::KINDS.contains(&event.kind()));
+    }
+
+    /// The additive-field contract (formerly dope-lint DL006): every
+    /// name and key that has shipped — the baseline file — must still be
+    /// in the schema table, and anything the table adds must be appended
+    /// to the baseline in the same change, so a removal cannot be
+    /// disguised as a rename.
+    #[test]
+    fn schema_table_matches_the_shipped_baseline() {
+        // The envelope is a plain struct, not a table entry; destructuring
+        // it without `..` makes a new field fail to compile right here.
+        let TraceRecord {
+            seq: _,
+            time_secs: _,
+            event: _,
+        };
+        let envelope: (&str, &[&str]) = ("TraceRecord", &["seq", "time_secs", "event"]);
+        let current: Vec<_> = std::iter::once(&envelope)
+            .chain(TraceEvent::FIELDS)
+            .collect();
+
+        let baseline: Vec<Vec<&str>> = include_str!("../baseline/event-fields.txt")
+            .lines()
+            .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+            .map(|line| line.split_whitespace().collect())
+            .collect();
+        for shipped in &baseline {
+            let (name, fields) = current
+                .iter()
+                .find(|(name, _)| *name == shipped[0])
+                .unwrap_or_else(|| panic!("`{}` shipped but is gone from the table", shipped[0]));
+            for key in &shipped[1..] {
+                assert!(
+                    fields.contains(key),
+                    "`{name}.{key}` shipped but was removed or renamed"
+                );
+            }
+        }
+        for (name, fields) in current {
+            let shipped = baseline
+                .iter()
+                .find(|line| line[0] == *name)
+                .unwrap_or_else(|| panic!("new `{name}`: append it to baseline/event-fields.txt"));
+            for key in *fields {
+                assert!(
+                    shipped[1..].contains(key),
+                    "new key `{name}.{key}`: append it to baseline/event-fields.txt"
+                );
+            }
+        }
     }
 
     #[test]

@@ -89,26 +89,9 @@ impl RecordingObserver {
         trace: DecisionTrace,
         realized: Option<f64>,
     ) {
-        let prediction_error = match (trace.predicted_throughput, realized) {
-            (Some(predicted), Some(realized)) if realized > 0.0 => {
-                Some((predicted - realized) / realized)
-            }
-            _ => None,
-        };
         self.last_time_secs = self.last_time_secs.max(time_secs);
-        self.recorder.record_at(
-            time_secs,
-            TraceEvent::DecisionTraced {
-                mechanism,
-                rationale: trace.rationale,
-                observed: trace.observed,
-                candidates: trace.candidates,
-                chosen: trace.chosen,
-                predicted_throughput: trace.predicted_throughput,
-                realized_throughput: realized,
-                prediction_error,
-            },
-        );
+        self.recorder
+            .record_at(time_secs, TraceEvent::decision(mechanism, trace, realized));
     }
 
     /// Sets the goal string stamped into the `Launched` event.

@@ -44,14 +44,24 @@ use crate::event::{TraceEvent, TraceRecord};
 struct Inner {
     /// Wall-clock origin; `record` stamps seconds since this instant.
     start: Instant,
-    /// Next sequence number to assign.
-    seq: AtomicU64,
     /// Events evicted because the ring was full.
     dropped: AtomicU64,
     /// Maximum records retained.
     capacity: usize,
     /// The ring itself.
-    ring: Mutex<VecDeque<TraceRecord>>,
+    ring: Mutex<Ring>,
+}
+
+/// The state behind the ring lock. The sequence counter lives here, not
+/// in an atomic beside the lock, so numbers are handed out in the order
+/// records enter the ring: two racing writers can never enqueue `6`
+/// before `5`.
+#[derive(Default)]
+struct Ring {
+    /// Next sequence number to assign.
+    next_seq: u64,
+    /// Retained records, oldest first.
+    records: VecDeque<TraceRecord>,
 }
 
 /// A cloneable handle onto a (possibly absent) ring buffer of
@@ -70,7 +80,7 @@ impl std::fmt::Debug for Recorder {
             Some(inner) => f
                 .debug_struct("Recorder")
                 .field("capacity", &inner.capacity)
-                .field("len", &inner.ring.lock().len())
+                .field("len", &inner.ring.lock().records.len())
                 .field("dropped", &inner.dropped.load(Ordering::Relaxed))
                 .finish(),
         }
@@ -94,10 +104,9 @@ impl Recorder {
             inner: Some(Arc::new(Inner {
                 // dope-lint: allow(DL005): the recorder's single sanctioned clock anchor — every record path derives its time_secs from this instant
                 start: Instant::now(),
-                seq: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
                 capacity: capacity.max(1),
-                ring: Mutex::new(VecDeque::new()),
+                ring: Mutex::new(Ring::default()),
             })),
         }
     }
@@ -145,13 +154,14 @@ impl Recorder {
     }
 
     fn push(inner: &Inner, time_secs: f64, event: TraceEvent) {
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = inner.ring.lock();
-        if ring.len() >= inner.capacity {
-            ring.pop_front();
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        if ring.records.len() >= inner.capacity {
+            ring.records.pop_front();
             inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(TraceRecord {
+        ring.records.push_back(TraceRecord {
             seq,
             time_secs,
             event,
@@ -162,16 +172,16 @@ impl Recorder {
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
         self.inner.as_ref().map_or_else(Vec::new, |inner| {
-            inner.ring.lock().iter().cloned().collect()
+            inner.ring.lock().records.iter().cloned().collect()
         })
     }
 
     /// Removes and returns the retained records, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |inner| inner.ring.lock().drain(..).collect())
+        self.inner.as_ref().map_or_else(Vec::new, |inner| {
+            inner.ring.lock().records.drain(..).collect()
+        })
     }
 
     /// How many events the ring evicted so far.
@@ -187,7 +197,7 @@ impl Recorder {
     pub fn len(&self) -> usize {
         self.inner
             .as_ref()
-            .map_or(0, |inner| inner.ring.lock().len())
+            .map_or(0, |inner| inner.ring.lock().records.len())
     }
 
     /// `true` when nothing is retained (always `true` when disabled).
@@ -261,6 +271,39 @@ mod tests {
         assert_eq!(records[0].seq, 2);
         assert_eq!(records[2].seq, 4);
         assert_eq!(recorder.dropped(), 2);
+    }
+
+    #[test]
+    fn racing_writers_enqueue_in_sequence_order() {
+        const WRITERS: u64 = 8;
+        const PER_WRITER: u64 = 2_000;
+        // Smaller than the total, so eviction races the writers too.
+        let recorder = Recorder::bounded(4_096);
+        let barrier = std::sync::Barrier::new(WRITERS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..WRITERS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..PER_WRITER {
+                        recorder.record_at(
+                            0.0,
+                            TraceEvent::FeatureRead {
+                                feature: "SystemPower".to_string(),
+                                value: 1.0,
+                            },
+                        );
+                    }
+                });
+            }
+        });
+        let records = recorder.records();
+        assert!(
+            records.windows(2).all(|w| w[0].seq < w[1].seq),
+            "retained sequence numbers must be strictly increasing"
+        );
+        let recorded = WRITERS * PER_WRITER;
+        assert_eq!(records.len() as u64 + recorder.dropped(), recorded);
+        assert_eq!(records.last().map(|r| r.seq), Some(recorded - 1));
     }
 
     #[test]

