@@ -56,6 +56,12 @@ step "cargo test -q --workspace (crate unit + integration tests, doctests)"
 # JSONL) — and only run when the member crates are tested.
 cargo test -q --offline --workspace
 
+step "cargo test (benchmark crate: catalogue vs BENCHMARK.json, 1/100-size workload smokes)"
+# benchmark/ is its own workspace, compiled against the public API of
+# crates/* and run by the benchmark pipeline on every change: a change
+# here that breaks what it uses must fail CI, not the pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 

@@ -1,6 +1,6 @@
 //! The perf gate: pinned microbenches emitting `BENCH_perf.json`.
 //!
-//! Five probes, each guarding one latency the DoPE stack promises to
+//! Seven probes, each guarding one latency the DoPE stack promises to
 //! keep small (see `docs/performance.md`):
 //!
 //! 1. **record path** — ns/op of the sharded task-completion record,
@@ -21,7 +21,13 @@
 //!    ([`crate::overload`]): with `Shed`, the p99 of admitted requests
 //!    must stay bounded (at least 4x under the open queue's p99) while
 //!    goodput holds at >= 90 % of saturation throughput, and `Block`
-//!    must complete every offered request.
+//!    must complete every offered request;
+//! 7. **handoff** — the queue hand-offs every job crosses, with no peer
+//!    parked (`WorkQueue::enqueue`, `AdmissionQueue::offer`/`take`: lock
+//!    and push, no syscall) and with one parked (a real wake), next to
+//!    the cost of the bare no-waiter notify they no longer pay.
+//!
+//! The report also states `nproc`, the core count it was taken on.
 //!
 //! The report is strict-codec JSON (`dope_core::json`), diffable with
 //! [`compare`] against a checked-in baseline
@@ -32,12 +38,13 @@
 use dope_apps::transcode;
 use dope_core::json::{parse, Value};
 use dope_core::{
-    body_fn, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources, TaskBody,
-    TaskConfig, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, AdmissionPolicy, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources,
+    TaskBody, TaskConfig, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
 };
 use dope_mechanisms::WqLinear;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{AdmissionQueue, DequeueOutcome, ResponseStats, WorkQueue};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Schema tag carried by every report.
@@ -88,6 +95,9 @@ pub fn run(quick: bool) -> Value {
     println!("perf: overload (admission policies at 10x offered load)");
     let overload = crate::overload::run(quick);
 
+    println!("perf: handoff (queue hand-offs, no peer parked / one parked)");
+    let handoff = bench_handoff(quick);
+
     let fig11_loads = if quick {
         vec![0.8]
     } else {
@@ -110,6 +120,10 @@ pub fn run(quick: bool) -> Value {
     obj(vec![
         ("schema", Value::String(SCHEMA.to_string())),
         ("quick", Value::Bool(quick)),
+        (
+            "nproc",
+            Value::Number(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+        ),
         (
             "record_path",
             obj(vec![
@@ -136,6 +150,7 @@ pub fn run(quick: bool) -> Value {
         ("reconfigure", reconfigure),
         ("partial_reconfig_pause", partial_reconfig),
         ("overload", overload),
+        ("handoff", handoff),
         (
             "fig11",
             obj(vec![
@@ -364,6 +379,82 @@ fn bench_partial_reconfig(quick: bool) -> Value {
     ])
 }
 
+/// Times the hand-offs a job crosses on its way through a pipeline.
+///
+/// With no peer parked, `enqueue`/`offer`/`take` are a lock and a push or
+/// pop: the queues notify only a parked thread (see
+/// `docs/performance.md`, "Queue hand-off: wake only sleepers").
+/// `notify_no_waiter_ns` is what one skipped notify would have cost on
+/// this host; `wake_us` is what a hand-off to a parked consumer still
+/// costs, enqueue to the consumer running.
+fn bench_handoff(quick: bool) -> Value {
+    const ITERS: u64 = 100_000;
+    let reps = if quick { 5 } else { 20 };
+    let wake_samples: u64 = if quick { 200 } else { 1_000 };
+    let poll = Duration::from_millis(2);
+    let ns_per_op = |t0: Instant| t0.elapsed().as_nanos() as f64 / ITERS as f64;
+    // The fastest of `reps` runs is reported: interference only adds time.
+    let (mut enqueue_ns, mut offer_ns, mut take_ns, mut notify_ns) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let queue: WorkQueue<u64> = WorkQueue::new();
+        let t0 = Instant::now();
+        for i in 0..ITERS {
+            let _ = queue.enqueue(i);
+        }
+        enqueue_ns = enqueue_ns.min(ns_per_op(t0));
+
+        let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Open);
+        let t0 = Instant::now();
+        for i in 0..ITERS {
+            black_box(gate.offer(i));
+        }
+        offer_ns = offer_ns.min(ns_per_op(t0));
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            black_box(gate.take(poll));
+        }
+        take_ns = take_ns.min(ns_per_op(t0));
+
+        let nobody_waits = std::sync::Condvar::new();
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            black_box(&nobody_waits).notify_one();
+        }
+        notify_ns = notify_ns.min(ns_per_op(t0));
+    }
+
+    let queue: WorkQueue<Instant> = WorkQueue::new();
+    let consumer = {
+        let queue = queue.clone();
+        std::thread::spawn(move || {
+            let mut wakes = ResponseStats::new();
+            while let Some(sent) = queue.dequeue() {
+                wakes.record(sent.elapsed().as_secs_f64());
+            }
+            wakes
+        })
+    };
+    for _ in 0..wake_samples {
+        // Long enough for the consumer to have parked again.
+        std::thread::sleep(Duration::from_micros(300));
+        let _ = queue.enqueue(Instant::now());
+    }
+    queue.close();
+    let wakes = consumer.join().expect("the wake consumer does not panic");
+    let wake_us = wakes.percentile(0.5).unwrap_or(0.0) * 1e6;
+
+    obj(vec![
+        ("iters", Value::Number(ITERS)),
+        ("wake_samples", Value::Number(wake_samples)),
+        ("enqueue_ns", Value::from_f64(enqueue_ns)),
+        ("offer_ns", Value::from_f64(offer_ns)),
+        ("take_ns", Value::from_f64(take_ns)),
+        ("notify_no_waiter_ns", Value::from_f64(notify_ns)),
+        ("wake_us", Value::from_f64(wake_us)),
+    ])
+}
+
 fn metric(report: &Value, section: &str, key: &str) -> Option<f64> {
     report.get(section)?.get(key)?.as_f64()
 }
@@ -551,6 +642,11 @@ pub fn summary(report: &Value) -> String {
         ("overload", "shed_p99_secs"),
         ("overload", "shed_goodput_throughput"),
         ("overload", "shed_fraction"),
+        ("handoff", "enqueue_ns"),
+        ("handoff", "offer_ns"),
+        ("handoff", "take_ns"),
+        ("handoff", "notify_no_waiter_ns"),
+        ("handoff", "wake_us"),
         ("fig11", "wall_secs"),
     ] {
         if let Some(v) = metric(report, section, key) {

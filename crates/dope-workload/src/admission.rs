@@ -25,6 +25,17 @@
 //! was already closed touch no counter — they are not traffic, the run
 //! is over.
 //!
+//! # Wake-ups
+//!
+//! Consumers park on `not_empty`, `Block` producers on `not_full`, and
+//! each side is woken only when one of its threads is actually parked
+//! (the rule and its invariant live in `handoff.rs`): an admitted offer
+//! wakes at most one consumer, a dispatch wakes at most one blocked
+//! producer — which under `Open`, `Shed` and `Deadline` never exists —
+//! and a saturated gate makes no syscall at all. `close` wakes both
+//! sides. A `take`'s timeout bounds the whole call, not each park
+//! inside it.
+//!
 //! # Example
 //!
 //! ```
@@ -42,9 +53,10 @@
 //! assert_eq!(stats.shed_high_water, 1);
 //! ```
 
+use crate::handoff::{Sleepers, WaitBudget};
 use crate::queue::DequeueOutcome;
 use dope_core::{AdmissionPolicy, AdmissionStats};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,8 +82,10 @@ struct Inner<T> {
 
 struct Shared<T> {
     inner: Mutex<Inner<T>>,
-    /// Wakes consumers on enqueue and producers blocked by `Block`.
-    cvar: Condvar,
+    /// Consumers parked in `take`, woken by an admitted offer.
+    not_empty: Sleepers,
+    /// Producers parked by `Block` at capacity, woken by a dispatch.
+    not_full: Sleepers,
     /// Lock-free mirror of `inner.queue.len()`, written only while the
     /// lock is held but readable without it — the shed fast path.
     occupancy: AtomicU64,
@@ -136,7 +150,8 @@ impl<T> AdmissionQueue<T> {
                     queue: std::collections::VecDeque::new(),
                     closed: false,
                 }),
-                cvar: Condvar::new(),
+                not_empty: Sleepers::new(),
+                not_full: Sleepers::new(),
                 occupancy: AtomicU64::new(0),
                 offered: AtomicU64::new(0),
                 admitted: AtomicU64::new(0),
@@ -184,7 +199,7 @@ impl<T> AdmissionQueue<T> {
         }
         if let AdmissionPolicy::Block { capacity } = self.policy {
             while inner.queue.len() >= capacity as usize {
-                self.shared.cvar.wait(&mut inner);
+                self.shared.not_full.wait(&mut inner);
                 if inner.closed {
                     return OfferOutcome::Closed(item);
                 }
@@ -196,8 +211,7 @@ impl<T> AdmissionQueue<T> {
             .store(inner.queue.len() as u64, Ordering::Release);
         self.shared.offered.fetch_add(1, Ordering::Relaxed);
         self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        self.shared.cvar.notify_all();
+        self.shared.not_empty.unlock_and_wake_one(inner);
         OfferOutcome::Admitted
     }
 
@@ -212,9 +226,10 @@ impl<T> AdmissionQueue<T> {
     /// Under `Deadline`, requests whose queue delay already exceeds the
     /// budget are dropped (counted as `shed_deadline`) and the scan
     /// continues — the caller only ever sees requests still worth
-    /// serving. Returns [`DequeueOutcome::Drained`] once the queue is
-    /// closed and empty.
+    /// serving. Waits up to `timeout` in total for one. Returns
+    /// [`DequeueOutcome::Drained`] once the queue is closed and empty.
     pub fn take_at(&self, now_secs: f64, timeout: Duration) -> DequeueOutcome<T> {
+        let mut budget = WaitBudget::new(timeout);
         let mut inner = self.shared.inner.lock();
         loop {
             while let Some((item, stamped)) = inner.queue.pop_front() {
@@ -232,22 +247,17 @@ impl<T> AdmissionQueue<T> {
                 self.shared
                     .delay_nanos
                     .fetch_add((delay * 1e9) as u64, Ordering::Relaxed);
-                drop(inner);
-                // A dispatch frees a slot: wake producers blocked by
-                // `Block` (and other consumers, harmlessly).
-                self.shared.cvar.notify_all();
+                // A dispatch frees one slot: one `Block` producer, if
+                // any is parked, can use it. Other consumers have
+                // nothing to gain from a dispatch and are not woken.
+                self.shared.not_full.unlock_and_wake_one(inner);
                 return DequeueOutcome::Item(item);
             }
             if inner.closed {
                 return DequeueOutcome::Drained;
             }
-            if self.shared.cvar.wait_for(&mut inner, timeout).timed_out() && inner.queue.is_empty()
-            {
-                return if inner.closed {
-                    DequeueOutcome::Drained
-                } else {
-                    DequeueOutcome::TimedOut
-                };
+            if !self.shared.not_empty.wait_within(&mut inner, &mut budget) {
+                return DequeueOutcome::TimedOut;
             }
         }
     }
@@ -257,7 +267,8 @@ impl<T> AdmissionQueue<T> {
     /// [`DequeueOutcome::Drained`].
     pub fn close(&self) {
         self.shared.inner.lock().closed = true;
-        self.shared.cvar.notify_all();
+        self.shared.not_empty.wake_all();
+        self.shared.not_full.wake_all();
     }
 
     /// `true` once [`AdmissionQueue::close`] has been called.
@@ -320,7 +331,53 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handoff::scenarios::{self, Port};
     use std::thread;
+
+    impl Port for AdmissionQueue<u64> {
+        fn put(&self, v: u64) -> bool {
+            self.offer(v) == OfferOutcome::Admitted
+        }
+        fn take(&self, timeout: Duration) -> DequeueOutcome<u64> {
+            AdmissionQueue::take(self, timeout)
+        }
+        fn close(&self) {
+            AdmissionQueue::close(self);
+        }
+        fn consumers(&self) -> &Sleepers {
+            &self.shared.not_empty
+        }
+    }
+
+    #[test]
+    fn offer_wakes_only_a_parked_consumer_and_take_wakes_nobody() {
+        let q = AdmissionQueue::new(AdmissionPolicy::Open);
+        scenarios::wakes_only_sleepers(q.clone());
+        assert_eq!(q.shared.not_full.notifies(), 0);
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        let open = || AdmissionQueue::new(AdmissionPolicy::Open);
+        scenarios::ping_pong(open(), open(), 100_000);
+    }
+
+    #[test]
+    fn take_timeout_bounds_the_whole_call() {
+        scenarios::timeout_bounds_the_whole_call(AdmissionQueue::new(AdmissionPolicy::Open));
+    }
+
+    #[test]
+    fn block_hand_off_loses_no_wakeup_on_either_side() {
+        // Capacity 1: producers park on `not_full` and consumers on
+        // `not_empty` over and over, and a `Block` producer's wait has
+        // no timeout to rescue it.
+        let q = AdmissionQueue::new(AdmissionPolicy::Block { capacity: 1 });
+        scenarios::conserves_items(q.clone(), 2, 2, 10_000);
+        let stats = q.stats();
+        assert_eq!(stats.offered, 20_000);
+        assert_eq!(stats.admitted, 20_000);
+    }
 
     #[test]
     fn open_policy_admits_everything() {
@@ -374,14 +431,17 @@ mod tests {
         assert_eq!(q.offer_at("b", 0.0), OfferOutcome::Admitted);
         let q2 = q.clone();
         let producer = thread::spawn(move || q2.offer_at("c", 0.1));
-        // The producer is blocked at capacity; a dispatch releases it.
-        thread::sleep(Duration::from_millis(20));
+        // The producer is parked at capacity; a dispatch releases it,
+        // through `not_full` alone.
+        q.shared.not_full.await_parked(1);
         assert_eq!(q.len(), 2);
         assert!(matches!(
             q.take_at(0.2, Duration::from_millis(1)),
             DequeueOutcome::Item("a")
         ));
         assert_eq!(producer.join().unwrap(), OfferOutcome::Admitted);
+        assert_eq!(q.shared.not_full.notifies(), 1);
+        assert_eq!(q.shared.not_empty.notifies(), 0);
         let stats = q.stats();
         assert_eq!(stats.offered, 3);
         assert_eq!(stats.admitted, 3);
@@ -394,7 +454,7 @@ mod tests {
         assert_eq!(q.offer_at(1, 0.0), OfferOutcome::Admitted);
         let q2 = q.clone();
         let producer = thread::spawn(move || q2.offer_at(2, 0.1));
-        thread::sleep(Duration::from_millis(10));
+        q.shared.not_full.await_parked(1);
         q.close();
         assert_eq!(producer.join().unwrap(), OfferOutcome::Closed(2));
     }
@@ -443,12 +503,12 @@ mod tests {
         let q = AdmissionQueue::new(AdmissionPolicy::Open);
         let q2 = q.clone();
         let consumer = thread::spawn(move || q2.take(Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(10));
+        q.shared.not_empty.await_parked(1);
         q.offer(42u32);
         assert!(matches!(consumer.join().unwrap(), DequeueOutcome::Item(42)));
         let q3 = q.clone();
         let consumer = thread::spawn(move || q3.take(Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(10));
+        q.shared.not_empty.await_parked(1);
         q.close();
         assert_eq!(consumer.join().unwrap(), DequeueOutcome::Drained);
     }
@@ -456,38 +516,12 @@ mod tests {
     #[test]
     fn conservation_holds_under_concurrent_offer_storm() {
         let q = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 8 });
-        let consumer = {
-            let q = q.clone();
-            thread::spawn(move || {
-                let mut served = 0u64;
-                loop {
-                    match q.take(Duration::from_millis(5)) {
-                        DequeueOutcome::Item(_) => served += 1,
-                        DequeueOutcome::Drained => return served,
-                        DequeueOutcome::TimedOut => {}
-                    }
-                }
-            })
-        };
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = q.clone();
-                thread::spawn(move || {
-                    for i in 0..500 {
-                        q.offer(p * 500 + i);
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let served = consumer.join().unwrap();
+        // Every admitted item is taken exactly once...
+        scenarios::conserves_items(q.clone(), 4, 3, 5_000);
+        // ...and every offer is either admitted or shed.
         let stats = q.stats();
-        assert_eq!(stats.offered, 2000);
+        assert_eq!(stats.offered, 20_000);
         assert_eq!(stats.offered, stats.admitted + stats.shed_high_water);
-        assert_eq!(stats.admitted, served);
     }
 
     #[test]

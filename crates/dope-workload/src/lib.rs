@@ -36,6 +36,7 @@
 
 pub mod admission;
 pub mod arrivals;
+mod handoff;
 pub mod queue;
 pub mod stats;
 

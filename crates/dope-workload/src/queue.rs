@@ -6,8 +6,14 @@
 //! consumers keep dequeuing until it is empty, after which they observe
 //! [`DequeueOutcome::Drained`] and terminate — steering the nest into a
 //! globally consistent state.
+//!
+//! An enqueue wakes a consumer only if one is parked (the rule and its
+//! invariant live in `handoff.rs`): on a saturated queue no hand-off
+//! makes a syscall. A timed dequeue's timeout bounds the whole call, not
+//! each park inside it.
 
-use parking_lot::{Condvar, Mutex};
+use crate::handoff::{Sleepers, WaitBudget};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,7 +69,7 @@ struct Inner<T> {
 /// );
 /// ```
 pub struct WorkQueue<T> {
-    inner: Arc<(Mutex<Inner<T>>, Condvar)>,
+    inner: Arc<(Mutex<Inner<T>>, Sleepers)>,
 }
 
 impl<T> Clone for WorkQueue<T> {
@@ -104,7 +110,7 @@ impl<T> WorkQueue<T> {
                     enqueued: 0,
                     dequeued: 0,
                 }),
-                Condvar::new(),
+                Sleepers::new(),
             )),
         }
     }
@@ -116,15 +122,14 @@ impl<T> WorkQueue<T> {
     ///
     /// Returns the item back if the queue is closed.
     pub fn enqueue(&self, item: T) -> Result<(), T> {
-        let (lock, cvar) = &*self.inner;
+        let (lock, consumers) = &*self.inner;
         let mut inner = lock.lock();
         if inner.closed {
             return Err(item);
         }
         inner.queue.push_back(item);
         inner.enqueued += 1;
-        drop(inner);
-        cvar.notify_one();
+        consumers.unlock_and_wake_one(inner);
         Ok(())
     }
 
@@ -139,12 +144,13 @@ impl<T> WorkQueue<T> {
         item
     }
 
-    /// Dequeues, waiting up to `timeout` for an item.
+    /// Dequeues, waiting up to `timeout` in total for an item.
     ///
     /// Returns [`DequeueOutcome::Drained`] once the queue is closed *and*
     /// empty, so consumers drain residual items before terminating.
     pub fn dequeue_timeout(&self, timeout: Duration) -> DequeueOutcome<T> {
-        let (lock, cvar) = &*self.inner;
+        let (lock, consumers) = &*self.inner;
+        let mut budget = WaitBudget::new(timeout);
         let mut inner = lock.lock();
         loop {
             if let Some(item) = inner.queue.pop_front() {
@@ -154,15 +160,8 @@ impl<T> WorkQueue<T> {
             if inner.closed {
                 return DequeueOutcome::Drained;
             }
-            if cvar.wait_for(&mut inner, timeout).timed_out() {
-                return match inner.queue.pop_front() {
-                    Some(item) => {
-                        inner.dequeued += 1;
-                        DequeueOutcome::Item(item)
-                    }
-                    None if inner.closed => DequeueOutcome::Drained,
-                    None => DequeueOutcome::TimedOut,
-                };
+            if !consumers.wait_within(&mut inner, &mut budget) {
+                return DequeueOutcome::TimedOut;
             }
         }
     }
@@ -182,9 +181,9 @@ impl<T> WorkQueue<T> {
 
     /// Closes the queue: no further enqueues; consumers drain then stop.
     pub fn close(&self) {
-        let (lock, cvar) = &*self.inner;
+        let (lock, consumers) = &*self.inner;
         lock.lock().closed = true;
-        cvar.notify_all();
+        consumers.wake_all();
     }
 
     /// `true` once [`WorkQueue::close`] has been called.
@@ -227,7 +226,38 @@ impl<T> WorkQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handoff::scenarios::{self, Port};
     use std::thread;
+
+    impl Port for WorkQueue<u64> {
+        fn put(&self, v: u64) -> bool {
+            self.enqueue(v).is_ok()
+        }
+        fn take(&self, timeout: Duration) -> DequeueOutcome<u64> {
+            self.dequeue_timeout(timeout)
+        }
+        fn close(&self) {
+            WorkQueue::close(self);
+        }
+        fn consumers(&self) -> &Sleepers {
+            &self.inner.1
+        }
+    }
+
+    #[test]
+    fn enqueue_wakes_only_a_parked_consumer() {
+        scenarios::wakes_only_sleepers(WorkQueue::new());
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        scenarios::ping_pong(WorkQueue::new(), WorkQueue::new(), 100_000);
+    }
+
+    #[test]
+    fn dequeue_timeout_bounds_the_whole_call() {
+        scenarios::timeout_bounds_the_whole_call(WorkQueue::new());
+    }
 
     #[test]
     fn fifo_order() {
@@ -313,28 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn many_producers_one_consumer() {
+    fn many_producers_many_consumers() {
         let q = WorkQueue::new();
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = q.clone();
-                thread::spawn(move || {
-                    for i in 0..100 {
-                        q.enqueue(p * 100 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut got = Vec::new();
-        while let Some(v) = q.dequeue() {
-            got.push(v);
-        }
-        assert_eq!(got.len(), 400);
-        assert_eq!(q.total_dequeued(), 400);
+        scenarios::conserves_items(q.clone(), 4, 3, 5_000);
+        assert_eq!(q.total_enqueued(), 20_000);
+        assert_eq!(q.total_dequeued(), 20_000);
     }
 
     #[test]

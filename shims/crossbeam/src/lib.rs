@@ -14,6 +14,15 @@ pub mod channel {
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
+        /// Receivers inside `recv`'s wait. Written by the receiver around
+        /// its wait and read by `send`, both under the `state` mutex, so
+        /// `send` skips the `futex_wake` (which `std`'s `notify_one` issues
+        /// whether or not anybody waits) when every worker is busy. A
+        /// receiver holds the mutex from its emptiness check until the wait
+        /// releases it, so a `send` that follows always sees it counted; a
+        /// woken receiver not yet re-locked is over-counted, which costs one
+        /// spare notify.
+        parked: usize,
     }
 
     struct Shared<T> {
@@ -89,6 +98,7 @@ pub mod channel {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
+                parked: 0,
             }),
             ready: Condvar::new(),
         });
@@ -116,8 +126,11 @@ pub mod channel {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             state.queue.push_back(value);
+            let parked = state.parked > 0;
             drop(state);
-            self.shared.ready.notify_one();
+            if parked {
+                self.shared.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -173,11 +186,13 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked += 1;
                 state = self
                     .shared
                     .ready
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.parked -= 1;
             }
         }
 
@@ -252,6 +267,34 @@ mod tests {
         drop(rx);
         let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 100);
+    }
+
+    /// `send` skips the notify unless a receiver is parked. Two threads
+    /// bounce a token so each parks almost every round; `recv` has no
+    /// timeout, so one wrongly skipped notify hangs the pair and the
+    /// watchdog fails the test.
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let (ping_tx, ping_rx) = unbounded();
+            let (pong_tx, pong_rx) = unbounded();
+            let echo = thread::spawn(move || {
+                while let Ok(v) = ping_rx.recv() {
+                    pong_tx.send(v).unwrap();
+                }
+            });
+            for v in 0..100_000u32 {
+                ping_tx.send(v).unwrap();
+                assert_eq!(pong_rx.recv(), Ok(v));
+            }
+            drop(ping_tx);
+            echo.join().unwrap();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a receiver stalled: lost wake-up");
     }
 
     #[test]
