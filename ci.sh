@@ -6,7 +6,8 @@
 # below runs with the network hard-disabled.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   skip the release build (format, lint, debug tests only)
+#   --quick   skip the release build, the figures diff and the release
+#             smokes (format, lint, debug tests only)
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -66,6 +67,16 @@ step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 if [[ "$QUICK" -eq 0 ]]; then
+  step "figures: the nine deterministic binaries still print results/*.txt"
+  # The paper's figures are the behavioural contract (ROADMAP): every
+  # binary is deterministic and runs in under a second, so "figures
+  # regenerate unchanged" is a diff, not a promise. A deliberate change
+  # of behaviour regenerates the file and says why in CHANGES.md.
+  for fig in fig02 fig11 fig12 fig13 fig14 fig15 table3 table4 ablations; do
+    cargo run -q --release --offline -p dope-bench --bin "$fig" 2>/dev/null \
+      | diff -u "results/$fig.txt" -
+  done
+
   step "metrics smoke: live scrape + overhead regression"
   # A tiny live run that serves and scrapes its own Prometheus endpoint
   # and asserts the monitoring-overhead ratio stays under the ceiling.

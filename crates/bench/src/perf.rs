@@ -1,6 +1,6 @@
 //! The perf gate: pinned microbenches emitting `BENCH_perf.json`.
 //!
-//! Seven probes, each guarding one latency the DoPE stack promises to
+//! Eight probes, each guarding one latency the DoPE stack promises to
 //! keep small (see `docs/performance.md`):
 //!
 //! 1. **record path** — ns/op of the sharded task-completion record,
@@ -25,7 +25,10 @@
 //! 7. **handoff** — the queue hand-offs every job crosses, with no peer
 //!    parked (`WorkQueue::enqueue`, `AdmissionQueue::offer`/`take`: lock
 //!    and push, no syscall) and with one parked (a real wake), next to
-//!    the cost of the bare no-waiter notify they no longer pay.
+//!    the cost of the bare no-waiter notify they no longer pay;
+//! 8. **control** — one `ControlCore` tick on an 8-path snapshot against
+//!    a no-op sink: the consult/judge hop of a control period, holding
+//!    and accepting. Ledger only: no gate, no baseline row.
 //!
 //! The report also states `nproc`, the core count it was taken on.
 //!
@@ -36,10 +39,12 @@
 //! and the overload frontier holds.
 
 use dope_apps::transcode;
+use dope_core::control::{ControlCore, NullSink, Rules};
 use dope_core::json::{parse, Value};
 use dope_core::{
-    body_fn, AdmissionPolicy, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources,
-    TaskBody, TaskConfig, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, AdmissionPolicy, Config, FailurePolicy, Goal, Mechanism, MonitorSnapshot,
+    ProgramShape, Resources, ShapeNode, TaskBody, TaskConfig, TaskKind, TaskPath, TaskSpec,
+    TaskStats, TaskStatus, WorkerSlot,
 };
 use dope_mechanisms::WqLinear;
 use dope_trace::{Recorder, TraceEvent};
@@ -98,6 +103,9 @@ pub fn run(quick: bool) -> Value {
     println!("perf: handoff (queue hand-offs, no peer parked / one parked)");
     let handoff = bench_handoff(quick);
 
+    println!("perf: control (one core tick on an 8-path snapshot)");
+    let control = bench_control(quick);
+
     let fig11_loads = if quick {
         vec![0.8]
     } else {
@@ -151,6 +159,7 @@ pub fn run(quick: bool) -> Value {
         ("partial_reconfig_pause", partial_reconfig),
         ("overload", overload),
         ("handoff", handoff),
+        ("control", control),
         (
             "fig11",
             obj(vec![
@@ -455,6 +464,88 @@ fn bench_handoff(quick: bool) -> Value {
     ])
 }
 
+/// The control-tick hop of the ledger: one [`ControlCore::tick`] on an
+/// 8-path snapshot against [`NullSink`]. `tick_hold_ns` is a consult
+/// that proposes nothing; `tick_accept_ns` one whose proposal (a
+/// single-leaf extent flip) is accepted, with the partial drain and the
+/// relaunch answered at once — judge, delta classification, two
+/// configuration clones and the history push included.
+fn bench_control(quick: bool) -> Value {
+    const PATHS: u16 = 8;
+    /// Flips the first leaf between extents 1 and 2, or holds.
+    struct Flip(bool);
+    impl Mechanism for Flip {
+        fn name(&self) -> &'static str {
+            "Flip"
+        }
+        fn reconfigure(
+            &mut self,
+            _snap: &MonitorSnapshot,
+            current: &Config,
+            _shape: &ProgramShape,
+            _res: &Resources,
+        ) -> Option<Config> {
+            self.0.then(|| {
+                let mut next = current.clone();
+                next.tasks[0].extent = 3 - next.tasks[0].extent;
+                next
+            })
+        }
+    }
+    let iters: u64 = if quick { 20_000 } else { 200_000 };
+    let reps = if quick { 5 } else { 20 };
+    let name = |i: u16| format!("s{i}");
+    let shape = ProgramShape::new(
+        (0..PATHS)
+            .map(|i| ShapeNode::leaf(name(i), TaskKind::Par))
+            .collect(),
+    );
+    let initial = Config::new((0..PATHS).map(|i| TaskConfig::leaf(name(i), 1)).collect());
+    let mut snap = MonitorSnapshot::at(1.0);
+    for i in 0..PATHS {
+        let stats = TaskStats {
+            invocations: 1_000,
+            throughput: 100.0,
+            ..TaskStats::default()
+        };
+        snap.tasks.insert(TaskPath::root_child(i), stats);
+    }
+    let rules = Rules {
+        budget: u32::from(PATHS) + 1,
+        delta: true,
+        policy: FailurePolicy::Abort,
+    };
+    // The fastest of `reps` runs is reported: interference only adds time.
+    let ns_per_tick = |accept: bool| {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let (mut mechanism, mut sink) = (Flip(accept), NullSink);
+            let res = Resources::threads(rules.budget);
+            let mut core = ControlCore::new(
+                &mut mechanism,
+                &mut sink,
+                &shape,
+                res,
+                rules,
+                initial.clone(),
+            );
+            let t0 = Instant::now();
+            for i in 0..iters {
+                black_box(core.tick_instant(i as f64, black_box(&snap)));
+            }
+            best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
+            black_box(core.finish(iters as f64, None));
+        }
+        best
+    };
+    obj(vec![
+        ("paths", Value::Number(u64::from(PATHS))),
+        ("iters", Value::Number(iters)),
+        ("tick_hold_ns", Value::from_f64(ns_per_tick(false))),
+        ("tick_accept_ns", Value::from_f64(ns_per_tick(true))),
+    ])
+}
+
 fn metric(report: &Value, section: &str, key: &str) -> Option<f64> {
     report.get(section)?.get(key)?.as_f64()
 }
@@ -647,6 +738,8 @@ pub fn summary(report: &Value) -> String {
         ("handoff", "take_ns"),
         ("handoff", "notify_no_waiter_ns"),
         ("handoff", "wake_us"),
+        ("control", "tick_hold_ns"),
+        ("control", "tick_accept_ns"),
         ("fig11", "wall_secs"),
     ] {
         if let Some(v) = metric(report, section, key) {

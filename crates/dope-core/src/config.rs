@@ -307,9 +307,9 @@ impl Config {
     /// **and** every changed path is a top-level leaf task: nested
     /// replicas are instantiated as a unit (`TaskFactory::make_nest`),
     /// so changing anything inside a nest means rebuilding the replica —
-    /// a full drain. Centralizing the rule here keeps the live executive
-    /// and the simulator's trace observer agreeing on which epochs are
-    /// partial.
+    /// a full drain. The control core (`crate::control`) is the one
+    /// caller: it decides which epochs are partial for the live
+    /// executive and the simulators alike.
     #[must_use]
     pub fn delta_paths(&self, other: &Config) -> Option<Vec<TaskPath>> {
         match self.diff(other) {

@@ -1,0 +1,663 @@
+//! The control loop, written once: consult → judge → score → drain → apply.
+//!
+//! [`ControlCore`] is the executive's reconfiguration protocol as a pure,
+//! clock-agnostic state machine. It owns the whole protocol state — the
+//! configuration in force, the one held [`DecisionTrace`], the in-flight
+//! target and its [`Scope`], the reconfiguration and rejection counts,
+//! the configuration history and the failure-policy bookkeeping — and
+//! nothing else: no threads, no clock, no queues. A *driver* feeds it
+//! what happened ([`tick`](ControlCore::tick),
+//! [`task_failed`](ControlCore::task_failed),
+//! [`drained`](ControlCore::drained),
+//! [`relaunched`](ControlCore::relaunched), [`stop`](ControlCore::stop),
+//! [`finish`](ControlCore::finish)), does what the returned [`Action`]
+//! says, and hears what the core decided through one [`ControlSink`].
+//! The live executive (`dope-runtime`) and both simulators (`dope-sim`)
+//! are such drivers, so a mechanism — and a recorded trace — cannot tell
+//! which world ran the rule. `docs/architecture.md` carries the full
+//! phase/transition table.
+//!
+//! # The rules, stated once
+//!
+//! * **Consult only while [`Phase::Running`].** A tick in any other
+//!   phase is ignored: at most one target is ever in flight.
+//! * **Equality before validation.** A proposal equal to the
+//!   configuration in force is [`Verdict::Unchanged`] without a
+//!   validation walk; only a differing proposal is validated against
+//!   the budget ([`Verdict::Rejected`] carries the first error's code).
+//! * **Pend and score.** The mechanism's explanation of a consult is
+//!   held until the *next* snapshot, scored against its
+//!   [`realized_throughput`], and emitted *before* that snapshot. The
+//!   last decision of a run is scored if the driver hands
+//!   [`finish`](ControlCore::finish) a final snapshot, unscored
+//!   otherwise. Every consult that explained itself yields exactly one
+//!   scored-decision event.
+//! * **Applied or superseded.** Every [`Verdict::Accepted`] proposal is
+//!   followed by exactly one of a `reconfigured` event or a
+//!   [`Verdict::Superseded`] one: a failure, a stop, or an aborted
+//!   relaunch retires the target instead of dropping it.
+//! * **Partial when possible.** With delta reconfiguration enabled, a
+//!   target that differs only in top-level leaf extents
+//!   ([`Config::delta_paths`]) drains just those paths; everything
+//!   else — and every drain caused by a failure or a stop — is full.
+//!
+//! # Example
+//!
+//! A driver whose drains take no time (what the simulators do):
+//!
+//! ```
+//! use dope_core::control::{ControlCore, NullSink, Rules};
+//! use dope_core::{
+//!     Config, FailurePolicy, MonitorSnapshot, ProgramShape, Resources, ShapeNode,
+//!     StaticMechanism, TaskConfig, TaskKind,
+//! };
+//!
+//! let shape = ProgramShape::new(vec![ShapeNode::leaf("stage", TaskKind::Par)]);
+//! let mut mechanism = StaticMechanism::new(Config::new(vec![TaskConfig::leaf("stage", 4)]));
+//! let mut sink = NullSink;
+//! let rules = Rules { budget: 8, delta: true, policy: FailurePolicy::Abort };
+//! let initial = Config::new(vec![TaskConfig::leaf("stage", 1)]);
+//! let mut core = ControlCore::new(
+//!     &mut mechanism, &mut sink, &shape, Resources::threads(8), rules, initial,
+//! );
+//! assert!(core.tick_instant(1.0, &MonitorSnapshot::at(1.0)));
+//! assert_eq!(core.config().total_threads(), 4);
+//! let report = core.finish(2.0, None);
+//! assert_eq!(report.reconfigurations, 1);
+//! assert_eq!(report.config_history.len(), 2);
+//! ```
+
+use crate::config::Config;
+use crate::decision::{realized_throughput, DecisionTrace};
+use crate::diag::DiagCode;
+use crate::error::Error;
+use crate::failure::{FailurePolicy, FailureVerdict};
+use crate::mechanism::{Mechanism, Resources};
+use crate::metrics::MonitorSnapshot;
+use crate::path::TaskPath;
+use crate::shape::ProgramShape;
+use std::time::Duration;
+
+/// How the control core judged one mechanism proposal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The proposal validated and differs from the current configuration;
+    /// a reconfiguration epoch follows.
+    Accepted,
+    /// The proposal equals the current configuration.
+    Unchanged,
+    /// The proposal failed validation; `code` is the `DV0xx` diagnostic
+    /// of the first error.
+    Rejected {
+        /// The diagnostic code explaining the rejection.
+        code: DiagCode,
+    },
+    /// A previously accepted proposal was discarded before it could be
+    /// applied — a failure, a stop, or an aborted relaunch took
+    /// precedence. Emitted so the audit trail never shows an
+    /// accepted-but-vanished decision. Additive in schema v1.
+    Superseded,
+}
+
+/// How much of the running epoch a reconfiguration drains.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Scope {
+    /// Every replica is steered to a consistent point and the whole
+    /// epoch is relaunched.
+    Full,
+    /// Only these (top-level leaf) paths drain and relaunch; every other
+    /// replica keeps running across the boundary.
+    Partial(Vec<TaskPath>),
+}
+
+impl Scope {
+    /// The stable trace tag: `"full"` or `"partial"`.
+    #[must_use]
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Scope::Full => "full",
+            Scope::Partial(_) => "partial",
+        }
+    }
+
+    /// Replica-carrying paths drained at the boundary: the changed
+    /// paths of a partial drain, every path of `config` for a full one.
+    #[must_use]
+    pub fn paths_drained(&self, config: &Config) -> u64 {
+        match self {
+            Scope::Full => config.paths().len() as u64,
+            Scope::Partial(paths) => paths.len() as u64,
+        }
+    }
+}
+
+/// What a driver measured around one drain-and-relaunch (all zero for
+/// drivers whose drains take no time).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DrainTiming {
+    /// Seconds from the suspend request to the drained boundary.
+    pub pause_secs: f64,
+    /// Seconds spent instantiating and submitting the relaunch.
+    pub relaunch_secs: f64,
+    /// Worker jobs running after the relaunch.
+    pub jobs: u64,
+}
+
+/// What the driver must do next.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Action {
+    /// Nothing: keep running (or keep draining).
+    Continue,
+    /// Steer exactly these paths to a consistent point, then report
+    /// [`drained`](ControlCore::drained).
+    SuspendPaths(Vec<TaskPath>),
+    /// Steer every replica to a consistent point, then report
+    /// [`drained`](ControlCore::drained).
+    SuspendAll,
+    /// Relaunch under [`ControlCore::config`] — the whole epoch or just
+    /// the scope's paths — then report
+    /// [`relaunched`](ControlCore::relaunched).
+    Relaunch(Scope),
+    /// The `Restart` policy absorbed `replicas` failures: back off for
+    /// `backoff`, relaunch the whole epoch under the unchanged
+    /// configuration, then report [`relaunched`](ControlCore::relaunched).
+    Restart {
+        /// Failed replicas being restarted.
+        replicas: u64,
+        /// Delay before the relaunch.
+        backoff: Duration,
+    },
+    /// The run is over (the program finished or a stop drained): call
+    /// [`finish`](ControlCore::finish).
+    Finish,
+    /// The failure policy gave up: call [`finish`](ControlCore::finish),
+    /// then fail the run with this error.
+    Abort(Error),
+}
+
+/// Where the protocol stands. At most one target is in flight, by
+/// construction.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Phase {
+    /// The epoch runs; ticks consult the mechanism.
+    Running,
+    /// An accepted delta target waits for its changed paths to drain.
+    DrainingPartial {
+        /// The accepted configuration.
+        target: Config,
+        /// The paths being drained.
+        paths: Vec<TaskPath>,
+    },
+    /// An accepted target waits for the whole epoch to drain.
+    DrainingFull {
+        /// The accepted configuration.
+        target: Config,
+    },
+    /// A replica failed: the epoch drains so the failure policy acts at
+    /// a consistent point.
+    DrainingForFailure,
+    /// A stop was requested or the program finished: nothing is
+    /// consulted or relaunched any more.
+    Stopping,
+    /// The epoch drained and the driver is relaunching it under the
+    /// unchanged configuration.
+    Relaunching,
+    /// [`ControlCore::config`] changed at the drained boundary and the
+    /// driver is relaunching under it; it counts once
+    /// [`relaunched`](ControlCore::relaunched) confirms.
+    Applying {
+        /// How much was drained for it.
+        scope: Scope,
+        /// `true` for an accepted mechanism proposal (superseded if the
+        /// relaunch never completes), `false` for a `Degrade` shrink.
+        proposed: bool,
+    },
+}
+
+/// The fixed parameters of one run's control protocol.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rules {
+    /// Thread budget proposals are validated against.
+    pub budget: u32,
+    /// Allow partial (delta) drains for extent-only changes of
+    /// top-level leaves.
+    pub delta: bool,
+    /// What to do when a replica fails.
+    pub policy: FailurePolicy,
+}
+
+/// Hears what the control core decided. Every method defaults to a
+/// no-op, so sinks implement only what they consume; the core calls
+/// them in causal order.
+pub trait ControlSink {
+    /// Whether [`decision_scored`](ControlSink::decision_scored) is
+    /// consumed. When `false` the core never calls
+    /// [`Mechanism::explain`].
+    fn audits_decisions(&self) -> bool {
+        true
+    }
+
+    /// The run started under `config`. Called by the *driver*, once,
+    /// before the first tick.
+    fn launched(&mut self, mechanism: &str, threads: u32, shape: &ProgramShape, config: &Config) {
+        let _ = (mechanism, threads, shape, config);
+    }
+
+    /// A monitor snapshot was put to the mechanism.
+    fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
+        let _ = snapshot;
+    }
+
+    /// The decision taken at `time_secs` left the hold: `realized` is
+    /// the bottleneck throughput of the snapshot that followed it
+    /// (`None` when there was none, or nothing ran).
+    fn decision_scored(
+        &mut self,
+        time_secs: f64,
+        mechanism: &str,
+        trace: DecisionTrace,
+        realized: Option<f64>,
+    ) {
+        let _ = (time_secs, mechanism, trace, realized);
+    }
+
+    /// The mechanism proposed `proposal` and the core judged it — or,
+    /// for [`Verdict::Superseded`], retired it after accepting it.
+    fn proposal_evaluated(
+        &mut self,
+        time_secs: f64,
+        mechanism: &str,
+        proposal: &Config,
+        verdict: Verdict,
+    ) {
+        let _ = (time_secs, mechanism, proposal, verdict);
+    }
+
+    /// `config` took effect: the boundary drained `scope` and the
+    /// relaunch completed.
+    fn reconfigured(
+        &mut self,
+        time_secs: f64,
+        config: &Config,
+        scope: &Scope,
+        timing: DrainTiming,
+    ) {
+        let _ = (time_secs, config, scope, timing);
+    }
+}
+
+/// The sink that listens to nothing (and switches the decision audit
+/// off).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NullSink;
+
+impl ControlSink for NullSink {
+    fn audits_decisions(&self) -> bool {
+        false
+    }
+}
+
+/// What a finished run's control state amounts to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlReport {
+    /// Applied reconfigurations (`config_history.len() - 1`).
+    pub reconfigurations: u64,
+    /// Proposals rejected by validation.
+    pub rejected: u64,
+    /// Configuration in force at the end.
+    pub final_config: Config,
+    /// `(time_secs, config)` for every applied configuration, the
+    /// initial one (at 0.0) included.
+    pub config_history: Vec<(f64, Config)>,
+    /// Failed replicas the `Restart` policy absorbed.
+    pub restarts: u64,
+    /// The most severe thing the failure policy had to do.
+    pub failure_verdict: FailureVerdict,
+}
+
+/// The control protocol state machine. See the [module docs](self).
+pub struct ControlCore<'a> {
+    mechanism: &'a mut dyn Mechanism,
+    sink: &'a mut dyn ControlSink,
+    shape: &'a ProgramShape,
+    res: Resources,
+    rules: Rules,
+    audit: bool,
+    config: Config,
+    phase: Phase,
+    /// The last explained decision and when it was taken, held for
+    /// scoring against the next snapshot.
+    held: Option<(f64, DecisionTrace)>,
+    /// Failures reported since the last boundary.
+    failures: Vec<(TaskPath, String)>,
+    history: Vec<(f64, Config)>,
+    rejected: u64,
+    restarts: u64,
+    verdict: FailureVerdict,
+}
+
+impl std::fmt::Debug for ControlCore<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ControlCore")
+            .field("phase", &self.phase)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> ControlCore<'a> {
+    /// A core in [`Phase::Running`] under `initial`, which the driver
+    /// has validated and launched.
+    pub fn new(
+        mechanism: &'a mut dyn Mechanism,
+        sink: &'a mut dyn ControlSink,
+        shape: &'a ProgramShape,
+        res: Resources,
+        rules: Rules,
+        initial: Config,
+    ) -> Self {
+        ControlCore {
+            audit: sink.audits_decisions(),
+            mechanism,
+            sink,
+            shape,
+            res,
+            rules,
+            history: vec![(0.0, initial.clone())],
+            config: initial,
+            phase: Phase::Running,
+            held: None,
+            failures: Vec::new(),
+            rejected: 0,
+            restarts: 0,
+            verdict: FailureVerdict::Clean,
+        }
+    }
+
+    /// The configuration in force (the one to relaunch under).
+    #[must_use]
+    pub fn config(&self) -> &Config {
+        &self.config
+    }
+
+    /// Where the protocol stands.
+    #[must_use]
+    pub fn phase(&self) -> &Phase {
+        &self.phase
+    }
+
+    /// `true` while a [`tick`](Self::tick) would consult the mechanism —
+    /// drivers check before paying for a snapshot.
+    #[must_use]
+    pub fn is_running(&self) -> bool {
+        self.phase == Phase::Running
+    }
+
+    /// `true` while an explained decision waits to be scored — a driver
+    /// whose snapshots cost something takes the final one for
+    /// [`finish`](Self::finish) only then.
+    #[must_use]
+    pub fn holds_decision(&self) -> bool {
+        self.held.is_some()
+    }
+
+    /// One control period elapsed and `snap` is the monitor's view:
+    /// scores and emits the held decision, consults the mechanism,
+    /// holds its explanation, and judges its proposal. Ignored (no
+    /// consult, no event) unless [`Phase::Running`].
+    pub fn tick(&mut self, now: f64, snap: &MonitorSnapshot) -> Action {
+        if !self.is_running() {
+            return Action::Continue;
+        }
+        if let Some((at, trace)) = self.held.take() {
+            let realized = realized_throughput(snap);
+            self.sink
+                .decision_scored(at, self.mechanism.name(), trace, realized);
+        }
+        self.sink.snapshot_taken(snap);
+        let proposal = self
+            .mechanism
+            .reconfigure(snap, &self.config, self.shape, &self.res);
+        if self.audit {
+            self.held = self.mechanism.explain().map(|trace| (now, trace));
+        }
+        let Some(proposal) = proposal else {
+            return Action::Continue;
+        };
+        if proposal == self.config {
+            self.judged(now, &proposal, Verdict::Unchanged);
+            return Action::Continue;
+        }
+        if let Err(err) = proposal.validate(self.shape, self.rules.budget) {
+            self.rejected += 1;
+            self.judged(now, &proposal, Verdict::Rejected { code: err.code() });
+            return Action::Continue;
+        }
+        self.judged(now, &proposal, Verdict::Accepted);
+        let delta = self.rules.delta.then(|| self.config.delta_paths(&proposal));
+        match delta.flatten() {
+            Some(paths) => {
+                self.phase = Phase::DrainingPartial {
+                    target: proposal,
+                    paths: paths.clone(),
+                };
+                Action::SuspendPaths(paths)
+            }
+            None => {
+                self.phase = Phase::DrainingFull { target: proposal };
+                Action::SuspendAll
+            }
+        }
+    }
+
+    /// [`tick`](Self::tick) for drivers whose drains take no time (the
+    /// simulators): a requested drain is answered at once with
+    /// [`drained`](Self::drained) and a zero-timing
+    /// [`relaunched`](Self::relaunched). Returns `true` when
+    /// [`config`](Self::config) changed.
+    pub fn tick_instant(&mut self, now: f64, snap: &MonitorSnapshot) -> bool {
+        if matches!(self.tick(now, snap), Action::Continue) {
+            return false;
+        }
+        self.drained(false);
+        self.relaunched(now, DrainTiming::default());
+        true
+    }
+
+    /// A replica at `path` failed. Any in-flight target is superseded —
+    /// the failure policy's full drain takes precedence — and the whole
+    /// epoch must drain.
+    pub fn task_failed(&mut self, now: f64, path: TaskPath, reason: String) -> Action {
+        self.failures.push((path, reason));
+        if self.phase != Phase::Stopping {
+            self.retire_target(now, Phase::DrainingForFailure);
+        }
+        Action::SuspendAll
+    }
+
+    /// An orderly stop was requested: any in-flight target is
+    /// superseded and the epoch drains for the last time. Idempotent.
+    pub fn stop(&mut self, now: f64) -> Action {
+        let action = match self.phase {
+            Phase::Stopping => return Action::Continue,
+            // Nothing is running: there is nothing to drain.
+            Phase::Relaunching | Phase::Applying { .. } => Action::Finish,
+            _ => Action::SuspendAll,
+        };
+        self.retire_target(now, Phase::Stopping);
+        action
+    }
+
+    /// What the last suspend request asked for has drained: the changed
+    /// paths of a partial drain, otherwise the whole epoch (also
+    /// reported, unasked, when every replica of a running epoch
+    /// returned). `finished` says every replica of the drained epoch
+    /// reported `Finished` — the program is complete.
+    pub fn drained(&mut self, finished: bool) -> Action {
+        match std::mem::replace(&mut self.phase, Phase::Relaunching) {
+            Phase::DrainingPartial { target, paths } => {
+                self.switch_to(target, Scope::Partial(paths), true)
+            }
+            Phase::DrainingFull { target } => self.switch_to(target, Scope::Full, true),
+            Phase::DrainingForFailure => self.apply_policy(false),
+            Phase::Stopping if !self.failures.is_empty() => self.apply_policy(true),
+            Phase::Stopping => self.ended(Action::Finish),
+            Phase::Running if finished => self.ended(Action::Finish),
+            // Replicas suspended without a target (a stop raced and
+            // lost): relaunch the epoch as it was.
+            Phase::Running => Action::Relaunch(Scope::Full),
+            relaunching @ (Phase::Relaunching | Phase::Applying { .. }) => {
+                self.phase = relaunching;
+                Action::Continue
+            }
+        }
+    }
+
+    /// The relaunch requested by the last [`drained`](Self::drained)
+    /// completed. If the configuration changed at the boundary this is
+    /// where it counts: the history grows, the mechanism hears
+    /// [`applied`](Mechanism::applied), and the sink `reconfigured`.
+    pub fn relaunched(&mut self, now: f64, timing: DrainTiming) {
+        match std::mem::replace(&mut self.phase, Phase::Running) {
+            Phase::Relaunching => {}
+            Phase::Applying { scope, .. } => {
+                self.history.push((now, self.config.clone()));
+                self.mechanism.applied(&self.config);
+                self.sink.reconfigured(now, &self.config, &scope, timing);
+            }
+            other => self.phase = other,
+        }
+    }
+
+    /// Ends the run — on every exit, clean or not: the held decision is
+    /// emitted (scored against `final_snapshot` when the driver has
+    /// one) and a target still in flight is superseded.
+    pub fn finish(mut self, now: f64, final_snapshot: Option<&MonitorSnapshot>) -> ControlReport {
+        self.retire_target(now, Phase::Stopping);
+        if let Some((at, trace)) = self.held.take() {
+            let realized = final_snapshot.and_then(realized_throughput);
+            self.sink
+                .decision_scored(at, self.mechanism.name(), trace, realized);
+        }
+        ControlReport {
+            reconfigurations: self.history.len() as u64 - 1,
+            rejected: self.rejected,
+            final_config: self.config,
+            config_history: self.history,
+            restarts: self.restarts,
+            failure_verdict: self.verdict,
+        }
+    }
+
+    fn judged(&mut self, now: f64, proposal: &Config, verdict: Verdict) {
+        self.sink
+            .proposal_evaluated(now, self.mechanism.name(), proposal, verdict);
+    }
+
+    /// Moves to `next`, superseding whatever accepted target the old
+    /// phase carried — the one place a target is ever retired.
+    fn retire_target(&mut self, now: f64, next: Phase) {
+        let retired = match std::mem::replace(&mut self.phase, next) {
+            Phase::DrainingPartial { target, .. } | Phase::DrainingFull { target } => Some(target),
+            // The relaunch never completed: the configuration last
+            // applied is still the one in force.
+            Phase::Applying { proposed, .. } => {
+                let (_, applied) = self.history.last().expect("history starts non-empty");
+                let dropped = std::mem::replace(&mut self.config, applied.clone());
+                proposed.then_some(dropped)
+            }
+            _ => None,
+        };
+        if let Some(target) = retired {
+            self.judged(now, &target, Verdict::Superseded);
+        }
+    }
+
+    fn switch_to(&mut self, config: Config, scope: Scope, proposed: bool) -> Action {
+        self.config = config;
+        self.phase = Phase::Applying {
+            scope: scope.clone(),
+            proposed,
+        };
+        Action::Relaunch(scope)
+    }
+
+    fn ended(&mut self, action: Action) -> Action {
+        self.phase = Phase::Stopping;
+        action
+    }
+
+    /// The epoch drained with failures on the books: the policy decides
+    /// what the run does next. While `stopping` it still accounts (and
+    /// may abort), but nothing is relaunched.
+    fn apply_policy(&mut self, stopping: bool) -> Action {
+        let failures = std::mem::take(&mut self.failures);
+        let replicas = failures.len() as u64;
+        let first = |suffix: &str| {
+            let (path, reason) = failures[0].clone();
+            Error::TaskFailed {
+                path,
+                reason: format!("{reason}{suffix}"),
+            }
+        };
+        let next = match self.rules.policy {
+            FailurePolicy::Restart {
+                max_retries,
+                backoff,
+            } => {
+                if self.restarts + replicas > u64::from(max_retries) {
+                    Err(first(&format!(
+                        " (restart budget of {max_retries} exhausted)"
+                    )))
+                } else {
+                    self.restarts += replicas;
+                    self.verdict = self.verdict.worsen(FailureVerdict::Recovered);
+                    Ok(Action::Restart { replicas, backoff })
+                }
+            }
+            FailurePolicy::Degrade => self.degraded(&failures).map(|degraded| {
+                self.verdict = self.verdict.worsen(FailureVerdict::Degraded);
+                if stopping {
+                    // Nothing will run under the shrunken configuration.
+                    Action::Finish
+                } else {
+                    self.switch_to(degraded, Scope::Full, false)
+                }
+            }),
+            // `FailurePolicy` is non-exhaustive: a policy this core does
+            // not know fails safe, exactly like `Abort`.
+            _ => Err(first("")),
+        };
+        match next {
+            Err(err) => self.ended(Action::Abort(err)),
+            Ok(_) if stopping => self.ended(Action::Finish),
+            Ok(action) => action,
+        }
+    }
+
+    /// The configuration in force with each failed task's extent shrunk
+    /// by its dead replicas; a task with no survivors cannot be
+    /// degraded, only aborted.
+    fn degraded(&self, failures: &[(TaskPath, String)]) -> Result<Config, Error> {
+        let mut degraded = self.config.clone();
+        for (path, _) in failures {
+            let survivors = degraded.extent_of(path).unwrap_or(0).saturating_sub(1);
+            if survivors == 0 {
+                let extent = self.config.extent_of(path).unwrap_or(0);
+                let reason = failures
+                    .iter()
+                    .find(|(failed, _)| failed == path)
+                    .map_or("", |(_, reason)| reason);
+                return Err(Error::TaskFailed {
+                    path: path.clone(),
+                    reason: format!(
+                        "all {extent} replica(s) failed; cannot degrade below one: {reason}"
+                    ),
+                });
+            }
+            degraded.set_extent(path, survivors)?;
+        }
+        degraded.validate(self.shape, self.rules.budget)?;
+        Ok(degraded)
+    }
+}

@@ -48,6 +48,7 @@
 
 pub mod admission;
 pub mod config;
+pub mod control;
 pub mod decision;
 pub mod diag;
 pub mod error;
@@ -66,6 +67,7 @@ pub mod task;
 
 pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use config::{Config, ConfigDiff, NestConfig, TaskConfig};
+pub use control::{ControlCore, ControlSink, Verdict};
 pub use decision::{realized_throughput, DecisionCandidate, DecisionTrace, Rationale};
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use error::{Error, Result};

@@ -3,14 +3,18 @@
 use crate::instance::{instantiate, instantiate_paths, LiveCx, WorkerJob};
 use crate::monitor::Monitor;
 use crate::pool::WorkerPool;
+use dope_core::control::{
+    Action, ControlCore, ControlSink, DrainTiming, Phase, Rules, Scope, Verdict,
+};
 use dope_core::{
-    realized_throughput, AdmissionPolicy, AdmissionStats, Config, DecisionTrace, Error,
-    FailurePolicy, FailureVerdict, Goal, Mechanism, ProgramShape, QueueStats, Resources, Result,
-    StaticMechanism, TaskOutcome, TaskPath, TaskSpec, TaskStatus,
+    AdmissionPolicy, AdmissionStats, Config, DecisionTrace, Error, FailurePolicy, FailureVerdict,
+    Goal, Mechanism, MonitorSnapshot, ProgramShape, QueueStats, Resources, Result, StaticMechanism,
+    TaskOutcome, TaskPath, TaskSpec, TaskStatus,
 };
 use dope_metrics::{names, Counter, Histogram, MetricsRegistry};
 use dope_platform::{FeatureObserver, FeatureRegistry};
-use dope_trace::{Recorder, TraceEvent, Verdict};
+use dope_trace::{Recorder, TraceEvent};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -390,31 +394,29 @@ impl Dope {
         if let Some(registry) = &builder.metrics {
             pool.register_metrics(registry);
         }
-        let control_period = builder.control_period;
-        let window = builder.throughput_window;
-        let failure_policy = builder.failure_policy;
-        let delta_enabled = builder.delta_reconfig;
-        let shared_for_thread = Arc::clone(&shared);
-
+        let executive = Executive {
+            descriptor,
+            shape,
+            res,
+            pool,
+            shared: Arc::clone(&shared),
+            control_period: builder.control_period,
+            window: builder.throughput_window,
+            rules: Rules {
+                budget,
+                delta: builder.delta_reconfig,
+                policy: builder.failure_policy,
+            },
+            clock_offset: recorder.elapsed_secs(),
+            recorder,
+            metrics: exec_metrics,
+            start: Instant::now(),
+            task_failures: Cell::new(0),
+            lost_jobs: Cell::new(0),
+        };
         let control = std::thread::Builder::new()
             .name("dope-executive".to_string())
-            .spawn(move || {
-                run_control_loop(
-                    &descriptor,
-                    &shape,
-                    initial,
-                    mechanism.as_mut(),
-                    res,
-                    &pool,
-                    &shared_for_thread,
-                    control_period,
-                    window,
-                    failure_policy,
-                    delta_enabled,
-                    &recorder,
-                    exec_metrics.as_ref(),
-                )
-            })
+            .spawn(move || executive.run(mechanism, initial))
             .map_err(|err| Error::Usage(format!("spawning the executive thread failed: {err}")))?;
 
         Ok(Dope {
@@ -538,42 +540,98 @@ impl ExecMetrics {
     }
 }
 
-/// Emits one held decision, scored against `realized` (the bottleneck
-/// throughput of the snapshot that followed it), stamped at the
-/// decision's own time, and feeds the same score to the metrics.
-fn emit_decision(
-    recorder: &Recorder,
-    metrics: Option<&ExecMetrics>,
-    time_secs: f64,
-    mechanism: String,
-    trace: DecisionTrace,
-    realized: Option<f64>,
-) {
-    let event = TraceEvent::decision(mechanism, trace, realized);
-    if let (
-        Some(m),
-        TraceEvent::DecisionTraced {
-            rationale,
-            prediction_error,
-            ..
-        },
-    ) = (metrics, &event)
-    {
-        m.record_decision(rationale.code(), *prediction_error);
+/// The control core's sink on the live side: every event becomes its
+/// `TraceEvent` and its `dope_*` metric, and an applied configuration
+/// marks the monitor.
+struct LiveSink<'a>(&'a Executive);
+
+impl ControlSink for LiveSink<'_> {
+    fn audits_decisions(&self) -> bool {
+        self.0.recorder.is_enabled() || self.0.metrics.is_some()
     }
-    recorder.record_at(time_secs, event);
+
+    fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
+        self.0.recorder.record_with(|| TraceEvent::SnapshotTaken {
+            snapshot: snapshot.clone(),
+        });
+    }
+
+    fn decision_scored(
+        &mut self,
+        time_secs: f64,
+        mechanism: &str,
+        trace: DecisionTrace,
+        realized: Option<f64>,
+    ) {
+        let event = TraceEvent::decision(mechanism.to_string(), trace, realized);
+        if let (
+            Some(m),
+            TraceEvent::DecisionTraced {
+                rationale,
+                prediction_error,
+                ..
+            },
+        ) = (&self.0.metrics, &event)
+        {
+            m.record_decision(rationale.code(), *prediction_error);
+        }
+        self.0
+            .recorder
+            .record_at(time_secs + self.0.clock_offset, event);
+    }
+
+    fn proposal_evaluated(
+        &mut self,
+        _time_secs: f64,
+        mechanism: &str,
+        proposal: &Config,
+        verdict: Verdict,
+    ) {
+        self.0
+            .recorder
+            .record_with(|| TraceEvent::ProposalEvaluated {
+                mechanism: mechanism.to_string(),
+                proposal: proposal.clone(),
+                verdict,
+            });
+        if let Some(m) = &self.0.metrics {
+            match verdict {
+                Verdict::Accepted => m.proposals_accepted.inc(),
+                Verdict::Unchanged => m.proposals_unchanged.inc(),
+                Verdict::Rejected { .. } => m.proposals_rejected.inc(),
+                Verdict::Superseded => {}
+            }
+        }
+    }
+
+    fn reconfigured(&mut self, _time: f64, config: &Config, scope: &Scope, timing: DrainTiming) {
+        self.0
+            .recorder
+            .record_with(|| TraceEvent::reconfigured(config, scope, timing));
+        if let Some(m) = &self.0.metrics {
+            m.epochs.inc();
+            m.pause.record_secs(timing.pause_secs);
+            m.relaunch.record_secs(timing.relaunch_secs);
+            if matches!(scope, Scope::Partial(_)) {
+                m.reconfig_partial.inc();
+            }
+            m.paths_drained
+                .record_secs(scope.paths_drained(config) as f64);
+        }
+        self.0.shared.monitor.mark_reconfig();
+    }
 }
 
 /// Debug-build verification gate.
 ///
-/// Every configuration the executive accepts — the initial one at
-/// launch and each mechanism proposal that survives
-/// [`Config::validate`] at a reconfiguration decision — is additionally
-/// run through the `dope-verify` static analyzer in debug builds. The
-/// analyzer is strictly stronger than the validator (it also rejects
-/// degenerate trees such as empty nests), so a panic here means a
-/// mechanism or shape produced something the first-error-wins validator
-/// is blind to. Release builds compile this to nothing.
+/// Every configuration the executive runs — the initial one at launch
+/// and each one the control core switches to at a drain boundary (an
+/// accepted proposal, a `Degrade` shrink) — is additionally run through
+/// the `dope-verify` static analyzer in debug builds. The analyzer is
+/// strictly stronger than the validator (it also rejects degenerate
+/// trees such as empty nests), so a panic here means a mechanism or
+/// shape produced something the first-error-wins validator is blind to.
+/// Release builds compile this to nothing.
 fn debug_verify_gate(stage: &str, shape: &ProgramShape, config: &Config, threads: u32) {
     #[cfg(debug_assertions)]
     {
@@ -592,446 +650,251 @@ fn debug_verify_gate(stage: &str, shape: &ProgramShape, config: &Config, threads
     }
 }
 
-/// An in-flight partial (delta) reconfiguration: the accepted target
-/// configuration, the paths being steered to a consistent point, and
-/// when the drain started (for the measured pause latency).
-struct PartialDrain {
-    target: Config,
-    changed: Vec<TaskPath>,
-    started: Instant,
+/// One live path's share of the running epoch.
+#[derive(Default)]
+struct PathLedger {
+    /// The path's own suspend flag: a partial drain flips only the
+    /// changed paths' flags, stop and full drains the global one.
+    /// Workers suspend on the union.
+    suspend: Arc<AtomicBool>,
+    /// Replicas submitted that have not reported yet.
+    outstanding: usize,
+    /// Replicas submitted since the path was last (re)launched, and how
+    /// many of them reported `Finished`.
+    submitted: usize,
+    finished: usize,
 }
 
-/// Traces an accepted-but-discarded reconfiguration target: a failure
-/// or stop raced the drain and the epoch the target was meant for no
-/// longer exists, so the proposal is retired as `superseded` instead of
-/// being dropped without a trace.
-fn record_superseded(recorder: &Recorder, mechanism: &str, proposal: Config) {
-    recorder.record_with(|| TraceEvent::ProposalEvaluated {
-        mechanism: mechanism.to_string(),
-        proposal,
-        verdict: Verdict::Superseded,
-    });
+/// The accounting of one epoch: who runs where, who has reported, and
+/// the channel they report on. A partial relaunch splices into it; a
+/// full relaunch starts a fresh one.
+struct EpochLedger {
+    done_tx: mpsc::Sender<(TaskPath, TaskOutcome)>,
+    done_rx: mpsc::Receiver<(TaskPath, TaskOutcome)>,
+    paths: HashMap<TaskPath, PathLedger>,
+    /// Replicas still out, over all paths.
+    remaining: usize,
+    /// When the drain in flight (if any) was requested.
+    drain_started: Option<Instant>,
 }
 
-/// Submits one batch of worker jobs — a full epoch or a partial
-/// relaunch — wiring each body to the global and per-path suspend flags
-/// and the epoch's done channel, and folding the batch into the epoch's
-/// accounting maps under `generation`.
-#[allow(clippy::too_many_arguments)]
-fn submit_epoch_jobs(
-    jobs: Vec<WorkerJob>,
-    generation: u64,
-    pool: &WorkerPool,
-    shared: &Shared,
-    path_flags: &HashMap<TaskPath, Arc<AtomicBool>>,
-    window: Duration,
-    done_tx: &mpsc::Sender<(TaskPath, u64, TaskOutcome)>,
-    unreported: &mut HashMap<(TaskPath, u64), u32>,
-    per_path_outstanding: &mut HashMap<TaskPath, usize>,
-    submitted_by_path: &mut HashMap<TaskPath, usize>,
-    remaining: &mut usize,
-) -> Result<()> {
-    for job in jobs {
-        *unreported
-            .entry((job.path.clone(), generation))
-            .or_insert(0) += 1;
-        *per_path_outstanding.entry(job.path.clone()).or_insert(0) += 1;
-        *submitted_by_path.entry(job.path.clone()).or_insert(0) += 1;
-        *remaining += 1;
-        let monitor = shared.monitor.clone();
-        let suspend = Arc::clone(&shared.suspend);
-        let path_suspend = path_flags.get(&job.path).cloned().unwrap_or_default();
-        let done = done_tx.clone();
-        pool.try_submit(move || {
-            let mut cx = LiveCx::new(&monitor, suspend, path_suspend, &job.path, job.slot, window);
-            let mut body = job.body;
-            // The paper's TaskExecutor (Figure 4a): re-invoke while the
-            // body reports EXECUTING. The suspend directive reaches the
-            // body through begin/end; the *body* decides when it has
-            // steered into a globally consistent state (drained its
-            // queues) and yields — the executor must not cut it short.
-            //
-            // Supervision: a panic anywhere in init/invoke is caught
-            // here so it can be *reported* as a first-class outcome;
-            // the pool's own net only sees panics this wrapper
-            // cannot express (and keeps the thread alive either way).
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                body.init();
-                loop {
-                    let status = body.invoke(&mut cx);
-                    if status.is_terminal() {
-                        break status;
-                    }
-                }
-            }));
-            let outcome = match result {
-                Ok(status) => {
-                    body.fini(status);
-                    TaskOutcome::Completed(status)
-                }
-                Err(payload) => {
-                    let reason = panic_reason(payload.as_ref());
-                    // The executive's contract is that `fini` always
-                    // runs; a `fini` that panics in turn is contained
-                    // rather than allowed to mask the original reason.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        body.fini(TaskStatus::Suspended);
-                    }));
-                    TaskOutcome::Failed { reason }
-                }
-            };
-            let _ = done.send((job.path, generation, outcome));
-        })?;
+impl EpochLedger {
+    fn new() -> Self {
+        // dope-lint: allow(DL005): depth is bounded by the epoch's job count — every sender is one submitted job (plus the ledger's handle kept for partial relaunches), and the epoch drains before the next one launches
+        let (done_tx, done_rx) = mpsc::channel();
+        EpochLedger {
+            done_tx,
+            done_rx,
+            paths: HashMap::new(),
+            remaining: 0,
+            drain_started: None,
+        }
     }
-    Ok(())
+
+    /// Books one reported outcome; a failure hands back its reason.
+    fn settle(&mut self, path: &TaskPath, outcome: TaskOutcome) -> Option<String> {
+        self.remaining -= 1;
+        if let Some(entry) = self.paths.get_mut(path) {
+            entry.outstanding = entry.outstanding.saturating_sub(1);
+            let finished = outcome == TaskOutcome::Completed(TaskStatus::Finished);
+            entry.finished += usize::from(finished);
+        }
+        match outcome {
+            TaskOutcome::Completed(_) => None,
+            TaskOutcome::Failed { reason } => Some(reason),
+        }
+    }
+
+    /// Every replica of `paths` has reported.
+    fn drained(&self, paths: &[TaskPath]) -> bool {
+        paths
+            .iter()
+            .all(|path| self.paths.get(path).is_none_or(|p| p.outstanding == 0))
+    }
+
+    /// The program is complete: every replica launched (since its path
+    /// was last relaunched) reported `Finished`.
+    fn finished(&self) -> bool {
+        self.paths.values().all(|p| p.finished == p.submitted)
+    }
+
+    fn pause_secs(&mut self) -> f64 {
+        self.drain_started
+            .take()
+            .map_or(0.0, |since| since.elapsed().as_secs_f64())
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::too_many_lines)]
-fn run_control_loop(
-    descriptor: &[TaskSpec],
-    shape: &ProgramShape,
-    initial: Config,
-    mechanism: &mut dyn Mechanism,
+/// Everything the control thread owns: the live driver of the
+/// [`ControlCore`]. The core decides; this keeps only what is genuinely
+/// live — instants, suspend flags, pool submits, the done channel,
+/// vanished-job detection, metrics and the debug verify gate.
+struct Executive {
+    descriptor: Vec<TaskSpec>,
+    shape: ProgramShape,
     res: Resources,
-    pool: &WorkerPool,
-    shared: &Shared,
+    pool: WorkerPool,
+    shared: Arc<Shared>,
     control_period: Duration,
     window: Duration,
-    policy: FailurePolicy,
-    delta_enabled: bool,
-    recorder: &Recorder,
-    metrics: Option<&ExecMetrics>,
-) -> Result<RunReport> {
-    let start = Instant::now();
-    let mut config = initial;
-    let mut reconfigurations: u64 = 0;
-    let mut rejected: u64 = 0;
-    let mut history = vec![(0.0, config.clone())];
-    let budget = res.threads;
-    // Pause latency of a completed drain, waiting for the relaunch half
-    // of its `ReconfigureEpoch` event.
-    let mut pending_pause: Option<f64> = None;
-    // The last explained decision, held for one control period so its
-    // throughput prediction can be scored against the *next* snapshot's
-    // realized bottleneck throughput before the `DecisionTraced` event
-    // goes out.
-    let mut pending_decision: Option<(f64, String, DecisionTrace)> = None;
-    let audit_decisions = recorder.is_enabled() || metrics.is_some();
-    // Failure accounting for the honest RunReport.
-    let mut task_failures: u64 = 0;
-    let mut task_restarts: u64 = 0;
-    let mut lost_jobs: u64 = 0;
-    let mut restarts_used: u64 = 0;
-    let mut verdict = FailureVerdict::Clean;
+    rules: Rules,
+    recorder: Recorder,
+    metrics: Option<ExecMetrics>,
+    start: Instant,
+    /// The recorder's clock at `start`: the core stamps held decisions
+    /// in run-relative seconds, the trace in recorder seconds.
+    clock_offset: f64,
+    /// Failure accounting for the honest `RunReport` (cells: the sink
+    /// borrows the executive for as long as the core lives).
+    task_failures: Cell<u64>,
+    lost_jobs: Cell<u64>,
+}
 
-    'epochs: loop {
-        // Launch the epoch.
-        let relaunch_started = Instant::now();
-        let epoch = instantiate(descriptor, &config)?;
-        shared
-            .monitor
-            .install_epoch(epoch.load_cbs, epoch.extents.clone());
-        shared.suspend.store(false, Ordering::Release);
-
-        // One suspend flag per live path: a partial (delta) drain flips
-        // only the changed paths' flags, while stop and full drains keep
-        // using the global flag. Workers suspend on the union.
-        let mut path_flags: HashMap<TaskPath, Arc<AtomicBool>> = HashMap::new();
-        for job in &epoch.jobs {
-            path_flags.entry(job.path.clone()).or_default();
-        }
-
-        // dope-lint: allow(DL005): depth is bounded by the epoch's job count — every sender is one submitted job (plus the executive's handle kept for partial relaunches), and the epoch drains before the next one launches
-        let (done_tx, done_rx) = mpsc::channel::<(TaskPath, u64, TaskOutcome)>();
-        // Replicas submitted per (path, generation), decremented as
-        // outcomes arrive: whatever is left when the epoch breaks early
-        // is lost work. The generation counts partial relaunches, so a
-        // relaunched path's old and new replicas stay distinct.
-        let mut unreported: HashMap<(TaskPath, u64), u32> = HashMap::new();
-        let mut per_path_outstanding: HashMap<TaskPath, usize> = HashMap::new();
-        let mut submitted_by_path: HashMap<TaskPath, usize> = HashMap::new();
-        let mut finished_by_path: HashMap<TaskPath, usize> = HashMap::new();
-        let mut generation: u64 = 0;
-        let mut remaining: usize = 0;
-        // Finished outcomes the program needs to count as complete; a
-        // partial relaunch retires the drained paths' share and adds the
-        // relaunched replicas'.
-        let mut expected_finishes = epoch.jobs.len();
-        submit_epoch_jobs(
-            epoch.jobs,
-            generation,
-            pool,
-            shared,
-            &path_flags,
-            window,
-            &done_tx,
-            &mut unreported,
-            &mut per_path_outstanding,
-            &mut submitted_by_path,
-            &mut remaining,
-        )?;
-        if let Some(pause_secs) = pending_pause.take() {
-            let relaunch_secs = relaunch_started.elapsed().as_secs_f64();
-            let jobs = remaining as u64;
-            let paths_drained = config.paths().len() as u64;
-            let config_now = &config;
-            recorder.record_with(|| TraceEvent::ReconfigureEpoch {
-                pause_secs,
-                relaunch_secs,
-                jobs,
-                config: config_now.clone(),
-                scope: "full".to_string(),
-                paths_drained,
+impl Executive {
+    /// Runs the application to its end. Every exit — clean, stopped,
+    /// aborted by the failure policy, or a relaunch that could not be
+    /// instantiated — passes through the core's `finish`, so the held
+    /// decision is emitted and an in-flight target superseded before
+    /// an error propagates (without a `Finished` record: that one closes
+    /// *complete* traces only).
+    fn run(self, mut mechanism: Box<dyn Mechanism>, initial: Config) -> Result<RunReport> {
+        let mut sink = LiveSink(&self);
+        let mut core = ControlCore::new(
+            mechanism.as_mut(),
+            &mut sink,
+            &self.shape,
+            self.res,
+            self.rules,
+            initial,
+        );
+        let outcome = self.drive(&mut core);
+        let last = core
+            .holds_decision()
+            .then(|| self.shared.monitor.snapshot());
+        let control = core.finish(self.now(), last.as_ref());
+        outcome?;
+        if self.recorder.is_enabled() {
+            self.recorder.record(TraceEvent::Finished {
+                completed: self.shared.monitor.queue_completed(),
+                reconfigurations: control.reconfigurations,
+                dropped_events: self.recorder.dropped(),
             });
-            if let Some(m) = metrics {
-                m.epochs.inc();
-                m.pause.record_secs(pause_secs);
-                m.relaunch.record_secs(relaunch_secs);
-                m.paths_drained.record_secs(paths_drained as f64);
+        }
+        let lost = if self.lost_jobs.get() > 0 {
+            FailureVerdict::LostWork
+        } else {
+            FailureVerdict::Clean
+        };
+        Ok(RunReport {
+            elapsed: self.start.elapsed(),
+            reconfigurations: control.reconfigurations,
+            rejected_configs: control.rejected,
+            final_config: control.final_config,
+            config_history: control.config_history,
+            task_failures: self.task_failures.get(),
+            task_restarts: control.restarts,
+            lost_jobs: self.lost_jobs.get(),
+            failure_verdict: control.failure_verdict.worsen(lost),
+        })
+    }
+
+    /// Run-relative seconds: the core's clock.
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Launches epoch after epoch under the core's configuration until
+    /// the core says the run is over.
+    fn drive(&self, core: &mut ControlCore<'_>) -> Result<()> {
+        let mut pause_secs = 0.0;
+        loop {
+            let relaunch_started = Instant::now();
+            let epoch = instantiate(&self.descriptor, core.config())?;
+            self.shared
+                .monitor
+                .install_epoch(epoch.load_cbs, epoch.extents);
+            self.shared.suspend.store(false, Ordering::Release);
+            let mut ledger = EpochLedger::new();
+            self.submit(&mut ledger, epoch.jobs)?;
+            // A no-op for the first launch; confirms every later one.
+            core.relaunched(
+                self.now(),
+                DrainTiming {
+                    pause_secs,
+                    relaunch_secs: relaunch_started.elapsed().as_secs_f64(),
+                    jobs: ledger.remaining as u64,
+                },
+            );
+            let next = self.run_epoch(core, &mut ledger)?;
+            pause_secs = ledger.pause_secs();
+            match next {
+                Action::Abort(err) => return Err(err),
+                Action::Restart { replicas, backoff } => {
+                    if let Some(m) = &self.metrics {
+                        m.task_restarts.add(replicas);
+                    }
+                    // Sleep in slices so a stop request interrupts the
+                    // backoff instead of blocking shutdown through it.
+                    let deadline = Instant::now() + backoff;
+                    loop {
+                        if self.shared.stop.load(Ordering::Acquire) {
+                            core.stop(self.now());
+                            return Ok(());
+                        }
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break;
+                        }
+                        std::thread::sleep(left.min(Duration::from_millis(5)));
+                    }
+                }
+                Action::Relaunch(_) => {}
+                _ => return Ok(()),
             }
         }
+    }
 
-        // Monitor until the epoch ends or a reconfiguration triggers.
-        let mut finished = 0usize;
-        let mut failures: Vec<(TaskPath, String)> = Vec::new();
-        let mut reconfig_target: Option<Config> = None;
-        let mut suspend_started: Option<Instant> = None;
-        let mut partial: Option<PartialDrain> = None;
+    /// Monitors one epoch — ticks, partial boundaries, outcomes — until
+    /// every replica has reported, then asks the core what the drained
+    /// epoch means.
+    fn run_epoch(&self, core: &mut ControlCore<'_>, ledger: &mut EpochLedger) -> Result<Action> {
         // Control ticks run off an absolute deadline: driving the timer
         // from `recv_timeout` alone reset it on every completion, so a
         // flood of completions starved the mechanism of consults.
-        let mut next_tick = Instant::now() + control_period;
-        // The executive's own `done_tx` (kept for partial relaunches)
+        let mut next_tick = Instant::now() + self.control_period;
+        // The ledger's own `done_tx` (kept for partial relaunches)
         // prevents the channel from ever disconnecting, so vanished jobs
         // are detected via pool quiescence instead — two consecutive
         // idle timeouts with every submitted job parked.
         let mut pool_idle_seen = false;
-        // A pending partial keeps the loop alive past `remaining == 0`:
+        // A partial drain keeps the loop alive past `remaining == 0`:
         // when the drained paths were the only ones left, the boundary
-        // check below still has to run to splice in the relaunch.
-        while remaining > 0 || partial.is_some() {
-            let stopping = shared.stop.load(Ordering::Acquire);
-            if stopping {
-                shared.suspend.store(true, Ordering::Release);
+        // below still has to splice in the relaunch.
+        while ledger.remaining > 0 || matches!(core.phase(), Phase::DrainingPartial { .. }) {
+            if self.shared.stop.load(Ordering::Acquire) {
+                let action = core.stop(self.now());
+                self.obey(action, ledger);
             }
             if Instant::now() >= next_tick {
-                next_tick = Instant::now() + control_period;
-                let draining =
-                    reconfig_target.is_some() || !failures.is_empty() || partial.is_some();
-                if !stopping && !draining {
-                    let snap = shared.monitor.snapshot();
-                    recorder.record_with(|| TraceEvent::SnapshotTaken {
-                        snapshot: snap.clone(),
-                    });
-                    // Score the previous control period's decision
-                    // against what this snapshot actually realized,
-                    // then emit it.
-                    if let Some((at, mech, trace)) = pending_decision.take() {
-                        let realized = realized_throughput(&snap);
-                        emit_decision(recorder, metrics, at, mech, trace, realized);
-                    }
-                    let proposal = mechanism.reconfigure(&snap, &config, shape, &res);
-                    // Hold the mechanism's explanation — hold decisions
-                    // included — for scoring at the next snapshot.
-                    if audit_decisions {
-                        if let Some(trace) = mechanism.explain() {
-                            pending_decision = Some((
-                                recorder.elapsed_secs(),
-                                mechanism.name().to_string(),
-                                trace,
-                            ));
-                        }
-                    }
-                    if let Some(proposal) = proposal {
-                        if proposal == config {
-                            recorder.record_with(|| TraceEvent::ProposalEvaluated {
-                                mechanism: mechanism.name().to_string(),
-                                proposal: proposal.clone(),
-                                verdict: Verdict::Unchanged,
-                            });
-                            if let Some(m) = metrics {
-                                m.proposals_unchanged.inc();
-                            }
-                        } else {
-                            match proposal.validate(shape, budget) {
-                                Ok(()) => {
-                                    debug_verify_gate("reconfigure", shape, &proposal, budget);
-                                    recorder.record_with(|| TraceEvent::ProposalEvaluated {
-                                        mechanism: mechanism.name().to_string(),
-                                        proposal: proposal.clone(),
-                                        verdict: Verdict::Accepted,
-                                    });
-                                    if let Some(m) = metrics {
-                                        m.proposals_accepted.inc();
-                                    }
-                                    let delta = if delta_enabled {
-                                        config.delta_paths(&proposal)
-                                    } else {
-                                        None
-                                    };
-                                    if let Some(changed) = delta {
-                                        // Steer only the changed paths to
-                                        // a consistent point; every other
-                                        // replica keeps running across
-                                        // the boundary.
-                                        for path in &changed {
-                                            if let Some(flag) = path_flags.get(path) {
-                                                flag.store(true, Ordering::Release);
-                                            }
-                                        }
-                                        partial = Some(PartialDrain {
-                                            target: proposal,
-                                            changed,
-                                            started: Instant::now(),
-                                        });
-                                    } else {
-                                        reconfig_target = Some(proposal);
-                                        suspend_started = Some(Instant::now());
-                                        shared.suspend.store(true, Ordering::Release);
-                                    }
-                                }
-                                Err(err) => {
-                                    rejected += 1;
-                                    recorder.record_with(|| TraceEvent::ProposalEvaluated {
-                                        mechanism: mechanism.name().to_string(),
-                                        proposal: proposal.clone(),
-                                        verdict: Verdict::Rejected { code: err.code() },
-                                    });
-                                    if let Some(m) = metrics {
-                                        m.proposals_rejected.inc();
-                                    }
-                                }
-                            }
-                        }
-                    }
+                next_tick = Instant::now() + self.control_period;
+                if core.is_running() {
+                    let snap = self.shared.monitor.snapshot();
+                    let action = core.tick(self.now(), &snap);
+                    self.obey(action, ledger);
                 }
             }
-            // Partial boundary: every changed path's replicas have
-            // reported while the rest of the nest keeps running. Splice
-            // the relaunched replicas into the live epoch. A stop takes
-            // precedence: the global drain is already in flight and the
-            // target is retired as superseded at epoch end.
-            if !stopping {
-                if let Some(p) = partial.take() {
-                    let drained_now = p
-                        .changed
-                        .iter()
-                        .all(|path| per_path_outstanding.get(path).copied().unwrap_or(0) == 0);
-                    if drained_now {
-                        let PartialDrain {
-                            target,
-                            changed,
-                            started,
-                        } = p;
-                        let pause_secs = started.elapsed().as_secs_f64();
-                        let relaunch_started = Instant::now();
-                        config = target;
-                        let relaunched = instantiate_paths(descriptor, &config, &changed)?;
-                        // The drained paths' share of the completion
-                        // target is retired with them; the relaunched
-                        // replicas take their place.
-                        for path in &changed {
-                            expected_finishes -= submitted_by_path.remove(path).unwrap_or(0);
-                            finished -= finished_by_path.remove(path).unwrap_or(0);
-                        }
-                        expected_finishes += relaunched.jobs.len();
-                        shared.monitor.merge_epoch_paths(
-                            relaunched.load_cbs,
-                            relaunched.extents,
-                            &changed,
-                        );
-                        // Resume the relaunched paths *before* submitting
-                        // so the new replicas never observe a stale
-                        // suspend flag.
-                        for path in &changed {
-                            if let Some(flag) = path_flags.get(path) {
-                                flag.store(false, Ordering::Release);
-                            }
-                        }
-                        generation += 1;
-                        submit_epoch_jobs(
-                            relaunched.jobs,
-                            generation,
-                            pool,
-                            shared,
-                            &path_flags,
-                            window,
-                            &done_tx,
-                            &mut unreported,
-                            &mut per_path_outstanding,
-                            &mut submitted_by_path,
-                            &mut remaining,
-                        )?;
-                        let relaunch_secs = relaunch_started.elapsed().as_secs_f64();
-                        let jobs = remaining as u64;
-                        let paths_drained = changed.len() as u64;
-                        let config_now = &config;
-                        recorder.record_with(|| TraceEvent::ReconfigureEpoch {
-                            pause_secs,
-                            relaunch_secs,
-                            jobs,
-                            config: config_now.clone(),
-                            scope: "partial".to_string(),
-                            paths_drained,
-                        });
-                        if let Some(m) = metrics {
-                            m.epochs.inc();
-                            m.pause.record_secs(pause_secs);
-                            m.relaunch.record_secs(relaunch_secs);
-                            m.reconfig_partial.inc();
-                            m.paths_drained.record_secs(paths_drained as f64);
-                        }
-                        reconfigurations += 1;
-                        history.push((start.elapsed().as_secs_f64(), config.clone()));
-                        shared.monitor.mark_reconfig();
-                        mechanism.applied(&config);
-                    } else {
-                        partial = Some(p);
-                    }
-                }
+            if matches!(core.phase(), Phase::DrainingPartial { paths, .. } if ledger.drained(paths))
+            {
+                self.splice(core, ledger)?;
             }
-            match done_rx.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
-                Ok((path, job_generation, outcome)) => {
+            match ledger
+                .done_rx
+                .recv_timeout(next_tick.saturating_duration_since(Instant::now()))
+            {
+                Ok((path, outcome)) => {
                     pool_idle_seen = false;
-                    remaining -= 1;
-                    if let Some(left) = unreported.get_mut(&(path.clone(), job_generation)) {
-                        *left = left.saturating_sub(1);
-                    }
-                    if let Some(out) = per_path_outstanding.get_mut(&path) {
-                        *out = out.saturating_sub(1);
-                    }
-                    match outcome {
-                        TaskOutcome::Completed(status) => {
-                            if status == TaskStatus::Finished {
-                                finished += 1;
-                                *finished_by_path.entry(path).or_insert(0) += 1;
-                            }
-                        }
-                        TaskOutcome::Failed { reason } => {
-                            task_failures += 1;
-                            shared.monitor.mark_failed(&path);
-                            if let Some(m) = metrics {
-                                m.task_failures.inc();
-                            }
-                            let event_path = path.clone();
-                            let event_reason = reason.clone();
-                            recorder.record_with(|| TraceEvent::TaskFailed {
-                                path: event_path,
-                                reason: event_reason,
-                                policy: policy.kind().to_string(),
-                            });
-                            failures.push((path, reason));
-                            // Drain the epoch so the failure policy acts
-                            // at a globally consistent point. A partial
-                            // drain in flight escalates to a full one:
-                            // its accepted target is retired as
-                            // superseded rather than dropped silently.
-                            if let Some(p) = partial.take() {
-                                record_superseded(recorder, mechanism.name(), p.target);
-                            }
-                            shared.suspend.store(true, Ordering::Release);
-                        }
+                    if let Some(reason) = ledger.settle(&path, outcome) {
+                        self.failed(core, ledger, path, reason);
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1041,8 +904,8 @@ fn run_control_loop(
                     // ever arrive. One more recv attempt (the next loop
                     // iteration) drains any straggler; a second idle
                     // timeout means the missing replicas are lost work.
-                    let idle =
-                        pool.submitted() == pool.dispatched() && pool.dispatched() == pool.parks();
+                    let idle = self.pool.submitted() == self.pool.dispatched()
+                        && self.pool.dispatched() == self.pool.parks();
                     if idle && pool_idle_seen {
                         break;
                     }
@@ -1052,204 +915,174 @@ fn run_control_loop(
             }
         }
 
-        // Anything still unreported when the channel closed vanished
-        // without sending an outcome (an escaped unwind, a worker died
-        // some other way). Silently shrinking `remaining` here is how
-        // work used to get lost without a trace — count every missing
-        // replica as a failure and poison the verdict.
-        if remaining > 0 {
-            for ((path, _generation), left) in &unreported {
-                for _ in 0..*left {
-                    task_failures += 1;
-                    lost_jobs += 1;
-                    shared.monitor.mark_failed(path);
-                    if let Some(m) = metrics {
-                        m.task_failures.inc();
-                    }
-                    let reason = "worker job vanished without reporting an outcome".to_string();
-                    let event_path = path.clone();
-                    let event_reason = reason.clone();
-                    recorder.record_with(|| TraceEvent::TaskFailed {
-                        path: event_path,
-                        reason: event_reason,
-                        policy: policy.kind().to_string(),
-                    });
-                    failures.push((path.clone(), reason));
-                }
-            }
-            verdict = verdict.worsen(FailureVerdict::LostWork);
+        // Anything still outstanding vanished without sending an outcome
+        // (an escaped unwind, a worker died some other way). Silently
+        // shrinking `remaining` here is how work used to get lost
+        // without a trace — count every missing replica as a failure
+        // and poison the verdict.
+        let lost: Vec<TaskPath> = ledger
+            .paths
+            .iter()
+            .flat_map(|(path, entry)| std::iter::repeat_n(path, entry.outstanding).cloned())
+            .collect();
+        for path in lost {
+            self.lost_jobs.set(self.lost_jobs.get() + 1);
+            let reason = "worker job vanished without reporting an outcome".to_string();
+            self.failed(core, ledger, path, reason);
         }
-
-        // Epoch-end failure handling: the policy decides what the run
-        // does *before* any stop or reconfiguration logic sees the
-        // drained epoch.
-        if !failures.is_empty() {
-            match policy {
-                FailurePolicy::Abort => {
-                    let (path, reason) = failures.swap_remove(0);
-                    return Err(Error::TaskFailed { path, reason });
-                }
-                FailurePolicy::Restart {
-                    max_retries,
-                    backoff,
-                } => {
-                    let needed = failures.len() as u64;
-                    if restarts_used + needed > u64::from(max_retries) {
-                        let (path, reason) = failures.swap_remove(0);
-                        return Err(Error::TaskFailed {
-                            path,
-                            reason: format!("{reason} (restart budget of {max_retries} exhausted)"),
-                        });
-                    }
-                    restarts_used += needed;
-                    task_restarts += needed;
-                    if let Some(m) = metrics {
-                        m.task_restarts.add(needed);
-                    }
-                    verdict = verdict.worsen(FailureVerdict::Recovered);
-                    // A restart rebuilds the epoch from the live config,
-                    // so an accepted-but-unapplied proposal dies here —
-                    // say so in the trace rather than dropping it.
-                    if let Some(target) = reconfig_target.take() {
-                        record_superseded(recorder, mechanism.name(), target);
-                    }
-                    if shared.stop.load(Ordering::Acquire) {
-                        break 'epochs;
-                    }
-                    // Sleep in slices so a stop request interrupts the
-                    // backoff instead of blocking shutdown through it.
-                    let deadline = Instant::now() + backoff;
-                    loop {
-                        if shared.stop.load(Ordering::Acquire) {
-                            break 'epochs;
-                        }
-                        let left = deadline.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(5)));
-                    }
-                    continue 'epochs;
-                }
-                FailurePolicy::Degrade => {
-                    // Shrink each failed task's degree of parallelism by
-                    // its dead-replica count; a task with no survivors
-                    // cannot be degraded, only aborted.
-                    let mut dead: HashMap<TaskPath, u32> = HashMap::new();
-                    for (path, _) in &failures {
-                        *dead.entry(path.clone()).or_insert(0) += 1;
-                    }
-                    let mut degraded = config.clone();
-                    for (path, count) in &dead {
-                        let extent = degraded.extent_of(path).unwrap_or(0);
-                        let survivors = extent.saturating_sub(*count);
-                        if survivors == 0 {
-                            let reason = failures
-                                .iter()
-                                .find(|(p, _)| p == path)
-                                .map_or_else(String::new, |(_, r)| r.clone());
-                            return Err(Error::TaskFailed {
-                                path: path.clone(),
-                                reason: format!(
-                                    "all {extent} replica(s) failed; cannot degrade below one: {reason}"
-                                ),
-                            });
-                        }
-                        degraded.set_extent(path, survivors)?;
-                    }
-                    degraded.validate(shape, budget)?;
-                    debug_verify_gate("degrade", shape, &degraded, budget);
-                    config = degraded;
-                    reconfigurations += 1;
-                    history.push((start.elapsed().as_secs_f64(), config.clone()));
-                    shared.monitor.mark_reconfig();
-                    mechanism.applied(&config);
-                    verdict = verdict.worsen(FailureVerdict::Degraded);
-                    // The degraded config replaces whatever the
-                    // mechanism had accepted; retire the stale target
-                    // as superseded instead of discarding it silently.
-                    if let Some(target) = reconfig_target.take() {
-                        record_superseded(recorder, mechanism.name(), target);
-                    }
-                    if shared.stop.load(Ordering::Acquire) {
-                        break 'epochs;
-                    }
-                    continue 'epochs;
-                }
-                // `FailurePolicy` is non-exhaustive: a policy this
-                // executive does not know yet fails safe, exactly like
-                // `Abort`.
-                _ => {
-                    let (path, reason) = failures.swap_remove(0);
-                    return Err(Error::TaskFailed { path, reason });
-                }
-            }
+        if self.shared.stop.load(Ordering::Acquire) {
+            core.stop(self.now());
         }
-
-        // Epoch fully drained.
-        if shared.stop.load(Ordering::Acquire) {
-            // Stop wins over any accepted-but-unapplied target, partial
-            // or full — retire both as superseded so the trace closes
-            // the accepted proposal's story.
-            if let Some(p) = partial.take() {
-                record_superseded(recorder, mechanism.name(), p.target);
-            }
-            if let Some(target) = reconfig_target.take() {
-                record_superseded(recorder, mechanism.name(), target);
-            }
-            break 'epochs;
-        }
-        // A partial drain that outran the epoch (every replica finished
-        // before the boundary check applied it) degenerates into a full
-        // reconfiguration: the epoch is empty anyway, so apply the
-        // target on relaunch.
-        if let Some(p) = partial.take() {
-            suspend_started = Some(p.started);
-            reconfig_target = Some(p.target);
-        }
-        if let Some(new_config) = reconfig_target {
-            config = new_config;
-            reconfigurations += 1;
-            history.push((start.elapsed().as_secs_f64(), config.clone()));
-            shared.monitor.mark_reconfig();
-            mechanism.applied(&config);
-            pending_pause =
-                Some(suspend_started.map_or(0.0, |since| since.elapsed().as_secs_f64()));
-            continue 'epochs;
-        }
-        // No reconfiguration pending: did the program finish?
-        if finished == expected_finishes {
-            break 'epochs;
-        }
-        // Mixed suspension without a target (stop raced): relaunch as-is.
+        Ok(self.boundary(core, ledger.finished()))
     }
 
-    // The run is over: score the last decision against a final
-    // snapshot instead of dropping its outcome — every consult the
-    // audit holds must reach the trace, scored when a reading exists.
-    if let Some((at, mech, trace)) = pending_decision.take() {
-        let realized = realized_throughput(&shared.monitor.snapshot());
-        emit_decision(recorder, metrics, at, mech, trace, realized);
+    /// Does what a suspend action asks; every other action is the
+    /// caller's business.
+    fn obey(&self, action: Action, ledger: &mut EpochLedger) {
+        match action {
+            Action::SuspendPaths(paths) => {
+                for path in &paths {
+                    if let Some(entry) = ledger.paths.get(path) {
+                        entry.suspend.store(true, Ordering::Release);
+                    }
+                }
+                ledger.drain_started = Some(Instant::now());
+            }
+            Action::SuspendAll => {
+                self.shared.suspend.store(true, Ordering::Release);
+                ledger.drain_started.get_or_insert_with(Instant::now);
+            }
+            _ => {}
+        }
     }
-    if recorder.is_enabled() {
-        let completed = shared.monitor.queue_completed();
-        recorder.record(TraceEvent::Finished {
-            completed,
-            reconfigurations,
-            dropped_events: recorder.dropped(),
+
+    /// Accounts one failed (or vanished) replica and tells the core,
+    /// which escalates whatever was in flight to a full drain.
+    fn failed(
+        &self,
+        core: &mut ControlCore<'_>,
+        ledger: &mut EpochLedger,
+        path: TaskPath,
+        reason: String,
+    ) {
+        self.task_failures.set(self.task_failures.get() + 1);
+        self.shared.monitor.mark_failed(&path);
+        if let Some(m) = &self.metrics {
+            m.task_failures.inc();
+        }
+        self.recorder.record_with(|| TraceEvent::TaskFailed {
+            path: path.clone(),
+            reason: reason.clone(),
+            policy: self.rules.policy.kind().to_string(),
         });
+        let action = core.task_failed(self.now(), path, reason);
+        self.obey(action, ledger);
     }
-    Ok(RunReport {
-        elapsed: start.elapsed(),
-        reconfigurations,
-        rejected_configs: rejected,
-        final_config: config,
-        config_history: history,
-        task_failures,
-        task_restarts,
-        lost_jobs,
-        failure_verdict: verdict,
-    })
+
+    /// Reports a drained boundary to the core; a configuration it
+    /// switches to passes the debug verify gate before anything runs
+    /// under it.
+    fn boundary(&self, core: &mut ControlCore<'_>, finished: bool) -> Action {
+        let action = core.drained(finished);
+        if matches!(core.phase(), Phase::Applying { .. }) {
+            debug_verify_gate("reconfigure", &self.shape, core.config(), self.rules.budget);
+        }
+        action
+    }
+
+    /// The partial boundary: every changed path's replicas have reported
+    /// while the rest of the nest keeps running. Splices the relaunched
+    /// replicas into the live epoch.
+    fn splice(&self, core: &mut ControlCore<'_>, ledger: &mut EpochLedger) -> Result<()> {
+        let pause_secs = ledger.pause_secs();
+        let Action::Relaunch(Scope::Partial(paths)) = self.boundary(core, false) else {
+            return Ok(());
+        };
+        let relaunch_started = Instant::now();
+        let relaunched = instantiate_paths(&self.descriptor, core.config(), &paths)?;
+        self.shared
+            .monitor
+            .merge_epoch_paths(relaunched.load_cbs, relaunched.extents, &paths);
+        // The drained paths' share of the completion target is retired
+        // with them, and they resume *before* the submit so the new
+        // replicas never observe a stale suspend flag.
+        for path in &paths {
+            if let Some(entry) = ledger.paths.get_mut(path) {
+                entry.submitted = 0;
+                entry.finished = 0;
+                entry.suspend.store(false, Ordering::Release);
+            }
+        }
+        self.submit(ledger, relaunched.jobs)?;
+        core.relaunched(
+            self.now(),
+            DrainTiming {
+                pause_secs,
+                relaunch_secs: relaunch_started.elapsed().as_secs_f64(),
+                jobs: ledger.remaining as u64,
+            },
+        );
+        Ok(())
+    }
+
+    /// Submits one batch of worker jobs — a full epoch or a partial
+    /// relaunch — wiring each body to the global and per-path suspend
+    /// flags and the ledger's done channel.
+    fn submit(&self, ledger: &mut EpochLedger, jobs: Vec<WorkerJob>) -> Result<()> {
+        for job in jobs {
+            let entry = ledger.paths.entry(job.path.clone()).or_default();
+            entry.outstanding += 1;
+            entry.submitted += 1;
+            ledger.remaining += 1;
+            let path_suspend = Arc::clone(&entry.suspend);
+            let monitor = self.shared.monitor.clone();
+            let suspend = Arc::clone(&self.shared.suspend);
+            let window = self.window;
+            let done = ledger.done_tx.clone();
+            self.pool.try_submit(move || {
+                let mut cx =
+                    LiveCx::new(&monitor, suspend, path_suspend, &job.path, job.slot, window);
+                let mut body = job.body;
+                // The paper's TaskExecutor (Figure 4a): re-invoke while the
+                // body reports EXECUTING. The suspend directive reaches the
+                // body through begin/end; the *body* decides when it has
+                // steered into a globally consistent state (drained its
+                // queues) and yields — the executor must not cut it short.
+                //
+                // Supervision: a panic anywhere in init/invoke is caught
+                // here so it can be *reported* as a first-class outcome;
+                // the pool's own net only sees panics this wrapper
+                // cannot express (and keeps the thread alive either way).
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    body.init();
+                    loop {
+                        let status = body.invoke(&mut cx);
+                        if status.is_terminal() {
+                            break status;
+                        }
+                    }
+                }));
+                let outcome = match result {
+                    Ok(status) => {
+                        body.fini(status);
+                        TaskOutcome::Completed(status)
+                    }
+                    Err(payload) => {
+                        let reason = panic_reason(payload.as_ref());
+                        // The executive's contract is that `fini` always
+                        // runs; a `fini` that panics in turn is contained
+                        // rather than allowed to mask the original reason.
+                        let _ = catch_unwind(AssertUnwindSafe(|| {
+                            body.fini(TaskStatus::Suspended);
+                        }));
+                        TaskOutcome::Failed { reason }
+                    }
+                };
+                let _ = done.send((job.path, outcome));
+            })?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

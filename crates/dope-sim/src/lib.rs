@@ -13,9 +13,13 @@
 //!   task fusion, oversubscription effects, and a rate-limited power
 //!   meter.
 //!
-//! Both models drive the *same* [`Mechanism`](dope_core::Mechanism) trait
-//! as the live `dope-runtime` executive: a mechanism cannot tell whether
-//! its snapshots come from the simulator or from real threads.
+//! Both models are drivers of the *same* control loop as the live
+//! `dope-runtime` executive — [`dope_core::control::ControlCore`] — and
+//! so of the same [`Mechanism`](dope_core::Mechanism) trait: a mechanism
+//! cannot tell whether its snapshots come from the simulator or from
+//! real threads, and a [`ControlSink`] hears the identical event
+//! sequence either way. The simulators answer every requested drain at
+//! once, with zero timing.
 //!
 //! # Example
 //!
@@ -43,11 +47,22 @@
 #![warn(missing_debug_implementations)]
 
 pub mod event;
-pub mod observer;
 pub mod pipeline;
 pub mod profile;
 pub mod system;
 
+pub use dope_core::control::{ControlSink, NullSink};
 pub use event::OrdF64;
-pub use observer::{NullObserver, ProposalOutcome, SimObserver};
 pub use profile::AmdahlProfile;
+
+/// The control rules both models run under: proposals validate against
+/// `budget`, extent-only changes of top-level leaves count as partial,
+/// and — the models have no replicas to fail — the failure policy is
+/// never exercised.
+fn rules(budget: u32) -> dope_core::control::Rules {
+    dope_core::control::Rules {
+        budget,
+        delta: true,
+        policy: dope_core::FailurePolicy::Abort,
+    }
+}

@@ -14,6 +14,7 @@
 //!   PDU's limited rate, feeding the TPC controller (§7.3, Figure 14).
 
 use crate::event::OrdF64;
+use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::{
     Config, Ewma, Mechanism, MonitorSnapshot, ProgramShape, Resources, ShapeNode, TaskConfig,
     TaskKind, TaskPath, TaskStats,
@@ -389,7 +390,6 @@ impl Ord for Ev {
 struct Sim<'a> {
     model: &'a PipelineModel,
     params: &'a PipelineParams,
-    budget: u32,
     now: f64,
     seq: u64,
     events: BinaryHeap<Reverse<Ev>>,
@@ -405,9 +405,6 @@ struct Sim<'a> {
     response: ResponseStats,
     throughput_series: TimeSeries,
     power_series: TimeSeries,
-    config_history: Vec<(f64, Config)>,
-    config: Config,
-    rejected: u64,
     rng: SmallRng,
     sensor: Option<PowerSensor>,
     power_integral: f64,
@@ -603,21 +600,19 @@ impl<'a> Sim<'a> {
         // global_busy keeps counting it until its Complete events fire.
     }
 
-    fn apply_config(&mut self, config: Config) {
+    fn apply_config(&mut self, config: &Config) {
         let nest = config.tasks[0]
             .nested
             .as_ref()
             .expect("pipeline config is a nest");
         if nest.alternative != self.alt || nest.tasks.len() != self.stages.len() {
-            self.build_structure(&config);
+            self.build_structure(config);
         } else {
             for (st, t) in self.stages.iter_mut().zip(&nest.tasks) {
                 st.extent = t.extent;
             }
         }
         self.configured_threads = config.total_threads();
-        self.config_history.push((self.now, config.clone()));
-        self.config = config;
         self.dispatches_since_reconfig = 0;
         for s in 0..self.stages.len() {
             self.try_start(s);
@@ -637,31 +632,23 @@ pub fn run_pipeline(
     res: Resources,
     params: &PipelineParams,
 ) -> PipelineOutcome {
-    run_pipeline_observed(
-        model,
-        source,
-        mechanism,
-        res,
-        params,
-        &mut crate::observer::NullObserver,
-    )
+    run_pipeline_observed(model, source, mechanism, res, params, &mut NullSink)
 }
 
-/// [`run_pipeline`] with a [`SimObserver`](crate::observer::SimObserver)
-/// watching every decision point.
+/// [`run_pipeline`] with a [`ControlSink`] hearing every decision point.
 ///
-/// The observer sees the launch configuration, each control-tick
-/// snapshot, each proposal verdict, and each applied configuration —
-/// enough to build a replayable flight-recorder trace of the run.
+/// The sink hears the launch configuration, each control-tick snapshot,
+/// each scored decision, each proposal verdict, and each applied
+/// configuration — enough to build a replayable flight-recorder trace
+/// of the run.
 pub fn run_pipeline_observed(
     model: &PipelineModel,
     source: &Source,
     mechanism: &mut dyn Mechanism,
     res: Resources,
     params: &PipelineParams,
-    observer: &mut dyn crate::observer::SimObserver,
+    observer: &mut dyn ControlSink,
 ) -> PipelineOutcome {
-    use crate::observer::ProposalOutcome;
     let budget = if params.allow_oversubscription {
         u32::MAX
     } else {
@@ -676,7 +663,6 @@ pub fn run_pipeline_observed(
     let mut sim = Sim {
         model,
         params,
-        budget,
         now: 0.0,
         seq: 0,
         events: BinaryHeap::new(),
@@ -692,9 +678,6 @@ pub fn run_pipeline_observed(
         response: ResponseStats::new(),
         throughput_series: TimeSeries::new("throughput"),
         power_series: TimeSeries::new("power"),
-        config_history: Vec::new(),
-        config: initial.clone(),
-        rejected: 0,
         rng: SmallRng::seed_from_u64(params.seed),
         sensor: params
             .power
@@ -704,8 +687,15 @@ pub fn run_pipeline_observed(
         sink_at_tick: 0,
     };
     observer.launched(mechanism.name(), res.threads, shape, &initial);
-    sim.apply_config(initial);
-    sim.config_history.clear(); // the initial config is not a "change"
+    sim.apply_config(&initial);
+    let mut core = ControlCore::new(
+        mechanism,
+        observer,
+        shape,
+        res,
+        crate::rules(budget),
+        initial,
+    );
 
     // Seed arrivals.
     let mut arrival_times: Vec<f64> = Vec::new();
@@ -776,41 +766,8 @@ pub fn run_pipeline_observed(
                 sim.throughput_series.push(sim.now, window_rate);
                 sim.sink_at_tick = sim.completed;
 
-                observer.snapshot_taken(&snap);
-                let mut proposal = mechanism.reconfigure(&snap, &sim.config, shape, &res);
-                if let Some(config) = proposal.take() {
-                    match config.validate(shape, budget) {
-                        Ok(()) if config != sim.config => {
-                            observer.proposal_evaluated(
-                                sim.now,
-                                mechanism.name(),
-                                &config,
-                                ProposalOutcome::Accepted,
-                            );
-                            sim.apply_config(config);
-                            mechanism.applied(&sim.config);
-                            let now = sim.now;
-                            observer.config_applied(now, &sim.config);
-                        }
-                        Ok(()) => observer.proposal_evaluated(
-                            sim.now,
-                            mechanism.name(),
-                            &config,
-                            ProposalOutcome::Unchanged,
-                        ),
-                        Err(err) => {
-                            sim.rejected += 1;
-                            observer.proposal_evaluated(
-                                sim.now,
-                                mechanism.name(),
-                                &config,
-                                ProposalOutcome::Rejected(err.code()),
-                            );
-                        }
-                    }
-                }
-                if let Some(trace) = mechanism.explain() {
-                    observer.decision_explained(sim.now, mechanism.name(), &trace);
+                if core.tick_instant(sim.now, &snap) {
+                    sim.apply_config(core.config());
                 }
                 for st in &mut sim.stages {
                     st.completions_at_tick = st.completions;
@@ -830,7 +787,7 @@ pub fn run_pipeline_observed(
         }
     }
 
-    let _ = sim.budget;
+    let control = core.finish(sim.now, None);
     let horizon = sim.now.min(params.horizon_secs).max(f64::MIN_POSITIVE);
     let mean_power = params.power.map(|p| {
         if sim.now > 0.0 {
@@ -846,10 +803,11 @@ pub fn run_pipeline_observed(
         response: sim.response,
         throughput_series: sim.throughput_series,
         power_series: sim.power_series,
-        config_history: sim.config_history,
-        final_config: sim.config,
+        // The initial configuration (history[0]) is not a "change".
+        config_history: control.config_history.into_iter().skip(1).collect(),
+        final_config: control.final_config,
         mean_power_watts: mean_power,
-        rejected_configs: sim.rejected,
+        rejected_configs: control.rejected,
     }
 }
 

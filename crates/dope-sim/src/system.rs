@@ -9,8 +9,8 @@
 //! may change the configuration for subsequent dispatches.
 
 use crate::event::OrdF64;
-use crate::observer::{ProposalOutcome, SimObserver};
 use crate::profile::AmdahlProfile;
+use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::nest::{self, TwoLevelNest};
 use dope_core::{
     AdmissionPolicy, AdmissionStats, Config, Mechanism, MonitorSnapshot, ProgramShape, Resources,
@@ -199,6 +199,9 @@ pub struct SystemOutcome {
     pub dop_series: TimeSeries,
     /// Applied reconfigurations.
     pub config_changes: u64,
+    /// `(time, config)` for every applied configuration, the launch
+    /// configuration (at 0.0) included.
+    pub config_history: Vec<(f64, Config)>,
     /// Mechanism proposals rejected by validation.
     pub rejected_configs: u64,
     /// Configuration in force at the end of the run.
@@ -267,7 +270,8 @@ impl Ord for InFlight {
 /// requests.
 ///
 /// The mechanism is consulted once at launch (`initial`) and then on every
-/// arrival, mirroring the paper's per-task adaptation.
+/// arrival — the paper's per-task adaptation — through one
+/// [`ControlCore`] tick each.
 pub fn run_system(
     model: &TwoLevelModel,
     schedule: &ArrivalSchedule,
@@ -275,21 +279,15 @@ pub fn run_system(
     res: Resources,
     params: &SystemParams,
 ) -> SystemOutcome {
-    run_system_observed(
-        model,
-        schedule,
-        mechanism,
-        res,
-        params,
-        &mut crate::observer::NullObserver,
-    )
+    run_system_observed(model, schedule, mechanism, res, params, &mut NullSink)
 }
 
-/// [`run_system`] with a [`SimObserver`] watching every decision point.
+/// [`run_system`] with a [`ControlSink`] hearing every decision point.
 ///
-/// The observer sees the launch configuration, each frozen snapshot, each
-/// proposal verdict, and each applied configuration — enough to build a
-/// replayable flight-recorder trace of the run.
+/// The sink hears the launch configuration, each frozen snapshot, each
+/// scored decision, each proposal verdict, and each applied
+/// configuration — enough to build a replayable flight-recorder trace
+/// of the run.
 ///
 /// # Panics
 ///
@@ -302,7 +300,7 @@ pub fn run_system_observed(
     mechanism: &mut dyn Mechanism,
     res: Resources,
     params: &SystemParams,
-    observer: &mut dyn SimObserver,
+    observer: &mut dyn ControlSink,
 ) -> SystemOutcome {
     let budget = res.threads.min(params.contexts).max(1);
     let res = Resources {
@@ -311,7 +309,7 @@ pub fn run_system_observed(
     };
     let shape = model.shape();
 
-    let mut config = mechanism
+    let config = mechanism
         .initial(shape, &res)
         .filter(|c| c.validate(shape, budget).is_ok())
         .unwrap_or_else(|| model.config_for_width(budget, 1));
@@ -319,6 +317,14 @@ pub fn run_system_observed(
     let mut width = model.width_of(&config).max(1);
     let mut outer_cap = nest::outer_extent_of(&config, model.nest()).max(1);
     let mut exec = model.exec_time(width);
+    let mut core = ControlCore::new(
+        mechanism,
+        observer,
+        shape,
+        res,
+        crate::rules(budget),
+        config,
+    );
 
     params
         .admission
@@ -349,8 +355,6 @@ pub fn run_system_observed(
     let mut shed_high_water: u64 = 0;
     let mut shed_deadline: u64 = 0;
     let mut queue_delay_sum = 0.0_f64;
-    let mut config_changes: u64 = 0;
-    let mut rejected: u64 = 0;
     let mut dispatches_since_reconfig: u64 = 0;
     let mut last_reconfig_at = f64::NEG_INFINITY;
     let mut exec_ewma = dope_core::Ewma::new(params.ewma_alpha);
@@ -425,46 +429,13 @@ pub fn run_system_observed(
                     model,
                     admission,
                 );
-                observer.snapshot_taken(&snap);
-                if let Some(proposal) = mechanism.reconfigure(&snap, &config, shape, &res) {
-                    match proposal.validate(shape, budget) {
-                        Ok(()) if proposal != config => {
-                            observer.proposal_evaluated(
-                                now,
-                                mechanism.name(),
-                                &proposal,
-                                ProposalOutcome::Accepted,
-                            );
-                            config = proposal;
-                            width = model.width_of(&config).max(1);
-                            outer_cap = nest::outer_extent_of(&config, model.nest()).max(1);
-                            exec = model.exec_time(width);
-                            config_changes += 1;
-                            dispatches_since_reconfig = 0;
-                            last_reconfig_at = now;
-                            dop_series.push(now, f64::from(width));
-                            mechanism.applied(&config);
-                            observer.config_applied(now, &config);
-                        }
-                        Ok(()) => observer.proposal_evaluated(
-                            now,
-                            mechanism.name(),
-                            &proposal,
-                            ProposalOutcome::Unchanged,
-                        ),
-                        Err(err) => {
-                            rejected += 1;
-                            observer.proposal_evaluated(
-                                now,
-                                mechanism.name(),
-                                &proposal,
-                                ProposalOutcome::Rejected(err.code()),
-                            );
-                        }
-                    }
-                }
-                if let Some(trace) = mechanism.explain() {
-                    observer.decision_explained(now, mechanism.name(), &trace);
+                if core.tick_instant(now, &snap) {
+                    width = model.width_of(core.config()).max(1);
+                    outer_cap = nest::outer_extent_of(core.config(), model.nest()).max(1);
+                    exec = model.exec_time(width);
+                    dispatches_since_reconfig = 0;
+                    last_reconfig_at = now;
+                    dop_series.push(now, f64::from(width));
                 }
             }
         } else {
@@ -530,6 +501,8 @@ pub fn run_system_observed(
         }
     }
 
+    // No final snapshot: the last decision goes out unscored.
+    let control = core.finish(now, None);
     SystemOutcome {
         response,
         throughput,
@@ -541,9 +514,10 @@ pub fn run_system_observed(
             0.0
         },
         dop_series,
-        config_changes,
-        rejected_configs: rejected,
-        final_config: config,
+        config_changes: control.reconfigurations,
+        config_history: control.config_history,
+        rejected_configs: control.rejected,
+        final_config: control.final_config,
         admission: AdmissionStats {
             offered,
             admitted,

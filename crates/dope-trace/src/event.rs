@@ -30,10 +30,11 @@
 //! assert_eq!(record.event.kind(), "FeatureRead");
 //! ```
 
+use dope_core::control::{DrainTiming, Scope};
 use dope_core::json::{JsonError, Value};
 use dope_core::{
-    AdmissionStats, Config, DecisionCandidate, DecisionTrace, DiagCode, MonitorSnapshot,
-    ProgramShape, QueueStats, Rationale, TaskPath, TaskStats,
+    AdmissionStats, Config, DecisionCandidate, DecisionTrace, MonitorSnapshot, ProgramShape,
+    QueueStats, Rationale, TaskPath, TaskStats,
 };
 
 use crate::codec::Wire;
@@ -58,27 +59,7 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// How the executive judged one mechanism proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The proposal validated and differs from the current configuration;
-    /// a reconfiguration epoch follows.
-    Accepted,
-    /// The proposal validated but equals the current configuration.
-    Unchanged,
-    /// The proposal failed validation; `code` is the `DV0xx` diagnostic
-    /// of the first error.
-    Rejected {
-        /// The diagnostic code explaining the rejection.
-        code: DiagCode,
-    },
-    /// A previously accepted proposal was discarded before it could be
-    /// applied — a task failure raced the drain and the recovery path
-    /// (restart or degrade) took precedence. Emitted so the audit trail
-    /// never shows an accepted-but-vanished decision. Additive in
-    /// schema v1.
-    Superseded,
-}
+pub use dope_core::control::Verdict;
 
 /// Expands the schema table into everything that used to be spelled by
 /// hand per kind. A field is `name: Type`, optionally `= default`: the
@@ -358,9 +339,9 @@ trace_schema! {
 impl TraceEvent {
     /// One mechanism decision, scored against `realized` — the
     /// bottleneck throughput of the snapshot that followed it (`None`
-    /// when there was nothing to score against). The live executive and
-    /// the simulator observer both build their `DecisionTraced` events
-    /// here, so the prediction-error formula exists once.
+    /// when there was nothing to score against). Every control-core sink
+    /// builds its `DecisionTraced` events here, so the prediction-error
+    /// formula exists once.
     #[must_use]
     pub fn decision(mechanism: String, trace: DecisionTrace, realized: Option<f64>) -> Self {
         let prediction_error = match (trace.predicted_throughput, realized) {
@@ -378,6 +359,21 @@ impl TraceEvent {
             predicted_throughput: trace.predicted_throughput,
             realized_throughput: realized,
             prediction_error,
+        }
+    }
+
+    /// One applied reconfiguration, as the control core reports it —
+    /// the one mapping from its [`Scope`] to the wire's `scope` tag and
+    /// `paths_drained` count.
+    #[must_use]
+    pub fn reconfigured(config: &Config, scope: &Scope, timing: DrainTiming) -> Self {
+        TraceEvent::ReconfigureEpoch {
+            pause_secs: timing.pause_secs,
+            relaunch_secs: timing.relaunch_secs,
+            jobs: timing.jobs,
+            config: config.clone(),
+            scope: scope.tag().to_string(),
+            paths_drained: scope.paths_drained(config),
         }
     }
 }
@@ -451,7 +447,7 @@ mod tests {
         assert_eq!(Verdict::Accepted, Verdict::Accepted);
         assert_ne!(
             Verdict::Rejected {
-                code: DiagCode::BudgetExceeded
+                code: dope_core::DiagCode::BudgetExceeded
             },
             Verdict::Unchanged
         );

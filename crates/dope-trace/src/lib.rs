@@ -14,8 +14,9 @@
 //!   reads, queue probes, and the terminal summary;
 //! * [`codec`] — a strict JSONL serialization of that model, the
 //!   **public contract** documented in `docs/event-schema.md`;
-//! * [`RecordingObserver`] — the bridge that records `dope-sim` runs via
-//!   the simulator's [`SimObserver`](dope_sim::SimObserver) hooks;
+//! * [`RecordingObserver`] — the control-core sink
+//!   ([`ControlSink`](dope_core::control::ControlSink)) that records
+//!   `dope-sim` runs;
 //! * [`replay_into_sim`] — deterministic replay: rebuilds a simulated
 //!   system from a trace and asserts it re-applies the identical
 //!   accepted-configuration sequence;

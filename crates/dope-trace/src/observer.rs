@@ -1,11 +1,14 @@
-//! Bridges the simulator's observer hooks onto a [`Recorder`].
+//! Bridges the control core's sink onto a [`Recorder`].
 //!
-//! `dope-sim` exposes its decision loop through the
-//! [`SimObserver`] trait; [`RecordingObserver`]
-//! implements that trait by translating each hook into the corresponding
-//! [`TraceEvent`] and appending it to a [`Recorder`] — stamped with
-//! **simulated** seconds, so replaying the trace reproduces the original
-//! timeline exactly.
+//! The control loop (`dope_core::control::ControlCore`) reports what it
+//! decided through the [`ControlSink`] trait; [`RecordingObserver`] is
+//! the sink that maps each of those events to the corresponding
+//! [`TraceEvent`] and appends it to a [`Recorder`] — stamped with the
+//! time the core was driven with (**simulated** seconds under
+//! `dope-sim`), so replaying the trace reproduces the original timeline
+//! exactly. It keeps no control state of its own: which decision is
+//! held, how it is scored and whether an epoch was partial are the
+//! core's calls.
 //!
 //! # Example
 //!
@@ -33,33 +36,24 @@
 //! assert_eq!(recorder.records().last().unwrap().event.kind(), "Finished");
 //! ```
 
-use dope_core::{realized_throughput, Config, DecisionTrace, MonitorSnapshot, ProgramShape};
-use dope_sim::{ProposalOutcome, SimObserver};
+use dope_core::control::{ControlSink, DrainTiming, Scope, Verdict};
+use dope_core::{Config, DecisionTrace, MonitorSnapshot, ProgramShape};
 
 use crate::admission::AdmissionSampler;
-use crate::event::{TraceEvent, Verdict};
+use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 
-/// A [`SimObserver`] that records the decision loop into a [`Recorder`].
+/// A [`ControlSink`] that records the decision loop into a [`Recorder`].
 ///
-/// Decisions ([`decision_explained`](SimObserver::decision_explained))
-/// are *held for one epoch*: the observer scores the mechanism's
-/// throughput prediction against the next monitor snapshot's realized
-/// bottleneck throughput, then emits a `DecisionTraced` event carrying
-/// both sides and the signed relative error. The final decision of a run
-/// has no next snapshot and is flushed unscored by
-/// [`finished`](RecordingObserver::finished).
+/// Scored decisions arrive *before* the snapshot that scored them and
+/// are stamped at the decision's own time; the final decision of a
+/// simulated run has no next snapshot and arrives unscored when the
+/// simulator finishes the core.
 #[derive(Debug, Clone)]
 pub struct RecordingObserver {
     recorder: Recorder,
     goal: String,
     last_time_secs: f64,
-    pending_decision: Option<(f64, String, DecisionTrace)>,
-    // The configuration last seen in force (launch or applied), used to
-    // classify each applied config as a full or partial (delta)
-    // reconfiguration with the same `Config::delta_paths` rule the live
-    // executive uses — so sim and live traces stay comparable.
-    last_config: Option<Config>,
     // Present when the run declares an admission policy: each snapshot
     // with offered traffic then yields one `AdmissionDecision` sample.
     admission: Option<AdmissionSampler>,
@@ -73,25 +67,8 @@ impl RecordingObserver {
             recorder,
             goal: String::new(),
             last_time_secs: 0.0,
-            pending_decision: None,
-            last_config: None,
             admission: None,
         }
-    }
-
-    /// Emits one pending decision, scored against `realized` (the
-    /// bottleneck throughput of the snapshot that followed it), stamped
-    /// at the decision's own time.
-    fn emit_decision(
-        &mut self,
-        time_secs: f64,
-        mechanism: String,
-        trace: DecisionTrace,
-        realized: Option<f64>,
-    ) {
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        self.recorder
-            .record_at(time_secs, TraceEvent::decision(mechanism, trace, realized));
     }
 
     /// Sets the goal string stamped into the `Launched` event.
@@ -117,15 +94,16 @@ impl RecordingObserver {
         &self.recorder
     }
 
-    /// Records the terminal `Finished` event. The simulator has no
-    /// explicit shutdown hook, so callers invoke this once the run
-    /// returns.
+    /// Records `event` and remembers the latest time seen.
+    fn record_at(&mut self, time_secs: f64, event: TraceEvent) {
+        self.last_time_secs = self.last_time_secs.max(time_secs);
+        self.recorder.record_at(time_secs, event);
+    }
+
+    /// Records the terminal `Finished` event, stamped at the latest
+    /// time seen. The simulator returns totals rather than calling a
+    /// shutdown hook, so callers invoke this once the run returns.
     pub fn finished(&mut self, completed: u64, reconfigurations: u64) {
-        // The run is over: the last decision has no follow-up snapshot
-        // to score against, so it goes out unscored.
-        if let Some((at, mechanism, trace)) = self.pending_decision.take() {
-            self.emit_decision(at, mechanism, trace, None);
-        }
         let dropped = self.recorder.dropped();
         self.recorder.record_at(
             self.last_time_secs,
@@ -138,7 +116,7 @@ impl RecordingObserver {
     }
 }
 
-impl SimObserver for RecordingObserver {
+impl ControlSink for RecordingObserver {
     fn launched(&mut self, mechanism: &str, threads: u32, shape: &ProgramShape, config: &Config) {
         self.recorder.record_at(
             0.0,
@@ -150,17 +128,10 @@ impl SimObserver for RecordingObserver {
                 config: config.clone(),
             },
         );
-        self.last_config = Some(config.clone());
     }
 
     fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
         self.last_time_secs = self.last_time_secs.max(snapshot.time_secs);
-        // Score the previous epoch's decision against what this snapshot
-        // actually realized, then emit it.
-        if let Some((at, mechanism, trace)) = self.pending_decision.take() {
-            let realized = realized_throughput(snapshot);
-            self.emit_decision(at, mechanism, trace, realized);
-        }
         if !self.recorder.is_enabled() {
             return;
         }
@@ -201,20 +172,25 @@ impl SimObserver for RecordingObserver {
         );
     }
 
+    fn decision_scored(
+        &mut self,
+        time_secs: f64,
+        mechanism: &str,
+        trace: DecisionTrace,
+        realized: Option<f64>,
+    ) {
+        let event = TraceEvent::decision(mechanism.to_string(), trace, realized);
+        self.record_at(time_secs, event);
+    }
+
     fn proposal_evaluated(
         &mut self,
         time_secs: f64,
         mechanism: &str,
         proposal: &Config,
-        outcome: ProposalOutcome,
+        verdict: Verdict,
     ) {
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        let verdict = match outcome {
-            ProposalOutcome::Accepted => Verdict::Accepted,
-            ProposalOutcome::Unchanged => Verdict::Unchanged,
-            ProposalOutcome::Rejected(code) => Verdict::Rejected { code },
-        };
-        self.recorder.record_at(
+        self.record_at(
             time_secs,
             TraceEvent::ProposalEvaluated {
                 mechanism: mechanism.to_string(),
@@ -224,43 +200,14 @@ impl SimObserver for RecordingObserver {
         );
     }
 
-    fn config_applied(&mut self, time_secs: f64, config: &Config) {
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        // Mirror the live executive's delta-eligibility rule: an
-        // extent-only change confined to top-level leaves is a partial
-        // reconfiguration; everything else (and the first application,
-        // with no prior config to diff) is a full drain.
-        let delta = self
-            .last_config
-            .as_ref()
-            .and_then(|prev| prev.delta_paths(config));
-        let (scope, paths_drained) = match delta {
-            Some(changed) => ("partial".to_string(), changed.len() as u64),
-            None => ("full".to_string(), config.paths().len() as u64),
-        };
-        self.recorder.record_at(
-            time_secs,
-            TraceEvent::ReconfigureEpoch {
-                pause_secs: 0.0,
-                relaunch_secs: 0.0,
-                jobs: 0,
-                config: config.clone(),
-                scope,
-                paths_drained,
-            },
-        );
-        self.last_config = Some(config.clone());
-    }
-
-    fn decision_explained(&mut self, time_secs: f64, mechanism: &str, trace: &DecisionTrace) {
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        // A decision arriving before the previous one was scored (the
-        // simulator consulted twice between snapshots) flushes the older
-        // one unscored rather than losing it.
-        if let Some((at, mech, pending)) = self.pending_decision.take() {
-            self.emit_decision(at, mech, pending, None);
-        }
-        self.pending_decision = Some((time_secs, mechanism.to_string(), trace.clone()));
+    fn reconfigured(
+        &mut self,
+        time_secs: f64,
+        config: &Config,
+        scope: &Scope,
+        timing: DrainTiming,
+    ) {
+        self.record_at(time_secs, TraceEvent::reconfigured(config, scope, timing));
     }
 }
 
@@ -277,8 +224,8 @@ mod tests {
         let config = Config::new(vec![TaskConfig::leaf("t", 1)]);
         obs.launched("WQ-Linear", 8, &shape, &config);
         obs.snapshot_taken(&MonitorSnapshot::at(1.0));
-        obs.proposal_evaluated(1.0, "WQ-Linear", &config, ProposalOutcome::Unchanged);
-        obs.config_applied(2.0, &config);
+        obs.proposal_evaluated(1.0, "WQ-Linear", &config, Verdict::Unchanged);
+        obs.reconfigured(2.0, &config, &Scope::Full, DrainTiming::default());
         obs.finished(10, 1);
 
         let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
@@ -300,22 +247,16 @@ mod tests {
         }
     }
 
+    /// The core classifies each applied configuration; the observer
+    /// only spells its scope on the wire.
     #[test]
-    fn config_applied_classifies_partial_and_full_scopes() {
+    fn reconfigured_spells_partial_and_full_scopes() {
         let recorder = Recorder::bounded(16);
         let mut obs = RecordingObserver::new(recorder.clone());
-        let shape = ProgramShape::new(vec![]);
-        let initial = Config::new(vec![TaskConfig::leaf("a", 1), TaskConfig::leaf("b", 2)]);
-        obs.launched("WQ-Linear", 8, &shape, &initial);
-
-        // Extent nudge on one top-level leaf: partial, one path drained.
-        let mut widened = initial.clone();
-        widened.set_extent(&"1".parse().unwrap(), 4).unwrap();
-        obs.config_applied(1.0, &widened);
-
-        // Structural change: full, every path drained.
-        let restructured = Config::new(vec![TaskConfig::leaf("a", 1)]);
-        obs.config_applied(2.0, &restructured);
+        let config = Config::new(vec![TaskConfig::leaf("a", 1), TaskConfig::leaf("b", 4)]);
+        let partial = Scope::Partial(vec!["1".parse().unwrap()]);
+        obs.reconfigured(1.0, &config, &partial, DrainTiming::default());
+        obs.reconfigured(2.0, &config, &Scope::Full, DrainTiming::default());
 
         let epochs: Vec<(String, u64)> = recorder
             .records()
@@ -331,7 +272,7 @@ mod tests {
             .collect();
         assert_eq!(
             epochs,
-            vec![("partial".to_string(), 1), ("full".to_string(), 1)]
+            vec![("partial".to_string(), 1), ("full".to_string(), 2)]
         );
     }
 
@@ -390,7 +331,12 @@ mod tests {
     fn finished_is_stamped_at_the_latest_seen_time() {
         let recorder = Recorder::bounded(16);
         let mut obs = RecordingObserver::new(recorder.clone());
-        obs.config_applied(7.5, &Config::default());
+        obs.reconfigured(
+            7.5,
+            &Config::default(),
+            &Scope::Full,
+            DrainTiming::default(),
+        );
         obs.finished(1, 1);
         let last = recorder.records().last().cloned().unwrap();
         assert_eq!(last.time_secs, 7.5);

@@ -42,8 +42,7 @@
 use dope_core::nest;
 use dope_core::{Config, Mechanism, MonitorSnapshot, ProgramShape, Resources};
 use dope_sim::profile::AmdahlProfile;
-use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
-use dope_sim::{ProposalOutcome, SimObserver};
+use dope_sim::system::{run_system, SystemParams, TwoLevelModel};
 use dope_workload::ArrivalSchedule;
 
 use crate::event::{TraceEvent, TraceRecord};
@@ -150,37 +149,6 @@ impl ReplayOutcome {
     }
 }
 
-/// Collects the applied-config sequence of a replay run.
-#[derive(Debug, Default)]
-struct Collector {
-    applied: Vec<Config>,
-}
-
-impl SimObserver for Collector {
-    fn launched(
-        &mut self,
-        _mechanism: &str,
-        _threads: u32,
-        _shape: &ProgramShape,
-        config: &Config,
-    ) {
-        self.applied.push(config.clone());
-    }
-
-    fn proposal_evaluated(
-        &mut self,
-        _time_secs: f64,
-        _mechanism: &str,
-        _proposal: &Config,
-        _outcome: ProposalOutcome,
-    ) {
-    }
-
-    fn config_applied(&mut self, _time_secs: f64, config: &Config) {
-        self.applied.push(config.clone());
-    }
-}
-
 /// Replays a recorded trace into a fresh simulated system.
 ///
 /// # Errors
@@ -218,20 +186,18 @@ pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String>
         contexts: threads.max(1),
         ..SystemParams::default()
     };
-    let mut collector = Collector::default();
-    let _ = run_system_observed(
+    let outcome = run_system(
         &model,
         &schedule,
         &mut mechanism,
         Resources::threads(threads.max(1)),
         &params,
-        &mut collector,
     );
 
     Ok(ReplayOutcome {
         launched,
         recorded,
-        replayed: collector.applied,
+        replayed: outcome.config_history.into_iter().map(|(_, c)| c).collect(),
     })
 }
 
@@ -241,6 +207,7 @@ mod tests {
     use crate::recorder::Recorder;
     use crate::RecordingObserver;
     use dope_core::StaticMechanism;
+    use dope_sim::system::run_system_observed;
 
     fn record_pipeline_run(widths: &[u32]) -> Vec<TraceRecord> {
         let model = TwoLevelModel::pipeline("transcode", AmdahlProfile::new(2.0, 0.9, 0.05, 0.02));

@@ -275,6 +275,10 @@ fn panicking_replica_aborts_without_killing_workers() {
     assert_eq!(failed.len(), 1, "exactly one replica failed");
     assert_eq!(failed[0].2, "abort");
     assert!(failed[0].1.contains("injected failure"));
+    // The error exit goes through the control core's `finish`: whatever
+    // consults preceded the abort each reached the trace, yet an aborted
+    // run is not a complete trace.
+    assert_audit_trail_closed(&recorder);
     let render = registry.render();
     assert_eq!(
         counter_value(&render, "dope_task_failures_total"),
@@ -286,6 +290,91 @@ fn panicking_replica_aborts_without_killing_workers() {
         Some(0.0),
         "executive-level supervision reports the panic; the pool's own \
          net stays untouched"
+    );
+}
+
+/// The audit-trail invariants of a run that ended in an error: one
+/// `DecisionTraced` per consult, every accepted proposal applied or
+/// superseded, and no `Finished` record.
+fn assert_audit_trail_closed(recorder: &Recorder) {
+    let records = recorder.records();
+    let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
+    assert_eq!(count("DecisionTraced"), count("SnapshotTaken"));
+    assert_eq!(count("Finished"), 0);
+    let verdicts = |wanted: &str| {
+        records
+            .iter()
+            .filter(|r| matches!(&r.event, TraceEvent::ProposalEvaluated { verdict, .. } if format!("{verdict:?}") == wanted))
+            .count()
+    };
+    assert_eq!(
+        verdicts("Accepted"),
+        verdicts("Superseded") + count("ReconfigureEpoch")
+    );
+}
+
+/// The abort-path hole: a proposal is accepted, the replica it steers
+/// to a consistent point detonates, and the default `Abort` policy
+/// fails the run. The consult that preceded the failure must still
+/// yield its `DecisionTraced` and the accepted target must be retired
+/// as `superseded` before the error propagates.
+#[test]
+fn abort_after_an_accepted_proposal_keeps_the_audit_trail() {
+    struct NarrowOnce {
+        fired: bool,
+    }
+    impl Mechanism for NarrowOnce {
+        fn name(&self) -> &'static str {
+            "NarrowOnce"
+        }
+        fn reconfigure(
+            &mut self,
+            _snap: &MonitorSnapshot,
+            _current: &Config,
+            _shape: &ProgramShape,
+            _res: &Resources,
+        ) -> Option<Config> {
+            (!std::mem::replace(&mut self.fired, true))
+                .then(|| Config::new(vec![TaskConfig::leaf("drain", 2)]))
+        }
+        fn explain(&self) -> Option<dope_core::DecisionTrace> {
+            Some(dope_core::DecisionTrace::new(
+                dope_core::Rationale::Hold,
+                "narrow",
+            ))
+        }
+    }
+    // Never closed: replicas spin until told to suspend, and the first
+    // one to see the directive panics instead.
+    let queue: WorkQueue<u64> = WorkQueue::new();
+    let spec = TaskSpec::leaf("drain", TaskKind::Par, move |_slot: WorkerSlot| {
+        let queue = queue.clone();
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            let directive = cx.begin();
+            let _ = queue.dequeue_timeout(Duration::from_millis(1));
+            cx.end();
+            assert!(!directive.wants_suspend(), "panicked at the drain");
+            TaskStatus::Executing
+        })) as Box<dyn TaskBody>
+    });
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
+        .mechanism(Box::new(NarrowOnce { fired: false }))
+        .control_period(Duration::from_millis(5))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+    let err = dope.wait().expect_err("abort policy fails the run");
+    assert_eq!(err.code(), DiagCode::TaskFailed);
+    assert_audit_trail_closed(&recorder);
+    let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
+    assert!(kinds.contains(&"DecisionTraced"), "{kinds:?}");
+    assert!(
+        recorder.records().iter().any(|r| matches!(
+            &r.event,
+            TraceEvent::ProposalEvaluated { verdict, .. } if format!("{verdict:?}") == "Superseded"
+        )),
+        "{kinds:?}"
     );
 }
 
