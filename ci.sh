@@ -174,6 +174,9 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo run -q --release --offline -p dope-bench --bin perf -- --check="$PERF_OUT"
   cargo run -q --release --offline -p dope-bench --bin perf -- \
     --check=results/perf-baseline.json
+  # The per-PR ledger is appended by hand: its newest row must parse.
+  cargo run -q --release --offline -p dope-bench --bin perf -- \
+    --check-history=results/perf-history.jsonl
 fi
 
 step "ci.sh: all checks passed"

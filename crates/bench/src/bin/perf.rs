@@ -13,6 +13,8 @@
 //!
 //! `--check=PATH` runs no benches: it validates an existing report
 //! against the strict codec and schema tag, then exits.
+//! `--check-history=PATH` does the same for the last line of the per-PR
+//! ledger `results/perf-history.jsonl` (strict codec, a `pr` number).
 
 use dope_bench::perf;
 use dope_core::json::parse;
@@ -28,6 +30,8 @@ fn main() -> ExitCode {
             quick = true;
         } else if let Some(path) = arg.strip_prefix("--check=") {
             return check_report(path);
+        } else if let Some(path) = arg.strip_prefix("--check-history=") {
+            return check_history(path);
         } else if let Some(path) = arg.strip_prefix("--out=") {
             out_path = path.to_string();
         } else if let Some(path) = arg.strip_prefix("--compare=") {
@@ -43,7 +47,8 @@ fn main() -> ExitCode {
         } else {
             eprintln!(
                 "perf: unknown argument `{arg}` \
-                 (expected --quick, --out=PATH, --compare=PATH, --threshold=X, --check=PATH)"
+                 (expected --quick, --out=PATH, --compare=PATH, --threshold=X, --check=PATH, \
+                 --check-history=PATH)"
             );
             return ExitCode::FAILURE;
         }
@@ -99,15 +104,20 @@ fn main() -> ExitCode {
     }
 }
 
+/// The file's text, or the failure exit code after saying why not.
+fn read(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|err| {
+        eprintln!("perf: failed to read {path}: {err}");
+        ExitCode::FAILURE
+    })
+}
+
 /// Validates an existing report file: it must parse under the strict
 /// codec and carry the expected schema tag.
 fn check_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
+    let text = match read(path) {
         Ok(text) => text,
-        Err(err) => {
-            eprintln!("perf: failed to read {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let report = match parse(&text) {
         Ok(value) => value,
@@ -126,6 +136,30 @@ fn check_report(path: &str) -> ExitCode {
                 "perf: {path} has schema {other:?}, expected {:?}",
                 perf::SCHEMA
             );
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Validates the newest row of the per-PR perf ledger: the file's last
+/// line must parse under the strict codec and say which PR it is.
+fn check_history(path: &str) -> ExitCode {
+    let text = match read(path) {
+        Ok(text) => text,
+        Err(code) => return code,
+    };
+    let last = text.lines().last().unwrap_or("");
+    match parse(last).map(|row| row.get("pr").and_then(|pr| pr.as_f64())) {
+        Ok(Some(pr)) => {
+            println!("perf: {path} ends with a valid row for PR {pr}");
+            ExitCode::SUCCESS
+        }
+        Ok(None) => {
+            eprintln!("perf: the last line of {path} has no numeric `pr` field");
+            ExitCode::FAILURE
+        }
+        Err(err) => {
+            eprintln!("perf: the last line of {path} is rejected by the strict codec: {err}");
             ExitCode::FAILURE
         }
     }

@@ -1,6 +1,6 @@
 //! The perf gate: pinned microbenches emitting `BENCH_perf.json`.
 //!
-//! Eight probes, each guarding one latency the DoPE stack promises to
+//! Nine probes, each guarding one latency the DoPE stack promises to
 //! keep small (see `docs/performance.md`):
 //!
 //! 1. **record path** — ns/op of the sharded task-completion record,
@@ -28,7 +28,12 @@
 //!    the cost of the bare no-waiter notify they no longer pay;
 //! 8. **control** — one `ControlCore` tick on an 8-path snapshot against
 //!    a no-op sink: the consult/judge hop of a control period, holding
-//!    and accepting. Ledger only: no gate, no baseline row.
+//!    and accepting. Ledger only: no gate, no baseline row;
+//! 9. **monitor** — what "time one in k" costs and buys: a timed and an
+//!    untimed `begin`..`end` on the live task context, the share of
+//!    invocations timed back to back and 2 ms apart
+//!    ([`dope_runtime::perf::bench_invoke`]), and a gate offer that
+//!    stamps every item next to one that stamps a sample. Ledger only.
 //!
 //! The report also states `nproc`, the core count it was taken on.
 //!
@@ -106,6 +111,9 @@ pub fn run(quick: bool) -> Value {
     println!("perf: control (one core tick on an 8-path snapshot)");
     let control = bench_control(quick);
 
+    println!("perf: monitor (timed vs untimed invocation, stamped vs sampled offer)");
+    let monitor = bench_monitor(quick);
+
     let fig11_loads = if quick {
         vec![0.8]
     } else {
@@ -160,6 +168,7 @@ pub fn run(quick: bool) -> Value {
         ("overload", overload),
         ("handoff", handoff),
         ("control", control),
+        ("monitor", monitor),
         (
             "fig11",
             obj(vec![
@@ -396,8 +405,22 @@ fn bench_partial_reconfig(quick: bool) -> Value {
 /// `notify_no_waiter_ns` is what one skipped notify would have cost on
 /// this host; `wake_us` is what a hand-off to a parked consumer still
 /// costs, enqueue to the consumer running.
+/// Offers each hand-off and stamping probe times per run.
+const OFFERS: u64 = 100_000;
+
+/// Times `OFFERS` live offers into a fresh gate with nobody parked on it
+/// (ns per offer), and hands back the filled gate.
+fn time_offers(policy: AdmissionPolicy) -> (f64, AdmissionQueue<u64>) {
+    let gate = AdmissionQueue::new(policy);
+    let t0 = Instant::now();
+    for i in 0..OFFERS {
+        black_box(gate.offer(i));
+    }
+    (t0.elapsed().as_nanos() as f64 / OFFERS as f64, gate)
+}
+
 fn bench_handoff(quick: bool) -> Value {
-    const ITERS: u64 = 100_000;
+    const ITERS: u64 = OFFERS;
     let reps = if quick { 5 } else { 20 };
     let wake_samples: u64 = if quick { 200 } else { 1_000 };
     let poll = Duration::from_millis(2);
@@ -413,12 +436,8 @@ fn bench_handoff(quick: bool) -> Value {
         }
         enqueue_ns = enqueue_ns.min(ns_per_op(t0));
 
-        let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Open);
-        let t0 = Instant::now();
-        for i in 0..ITERS {
-            black_box(gate.offer(i));
-        }
-        offer_ns = offer_ns.min(ns_per_op(t0));
+        let (ns, gate) = time_offers(AdmissionPolicy::Open);
+        offer_ns = offer_ns.min(ns);
         let t0 = Instant::now();
         for _ in 0..ITERS {
             black_box(gate.take(poll));
@@ -543,6 +562,47 @@ fn bench_control(quick: bool) -> Value {
         ("iters", Value::Number(iters)),
         ("tick_hold_ns", Value::from_f64(ns_per_tick(false))),
         ("tick_accept_ns", Value::from_f64(ns_per_tick(true))),
+    ])
+}
+
+/// The sampled-timing hop of the ledger (see `docs/performance.md`,
+/// "Time one in k"). `invoke_*` come from
+/// [`dope_runtime::perf::bench_invoke`]. `offer_stamped_ns` is a live
+/// `offer` under `Deadline`, which stamps every item; `offer_unstamped_ns`
+/// one under `Open` with no consumer parked, which stamps one in 16.
+fn bench_monitor(quick: bool) -> Value {
+    let invoke = dope_runtime::perf::bench_invoke(
+        if quick { 200_000 } else { 2_000_000 },
+        if quick { 25 } else { 100 },
+    );
+    // The fastest of `reps` runs is reported: interference only adds time.
+    let offer_ns = |policy| {
+        (0..if quick { 5 } else { 20 })
+            .map(|_| time_offers(policy).0)
+            .fold(f64::INFINITY, f64::min)
+    };
+    obj(vec![
+        ("iters", Value::Number(invoke.iters)),
+        ("invoke_timed_ns", Value::from_f64(invoke.timed_ns)),
+        ("invoke_untimed_ns", Value::from_f64(invoke.untimed_ns)),
+        (
+            "timed_share_saturated",
+            Value::from_f64(invoke.saturated_timed_share),
+        ),
+        (
+            "timed_share_paced",
+            Value::from_f64(invoke.paced_timed_share),
+        ),
+        (
+            "offer_stamped_ns",
+            Value::from_f64(offer_ns(AdmissionPolicy::Deadline {
+                budget_secs: 3_600.0,
+            })),
+        ),
+        (
+            "offer_unstamped_ns",
+            Value::from_f64(offer_ns(AdmissionPolicy::Open)),
+        ),
     ])
 }
 
@@ -740,6 +800,12 @@ pub fn summary(report: &Value) -> String {
         ("handoff", "wake_us"),
         ("control", "tick_hold_ns"),
         ("control", "tick_accept_ns"),
+        ("monitor", "invoke_timed_ns"),
+        ("monitor", "invoke_untimed_ns"),
+        ("monitor", "timed_share_saturated"),
+        ("monitor", "timed_share_paced"),
+        ("monitor", "offer_stamped_ns"),
+        ("monitor", "offer_unstamped_ns"),
         ("fig11", "wall_secs"),
     ] {
         if let Some(v) = metric(report, section, key) {

@@ -135,8 +135,10 @@ pub struct AdmissionStats {
     /// Admitted requests dropped at dispatch because their queue delay
     /// exceeded the deadline budget.
     pub shed_deadline: u64,
-    /// Mean queue delay (offer to dispatch) of requests dispatched so
-    /// far, in seconds. `0.0` when nothing has been dispatched.
+    /// Mean queue delay (offer to dispatch) of the requests dispatched
+    /// so far that carried an admission stamp, in seconds — all of them
+    /// in the simulators and under `Deadline`, a sample on a saturated
+    /// live gate. `0.0` when none has been dispatched.
     pub mean_queue_delay_secs: f64,
 }
 

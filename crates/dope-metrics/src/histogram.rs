@@ -21,8 +21,9 @@
 //! Two concrete types share the layout:
 //!
 //! * [`Histogram`] — atomics per bucket, for concurrent hot paths (the
-//!   monitor's per-invocation record is a single `fetch_add` per bucket
-//!   plus three for count/sum/min-max maintenance);
+//!   monitor's record of a timed invocation is one `fetch_add` each for
+//!   the bucket, count and sum, and a read-modify-write of min or max
+//!   only when the value moves one of them);
 //! * [`LocalHistogram`] — a plain single-threaded variant with
 //!   grow-on-demand storage, `Clone`/`PartialEq`, and `merge`, used by
 //!   `ResponseStats` and the offline `dope-trace stats` summarizer.
@@ -101,22 +102,37 @@ fn secs_to_nanos(secs: f64) -> u64 {
     }
 }
 
-/// Shared quantile logic over any bucket iterator.
+/// Shared quantile logic over any bucket iterator: the upper bounds
+/// (in ns) of the buckets holding each of `ranks`, in one pass.
 ///
-/// `rank` is 1-based: the k-th smallest recorded value. Returns the
-/// upper bound (in ns) of the bucket containing that rank.
-fn rank_bucket_upper(counts: impl Iterator<Item = (usize, u64)>, rank: u64) -> u64 {
-    let mut seen = 0u64;
-    for (idx, c) in counts {
+/// `ranks` are 1-based (the k-th smallest recorded value) and ascending.
+/// A rank beyond the counts seen — a concurrent writer bumped `count`
+/// after its bucket was read — reports the highest non-empty bucket.
+fn rank_bucket_uppers<const N: usize>(
+    counts: impl Iterator<Item = (usize, u64)>,
+    ranks: [u64; N],
+) -> [u64; N] {
+    let upper = |idx| {
+        bucket_bounds(idx)
+            .1
+            .saturating_sub(1)
+            .max(bucket_bounds(idx).0)
+    };
+    let mut out = [0; N];
+    let (mut seen, mut next, mut top) = (0u64, 0, None);
+    for (idx, c) in counts.filter(|&(_, c)| c > 0) {
         seen += c;
-        if seen >= rank {
-            return bucket_bounds(idx)
-                .1
-                .saturating_sub(1)
-                .max(bucket_bounds(idx).0);
+        top = Some(idx);
+        while next < N && seen >= ranks[next] {
+            out[next] = upper(idx);
+            next += 1;
+        }
+        if next == N {
+            return out;
         }
     }
-    0
+    out[next..].fill(top.map_or(0, upper));
+    out
 }
 
 /// 1-based rank of the `q`-quantile under the *exceedance* convention:
@@ -178,11 +194,24 @@ impl Histogram {
 
     /// Records one nanosecond value.
     pub fn record_nanos(&self, nanos: u64) {
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        self.record_weighted(nanos, 1);
+    }
+
+    /// Records `weight` observations of one nanosecond value: a sampled
+    /// measurement standing for the unmeasured ones around it.
+    pub fn record_weighted(&self, nanos: u64, weight: u64) {
+        self.buckets[bucket_index(nanos)].fetch_add(weight, Ordering::Relaxed);
+        self.count.fetch_add(weight, Ordering::Relaxed);
+        self.sum_nanos
+            .fetch_add(nanos.saturating_mul(weight), Ordering::Relaxed);
+        // The extremes only ever tighten, so a value inside them needs no
+        // read-modify-write — whatever other writers do meanwhile.
+        if nanos < self.min_nanos.load(Ordering::Relaxed) {
+            self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        }
+        if nanos > self.max_nanos.load(Ordering::Relaxed) {
+            self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        }
     }
 
     /// Records one duration expressed in seconds (negative or non-finite
@@ -231,13 +260,12 @@ impl Histogram {
         if count == 0 {
             return None;
         }
-        let rank = quantile_rank(q, count);
-        let nanos = rank_bucket_upper(
+        let [nanos] = rank_bucket_uppers(
             self.buckets
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (i, b.load(Ordering::Relaxed))),
-            rank,
+            [quantile_rank(q, count)],
         );
         let min = self.min_nanos.load(Ordering::Relaxed);
         let max = self.max_nanos.load(Ordering::Relaxed);
@@ -294,30 +322,37 @@ impl Histogram {
         }
     }
 
-    /// Alias of [`Histogram::snapshot`] for callers whose surrounding
-    /// codebase gives `snapshot` a heavier meaning (the runtime's
-    /// monitor aggregates per-worker shard histograms under a lock, and
-    /// its static lock-order pass resolves method calls by name).
-    #[must_use]
-    pub fn to_local(&self) -> LocalHistogram {
-        self.snapshot()
-    }
-
     /// A point-in-time single-threaded copy of this histogram.
     #[must_use]
     pub fn snapshot(&self) -> LocalHistogram {
         let mut local = LocalHistogram::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                local.add_bucket(i, c);
-            }
-        }
-        local.count = self.count();
-        local.sum_nanos = self.sum_nanos.load(Ordering::Relaxed);
-        local.min_nanos = self.min_nanos.load(Ordering::Relaxed);
-        local.max_nanos = self.max_nanos.load(Ordering::Relaxed);
+        self.merge_into(&mut local);
         local
+    }
+
+    /// Folds a point-in-time reading of this histogram straight into
+    /// `into`, with no intermediate copy. Only the buckets up to the
+    /// largest value recorded so far are visited, and the count folded
+    /// is the sum of the buckets read, so `into` stays self-consistent
+    /// (every quantile rank lands in a bucket) under concurrent writers.
+    pub fn merge_into(&self, into: &mut LocalHistogram) {
+        let max_nanos = self.max_nanos.load(Ordering::Relaxed);
+        let top = bucket_index(max_nanos);
+        if into.buckets.len() <= top {
+            into.buckets.resize(top + 1, 0);
+        }
+        let mut count = 0;
+        for (slot, bucket) in into.buckets.iter_mut().zip(&self.buckets[..=top]) {
+            let c = bucket.load(Ordering::Relaxed);
+            *slot += c;
+            count += c;
+        }
+        into.count += count;
+        into.sum_nanos = into
+            .sum_nanos
+            .saturating_add(self.sum_nanos.load(Ordering::Relaxed));
+        into.min_nanos = into.min_nanos.min(self.min_nanos.load(Ordering::Relaxed));
+        into.max_nanos = into.max_nanos.max(max_nanos);
     }
 }
 
@@ -444,12 +479,21 @@ impl LocalHistogram {
     /// to the observed `[min, max]`. `None` when empty.
     #[must_use]
     pub fn quantile_secs(&self, q: f64) -> Option<f64> {
+        self.quantiles_secs([q]).map(|[v]| v)
+    }
+
+    /// Several quantiles (ascending `qs`) from one pass over the buckets;
+    /// each as [`LocalHistogram::quantile_secs`] reports it.
+    #[must_use]
+    pub fn quantiles_secs<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.count == 0 {
             return None;
         }
-        let rank = quantile_rank(q, self.count);
-        let nanos = rank_bucket_upper(self.buckets.iter().copied().enumerate(), rank);
-        Some(nanos.clamp(self.min_nanos, self.max_nanos) as f64 / NANOS_PER_SEC)
+        let nanos = rank_bucket_uppers(
+            self.buckets.iter().copied().enumerate(),
+            qs.map(|q| quantile_rank(q, self.count)),
+        );
+        Some(nanos.map(|n| n.clamp(self.min_nanos, self.max_nanos) as f64 / NANOS_PER_SEC))
     }
 
     /// Number of recorded values `<= upper_secs` (Prometheus `le`
@@ -635,6 +679,41 @@ mod tests {
         // Merging an empty histogram is a no-op.
         h.merge_local(&LocalHistogram::new());
         assert_eq!(h.count(), 4);
+    }
+
+    #[test]
+    fn merge_into_folds_weighted_records_like_repeated_ones() {
+        let (weighted, repeated) = (Histogram::new(), Histogram::new());
+        for (v, w) in [(7u64, 3u64), (4_096, 1), (1_000_000, 64)] {
+            weighted.record_weighted(v, w);
+            for _ in 0..w {
+                repeated.record_nanos(v);
+            }
+        }
+        assert_eq!(weighted.snapshot(), repeated.snapshot());
+        // Folding into a populated aggregate adds, bucket by bucket.
+        let mut into = repeated.snapshot();
+        weighted.merge_into(&mut into);
+        let mut twice = repeated.snapshot();
+        twice.merge(&repeated.snapshot());
+        assert_eq!(into, twice);
+        // An empty histogram folds to nothing.
+        Histogram::new().merge_into(&mut into);
+        assert_eq!(into, twice);
+    }
+
+    #[test]
+    fn one_pass_quantiles_equal_the_single_quantile_reads() {
+        let mut h = LocalHistogram::new();
+        for i in 1..=1000u64 {
+            h.record_nanos(i * 1_000);
+        }
+        let qs = [0.0, 0.5, 0.95, 0.99, 1.0];
+        let together = h.quantiles_secs(qs).unwrap();
+        for (q, got) in qs.into_iter().zip(together) {
+            assert_eq!(Some(got), h.quantile_secs(q), "q={q}");
+        }
+        assert!(LocalHistogram::new().quantiles_secs(qs).is_none());
     }
 
     #[test]

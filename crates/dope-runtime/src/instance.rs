@@ -256,6 +256,47 @@ fn instantiate_replica(
     Ok(())
 }
 
+/// The gap between timed invocations a busy context aims for. The
+/// executive reads what the timings feed (EWMA, histogram, completion
+/// ring) once per control period — 100 ms by default, 5 to 10 ms in the
+/// tests and benchmarks that drive it hardest — so a millisecond keeps
+/// several fresh samples per worker inside every period while making
+/// the clock reads a function of time, not of items.
+const TIMING_TARGET_NANOS: u64 = 1_000_000;
+
+/// The most invocations one timed sample may stand for, however fast
+/// they come. At 64 the two clock reads and the record (~165 ns) dilute
+/// to under 3 ns per invocation — below the counter bump they leave
+/// behind — while a timed sample still weighs at most 95 (jitter
+/// included) in a histogram that holds thousands.
+const MAX_STRIDE: u64 = 64;
+
+/// How many invocations until the next timed one, that one included,
+/// given that the sample just taken stood for `weight` invocations and
+/// came `gap_nanos` after the previous sample (`u64::MAX` when there was
+/// none): the stride that spaces samples [`TIMING_TARGET_NANOS`] apart
+/// at the rate just seen, within `1..=MAX_STRIDE` — so a path slower
+/// than one invocation per target gap is timed every time — then
+/// jittered uniformly over the integers of `[k/2, 3k/2)` whose mean is
+/// `k`, so that a periodic workload cannot alias with the sampling.
+fn next_stride(gap_nanos: u64, weight: u64, rng: &mut u64) -> u32 {
+    let k = (TIMING_TARGET_NANOS.saturating_mul(weight) / gap_nanos.max(1)).clamp(1, MAX_STRIDE);
+    // xorshift64: three shifts, never zero from a non-zero seed.
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    let lowest = k / 2 + 1;
+    let choices = 2 * (k - lowest) + 1;
+    (lowest + *rng % choices) as u32
+}
+
+/// What `begin` left for `end`.
+enum Began {
+    No,
+    Untimed,
+    Timed(Instant),
+}
+
 /// The live [`TaskCx`]: timers into the monitor plus the epoch's suspend
 /// flags.
 ///
@@ -266,15 +307,34 @@ fn instantiate_replica(
 ///
 /// Construction resolves the calling worker thread's private
 /// [`RecorderShard`] once (the only locking step); every `begin`..`end`
-/// interval afterwards is recorded straight into the shard with zero
-/// lock acquisitions.
+/// interval afterwards goes straight into the shard with zero lock
+/// acquisitions.
+///
+/// Every invocation is *counted*; one in `stride` is *timed* (see
+/// [`next_stride`]) and recorded with the weight of the untimed
+/// completions since the last timed one. An untimed invocation costs a
+/// counter bump and a plain store. The first invocation of a context and
+/// the first after an idle `invoke` are always timed, and what is still
+/// unrecorded when the context goes idle or is dropped is flushed at the
+/// last measured execution time.
 pub(crate) struct LiveCx {
     suspend: Arc<AtomicBool>,
     path_suspend: Arc<AtomicBool>,
     shard: Arc<RecorderShard>,
     window: Duration,
     slot: WorkerSlot,
-    began: Option<Instant>,
+    began: Began,
+    /// Untimed invocations still to go before the next timed one.
+    countdown: u32,
+    /// Completions counted but not yet covered by a timing record.
+    untimed: u64,
+    /// When the last timed invocation ended, and how long it ran.
+    last_timed: Option<(Instant, Duration)>,
+    /// An `end` has run since the executor last looked.
+    ended: bool,
+    rng: u64,
+    /// What one `Instant::now()` costs here, for the overhead meter.
+    clock_read_nanos: u64,
 }
 
 impl LiveCx {
@@ -289,13 +349,26 @@ impl LiveCx {
         slot: WorkerSlot,
         window: Duration,
     ) -> Self {
+        let shard = monitor.stats_for(path).shard();
+        // Back-to-back reads: the gap between two is what one costs (the
+        // smaller of two gaps, in case something came between).
+        let reads = [Instant::now(), Instant::now(), Instant::now()];
+        let clock_read = (reads[1] - reads[0]).min(reads[2] - reads[1]);
+        // Distinct per shard and per context on it; odd, hence never zero.
+        let seed = shard.invocations().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         LiveCx {
             suspend,
             path_suspend,
-            shard: monitor.stats_for(path).shard(),
+            rng: (Arc::as_ptr(&shard) as u64 ^ seed) | 1,
+            shard,
             window,
             slot,
-            began: None,
+            began: Began::No,
+            countdown: 0,
+            untimed: 0,
+            last_timed: None,
+            ended: false,
+            clock_read_nanos: u64::try_from(clock_read.as_nanos()).unwrap_or(u64::MAX),
         }
     }
 
@@ -306,18 +379,74 @@ impl LiveCx {
             Directive::Continue
         }
     }
+
+    /// The executor's note that one `invoke` returned. One that ended no
+    /// interval found no work (its dequeue timed out): the path has gone
+    /// idle, so the pending tail is recorded now rather than whenever
+    /// work resumes, and the next invocation — first after a gap, the
+    /// one a sparse path's statistics are made of — is timed.
+    pub fn invoke_returned(&mut self) {
+        if !std::mem::take(&mut self.ended) {
+            self.flush();
+            self.countdown = 0;
+        }
+    }
+
+    /// Records the counted-but-untimed tail at the last measured
+    /// execution time.
+    fn flush(&mut self) {
+        let tail = std::mem::take(&mut self.untimed);
+        if let (true, Some((_, exec))) = (tail > 0, self.last_timed) {
+            let now = Instant::now();
+            self.shard.record_timing(exec, tail, now, self.window);
+            self.shard.charge_since(now, self.clock_read_nanos);
+        }
+    }
+}
+
+impl Drop for LiveCx {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 impl TaskCx for LiveCx {
     fn begin(&mut self) -> Directive {
-        self.began = Some(Instant::now());
+        self.began = if self.countdown == 0 {
+            Began::Timed(Instant::now())
+        } else {
+            Began::Untimed
+        };
         self.current_directive()
     }
 
     fn end(&mut self) -> Directive {
-        if let Some(t0) = self.began.take() {
-            let now = Instant::now();
-            self.shard.record(now - t0, now, self.window);
+        match std::mem::replace(&mut self.began, Began::No) {
+            Began::No => {}
+            Began::Untimed => {
+                self.ended = true;
+                self.shard.count();
+                self.untimed += 1;
+                self.countdown = self.countdown.saturating_sub(1);
+            }
+            Began::Timed(t0) => {
+                self.ended = true;
+                self.shard.count();
+                let now = Instant::now();
+                let exec = now - t0;
+                let weight = 1 + std::mem::take(&mut self.untimed);
+                self.shard.record_timing(exec, weight, now, self.window);
+                let gap = self.last_timed.map_or(u64::MAX, |(then, _)| {
+                    u64::try_from((now - then).as_nanos()).unwrap_or(u64::MAX)
+                });
+                self.last_timed = Some((now, exec));
+                self.countdown = next_stride(gap, weight, &mut self.rng) - 1;
+                // Every timed end is metered, record to here plus the
+                // clock reads that interval does not span: timed ends are
+                // at most a couple per millisecond, so the meter's own
+                // read is noise and it needs no sampling multiplier.
+                self.shard.charge_since(now, 2 * self.clock_read_nanos);
+            }
         }
         self.current_directive()
     }
@@ -443,6 +572,174 @@ mod tests {
             monitor.snapshot()
         };
         assert_eq!(snap.task(&path).unwrap().invocations, 1);
+    }
+
+    #[test]
+    fn stride_spaces_timed_samples_a_millisecond_apart_within_bounds() {
+        let mut rng = 0x2545_f491_4f6c_dd1d;
+        // (gap since the last sample, its weight) -> the stride k that
+        // the jitter is centred on.
+        for (gap_nanos, weight, k) in [
+            (u64::MAX, 1, 1),     // first sample of a context
+            (2_000_000, 1, 1),    // one invocation per 2 ms
+            (128_000_000, 64, 1), // the same rate, seen through weight 64
+            (1_000_000, 1, 1),    // exactly the target
+            (20_000, 1, 50),      // 20 µs period
+            (1_000_000, 50, 50),  // the same, once the stride is 50
+            (1_000, 1, 64),       // 1 µs period: capped
+            (64_000, 64, 64),
+            (0, 1, 64), // a clock that did not advance
+        ] {
+            let draws = 10_000;
+            let mut sum = 0u64;
+            for _ in 0..draws {
+                let stride = u64::from(next_stride(gap_nanos, weight, &mut rng));
+                assert!(
+                    2 * stride >= k && 2 * stride < 3 * k,
+                    "stride {stride} outside [k/2, 3k/2) for k = {k}"
+                );
+                sum += stride;
+            }
+            let mean = sum as f64 / f64::from(draws);
+            assert!(
+                (mean - k as f64).abs() <= 0.02 * k as f64,
+                "mean stride {mean} for k = {k}"
+            );
+        }
+    }
+
+    /// Runs `body` as the single worker of a one-leaf program and returns
+    /// the leaf's final statistics, its merged execution histogram and
+    /// how many of its invocations were timed.
+    fn run_leaf(
+        body: impl FnMut(&mut dyn TaskCx) -> TaskStatus + Send + 'static,
+    ) -> (dope_core::TaskStats, dope_metrics::LocalHistogram, u64) {
+        let body = std::sync::Mutex::new(Some(body));
+        let spec = TaskSpec::leaf("leaf", TaskKind::Par, move |_slot: WorkerSlot| {
+            let body = body.lock().unwrap().take().expect("one replica");
+            Box::new(body_fn(body)) as Box<dyn TaskBody>
+        });
+        let dope = crate::Dope::builder(dope_core::Goal::MaxThroughput { threads: 1 })
+            .control_period(Duration::from_millis(5))
+            .launch(vec![spec])
+            .unwrap();
+        let monitor = dope.monitor();
+        dope.wait().unwrap();
+        let path: TaskPath = "0".parse().unwrap();
+        let stats = monitor.stats_for(&path);
+        let snap = monitor.snapshot();
+        (
+            *snap.task(&path).unwrap(),
+            stats.merged_hist().0,
+            stats.total_timings(),
+        )
+    }
+
+    #[test]
+    fn a_saturated_leaf_is_counted_exactly_and_timed_sparsely() {
+        const JOBS: u64 = 100_000;
+        let mut left = JOBS;
+        let (stats, hist, timings) = run_leaf(move |cx| {
+            cx.begin();
+            cx.end();
+            left -= 1;
+            if left == 0 {
+                TaskStatus::Finished
+            } else {
+                TaskStatus::Executing
+            }
+        });
+        assert_eq!(stats.invocations, JOBS);
+        assert_eq!(hist.count(), JOBS, "the dropped context flushed its tail");
+        assert!(timings <= JOBS / 16, "{timings} timed of {JOBS}");
+    }
+
+    #[test]
+    fn the_first_item_after_an_idle_gap_is_always_timed() {
+        const BURSTS: u64 = 20;
+        const BURST: u64 = 1_000;
+        let slow = Duration::from_micros(200);
+        let mut done = 0;
+        let mut rested = false;
+        let (stats, hist, timings) = run_leaf(move |cx| {
+            let first_of_burst = done % BURST == 0;
+            if first_of_burst && !rested {
+                // What a dequeue that times out looks like: an `invoke`
+                // that found no work and ended no interval.
+                std::thread::sleep(Duration::from_millis(5));
+                rested = true;
+                return TaskStatus::Executing;
+            }
+            rested = false;
+            cx.begin();
+            if first_of_burst {
+                let t0 = Instant::now();
+                while t0.elapsed() < slow {
+                    std::hint::spin_loop();
+                }
+            }
+            cx.end();
+            done += 1;
+            if done == BURSTS * BURST {
+                TaskStatus::Finished
+            } else {
+                TaskStatus::Executing
+            }
+        });
+        assert_eq!(stats.invocations, BURSTS * BURST);
+        assert_eq!(hist.count(), BURSTS * BURST);
+        assert!(timings < BURSTS * BURST / 4, "{timings} timed");
+        // Each burst's slow first item was measured: had one gone untimed
+        // it would be missing here. (No upper bound: a fast item that is
+        // preempted while timed legitimately lands up here too.)
+        let slow_items = hist.count() - hist.cumulative_le_secs(slow.as_secs_f64() / 2.0);
+        assert!(slow_items >= BURSTS, "{slow_items} slow items measured");
+    }
+
+    #[test]
+    fn an_idle_invoke_flushes_the_tail_and_retimes_the_next_invocation() {
+        let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
+        let path: TaskPath = "0".parse().unwrap();
+        let flag = || Arc::new(AtomicBool::new(false));
+        let slot = WorkerSlot {
+            replica: 0,
+            worker: 0,
+            extent: 1,
+        };
+        let mut cx = LiveCx::new(
+            &monitor,
+            flag(),
+            flag(),
+            &path,
+            slot,
+            Duration::from_secs(5),
+        );
+        let stats = monitor.stats_for(&path);
+        // Saturated: far more invocations than timings, and part of them
+        // not yet covered by one.
+        for _ in 0..1_000 {
+            cx.begin();
+            cx.end();
+            cx.invoke_returned();
+        }
+        assert_eq!(stats.total_invocations(), 1_000);
+        let timed = stats.total_timings();
+        assert!(timed < 250, "{timed} timed");
+        cx.countdown = 7;
+        cx.begin();
+        cx.end();
+        assert_eq!(stats.total_timings(), timed, "inside the stride: untimed");
+        assert!(stats.merged_hist().0.count() < 1_001);
+        // An invoke that ends no interval: the path went idle.
+        for _ in 0..3 {
+            cx.invoke_returned();
+        }
+        assert_eq!(stats.merged_hist().0.count(), 1_001, "tail flushed");
+        assert_eq!(stats.total_timings(), timed + 1, "one flush, not two");
+        cx.begin();
+        cx.end();
+        assert_eq!(stats.total_timings(), timed + 2, "first after idle: timed");
+        assert_eq!(stats.merged_hist().0.count(), 1_002, "at weight one");
     }
 
     #[test]

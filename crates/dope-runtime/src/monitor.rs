@@ -146,7 +146,7 @@ impl PathStats {
                     ewma_weighted += mean * inv as f64;
                     ewma_weight += inv;
                 }
-                hist.merge(&shard.local_hist());
+                shard.merge_hist_into(&mut hist);
                 shards_merged += 1;
             }
         }
@@ -182,14 +182,20 @@ impl PathStats {
         self.shards.lock().iter().map(|(_, s)| s.busy_nanos()).sum()
     }
 
+    /// Timing records taken across all shards: the invocations that
+    /// were timed, of [`PathStats::total_invocations`] counted.
+    pub(crate) fn total_timings(&self) -> u64 {
+        self.shards.lock().iter().map(|(_, s)| s.timings()).sum()
+    }
+
     /// All shards' latency histograms merged, plus how many were merged
     /// (feeds `dope_monitor_shard_merges_total`).
-    fn merged_hist(&self) -> (LocalHistogram, u64) {
+    pub(crate) fn merged_hist(&self) -> (LocalHistogram, u64) {
         let mut hist = LocalHistogram::new();
         let mut merged = 0u64;
         let shards = self.shards.lock();
         for (_, shard) in shards.iter() {
-            hist.merge(&shard.local_hist());
+            shard.merge_hist_into(&mut hist);
             merged += 1;
         }
         (hist, merged)
@@ -635,46 +641,48 @@ impl Monitor {
         let shared = &self.shared;
         let mut snap = MonitorSnapshot::at(self.elapsed_secs());
 
-        // Per-task loads (summed across replicas), extents, and failure
-        // marks are installed together and read together.
-        let (loads, extents, failed) = {
-            let epoch = shared.epoch.lock();
-            let mut loads: HashMap<TaskPath, f64> = HashMap::new();
-            for (path, cb) in &epoch.load_cbs {
-                *loads.entry(path.clone()).or_insert(0.0) += cb();
-            }
-            (loads, epoch.extents.clone(), epoch.failed.clone())
-        };
-
         let elapsed = self.elapsed_secs().max(1e-9);
         let mut merged = 0u64;
-        for (path, stats) in shared.paths.lock().iter() {
-            let agg = stats.aggregate(now, shared.window);
-            merged += agg.shards_merged;
-            let extent = extents.get(path).copied().unwrap_or(1).max(1);
-            // Dead replicas leave the statistics: a fully failed path is
-            // a ghost no mechanism should feed threads to, and a partly
-            // failed path only counts its survivors in the utilization
-            // denominator.
-            let dead = failed.get(path).copied().unwrap_or(0);
-            let alive = extent.saturating_sub(dead);
-            if dead > 0 && alive == 0 {
-                continue;
+        {
+            // Per-task loads (summed across replicas), extents, and
+            // failure marks are installed together and read together,
+            // in place: load callbacks run under both locks and must not
+            // call back into the monitor.
+            let paths = shared.paths.lock();
+            let epoch = shared.epoch.lock();
+            for (path, stats) in paths.iter() {
+                let agg = stats.aggregate(now, shared.window);
+                merged += agg.shards_merged;
+                let extent = epoch.extents.get(path).copied().unwrap_or(1).max(1);
+                // Dead replicas leave the statistics: a fully failed path
+                // is a ghost no mechanism should feed threads to, and a
+                // partly failed path only counts its survivors in the
+                // utilization denominator.
+                let dead = epoch.failed.get(path).copied().unwrap_or(0);
+                let alive = extent.saturating_sub(dead);
+                if dead > 0 && alive == 0 {
+                    continue;
+                }
+                let load_cbs = epoch.load_cbs.iter().filter(|(p, _)| p == path);
+                let busy_secs = agg.busy_nanos as f64 / 1e9;
+                let [p50, p95, p99] = agg
+                    .hist
+                    .quantiles_secs([0.50, 0.95, 0.99])
+                    .unwrap_or_default();
+                snap.tasks.insert(
+                    path.clone(),
+                    TaskStats {
+                        invocations: agg.invocations,
+                        mean_exec_secs: agg.mean_exec_secs,
+                        throughput: agg.throughput,
+                        load: load_cbs.map(|(_, cb)| cb()).sum(),
+                        utilization: (busy_secs / (elapsed * f64::from(alive.max(1)))).min(1.0),
+                        p50_exec_secs: p50,
+                        p95_exec_secs: p95,
+                        p99_exec_secs: p99,
+                    },
+                );
             }
-            let busy_secs = agg.busy_nanos as f64 / 1e9;
-            snap.tasks.insert(
-                path.clone(),
-                TaskStats {
-                    invocations: agg.invocations,
-                    mean_exec_secs: agg.mean_exec_secs,
-                    throughput: agg.throughput,
-                    load: loads.get(path).copied().unwrap_or(0.0),
-                    utilization: (busy_secs / (elapsed * f64::from(alive.max(1)))).min(1.0),
-                    p50_exec_secs: agg.hist.quantile_secs(0.50).unwrap_or(0.0),
-                    p95_exec_secs: agg.hist.quantile_secs(0.95).unwrap_or(0.0),
-                    p99_exec_secs: agg.hist.quantile_secs(0.99).unwrap_or(0.0),
-                },
-            );
         }
         shared.shard_merges.add(merged);
 
@@ -1197,6 +1205,6 @@ mod tests {
             }
         }
         assert_eq!(agg.busy_nanos, busy);
-        assert_eq!(agg.hist, reference.to_local());
+        assert_eq!(agg.hist, reference.snapshot());
     }
 }

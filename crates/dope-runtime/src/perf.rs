@@ -12,10 +12,12 @@
 //! probes whose job is to catch gross regressions, machine to machine,
 //! run to run.
 
+use crate::instance::LiveCx;
 use crate::monitor::Monitor;
-use dope_core::TaskPath;
+use dope_core::{TaskCx, TaskPath, WorkerSlot};
 use dope_platform::FeatureRegistry;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -42,6 +44,24 @@ pub struct SnapshotReport {
     pub records_per_path: u64,
     /// Mean wall-clock per `Monitor::snapshot` call (microseconds).
     pub snapshot_micros: f64,
+}
+
+/// Cost of one `begin`..`end` pair on the live task context, which
+/// counts every invocation and times one in k (see `LiveCx`).
+#[derive(Debug, Clone, Copy)]
+pub struct InvokeReport {
+    /// Invocations per saturated / all-timed loop.
+    pub iters: u64,
+    /// A timed invocation: two clock reads, the record, the stride
+    /// decision and the overhead meter (ns).
+    pub timed_ns: f64,
+    /// An untimed invocation (ns): the back-to-back loop's mean with
+    /// its timed share taken out at `timed_ns`.
+    pub untimed_ns: f64,
+    /// Fraction of back-to-back invocations that were timed.
+    pub saturated_timed_share: f64,
+    /// Fraction of invocations 2 ms apart that were timed (1 expected).
+    pub paced_timed_share: f64,
 }
 
 /// Times `op` over `iters` calls, returning nanoseconds per op.
@@ -112,6 +132,57 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
     }
 }
 
+/// Measures the live context's `begin`..`end` pair: back to back (the
+/// sampled mix a saturated stage pays), with every invocation forced
+/// timed, and `paced` invocations 2 ms apart (all of which the sampling
+/// rule must time).
+#[must_use]
+pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
+    let window = Duration::from_secs(10);
+    let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
+    let path = TaskPath::root().child(0);
+    let stats = monitor.stats_for(&path);
+    let flag = || Arc::new(AtomicBool::new(false));
+    let slot = WorkerSlot {
+        replica: 0,
+        worker: 0,
+        extent: 1,
+    };
+    let iters = iters.max(1);
+    // One fresh context per phase, as a relaunched replica would have.
+    let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
+        let mut cx = LiveCx::new(&monitor, flag(), flag(), &path, slot, window);
+        let before = stats.total_timings();
+        let ns = time_per_op(n, |_| each(&mut cx));
+        (ns, (stats.total_timings() - before) as f64 / n as f64)
+    };
+    let (saturated_ns, saturated_timed_share) = timed_share(iters, &|cx| {
+        cx.begin();
+        cx.end();
+    });
+    let (timed_ns, _) = timed_share(iters, &|cx| {
+        // The first note clears the last `end`, the second reads as an
+        // idle invoke — which makes the next invocation a timed one.
+        cx.invoke_returned();
+        cx.invoke_returned();
+        cx.begin();
+        cx.end();
+    });
+    let (_, paced_timed_share) = timed_share(u64::from(paced.max(1)), &|cx| {
+        std::thread::sleep(Duration::from_millis(2));
+        cx.begin();
+        cx.end();
+    });
+    InvokeReport {
+        iters,
+        timed_ns,
+        untimed_ns: (saturated_ns - saturated_timed_share * timed_ns)
+            / (1.0 - saturated_timed_share).max(1e-9),
+        saturated_timed_share,
+        paced_timed_share,
+    }
+}
+
 /// Measures `Monitor::snapshot` latency with `paths` task paths, each
 /// holding `records_per_path` recorded completions, averaged over
 /// `samples` snapshots.
@@ -154,6 +225,14 @@ mod tests {
         assert!(report.sharded_single_ns > 0.0);
         assert!(report.sharded_contended_ns > 0.0);
         assert_eq!(report.threads, 2);
+    }
+
+    #[test]
+    fn invoke_probe_sees_sampling_when_saturated_and_none_when_paced() {
+        let report = bench_invoke(20_000, 5);
+        assert!(report.timed_ns > report.untimed_ns && report.untimed_ns >= 0.0);
+        assert!(report.saturated_timed_share < 0.25);
+        assert_eq!(report.paced_timed_share, 1.0);
     }
 
     #[test]

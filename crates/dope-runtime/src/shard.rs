@@ -30,10 +30,20 @@
 //!   completion ring packs `(tick, count)` into one word so a slot is
 //!   read atomically.
 //!
-//! The EWMA and the completion ring *rely* on the single-writer
-//! invariant (their load-then-store sequences would lose updates under
-//! concurrent writers); the counters and the histogram are `fetch_add`
-//! based and merely become contention-free under it.
+//! The invocation count, the EWMA and the completion ring *rely* on the
+//! single-writer invariant (their load-then-store sequences would lose
+//! updates under concurrent writers); the busy time and the histogram
+//! are `fetch_add` based and merely become contention-free under it.
+//!
+//! # Counted always, timed sometimes
+//!
+//! A shard keeps two kinds of state. The invocation count is bumped for
+//! every completed invocation ([`RecorderShard::count`]) and is exact at
+//! every reading. Everything measured with a clock — busy time, EWMA,
+//! histogram, completion ring — is fed by [`RecorderShard::record_timing`]
+//! with a *weight*: the live context times one invocation in k (see
+//! `instance.rs`) and records it as standing for the k − 1 untimed ones
+//! before it. [`RecorderShard::record`] is the two together at weight 1.
 
 use dope_core::Ewma;
 use dope_metrics::{Histogram, LocalHistogram};
@@ -47,11 +57,6 @@ use std::time::{Duration, Instant};
 /// window).
 pub(crate) const RING_SLOTS: u64 = 32;
 
-/// Self-accounting sample rate: every `OVERHEAD_SAMPLE`-th record call
-/// is timed (one extra clock read) and charged at `OVERHEAD_SAMPLE`
-/// times its cost. Timing every call would cost more than the call.
-const OVERHEAD_SAMPLE: u64 = 64;
-
 /// `f64` bit pattern marking "no EWMA sample yet" (NaN never appears as
 /// a real EWMA value: samples are finite durations).
 const EWMA_EMPTY: u64 = f64::NAN.to_bits();
@@ -64,7 +69,12 @@ pub(crate) struct RecorderShard {
     /// The owning `PathStats` cell's creation instant — the shared
     /// anchor all shards of a path quantize ring ticks against.
     created: Instant,
+    /// Completed invocations, timed or not. Single-writer:
+    /// load/modify/store.
     invocations: AtomicU64,
+    /// Timing records taken, whatever their weight. Single-writer:
+    /// load/modify/store.
+    timings: AtomicU64,
     busy_nanos: AtomicU64,
     /// Current EWMA of execution seconds as `f64` bits ([`EWMA_EMPTY`]
     /// before the first sample). Single-writer: load/modify/store.
@@ -99,6 +109,7 @@ impl RecorderShard {
             alpha,
             created,
             invocations: AtomicU64::new(0),
+            timings: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             ewma_bits: AtomicU64::new(EWMA_EMPTY),
             ring: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -111,22 +122,40 @@ impl RecorderShard {
         u64::try_from(now.saturating_duration_since(self.created).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one completed `begin`..`end` interval. Lock-free: plain
-    /// relaxed atomic arithmetic on this shard's private cache lines.
-    ///
-    /// Every [`OVERHEAD_SAMPLE`]-th call additionally charges the
-    /// monitor's self-overhead meter with a sampled estimate of the
-    /// record cost.
+    /// Records one completed, timed `begin`..`end` interval at weight 1.
     pub(crate) fn record(&self, exec: Duration, now: Instant, window: Duration) {
-        let nanos = u64::try_from(exec.as_nanos()).unwrap_or(u64::MAX);
-        let sampled = self
-            .invocations
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(OVERHEAD_SAMPLE);
-        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.exec_hist.record_nanos(nanos);
+        self.count();
+        self.record_timing(exec, 1, now, window);
+    }
 
-        // EWMA fold: single-writer load/modify/store.
+    /// Counts one completed invocation. A plain store: there is no other
+    /// writer to lose an update to.
+    pub(crate) fn count(&self) {
+        let n = self.invocations.load(Ordering::Relaxed);
+        self.invocations.store(n + 1, Ordering::Relaxed);
+    }
+
+    /// Records the measured `exec` of one invocation as standing for
+    /// `weight` of them (itself and the untimed completions before it),
+    /// all attributed to `now`. Lock-free: plain relaxed atomic
+    /// arithmetic on this shard's private cache lines. Does not count
+    /// invocations — see [`RecorderShard::count`].
+    pub(crate) fn record_timing(
+        &self,
+        exec: Duration,
+        weight: u64,
+        now: Instant,
+        window: Duration,
+    ) {
+        let nanos = u64::try_from(exec.as_nanos()).unwrap_or(u64::MAX);
+        let timings = self.timings.load(Ordering::Relaxed);
+        self.timings.store(timings + 1, Ordering::Relaxed);
+        self.busy_nanos
+            .fetch_add(nanos.saturating_mul(weight), Ordering::Relaxed);
+        self.exec_hist.record_weighted(nanos, weight);
+
+        // EWMA fold: single-writer load/modify/store. One fold whatever
+        // the weight, so the smoothing horizon is counted in samples.
         let prev = f64::from_bits(self.ewma_bits.load(Ordering::Relaxed));
         let prev = if prev.is_nan() { None } else { Some(prev) };
         let next = Ewma::fold(self.alpha, prev, exec.as_secs_f64());
@@ -138,18 +167,22 @@ impl RecorderShard {
         let slot = &self.ring[(tick % RING_SLOTS) as usize];
         let (stored_tick, count) = unpack(slot.load(Ordering::Relaxed));
         let count = if stored_tick == (tick & 0xffff_ffff) {
-            (count + 1).min(0xffff_ffff)
+            count.saturating_add(weight).min(0xffff_ffff)
         } else {
-            1
+            weight.min(0xffff_ffff)
         };
         slot.store(pack(tick, count), Ordering::Relaxed);
+    }
 
-        if sampled {
-            let spent = Instant::now().saturating_duration_since(now);
-            let charge = u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX);
-            self.overhead_nanos
-                .fetch_add(charge.saturating_mul(OVERHEAD_SAMPLE), Ordering::Relaxed);
-        }
+    /// Charges the monitor's self-overhead meter with the time since
+    /// `since` (by a clock read of its own) plus `clock_nanos`: what a
+    /// live context spent on a timing record, and on the clock reads
+    /// behind it, after it read `since`.
+    pub(crate) fn charge_since(&self, since: Instant, clock_nanos: u64) {
+        let spent = Instant::now().saturating_duration_since(since);
+        let charge = u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX);
+        self.overhead_nanos
+            .fetch_add(charge.saturating_add(clock_nanos), Ordering::Relaxed);
     }
 
     /// Completions recorded within the trailing `window` ending at
@@ -174,7 +207,7 @@ impl RecorderShard {
         total
     }
 
-    /// Completed invocations recorded into this shard.
+    /// Completed invocations counted into this shard.
     pub(crate) fn invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
     }
@@ -195,15 +228,28 @@ impl RecorderShard {
         }
     }
 
-    /// A point-in-time copy of this shard's latency histogram.
-    pub(crate) fn local_hist(&self) -> LocalHistogram {
-        self.exec_hist.to_local()
+    /// Timing records taken so far: how many invocations paid for clock
+    /// reads, against [`RecorderShard::invocations`] that were counted.
+    pub(crate) fn timings(&self) -> u64 {
+        self.timings.load(Ordering::Relaxed)
+    }
+
+    /// Folds this shard's latency histogram into `into`.
+    pub(crate) fn merge_hist_into(&self, into: &mut LocalHistogram) {
+        self.exec_hist.merge_into(into);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dope_metrics::QUANTILE_RELATIVE_ERROR;
+
+    /// How far busy time and mean execution time may sit from the exact
+    /// figures when one invocation in 64 is timed.
+    const SAMPLED_MEAN_ERROR: f64 = 0.05;
+    /// The same for p50 / p99, on top of the histogram's own resolution.
+    const SAMPLED_QUANTILE_ERROR: f64 = QUANTILE_RELATIVE_ERROR + 0.05;
 
     fn shard() -> RecorderShard {
         RecorderShard::new(0.25, Instant::now(), Arc::new(AtomicU64::new(0)))
@@ -211,6 +257,12 @@ mod tests {
 
     fn record(s: &RecorderShard, exec: Duration, now: Instant, window: Duration) {
         s.record(exec, now, window);
+    }
+
+    fn hist(s: &RecorderShard) -> LocalHistogram {
+        let mut hist = LocalHistogram::new();
+        s.merge_hist_into(&mut hist);
+        hist
     }
 
     #[test]
@@ -222,7 +274,7 @@ mod tests {
         record(&s, Duration::from_millis(3), now, w);
         assert_eq!(s.invocations(), 2);
         assert_eq!(s.busy_nanos(), 5_000_000);
-        assert_eq!(s.local_hist().count(), 2);
+        assert_eq!(hist(&s).count(), 2);
     }
 
     #[test]
@@ -266,13 +318,93 @@ mod tests {
         assert_eq!(s.recent_completions(lap, w), 1);
     }
 
+    /// Deterministic log-normal execution times: 2 µs median, σ = 0.5.
+    fn log_normal_nanos(n: usize) -> Vec<u64> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| {
+                let z = (-2.0 * uniform().ln()).sqrt() * (std::f64::consts::TAU * uniform()).cos();
+                (2_000.0 * (0.5 * z).exp()) as u64
+            })
+            .collect()
+    }
+
     #[test]
-    fn overhead_sampling_charges_the_meter() {
+    fn thinned_weighted_recording_tracks_the_exact_reference() {
+        // The worst case the live context produces: one invocation in
+        // MAX_STRIDE timed, each standing for the 63 before it.
+        const K: usize = 64;
+        const N: usize = 256_000;
+        let execs = log_normal_nanos(N);
+        let w = Duration::from_secs(3_200); // 100 s slots: nothing ages out
+        let (exact, thinned) = (shard(), shard());
+        let (mut exact_ewma, mut thinned_ewma) = (0.0, 0.0);
+        for (i, &nanos) in execs.iter().enumerate() {
+            let exec = Duration::from_nanos(nanos);
+            let now = exact.created + Duration::from_micros(i as u64 * 10);
+            exact.record(exec, now, w);
+            thinned.count();
+            if i % K == K - 1 {
+                thinned.record_timing(exec, K as u64, now, w);
+            }
+            assert_eq!(thinned.invocations(), exact.invocations());
+            // The EWMA is a noisy reading by design; compare its level
+            // over the run, not two realizations of its last value.
+            if i % (N / 64) == N / 64 - 1 {
+                exact_ewma += exact.ewma_secs().unwrap();
+                thinned_ewma += thinned.ewma_secs().unwrap();
+            }
+        }
+        let end = exact.created + Duration::from_secs(3);
+        let (exact_hist, thinned_hist) = (hist(&exact), hist(&thinned));
+        assert_eq!(thinned.invocations(), N as u64);
+        assert_eq!(thinned_hist.count(), exact_hist.count());
+        assert_eq!(thinned.recent_completions(end, w), N as u64);
+        assert_eq!(exact.recent_completions(end, w), N as u64);
+        assert_eq!(thinned.timings(), (N / K) as u64);
+
+        let within = |what: &str, got: f64, want: f64, tolerance: f64| {
+            let error = (got - want).abs() / want;
+            assert!(error <= tolerance, "{what}: {got} vs {want} ({error:.4})");
+        };
+        within(
+            "busy",
+            thinned.busy_nanos() as f64,
+            exact.busy_nanos() as f64,
+            SAMPLED_MEAN_ERROR,
+        );
+        within("ewma", thinned_ewma, exact_ewma, SAMPLED_MEAN_ERROR);
+        for q in [0.50, 0.99] {
+            within(
+                "quantile",
+                thinned_hist.quantile_secs(q).unwrap(),
+                exact_hist.quantile_secs(q).unwrap(),
+                SAMPLED_QUANTILE_ERROR,
+            );
+        }
+    }
+
+    #[test]
+    fn charging_advances_the_overhead_meter() {
         let overhead = Arc::new(AtomicU64::new(0));
         let s = RecorderShard::new(0.25, Instant::now(), Arc::clone(&overhead));
-        let w = Duration::from_secs(10);
-        // The very first record is sampled (invocation count 0).
-        s.record(Duration::from_millis(1), Instant::now(), w);
-        assert!(overhead.load(Ordering::Relaxed) > 0);
+        s.record(
+            Duration::from_millis(1),
+            Instant::now(),
+            Duration::from_secs(10),
+        );
+        assert_eq!(
+            overhead.load(Ordering::Relaxed),
+            0,
+            "a bare record is unmetered"
+        );
+        s.charge_since(Instant::now(), 40);
+        assert!(overhead.load(Ordering::Relaxed) >= 40);
     }
 }

@@ -17,6 +17,17 @@
 //!   queue delay exceeds the budget when a worker would pick it up is
 //!   dropped at dispatch instead of served.
 //!
+//! # Stamps
+//!
+//! Only `Deadline` *judges* by the admission stamp; under the other
+//! policies it feeds one statistic, the mean queue delay, so the live
+//! clock is read for a sample of the traffic, not for every item:
+//! `offer` stamps every 16th admitted item and every item
+//! that finds a consumer parked, and `take` reads the clock when it pops
+//! a stamped item, after any park. Sparse traffic (every offer finds
+//! its consumer parked) is therefore stamped throughout. `offer_at` /
+//! `take_at`, whose caller supplies the time, stamp and judge everything.
+//!
 //! # Counter invariants
 //!
 //! For any interleaving: `offered == admitted + shed_high_water`, and
@@ -74,9 +85,20 @@ pub enum OfferOutcome<T> {
     Closed(T),
 }
 
+/// Under `Open`, `Block` and `Shed` a live `offer` stamps one admitted
+/// item in this many. A saturated gate moves an item every ~100 ns, so
+/// one in 16 still stamps hundreds of thousands a second for a mean that
+/// is read at most a hundred times a second, and spreads one clock read
+/// (~25-50 ns, the most expensive step of an uncontended offer) to ~2-3
+/// ns per item.
+const STAMP_EVERY: u64 = 16;
+
 #[derive(Debug)]
 struct Inner<T> {
-    queue: std::collections::VecDeque<(T, f64)>,
+    /// Items with their admission stamp (seconds), if they got one.
+    queue: std::collections::VecDeque<(T, Option<f64>)>,
+    /// Items ever pushed: the phase of the one-in-`STAMP_EVERY` stamp.
+    pushed: u64,
     closed: bool,
 }
 
@@ -93,17 +115,18 @@ struct Shared<T> {
     admitted: AtomicU64,
     shed_high_water: AtomicU64,
     shed_deadline: AtomicU64,
-    /// Served dispatches and their cumulative queue delay (nanoseconds),
-    /// for the mean-delay stat.
+    /// Served dispatches of *stamped* items and their cumulative queue
+    /// delay (nanoseconds), for the mean-delay stat.
     dispatched: AtomicU64,
     delay_nanos: AtomicU64,
 }
 
 /// An admission-gated FIFO work queue shared by cloning.
 ///
-/// Methods come in two flavours: `offer`/`take` stamp time from an
-/// internal monotonic clock (what live producers and workers use), and
-/// `offer_at`/`take_at` accept explicit seconds (deterministic tests).
+/// Methods come in two flavours: `offer`/`take` read an internal
+/// monotonic clock when a stamp is needed (what live producers and
+/// workers use; see the module docs, "Stamps"), and `offer_at`/`take_at`
+/// accept explicit seconds (the simulators and deterministic tests).
 pub struct AdmissionQueue<T> {
     policy: AdmissionPolicy,
     start: Instant,
@@ -148,6 +171,7 @@ impl<T> AdmissionQueue<T> {
             shared: Arc::new(Shared {
                 inner: Mutex::new(Inner {
                     queue: std::collections::VecDeque::new(),
+                    pushed: 0,
                     closed: false,
                 }),
                 not_empty: Sleepers::new(),
@@ -169,13 +193,24 @@ impl<T> AdmissionQueue<T> {
         self.policy
     }
 
-    /// Offers an item, stamping the current time from the internal clock.
+    /// Seconds on the internal clock.
+    fn clock_secs(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Offers an item on the internal clock, which is read only when the
+    /// item is to be stamped: always under `Deadline`; otherwise for one
+    /// admitted item in 16 and for every item that finds a consumer
+    /// parked (module docs, "Stamps"). The mean queue delay in
+    /// [`AdmissionStats`] is the mean over the stamped dispatches.
     pub fn offer(&self, item: T) -> OfferOutcome<T> {
-        self.offer_at(item, self.start.elapsed().as_secs_f64())
+        let judged = matches!(self.policy, AdmissionPolicy::Deadline { .. });
+        self.offer_inner(item, judged.then(|| self.clock_secs()))
     }
 
     /// Offers an item at an explicit time (seconds on the caller's clock;
-    /// the same clock must be used for `take_at`).
+    /// the same clock must be used for `take_at`). Every admitted item is
+    /// stamped.
     ///
     /// Under `Shed`, an offer made while occupancy is at or above the
     /// high watermark returns [`OfferOutcome::Shed`] after touching only
@@ -183,6 +218,12 @@ impl<T> AdmissionQueue<T> {
     /// the call blocks while occupancy is at capacity and the queue is
     /// open.
     pub fn offer_at(&self, item: T, now_secs: f64) -> OfferOutcome<T> {
+        self.offer_inner(item, Some(now_secs))
+    }
+
+    /// `offer_at` when the caller has the time, `offer`'s sampled stamp
+    /// when it does not.
+    fn offer_inner(&self, item: T, now_secs: Option<f64>) -> OfferOutcome<T> {
         if let AdmissionPolicy::Shed { high_water } = self.policy {
             // Lock-free shed verdict: the occupancy mirror is enough.
             // A racing dispatch may admit one extra request right at the
@@ -205,7 +246,13 @@ impl<T> AdmissionQueue<T> {
                 }
             }
         }
-        inner.queue.push_back((item, now_secs));
+        let stamp = now_secs.or_else(|| {
+            let sampled = inner.pushed.is_multiple_of(STAMP_EVERY)
+                || self.shared.not_empty.any_parked(&inner);
+            sampled.then(|| self.clock_secs())
+        });
+        inner.pushed += 1;
+        inner.queue.push_back((item, stamp));
         self.shared
             .occupancy
             .store(inner.queue.len() as u64, Ordering::Release);
@@ -215,10 +262,12 @@ impl<T> AdmissionQueue<T> {
         OfferOutcome::Admitted
     }
 
-    /// Takes the next serviceable item, stamping dispatch time from the
-    /// internal clock.
+    /// Takes the next serviceable item on the internal clock, which is
+    /// read when a stamped item is popped — after any park, so the queue
+    /// delay of a hand-off to a parked consumer includes the wake-up —
+    /// and not at all for an unstamped one.
     pub fn take(&self, timeout: Duration) -> DequeueOutcome<T> {
-        self.take_at(self.start.elapsed().as_secs_f64(), timeout)
+        self.take_inner(None, timeout)
     }
 
     /// Takes the next serviceable item at an explicit dispatch time.
@@ -229,24 +278,34 @@ impl<T> AdmissionQueue<T> {
     /// serving. Waits up to `timeout` in total for one. Returns
     /// [`DequeueOutcome::Drained`] once the queue is closed and empty.
     pub fn take_at(&self, now_secs: f64, timeout: Duration) -> DequeueOutcome<T> {
+        self.take_inner(Some(now_secs), timeout)
+    }
+
+    fn take_inner(&self, now_secs: Option<f64>, timeout: Duration) -> DequeueOutcome<T> {
         let mut budget = WaitBudget::new(timeout);
         let mut inner = self.shared.inner.lock();
         loop {
-            while let Some((item, stamped)) = inner.queue.pop_front() {
+            // The dispatch time of this scan: the caller's, or the
+            // internal clock read once, at the first stamped item.
+            let mut now_secs = now_secs;
+            while let Some((item, stamp)) = inner.queue.pop_front() {
                 self.shared
                     .occupancy
                     .store(inner.queue.len() as u64, Ordering::Release);
-                let delay = (now_secs - stamped).max(0.0);
-                if let AdmissionPolicy::Deadline { budget_secs } = self.policy {
-                    if delay > budget_secs {
-                        self.shared.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                        continue;
+                if let Some(stamp) = stamp {
+                    let now = *now_secs.get_or_insert_with(|| self.clock_secs());
+                    let delay = (now - stamp).max(0.0);
+                    if let AdmissionPolicy::Deadline { budget_secs } = self.policy {
+                        if delay > budget_secs {
+                            self.shared.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
                     }
+                    self.shared.dispatched.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .delay_nanos
+                        .fetch_add((delay * 1e9) as u64, Ordering::Relaxed);
                 }
-                self.shared.dispatched.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .delay_nanos
-                    .fetch_add((delay * 1e9) as u64, Ordering::Relaxed);
                 // A dispatch frees one slot: one `Block` producer, if
                 // any is parked, can use it. Other consumers have
                 // nothing to gain from a dispatch and are not woken.
@@ -511,6 +570,74 @@ mod tests {
         q.shared.not_empty.await_parked(1);
         q.close();
         assert_eq!(consumer.join().unwrap(), DequeueOutcome::Drained);
+    }
+
+    #[test]
+    fn a_parked_hand_off_counts_its_wake_up_as_queue_delay() {
+        // The dispatch clock used to be read before `take` parked, so an
+        // item that arrived during the park was judged against a reading
+        // older than its own stamp and contributed exactly zero delay.
+        const OFFERS: u64 = 200;
+        let timeout = Duration::from_secs(10);
+        let q = AdmissionQueue::new(AdmissionPolicy::Open);
+        let taken = Arc::new(AtomicU64::new(0));
+        let (q2, taken2) = (q.clone(), Arc::clone(&taken));
+        let consumer = thread::spawn(move || {
+            (0..OFFERS)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    assert!(matches!(q2.take(timeout), DequeueOutcome::Item(_)));
+                    taken2.fetch_add(1, Ordering::Release);
+                    t0.elapsed()
+                })
+                .max()
+        });
+        for i in 0..OFFERS {
+            // The consumer has returned from its previous take (which
+            // un-counted it), so a parked count of one means it is parked
+            // in this one.
+            while taken.load(Ordering::Acquire) != i {
+                thread::yield_now();
+            }
+            q.shared.not_empty.await_parked(1);
+            assert_eq!(q.offer(i), OfferOutcome::Admitted);
+        }
+        let slowest = consumer.join().unwrap().unwrap();
+        assert!(slowest < timeout / 4, "a take waited {slowest:?}");
+        // Every offer found the consumer parked, so every one was stamped.
+        assert_eq!(q.shared.dispatched.load(Ordering::Relaxed), OFFERS);
+        assert!(q.stats().mean_queue_delay_secs > 0.0);
+    }
+
+    #[test]
+    fn live_offers_stamp_a_sample_unless_the_policy_judges_by_the_stamp() {
+        let stamped_of_64 = |policy| {
+            let q = AdmissionQueue::new(policy);
+            for i in 0..64 {
+                assert_eq!(q.offer(i), OfferOutcome::Admitted);
+            }
+            for _ in 0..64 {
+                assert!(matches!(q.take(Duration::ZERO), DequeueOutcome::Item(_)));
+            }
+            assert_eq!(q.stats().admitted, 64);
+            q.shared.dispatched.load(Ordering::Relaxed)
+        };
+        // Nobody parked: one item in 16 carries a stamp...
+        assert_eq!(stamped_of_64(AdmissionPolicy::Open), 64 / STAMP_EVERY);
+        // ...except where freshness is judged by it.
+        let deadline = AdmissionPolicy::Deadline { budget_secs: 60.0 };
+        assert_eq!(stamped_of_64(deadline), 64);
+        // An explicit time always stamps.
+        let q = AdmissionQueue::new(AdmissionPolicy::Open);
+        for i in 0..5 {
+            q.offer_at(i, 1.0);
+            assert!(matches!(
+                q.take_at(1.5, Duration::ZERO),
+                DequeueOutcome::Item(_)
+            ));
+        }
+        assert_eq!(q.shared.dispatched.load(Ordering::Relaxed), 5);
+        assert!((q.stats().mean_queue_delay_secs - 0.5).abs() < 1e-9);
     }
 
     #[test]

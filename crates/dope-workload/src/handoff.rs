@@ -110,10 +110,15 @@ impl Sleepers {
         true
     }
 
+    /// `true` if a thread is parked here, as of the queue mutex `held`.
+    pub(crate) fn any_parked<T>(&self, _held: &MutexGuard<'_, T>) -> bool {
+        self.parked.load(Relaxed) > 0
+    }
+
     /// Releases the queue mutex, then wakes one sleeper if any was parked
     /// while it was held.
     pub(crate) fn unlock_and_wake_one<T>(&self, held: MutexGuard<'_, T>) {
-        let parked = self.parked.load(Relaxed) > 0;
+        let parked = self.any_parked(&held);
         drop(held);
         if parked {
             #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! A real WQ-Linear run serves its own Prometheus endpoint, scrapes it
 //! mid-flight like `curl` would, and meters its own monitoring overhead
-//! against the paper's "< 1 %" claim (held here to a 3 % regression
-//! ceiling — CI machines are noisy). A separate test ages a freshly
-//! recorded trace into the pre-percentile dialect and checks the offline
-//! tooling still accepts it.
+//! against the paper's "< 1 %" claim, which is the ceiling it is held
+//! to. A separate test ages a freshly recorded trace into the
+//! pre-percentile dialect and checks the offline tooling still accepts
+//! it.
 
 use dope_apps::transcode;
 use dope_core::Goal;
@@ -241,12 +241,12 @@ fn monitoring_overhead_stays_below_regression_ceiling() {
     dope.wait().expect("drains");
     assert_eq!(service.stats.completed(), 32);
 
-    // The paper claims monitoring costs under 1 % of execution; the
-    // regression ceiling is 3x that to absorb noisy CI machines.
+    // The paper claims monitoring costs under 1 % of execution; that
+    // claim is the ceiling.
     let ratio = monitor.monitoring_overhead_ratio();
     assert!(ratio.is_finite() && ratio >= 0.0, "ratio {ratio}");
     assert!(
-        ratio < 0.03,
+        ratio < 0.01,
         "monitoring overhead regressed: {:.4}% of execution",
         ratio * 100.0
     );
@@ -259,7 +259,7 @@ fn monitoring_overhead_stays_below_regression_ceiling() {
         .expect("overhead ratio is exported");
     let published: f64 = line.rsplit(' ').next().unwrap().parse().expect("gauge");
     assert!(
-        published < 0.03,
+        published < 0.01,
         "published overhead ratio regressed: {published}"
     );
 }
