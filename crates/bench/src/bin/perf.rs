@@ -13,7 +13,7 @@
 //!
 //! `--check=PATH` runs no benches: it validates an existing report
 //! against the strict codec and schema tag, then exits.
-//! `--check-history=PATH` does the same for the last line of the per-PR
+//! `--check-history=PATH` does the same for every line of the per-PR
 //! ledger `results/perf-history.jsonl` (strict codec, a `pr` number).
 
 use dope_bench::perf;
@@ -141,25 +141,37 @@ fn check_report(path: &str) -> ExitCode {
     }
 }
 
-/// Validates the newest row of the per-PR perf ledger: the file's last
-/// line must parse under the strict codec and say which PR it is.
+/// Validates the per-PR perf ledger: every line must parse under the
+/// strict codec and say which PR it is.
 fn check_history(path: &str) -> ExitCode {
     let text = match read(path) {
         Ok(text) => text,
         Err(code) => return code,
     };
-    let last = text.lines().last().unwrap_or("");
-    match parse(last).map(|row| row.get("pr").and_then(|pr| pr.as_f64())) {
-        Ok(Some(pr)) => {
-            println!("perf: {path} ends with a valid row for PR {pr}");
+    let mut last = None;
+    for (at, line) in text.lines().enumerate() {
+        match parse(line).map(|row| row.get("pr").and_then(|pr| pr.as_f64())) {
+            Ok(Some(pr)) => last = Some(pr),
+            Ok(None) => {
+                eprintln!("perf: {path}:{}: no numeric `pr` field", at + 1);
+                return ExitCode::FAILURE;
+            }
+            Err(err) => {
+                eprintln!(
+                    "perf: {path}:{}: rejected by the strict codec: {err}",
+                    at + 1
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    match last {
+        Some(pr) => {
+            println!("perf: every row of {path} is valid; the newest is PR {pr}");
             ExitCode::SUCCESS
         }
-        Ok(None) => {
-            eprintln!("perf: the last line of {path} has no numeric `pr` field");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("perf: the last line of {path} is rejected by the strict codec: {err}");
+        None => {
+            eprintln!("perf: {path} has no rows");
             ExitCode::FAILURE
         }
     }

@@ -20,8 +20,7 @@
 //! | [`perf`] | perf gate: pinned microbenches emitting `BENCH_perf.json` (beyond the paper) |
 //! | [`overload`] | overload probe: admission policies under 10x offered load (beyond the paper) |
 //!
-//! Run any artifact with `cargo run -p dope-bench --release --bin <id>`;
-//! `cargo bench` runs quick versions of all of them.
+//! Run any artifact with `cargo run -p dope-bench --release --bin <id>`.
 
 #![warn(missing_docs)]
 

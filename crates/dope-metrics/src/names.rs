@@ -1,121 +1,100 @@
 //! Canonical metric names exported by the instrumented DoPE stack.
 //!
-//! Every name the runtime registers lives here as a constant so that
-//! documentation, tests, and dashboards can cross-check against one
-//! authoritative list ([`ALL`]). Naming follows Prometheus conventions:
-//! `dope_` prefix, base units (seconds, watts), `_total` suffix on
-//! counters.
+//! Every name the runtime registers is one row of the table below, which
+//! declares the constant and lists it in [`ALL`] in the same breath, so
+//! documentation, tests, and dashboards cross-check against one
+//! authoritative list that cannot drift from its constants. Naming
+//! follows Prometheus conventions: `dope_` prefix, base units (seconds,
+//! watts), `_total` suffix on counters.
 
-/// Per-task execution latency histogram, labelled `path`.
-pub const TASK_EXEC_SECONDS: &str = "dope_task_exec_seconds";
-/// Per-task invocation counter, labelled `path`.
-pub const TASK_INVOCATIONS_TOTAL: &str = "dope_task_invocations_total";
-/// Monitor snapshots taken so far.
-pub const MONITOR_SNAPSHOTS_TOTAL: &str = "dope_monitor_snapshots_total";
-/// Per-worker recorder shards the monitor merged while aggregating
-/// snapshots and scrapes.
-pub const MONITOR_SHARD_MERGES_TOTAL: &str = "dope_monitor_shard_merges_total";
-/// Seconds the monitor spent measuring (its self-accounted overhead).
-pub const MONITORING_OVERHEAD_SECONDS: &str = "dope_monitoring_overhead_seconds";
-/// Monitoring overhead as a fraction of total application work
-/// (the paper's "< 1 %" claim, self-measured).
-pub const MONITORING_OVERHEAD_RATIO: &str = "dope_monitoring_overhead_ratio";
-/// Completed reconfiguration epochs.
-pub const RECONFIGURE_EPOCHS_TOTAL: &str = "dope_reconfigure_epochs_total";
-/// Measured pause (suspend + drain) latency per reconfiguration.
-pub const RECONFIGURE_PAUSE_SECONDS: &str = "dope_reconfigure_pause_seconds";
-/// Measured relaunch latency per reconfiguration.
-pub const RECONFIGURE_RELAUNCH_SECONDS: &str = "dope_reconfigure_relaunch_seconds";
-/// Reconfiguration epochs applied as *partial* (delta) reconfigurations:
-/// only the changed paths drained, everything else kept running.
-pub const RECONFIG_PARTIAL_TOTAL: &str = "dope_reconfig_partial_total";
-/// Replica-carrying paths drained per reconfiguration boundary (1 for a
-/// typical delta, the whole path set for a full drain).
-pub const RECONFIG_PATHS_DRAINED: &str = "dope_reconfig_paths_drained";
-/// Mechanism proposals evaluated, labelled `verdict`
-/// (`accepted` / `unchanged` / `rejected`).
-pub const PROPOSALS_TOTAL: &str = "dope_proposals_total";
-/// Jobs dispatched to pool workers.
-pub const POOL_JOBS_DISPATCHED_TOTAL: &str = "dope_pool_jobs_dispatched_total";
-/// Times a pool worker went back to waiting on the job channel.
-pub const POOL_WORKER_PARKS_TOTAL: &str = "dope_pool_worker_parks_total";
-/// Job panics the pool's supervision layer caught (the worker thread
-/// survived each one).
-pub const POOL_PANICS_CAUGHT_TOTAL: &str = "dope_pool_panics_caught_total";
-/// Current worker-pool thread count.
-pub const POOL_THREADS: &str = "dope_pool_threads";
-/// Work-queue occupancy gauge.
-pub const QUEUE_OCCUPANCY: &str = "dope_queue_occupancy";
-/// Work-queue arrival-rate gauge (requests per second).
-pub const QUEUE_ARRIVAL_RATE: &str = "dope_queue_arrival_rate";
-/// Requests enqueued so far.
-pub const QUEUE_ENQUEUED_TOTAL: &str = "dope_queue_enqueued_total";
-/// Requests completed so far.
-pub const QUEUE_COMPLETED_TOTAL: &str = "dope_queue_completed_total";
-/// Platform power draw gauge (watts), mirrored from the `SystemPower`
-/// feature when one is registered.
-pub const POWER_WATTS: &str = "dope_power_watts";
-/// End-to-end response-time histogram (open workloads).
-pub const RESPONSE_SECONDS: &str = "dope_response_seconds";
-/// Pipeline sink throughput gauge (items per second), labelled
-/// `app`/`mechanism` by the benchmark harness.
-pub const PIPELINE_THROUGHPUT: &str = "dope_pipeline_throughput";
-/// Task replicas that failed (panicked or vanished) during the run.
-pub const TASK_FAILURES_TOTAL: &str = "dope_task_failures_total";
-/// Failed replicas the `Restart` failure policy re-instantiated.
-pub const TASK_RESTARTS_TOTAL: &str = "dope_task_restarts_total";
-/// Replicas currently dead in the running epoch (excluded from
-/// monitor snapshots until restart or degrade clears them).
-pub const TASK_FAILED_REPLICAS: &str = "dope_task_failed_replicas";
-/// Magnitude of the mechanism's signed relative throughput-prediction
-/// error, labelled `sign` (`over` = promised more than realized,
-/// `under` = promised less).
-pub const MECHANISM_PREDICTION_ERROR: &str = "dope_mechanism_prediction_error";
-/// Decisions explained by the mechanism, labelled `rationale` with the
-/// stable rationale code of each decision.
-pub const DECISION_RATIONALE_TOTAL: &str = "dope_decision_rationale_total";
-/// Offers the admission gate admitted into the work queue.
-pub const ADMITTED_TOTAL: &str = "dope_admitted_total";
-/// Offers the admission gate dropped, labelled `reason`
-/// (`high_water` / `deadline`).
-pub const SHED_TOTAL: &str = "dope_shed_total";
-/// Queue delay (offer to dispatch) of admitted requests, in seconds.
-pub const ADMISSION_QUEUE_DELAY: &str = "dope_admission_queue_delay";
+/// Declares each `NAME = "value"` row as a `pub const NAME: &str` and
+/// generates [`ALL`] from the same rows, in table order.
+macro_rules! metric_names {
+    ($($(#[$doc:meta])* $name:ident = $value:literal;)+) => {
+        $($(#[$doc])* pub const $name: &str = $value;)+
 
-/// Every canonical metric name, for docs/tests cross-checks.
-pub const ALL: &[&str] = &[
-    TASK_EXEC_SECONDS,
-    TASK_INVOCATIONS_TOTAL,
-    MONITOR_SNAPSHOTS_TOTAL,
-    MONITOR_SHARD_MERGES_TOTAL,
-    MONITORING_OVERHEAD_SECONDS,
-    MONITORING_OVERHEAD_RATIO,
-    RECONFIGURE_EPOCHS_TOTAL,
-    RECONFIGURE_PAUSE_SECONDS,
-    RECONFIGURE_RELAUNCH_SECONDS,
-    RECONFIG_PARTIAL_TOTAL,
-    RECONFIG_PATHS_DRAINED,
-    PROPOSALS_TOTAL,
-    POOL_JOBS_DISPATCHED_TOTAL,
-    POOL_WORKER_PARKS_TOTAL,
-    POOL_PANICS_CAUGHT_TOTAL,
-    POOL_THREADS,
-    QUEUE_OCCUPANCY,
-    QUEUE_ARRIVAL_RATE,
-    QUEUE_ENQUEUED_TOTAL,
-    QUEUE_COMPLETED_TOTAL,
-    POWER_WATTS,
-    RESPONSE_SECONDS,
-    PIPELINE_THROUGHPUT,
-    TASK_FAILURES_TOTAL,
-    TASK_RESTARTS_TOTAL,
-    TASK_FAILED_REPLICAS,
-    MECHANISM_PREDICTION_ERROR,
-    DECISION_RATIONALE_TOTAL,
-    ADMITTED_TOTAL,
-    SHED_TOTAL,
-    ADMISSION_QUEUE_DELAY,
-];
+        /// Every canonical metric name, for docs/tests cross-checks.
+        pub const ALL: &[&str] = &[$($name),+];
+    };
+}
+
+metric_names! {
+    /// Per-task execution latency histogram, labelled `path`.
+    TASK_EXEC_SECONDS = "dope_task_exec_seconds";
+    /// Per-task invocation counter, labelled `path`.
+    TASK_INVOCATIONS_TOTAL = "dope_task_invocations_total";
+    /// Monitor snapshots taken so far.
+    MONITOR_SNAPSHOTS_TOTAL = "dope_monitor_snapshots_total";
+    /// Per-worker recorder shards the monitor merged while aggregating
+    /// snapshots and scrapes.
+    MONITOR_SHARD_MERGES_TOTAL = "dope_monitor_shard_merges_total";
+    /// Seconds the monitor spent measuring (its self-accounted overhead).
+    MONITORING_OVERHEAD_SECONDS = "dope_monitoring_overhead_seconds";
+    /// Monitoring overhead as a fraction of total application work
+    /// (the paper's "< 1 %" claim, self-measured).
+    MONITORING_OVERHEAD_RATIO = "dope_monitoring_overhead_ratio";
+    /// Completed reconfiguration epochs.
+    RECONFIGURE_EPOCHS_TOTAL = "dope_reconfigure_epochs_total";
+    /// Measured pause (suspend + drain) latency per reconfiguration.
+    RECONFIGURE_PAUSE_SECONDS = "dope_reconfigure_pause_seconds";
+    /// Measured relaunch latency per reconfiguration.
+    RECONFIGURE_RELAUNCH_SECONDS = "dope_reconfigure_relaunch_seconds";
+    /// Reconfiguration epochs applied as *partial* (delta) reconfigurations:
+    /// only the changed paths drained, everything else kept running.
+    RECONFIG_PARTIAL_TOTAL = "dope_reconfig_partial_total";
+    /// Replica-carrying paths drained per reconfiguration boundary (1 for a
+    /// typical delta, the whole path set for a full drain).
+    RECONFIG_PATHS_DRAINED = "dope_reconfig_paths_drained";
+    /// Mechanism proposals evaluated, labelled `verdict`
+    /// (`accepted` / `unchanged` / `rejected`).
+    PROPOSALS_TOTAL = "dope_proposals_total";
+    /// Jobs dispatched to pool workers.
+    POOL_JOBS_DISPATCHED_TOTAL = "dope_pool_jobs_dispatched_total";
+    /// Times a pool worker went back to waiting on the job channel.
+    POOL_WORKER_PARKS_TOTAL = "dope_pool_worker_parks_total";
+    /// Job panics the pool's supervision layer caught (the worker thread
+    /// survived each one).
+    POOL_PANICS_CAUGHT_TOTAL = "dope_pool_panics_caught_total";
+    /// Current worker-pool thread count.
+    POOL_THREADS = "dope_pool_threads";
+    /// Work-queue occupancy gauge.
+    QUEUE_OCCUPANCY = "dope_queue_occupancy";
+    /// Work-queue arrival-rate gauge (requests per second).
+    QUEUE_ARRIVAL_RATE = "dope_queue_arrival_rate";
+    /// Requests enqueued so far.
+    QUEUE_ENQUEUED_TOTAL = "dope_queue_enqueued_total";
+    /// Requests completed so far.
+    QUEUE_COMPLETED_TOTAL = "dope_queue_completed_total";
+    /// Platform power draw gauge (watts), mirrored from the `SystemPower`
+    /// feature when one is registered.
+    POWER_WATTS = "dope_power_watts";
+    /// End-to-end response-time histogram (open workloads).
+    RESPONSE_SECONDS = "dope_response_seconds";
+    /// Pipeline sink throughput gauge (items per second), labelled
+    /// `app`/`mechanism` by the benchmark harness.
+    PIPELINE_THROUGHPUT = "dope_pipeline_throughput";
+    /// Task replicas that failed (panicked or vanished) during the run.
+    TASK_FAILURES_TOTAL = "dope_task_failures_total";
+    /// Failed replicas the `Restart` failure policy re-instantiated.
+    TASK_RESTARTS_TOTAL = "dope_task_restarts_total";
+    /// Replicas currently dead in the running epoch (excluded from
+    /// monitor snapshots until restart or degrade clears them).
+    TASK_FAILED_REPLICAS = "dope_task_failed_replicas";
+    /// Magnitude of the mechanism's signed relative throughput-prediction
+    /// error, labelled `sign` (`over` = promised more than realized,
+    /// `under` = promised less).
+    MECHANISM_PREDICTION_ERROR = "dope_mechanism_prediction_error";
+    /// Decisions explained by the mechanism, labelled `rationale` with the
+    /// stable rationale code of each decision.
+    DECISION_RATIONALE_TOTAL = "dope_decision_rationale_total";
+    /// Offers the admission gate admitted into the work queue.
+    ADMITTED_TOTAL = "dope_admitted_total";
+    /// Offers the admission gate dropped, labelled `reason`
+    /// (`high_water` / `deadline`).
+    SHED_TOTAL = "dope_shed_total";
+    /// Queue delay (offer to dispatch) of admitted requests, in seconds.
+    ADMISSION_QUEUE_DELAY = "dope_admission_queue_delay";
+}
 
 #[cfg(test)]
 mod tests {
@@ -132,5 +111,48 @@ mod tests {
                 "{name} not snake_case"
             );
         }
+    }
+
+    /// The scrape surface is an operator contract: a table edit that
+    /// renames, drops or reorders a family must change this list too.
+    #[test]
+    fn the_table_generates_the_shipped_catalogue_in_order() {
+        assert_eq!(
+            ALL,
+            [
+                "dope_task_exec_seconds",
+                "dope_task_invocations_total",
+                "dope_monitor_snapshots_total",
+                "dope_monitor_shard_merges_total",
+                "dope_monitoring_overhead_seconds",
+                "dope_monitoring_overhead_ratio",
+                "dope_reconfigure_epochs_total",
+                "dope_reconfigure_pause_seconds",
+                "dope_reconfigure_relaunch_seconds",
+                "dope_reconfig_partial_total",
+                "dope_reconfig_paths_drained",
+                "dope_proposals_total",
+                "dope_pool_jobs_dispatched_total",
+                "dope_pool_worker_parks_total",
+                "dope_pool_panics_caught_total",
+                "dope_pool_threads",
+                "dope_queue_occupancy",
+                "dope_queue_arrival_rate",
+                "dope_queue_enqueued_total",
+                "dope_queue_completed_total",
+                "dope_power_watts",
+                "dope_response_seconds",
+                "dope_pipeline_throughput",
+                "dope_task_failures_total",
+                "dope_task_restarts_total",
+                "dope_task_failed_replicas",
+                "dope_mechanism_prediction_error",
+                "dope_decision_rationale_total",
+                "dope_admitted_total",
+                "dope_shed_total",
+                "dope_admission_queue_delay",
+            ]
+        );
+        assert_eq!(super::POOL_JOBS_DISPATCHED_TOTAL, ALL[12]);
     }
 }

@@ -680,7 +680,10 @@ struct EpochLedger {
 
 impl EpochLedger {
     fn new() -> Self {
-        // dope-lint: allow(DL005): depth is bounded by the epoch's job count — every sender is one submitted job (plus the ledger's handle kept for partial relaunches), and the epoch drains before the next one launches
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "depth is bounded by the epoch's job count — every sender is one submitted job (plus the ledger's handle kept for partial relaunches), and the epoch drains before the next one launches"
+        )]
         let (done_tx, done_rx) = mpsc::channel();
         EpochLedger {
             done_tx,
@@ -1544,6 +1547,125 @@ mod tests {
             .expect("a pressured period must emit an AdmissionDecision");
         assert_eq!(decision.0, "shed");
         assert_eq!(decision.1, "shed");
+    }
+
+    /// The lock-rank guard checks the acquisitions a run actually makes,
+    /// so this run makes all of them: launch, a snapshot and a scrape
+    /// from this thread, a partial reconfiguration, a replica failure
+    /// with a restart, and the final drain. A descending acquisition on
+    /// the executive thread would surface from `wait()`, one on a worker
+    /// as a surplus task failure; this thread's own chains are asserted.
+    #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the lock-rank guard is compiled out in release builds"
+    )]
+    fn every_rank_is_acquired_by_a_live_run() {
+        use crate::lockrank::{chains_on_this_thread, rank};
+
+        /// Widens `fast` at the first consult, then holds.
+        struct Widen(bool);
+        impl Mechanism for Widen {
+            fn name(&self) -> &'static str {
+                "Widen"
+            }
+            fn initial(&mut self, _: &ProgramShape, _: &Resources) -> Option<Config> {
+                Some(pair(1))
+            }
+            fn reconfigure(
+                &mut self,
+                _: &MonitorSnapshot,
+                _: &Config,
+                _: &ProgramShape,
+                _: &Resources,
+            ) -> Option<Config> {
+                (!std::mem::replace(&mut self.0, true)).then(|| pair(2))
+            }
+        }
+        fn pair(fast: u32) -> Config {
+            Config::new(vec![
+                dope_core::TaskConfig::leaf("fast", fast),
+                dope_core::TaskConfig::leaf("slow", 1),
+            ])
+        }
+        const POISON: u64 = u64::MAX;
+
+        let (fast, slow) = (WorkQueue::new(), WorkQueue::new());
+        let hits = Arc::new(AtomicU64::new(0));
+        let poisoned = slow.clone();
+        let slow_spec = TaskSpec::leaf("slow", TaskKind::Par, move |_slot: WorkerSlot| {
+            let queue = poisoned.clone();
+            Box::new(body_fn(move |cx| {
+                cx.begin();
+                let item = queue.dequeue_timeout(Duration::from_millis(2));
+                cx.end();
+                match item {
+                    dope_workload::DequeueOutcome::Item(POISON) => panic!("poisoned item"),
+                    dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
+                    _ if cx.directive().wants_suspend() => TaskStatus::Suspended,
+                    _ => TaskStatus::Executing,
+                }
+            })) as Box<dyn TaskBody>
+        });
+        let recorder = Recorder::bounded(4096);
+        let registry = MetricsRegistry::new();
+        let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
+            .mechanism(Box::new(Widen(false)))
+            .control_period(Duration::from_millis(5))
+            .failure_policy(FailurePolicy::Restart {
+                max_retries: 1,
+                backoff: Duration::ZERO,
+            })
+            .recorder(recorder.clone())
+            .metrics(registry.clone())
+            .launch(vec![
+                drain_spec("fast", fast.clone(), Arc::clone(&hits)),
+                slow_spec,
+            ])
+            .unwrap();
+        for i in 0..100u64 {
+            fast.enqueue(i).unwrap();
+        }
+
+        // Workers create their path's cell when they start: wait for both.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while dope.monitor().snapshot().tasks.len() < 2 {
+            assert!(Instant::now() < deadline, "replicas never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = chains_on_this_thread();
+        let _ = dope.monitor().snapshot();
+        assert!(registry.render().contains(names::TASK_INVOCATIONS_TOTAL));
+        let acquired: Vec<Vec<u32>> = chains_on_this_thread()
+            .into_iter()
+            .filter(|(chain, count)| before.get(chain) != Some(count))
+            .map(|(chain, _)| chain)
+            .collect();
+        for row in rank::ORDER {
+            assert!(
+                acquired.iter().any(|chain| chain.last() == Some(&row.0)),
+                "`{}` (rank {}) was never acquired: {acquired:?}",
+                row.1,
+                row.0
+            );
+        }
+        let nested = vec![rank::PATHS.0, rank::EPOCH.0, rank::SHARDS.0];
+        assert!(acquired.contains(&nested), "{acquired:?}");
+
+        // The failure comes after the partial boundary, so both the splice
+        // and the failure path's full relaunch run under the guard.
+        let partial = |r: &dope_trace::TraceRecord| matches!(&r.event, TraceEvent::ReconfigureEpoch { scope, .. } if scope == "partial");
+        while !recorder.records().iter().any(partial) {
+            assert!(Instant::now() < deadline, "no partial reconfiguration");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        slow.enqueue(POISON).unwrap();
+        slow.close();
+        fast.close();
+        let report = dope.wait().expect("no guard panic on the executive thread");
+        assert_eq!(report.final_config, pair(2));
+        assert_eq!((report.task_failures, report.task_restarts), (1, 1));
+        assert_eq!(hits.load(Ordering::Relaxed), 100);
     }
 
     #[test]

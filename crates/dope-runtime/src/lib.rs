@@ -47,6 +47,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The executive degrades through `Error` / `FailurePolicy`, never by
+// panicking (`clippy.toml` exempts tests and bans unbounded channels).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod executive;
 pub mod instance;

@@ -1,14 +1,12 @@
-//! Debug-only lock-rank enforcement: the dynamic half of DL004.
+//! Debug-only lock-rank enforcement: the runtime's lock order, declared
+//! once in [`rank`] and checked on every acquisition.
 //!
-//! `crates/dope-lint/lock-order.txt` declares a total acquisition order
-//! over the runtime's locks, and `dope-lint` checks it statically. This
-//! module enforces the same order at runtime in debug builds: every
-//! runtime lock is a [`RankedMutex`] carrying its manifest rank, each
-//! acquisition pushes onto a thread-local stack of held ranks, and
-//! acquiring a rank less than or equal to the current top panics with
-//! both lock names. The static pass catches what it can see; this guard
-//! catches what it can't (acquisition paths through closures, trait
-//! objects, or callbacks the lexer-level call graph cannot follow).
+//! Every runtime lock is a [`RankedMutex`] built from one row of the
+//! table; each acquisition pushes onto a thread-local stack of held
+//! ranks, and acquiring a rank less than or equal to the current top
+//! panics with both lock names. The guard sees the acquisitions that
+//! actually happen — through closures, trait objects and scrape callbacks
+//! too — so any debug test that reaches a lock site checks it.
 //!
 //! Release builds compile all bookkeeping out: a [`RankedMutex`] is a
 //! `parking_lot::Mutex` plus two words of identity, and `lock()` is a
@@ -18,69 +16,89 @@ use std::ops::{Deref, DerefMut};
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Lock ranks, mirroring `crates/dope-lint/lock-order.txt` — the
-/// manifest is the source of truth; these constants must match it.
+/// One row of the lock order: a rank and the lock's name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Rank(pub u32, pub &'static str);
+
+/// The lock order, mirrored for readers in `docs/static-analysis.md`.
 pub(crate) mod rank {
-    /// `MonitorShared::paths`.
-    pub const PATHS: u32 = 10;
-    /// `MonitorShared::epoch` (load callbacks, extents, failure marks —
-    /// installed and read together).
-    pub const EPOCH: u32 = 20;
-    /// `MonitorShared::queue_probe`.
-    pub const QUEUE_PROBE: u32 = 40;
-    /// `MonitorShared::admission_probe`.
-    pub const ADMISSION_PROBE: u32 = 50;
-    /// `MonitorShared::recorder`.
-    pub const RECORDER: u32 = 60;
-    /// `PathStats::shards` (the per-path shard list; the shards
-    /// themselves are lock-free).
-    pub const SHARDS: u32 = 70;
-    /// `MonitorShared::metrics`.
-    pub const METRICS: u32 = 80;
+    use super::Rank;
+
+    /// Each row declares the constant and its entry in `ORDER`.
+    macro_rules! lock_order {
+        ($($(#[$doc:meta])* $name:ident = $rank:literal, $lock:literal;)+) => {
+            $($(#[$doc])* pub const $name: Rank = Rank($rank, $lock);)+
+            /// Every row, outermost lock first.
+            #[cfg(test)]
+            pub const ORDER: &[Rank] = &[$($name),+];
+        };
+    }
+
+    lock_order! {
+        /// `MonitorShared::paths`.
+        PATHS = 10, "paths";
+        /// `MonitorShared::epoch` (load callbacks, extents, failure marks —
+        /// installed and read together).
+        EPOCH = 20, "epoch";
+        /// `MonitorShared::queue_probe`.
+        QUEUE_PROBE = 40, "queue_probe";
+        /// `MonitorShared::admission_probe`.
+        ADMISSION_PROBE = 50, "admission_probe";
+        /// `MonitorShared::recorder`.
+        RECORDER = 60, "recorder";
+        /// `PathStats::shards` (the per-path shard list; the shards
+        /// themselves are lock-free).
+        SHARDS = 70, "shards";
+        /// `MonitorShared::metrics`.
+        METRICS = 80, "metrics";
+    }
 }
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Ranks (and names, for diagnostics) of the locks this thread
-    /// currently holds, in acquisition order.
-    static HELD: std::cell::RefCell<Vec<(u32, &'static str)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// The locks this thread currently holds, in acquisition order.
+    static HELD: std::cell::RefCell<Vec<Rank>> = const { std::cell::RefCell::new(Vec::new()) };
 
-    /// Ranked-lock acquisitions this thread has ever performed. Lets
-    /// tests assert a code path is lock-free (the sharded record path's
-    /// zero-acquisition contract) instead of trusting a comment.
-    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// How often this thread has produced each chain of held ranks (the
+    /// acquired lock last), so tests can assert that a path is lock-free
+    /// or that a nesting was exercised instead of trusting a comment.
+    static CHAINS: std::cell::RefCell<std::collections::BTreeMap<Vec<u32>, u64>> =
+        const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
 }
 
-/// Total [`RankedMutex`] acquisitions performed by the calling thread so
-/// far (debug builds only; always 0 in release builds, where the
-/// bookkeeping is compiled out). Lets tests assert a code path is
-/// lock-free instead of trusting a comment.
+/// The distinct chains of ranks the calling thread has held, each ending
+/// in the lock acquired, with their counts (debug builds only; empty in
+/// release builds, where the bookkeeping is compiled out).
 #[cfg(test)]
-pub(crate) fn acquisitions_on_this_thread() -> u64 {
+pub(crate) fn chains_on_this_thread() -> std::collections::BTreeMap<Vec<u32>, u64> {
     #[cfg(debug_assertions)]
     {
-        ACQUISITIONS.with(std::cell::Cell::get)
+        CHAINS.with(|chains| chains.borrow().clone())
     }
     #[cfg(not(debug_assertions))]
     {
-        0
+        std::collections::BTreeMap::new()
     }
+}
+
+/// Total [`RankedMutex`] acquisitions performed by the calling thread so
+/// far (always 0 in release builds).
+#[cfg(test)]
+pub(crate) fn acquisitions_on_this_thread() -> u64 {
+    chains_on_this_thread().values().sum()
 }
 
 /// A `parking_lot::Mutex` that knows its place in the lock order.
 pub(crate) struct RankedMutex<T> {
-    rank: u32,
-    name: &'static str,
+    rank: Rank,
     raw: Mutex<T>,
 }
 
 impl<T> RankedMutex<T> {
-    /// Wraps `value` in a mutex of the given manifest rank and name.
-    pub(crate) fn new(rank: u32, name: &'static str, value: T) -> Self {
+    /// Wraps `value` in a mutex at `rank` of the lock order.
+    pub(crate) fn new(rank: Rank, value: T) -> Self {
         RankedMutex {
             rank,
-            name,
             raw: Mutex::new(value),
         }
     }
@@ -94,21 +112,20 @@ impl<T> RankedMutex<T> {
     /// build would deadlock on some interleaving of.
     pub(crate) fn lock(&self) -> RankedGuard<'_, T> {
         #[cfg(debug_assertions)]
-        ACQUISITIONS.with(|count| count.set(count.get() + 1));
-        #[cfg(debug_assertions)]
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            if let Some(&(top_rank, top_name)) = held.last() {
+            let Rank(rank, name) = self.rank;
+            if let Some(&Rank(top_rank, top_name)) = held.last() {
                 assert!(
-                    self.rank > top_rank,
-                    "lock-order violation: acquiring `{}` (rank {}) while holding \
+                    rank > top_rank,
+                    "lock-order violation: acquiring `{name}` (rank {rank}) while holding \
                      `{top_name}` (rank {top_rank}) — ranks must strictly ascend; \
-                     see crates/dope-lint/lock-order.txt",
-                    self.name,
-                    self.rank,
+                     see `lockrank::rank`",
                 );
             }
-            held.push((self.rank, self.name));
+            held.push(self.rank);
+            let chain = held.iter().map(|rank| rank.0).collect();
+            CHAINS.with(|chains| *chains.borrow_mut().entry(chain).or_insert(0) += 1);
         });
         RankedGuard {
             guard: self.raw.lock(),
@@ -121,7 +138,6 @@ impl<T> RankedMutex<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for RankedMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RankedMutex")
-            .field("name", &self.name)
             .field("rank", &self.rank)
             .field("value", &self.raw)
             .finish()
@@ -156,10 +172,7 @@ impl<T> Drop for RankedGuard<'_, T> {
         #[cfg(debug_assertions)]
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            if let Some(pos) = held
-                .iter()
-                .rposition(|&(r, n)| r == self.mutex.rank && n == self.mutex.name)
-            {
+            if let Some(pos) = held.iter().rposition(|&rank| rank == self.mutex.rank) {
                 held.remove(pos);
             }
         });
@@ -172,8 +185,8 @@ mod tests {
 
     #[test]
     fn ascending_acquisition_is_fine() {
-        let a = RankedMutex::new(10, "a", 1u32);
-        let b = RankedMutex::new(20, "b", 2u32);
+        let a = RankedMutex::new(Rank(10, "a"), 1u32);
+        let b = RankedMutex::new(Rank(20, "b"), 2u32);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 3);
@@ -181,9 +194,9 @@ mod tests {
 
     #[test]
     fn out_of_lifo_release_unwinds_correctly() {
-        let a = RankedMutex::new(10, "a", ());
-        let b = RankedMutex::new(20, "b", ());
-        let c = RankedMutex::new(30, "c", ());
+        let a = RankedMutex::new(Rank(10, "a"), ());
+        let b = RankedMutex::new(Rank(20, "b"), ());
+        let c = RankedMutex::new(Rank(30, "c"), ());
         let ga = a.lock();
         let gb = b.lock();
         drop(ga); // release the outer lock first
@@ -201,8 +214,8 @@ mod tests {
     )]
     #[should_panic(expected = "lock-order violation")]
     fn descending_acquisition_panics_in_debug() {
-        let a = RankedMutex::new(10, "a", ());
-        let b = RankedMutex::new(20, "b", ());
+        let a = RankedMutex::new(Rank(10, "a"), ());
+        let b = RankedMutex::new(Rank(20, "b"), ());
         let _gb = b.lock();
         let _ga = a.lock();
     }
@@ -214,7 +227,7 @@ mod tests {
     )]
     #[should_panic(expected = "lock-order violation")]
     fn reentrant_acquisition_panics_in_debug() {
-        let a = RankedMutex::new(10, "a", ());
+        let a = RankedMutex::new(Rank(10, "a"), ());
         let _first = a.lock();
         let _second = a.lock();
     }
@@ -222,19 +235,43 @@ mod tests {
     #[test]
     #[cfg_attr(
         not(debug_assertions),
-        ignore = "the acquisition counter is compiled out in release builds"
+        ignore = "the acquisition counters are compiled out in release builds"
     )]
-    fn acquisition_counter_advances_per_lock() {
-        let m = RankedMutex::new(10, "a", ());
+    fn acquisitions_are_counted_per_chain_of_held_ranks() {
+        let outer = RankedMutex::new(Rank(10, "a"), ());
+        let inner = RankedMutex::new(Rank(20, "b"), ());
         let before = acquisitions_on_this_thread();
-        drop(m.lock());
-        drop(m.lock());
-        assert_eq!(acquisitions_on_this_thread(), before + 2);
+        drop(inner.lock());
+        let held = outer.lock();
+        drop(inner.lock());
+        drop(held);
+        assert_eq!(acquisitions_on_this_thread(), before + 3);
+        let chains = chains_on_this_thread();
+        assert_eq!(chains[&vec![10]], 1);
+        assert_eq!(chains[&vec![20]], 1, "acquired alone: a chain of one");
+        assert_eq!(chains[&vec![10, 20]], 1, "acquired under `a`");
+    }
+
+    #[test]
+    fn the_order_ascends_and_the_book_shows_the_same_table() {
+        let ranks: Vec<u32> = rank::ORDER.iter().map(|r| r.0).collect();
+        assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{ranks:?}");
+        // docs/static-analysis.md rows: "| 10 | `paths` | ... |".
+        let documented: Vec<(u32, &str)> = include_str!("../../../docs/static-analysis.md")
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.strip_prefix("| ")?.split(" | ");
+                let rank = cells.next()?.parse().ok()?;
+                Some((rank, cells.next()?.trim_matches('`')))
+            })
+            .collect();
+        let declared: Vec<(u32, &str)> = rank::ORDER.iter().map(|r| (r.0, r.1)).collect();
+        assert_eq!(documented, declared, "book table vs `lockrank::rank`");
     }
 
     #[test]
     fn guards_deref_to_the_value() {
-        let m = RankedMutex::new(10, "a", vec![1, 2]);
+        let m = RankedMutex::new(Rank(10, "a"), vec![1, 2]);
         m.lock().push(3);
         assert_eq!(*m.lock(), vec![1, 2, 3]);
         assert!(format!("{m:?}").contains("rank"));

@@ -87,7 +87,7 @@ impl PathStats {
             created: Instant::now(),
             alpha,
             overhead_nanos,
-            shards: RankedMutex::new(rank::SHARDS, "shards", Vec::new()),
+            shards: RankedMutex::new(rank::SHARDS, Vec::new()),
         }
     }
 
@@ -395,24 +395,23 @@ impl Monitor {
                 start: Instant::now(),
                 window,
                 ewma_alpha,
-                paths: RankedMutex::new(rank::PATHS, "paths", HashMap::new()),
+                paths: RankedMutex::new(rank::PATHS, HashMap::new()),
                 epoch: RankedMutex::new(
                     rank::EPOCH,
-                    "epoch",
                     EpochState {
                         load_cbs: Vec::new(),
                         extents: HashMap::new(),
                         failed: HashMap::new(),
                     },
                 ),
-                queue_probe: RankedMutex::new(rank::QUEUE_PROBE, "queue_probe", None),
-                admission_probe: RankedMutex::new(rank::ADMISSION_PROBE, "admission_probe", None),
+                queue_probe: RankedMutex::new(rank::QUEUE_PROBE, None),
+                admission_probe: RankedMutex::new(rank::ADMISSION_PROBE, None),
                 features,
                 completed_at_reconfig: AtomicU64::new(0),
-                recorder: RankedMutex::new(rank::RECORDER, "recorder", Recorder::disabled()),
+                recorder: RankedMutex::new(rank::RECORDER, Recorder::disabled()),
                 overhead_nanos: Arc::new(AtomicU64::new(0)),
                 shard_merges: Arc::new(Counter::new()),
-                metrics: RankedMutex::new(rank::METRICS, "metrics", None),
+                metrics: RankedMutex::new(rank::METRICS, None),
             }),
         }
     }
@@ -725,7 +724,7 @@ impl Monitor {
 
         // Computed before acquiring `metrics`: monitoring_overhead_ratio
         // takes `paths` (rank 10), which must never nest under `metrics`
-        // (rank 80) — see crates/dope-lint/lock-order.txt. stats_for
+        // (rank 80) — see `lockrank::rank`. stats_for
         // nests the two the other way round, so reversing here would be
         // a deadlock window, not just a style problem.
         let overhead_secs = self.monitoring_overhead_secs();
@@ -1068,6 +1067,8 @@ mod tests {
             Duration::from_secs(1),
         );
         assert_eq!(b.total_invocations(), 1);
+        // `Debug` takes `paths` on its own: the one lock site no run hits.
+        assert!(format!("{m:?}").contains("paths: 1"), "{m:?}");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! per-worker `RecorderShard` hot path and the monitor's shard
 //! aggregation.
 //!
-//! None of this is statistical benchmarking infrastructure (criterion
-//! covers that in `crates/bench/benches/`); these are cheap wall-clock
-//! probes whose job is to catch gross regressions, machine to machine,
-//! run to run.
+//! None of this is statistical benchmarking infrastructure (the repo
+//! benchmark under `benchmark/` is the yardstick); these are cheap
+//! wall-clock probes whose job is to catch gross regressions, machine to
+//! machine, run to run.
 
 use crate::instance::LiveCx;
 use crate::monitor::Monitor;

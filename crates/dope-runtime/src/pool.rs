@@ -74,11 +74,18 @@ impl WorkerPool {
     #[must_use]
     pub fn new(threads: u32) -> Self {
         assert!(threads >= 1, "pool needs at least one thread");
-        // dope-lint: allow(DL005): depth is bounded by the jobs the executive submits per epoch; submission is throttled by the epoch rendezvous, not by this queue
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "depth is bounded by the jobs the executive submits per epoch; submission is throttled by the epoch rendezvous, not by this queue"
+        )]
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
         let dispatched = Arc::new(Counter::new());
         let parks = Arc::new(Counter::new());
         let panics_caught = Arc::new(Counter::new());
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn failure during pool construction is unrecoverable and is the constructor's documented panic contract"
+        )]
         let handles = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
@@ -101,7 +108,6 @@ impl WorkerPool {
                             parks.inc();
                         }
                     })
-                    // dope-lint: allow(DL005): spawn failure during pool construction is unrecoverable and is the constructor's documented panic contract
                     .expect("spawning a worker thread")
             })
             .collect();

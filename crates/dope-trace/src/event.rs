@@ -392,11 +392,10 @@ mod tests {
         assert!(TraceEvent::KINDS.contains(&event.kind()));
     }
 
-    /// The additive-field contract (formerly dope-lint DL006): every
-    /// name and key that has shipped — the baseline file — must still be
-    /// in the schema table, and anything the table adds must be appended
-    /// to the baseline in the same change, so a removal cannot be
-    /// disguised as a rename.
+    /// The additive-field contract: every name and key that has
+    /// shipped — the baseline file — must still be in the schema table,
+    /// and anything the table adds must be appended to the baseline in
+    /// the same change, so a removal cannot be disguised as a rename.
     #[test]
     fn schema_table_matches_the_shipped_baseline() {
         // The envelope is a plain struct, not a table entry; destructuring

@@ -69,6 +69,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// `clippy.toml` bans `Instant::now()` here; a waiver states its reason.
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod admission;
 pub mod codec;

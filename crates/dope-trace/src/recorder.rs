@@ -102,7 +102,10 @@ impl Recorder {
     pub fn bounded(capacity: usize) -> Self {
         Recorder {
             inner: Some(Arc::new(Inner {
-                // dope-lint: allow(DL005): the recorder's single sanctioned clock anchor — every record path derives its time_secs from this instant
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the recorder's single sanctioned clock anchor — every record path derives its time_secs from this instant"
+                )]
                 start: Instant::now(),
                 dropped: AtomicU64::new(0),
                 capacity: capacity.max(1),

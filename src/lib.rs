@@ -15,8 +15,6 @@
 //! * [`dope_apps`] — the six benchmark applications;
 //! * [`dope_trace`] — the flight recorder: structured executive events,
 //!   the JSONL codec, deterministic replay, and the timeline CLI;
-//! * [`dope_lint`] — the workspace static analyzer: seven `DL0xx` passes
-//!   enforcing the cross-crate contracts the compiler cannot see;
 //! * [`dope_bench`] — the figure/table harness and the perf gate
 //!   (`BENCH_perf.json` microbench reports and baseline diffing).
 //!
@@ -27,7 +25,6 @@
 pub use dope_apps as apps;
 pub use dope_bench as bench;
 pub use dope_core as core;
-pub use dope_lint as lint;
 pub use dope_mechanisms as mechanisms;
 pub use dope_platform as platform;
 pub use dope_runtime as runtime;
@@ -70,8 +67,8 @@ pub mod docs {
     #[doc = include_str!("../docs/performance.md")]
     pub mod performance {}
 
-    /// `docs/static-analysis.md`: the `dope-lint` DL catalogue, waiver
-    /// syntax, exit codes, and the lock-order manifest.
+    /// `docs/static-analysis.md`: the cross-crate contracts, who
+    /// enforces each, how to waive one, and the lock-rank table.
     #[doc = include_str!("../docs/static-analysis.md")]
     pub mod static_analysis {}
 }

@@ -1,52 +1,186 @@
 //! Keeps the prose documentation in lock-step with the code.
 //!
 //! The Rust examples in `docs/` are already enforced as doctests of the
-//! umbrella crate (see `src/lib.rs`). The markdown-prose contracts —
-//! the DV diagnostic catalogue and the metric naming table — are
-//! enforced by `dope-lint`'s DL003 and DL002 passes, invoked here as a
-//! library so plain `cargo test` catches drift with full `file:line`
-//! findings instead of ad-hoc string scans. What remains inline are the
-//! checks dope-lint does not model: per-event schema sections, the
-//! stated schema version, and the book's cross-references.
+//! umbrella crate (see `src/lib.rs`). The markdown-prose contracts are
+//! asserted here, each directly against the catalogue it documents:
+//! the metric naming table against `dope_metrics::names::ALL`, the DV
+//! table against `DiagCode::ALL`, the per-event schema sections against
+//! `TraceEvent::FIELDS`, and the book's relative links against the tree.
+//! (The lock-rank table is checked next to its owner, in
+//! `dope_runtime::lockrank`.)
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
-use dope_lint::{DlCode, Report};
+use dope_core::DiagCode;
+use dope_metrics::names;
 use dope_trace::TraceEvent;
 
 const EVENT_SCHEMA: &str = include_str!("../docs/event-schema.md");
 const ARCHITECTURE: &str = include_str!("../docs/architecture.md");
 const OPERATOR_GUIDE: &str = include_str!("../docs/operator-guide.md");
-const STATIC_ANALYSIS: &str = include_str!("../docs/static-analysis.md");
 const OVERLOAD: &str = include_str!("../docs/overload.md");
 const BOOK_INDEX: &str = include_str!("../docs/README.md");
 
-fn lint_workspace() -> Report {
-    dope_lint::check(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("lint the workspace")
-}
-
-fn assert_no_findings(report: &Report, code: DlCode) {
-    let drift: Vec<_> = report.findings.iter().filter(|f| f.code == code).collect();
-    assert!(
-        drift.is_empty(),
-        "{code} ({}) drift:\n{drift:#?}",
-        code.title()
-    );
+/// How `guide`'s metric table (the rows starting ``| `dope_``) differs
+/// from `names::ALL`: rows outside the catalogue, then names with no row.
+fn metric_table_drift(guide: &str) -> Vec<String> {
+    let rows: BTreeSet<&str> = guide
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("| `")?.split('`').next())
+        .filter(|name| name.starts_with("dope_"))
+        .collect();
+    let all: BTreeSet<&str> = names::ALL.iter().copied().collect();
+    let undeclared = rows.difference(&all).map(|name| format!("+{name}"));
+    let undocumented = all.difference(&rows).map(|name| format!("-{name}"));
+    undeclared.chain(undocumented).collect()
 }
 
 #[test]
-fn metric_catalogue_registrations_and_guide_agree() {
-    // DL002 closes the loop ad-hoc scans here used to check one side
-    // of: names::ALL <-> declared consts <-> live registrations <-> the
-    // operator guide's naming table.
-    assert_no_findings(&lint_workspace(), DlCode::MetricNameDrift);
+fn operator_guide_metric_table_is_the_catalogue() {
+    assert_eq!(metric_table_drift(OPERATOR_GUIDE), [""; 0]);
+}
+
+#[test]
+fn the_metric_table_check_bites_in_both_directions() {
+    // A row the catalogue lacks, then a catalogued name with no row.
+    let extra = format!("{OPERATOR_GUIDE}\n| `dope_bogus_total` | counter | |\n");
+    assert_eq!(metric_table_drift(&extra), ["+dope_bogus_total"]);
+    let missing = OPERATOR_GUIDE.replace("| `dope_shed_total`", "| `shed_total`");
+    assert_eq!(metric_table_drift(&missing), ["-dope_shed_total"]);
+}
+
+/// Every `DVnnn` code `text` mentions (`DV0xx` prose is not one).
+fn dv_codes(text: &str) -> BTreeSet<&str> {
+    text.match_indices("DV")
+        .filter_map(|(at, _)| text.get(at..at + 5))
+        .filter(|code| code[2..].bytes().all(|b| b.is_ascii_digit()))
+        .collect()
 }
 
 #[test]
 fn dv_catalogue_and_event_schema_book_agree() {
-    // DL003: every catalogued DV code documented, every documented code
-    // catalogued, every DiagCode reference declared.
-    assert_no_findings(&lint_workspace(), DlCode::DvCodeDrift);
+    // Set equality is both directions: every catalogued code documented,
+    // every documented code catalogued. (`Error::code()` is an exhaustive
+    // `match` onto `DiagCode`; the compiler holds that half.)
+    let catalogued: BTreeSet<&str> = DiagCode::ALL.iter().map(|c| c.as_str()).collect();
+    assert_eq!(dv_codes(EVENT_SCHEMA), catalogued);
+}
+
+#[test]
+fn the_dv_scan_reads_codes_not_the_dv0xx_placeholder() {
+    assert_eq!(
+        dv_codes("`DV0xx` codes: DV001, \"code\": \"DV099\""),
+        BTreeSet::from(["DV001", "DV099"])
+    );
+}
+
+/// Link targets of `text`, skipping fenced blocks and code spans.
+fn links(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            // Odd segments between backticks are code spans.
+            for mut prose in line.split('`').step_by(2) {
+                while let Some((_, after)) = prose.split_once("](") {
+                    let Some((target, rest)) = after.split_once(')') else {
+                        break;
+                    };
+                    // `[text](target "title")`: the target is the first word.
+                    out.extend(target.split_whitespace().next());
+                    prose = rest;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// GitHub heading slugs of `markdown`: lowercase, punctuation dropped,
+/// spaces to hyphens, a repeated heading suffixed `-1`, `-2`, ...
+fn heading_slugs(markdown: &str) -> Vec<String> {
+    let mut slugs: Vec<String> = Vec::new();
+    let mut fenced = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced && line.starts_with('#') {
+            let slug: String = line
+                .trim_start_matches('#')
+                .trim()
+                .to_ascii_lowercase()
+                .chars()
+                .filter(|c| c.is_ascii_alphanumeric() || "-_ ".contains(*c))
+                .map(|c| if c == ' ' { '-' } else { c })
+                .collect();
+            let repeats = slugs.iter().filter(|s| **s == slug).count();
+            slugs.push(if repeats == 0 {
+                slug
+            } else {
+                format!("{slug}-{repeats}")
+            });
+        }
+    }
+    slugs
+}
+
+/// The relative links of `page` (workspace-relative name, body `text`)
+/// that name no file in the workspace or no heading in their target.
+fn dead_links(page: &str, text: &str) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .canonicalize()
+        .expect("workspace root");
+    let page_path = root.join(page);
+    let mut dead = Vec::new();
+    for target in links(text) {
+        if ["http://", "https://", "mailto:"]
+            .iter()
+            .any(|scheme| target.starts_with(scheme))
+        {
+            continue;
+        }
+        let (path, fragment) = target.split_once('#').unwrap_or((target, ""));
+        let file = page_path.with_file_name(path);
+        let body = if path.is_empty() {
+            text.to_string() // a same-page `#fragment`
+        } else if !file.canonicalize().is_ok_and(|f| f.starts_with(&root)) {
+            dead.push(format!("{page}: `{target}` names no file in the workspace"));
+            continue;
+        } else if path.ends_with(".md") {
+            std::fs::read_to_string(&file).expect("read link target")
+        } else {
+            continue; // only markdown has headings to check a fragment against
+        };
+        if !fragment.is_empty() && !heading_slugs(&body).iter().any(|slug| slug == fragment) {
+            dead.push(format!("{page}: `{target}` names no heading of its target"));
+        }
+    }
+    dead
+}
+
+#[test]
+fn the_link_check_reports_dead_paths_and_dead_fragments_only() {
+    let page = "# Here\n[ok](overload.md) [self](#here) [web](https://example.com/gone.md)\n\
+        [gone](no-such-chapter.md) and [lost](README.md#no-such-heading \"title\")\n\
+        ```text\n[fenced](nope.md)\n```\ncode span `[idx](nope.md)`, [up](../README.md#workspace-layout)\n";
+    assert_eq!(
+        dead_links("docs/fabricated.md", page),
+        [
+            "docs/fabricated.md: `no-such-chapter.md` names no file in the workspace",
+            "docs/fabricated.md: `README.md#no-such-heading` names no heading of its target",
+        ]
+    );
+}
+
+#[test]
+fn heading_slugs_follow_github() {
+    assert_eq!(
+        heading_slugs("## The `Shed` policy: drop, don't wait\n## Setup\n## Setup\n"),
+        ["the-shed-policy-drop-dont-wait", "setup", "setup-1"]
+    );
 }
 
 #[test]
@@ -109,24 +243,31 @@ fn book_pages_cross_reference_each_other() {
 
 #[test]
 fn book_index_links_every_chapter_and_every_link_resolves() {
-    // The index must name each chapter file in docs/ exactly once as a
-    // link target...
-    let chapters =
-        std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("docs")).expect("read docs/");
-    for entry in chapters {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut pages = vec!["README.md".to_string()];
+    for entry in std::fs::read_dir(root.join("docs")).expect("read docs/") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy();
-        if name == "README.md" || !name.ends_with(".md") {
+        if !name.ends_with(".md") {
             continue;
         }
+        // The index must name each chapter file in docs/ as a link target...
         assert!(
-            BOOK_INDEX.contains(&format!("]({name})")),
+            name == "README.md" || BOOK_INDEX.contains(&format!("]({name})")),
             "docs/README.md does not link chapter {name}"
         );
+        pages.push(format!("docs/{name}"));
     }
-    // ...and DL007 proves every relative link in the whole book (index
-    // included) resolves to a real file and a real heading.
-    assert_no_findings(&lint_workspace(), DlCode::DocsLink);
+    // ...and every relative link in the whole book (index included)
+    // resolves to a real file and, for a `#fragment`, a real heading.
+    let dead: Vec<String> = pages
+        .iter()
+        .flat_map(|page| {
+            let text = std::fs::read_to_string(root.join(page)).expect("read page");
+            dead_links(page, &text)
+        })
+        .collect();
+    assert!(dead.is_empty(), "dead links in the book:\n{dead:#?}");
 }
 
 #[test]
@@ -150,44 +291,6 @@ fn overload_chapter_covers_the_surface_it_owns() {
         assert!(
             OVERLOAD.contains(needle),
             "docs/overload.md is missing {needle}"
-        );
-    }
-}
-
-#[test]
-fn static_analysis_doc_catalogues_every_dl_code() {
-    for code in DlCode::ALL {
-        assert!(
-            STATIC_ANALYSIS.contains(code.as_str()),
-            "docs/static-analysis.md is missing {}",
-            code.as_str()
-        );
-    }
-    assert!(
-        STATIC_ANALYSIS.contains("dope-lint: allow("),
-        "docs/static-analysis.md must document the waiver syntax"
-    );
-}
-
-#[test]
-fn lock_order_manifest_is_documented() {
-    // Every manifest lock name must appear in the static-analysis book's
-    // rank table, so the documented order cannot drift from the one the
-    // lint (and the debug rank guard) enforce.
-    let manifest = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/dope-lint/lock-order.txt"),
-    )
-    .expect("read lock-order manifest");
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (rank, name) = line.split_once(' ').expect("manifest line is `rank name`");
-        let row = format!("| {rank} | `{name}` |");
-        assert!(
-            STATIC_ANALYSIS.contains(&row),
-            "docs/static-analysis.md lock-order table is missing `{name}` (rank {rank})"
         );
     }
 }
