@@ -153,7 +153,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     explain "$OVERLOAD_TRACE" | grep -q "decision audit:"
   cargo test -q --release --offline --test admission_overload
 
-  step "perf smoke: record-path / snapshot / reconfigure / fig11 gates"
+  step "perf smoke: record-path / snapshot / reconfigure / fig11 gates, allocation budgets"
   # Reduced-configuration run of the perf gate (docs/performance.md).
   # The binary itself enforces the in-run invariants (the delta drain
   # pauses >= 4x less than the full drain; the overload frontier holds)
@@ -170,9 +170,14 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo run -q --release --offline -p dope-bench --bin perf -- --check="$PERF_OUT"
   cargo run -q --release --offline -p dope-bench --bin perf -- \
     --check=results/perf-baseline.json
-  # The per-PR ledger is appended by hand: every row must parse.
+  # The per-PR ledger is appended by hand: every row must parse and name
+  # real commits.
   cargo run -q --release --offline -p dope-bench --bin perf -- \
     --check-history=results/perf-history.jsonl
+  # What a control period allocates is a budget, not a reading: a counting
+  # allocator pins allocations per recorded sim request, heap per
+  # snapshot and decision record, and the zero-copy ring hand-over.
+  cargo test -q --release --offline --test alloc_budget
 fi
 
 step "ci.sh: all checks passed"

@@ -14,11 +14,16 @@
 //! `--check=PATH` runs no benches: it validates an existing report
 //! against the strict codec and schema tag, then exits.
 //! `--check-history=PATH` does the same for every line of the per-PR
-//! ledger `results/perf-history.jsonl` (strict codec, a `pr` number).
+//! ledger `results/perf-history.jsonl` (strict codec, a `pr` number, a
+//! hexadecimal `parent` and — once backfilled — `commit`).
 
 use dope_bench::perf;
 use dope_core::json::parse;
 use std::process::ExitCode;
+
+/// Counts allocations for the `control` section's per-consult readings.
+#[global_allocator]
+static ALLOCATOR: dope_bench::alloc::Counting = dope_bench::alloc::Counting;
 
 fn main() -> ExitCode {
     let mut quick = false;
@@ -142,7 +147,7 @@ fn check_report(path: &str) -> ExitCode {
 }
 
 /// Validates the per-PR perf ledger: every line must parse under the
-/// strict codec and say which PR it is.
+/// strict codec and pass [`perf::history_row_pr`].
 fn check_history(path: &str) -> ExitCode {
     let text = match read(path) {
         Ok(text) => text,
@@ -150,10 +155,10 @@ fn check_history(path: &str) -> ExitCode {
     };
     let mut last = None;
     for (at, line) in text.lines().enumerate() {
-        match parse(line).map(|row| row.get("pr").and_then(|pr| pr.as_f64())) {
-            Ok(Some(pr)) => last = Some(pr),
-            Ok(None) => {
-                eprintln!("perf: {path}:{}: no numeric `pr` field", at + 1);
+        match parse(line).map(|row| perf::history_row_pr(&row)) {
+            Ok(Ok(pr)) => last = Some(pr),
+            Ok(Err(why)) => {
+                eprintln!("perf: {path}:{}: {why}", at + 1);
                 return ExitCode::FAILURE;
             }
             Err(err) => {

@@ -19,12 +19,14 @@
 //! | [`metrics`] | `--metrics` Prometheus-text registry dumps for fig11/fig15 |
 //! | [`perf`] | perf gate: pinned microbenches emitting `BENCH_perf.json` (beyond the paper) |
 //! | [`overload`] | overload probe: admission policies under 10x offered load (beyond the paper) |
+//! | [`alloc`] | counting allocator behind the allocation budgets of a control period (beyond the paper) |
 //!
 //! Run any artifact with `cargo run -p dope-bench --release --bin <id>`.
 
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod alloc;
 pub mod fig02;
 pub mod fig11;
 pub mod fig12;

@@ -28,7 +28,8 @@
 //!    the cost of the bare no-waiter notify they no longer pay;
 //! 8. **control** — one `ControlCore` tick on an 8-path snapshot against
 //!    a no-op sink: the consult/judge hop of a control period, holding
-//!    and accepting. Ledger only: no gate, no baseline row;
+//!    and accepting; and what one recorded simulator consult allocates
+//!    ([`record_sim_point`]). Ledger only: no gate, no baseline row;
 //! 9. **monitor** — what "time one in k" costs and buys: a timed and an
 //!    untimed `begin`..`end` on the live task context, the share of
 //!    invocations timed back to back and 2 ms apart
@@ -52,8 +53,9 @@ use dope_core::{
     TaskStats, TaskStatus, WorkerSlot,
 };
 use dope_mechanisms::WqLinear;
-use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{AdmissionQueue, DequeueOutcome, ResponseStats, WorkQueue};
+use dope_sim::system::{run_system_observed, SystemParams};
+use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
+use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, ResponseStats, WorkQueue};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -483,12 +485,44 @@ fn bench_handoff(quick: bool) -> Value {
     ])
 }
 
+/// Records `requests` transcode requests at load 1.0 (seed 7, 24
+/// contexts) under WQ-Linear, the way the repo benchmark's `sim_replay`
+/// records a grid point — bounded recorder, [`RecordingObserver`],
+/// `finished`, `drain` — and returns the recording with the allocations
+/// and bytes that took on the calling thread (see
+/// [`crate::alloc::measure`]). The arrival schedule is built outside the
+/// count.
+#[must_use]
+pub fn record_sim_point(requests: usize) -> (Vec<TraceRecord>, u64, u64) {
+    const CONTEXTS: u32 = 24;
+    let model = transcode::sim_model();
+    let schedule =
+        ArrivalSchedule::for_load_factor(1.0, model.max_throughput(CONTEXTS, 1), requests, 7);
+    let mut mechanism = WqLinear::new(1, 8, 12.0);
+    crate::alloc::measure(|| {
+        let recorder = Recorder::bounded(schedule.len() * 8 + 64);
+        let mut observer = RecordingObserver::new(recorder.clone()).with_goal("MinResponseTime");
+        let outcome = run_system_observed(
+            &model,
+            &schedule,
+            &mut mechanism,
+            Resources::threads(CONTEXTS),
+            &SystemParams::default(),
+            &mut observer,
+        );
+        observer.finished(outcome.completed, outcome.config_changes);
+        recorder.drain()
+    })
+}
+
 /// The control-tick hop of the ledger: one [`ControlCore::tick`] on an
 /// 8-path snapshot against [`NullSink`]. `tick_hold_ns` is a consult
 /// that proposes nothing; `tick_accept_ns` one whose proposal (a
 /// single-leaf extent flip) is accepted, with the partial drain and the
 /// relaunch answered at once — judge, delta classification, two
 /// configuration clones and the history push included.
+/// `allocs_per_consult` / `bytes_per_consult` are [`record_sim_point`]'s
+/// counts over its consults (one `SnapshotTaken` each).
 fn bench_control(quick: bool) -> Value {
     const PATHS: u16 = 8;
     /// Flips the first leaf between extents 1 and 2, or holds.
@@ -557,11 +591,25 @@ fn bench_control(quick: bool) -> Value {
         }
         best
     };
+    let (records, allocs, bytes) = record_sim_point(if quick { 500 } else { 2_000 });
+    let consults = records
+        .iter()
+        .filter(|record| matches!(record.event, TraceEvent::SnapshotTaken { .. }))
+        .count()
+        .max(1) as f64;
     obj(vec![
         ("paths", Value::Number(u64::from(PATHS))),
         ("iters", Value::Number(iters)),
         ("tick_hold_ns", Value::from_f64(ns_per_tick(false))),
         ("tick_accept_ns", Value::from_f64(ns_per_tick(true))),
+        (
+            "allocs_per_consult",
+            Value::from_f64(allocs as f64 / consults),
+        ),
+        (
+            "bytes_per_consult",
+            Value::from_f64(bytes as f64 / consults),
+        ),
     ])
 }
 
@@ -775,6 +823,36 @@ pub fn compare(current: &Value, baseline: &Value, threshold: f64) -> Vec<String>
     regressions
 }
 
+/// Checks one row of the per-PR ledger (`results/perf-history.jsonl`)
+/// and returns its `pr` number: `pr` must be a number, `parent` a commit
+/// id of 7-40 hex digits, and so must `commit` when the row has one — a
+/// row is written before its own commit exists, so the next PR
+/// backfills it, and a placeholder can never stand in.
+///
+/// # Errors
+///
+/// Says which field is missing or malformed.
+pub fn history_row_pr(row: &Value) -> Result<f64, String> {
+    let pr = row
+        .get("pr")
+        .and_then(Value::as_f64)
+        .ok_or("no numeric `pr` field")?;
+    let is_commit_id = |id: &Value| {
+        id.as_str().is_some_and(|id| {
+            (7..=40).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_hexdigit())
+        })
+    };
+    for (key, required) in [("parent", true), ("commit", false)] {
+        match row.get(key) {
+            Some(id) if is_commit_id(id) => {}
+            None if !required => {}
+            Some(_) => return Err(format!("`{key}` is not a commit id of 7-40 hex digits")),
+            None => return Err(format!("no `{key}` commit id")),
+        }
+    }
+    Ok(pr)
+}
+
 /// Renders the report as a short human-readable summary.
 #[must_use]
 pub fn summary(report: &Value) -> String {
@@ -800,6 +878,8 @@ pub fn summary(report: &Value) -> String {
         ("handoff", "wake_us"),
         ("control", "tick_hold_ns"),
         ("control", "tick_accept_ns"),
+        ("control", "allocs_per_consult"),
+        ("control", "bytes_per_consult"),
         ("monitor", "invoke_timed_ns"),
         ("monitor", "invoke_untimed_ns"),
         ("monitor", "timed_share_saturated"),
@@ -944,6 +1024,27 @@ mod tests {
             compare(&snap(20_000, 150.0), &snap(20_000, 15.0), 0.5).len(),
             1
         );
+    }
+
+    #[test]
+    fn ledger_rows_need_a_pr_and_real_commit_ids() {
+        let row = |text: &str| history_row_pr(&parse(text).expect("test rows are valid JSON"));
+        assert_eq!(
+            row(r#"{"pr": 19, "commit": "4326c66", "parent": "b69d92f"}"#),
+            Ok(19.0)
+        );
+        // A row cannot know its own commit yet; its parent it must know.
+        assert_eq!(row(r#"{"pr": 20, "parent": "4326c66"}"#), Ok(20.0));
+        assert!(row(r#"{"pr": 20, "commit": "4326c66"}"#).is_err());
+        for placeholder in ["this commit", "4326c6", "4326c6g", ""] {
+            let text = format!(r#"{{"pr": 19, "commit": "{placeholder}", "parent": "b69d92f"}}"#);
+            assert!(
+                row(&text).unwrap_err().contains("`commit`"),
+                "{placeholder:?}"
+            );
+        }
+        assert!(row(r#"{"pr": 19, "commit": "4326c66", "parent": 7}"#).is_err());
+        assert!(row(r#"{"commit": "4326c66", "parent": "b69d92f"}"#).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `<DoP_outer, DoP_inner> = <(3, DOALL), (8, PIPE)>`.
 
 use crate::error::{Error, Result};
+use crate::label::Label;
 use crate::path::TaskPath;
 use crate::shape::{ParKind, ProgramShape, ShapeNode};
 use crate::spec::TaskKind;
@@ -25,7 +26,7 @@ pub struct NestConfig {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TaskConfig {
     /// Task name; must match the shape during validation.
-    pub name: String,
+    pub name: Label,
     /// Replicas (nested tasks) or concurrent workers (leaf tasks).
     pub extent: u32,
     /// Inner configuration for nested tasks; `None` for leaves.
@@ -35,7 +36,7 @@ pub struct TaskConfig {
 impl TaskConfig {
     /// Configuration of a leaf task with `extent` workers.
     #[must_use]
-    pub fn leaf(name: impl Into<String>, extent: u32) -> Self {
+    pub fn leaf(name: impl Into<Label>, extent: u32) -> Self {
         TaskConfig {
             name: name.into(),
             extent,
@@ -47,7 +48,7 @@ impl TaskConfig {
     /// alternative `alternative` configured by `tasks`.
     #[must_use]
     pub fn nest(
-        name: impl Into<String>,
+        name: impl Into<Label>,
         extent: u32,
         alternative: usize,
         tasks: Vec<TaskConfig>,

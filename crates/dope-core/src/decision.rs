@@ -15,6 +15,8 @@
 //! `dope_mechanism_prediction_error` / `dope_decision_rationale_total`
 //! metrics.
 
+use crate::label::Label;
+
 /// Stable machine-readable reason codes for mechanism decisions.
 ///
 /// Codes are part of the trace contract (`docs/event-schema.md`): they
@@ -138,7 +140,7 @@ impl std::fmt::Display for Rationale {
 pub struct DecisionCandidate {
     /// Human-readable action label, e.g. `"width=6"` or
     /// `"grow 0.2 -> 5"`. Stable enough to grep, not a wire format.
-    pub action: String,
+    pub action: Label,
     /// The mechanism's internal score for this candidate (higher is
     /// better unless the mechanism documents otherwise).
     pub score: f64,
@@ -150,7 +152,7 @@ pub struct DecisionCandidate {
 impl DecisionCandidate {
     /// A candidate with an action label and score, no throughput model.
     #[must_use]
-    pub fn new(action: impl Into<String>, score: f64) -> Self {
+    pub fn new(action: impl Into<Label>, score: f64) -> Self {
         DecisionCandidate {
             action: action.into(),
             score,
@@ -179,12 +181,12 @@ pub struct DecisionTrace {
     pub rationale: Rationale,
     /// Named signals the mechanism actually read from the snapshot
     /// (occupancy, per-stage loads, power, ...), in read order.
-    pub observed: Vec<(String, f64)>,
+    pub observed: Vec<(Label, f64)>,
     /// The candidate actions weighed, with scores.
     pub candidates: Vec<DecisionCandidate>,
     /// Label of the chosen action (matches a candidate's `action` when
     /// candidates are listed; `"hold"` for no-change decisions).
-    pub chosen: String,
+    pub chosen: Label,
     /// Predicted steady-state throughput (items/sec) under the chosen
     /// action, or `None` when unmodelled. This is the value the
     /// executive scores one epoch later.
@@ -195,7 +197,7 @@ impl DecisionTrace {
     /// A trace with a rationale and chosen-action label; signals,
     /// candidates, and the prediction are filled in with the builders.
     #[must_use]
-    pub fn new(rationale: Rationale, chosen: impl Into<String>) -> Self {
+    pub fn new(rationale: Rationale, chosen: impl Into<Label>) -> Self {
         DecisionTrace {
             rationale,
             observed: Vec::new(),
@@ -207,7 +209,7 @@ impl DecisionTrace {
 
     /// Appends one observed signal.
     #[must_use]
-    pub fn observing(mut self, signal: impl Into<String>, value: f64) -> Self {
+    pub fn observing(mut self, signal: impl Into<Label>, value: f64) -> Self {
         self.observed.push((signal.into(), value));
         self
     }

@@ -557,7 +557,7 @@ pub fn shape_from_value(value: &Value) -> Result<ProgramShape, JsonError> {
 #[must_use]
 pub fn task_config_to_value(task: &TaskConfig) -> Value {
     let mut fields = vec![
-        ("name".to_string(), Value::String(task.name.clone())),
+        ("name".to_string(), Value::String(task.name.to_string())),
         ("extent".to_string(), Value::Number(u64::from(task.extent))),
     ];
     if let Some(nest) = &task.nested {
@@ -623,7 +623,7 @@ pub fn task_config_from_value(value: &Value) -> Result<TaskConfig, JsonError> {
         }
     };
     Ok(TaskConfig {
-        name,
+        name: name.into(),
         extent,
         nested,
     })

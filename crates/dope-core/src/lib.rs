@@ -56,6 +56,7 @@ pub mod ewma;
 pub mod failure;
 pub mod goal;
 pub mod json;
+pub mod label;
 pub mod mechanism;
 pub mod metrics;
 pub mod nest;
@@ -74,8 +75,9 @@ pub use error::{Error, Result};
 pub use ewma::Ewma;
 pub use failure::{FailurePolicy, FailureVerdict, TaskOutcome};
 pub use goal::Goal;
+pub use label::Label;
 pub use mechanism::{Mechanism, Resources, StaticMechanism};
-pub use metrics::{MonitorSnapshot, QueueStats, TaskStats};
+pub use metrics::{MonitorSnapshot, QueueStats, TaskStats, TaskTable};
 pub use path::TaskPath;
 pub use shape::{ParKind, ProgramShape, ShapeNode};
 pub use spec::{BodyFactory, NestFactory, TaskKind, TaskSpec, Work, WorkerSlot};

@@ -10,7 +10,6 @@
 use crate::admission::AdmissionStats;
 use crate::path::TaskPath;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-task monitoring statistics, aggregated across replicas and workers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -56,6 +55,73 @@ pub struct QueueStats {
     pub completed: u64,
 }
 
+/// The per-task rows of a snapshot: a flat table sorted by path, one row
+/// per path.
+///
+/// It iterates in path order and replaces on a repeated `insert`, like
+/// the map it stands in for, but is one `Vec`: building, cloning and
+/// recording a snapshot allocates its rows and nothing else.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct TaskTable(Vec<(TaskPath, TaskStats)>);
+
+impl TaskTable {
+    /// Sets the row for `path`, returning the statistics it replaces.
+    pub fn insert(&mut self, path: TaskPath, stats: TaskStats) -> Option<TaskStats> {
+        match self.0.binary_search_by(|(at, _)| at.cmp(&path)) {
+            Ok(row) => Some(std::mem::replace(&mut self.0[row].1, stats)),
+            Err(row) => {
+                self.0.insert(row, (path, stats));
+                None
+            }
+        }
+    }
+
+    /// The statistics for `path`, if it has a row.
+    #[must_use]
+    pub fn get(&self, path: &TaskPath) -> Option<&TaskStats> {
+        let row = self.0.binary_search_by(|(at, _)| at.cmp(path)).ok()?;
+        Some(&self.0[row].1)
+    }
+
+    /// The rows, in path order.
+    pub fn iter(&self) -> impl Iterator<Item = (&TaskPath, &TaskStats)> {
+        self.0.iter().map(|(path, stats)| (path, stats))
+    }
+
+    /// The statistics of every row, in path order.
+    pub fn values(&self) -> impl Iterator<Item = &TaskStats> {
+        self.0.iter().map(|(_, stats)| stats)
+    }
+
+    /// The statistics of every row, mutably, in path order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut TaskStats> {
+        self.0.iter_mut().map(|(_, stats)| stats)
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` when no task has a row.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Rows in any order; of rows sharing a path the last one stays.
+impl FromIterator<(TaskPath, TaskStats)> for TaskTable {
+    fn from_iter<I: IntoIterator<Item = (TaskPath, TaskStats)>>(rows: I) -> Self {
+        let mut table = TaskTable::default();
+        for (path, stats) in rows {
+            table.insert(path, stats);
+        }
+        table
+    }
+}
+
 /// A frozen view of everything the executive monitors.
 ///
 /// # Example
@@ -83,7 +149,7 @@ pub struct MonitorSnapshot {
     /// Seconds since the executive launched the application.
     pub time_secs: f64,
     /// Per-task statistics keyed by configured-tree path.
-    pub tasks: BTreeMap<TaskPath, TaskStats>,
+    pub tasks: TaskTable,
     /// Work-queue statistics.
     pub queue: QueueStats,
     /// Latest platform power sample, if a power feature is registered.
@@ -143,6 +209,52 @@ impl MonitorSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        /// The flat table against the `BTreeMap` it replaced, over
+        /// insert sequences drawn from few enough paths (depth 0-3,
+        /// indices 0-2) that most sequences repeat some: every `insert`
+        /// returns what the map's returns, and afterwards `iter` order,
+        /// `values`, `get` of present and absent paths and `len` agree.
+        #[test]
+        fn the_task_table_is_a_path_ordered_map(
+            paths in prop::collection::vec(prop::collection::vec(0u16..3, 0..4), 0..48),
+            counts in prop::collection::vec(any::<u64>(), 48),
+        ) {
+            let mut table = TaskTable::default();
+            let mut map = BTreeMap::new();
+            for (indices, &invocations) in paths.iter().zip(&counts) {
+                let path = TaskPath::from_indices(indices.iter().copied());
+                let stats = TaskStats { invocations, ..TaskStats::default() };
+                prop_assert_eq!(table.insert(path.clone(), stats), map.insert(path, stats));
+            }
+            prop_assert_eq!(table.len(), map.len());
+            prop_assert_eq!(table.is_empty(), map.is_empty());
+            prop_assert_eq!(table.iter().collect::<Vec<_>>(), map.iter().collect::<Vec<_>>());
+            prop_assert_eq!(table.values().collect::<Vec<_>>(), map.values().collect::<Vec<_>>());
+            for indices in &paths {
+                let present = TaskPath::from_indices(indices.iter().copied());
+                let absent = present.child(9);
+                prop_assert_eq!(table.get(&present), map.get(&present));
+                prop_assert_eq!(table.get(&absent), None);
+            }
+            for stats in table.values_mut() {
+                stats.load = 1.0;
+            }
+            prop_assert!(table.values().all(|stats| stats.load == 1.0));
+            let rebuilt: TaskTable = paths
+                .iter()
+                .zip(&counts)
+                .map(|(indices, &invocations)| (
+                    TaskPath::from_indices(indices.iter().copied()),
+                    TaskStats { invocations, load: 1.0, ..TaskStats::default() },
+                ))
+                .collect();
+            prop_assert_eq!(rebuilt, table);
+        }
+    }
 
     fn sample(mean: f64, thr: f64, inv: u64) -> TaskStats {
         TaskStats {

@@ -149,7 +149,7 @@ fn build_with_alt(
             let path = TaskPath::root_child(i as u16);
             if path == nest.outer {
                 let children = alt.iter().map(|c| child_config(c, d)).collect();
-                TaskConfig::nest(n.name.clone(), outer_extent, alt_idx, children)
+                TaskConfig::nest(n.name.as_str(), outer_extent, alt_idx, children)
             } else {
                 default_config(n)
             }
@@ -164,10 +164,10 @@ fn child_config(node: &ShapeNode, d: u32) -> TaskConfig {
             TaskKind::Seq => 1,
             TaskKind::Par => node.max_extent.map_or(d, |m| d.min(m)).max(1),
         };
-        TaskConfig::leaf(node.name.clone(), extent)
+        TaskConfig::leaf(node.name.as_str(), extent)
     } else {
         TaskConfig::nest(
-            node.name.clone(),
+            node.name.as_str(),
             1,
             0,
             node.alternatives[0]
@@ -180,10 +180,10 @@ fn child_config(node: &ShapeNode, d: u32) -> TaskConfig {
 
 fn default_config(node: &ShapeNode) -> TaskConfig {
     if node.is_leaf() {
-        TaskConfig::leaf(node.name.clone(), 1)
+        TaskConfig::leaf(node.name.as_str(), 1)
     } else {
         TaskConfig::nest(
-            node.name.clone(),
+            node.name.as_str(),
             1,
             0,
             node.alternatives[0].iter().map(default_config).collect(),

@@ -93,7 +93,9 @@ mod tests {
 /// alternative is a list of stages). Useful to mechanism developers
 /// writing new pipeline mechanisms.
 pub mod pipeline_util {
-    use dope_core::{Config, MonitorSnapshot, ProgramShape, ShapeNode, TaskConfig, TaskPath};
+    use dope_core::{
+        Config, Label, MonitorSnapshot, ProgramShape, ShapeNode, TaskConfig, TaskPath,
+    };
 
     /// Per-stage view of a pipeline configuration.
     #[derive(Debug, Clone)]
@@ -101,7 +103,7 @@ pub mod pipeline_util {
         /// Path of the stage task (`0.s`).
         pub path: TaskPath,
         /// Stage name.
-        pub name: String,
+        pub name: Label,
         /// `true` for parallel stages.
         pub parallel: bool,
         /// Extent cap, if declared.

@@ -409,6 +409,17 @@ impl LocalHistogram {
         }
     }
 
+    /// Forgets every recorded value but keeps the bucket storage, so a
+    /// histogram merged into over and over stops allocating once it has
+    /// seen its widest value.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        *self = LocalHistogram {
+            buckets: std::mem::take(&mut self.buckets),
+            ..LocalHistogram::new()
+        };
+    }
+
     fn add_bucket(&mut self, index: usize, n: u64) {
         if self.buckets.len() <= index {
             self.buckets.resize(index + 1, 0);
@@ -725,6 +736,23 @@ mod tests {
             l.record_nanos(v);
         }
         assert_eq!(h.snapshot(), l);
+    }
+
+    #[test]
+    fn a_cleared_local_histogram_is_empty_and_keeps_its_storage() {
+        let mut h = LocalHistogram::new();
+        h.record_secs(0.5);
+        let capacity = h.buckets.capacity();
+        h.clear();
+        assert_eq!(h, LocalHistogram::new());
+        assert!(h.min_secs().is_none() && h.quantile_secs(0.5).is_none());
+        h.record_secs(0.5);
+        assert_eq!(
+            h.buckets.capacity(),
+            capacity,
+            "re-recording must not regrow"
+        );
+        assert_eq!(h.min_secs(), Some(0.5));
     }
 
     #[test]

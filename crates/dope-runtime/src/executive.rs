@@ -335,7 +335,7 @@ impl Dope {
 
         let recorder = builder.recorder;
         recorder.record_with(|| TraceEvent::Launched {
-            mechanism: mechanism.name().to_string(),
+            mechanism: mechanism.name().into(),
             goal: goal.to_string(),
             threads: budget,
             shape: shape.clone(),
@@ -563,7 +563,7 @@ impl ControlSink for LiveSink<'_> {
         trace: DecisionTrace,
         realized: Option<f64>,
     ) {
-        let event = TraceEvent::decision(mechanism.to_string(), trace, realized);
+        let event = TraceEvent::decision(mechanism, trace, realized);
         if let (
             Some(m),
             TraceEvent::DecisionTraced {
@@ -590,7 +590,7 @@ impl ControlSink for LiveSink<'_> {
         self.0
             .recorder
             .record_with(|| TraceEvent::ProposalEvaluated {
-                mechanism: mechanism.to_string(),
+                mechanism: mechanism.into(),
                 proposal: proposal.clone(),
                 verdict,
             });
@@ -976,7 +976,7 @@ impl Executive {
         self.recorder.record_with(|| TraceEvent::TaskFailed {
             path: path.clone(),
             reason: reason.clone(),
-            policy: self.rules.policy.kind().to_string(),
+            policy: self.rules.policy.kind().into(),
         });
         let action = core.task_failed(self.now(), path, reason);
         self.obey(action, ledger);

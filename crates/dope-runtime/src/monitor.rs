@@ -77,7 +77,6 @@ struct PathAggregate {
     /// Ring-counted completions in the window over the effective
     /// (elapsed-bounded) window length.
     throughput: f64,
-    hist: LocalHistogram,
     shards_merged: u64,
 }
 
@@ -120,21 +119,27 @@ impl PathStats {
         self.shard().record(exec, now, window);
     }
 
-    /// Merges every worker's shard into one per-path view.
+    /// Merges every worker's shard into one per-path view; `hist` is
+    /// cleared and left holding the merged latency histogram.
     ///
     /// The throughput denominator is `min(window, elapsed-since-cell-
     /// creation)`: right after launch (or after a reconfiguration
     /// creates a fresh path) the monitor has observed less than a full
     /// window, and dividing by the whole window would underreport
     /// throughput until the window fills.
-    fn aggregate(&self, now: Instant, window: Duration) -> PathAggregate {
+    fn aggregate(
+        &self,
+        now: Instant,
+        window: Duration,
+        hist: &mut LocalHistogram,
+    ) -> PathAggregate {
         let mut invocations = 0u64;
         let mut busy_nanos = 0u64;
         let mut recent = 0u64;
         let mut ewma_weighted = 0.0f64;
         let mut ewma_weight = 0u64;
-        let mut hist = LocalHistogram::new();
         let mut shards_merged = 0u64;
+        hist.clear();
         {
             let shards = self.shards.lock();
             for (_, shard) in shards.iter() {
@@ -146,7 +151,7 @@ impl PathStats {
                     ewma_weighted += mean * inv as f64;
                     ewma_weight += inv;
                 }
-                shard.merge_hist_into(&mut hist);
+                shard.merge_hist_into(hist);
                 shards_merged += 1;
             }
         }
@@ -163,7 +168,6 @@ impl PathStats {
             busy_nanos,
             mean_exec_secs,
             throughput,
-            hist,
             shards_merged,
         }
     }
@@ -204,7 +208,7 @@ impl PathStats {
     /// Mean execution time and recent throughput (test probe).
     #[cfg(test)]
     fn sample(&self, now: Instant, window: Duration) -> (f64, f64) {
-        let agg = self.aggregate(now, window);
+        let agg = self.aggregate(now, window, &mut LocalHistogram::new());
         (agg.mean_exec_secs, agg.throughput)
     }
 }
@@ -354,11 +358,20 @@ struct EpochState {
     failed: HashMap<TaskPath, u32>,
 }
 
+/// The measurement cells, with the one histogram every snapshot merges
+/// each path's shards through in turn: a 2-3 KB buffer kept across
+/// ticks instead of built per path per tick.
+#[derive(Default)]
+struct PathCells {
+    cells: HashMap<TaskPath, Arc<PathStats>>,
+    merge_scratch: LocalHistogram,
+}
+
 struct MonitorShared {
     start: Instant,
     window: Duration,
     ewma_alpha: f64,
-    paths: RankedMutex<HashMap<TaskPath, Arc<PathStats>>>,
+    paths: RankedMutex<PathCells>,
     epoch: RankedMutex<EpochState>,
     queue_probe: RankedMutex<Option<Arc<dyn Fn() -> QueueStats + Send + Sync>>>,
     /// Probe into the admission gate plus the window sampler that turns
@@ -380,7 +393,7 @@ struct MonitorShared {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("paths", &self.shared.paths.lock().len())
+            .field("paths", &self.shared.paths.lock().cells.len())
             .finish_non_exhaustive()
     }
 }
@@ -395,7 +408,7 @@ impl Monitor {
                 start: Instant::now(),
                 window,
                 ewma_alpha,
-                paths: RankedMutex::new(rank::PATHS, HashMap::new()),
+                paths: RankedMutex::new(rank::PATHS, PathCells::default()),
                 epoch: RankedMutex::new(
                     rank::EPOCH,
                     EpochState {
@@ -433,7 +446,7 @@ impl Monitor {
     /// [`snapshot`](Monitor::snapshot) refreshes the gauges.
     pub fn set_metrics(&self, registry: MetricsRegistry) {
         let metrics = MonitorMetrics::new(registry, Arc::clone(&self.shared.shard_merges));
-        for (path, stats) in self.shared.paths.lock().iter() {
+        for (path, stats) in &self.shared.paths.lock().cells {
             metrics.register_path(path, stats);
         }
         *self.shared.metrics.lock() = Some(metrics);
@@ -452,7 +465,7 @@ impl Monitor {
     /// The measurement cell for `path`, created on first use.
     pub(crate) fn stats_for(&self, path: &TaskPath) -> Arc<PathStats> {
         let mut paths = self.shared.paths.lock();
-        if let Some(stats) = paths.get(path) {
+        if let Some(stats) = paths.cells.get(path) {
             return Arc::clone(stats);
         }
         let stats = Arc::new(PathStats::new(
@@ -472,7 +485,7 @@ impl Monitor {
         if let Some((registry, shard_merges)) = scrape {
             register_path_series(&registry, &shard_merges, path, &stats);
         }
-        paths.insert(path.clone(), Arc::clone(&stats));
+        paths.cells.insert(path.clone(), Arc::clone(&stats));
         stats
     }
 
@@ -619,6 +632,7 @@ impl Monitor {
             .shared
             .paths
             .lock()
+            .cells
             .values()
             .map(|s| s.total_busy_nanos())
             .sum();
@@ -647,10 +661,14 @@ impl Monitor {
             // failure marks are installed together and read together,
             // in place: load callbacks run under both locks and must not
             // call back into the monitor.
-            let paths = shared.paths.lock();
+            let mut paths = shared.paths.lock();
+            let PathCells {
+                cells,
+                merge_scratch,
+            } = &mut *paths;
             let epoch = shared.epoch.lock();
-            for (path, stats) in paths.iter() {
-                let agg = stats.aggregate(now, shared.window);
+            for (path, stats) in cells.iter() {
+                let agg = stats.aggregate(now, shared.window, merge_scratch);
                 merged += agg.shards_merged;
                 let extent = epoch.extents.get(path).copied().unwrap_or(1).max(1);
                 // Dead replicas leave the statistics: a fully failed path
@@ -664,8 +682,7 @@ impl Monitor {
                 }
                 let load_cbs = epoch.load_cbs.iter().filter(|(p, _)| p == path);
                 let busy_secs = agg.busy_nanos as f64 / 1e9;
-                let [p50, p95, p99] = agg
-                    .hist
+                let [p50, p95, p99] = merge_scratch
                     .quantiles_secs([0.50, 0.95, 0.99])
                     .unwrap_or_default();
                 snap.tasks.insert(
@@ -710,7 +727,7 @@ impl Monitor {
 
         let recorder = shared.recorder.lock().clone();
         if recorder.is_enabled() {
-            for (path, stats) in &snap.tasks {
+            for (path, stats) in snap.tasks.iter() {
                 recorder.record(TraceEvent::TaskStatsSample {
                     path: path.clone(),
                     stats: *stats,
@@ -1189,7 +1206,10 @@ mod tests {
             handle.join().expect("writer thread panicked");
         }
 
-        let agg = stats.aggregate(Instant::now(), window);
+        // The scratch arrives dirty, as another path's merge leaves it.
+        let mut hist = LocalHistogram::new();
+        hist.record_nanos(7);
+        let agg = stats.aggregate(Instant::now(), window, &mut hist);
         assert_eq!(agg.shards_merged, THREADS, "one shard per writer thread");
         assert_eq!(agg.invocations, THREADS * PER_THREAD, "no lost records");
 
@@ -1206,6 +1226,6 @@ mod tests {
             }
         }
         assert_eq!(agg.busy_nanos, busy);
-        assert_eq!(agg.hist, reference.snapshot());
+        assert_eq!(hist, reference.snapshot());
     }
 }

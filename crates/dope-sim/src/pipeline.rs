@@ -199,9 +199,9 @@ impl PipelineModel {
         let children = stages
             .iter()
             .zip(extents)
-            .map(|(s, &e)| TaskConfig::leaf(s.name.clone(), e))
+            .map(|(s, &e)| TaskConfig::leaf(s.name.as_str(), e))
             .collect();
-        Config::new(vec![TaskConfig::nest(self.name.clone(), 1, alt, children)])
+        Config::new(vec![TaskConfig::nest(self.name.as_str(), 1, alt, children)])
     }
 
     /// The paper's `Pthreads-Baseline`: even split over parallel stages.

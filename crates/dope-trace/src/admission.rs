@@ -34,14 +34,14 @@
 //! assert_eq!(reason, "high_water");
 //! ```
 
-use dope_core::AdmissionStats;
+use dope_core::{AdmissionStats, Label};
 
 use crate::event::TraceEvent;
 
 /// Stateful window classifier for admission-gate samples.
 #[derive(Debug, Clone)]
 pub struct AdmissionSampler {
-    policy: String,
+    policy: Label,
     last: AdmissionStats,
 }
 
@@ -49,7 +49,7 @@ impl AdmissionSampler {
     /// Builds a sampler for a gate running `policy` (its stable
     /// lowercase tag: `"open"` / `"block"` / `"shed"` / `"deadline"`).
     #[must_use]
-    pub fn new(policy: impl Into<String>) -> Self {
+    pub fn new(policy: impl Into<Label>) -> Self {
         AdmissionSampler {
             policy: policy.into(),
             last: AdmissionStats::default(),

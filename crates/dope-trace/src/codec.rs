@@ -34,13 +34,11 @@
 //! assert_eq!(parse_line(&line).unwrap(), record);
 //! ```
 
-use std::collections::BTreeMap;
-
 use crate::event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
 use dope_core::json::{
     config_from_value, config_to_value, parse, shape_from_value, shape_to_value, JsonError, Value,
 };
-use dope_core::{Config, DiagCode, ProgramShape, Rationale, TaskPath, TaskStats};
+use dope_core::{Config, DiagCode, Label, ProgramShape, Rationale, TaskPath, TaskStats, TaskTable};
 
 /// The wire form of one payload type. `put`/`take` are its JSON value
 /// (`key` names it in error messages only); `put_field`/`take_field` are
@@ -123,6 +121,8 @@ wire! {
         };
     String: |s| Value::String(s.clone()),
         |value, key| take_str(value, key).map(str::to_string);
+    Label: |s| Value::String(s.to_string()),
+        |value, key| take_str(value, key).map(Label::from);
     TaskPath: |path| Value::String(path.to_string()),
         |value, key| take_str(value, key)?.parse()
             .map_err(|_| mistyped(key, "a valid task path"));
@@ -135,7 +135,7 @@ wire! {
     Config: |config| config_to_value(config), |value, _key| config_from_value(value);
     ProgramShape: |shape| shape_to_value(shape), |value, _key| shape_from_value(value);
     /// One observed `(signal, value)` pair of a decision.
-    (String, f64): |pair| Value::Object(vec![
+    (Label, f64): |pair| Value::Object(vec![
             ("signal".to_string(), pair.0.put()),
             ("value".to_string(), pair.1.put()),
         ]),
@@ -145,9 +145,10 @@ wire! {
         ));
 }
 
-/// A snapshot's per-task table: an array of rows, each the task's
-/// `path` followed by its [`TaskStats`] keys, flattened.
-impl Wire for BTreeMap<TaskPath, TaskStats> {
+/// A snapshot's per-task table: an array of rows in path order, each the
+/// task's `path` followed by its [`TaskStats`] keys, flattened. Rows are
+/// read in any order; of rows repeating a `path` the last one stays.
+impl Wire for TaskTable {
     fn put(&self) -> Value {
         let row = |(path, stats): (&TaskPath, &TaskStats)| {
             let mut row = Vec::new();
@@ -395,7 +396,7 @@ mod tests {
     fn all_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Launched {
-                mechanism: "WQ-Linear".to_string(),
+                mechanism: "WQ-Linear".into(),
                 goal: "MinResponseTime(4 threads)".to_string(),
                 threads: 4,
                 shape: sample_shape(),
@@ -418,19 +419,19 @@ mod tests {
                 },
             },
             TraceEvent::ProposalEvaluated {
-                mechanism: "WQ-Linear".to_string(),
+                mechanism: "WQ-Linear".into(),
                 proposal: sample_config(),
                 verdict: Verdict::Accepted,
             },
             TraceEvent::ProposalEvaluated {
-                mechanism: "TBF".to_string(),
+                mechanism: "TBF".into(),
                 proposal: sample_config(),
                 verdict: Verdict::Rejected {
                     code: DiagCode::BudgetExceeded,
                 },
             },
             TraceEvent::ProposalEvaluated {
-                mechanism: "WQT-H".to_string(),
+                mechanism: "WQT-H".into(),
                 proposal: sample_config(),
                 verdict: Verdict::Superseded,
             },
@@ -439,7 +440,7 @@ mod tests {
                 relaunch_secs: 0.0005,
                 jobs: 6,
                 config: sample_config(),
-                scope: "full".to_string(),
+                scope: "full".into(),
                 paths_drained: 5,
             },
             TraceEvent::ReconfigureEpoch {
@@ -447,7 +448,7 @@ mod tests {
                 relaunch_secs: 0.0001,
                 jobs: 7,
                 config: sample_config(),
-                scope: "partial".to_string(),
+                scope: "partial".into(),
                 paths_drained: 1,
             },
             TraceEvent::FeatureRead {
@@ -465,44 +466,44 @@ mod tests {
             TraceEvent::TaskFailed {
                 path: "0.1".parse().unwrap(),
                 reason: "index out of bounds: the len is 4 but the index is 7".to_string(),
-                policy: "restart".to_string(),
+                policy: "restart".into(),
             },
             TraceEvent::DecisionTraced {
-                mechanism: "WQ-Linear".to_string(),
+                mechanism: "WQ-Linear".into(),
                 rationale: Rationale::OccupancyLinear,
                 observed: vec![
-                    ("queue_occupancy".to_string(), 3.0),
-                    ("current_width".to_string(), 4.0),
+                    ("queue_occupancy".into(), 3.0),
+                    ("current_width".into(), 4.0),
                 ],
                 candidates: vec![
                     DecisionCandidate {
-                        action: "width=4".to_string(),
+                        action: "width=4".into(),
                         score: -2.0,
                         predicted_throughput: Some(33.5),
                     },
                     DecisionCandidate {
-                        action: "width=6".to_string(),
+                        action: "width=6".into(),
                         score: 0.0,
                         predicted_throughput: Some(50.25),
                     },
                 ],
-                chosen: "width=6".to_string(),
+                chosen: "width=6".into(),
                 predicted_throughput: Some(50.25),
                 realized_throughput: Some(48.0),
                 prediction_error: Some((50.25 - 48.0) / 48.0),
             },
             TraceEvent::DecisionTraced {
-                mechanism: "TBF".to_string(),
+                mechanism: "TBF".into(),
                 rationale: Rationale::Hold,
                 observed: vec![],
                 candidates: vec![],
-                chosen: "hold".to_string(),
+                chosen: "hold".into(),
                 predicted_throughput: None,
                 realized_throughput: None,
                 prediction_error: None,
             },
             TraceEvent::AdmissionDecision {
-                policy: "shed".to_string(),
+                policy: "shed".into(),
                 verdict: "shed".to_string(),
                 reason: "high_water".to_string(),
                 queue_delay_secs: 0.035,
@@ -511,7 +512,7 @@ mod tests {
                 shed: 14,
             },
             TraceEvent::AdmissionDecision {
-                policy: "block".to_string(),
+                policy: "block".into(),
                 verdict: "admitted".to_string(),
                 reason: "none".to_string(),
                 queue_delay_secs: 0.002,
@@ -642,6 +643,44 @@ mod tests {
     }
 
     #[test]
+    fn task_rows_decode_sorted_last_wins_and_encode_in_path_order() {
+        // Rows out of path order, `0.1` twice: the table keeps one row
+        // per path — the last one given — and is written back sorted.
+        let row = |path: &str, invocations: u64| {
+            format!(
+                r#"{{"path": "{path}", "invocations": {invocations}, "mean_exec_secs": 0.5, "throughput": 2.5, "load": 0.25, "utilization": 0.75, "p50_exec_secs": 0.125, "p95_exec_secs": 0.25, "p99_exec_secs": 0.5}}"#
+            )
+        };
+        let line = |rows: &[String]| {
+            format!(
+                r#"{{"v": 1, "seq": 1, "t": 0.5, "kind": "SnapshotTaken", "snapshot": {{"time_secs": 0.5, "tasks": [{}], "queue": {{"occupancy": 0, "arrival_rate": 0, "enqueued": 0, "completed": 0}}, "power_watts": null, "dispatches_since_reconfig": 0, "admission": {{"offered": 0, "admitted": 0, "shed_high_water": 0, "shed_deadline": 0, "mean_queue_delay_secs": 0}}}}}}"#,
+                rows.join(", ")
+            )
+        };
+        let given = line(&[row("1", 10), row("0.1", 20), row("0", 30), row("0.1", 40)]);
+        let record = parse_line(&given).unwrap();
+        let TraceEvent::SnapshotTaken { snapshot } = &record.event else {
+            panic!("wrong kind");
+        };
+        let rows: Vec<(String, u64)> = snapshot
+            .tasks
+            .iter()
+            .map(|(path, stats)| (path.to_string(), stats.invocations))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("0".to_string(), 30),
+                ("0.1".to_string(), 40),
+                ("1".to_string(), 10)
+            ]
+        );
+        let sorted = line(&[row("0", 30), row("0.1", 40), row("1", 10)]);
+        assert_eq!(to_jsonl_line(&record), sorted);
+        assert_eq!(parse_line(&sorted).unwrap(), record);
+    }
+
+    #[test]
     fn the_reader_accepts_the_nulls_the_writer_emits_for_non_finite_floats() {
         // One stale sensor reading (NaN) and one unbounded score must not
         // make the whole trace unreadable: the writer encodes both as
@@ -660,15 +699,15 @@ mod tests {
                 seq: 1,
                 time_secs: 0.75,
                 event: TraceEvent::DecisionTraced {
-                    mechanism: "TPC".to_string(),
+                    mechanism: "TPC".into(),
                     rationale: Rationale::Hold,
-                    observed: vec![("power_watts".to_string(), f64::INFINITY)],
+                    observed: vec![("power_watts".into(), f64::INFINITY)],
                     candidates: vec![DecisionCandidate {
-                        action: "hold".to_string(),
+                        action: "hold".into(),
                         score: f64::NEG_INFINITY,
                         predicted_throughput: None,
                     }],
-                    chosen: "hold".to_string(),
+                    chosen: "hold".into(),
                     predicted_throughput: None,
                     realized_throughput: None,
                     prediction_error: None,
@@ -758,7 +797,7 @@ mod tests {
             seq: 0,
             time_secs: 0.0,
             event: TraceEvent::Launched {
-                mechanism: "Static".to_string(),
+                mechanism: "Static".into(),
                 goal: "g".to_string(),
                 threads: 24,
                 shape: sample_shape(),

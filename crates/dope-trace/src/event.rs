@@ -33,7 +33,7 @@
 use dope_core::control::{DrainTiming, Scope};
 use dope_core::json::{JsonError, Value};
 use dope_core::{
-    AdmissionStats, Config, DecisionCandidate, DecisionTrace, MonitorSnapshot, ProgramShape,
+    AdmissionStats, Config, DecisionCandidate, DecisionTrace, Label, MonitorSnapshot, ProgramShape,
     QueueStats, Rationale, TaskPath, TaskStats,
 };
 
@@ -170,7 +170,7 @@ trace_schema! {
         /// The executive launched the application.
         Launched {
             /// `Mechanism::name()` of the driving mechanism.
-            mechanism: String,
+            mechanism: Label,
             /// The administrator's goal, rendered with `Display`.
             goal: String,
             /// The thread budget.
@@ -195,7 +195,7 @@ trace_schema! {
         /// A mechanism proposal was evaluated.
         ProposalEvaluated {
             /// `Mechanism::name()` of the proposer.
-            mechanism: String,
+            mechanism: Label,
             /// The proposed configuration.
             proposal: Config,
             /// Accept / unchanged / reject-with-DV-code.
@@ -219,7 +219,7 @@ trace_schema! {
             /// `"partial"` (delta reconfiguration: only changed paths
             /// drained). Additive in schema v1; absent decodes as `"full"`,
             /// which every pre-delta trace was.
-            scope: String = "full".to_string(),
+            scope: Label = "full".into(),
             /// Replica-carrying paths drained at this boundary. Additive in
             /// schema v1; absent decodes as 0 ("not measured").
             paths_drained: u64 = 0,
@@ -248,7 +248,7 @@ trace_schema! {
             reason: String,
             /// The failure policy in force, as its stable lowercase tag
             /// (`"abort"` / `"restart"` / `"degrade"`).
-            policy: String,
+            policy: Label,
         },
         /// A mechanism explained one decision (a `DecisionTrace` from
         /// `Mechanism::explain()`), flattened to stable fields. Additive in
@@ -259,16 +259,16 @@ trace_schema! {
         /// proposal was rejected) omit the realized fields.
         DecisionTraced {
             /// `Mechanism::name()` of the deciding mechanism.
-            mechanism: String,
+            mechanism: Label,
             /// Stable rationale code, e.g. `"QueueAboveHighWater"`.
             rationale: Rationale,
             /// The `(signal, value)` pairs the mechanism read.
-            observed: Vec<(String, f64)>,
+            observed: Vec<(Label, f64)>,
             /// The candidate actions it weighed, with scores and optional
             /// per-candidate throughput predictions.
             candidates: Vec<DecisionCandidate>,
             /// The action it chose (`"hold"` when it kept the status quo).
-            chosen: String,
+            chosen: Label,
             /// Its throughput prediction for the chosen action, items/s.
             predicted_throughput: Option<f64> = None,
             /// The bottleneck throughput the monitor realized one epoch
@@ -289,7 +289,7 @@ trace_schema! {
         AdmissionDecision {
             /// The policy's stable lowercase tag
             /// (`"open"` / `"block"` / `"shed"` / `"deadline"`).
-            policy: String,
+            policy: Label,
             /// `"admitted"` when every offer in the window was admitted,
             /// `"shed"` when at least one was dropped.
             verdict: String,
@@ -343,7 +343,11 @@ impl TraceEvent {
     /// builds its `DecisionTraced` events here, so the prediction-error
     /// formula exists once.
     #[must_use]
-    pub fn decision(mechanism: String, trace: DecisionTrace, realized: Option<f64>) -> Self {
+    pub fn decision(
+        mechanism: impl Into<Label>,
+        trace: DecisionTrace,
+        realized: Option<f64>,
+    ) -> Self {
         let prediction_error = match (trace.predicted_throughput, realized) {
             (Some(predicted), Some(realized)) if realized > 0.0 => {
                 Some((predicted - realized) / realized)
@@ -351,7 +355,7 @@ impl TraceEvent {
             _ => None,
         };
         TraceEvent::DecisionTraced {
-            mechanism,
+            mechanism: mechanism.into(),
             rationale: trace.rationale,
             observed: trace.observed,
             candidates: trace.candidates,
@@ -372,7 +376,7 @@ impl TraceEvent {
             relaunch_secs: timing.relaunch_secs,
             jobs: timing.jobs,
             config: config.clone(),
-            scope: scope.tag().to_string(),
+            scope: scope.tag().into(),
             paths_drained: scope.paths_drained(config),
         }
     }

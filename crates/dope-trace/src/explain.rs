@@ -18,11 +18,11 @@
 //!     seq: 3,
 //!     time_secs: 12.5,
 //!     event: TraceEvent::DecisionTraced {
-//!         mechanism: "WQ-Linear".to_string(),
+//!         mechanism: "WQ-Linear".into(),
 //!         rationale: Rationale::OccupancyLinear,
-//!         observed: vec![("occupancy".to_string(), 42.0)],
+//!         observed: vec![("occupancy".into(), 42.0)],
 //!         candidates: vec![DecisionCandidate::new("width=8", 0.84).predicting(52.0)],
-//!         chosen: "width=8".to_string(),
+//!         chosen: "width=8".into(),
 //!         predicted_throughput: Some(52.0),
 //!         realized_throughput: Some(48.0),
 //!         prediction_error: Some((52.0 - 48.0) / 48.0),
@@ -250,14 +250,14 @@ mod tests {
             seq,
             time_secs,
             event: TraceEvent::DecisionTraced {
-                mechanism: "WQ-Linear".to_string(),
+                mechanism: "WQ-Linear".into(),
                 rationale,
-                observed: vec![("occupancy".to_string(), 42.0)],
+                observed: vec![("occupancy".into(), 42.0)],
                 candidates: vec![
                     DecisionCandidate::new("width=8", 0.84).predicting(52.0),
                     DecisionCandidate::new("hold", 0.0),
                 ],
-                chosen: "width=8".to_string(),
+                chosen: "width=8".into(),
                 predicted_throughput: predicted,
                 realized_throughput: realized,
                 prediction_error,

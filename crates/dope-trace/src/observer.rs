@@ -37,7 +37,7 @@
 //! ```
 
 use dope_core::control::{ControlSink, DrainTiming, Scope, Verdict};
-use dope_core::{Config, DecisionTrace, MonitorSnapshot, ProgramShape};
+use dope_core::{Config, DecisionTrace, Label, MonitorSnapshot, ProgramShape};
 
 use crate::admission::AdmissionSampler;
 use crate::event::TraceEvent;
@@ -83,7 +83,7 @@ impl RecordingObserver {
     /// admission counters show offered traffic emits one
     /// `AdmissionDecision` sample stamped with this tag.
     #[must_use]
-    pub fn with_admission_policy(mut self, policy: impl Into<String>) -> Self {
+    pub fn with_admission_policy(mut self, policy: impl Into<Label>) -> Self {
         self.admission = Some(AdmissionSampler::new(policy));
         self
     }
@@ -121,7 +121,7 @@ impl ControlSink for RecordingObserver {
         self.recorder.record_at(
             0.0,
             TraceEvent::Launched {
-                mechanism: mechanism.to_string(),
+                mechanism: mechanism.into(),
                 goal: self.goal.clone(),
                 threads,
                 shape: shape.clone(),
@@ -135,7 +135,7 @@ impl ControlSink for RecordingObserver {
         if !self.recorder.is_enabled() {
             return;
         }
-        for (path, stats) in &snapshot.tasks {
+        for (path, stats) in snapshot.tasks.iter() {
             self.recorder.record_at(
                 snapshot.time_secs,
                 TraceEvent::TaskStatsSample {
@@ -179,7 +179,7 @@ impl ControlSink for RecordingObserver {
         trace: DecisionTrace,
         realized: Option<f64>,
     ) {
-        let event = TraceEvent::decision(mechanism.to_string(), trace, realized);
+        let event = TraceEvent::decision(mechanism, trace, realized);
         self.record_at(time_secs, event);
     }
 
@@ -193,7 +193,7 @@ impl ControlSink for RecordingObserver {
         self.record_at(
             time_secs,
             TraceEvent::ProposalEvaluated {
-                mechanism: mechanism.to_string(),
+                mechanism: mechanism.into(),
                 proposal: proposal.clone(),
                 verdict,
             },
@@ -258,7 +258,7 @@ mod tests {
         obs.reconfigured(1.0, &config, &partial, DrainTiming::default());
         obs.reconfigured(2.0, &config, &Scope::Full, DrainTiming::default());
 
-        let epochs: Vec<(String, u64)> = recorder
+        let epochs: Vec<(Label, u64)> = recorder
             .records()
             .iter()
             .filter_map(|r| match &r.event {
@@ -270,10 +270,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            epochs,
-            vec![("partial".to_string(), 1), ("full".to_string(), 2)]
-        );
+        assert_eq!(epochs, vec![("partial".into(), 1), ("full".into(), 2)]);
     }
 
     #[test]

@@ -182,8 +182,9 @@ impl Recorder {
     /// Removes and returns the retained records, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceRecord> {
+        // The ring's own buffer is handed over, not copied record by record.
         self.inner.as_ref().map_or_else(Vec::new, |inner| {
-            inner.ring.lock().records.drain(..).collect()
+            Vec::from(std::mem::take(&mut inner.ring.lock().records))
         })
     }
 

@@ -32,7 +32,7 @@
 //!         relaunch_secs: 0.001,
 //!         jobs: 8,
 //!         config: dope_core::Config::default(),
-//!         scope: "full".to_string(),
+//!         scope: "full".into(),
 //!         paths_drained: 3,
 //!     },
 //! }];
@@ -349,7 +349,7 @@ mod tests {
                     relaunch_secs: 0.001,
                     jobs: 8,
                     config: dope_core::Config::default(),
-                    scope: "full".to_string(),
+                    scope: "full".into(),
                     paths_drained: 3,
                 },
             ),
@@ -360,7 +360,7 @@ mod tests {
                     relaunch_secs: 0.0001,
                     jobs: 9,
                     config: dope_core::Config::default(),
-                    scope: "partial".to_string(),
+                    scope: "partial".into(),
                     paths_drained: 1,
                 },
             ),
@@ -440,7 +440,7 @@ mod tests {
                 TraceEvent::TaskFailed {
                     path: TaskPath::root_child(1),
                     reason: "boom".to_string(),
-                    policy: "restart".to_string(),
+                    policy: "restart".into(),
                 },
             ),
             record(
@@ -448,7 +448,7 @@ mod tests {
                 TraceEvent::TaskFailed {
                     path: TaskPath::root_child(1),
                     reason: "boom again".to_string(),
-                    policy: "restart".to_string(),
+                    policy: "restart".into(),
                 },
             ),
         ];
@@ -468,7 +468,7 @@ mod tests {
             record(
                 0,
                 TraceEvent::AdmissionDecision {
-                    policy: "shed".to_string(),
+                    policy: "shed".into(),
                     verdict: "admitted".to_string(),
                     reason: "none".to_string(),
                     queue_delay_secs: 0.010,
@@ -480,7 +480,7 @@ mod tests {
             record(
                 1,
                 TraceEvent::AdmissionDecision {
-                    policy: "shed".to_string(),
+                    policy: "shed".into(),
                     verdict: "shed".to_string(),
                     reason: "high_water".to_string(),
                     queue_delay_secs: 0.045,

@@ -189,7 +189,7 @@ mod tests {
             record(
                 0,
                 TraceEvent::ProposalEvaluated {
-                    mechanism: "WQ-Linear".to_string(),
+                    mechanism: "WQ-Linear".into(),
                     proposal: config.clone(),
                     verdict: Verdict::Rejected {
                         code: DiagCode::BudgetExceeded,
@@ -199,7 +199,7 @@ mod tests {
             record(
                 1,
                 TraceEvent::ProposalEvaluated {
-                    mechanism: "WQ-Linear".to_string(),
+                    mechanism: "WQ-Linear".into(),
                     proposal: config.clone(),
                     verdict: Verdict::Superseded,
                 },
@@ -211,7 +211,7 @@ mod tests {
                     relaunch_secs: 0.0008,
                     jobs: 8,
                     config: config.clone(),
-                    scope: "full".to_string(),
+                    scope: "full".into(),
                     paths_drained: 3,
                 },
             ),
@@ -222,7 +222,7 @@ mod tests {
                     relaunch_secs: 0.0001,
                     jobs: 9,
                     config,
-                    scope: "partial".to_string(),
+                    scope: "partial".into(),
                     paths_drained: 1,
                 },
             ),
@@ -244,7 +244,7 @@ mod tests {
             TraceEvent::TaskFailed {
                 path: "0.1".parse().unwrap(),
                 reason: "index out of bounds".to_string(),
-                policy: "degrade".to_string(),
+                policy: "degrade".into(),
             },
         )]);
         assert!(lines.contains("FAILED"), "{lines}");
@@ -259,7 +259,7 @@ mod tests {
             record(
                 0,
                 TraceEvent::AdmissionDecision {
-                    policy: "shed".to_string(),
+                    policy: "shed".into(),
                     verdict: "shed".to_string(),
                     reason: "high_water".to_string(),
                     queue_delay_secs: 0.0425,
@@ -271,7 +271,7 @@ mod tests {
             record(
                 1,
                 TraceEvent::AdmissionDecision {
-                    policy: "block".to_string(),
+                    policy: "block".into(),
                     verdict: "admitted".to_string(),
                     reason: "none".to_string(),
                     queue_delay_secs: 0.002,

@@ -16,9 +16,23 @@ use dope_trace::{
 use proptest::prelude::*;
 
 /// Fixed name pools: the proptest shim has no string strategy, so names
-/// are indexed out of small tables (including escape-worthy characters).
-const NAMES: [&str; 4] = ["work", "rank \"stage\"", "emit\nnl", "päth"];
-const MECHANISMS: [&str; 3] = ["WQ-Linear", "TBF", "Static"];
+/// are indexed out of small tables (including escape-worthy characters,
+/// and names of 22 and 23 bytes: the two sides of `Label`'s in-place
+/// limit, the shorter one ending in a two-byte character).
+const NAMES: [&str; 6] = [
+    "work",
+    "rank \"stage\"",
+    "emit\nnl",
+    "päth",
+    "twenty-two-bytes-widé",
+    "twenty-three-bytes-wide",
+];
+const MECHANISMS: [&str; 4] = [
+    "WQ-Linear",
+    "TBF",
+    "Static",
+    "Work-Queue-Threshold-Hysteresis",
+];
 
 fn name(idx: usize) -> String {
     NAMES[idx % NAMES.len()].to_string()
@@ -44,7 +58,7 @@ fn config(extents: &[u32], alt: usize, nested: bool) -> Config {
                 None
             };
             TaskConfig {
-                name: name(i),
+                name: name(i).into(),
                 extent,
                 nested: inner,
             }
@@ -123,7 +137,7 @@ fn build_event(
 ) -> TraceEvent {
     match kind % TraceEvent::KINDS.len() {
         0 => TraceEvent::Launched {
-            mechanism: mechanism(idx),
+            mechanism: mechanism(idx).into(),
             goal: format!("MinResponseTime(threads={threads})"),
             threads,
             shape: shape(cap),
@@ -157,7 +171,7 @@ fn build_event(
             stats: task_stats(n_small, f_big, f_small, f_big, f_small % 1.0),
         },
         3 => TraceEvent::ProposalEvaluated {
-            mechanism: mechanism(idx),
+            mechanism: mechanism(idx).into(),
             proposal: config(extents, alt, nested),
             verdict: match verdict_sel % 4 {
                 0 => Verdict::Accepted,
@@ -178,7 +192,7 @@ fn build_event(
             } else {
                 "partial"
             }
-            .to_string(),
+            .into(),
             paths_drained: n_small % 9,
         },
         5 => TraceEvent::FeatureRead {
@@ -192,28 +206,28 @@ fn build_event(
             path: task_path(path_parts),
             // Escape-worthy payloads: panic messages quote user code.
             reason: format!("panicked: {}", name(idx)),
-            policy: ["abort", "restart", "degrade"][verdict_sel % 3].to_string(),
+            policy: ["abort", "restart", "degrade"][verdict_sel % 3].into(),
         },
         8 => TraceEvent::DecisionTraced {
-            mechanism: mechanism(idx),
+            mechanism: mechanism(idx).into(),
             rationale: Rationale::ALL[code_idx % Rationale::ALL.len()],
             observed: (0..(n_small % 4) as usize)
-                .map(|i| (format!("{}_{i}", name(i)), f_big * (i as f64 + 1.0)))
+                .map(|i| (format!("{}_{i}", name(i)).into(), f_big * (i as f64 + 1.0)))
                 .collect(),
             candidates: (0..=verdict_sel)
                 .map(|i| DecisionCandidate {
-                    action: format!("{}: width={i}", name(i)),
+                    action: format!("{}: width={i}", name(i)).into(),
                     score: f_small * i as f64 - 1.0,
                     predicted_throughput: (i % 2 == 0).then_some(f_big),
                 })
                 .collect(),
-            chosen: name(idx),
+            chosen: name(idx).into(),
             predicted_throughput: power.map(|p| p + f_big),
             realized_throughput: power,
             prediction_error: power.map(|p| (f_big - p) / p.max(1.0)),
         },
         9 => TraceEvent::AdmissionDecision {
-            policy: ["open", "block", "shed", "deadline"][verdict_sel % 4].to_string(),
+            policy: ["open", "block", "shed", "deadline"][verdict_sel % 4].into(),
             verdict: if n_small.is_multiple_of(2) {
                 "admitted"
             } else {

@@ -176,7 +176,7 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
                 scope,
                 paths_drained,
                 ..
-            } => Some((scope.clone(), *paths_drained)),
+            } => Some((scope.to_string(), *paths_drained)),
             _ => None,
         })
         .collect();

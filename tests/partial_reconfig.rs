@@ -179,7 +179,7 @@ fn partial_reconfig_keeps_untouched_paths_running() {
                 scope,
                 paths_drained,
                 ..
-            } => Some((scope.clone(), *paths_drained)),
+            } => Some((scope.to_string(), *paths_drained)),
             _ => None,
         })
         .collect();
@@ -262,7 +262,7 @@ fn disabling_delta_falls_back_to_the_full_drain() {
         .records()
         .iter()
         .filter_map(|r| match &r.event {
-            TraceEvent::ReconfigureEpoch { scope, .. } => Some(scope.clone()),
+            TraceEvent::ReconfigureEpoch { scope, .. } => Some(scope.to_string()),
             _ => None,
         })
         .collect();
