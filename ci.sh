@@ -18,17 +18,24 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
-step "loc: non-test Rust lines per crate"
+LOC_CEILING=22500
+
+step "loc: non-test Rust lines per crate (ceiling $LOC_CEILING)"
 # Tracked crates/<crate>/src/**/*.rs, each file counted up to its
 # `#[cfg(test)]` module (fixture trees under tests/ are skipped), so the
-# per-crate before/after rows in CHANGES.md can be reproduced at any
-# commit.
-git ls-files 'crates/*/src/*.rs' | grep -v '/tests/' | awk '
+# per-crate before/after rows in results/perf-history.jsonl can be
+# reproduced at any commit. The total may not pass LOC_CEILING (the last
+# PR's result rounded up to the next 50): a PR that grows the tree raises
+# the constant, and says why, on purpose.
+git ls-files 'crates/*/src/*.rs' | grep -v '/tests/' | awk -v ceiling="$LOC_CEILING" '
   { split($0, part, "/"); crate = part[2]
     while ((getline line < $0) > 0) { if (line ~ /^#\[cfg\(test\)\]/) break; loc[crate]++ }
     close($0) }
   END { for (crate in loc) { printf "%8d  %s\n", loc[crate], crate; total += loc[crate] }
-        printf "%8d  total\n", total }' | sort -k2
+        printf "%8d  total\n", total
+        if (total > ceiling) {
+          printf "loc: %d non-test lines exceed the ceiling of %d\n", total, ceiling > "/dev/stderr"
+          exit 1 } }' | sort -k2
 
 step "cargo fmt --check"
 cargo fmt --all -- --check
@@ -153,23 +160,15 @@ if [[ "$QUICK" -eq 0 ]]; then
     explain "$OVERLOAD_TRACE" | grep -q "decision audit:"
   cargo test -q --release --offline --test admission_overload
 
-  step "perf smoke: record-path / snapshot / reconfigure / fig11 gates, allocation budgets"
-  # Reduced-configuration run of the perf gate (docs/performance.md).
-  # The binary itself enforces the in-run invariants (the delta drain
-  # pauses >= 4x less than the full drain; the overload frontier holds)
-  # and diffs against the checked-in quick-mode baseline. The threshold
-  # is deliberately loose: shared CI machines jitter, and the gate is
-  # for gross regressions (a lock back on the hot path), not scheduler
-  # noise.
-  PERF_OUT="$TRACE_TMP/BENCH_perf.json"
+  step "perf smoke: overload frontier, control/monitor ledger, allocation budgets"
+  # Reduced-configuration run of the in-tree perf ledger
+  # (docs/performance.md): the probes the frozen benchmark has no
+  # per-layer metric for. The binary enforces the overload frontier
+  # in-run (shed p99 >= 4x under open, goodput >= 90 % of saturation,
+  # Block loses nothing) and round-trips the report through the strict
+  # JSON codec before writing it.
   cargo run -q --release --offline -p dope-bench --bin perf -- \
-    --quick --out="$PERF_OUT" \
-    --compare=results/perf-baseline.json --threshold=2.0
-  # The emitted report must survive the workspace's strict JSON codec
-  # and carry the expected schema tag — and so must the baseline itself.
-  cargo run -q --release --offline -p dope-bench --bin perf -- --check="$PERF_OUT"
-  cargo run -q --release --offline -p dope-bench --bin perf -- \
-    --check=results/perf-baseline.json
+    --quick --out="$TRACE_TMP/BENCH_perf.json"
   # The per-PR ledger is appended by hand: every row must parse and name
   # real commits.
   cargo run -q --release --offline -p dope-bench --bin perf -- \

@@ -6,7 +6,7 @@
 //! plus an oracle that picks the ideal inner DoP at every load factor.
 
 use dope_core::{Resources, StaticMechanism};
-use dope_sim::system::{run_system, SystemOutcome, SystemParams, TwoLevelModel};
+use dope_sim::system::{run_system, SystemOutcome, SystemParams};
 use dope_workload::ArrivalSchedule;
 
 /// One load point of the Figure 2 sweep.
@@ -67,8 +67,6 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<LoadPoint> {
 /// Runs and prints the three Figure 2 panels.
 pub fn report(quick: bool) -> Vec<LoadPoint> {
     let points = run(&crate::load_factors(quick), crate::request_count(quick));
-    let model: TwoLevelModel = dope_apps::transcode::sim_model();
-    let _ = &model;
 
     println!("== Figure 2(a): x264 per-video execution time (s) vs load ==");
     println!(

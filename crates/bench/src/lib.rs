@@ -17,7 +17,7 @@
 //! | [`ablations`] | sensitivity sweeps of the mechanisms' knobs (beyond the paper) |
 //! | [`trace`] | flight-recorder captures of representative fig11/fig15 runs |
 //! | [`metrics`] | `--metrics` Prometheus-text registry dumps for fig11/fig15 |
-//! | [`perf`] | perf gate: pinned microbenches emitting `BENCH_perf.json` (beyond the paper) |
+//! | [`perf`] | perf ledger: the three probes the repo benchmark cannot host, emitting `BENCH_perf.json` (beyond the paper) |
 //! | [`overload`] | overload probe: admission policies under 10x offered load (beyond the paper) |
 //! | [`alloc`] | counting allocator behind the allocation budgets of a control period (beyond the paper) |
 //!

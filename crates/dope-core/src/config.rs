@@ -6,12 +6,22 @@
 //! alternative. The paper writes such configurations as
 //! `<DoP_outer, DoP_inner> = <(3, DOALL), (8, PIPE)>`.
 
+use crate::diag::Finding;
 use crate::error::{Error, Result};
 use crate::label::Label;
 use crate::path::TaskPath;
 use crate::shape::{ParKind, ProgramShape, ShapeNode};
 use crate::spec::TaskKind;
 use serde::{Deserialize, Serialize};
+
+/// Budget fraction at or below which DV002 (under-subscription) fires: a
+/// configuration occupying no more of a budget of at least
+/// [`UNDER_SUBSCRIPTION_MIN_BUDGET`] threads leaves most of the machine
+/// idle, which defeats the purpose of an adaptive executive.
+pub const UNDER_SUBSCRIPTION_FRACTION: f64 = 0.5;
+
+/// Budgets smaller than this never trigger under-subscription warnings.
+pub const UNDER_SUBSCRIPTION_MIN_BUDGET: u32 = 8;
 
 /// The chosen inner descriptor of a nested task, with child configurations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -61,15 +71,13 @@ impl TaskConfig {
     }
 
     /// Threads this task (and its nest) occupies: extent for leaves,
-    /// `extent x sum(children)` for nested tasks.
+    /// `extent x sum(children)` for nested tasks, saturating at
+    /// `u32::MAX`.
     #[must_use]
     pub fn threads(&self) -> u32 {
         match &self.nested {
             None => self.extent,
-            Some(nest) => {
-                let inner: u32 = nest.tasks.iter().map(TaskConfig::threads).sum();
-                self.extent.saturating_mul(inner.max(1))
-            }
+            Some(nest) => self.extent.saturating_mul(sum_threads(&nest.tasks).max(1)),
         }
     }
 
@@ -159,10 +167,12 @@ impl Config {
         Config { tasks }
     }
 
-    /// Total hardware threads the configuration occupies.
+    /// Total hardware threads the configuration occupies, saturating at
+    /// `u32::MAX` (so an absurd extent exceeds every budget instead of
+    /// wrapping under it).
     #[must_use]
     pub fn total_threads(&self) -> u32 {
-        self.tasks.iter().map(TaskConfig::threads).sum()
+        sum_threads(&self.tasks)
     }
 
     /// Resolves the task configuration at `path`.
@@ -326,26 +336,59 @@ impl Config {
         }
     }
 
+    /// Walks the configuration against `shape` and `budget` and hands
+    /// `visit` every rule of the `DV0xx` catalogue it breaks, in
+    /// traversal order: per level the arity, then each task (name,
+    /// extent, structure, its nest), then starved stages; the budget
+    /// last. Mismatched levels are still descended, pairing tasks
+    /// positionally. The walk stops, and returns the error, when `visit`
+    /// fails. This is the one place the rules are written:
+    /// [`validate`](Self::validate) stops at the first error,
+    /// `dope_verify::analyze` collects everything. It renders no text,
+    /// allocates nothing (paths deeper than eleven levels excepted) and
+    /// builds a task's path only to report on it or to descend into it.
+    pub fn check<'a, E>(
+        &'a self,
+        shape: &'a ProgramShape,
+        budget: u32,
+        visit: &mut impl FnMut(&TaskPath, Finding<'a>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        check_level(&self.tasks, &shape.tasks, &TaskPath::root(), visit)?;
+        let (required, available) = (self.total_threads(), budget);
+        if required > available {
+            let over = Finding::BudgetExceeded {
+                required,
+                available,
+            };
+            visit(&TaskPath::root(), over)?;
+        } else if available >= UNDER_SUBSCRIPTION_MIN_BUDGET
+            && f64::from(required) <= f64::from(available) * UNDER_SUBSCRIPTION_FRACTION
+        {
+            let under = Finding::UnderSubscribed {
+                required,
+                available,
+            };
+            visit(&TaskPath::root(), under)?;
+        }
+        Ok(())
+    }
+
     /// Validates the configuration against a program shape and a thread
-    /// budget.
+    /// budget: the first error-severity finding of [`check`](Self::check).
     ///
     /// # Errors
     ///
-    /// * [`Error::ShapeMismatch`] — names, arities, or nesting differ;
+    /// * [`Error::ShapeMismatch`] — names, arities, or nesting differ, an
+    ///   extent exceeds its declared cap, or a nest selects an empty
+    ///   alternative (its `code` says which);
     /// * [`Error::ZeroExtent`] — a task has extent zero;
     /// * [`Error::SequentialExtent`] — a `SEQ` task has extent above one;
     /// * [`Error::UnknownAlternative`] — a nest picks a missing descriptor;
     /// * [`Error::BudgetExceeded`] — total threads exceed `budget`.
     pub fn validate(&self, shape: &ProgramShape, budget: u32) -> Result<()> {
-        validate_level(&self.tasks, &shape.tasks, &TaskPath::root())?;
-        let required = self.total_threads();
-        if required > budget {
-            return Err(Error::BudgetExceeded {
-                required,
-                available: budget,
-            });
-        }
-        Ok(())
+        self.check(shape, budget, &mut |path, finding| {
+            finding.to_error(path).map_or(Ok(()), Err)
+        })
     }
 
     /// The all-sequential configuration for a shape: every extent one,
@@ -421,66 +464,83 @@ impl Config {
     }
 }
 
-fn validate_level(tasks: &[TaskConfig], nodes: &[ShapeNode], prefix: &TaskPath) -> Result<()> {
+fn sum_threads(tasks: &[TaskConfig]) -> u32 {
+    tasks
+        .iter()
+        .fold(0, |sum, task| sum.saturating_add(task.threads()))
+}
+
+/// One descriptor level of [`Config::check`]: `tasks` against `nodes`,
+/// paired positionally as far as both extend.
+fn check_level<'a, E>(
+    tasks: &'a [TaskConfig],
+    nodes: &'a [ShapeNode],
+    prefix: &TaskPath,
+    visit: &mut impl FnMut(&TaskPath, Finding<'a>) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
     if tasks.len() != nodes.len() {
-        return Err(Error::ShapeMismatch {
-            path: prefix.clone(),
-            detail: format!(
-                "descriptor has {} tasks but configuration has {}",
-                nodes.len(),
-                tasks.len()
-            ),
-        });
+        let (expected, found) = (nodes.len(), tasks.len());
+        visit(prefix, Finding::Arity { expected, found })?;
     }
-    for (i, (task, node)) in tasks.iter().zip(nodes).enumerate() {
-        let path = prefix.child(i as u16);
-        if task.name != node.name {
-            return Err(Error::ShapeMismatch {
-                path,
-                detail: format!("expected task `{}`, found `{}`", node.name, task.name),
-            });
+    for (i, (cfg, node)) in tasks.iter().zip(nodes).enumerate() {
+        // Built only for a finding or a descent: most tasks have neither.
+        let path = || prefix.child(i as u16);
+        let (task, extent) = (cfg.name.as_str(), cfg.extent);
+        if task != node.name {
+            let expected = node.name.as_str();
+            visit(
+                &path(),
+                Finding::Name {
+                    expected,
+                    found: task,
+                },
+            )?;
         }
-        if task.extent == 0 {
-            return Err(Error::ZeroExtent { path });
+        if extent == 0 {
+            visit(&path(), Finding::ZeroExtent { task })?;
         }
-        if node.kind == TaskKind::Seq && task.extent > 1 {
-            return Err(Error::SequentialExtent {
-                path,
-                extent: task.extent,
-            });
+        if node.kind == TaskKind::Seq && extent > 1 {
+            visit(&path(), Finding::SequentialExtent { task, extent })?;
         }
-        if let Some(max) = node.max_extent {
-            if task.extent > max {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: format!("extent {} exceeds declared cap {max}", task.extent),
-                });
-            }
+        if let Some(cap) = node.max_extent.filter(|&cap| extent > cap) {
+            visit(&path(), Finding::MaxExtent { task, extent, cap })?;
         }
-        match (&task.nested, node.is_leaf()) {
+        match (&cfg.nested, node.is_leaf()) {
             (None, true) => {}
-            (Some(nest), false) => {
-                let Some(alt) = node.alternatives.get(nest.alternative) else {
-                    return Err(Error::UnknownAlternative {
-                        path,
-                        requested: nest.alternative,
-                        available: node.alternatives.len(),
-                    });
-                };
-                validate_level(&nest.tasks, alt, &path)?;
+            (Some(nest), false) => match node.alternatives.get(nest.alternative) {
+                None => {
+                    let (requested, available) = (nest.alternative, node.alternatives.len());
+                    visit(
+                        &path(),
+                        Finding::UnknownAlternative {
+                            task,
+                            requested,
+                            available,
+                        },
+                    )?;
+                }
+                Some(alt) => {
+                    // Zero tasks match zero tasks, so the arity rule is
+                    // blind to a nest that replicates nothing.
+                    if alt.is_empty() && nest.tasks.is_empty() {
+                        let alternative = nest.alternative;
+                        visit(&path(), Finding::EmptyAlternative { task, alternative })?;
+                    }
+                    check_level(&nest.tasks, alt, &path(), visit)?;
+                }
+            },
+            (nested, _) => {
+                let nested = nested.is_some();
+                visit(&path(), Finding::Structure { task, nested })?;
             }
-            (Some(_), true) => {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: "configuration nests a leaf task".to_string(),
-                });
-            }
-            (None, false) => {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: "configuration treats a nested task as a leaf".to_string(),
-                });
-            }
+        }
+    }
+    // Every item flows through every stage of a multi-task level, so one
+    // stage without workers stalls its active siblings.
+    if tasks.len() >= 2 && tasks.iter().any(|t| t.extent > 0) {
+        for (i, cfg) in tasks.iter().enumerate().filter(|(_, t)| t.extent == 0) {
+            let task = cfg.name.as_str();
+            visit(&prefix.child(i as u16), Finding::StarvedStage { task })?;
         }
     }
     Ok(())
@@ -588,6 +648,30 @@ mod tests {
                 available: 24
             }
         ));
+    }
+
+    /// Two extents whose sum wraps a `u32` to zero still exceed every
+    /// budget: thread totals saturate.
+    #[test]
+    fn validate_rejects_a_thread_sum_that_overflows() {
+        let shape = ProgramShape::new(vec![
+            ShapeNode::leaf("a", TaskKind::Par),
+            ShapeNode::leaf("b", TaskKind::Par),
+        ]);
+        let config = Config::new(vec![
+            TaskConfig::leaf("a", 1 << 31),
+            TaskConfig::leaf("b", 1 << 31),
+        ]);
+        assert_eq!(config.total_threads(), u32::MAX);
+        assert_eq!(
+            config.validate(&shape, 4),
+            Err(Error::BudgetExceeded {
+                required: u32::MAX,
+                available: 4
+            })
+        );
+        let nest = TaskConfig::nest("n", 2, 0, config.tasks);
+        assert_eq!(nest.threads(), u32::MAX);
     }
 
     #[test]

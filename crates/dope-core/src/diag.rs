@@ -29,6 +29,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::error::Error;
 use crate::path::TaskPath;
 
 /// Stable diagnostic codes (`DV0xx`) for configuration problems.
@@ -199,9 +200,225 @@ impl fmt::Display for Severity {
     }
 }
 
+/// One rule of the catalogue that a configuration breaks, with the
+/// rule's own data and no rendered text: what
+/// [`Config::check`](crate::Config::check) hands its visitor.
+/// `task` is always the *configured* task's name. [`Display`](fmt::Display)
+/// renders the analyzer's message, [`to_error`](Finding::to_error) the
+/// validator's [`Error`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Finding<'a> {
+    /// DV011: a level configures `found` tasks where the chosen
+    /// descriptor declares `expected`.
+    Arity {
+        /// Tasks in the shape's descriptor.
+        expected: usize,
+        /// Tasks in the configuration.
+        found: usize,
+    },
+    /// DV005: the shape calls the task `expected`.
+    Name {
+        /// The shape's name.
+        expected: &'a str,
+        /// The configured name.
+        found: &'a str,
+    },
+    /// DV007: extent zero.
+    ZeroExtent {
+        /// The offending task.
+        task: &'a str,
+    },
+    /// DV003: a sequential task with `extent` above one.
+    SequentialExtent {
+        /// The offending task.
+        task: &'a str,
+        /// Its configured extent.
+        extent: u32,
+    },
+    /// DV006: `extent` is above the shape's declared `cap`.
+    MaxExtent {
+        /// The offending task.
+        task: &'a str,
+        /// Its configured extent.
+        extent: u32,
+        /// The shape's `max_extent`.
+        cap: u32,
+    },
+    /// DV012: the configuration nests a task the shape declares a leaf
+    /// (`nested`), or configures a nested task as a leaf.
+    Structure {
+        /// The offending task.
+        task: &'a str,
+        /// `true` when the configuration is the side that nests.
+        nested: bool,
+    },
+    /// DV004: the nest picks alternative `requested` of `available`.
+    UnknownAlternative {
+        /// The offending task.
+        task: &'a str,
+        /// The chosen alternative.
+        requested: usize,
+        /// Alternatives the shape declares.
+        available: usize,
+    },
+    /// DV008: the chosen alternative holds no tasks.
+    EmptyAlternative {
+        /// The offending task.
+        task: &'a str,
+        /// The chosen alternative.
+        alternative: usize,
+    },
+    /// DV010: a stage with extent zero beside active siblings.
+    StarvedStage {
+        /// The offending task.
+        task: &'a str,
+    },
+    /// DV001: the configuration occupies `required` threads (saturating
+    /// at `u32::MAX`) of `available`.
+    BudgetExceeded {
+        /// Threads the configuration occupies.
+        required: u32,
+        /// The budget.
+        available: u32,
+    },
+    /// DV002: `required` is at most
+    /// [`UNDER_SUBSCRIPTION_FRACTION`](crate::config::UNDER_SUBSCRIPTION_FRACTION)
+    /// of a budget worth warning about.
+    UnderSubscribed {
+        /// Threads the configuration occupies.
+        required: u32,
+        /// The budget.
+        available: u32,
+    },
+}
+
+impl Finding<'_> {
+    /// The catalogue code of the broken rule.
+    #[must_use]
+    pub fn code(&self) -> DiagCode {
+        match self {
+            Finding::Arity { .. } => DiagCode::ArityMismatch,
+            Finding::Name { .. } => DiagCode::NameMismatch,
+            Finding::ZeroExtent { .. } => DiagCode::ZeroExtent,
+            Finding::SequentialExtent { .. } => DiagCode::SequentialExtent,
+            Finding::MaxExtent { .. } => DiagCode::MaxExtentExceeded,
+            Finding::Structure { .. } => DiagCode::StructureMismatch,
+            Finding::UnknownAlternative { .. } => DiagCode::AltOutOfRange,
+            Finding::EmptyAlternative { .. } => DiagCode::EmptyNest,
+            Finding::StarvedStage { .. } => DiagCode::PipeStarvation,
+            Finding::BudgetExceeded { .. } => DiagCode::BudgetExceeded,
+            Finding::UnderSubscribed { .. } => DiagCode::UnderSubscription,
+        }
+    }
+
+    /// The [`Error`] `Config::validate` returns for this finding at
+    /// `path`: `None` for a warning, and for an error whose rule has no
+    /// variant of its own an [`Error::ShapeMismatch`] carrying the code.
+    #[must_use]
+    pub fn to_error(&self, path: &TaskPath) -> Option<Error> {
+        let code = self.code();
+        if code.default_severity() == Severity::Warning {
+            return None;
+        }
+        let path = path.clone();
+        Some(match *self {
+            Finding::ZeroExtent { .. } => Error::ZeroExtent { path },
+            Finding::SequentialExtent { extent, .. } => Error::SequentialExtent { path, extent },
+            Finding::UnknownAlternative {
+                requested,
+                available,
+                ..
+            } => Error::UnknownAlternative {
+                path,
+                requested,
+                available,
+            },
+            Finding::BudgetExceeded {
+                required,
+                available,
+            } => Error::BudgetExceeded {
+                required,
+                available,
+            },
+            _ => Error::ShapeMismatch {
+                path,
+                code,
+                detail: self.to_string(),
+            },
+        })
+    }
+}
+
+impl fmt::Display for Finding<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Finding::Arity { expected, found } => write!(
+                f,
+                "descriptor has {expected} tasks but configuration has {found}"
+            ),
+            Finding::Name { expected, found } => {
+                write!(f, "expected task `{expected}`, found `{found}`")
+            }
+            Finding::ZeroExtent { task } => write!(f, "task `{task}` was assigned extent zero"),
+            Finding::SequentialExtent { task, extent } => write!(
+                f,
+                "sequential task `{task}` was assigned extent {extent} (must be 1)"
+            ),
+            Finding::MaxExtent { task, extent, cap } => {
+                write!(
+                    f,
+                    "task `{task}` extent {extent} exceeds declared cap {cap}"
+                )
+            }
+            Finding::Structure { task, nested: true } => {
+                write!(f, "configuration nests leaf task `{task}`")
+            }
+            Finding::Structure {
+                task,
+                nested: false,
+            } => {
+                write!(f, "configuration treats nested task `{task}` as a leaf")
+            }
+            Finding::UnknownAlternative {
+                task,
+                requested,
+                available,
+            } => write!(
+                f,
+                "task `{task}` has {available} parallelism descriptors but alternative \
+                 {requested} was requested"
+            ),
+            Finding::EmptyAlternative { task, alternative } => write!(
+                f,
+                "task `{task}` selects empty alternative {alternative}: the nest does no work"
+            ),
+            Finding::StarvedStage { task } => write!(
+                f,
+                "pipeline stage `{task}` has extent 0 while sibling stages are active; \
+                 items will pile up and the pipeline will starve"
+            ),
+            Finding::BudgetExceeded {
+                required,
+                available,
+            } => write!(
+                f,
+                "configuration needs {required} threads but only {available} are available"
+            ),
+            Finding::UnderSubscribed {
+                required,
+                available,
+            } => write!(
+                f,
+                "configuration uses {required} of {available} budgeted threads ({}%)",
+                100 * u64::from(required) / u64::from(available.max(1))
+            ),
+        }
+    }
+}
+
 /// One structured finding about a configuration.
 ///
-/// Unlike [`Error`](crate::Error), which models the runtime's
+/// Unlike [`Error`], which models the runtime's
 /// first-error-wins validation, diagnostics are collected exhaustively:
 /// an analysis pass reports *every* problem it can find, each tagged
 /// with a stable [`DiagCode`], the offending [`TaskPath`], a severity,

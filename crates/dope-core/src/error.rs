@@ -28,6 +28,8 @@ pub enum Error {
     ShapeMismatch {
         /// Path at which the mismatch was detected.
         path: TaskPath,
+        /// The rule broken: DV005, DV006, DV008, DV011 or DV012.
+        code: DiagCode,
         /// Human-readable description of the mismatch.
         detail: String,
     },
@@ -90,8 +92,8 @@ impl Error {
     ///
     /// Codes come from the `DV0xx` catalogue in [`crate::diag`], which
     /// the static analyzer in `dope-verify` shares; a config rejected by
-    /// [`Config::validate`](crate::Config::validate) with some error maps
-    /// to an analyzer diagnostic carrying the same code.
+    /// [`Config::validate`](crate::Config::validate) carries the code of
+    /// the analyzer's first error diagnostic for it.
     ///
     /// # Example
     ///
@@ -106,10 +108,7 @@ impl Error {
     #[must_use]
     pub fn code(&self) -> DiagCode {
         match self {
-            // Shape mismatches are reported at finer granularity by the
-            // analyzer (DV005/DV011/DV012); the coarse validator funnels
-            // them all through name-level mismatch.
-            Error::ShapeMismatch { .. } => DiagCode::NameMismatch,
+            Error::ShapeMismatch { code, .. } => *code,
             Error::ZeroExtent { .. } => DiagCode::ZeroExtent,
             Error::BudgetExceeded { .. } => DiagCode::BudgetExceeded,
             Error::SequentialExtent { .. } => DiagCode::SequentialExtent,
@@ -125,7 +124,7 @@ impl Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::ShapeMismatch { path, detail } => {
+            Error::ShapeMismatch { path, detail, .. } => {
                 write!(f, "configuration does not match shape at {path}: {detail}")
             }
             Error::ZeroExtent { path } => {
@@ -173,6 +172,7 @@ mod tests {
         let errors = [
             Error::ShapeMismatch {
                 path: TaskPath::root_child(0),
+                code: DiagCode::NameMismatch,
                 detail: "name".into(),
             },
             Error::ZeroExtent {
@@ -224,9 +224,18 @@ mod tests {
             (
                 Error::ShapeMismatch {
                     path: TaskPath::root_child(0),
+                    code: DiagCode::NameMismatch,
                     detail: "name".into(),
                 },
                 "DV005",
+            ),
+            (
+                Error::ShapeMismatch {
+                    path: TaskPath::root_child(0),
+                    code: DiagCode::MaxExtentExceeded,
+                    detail: "cap".into(),
+                },
+                "DV006",
             ),
             (
                 Error::ZeroExtent {

@@ -70,7 +70,7 @@ pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use config::{Config, ConfigDiff, NestConfig, TaskConfig};
 pub use control::{ControlCore, ControlSink, Verdict};
 pub use decision::{realized_throughput, DecisionCandidate, DecisionTrace, Rationale};
-pub use diag::{DiagCode, Diagnostic, Severity};
+pub use diag::{DiagCode, Diagnostic, Finding, Severity};
 pub use error::{Error, Result};
 pub use ewma::Ewma;
 pub use failure::{FailurePolicy, FailureVerdict, TaskOutcome};

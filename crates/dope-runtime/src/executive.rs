@@ -627,11 +627,11 @@ impl ControlSink for LiveSink<'_> {
 /// Every configuration the executive runs — the initial one at launch
 /// and each one the control core switches to at a drain boundary (an
 /// accepted proposal, a `Degrade` shrink) — is additionally run through
-/// the `dope-verify` static analyzer in debug builds. The analyzer is
-/// strictly stronger than the validator (it also rejects degenerate
-/// trees such as empty nests), so a panic here means a mechanism or
-/// shape produced something the first-error-wins validator is blind to.
-/// Release builds compile this to nothing.
+/// the `dope-verify` static analyzer in debug builds. The analyzer reads
+/// the same rule walk `Config::validate` stops in and adds the shape's
+/// own lints, so a panic here means the program's shape is degenerate
+/// (an alternative nothing could run) or a configuration reached the
+/// runtime unvalidated. Release builds compile this to nothing.
 fn debug_verify_gate(stage: &str, shape: &ProgramShape, config: &Config, threads: u32) {
     #[cfg(debug_assertions)]
     {
@@ -1190,16 +1190,17 @@ mod tests {
         assert!(ratio < 0.015, "monitoring overhead {:.2} %", ratio * 100.0);
     }
 
-    /// The launch gate catches degenerate programs `Config::validate`
-    /// tolerates: a nest whose only alternative is empty passes the
-    /// first-error-wins validator (zero tasks match zero tasks) but is
-    /// rejected by the static analyzer (DV008) in debug builds.
+    /// A nest whose only alternative is empty matches the arity rule
+    /// (zero tasks against zero tasks) and would replicate nothing:
+    /// `launch` refuses it with DV008, in debug and release alike.
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "gate compiles out in release builds")]
-    #[should_panic(expected = "verification gate (launch)")]
     fn launch_gate_rejects_empty_nest() {
         let spec = TaskSpec::nest("hollow", TaskKind::Par, |_replica: u32| Vec::new());
-        let _ = Dope::builder(Goal::MaxThroughput { threads: 4 }).launch(vec![spec]);
+        let refused = Dope::builder(Goal::MaxThroughput { threads: 4 }).launch(vec![spec]);
+        match refused {
+            Err(err) => assert_eq!(err.code(), dope_core::DiagCode::EmptyNest, "{err}"),
+            Ok(_) => panic!("an empty nest launched"),
+        }
     }
 
     /// The reconfiguration gate re-analyzes accepted proposals. A

@@ -4,8 +4,8 @@
 use crate::monitor::Monitor;
 use crate::shard::RecorderShard;
 use dope_core::{
-    Config, Directive, Error, Result, TaskBody, TaskConfig, TaskCx, TaskPath, TaskSpec, Work,
-    WorkerSlot,
+    BodyFactory, Config, DiagCode, Directive, Error, Result, TaskBody, TaskConfig, TaskCx,
+    TaskPath, TaskSpec, Work, WorkerSlot,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,33 +52,67 @@ impl std::fmt::Debug for Epoch {
 /// must match the shape derived from replica zero.
 pub(crate) fn instantiate(specs: &[TaskSpec], config: &Config) -> Result<Epoch> {
     let mut epoch = Epoch::default();
-    instantiate_level(specs, &config.tasks, &TaskPath::root(), &mut epoch)?;
+    instantiate_level(specs, &config.tasks, &TaskPath::root(), 0, &mut epoch)?;
     Ok(epoch)
 }
 
+fn mismatch(path: &TaskPath, code: DiagCode, detail: String) -> Error {
+    Error::ShapeMismatch {
+        path: path.clone(),
+        code,
+        detail,
+    }
+}
+
+/// One job per worker of the leaf at `path`, tagged with the `replica`
+/// of the nest it sits in.
+fn push_workers(
+    epoch: &mut Epoch,
+    path: &TaskPath,
+    factory: &dyn BodyFactory,
+    replica: u32,
+    extent: u32,
+) {
+    for worker in 0..extent {
+        let slot = WorkerSlot {
+            replica,
+            worker,
+            extent,
+        };
+        epoch.jobs.push(WorkerJob {
+            path: path.clone(),
+            slot,
+            body: factory.make_body(slot),
+        });
+    }
+}
+
+/// One descriptor level of replica `replica` of the enclosing nest (0
+/// at the root).
 fn instantiate_level(
     specs: &[TaskSpec],
     configs: &[TaskConfig],
     prefix: &TaskPath,
+    replica: u32,
     epoch: &mut Epoch,
 ) -> Result<()> {
     if specs.len() != configs.len() {
-        return Err(Error::ShapeMismatch {
-            path: prefix.clone(),
-            detail: format!(
-                "descriptor has {} tasks but configuration has {}",
-                specs.len(),
-                configs.len()
-            ),
-        });
+        let detail = format!(
+            "replica {replica}: descriptor has {} tasks but configuration has {}",
+            specs.len(),
+            configs.len()
+        );
+        return Err(mismatch(prefix, DiagCode::ArityMismatch, detail));
     }
     for (i, (spec, cfg)) in specs.iter().zip(configs).enumerate() {
         let path = prefix.child(i as u16);
         if spec.name() != cfg.name {
-            return Err(Error::ShapeMismatch {
-                path,
-                detail: format!("expected `{}`, found `{}`", spec.name(), cfg.name),
-            });
+            let detail = format!(
+                "replica {replica}: descriptor task `{}` is configured as `{}`",
+                spec.name(),
+                cfg.name
+            );
+            return Err(mismatch(&path, DiagCode::NameMismatch, detail));
         }
         *epoch.extents.entry(path.clone()).or_insert(0) += cfg.extent;
         if let Some(cb) = spec.load_cb() {
@@ -86,18 +120,7 @@ fn instantiate_level(
         }
         match (spec.work(), &cfg.nested) {
             (Work::Leaf(factory), None) => {
-                for worker in 0..cfg.extent {
-                    let slot = WorkerSlot {
-                        replica: 0,
-                        worker,
-                        extent: cfg.extent,
-                    };
-                    epoch.jobs.push(WorkerJob {
-                        path: path.clone(),
-                        slot,
-                        body: factory.make_body(slot),
-                    });
-                }
+                push_workers(epoch, &path, factory.as_ref(), replica, cfg.extent);
             }
             (Work::Nest(alts), Some(nest)) => {
                 let factory =
@@ -107,22 +130,14 @@ fn instantiate_level(
                             requested: nest.alternative,
                             available: alts.len(),
                         })?;
-                for replica in 0..cfg.extent {
-                    let inner = factory.make_nest(replica);
-                    instantiate_replica(&inner, &nest.tasks, &path, replica, epoch)?;
+                for inner_replica in 0..cfg.extent {
+                    let inner = factory.make_nest(inner_replica);
+                    instantiate_level(&inner, &nest.tasks, &path, inner_replica, epoch)?;
                 }
             }
-            (Work::Leaf(_), Some(_)) => {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: "configuration nests a leaf task".to_string(),
-                })
-            }
-            (Work::Nest(_), None) => {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: "configuration treats a nested task as a leaf".to_string(),
-                })
+            _ => {
+                let detail = format!("replica {replica}: leaf/nest structure differs");
+                return Err(mismatch(&path, DiagCode::StructureMismatch, detail));
             }
         }
     }
@@ -142,118 +157,34 @@ pub(crate) fn instantiate_paths(
     config: &Config,
     paths: &[TaskPath],
 ) -> Result<Epoch> {
+    let not_a_leaf = |path| {
+        let detail = "partial relaunch supports top-level leaf tasks only".to_string();
+        mismatch(path, DiagCode::StructureMismatch, detail)
+    };
     let mut epoch = Epoch::default();
     for path in paths {
         let mut indices = path.indices();
         let (Some(index), None) = (indices.next(), indices.next()) else {
-            return Err(Error::ShapeMismatch {
-                path: path.clone(),
-                detail: "partial relaunch supports top-level leaf tasks only".to_string(),
-            });
+            return Err(not_a_leaf(path));
         };
         let (Some(spec), Some(cfg)) = (specs.get(index as usize), config.tasks.get(index as usize))
         else {
             return Err(Error::UnknownPath { path: path.clone() });
         };
         if spec.name() != cfg.name {
-            return Err(Error::ShapeMismatch {
-                path: path.clone(),
-                detail: format!("expected `{}`, found `{}`", spec.name(), cfg.name),
-            });
+            let detail = format!("expected `{}`, found `{}`", spec.name(), cfg.name);
+            return Err(mismatch(path, DiagCode::NameMismatch, detail));
         }
         let (Work::Leaf(factory), None) = (spec.work(), &cfg.nested) else {
-            return Err(Error::ShapeMismatch {
-                path: path.clone(),
-                detail: "partial relaunch supports top-level leaf tasks only".to_string(),
-            });
+            return Err(not_a_leaf(path));
         };
         epoch.extents.insert(path.clone(), cfg.extent);
         if let Some(cb) = spec.load_cb() {
             epoch.load_cbs.push((path.clone(), Arc::clone(cb)));
         }
-        for worker in 0..cfg.extent {
-            let slot = WorkerSlot {
-                replica: 0,
-                worker,
-                extent: cfg.extent,
-            };
-            epoch.jobs.push(WorkerJob {
-                path: path.clone(),
-                slot,
-                body: factory.make_body(slot),
-            });
-        }
+        push_workers(&mut epoch, path, factory.as_ref(), 0, cfg.extent);
     }
     Ok(epoch)
-}
-
-/// Like [`instantiate_level`] but tags jobs with the replica index.
-fn instantiate_replica(
-    specs: &[TaskSpec],
-    configs: &[TaskConfig],
-    prefix: &TaskPath,
-    replica: u32,
-    epoch: &mut Epoch,
-) -> Result<()> {
-    if specs.len() != configs.len() {
-        return Err(Error::ShapeMismatch {
-            path: prefix.clone(),
-            detail: "replica descriptor arity differs from shape".to_string(),
-        });
-    }
-    for (i, (spec, cfg)) in specs.iter().zip(configs).enumerate() {
-        let path = prefix.child(i as u16);
-        if spec.name() != cfg.name {
-            return Err(Error::ShapeMismatch {
-                path,
-                detail: format!(
-                    "replica {replica}: expected `{}`, found `{}`",
-                    cfg.name,
-                    spec.name()
-                ),
-            });
-        }
-        *epoch.extents.entry(path.clone()).or_insert(0) += cfg.extent;
-        if let Some(cb) = spec.load_cb() {
-            epoch.load_cbs.push((path.clone(), Arc::clone(cb)));
-        }
-        match (spec.work(), &cfg.nested) {
-            (Work::Leaf(factory), None) => {
-                for worker in 0..cfg.extent {
-                    let slot = WorkerSlot {
-                        replica,
-                        worker,
-                        extent: cfg.extent,
-                    };
-                    epoch.jobs.push(WorkerJob {
-                        path: path.clone(),
-                        slot,
-                        body: factory.make_body(slot),
-                    });
-                }
-            }
-            (Work::Nest(alts), Some(nest)) => {
-                let factory =
-                    alts.get(nest.alternative)
-                        .ok_or_else(|| Error::UnknownAlternative {
-                            path: path.clone(),
-                            requested: nest.alternative,
-                            available: alts.len(),
-                        })?;
-                for inner_replica in 0..cfg.extent {
-                    let inner = factory.make_nest(inner_replica);
-                    instantiate_replica(&inner, &nest.tasks, &path, inner_replica, epoch)?;
-                }
-            }
-            _ => {
-                return Err(Error::ShapeMismatch {
-                    path,
-                    detail: "replica structure differs from configuration".to_string(),
-                })
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The gap between timed invocations a busy context aims for. The

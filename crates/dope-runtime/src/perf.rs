@@ -1,16 +1,14 @@
-//! Microbenchmark probes for the perf gate.
+//! Microbenchmark probes of crate-private machinery: the per-worker
+//! `RecorderShard` hot path, the monitor's shard aggregation and the
+//! live task context's sampled timing.
 //!
-//! The `dope-bench` `perf` binary (see `docs/performance.md`) drives
-//! these probes and emits `BENCH_perf.json`; CI runs them in a reduced
-//! configuration and diffs against a checked-in baseline. They live in
-//! the runtime crate because they exercise crate-private machinery: the
-//! per-worker `RecorderShard` hot path and the monitor's shard
-//! aggregation.
-//!
-//! None of this is statistical benchmarking infrastructure (the repo
-//! benchmark under `benchmark/` is the yardstick); these are cheap
-//! wall-clock probes whose job is to catch gross regressions, machine to
-//! machine, run to run.
+//! The repo benchmark under `benchmark/` (the yardstick) drives
+//! [`bench_record_path`] and [`bench_snapshot`] and reports them as
+//! `runtime.record_path_ns`, `runtime.record_path_contended_ns` and
+//! `runtime.snapshot_us`; the `dope-bench` `perf` binary (see
+//! `docs/performance.md`) drives [`bench_invoke`] for its `monitor`
+//! section. None of this is statistical benchmarking infrastructure:
+//! these are cheap wall-clock probes.
 
 use crate::instance::LiveCx;
 use crate::monitor::Monitor;

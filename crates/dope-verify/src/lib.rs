@@ -1,22 +1,24 @@
 //! Static analysis for DoPE parallelism configurations.
 //!
-//! The runtime's [`Config::validate`](dope_core::Config::validate) is
-//! first-error-wins: it answers "may I launch this?" with a single
-//! [`Error`](dope_core::Error). This crate answers the developer's
+//! The `DV0xx` rules are written once, in
+//! [`Config::check`](dope_core::Config::check); the runtime's validator
+//! and this analyzer are two readings of that one walk.
+//! [`Config::validate`](dope_core::Config::validate) answers "may I
+//! launch this?" with the first error-severity finding as a single
+//! [`Error`](dope_core::Error). [`analyze`] answers the developer's
 //! question instead — "*everything* that is wrong or suspicious about
 //! this configuration" — as a [`Report`] of structured
-//! [`Diagnostic`]s, each carrying a stable `DV0xx` code from
-//! [`dope_core::diag`], the offending [`TaskPath`], a severity, and a
-//! suggested fix.
+//! [`Diagnostic`]s, each carrying the finding's stable code from
+//! [`dope_core::diag`], the offending [`TaskPath`],
+//! a severity, and a suggested fix. So `validate` rejects exactly the
+//! configurations whose report holds a config-level error, with the code
+//! of the first one (a property test in `tests/properties.rs` holds both
+//! to it).
 //!
-//! The analyzer is **strictly stronger** than the validator: a
-//! configuration with no error-severity diagnostics always passes
-//! `Config::validate` (the soundness property, enforced by property
-//! tests in `tests/`). The converse is deliberately false — the
-//! analyzer also rejects degenerate trees the validator tolerates
-//! (empty nests, [`DiagCode::EmptyNest`]) and warns about legal but
-//! suspicious configurations (under-subscription, duplicate names,
-//! starved pipeline stages, unreachable alternatives).
+//! What only the analyzer reports are the warnings of the walk
+//! (under-subscription, starved pipeline stages) and the shape's own
+//! lints ([`lint_shape`]: empty or duplicate alternatives, duplicate
+//! sibling names), which exist before any configuration is chosen.
 //!
 //! The catalogue is shared with the runtime, but not every code is
 //! static: [`DiagCode::TaskFailed`] (DV016) is emitted only by the
@@ -65,35 +67,62 @@ pub mod report;
 pub use conformance::{snapshot_grid, verify_mechanism, Violation};
 pub use report::Report;
 
-use dope_core::diag::{DiagCode, Diagnostic};
-use dope_core::{
-    Config, NestConfig, ProgramShape, Resources, ShapeNode, TaskConfig, TaskKind, TaskPath,
-};
+use dope_core::diag::{DiagCode, Diagnostic, Finding};
+use dope_core::{Config, ProgramShape, Resources, ShapeNode, TaskPath};
+use std::convert::Infallible;
 
-/// Budget fraction below which [`DiagCode::UnderSubscription`] fires.
-///
-/// A configuration occupying at most this fraction of the thread budget
-/// (for budgets of at least [`UNDER_SUBSCRIPTION_MIN_BUDGET`] threads)
-/// leaves most of the machine idle, which defeats the purpose of an
-/// adaptive executive.
-pub const UNDER_SUBSCRIPTION_FRACTION: f64 = 0.5;
-
-/// Budgets smaller than this never trigger under-subscription warnings.
-pub const UNDER_SUBSCRIPTION_MIN_BUDGET: u32 = 8;
+pub use dope_core::config::{UNDER_SUBSCRIPTION_FRACTION, UNDER_SUBSCRIPTION_MIN_BUDGET};
 
 /// Analyzes `config` against `shape` under `resources`, collecting every
 /// diagnostic the catalogue defines.
 ///
 /// Unlike [`Config::validate`], analysis never stops at the first
-/// problem: mismatched levels are still descended (pairing tasks
+/// problem: the walk descends mismatched levels too (pairing tasks
 /// positionally as far as both trees extend), so a single run reports
-/// all findings. Shape-only lints ([`lint_shape`]) are included.
+/// all findings. Shape-only lints ([`lint_shape`]) come first.
 #[must_use]
 pub fn analyze(shape: &ProgramShape, config: &Config, resources: &Resources) -> Report {
     let mut diags = lint_shape(shape);
-    analyze_level(&config.tasks, &shape.tasks, &TaskPath::root(), &mut diags);
-    analyze_budget(config, resources, &mut diags);
+    let _: Result<(), Infallible> = config.check(shape, resources.threads, &mut |path, finding| {
+        let diag = Diagnostic::new(finding.code(), path.clone(), finding.to_string());
+        diags.push(diag.with_suggestion(suggestion(&finding)));
+        Ok(())
+    });
     Report::new(diags)
+}
+
+/// The fix the analyzer proposes for `finding`.
+fn suggestion(finding: &Finding<'_>) -> String {
+    match *finding {
+        Finding::Arity { expected, .. } => {
+            format!("configure exactly {expected} tasks at this level")
+        }
+        Finding::Name { expected, .. } => format!("rename the configured task to `{expected}`"),
+        Finding::ZeroExtent { .. } => "assign an extent of at least 1".into(),
+        Finding::SequentialExtent { .. } => "set the extent of sequential tasks to 1".into(),
+        Finding::MaxExtent { cap, .. } => format!("clamp the extent to at most {cap}"),
+        Finding::Structure { nested: true, .. } => {
+            "configure this task as a leaf (no nested block)".into()
+        }
+        Finding::Structure { nested: false, .. } => {
+            "add a nested block choosing one of the declared alternatives".into()
+        }
+        Finding::UnknownAlternative { available, .. } => {
+            format!("choose an alternative below {available}")
+        }
+        Finding::EmptyAlternative { .. } => "select an alternative that contains tasks".into(),
+        Finding::StarvedStage { .. } => "give every pipeline stage at least one worker".into(),
+        Finding::BudgetExceeded {
+            required,
+            available,
+        } => format!(
+            "reduce extents until the total drops by {}",
+            required - available
+        ),
+        Finding::UnderSubscribed { .. } => {
+            "raise extents of parallel tasks to use the idle budget".into()
+        }
+    }
 }
 
 /// Lints a shape on its own: findings that exist before any
@@ -165,233 +194,11 @@ fn lint_shape_level(nodes: &[ShapeNode], prefix: &TaskPath, diags: &mut Vec<Diag
     }
 }
 
-fn analyze_budget(config: &Config, resources: &Resources, diags: &mut Vec<Diagnostic>) {
-    let required = config.total_threads();
-    let budget = resources.threads;
-    if required > budget {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::BudgetExceeded,
-                TaskPath::root(),
-                format!("configuration needs {required} threads but only {budget} are available"),
-            )
-            .with_suggestion(format!(
-                "reduce extents until the total drops by {}",
-                required - budget
-            )),
-        );
-    } else if budget >= UNDER_SUBSCRIPTION_MIN_BUDGET
-        && f64::from(required) <= f64::from(budget) * UNDER_SUBSCRIPTION_FRACTION
-    {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::UnderSubscription,
-                TaskPath::root(),
-                format!(
-                    "configuration uses {required} of {budget} budgeted threads ({}%)",
-                    (100 * required) / budget.max(1)
-                ),
-            )
-            .with_suggestion("raise extents of parallel tasks to use the idle budget"),
-        );
-    }
-}
-
-fn analyze_level(
-    tasks: &[TaskConfig],
-    nodes: &[ShapeNode],
-    prefix: &TaskPath,
-    diags: &mut Vec<Diagnostic>,
-) {
-    // DV011: arity mismatch. Analysis continues over the common prefix so
-    // deeper findings are still reported.
-    if tasks.len() != nodes.len() {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::ArityMismatch,
-                prefix.clone(),
-                format!(
-                    "descriptor has {} tasks but configuration has {}",
-                    nodes.len(),
-                    tasks.len()
-                ),
-            )
-            .with_suggestion(format!(
-                "configure exactly {} tasks at this level",
-                nodes.len()
-            )),
-        );
-    }
-    for (i, (task, node)) in tasks.iter().zip(nodes).enumerate() {
-        let path = prefix.child(i as u16);
-        analyze_node(task, node, &path, diags);
-    }
-    analyze_starvation(tasks, prefix, diags);
-}
-
-fn analyze_node(task: &TaskConfig, node: &ShapeNode, path: &TaskPath, diags: &mut Vec<Diagnostic>) {
-    // DV005: names must agree so reports and mechanisms talk about the
-    // same tasks.
-    if task.name != node.name {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::NameMismatch,
-                path.clone(),
-                format!("expected task `{}`, found `{}`", node.name, task.name),
-            )
-            .with_suggestion(format!("rename the configured task to `{}`", node.name)),
-        );
-    }
-    // DV007: zero extent means the task never runs.
-    if task.extent == 0 {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::ZeroExtent,
-                path.clone(),
-                format!("task `{}` was assigned extent zero", task.name),
-            )
-            .with_suggestion("assign an extent of at least 1"),
-        );
-    }
-    // DV003: sequential tasks cannot be replicated.
-    if node.kind == TaskKind::Seq && task.extent > 1 {
-        diags.push(
-            Diagnostic::new(
-                DiagCode::SequentialExtent,
-                path.clone(),
-                format!(
-                    "sequential task `{}` was assigned extent {} (must be 1)",
-                    task.name, task.extent
-                ),
-            )
-            .with_suggestion("set the extent of sequential tasks to 1"),
-        );
-    }
-    // DV006: extents above the declared cap overload the task.
-    if let Some(max) = node.max_extent {
-        if task.extent > max {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::MaxExtentExceeded,
-                    path.clone(),
-                    format!(
-                        "task `{}` extent {} exceeds declared cap {max}",
-                        task.name, task.extent
-                    ),
-                )
-                .with_suggestion(format!("clamp the extent to at most {max}")),
-            );
-        }
-    }
-    match (&task.nested, node.is_leaf()) {
-        (None, true) => {}
-        (Some(nest), false) => analyze_nest(task, nest, node, path, diags),
-        // DV012: leaf/nest structure must agree.
-        (Some(_), true) => {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::StructureMismatch,
-                    path.clone(),
-                    format!("configuration nests leaf task `{}`", task.name),
-                )
-                .with_suggestion("configure this task as a leaf (no nested block)"),
-            );
-        }
-        (None, false) => {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::StructureMismatch,
-                    path.clone(),
-                    format!("configuration treats nested task `{}` as a leaf", task.name),
-                )
-                .with_suggestion("add a nested block choosing one of the declared alternatives"),
-            );
-        }
-    }
-}
-
-fn analyze_nest(
-    task: &TaskConfig,
-    nest: &NestConfig,
-    node: &ShapeNode,
-    path: &TaskPath,
-    diags: &mut Vec<Diagnostic>,
-) {
-    match node.alternatives.get(nest.alternative) {
-        // DV004: the chosen alternative must exist.
-        None => {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::AltOutOfRange,
-                    path.clone(),
-                    format!(
-                        "task `{}` has {} parallelism descriptors but alternative {} was requested",
-                        task.name,
-                        node.alternatives.len(),
-                        nest.alternative
-                    ),
-                )
-                .with_suggestion(format!(
-                    "choose an alternative below {}",
-                    node.alternatives.len()
-                )),
-            );
-        }
-        Some(alt) => {
-            // DV008: a nest whose chosen alternative is empty replicates
-            // nothing. `Config::validate` tolerates this (0 == 0 arity),
-            // which is exactly why the analyzer flags it.
-            if alt.is_empty() && nest.tasks.is_empty() {
-                diags.push(
-                    Diagnostic::new(
-                        DiagCode::EmptyNest,
-                        path.clone(),
-                        format!(
-                            "task `{}` selects empty alternative {}: the nest does no work",
-                            task.name, nest.alternative
-                        ),
-                    )
-                    .with_suggestion("select an alternative that contains tasks"),
-                );
-            }
-            analyze_level(&nest.tasks, alt, path, diags);
-        }
-    }
-}
-
-/// DV010: inside a multi-stage nest (a pipeline), a stage with extent
-/// zero while a sibling has capacity stalls the whole pipeline — every
-/// item must flow through every stage.
-fn analyze_starvation(tasks: &[TaskConfig], prefix: &TaskPath, diags: &mut Vec<Diagnostic>) {
-    if tasks.len() < 2 {
-        return;
-    }
-    let any_active = tasks.iter().any(|t| t.extent > 0);
-    if !any_active {
-        return;
-    }
-    for (i, task) in tasks.iter().enumerate() {
-        if task.extent == 0 {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::PipeStarvation,
-                    prefix.child(i as u16),
-                    format!(
-                        "pipeline stage `{}` has extent 0 while sibling stages are active; \
-                         items will pile up and the pipeline will starve",
-                        task.name
-                    ),
-                )
-                .with_suggestion("give every pipeline stage at least one worker"),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dope_core::diag::Severity;
+    use dope_core::{TaskConfig, TaskKind};
 
     fn transcode_shape() -> ProgramShape {
         ProgramShape::new(vec![ShapeNode::nest(
@@ -635,8 +442,8 @@ mod tests {
             alternatives: vec![vec![]],
         }]);
         let config = Config::new(vec![TaskConfig::nest("hollow", 2, 0, vec![])]);
-        // validate() tolerates this; the analyzer must not.
-        config.validate(&shape, 8).unwrap();
+        let refused = config.validate(&shape, 8).unwrap_err();
+        assert_eq!(refused.code(), DiagCode::EmptyNest);
         let report = analyze(&shape, &config, &Resources::threads(8));
         assert!(codes(&report).contains(&DiagCode::EmptyNest));
         assert!(report.has_errors());

@@ -39,6 +39,17 @@ fn bad_input_prints_table_and_fails() {
     assert!(stdout.contains("4 errors, 1 warning"), "{stdout}");
 }
 
+/// Two extents whose sum wraps a `u32` to zero are over every budget
+/// (DV001), in debug and release alike — not "0 configured", exit 0.
+#[test]
+fn a_thread_sum_that_overflows_exceeds_the_budget() {
+    let out = run(&[testdata("overflow.json").to_str().unwrap()]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("DV001"), "{stdout}");
+    assert!(stdout.contains("1 error, 0 warnings"), "{stdout}");
+}
+
 #[test]
 fn missing_file_exits_two() {
     let out = run(&[testdata("does-not-exist.json").to_str().unwrap()]);

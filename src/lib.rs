@@ -62,8 +62,9 @@ pub mod docs {
     #[doc = include_str!("../docs/overload.md")]
     pub mod overload {}
 
-    /// `docs/performance.md`: the sharded monitor record path, its
-    /// memory-ordering argument, and the perf-gate workflow.
+    /// `docs/performance.md`: the current perf ledger (job hops, control
+    /// hops, allocations), the techniques behind it, and the in-tree
+    /// `perf` probes.
     #[doc = include_str!("../docs/performance.md")]
     pub mod performance {}
 

@@ -18,7 +18,10 @@
 //! * `path.rs`: `INLINE_DEPTH` 11 -> 0 — every path allocates [35.23 per
 //!   request; snapshot clone 2 allocations; consult 21];
 //! * `recorder.rs`: `Vec::from(std::mem::take(..))` back to
-//!   `.drain(..).collect()` [one allocation of N x 168 B per drain].
+//!   `.drain(..).collect()` [one allocation of N x 168 B per drain];
+//! * `config.rs`: `check_level` rendering a path it does not report
+//!   (`let _ = path().to_string();` per task) [4 allocations per
+//!   `validate` of the transcode nest].
 
 use dope_bench::alloc::{measure, Counting};
 use dope_bench::perf::record_sim_point;
@@ -116,6 +119,18 @@ fn drain_hands_the_ring_over_without_allocating() {
         assert!(recorder.is_empty());
         assert_eq!((allocs, bytes), (0, 0), "draining {n} records");
     }
+}
+
+/// The verify hop of a control period: the rule walk renders no text and
+/// builds its paths in place, so judging a valid proposal is free of the
+/// allocator.
+#[test]
+fn validating_a_valid_config_allocates_nothing() {
+    let model = dope_apps::transcode::sim_model();
+    let config = model.config_for_width(24, 8);
+    let (verdict, allocs, bytes) = measure(|| config.validate(model.shape(), 24));
+    assert_eq!(verdict, Ok(()));
+    assert_eq!((allocs, bytes), (0, 0), "validating {config}");
 }
 
 #[test]

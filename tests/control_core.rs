@@ -16,8 +16,8 @@ use dope_core::control::{
     Action, ControlCore, ControlReport, ControlSink, DrainTiming, Rules, Scope, Verdict,
 };
 use dope_core::{
-    Config, DecisionTrace, FailurePolicy, FailureVerdict, Mechanism, MonitorSnapshot, ProgramShape,
-    Rationale, Resources, ShapeNode, TaskConfig, TaskKind, TaskPath, TaskStats,
+    Config, DecisionTrace, DiagCode, FailurePolicy, FailureVerdict, Mechanism, MonitorSnapshot,
+    ProgramShape, Rationale, Resources, ShapeNode, TaskConfig, TaskKind, TaskPath, TaskStats,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
@@ -30,7 +30,7 @@ const BUDGET: u32 = 16;
 fn shape() -> ProgramShape {
     ProgramShape::new(vec![
         ShapeNode::leaf("a", TaskKind::Par),
-        ShapeNode::leaf("b", TaskKind::Par),
+        ShapeNode::leaf("b", TaskKind::Par).with_max_extent(8),
         ShapeNode {
             name: "n".to_string(),
             kind: TaskKind::Par,
@@ -66,6 +66,10 @@ enum Move {
     Hold,
     Unchanged,
     Reject,
+    /// Rejections within the budget, each by a different rule.
+    RejectOverCap,
+    RejectArity,
+    RejectStructure,
     AcceptPartial,
     AcceptFull,
 }
@@ -119,6 +123,9 @@ impl Mechanism for Scripted {
             Move::Hold => return None,
             Move::Unchanged => {}
             Move::Reject => next.set_extent(&path("0"), 100).unwrap(),
+            Move::RejectOverCap => next.set_extent(&path("1"), 9).unwrap(),
+            Move::RejectArity => drop(next.tasks.pop()),
+            Move::RejectStructure => next.tasks[2].nested = None,
             Move::AcceptPartial => {
                 let a = current.extent_of(&path("0")).unwrap();
                 next.set_extent(&path("0"), bump(a)).unwrap();
@@ -676,6 +683,36 @@ fn unchanged_is_judged_before_validity() {
     let run = run(tight, vec![(Move::Unchanged, EXPLAINED)], &[Step::Tick]);
     assert_eq!(run.verdicts(), [Verdict::Unchanged]);
     assert_eq!(run.report.rejected, 0);
+}
+
+/// A rejected proposal is judged with the code of the rule it broke —
+/// the one `dope-verify` reports for the same configuration — not a
+/// catch-all: over the budget DV001, over a leaf's `max_extent` DV006, a
+/// level of the wrong arity DV011, a nest configured as a leaf DV012.
+#[test]
+fn rejected_proposals_carry_the_broken_rules_code() {
+    let script = [
+        Move::Reject,
+        Move::RejectOverCap,
+        Move::RejectArity,
+        Move::RejectStructure,
+    ];
+    let run = run(
+        rules(FailurePolicy::Abort, true),
+        script.map(|step| (step, EXPLAINED)).to_vec(),
+        &[Step::Tick; 4],
+    );
+    let rejected = |code| Verdict::Rejected { code };
+    assert_eq!(
+        run.verdicts(),
+        [
+            rejected(DiagCode::BudgetExceeded),
+            rejected(DiagCode::MaxExtentExceeded),
+            rejected(DiagCode::ArityMismatch),
+            rejected(DiagCode::StructureMismatch),
+        ]
+    );
+    assert_eq!(run.report.rejected, 4);
 }
 
 /// Degrade cannot shrink a sole replica away, and the restart budget is

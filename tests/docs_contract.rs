@@ -5,7 +5,8 @@
 //! asserted here, each directly against the catalogue it documents:
 //! the metric naming table against `dope_metrics::names::ALL`, the DV
 //! table against `DiagCode::ALL`, the per-event schema sections against
-//! `TraceEvent::FIELDS`, and the book's relative links against the tree.
+//! `TraceEvent::FIELDS`, and the book's relative links (and those of the
+//! pages pointing into `results/runs/`) against the tree.
 //! (The lock-rank table is checked next to its owner, in
 //! `dope_runtime::lockrank`.)
 
@@ -244,7 +245,15 @@ fn book_pages_cross_reference_each_other() {
 #[test]
 fn book_index_links_every_chapter_and_every_link_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut pages = vec!["README.md".to_string()];
+    // The pages that point into `results/runs/` are part of the book for
+    // this purpose, and so are the run files themselves.
+    let mut pages: Vec<String> = ["README.md", "EXPERIMENTS.md", "CHANGES.md"]
+        .map(String::from)
+        .into();
+    for entry in std::fs::read_dir(root.join("results/runs")).expect("read results/runs/") {
+        let name = entry.expect("dir entry").file_name();
+        pages.push(format!("results/runs/{}", name.to_string_lossy()));
+    }
     for entry in std::fs::read_dir(root.join("docs")).expect("read docs/") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy();

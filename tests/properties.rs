@@ -242,28 +242,29 @@ proptest! {
         }
     }
 
-    /// Soundness and completeness of the static analyzer with respect to
-    /// the runtime validator, over randomly (mis)configured trees:
-    ///
-    /// * analyzer-clean (no error diagnostics) implies `validate` accepts;
-    /// * `validate` rejecting implies the analyzer reports an error.
+    /// The validator and the analyzer are two readings of one rule walk,
+    /// so over randomly (mis)configured trees they agree exactly:
+    /// `validate` rejects iff the report holds a config-level error
+    /// (anything after the shape's own lints), and with that first
+    /// error's code.
     #[test]
     fn analyzer_agrees_with_validator(
         outer in 0u32..6,
         read in 0u32..4,
         transform in 0u32..24,
         write in 0u32..4,
-        alt in 0usize..3,
+        alt in 0usize..4,
         threads in 1u32..64,
         break_name in any::<bool>(),
         drop_stage in any::<bool>(),
+        hollow in any::<bool>(),
     ) {
         use dope_core::{Resources, TaskConfig};
 
         let shape = ProgramShape::new(vec![ShapeNode {
             name: "txn".into(),
             kind: TaskKind::Par,
-            max_extent: None,
+            max_extent: Some(4),
             alternatives: vec![
                 vec![
                     ShapeNode::leaf("read", TaskKind::Seq),
@@ -271,6 +272,7 @@ proptest! {
                     ShapeNode::leaf("write", TaskKind::Seq),
                 ],
                 vec![ShapeNode::leaf("whole", TaskKind::Seq)],
+                vec![],
             ],
         }]);
         let mut stages = vec![
@@ -284,22 +286,22 @@ proptest! {
         if drop_stage {
             stages.pop();
         }
+        if hollow {
+            stages.clear();
+        }
         let config = Config::new(vec![TaskConfig::nest("txn", outer, alt, stages)]);
 
         let report = dope_verify::analyze(&shape, &config, &Resources::threads(threads));
-        let verdict = config.validate(&shape, threads);
-        if !report.has_errors() {
-            prop_assert!(
-                verdict.is_ok(),
-                "analyzer-clean config rejected by validate: {:?} for {config}",
-                verdict
-            );
-        }
-        if let Err(err) = &verdict {
-            prop_assert!(
-                report.has_errors(),
-                "validate rejected ({err}) but the analyzer found nothing for {config}"
-            );
+        let shape_lints = dope_verify::lint_shape(&shape).len();
+        let first_error = report.diagnostics[shape_lints..].iter().find(|d| d.is_error());
+        match (config.validate(&shape, threads), first_error) {
+            (Ok(()), None) => {}
+            (Err(err), Some(diag)) => prop_assert_eq!(err.code(), diag.code, "{} for {}", err, config),
+            (verdict, diag) => prop_assert!(
+                false,
+                "validate says {:?}, the analyzer {:?}, for {}",
+                verdict, diag, config
+            ),
         }
     }
 }
