@@ -16,7 +16,7 @@
 //! 2. **control** — one `ControlCore` tick on an 8-path snapshot against
 //!    a no-op sink: the consult/judge hop of a control period, holding
 //!    and accepting; and what one recorded simulator consult allocates
-//!    ([`record_sim_point`], budgeted by `tests/alloc_budget.rs`);
+//!    and leaves ([`record_sim_point`], budgeted by `tests/alloc_budget.rs`);
 //! 3. **monitor** — what "time one in k" costs and buys: a timed and an
 //!    untimed `begin`..`end` on the live task context, the share of
 //!    invocations timed back to back and 2 ms apart
@@ -97,26 +97,28 @@ fn time_offers(policy: AdmissionPolicy) -> f64 {
 }
 
 /// Records `requests` transcode requests at load 1.0 (seed 7, 24
-/// contexts) under WQ-Linear, the way the repo benchmark's `sim_replay`
+/// contexts) under `mechanism`, the way the repo benchmark's `sim_replay`
 /// records a grid point — bounded recorder, [`RecordingObserver`],
 /// `finished`, `drain` — and returns the recording with the allocations
 /// and bytes that took on the calling thread (see
 /// [`crate::alloc::measure`]). The arrival schedule is built outside the
 /// count.
 #[must_use]
-pub fn record_sim_point(requests: usize) -> (Vec<TraceRecord>, u64, u64) {
+pub fn record_sim_point(
+    mechanism: &mut dyn Mechanism,
+    requests: usize,
+) -> (Vec<TraceRecord>, u64, u64) {
     const CONTEXTS: u32 = 24;
     let model = transcode::sim_model();
     let schedule =
         ArrivalSchedule::for_load_factor(1.0, model.max_throughput(CONTEXTS, 1), requests, 7);
-    let mut mechanism = WqLinear::new(1, 8, 12.0);
     crate::alloc::measure(|| {
         let recorder = Recorder::bounded(schedule.len() * 8 + 64);
         let mut observer = RecordingObserver::new(recorder.clone()).with_goal("MinResponseTime");
         let outcome = run_system_observed(
             &model,
             &schedule,
-            &mut mechanism,
+            mechanism,
             Resources::threads(CONTEXTS),
             &SystemParams::default(),
             &mut observer,
@@ -132,8 +134,8 @@ pub fn record_sim_point(requests: usize) -> (Vec<TraceRecord>, u64, u64) {
 /// single-leaf extent flip) is accepted, with the partial drain and the
 /// relaunch answered at once — judge, delta classification, two
 /// configuration clones and the history push included.
-/// `allocs_per_consult` / `bytes_per_consult` are [`record_sim_point`]'s
-/// counts over its consults (one `SnapshotTaken` each).
+/// `allocs_per_consult` / `bytes_per_consult` / `records_per_consult`
+/// are [`record_sim_point`]'s counts under WQ-Linear over its consults.
 fn bench_control(quick: bool) -> Value {
     const PATHS: u16 = 8;
     /// Flips the first leaf between extents 1 and 2, or holds.
@@ -202,12 +204,11 @@ fn bench_control(quick: bool) -> Value {
         }
         best
     };
-    let (records, allocs, bytes) = record_sim_point(if quick { 500 } else { 2_000 });
-    let consults = records
-        .iter()
-        .filter(|record| matches!(record.event, TraceEvent::SnapshotTaken { .. }))
-        .count()
-        .max(1) as f64;
+    let (records, allocs, bytes) = record_sim_point(
+        &mut WqLinear::new(1, 8, 12.0),
+        if quick { 500 } else { 2_000 },
+    );
+    let (consults, records_per_consult) = consults_and_records(&records);
     obj(vec![
         ("paths", Value::Number(u64::from(PATHS))),
         ("iters", Value::Number(iters)),
@@ -221,7 +222,20 @@ fn bench_control(quick: bool) -> Value {
             "bytes_per_consult",
             Value::from_f64(bytes as f64 / consults),
         ),
+        ("records_per_consult", Value::from_f64(records_per_consult)),
     ])
+}
+
+/// The consults of a recording (one `SnapshotTaken` each, at least 1)
+/// and the records each left, the run's `Launched` / `Finished` aside.
+#[must_use]
+pub fn consults_and_records(records: &[TraceRecord]) -> (f64, f64) {
+    let consults = records
+        .iter()
+        .filter(|record| matches!(record.event, TraceEvent::SnapshotTaken { .. }))
+        .count()
+        .max(1) as f64;
+    (consults, records.len().saturating_sub(2) as f64 / consults)
 }
 
 /// The sampled-timing hop of the ledger (see `docs/performance.md`,
@@ -374,6 +388,7 @@ pub fn summary(report: &Value) -> String {
         ("control", "tick_accept_ns"),
         ("control", "allocs_per_consult"),
         ("control", "bytes_per_consult"),
+        ("control", "records_per_consult"),
         ("monitor", "invoke_timed_ns"),
         ("monitor", "invoke_untimed_ns"),
         ("monitor", "timed_share_saturated"),

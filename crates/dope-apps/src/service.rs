@@ -183,10 +183,10 @@ impl TwoLevelService {
     /// probe invocation additionally records a `QueueSample` event into
     /// `recorder`.
     ///
-    /// Use this *instead of* attaching the same recorder to the
-    /// executive's monitor (which already emits a `QueueSample` per
-    /// snapshot) when you want queue samples without full executive
-    /// tracing.
+    /// Use this *instead of* attaching the same recorder to an
+    /// executive (whose `SnapshotTaken` already carries the queue, and
+    /// which `dope-trace stats` reads in preference to these samples)
+    /// when you want queue samples without full executive tracing.
     pub fn traced_queue_probe(
         &self,
         recorder: dope_trace::Recorder,

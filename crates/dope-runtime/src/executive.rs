@@ -177,12 +177,12 @@ impl DopeBuilder {
     }
 
     /// Attaches a flight recorder (see `dope-trace`): the executive then
-    /// records `Launched`, `SnapshotTaken`, `ProposalEvaluated`,
-    /// `ReconfigureEpoch` (with measured pause/relaunch latencies), and
-    /// `Finished` events; the monitor records per-task and queue samples;
-    /// and platform feature reads record `FeatureRead`. A
-    /// [`Recorder::disabled`] handle (the default) keeps every hook a
-    /// no-op.
+    /// records `Launched`, one `SnapshotTaken` per control period (task
+    /// rows and queue inside), `ProposalEvaluated`, `ReconfigureEpoch`
+    /// (with measured pause/relaunch latencies), and `Finished` events;
+    /// the monitor records an `AdmissionDecision` when a gate saw traffic;
+    /// and platform feature reads record `FeatureRead`. A disabled
+    /// recorder ([`Recorder::disabled`], the default) keeps hooks no-ops.
     #[must_use]
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
@@ -1314,8 +1314,13 @@ mod tests {
         let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.first(), Some(&"Launched"));
         assert_eq!(kinds.last(), Some(&"Finished"));
-        assert!(kinds.contains(&"SnapshotTaken"));
-        assert!(kinds.contains(&"TaskStatsSample"));
+        // A control period is recorded once: the snapshot carries the
+        // task rows, and no flattened sample copy rides beside it.
+        assert!(records.iter().any(|r| matches!(
+            &r.event,
+            TraceEvent::SnapshotTaken { snapshot } if !snapshot.tasks.is_empty()
+        )));
+        assert!(!kinds.contains(&"TaskStatsSample") && !kinds.contains(&"QueueSample"));
         assert!(kinds.contains(&"ProposalEvaluated"));
         assert!(kinds.contains(&"ReconfigureEpoch"));
         let epoch = records
@@ -1619,6 +1624,13 @@ mod tests {
             })
             .recorder(recorder.clone())
             .metrics(registry.clone())
+            // A gate that saw traffic: the sample it yields is the one
+            // record a snapshot writes itself, under the `recorder` rank.
+            .admission_probe(|| AdmissionStats {
+                offered: 1,
+                admitted: 1,
+                ..AdmissionStats::default()
+            })
             .launch(vec![
                 drain_spec("fast", fast.clone(), Arc::clone(&hits)),
                 slow_spec,

@@ -39,7 +39,7 @@ use crate::shard::RecorderShard;
 use dope_core::{AdmissionStats, MonitorSnapshot, QueueStats, TaskPath, TaskStats};
 use dope_metrics::{names, Counter, Gauge, LocalHistogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
-use dope_trace::{AdmissionSampler, Recorder, TraceEvent};
+use dope_trace::{AdmissionSampler, Recorder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -429,9 +429,9 @@ impl Monitor {
         }
     }
 
-    /// Attaches a flight recorder: every [`snapshot`](Monitor::snapshot)
-    /// additionally emits one `TaskStatsSample` per task and one
-    /// `QueueSample` into it.
+    /// Attaches a flight recorder: a [`snapshot`](Monitor::snapshot) that
+    /// saw traffic at an installed admission gate records one
+    /// `AdmissionDecision` into it.
     pub fn set_recorder(&self, recorder: Recorder) {
         *self.shared.recorder.lock() = recorder;
     }
@@ -647,6 +647,9 @@ impl Monitor {
     /// `dope_monitor_shard_merges_total`), so workers never pay for the
     /// snapshot. The cost of taking the snapshot itself is charged to
     /// the monitoring-overhead meter.
+    ///
+    /// The snapshot is returned, not recorded: the control loop's sink
+    /// records it once, as `SnapshotTaken`, on handing it to the mechanism.
     #[must_use]
     pub fn snapshot(&self) -> MonitorSnapshot {
         let t0 = Instant::now();
@@ -725,18 +728,9 @@ impl Monitor {
             }
         };
 
-        let recorder = shared.recorder.lock().clone();
-        if recorder.is_enabled() {
-            for (path, stats) in snap.tasks.iter() {
-                recorder.record(TraceEvent::TaskStatsSample {
-                    path: path.clone(),
-                    stats: *stats,
-                });
-            }
-            recorder.record(TraceEvent::QueueSample { queue: snap.queue });
-            if let Some(event) = admission_event {
-                recorder.record(event);
-            }
+        if let Some(event) = admission_event {
+            let recorder = shared.recorder.lock().clone();
+            recorder.record(event);
         }
 
         // Computed before acquiring `metrics`: monitoring_overhead_ratio
@@ -781,6 +775,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use dope_metrics::Histogram;
+    use dope_trace::TraceEvent;
 
     fn monitor() -> Monitor {
         Monitor::new(Duration::from_secs(10), 0.25, FeatureRegistry::new())
@@ -957,9 +952,21 @@ mod tests {
         assert_eq!(m.snapshot().power_watts, Some(612.5));
     }
 
+    /// The gate's derived sample is the only record a snapshot leaves:
+    /// its task rows and queue are recorded once, inside `SnapshotTaken`,
+    /// by the control loop's sink.
     #[test]
     fn snapshot_emits_samples_into_an_attached_recorder() {
         let m = monitor();
+        m.set_queue_probe(|| QueueStats {
+            occupancy: 7.0,
+            ..QueueStats::default()
+        });
+        m.set_admission_probe("block", || AdmissionStats {
+            offered: 4,
+            admitted: 4,
+            ..AdmissionStats::default()
+        });
         let path: TaskPath = "0".parse().unwrap();
         let stats = m.stats_for(&path);
         stats.record(
@@ -970,9 +977,10 @@ mod tests {
         m.install_epoch(Vec::new(), HashMap::from([(path, 1)]));
         let recorder = Recorder::bounded(16);
         m.set_recorder(recorder.clone());
-        let _ = m.snapshot();
+        let snap = m.snapshot();
+        assert_eq!((snap.tasks.len(), snap.queue.occupancy), (1, 7.0));
         let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
-        assert_eq!(kinds, ["TaskStatsSample", "QueueSample"]);
+        assert_eq!(kinds, ["AdmissionDecision"]);
     }
 
     #[test]

@@ -337,6 +337,15 @@ trace_schema! {
 }
 
 impl TraceEvent {
+    /// Where `stats` and `timeline` read a control period's rows: from
+    /// its `SnapshotTaken` when the trace holds any (samples beside one
+    /// are copies, in older recordings), else from a probe's samples.
+    pub(crate) fn holds_snapshots(records: &[TraceRecord]) -> bool {
+        records
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::SnapshotTaken { .. }))
+    }
+
     /// One mechanism decision, scored against `realized` — the
     /// bottleneck throughput of the snapshot that followed it (`None`
     /// when there was nothing to score against). Every control-core sink

@@ -45,10 +45,12 @@ use crate::recorder::Recorder;
 
 /// A [`ControlSink`] that records the decision loop into a [`Recorder`].
 ///
-/// Scored decisions arrive *before* the snapshot that scored them and
-/// are stamped at the decision's own time; the final decision of a
-/// simulated run has no next snapshot and arrives unscored when the
-/// simulator finishes the core.
+/// A control period leaves one `SnapshotTaken` — task rows and queue
+/// inside — plus a `FeatureRead` for a power reading and an
+/// `AdmissionDecision` when a declared gate saw traffic. Scored decisions
+/// arrive *before* the snapshot that scored them and are stamped at the
+/// decision's own time; the final decision of a simulated run has no next
+/// snapshot and arrives unscored when the simulator finishes the core.
 #[derive(Debug, Clone)]
 pub struct RecordingObserver {
     recorder: Recorder,
@@ -135,21 +137,6 @@ impl ControlSink for RecordingObserver {
         if !self.recorder.is_enabled() {
             return;
         }
-        for (path, stats) in snapshot.tasks.iter() {
-            self.recorder.record_at(
-                snapshot.time_secs,
-                TraceEvent::TaskStatsSample {
-                    path: path.clone(),
-                    stats: *stats,
-                },
-            );
-        }
-        self.recorder.record_at(
-            snapshot.time_secs,
-            TraceEvent::QueueSample {
-                queue: snapshot.queue,
-            },
-        );
         if let Some(watts) = snapshot.power_watts {
             self.recorder.record_at(
                 snapshot.time_secs,
@@ -214,7 +201,7 @@ impl ControlSink for RecordingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{Config, TaskConfig};
+    use dope_core::{Config, TaskConfig, TaskPath, TaskStats};
 
     #[test]
     fn hooks_translate_to_events() {
@@ -223,7 +210,15 @@ mod tests {
         let shape = ProgramShape::new(vec![]);
         let config = Config::new(vec![TaskConfig::leaf("t", 1)]);
         obs.launched("WQ-Linear", 8, &shape, &config);
-        obs.snapshot_taken(&MonitorSnapshot::at(1.0));
+        let mut snapshot = MonitorSnapshot::at(1.0);
+        snapshot
+            .tasks
+            .insert(TaskPath::root_child(0), TaskStats::default());
+        snapshot
+            .tasks
+            .insert(TaskPath::root_child(1), TaskStats::default());
+        snapshot.queue.occupancy = 3.0;
+        obs.snapshot_taken(&snapshot);
         obs.proposal_evaluated(1.0, "WQ-Linear", &config, Verdict::Unchanged);
         obs.reconfigured(2.0, &config, &Scope::Full, DrainTiming::default());
         obs.finished(10, 1);
@@ -233,7 +228,6 @@ mod tests {
             kinds,
             [
                 "Launched",
-                "QueueSample",
                 "SnapshotTaken",
                 "ProposalEvaluated",
                 "ReconfigureEpoch",
@@ -245,6 +239,50 @@ mod tests {
         } else {
             panic!("first event must be Launched");
         }
+        // The period's one record is the snapshot itself, rows and all.
+        assert_eq!(
+            recorder.records()[1].event,
+            TraceEvent::SnapshotTaken { snapshot }
+        );
+    }
+
+    /// A simulated control period leaves exactly one `SnapshotTaken`,
+    /// rows inside, and no flattened copy of them.
+    #[test]
+    fn a_simulated_period_is_recorded_once() {
+        use dope_core::{Resources, StaticMechanism};
+        use dope_sim::profile::AmdahlProfile;
+        use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
+        use dope_workload::ArrivalSchedule;
+
+        let model = TwoLevelModel::doall("price", AmdahlProfile::new(4.0, 0.9, 0.0, 0.05));
+        let mut mech = StaticMechanism::new(model.config_for_width(8, 4));
+        let recorder = Recorder::bounded(4096);
+        let mut obs = RecordingObserver::new(recorder.clone());
+        let _ = run_system_observed(
+            &model,
+            &ArrivalSchedule::uniform(1.0, 20),
+            &mut mech,
+            Resources::threads(8),
+            &SystemParams::default(),
+            &mut obs,
+        );
+        let records = recorder.records();
+        let mut periods = Vec::new();
+        for record in &records {
+            match &record.event {
+                TraceEvent::SnapshotTaken { snapshot } => {
+                    assert!(!snapshot.tasks.is_empty());
+                    periods.push(record.time_secs);
+                }
+                TraceEvent::TaskStatsSample { .. } | TraceEvent::QueueSample { .. } => {
+                    panic!("a {} beside the snapshot", record.event.kind())
+                }
+                _ => {}
+            }
+        }
+        assert!(periods.len() >= 10, "{} periods", periods.len());
+        assert!(periods.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     /// The core classifies each applied configuration; the observer

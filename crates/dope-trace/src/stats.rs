@@ -14,6 +14,12 @@
 //! Dimensionless series (occupancy, feature values) reuse the same
 //! 1e-9-resolution storage — `LocalHistogram` is unit-agnostic.
 //!
+//! A control period's task rows and queue are read from its
+//! `SnapshotTaken` when the trace holds any, else from a probe's sample
+//! records. The `TaskStatsSample` / `QueueSample` copies older recordings
+//! carry beside their snapshots are counted under `events` and otherwise
+//! skipped, so a period feeds each series once either way.
+//!
 //! Traces recorded **before** `TaskStats` grew its percentile fields
 //! still summarize: the per-sample `p*_exec_secs` histograms simply
 //! stay empty (the codec parses absent fields as `0.0`, and
@@ -43,6 +49,7 @@
 //! ```
 
 use crate::event::{TraceEvent, TraceRecord};
+use dope_core::{QueueStats, TaskPath, TaskStats};
 use dope_metrics::LocalHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,9 +68,9 @@ pub struct TraceSummary {
     pub pause_secs: LocalHistogram,
     /// Reconfiguration relaunch latency.
     pub relaunch_secs: LocalHistogram,
-    /// Queue occupancy over all `QueueSample` events (dimensionless).
+    /// Queue occupancy, one reading per control period (dimensionless).
     pub queue_occupancy: LocalHistogram,
-    /// Queue arrival rate over all `QueueSample` events (requests/sec).
+    /// Queue arrival rate, one reading per control period (requests/sec).
     pub queue_arrival_rate: LocalHistogram,
     /// Per-feature distribution of `FeatureRead` values (feature units).
     pub feature_values: BTreeMap<String, LocalHistogram>,
@@ -101,26 +108,20 @@ pub struct TraceSummary {
 #[must_use]
 pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
     let mut out = TraceSummary::default();
+    let snapshots = TraceEvent::holds_snapshots(records);
     for record in records {
         *out.events.entry(record.event.kind()).or_insert(0) += 1;
         match &record.event {
-            TraceEvent::TaskStatsSample { path, stats } => {
-                let key = path.to_string();
-                if stats.mean_exec_secs > 0.0 {
-                    out.task_exec_secs
-                        .entry(key.clone())
-                        .or_default()
-                        .record_secs(stats.mean_exec_secs);
+            TraceEvent::SnapshotTaken { snapshot } => {
+                for (path, stats) in snapshot.tasks.iter() {
+                    out.task_row(path, stats);
                 }
-                // Pre-percentile traces parse these fields as 0.0
-                // ("not measured"); skip so old recordings stay clean.
-                if stats.p99_exec_secs > 0.0 {
-                    out.task_p99_exec_secs
-                        .entry(key)
-                        .or_default()
-                        .record_secs(stats.p99_exec_secs);
-                }
+                out.queue_row(&snapshot.queue);
             }
+            TraceEvent::TaskStatsSample { path, stats } if !snapshots => {
+                out.task_row(path, stats);
+            }
+            TraceEvent::QueueSample { queue } if !snapshots => out.queue_row(queue),
             TraceEvent::ReconfigureEpoch {
                 pause_secs,
                 relaunch_secs,
@@ -132,10 +133,6 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
                 if scope == "partial" {
                     out.partial_reconfigs += 1;
                 }
-            }
-            TraceEvent::QueueSample { queue } => {
-                out.queue_occupancy.record_secs(queue.occupancy);
-                out.queue_arrival_rate.record_secs(queue.arrival_rate);
             }
             TraceEvent::FeatureRead { feature, value } => {
                 out.feature_values
@@ -188,14 +185,35 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
                 out.dropped_events = Some(*dropped_events);
             }
             TraceEvent::Launched { .. }
-            | TraceEvent::SnapshotTaken { .. }
-            | TraceEvent::ProposalEvaluated { .. } => {}
+            | TraceEvent::ProposalEvaluated { .. }
+            | TraceEvent::TaskStatsSample { .. }
+            | TraceEvent::QueueSample { .. } => {}
         }
     }
     out
 }
 
 impl TraceSummary {
+    /// One task's row of one control period.
+    fn task_row(&mut self, path: &TaskPath, stats: &TaskStats) {
+        // Pre-percentile traces parse `p99_exec_secs` as 0.0 ("not
+        // measured"); skip so old recordings stay clean.
+        let feed = |series: &mut BTreeMap<String, LocalHistogram>, secs: f64| {
+            if secs > 0.0 {
+                let hist = series.entry(path.to_string()).or_default();
+                hist.record_secs(secs);
+            }
+        };
+        feed(&mut self.task_exec_secs, stats.mean_exec_secs);
+        feed(&mut self.task_p99_exec_secs, stats.p99_exec_secs);
+    }
+
+    /// The queue reading of one control period.
+    fn queue_row(&mut self, queue: &QueueStats) {
+        self.queue_occupancy.record_secs(queue.occupancy);
+        self.queue_arrival_rate.record_secs(queue.arrival_rate);
+    }
+
     /// Renders the summary as an ASCII table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -301,7 +319,6 @@ fn fmt_value(value: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{QueueStats, TaskPath, TaskStats};
 
     fn record(seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -337,6 +354,50 @@ mod tests {
         // p99 of 0.0 means "not measured" (pre-percentile trace).
         assert_eq!(summary.task_p99_exec_secs["0"].count(), 2);
         assert!(!summary.task_p99_exec_secs.contains_key("1"));
+    }
+
+    /// A period recorded as a snapshot, as a snapshot with the flattened
+    /// copies older recordings carry beside it, or — by a probe, with no
+    /// executive — as samples only, feeds every series exactly once.
+    #[test]
+    fn a_period_feeds_each_series_once_wherever_it_is_recorded() {
+        let queue = QueueStats {
+            occupancy: 12.0,
+            arrival_rate: 85.0,
+            enqueued: 100,
+            completed: 88,
+        };
+        let mut snapshot = dope_core::MonitorSnapshot::at(0.5);
+        snapshot.queue = queue;
+        let samples: Vec<TraceEvent> = [(0, 0.010, 0.025), (1, 0.002, 0.0)]
+            .into_iter()
+            .map(|(path, mean, p99)| sample(path, mean, p99))
+            .chain([TraceEvent::QueueSample { queue }])
+            .collect();
+        for event in &samples {
+            if let TraceEvent::TaskStatsSample { path, stats } = event {
+                snapshot.tasks.insert(path.clone(), *stats);
+            }
+        }
+        let taken = TraceEvent::SnapshotTaken { snapshot };
+        let number = |events: Vec<TraceEvent>| -> Vec<TraceRecord> {
+            (0..).zip(events).map(|(seq, e)| record(seq, e)).collect()
+        };
+        let snapshot_only = summarize(&number(vec![taken.clone()]));
+        let both_forms = summarize(&number(samples.iter().cloned().chain([taken]).collect()));
+        let probe_only = summarize(&number(samples));
+
+        assert_eq!(both_forms.events.get("TaskStatsSample"), Some(&2));
+        assert_eq!(snapshot_only.events.get("TaskStatsSample"), None);
+        let series = |summary: &TraceSummary| {
+            let text = summary.render();
+            text[text.find("series").expect("the table header")..].to_string()
+        };
+        assert_eq!(snapshot_only.queue_occupancy.count(), 1);
+        assert_eq!(snapshot_only.task_exec_secs["0"].count(), 1);
+        assert!(series(&snapshot_only).contains("task[1].mean_exec_secs"));
+        assert_eq!(series(&both_forms), series(&snapshot_only));
+        assert_eq!(series(&probe_only), series(&snapshot_only));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! ASCII rendering of a trace as a human-readable timeline.
 //!
 //! One record becomes one line: a right-aligned timestamp, an upper-case
-//! event tag, and the fields an operator scans for. Sequence gaps (events
+//! event tag, and the fields an operator scans for. A `SNAPSHOT` line is
+//! followed by a `STATS` line per task row it holds and its `QUEUE`; the
+//! sample records older recordings carry beside their snapshots are
+//! copies of those rows and are not rendered again. Sequence gaps (events
 //! the bounded ring evicted) render as an explicit `~~ n dropped ~~`
 //! marker so a reader never mistakes a truncated trace for a quiet one.
 //!
@@ -31,6 +34,7 @@ use crate::event::{TraceEvent, TraceRecord, Verdict};
 #[must_use]
 pub fn render_timeline(records: &[TraceRecord]) -> String {
     let mut out = String::new();
+    let snapshots = TraceEvent::holds_snapshots(records);
     let mut expected_seq: Option<u64> = None;
     for record in records {
         if let Some(expected) = expected_seq {
@@ -39,12 +43,22 @@ pub fn render_timeline(records: &[TraceRecord]) -> String {
             }
         }
         expected_seq = Some(record.seq + 1);
-        let _ = writeln!(
-            out,
-            "{:>9.3}s  {}",
-            record.time_secs,
-            describe(&record.event)
-        );
+        let mut line = |text: String| {
+            let _ = writeln!(out, "{:>9.3}s  {text}", record.time_secs);
+        };
+        match &record.event {
+            TraceEvent::TaskStatsSample { .. } | TraceEvent::QueueSample { .. } if snapshots => {}
+            event => line(describe(event)),
+        }
+        // A snapshot's rows render as the sample records they replace.
+        if let TraceEvent::SnapshotTaken { snapshot } = &record.event {
+            for (path, &stats) in snapshot.tasks.iter() {
+                let path = path.clone();
+                line(describe(&TraceEvent::TaskStatsSample { path, stats }));
+            }
+            let queue = snapshot.queue;
+            line(describe(&TraceEvent::QueueSample { queue }));
+        }
     }
     out
 }
@@ -172,7 +186,7 @@ fn describe(event: &TraceEvent) -> String {
 mod tests {
     use super::*;
     use dope_core::DiagCode;
-    use dope_core::{Config, TaskConfig};
+    use dope_core::{Config, QueueStats, TaskConfig, TaskPath};
 
     fn record(seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -235,6 +249,49 @@ mod tests {
         assert!(lines.contains("drained=3"), "{lines}");
         assert!(lines.contains("partial pause=0.2ms"), "{lines}");
         assert!(lines.contains("drained=1"), "{lines}");
+    }
+
+    /// A snapshot renders its rows; sample records are rendered only by
+    /// a trace that has no snapshot to read them from, and skipping them
+    /// never reads as a dropped event.
+    #[test]
+    fn a_period_renders_its_rows_once_wherever_it_is_recorded() {
+        let stats = dope_core::TaskStats {
+            invocations: 7,
+            mean_exec_secs: 0.0125,
+            ..dope_core::TaskStats::default()
+        };
+        let queue = QueueStats {
+            occupancy: 12.0,
+            ..QueueStats::default()
+        };
+        let path: TaskPath = "0.1".parse().unwrap();
+        let mut snapshot = dope_core::MonitorSnapshot::at(1.0);
+        snapshot.tasks.insert(path.clone(), stats);
+        snapshot.queue = queue;
+        let samples = [
+            record(0, TraceEvent::TaskStatsSample { path, stats }),
+            record(1, TraceEvent::QueueSample { queue }),
+        ];
+        let taken = record(2, TraceEvent::SnapshotTaken { snapshot });
+        let rows = |lines: &str| -> Vec<String> {
+            lines
+                .lines()
+                .filter(|line| line.contains("STATS") || line.contains("QUEUE"))
+                .map(|line| line.split_once("s  ").expect("a timestamp").1.to_string())
+                .collect()
+        };
+
+        let probe_only = render_timeline(&samples);
+        let taken = [taken];
+        let both_forms = render_timeline(&[&samples[..], &taken[..]].concat());
+        let snapshot_only = render_timeline(&taken);
+        assert_eq!(rows(&snapshot_only).len(), 2, "{snapshot_only}");
+        assert!(snapshot_only.contains("STATS    0.1 invocations=7"));
+        assert!(snapshot_only.contains("QUEUE    occupancy=12.0"));
+        assert_eq!(rows(&both_forms), rows(&snapshot_only));
+        assert_eq!(rows(&probe_only), rows(&snapshot_only));
+        assert!(!both_forms.contains("dropped"), "{both_forms}");
     }
 
     #[test]

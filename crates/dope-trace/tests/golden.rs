@@ -7,7 +7,7 @@
 //! traces recorded before an additive field existed.
 
 use dope_core::AdmissionStats;
-use dope_trace::{parse_jsonl, to_jsonl, TraceEvent};
+use dope_trace::{parse_jsonl, render_timeline, summarize, to_jsonl, TraceEvent};
 
 const GOLDEN: &str = include_str!("golden_v1.jsonl");
 
@@ -65,4 +65,48 @@ fn older_dialect_lines_decode_with_their_additive_defaults() {
     assert_eq!(snapshot.admission, AdmissionStats::default());
     // Re-encoding upgrades them to the current dialect, losslessly.
     assert_eq!(parse_jsonl(&to_jsonl(&records)).unwrap(), records);
+}
+
+/// The golden file holds a period both ways, as recordings made before
+/// the snapshot became the period's only record do. Its snapshots are
+/// what `stats` and `timeline` read, so the same file without its sample
+/// lines — what a recorder writes now — yields the same series table and
+/// the same per-period rows.
+#[test]
+fn sample_lines_beside_snapshots_change_no_series_and_no_timeline_row() {
+    let stripped: String = GOLDEN
+        .lines()
+        .filter(|line| !line.contains("Sample\""))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let both = parse_jsonl(GOLDEN).expect("golden lines parse");
+    let snapshots_only = parse_jsonl(&stripped).expect("stripped lines parse");
+    assert_eq!(
+        both.len(),
+        snapshots_only.len() + 4,
+        "three samples, one queue"
+    );
+
+    let series = |records| {
+        let text = summarize(records).render();
+        text[text.find("series").expect("the table header")..].to_string()
+    };
+    assert_eq!(series(&both), series(&snapshots_only));
+    assert!(series(&both).contains("task[0.2].mean_exec_secs"));
+
+    let period_rows = |records| -> Vec<String> {
+        render_timeline(records)
+            .lines()
+            .filter(|line| {
+                ["SNAPSHOT", "STATS", "QUEUE"]
+                    .iter()
+                    .any(|tag| line.contains(tag))
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let rows = period_rows(&both);
+    assert_eq!(rows, period_rows(&snapshots_only));
+    // Four snapshots, each with its queue; two of them with two rows.
+    assert_eq!(rows.len(), 4 + 4 + 4);
 }

@@ -166,16 +166,20 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Dequeues, blocking until an item arrives or the queue drains.
-    ///
-    /// Returns `None` once the queue is closed and empty.
+    /// Dequeues, parked with no timer armed until an enqueue or `close`
+    /// wakes it. Returns `None` once the queue is closed and empty.
     pub fn dequeue(&self) -> Option<T> {
+        let (lock, consumers) = &*self.inner;
+        let mut inner = lock.lock();
         loop {
-            match self.dequeue_timeout(Duration::from_millis(50)) {
-                DequeueOutcome::Item(item) => return Some(item),
-                DequeueOutcome::Drained => return None,
-                DequeueOutcome::TimedOut => {}
+            if let Some(item) = inner.queue.pop_front() {
+                inner.dequeued += 1;
+                return Some(item);
             }
+            if inner.closed {
+                return None;
+            }
+            consumers.wait(&mut inner);
         }
     }
 
@@ -242,6 +246,61 @@ mod tests {
         fn consumers(&self) -> &Sleepers {
             &self.inner.1
         }
+    }
+
+    /// The same queue taken from through [`WorkQueue::dequeue`], which
+    /// parks with no timeout: a lost wake-up is a hang, not a stall, so
+    /// [`within`] bounds the scenario from outside.
+    #[derive(Clone)]
+    struct Blocking(WorkQueue<u64>);
+
+    impl Port for Blocking {
+        fn put(&self, v: u64) -> bool {
+            self.0.put(v)
+        }
+        fn take(&self, _timeout: Duration) -> DequeueOutcome<u64> {
+            self.0
+                .dequeue()
+                .map_or(DequeueOutcome::Drained, DequeueOutcome::Item)
+        }
+        fn close(&self) {
+            self.0.close();
+        }
+        fn consumers(&self) -> &Sleepers {
+            self.0.consumers()
+        }
+    }
+
+    fn within(limit: Duration, scenario: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            scenario();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(limit)
+            .expect("the scenario panicked, or a blocking dequeue was never woken");
+    }
+
+    #[test]
+    fn blocking_dequeue_ping_pong_loses_no_wakeup() {
+        within(Duration::from_secs(120), || {
+            scenarios::ping_pong(
+                Blocking(WorkQueue::new()),
+                Blocking(WorkQueue::new()),
+                100_000,
+            );
+        });
+    }
+
+    #[test]
+    fn blocking_dequeue_conserves_items() {
+        let q = WorkQueue::new();
+        let port = Blocking(q.clone());
+        within(Duration::from_secs(120), || {
+            scenarios::conserves_items(port, 4, 3, 5_000);
+        });
+        assert_eq!((q.total_enqueued(), q.total_dequeued()), (20_000, 20_000));
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //!   `.drain(..).collect()` [one allocation of N x 168 B per drain];
 //! * `config.rs`: `check_level` rendering a path it does not report
 //!   (`let _ = path().to_string();` per task) [4 allocations per
-//!   `validate` of the transcode nest].
+//!   `validate` of the transcode nest];
+//! * `observer.rs`: `snapshot_taken` recording the queue beside the
+//!   snapshot again (`self.recorder.record_at(snapshot.time_secs,
+//!   TraceEvent::QueueSample { queue: snapshot.queue });`) [3.00 records
+//!   per Static consult, 3.61 per WQ-Linear consult].
 
 use dope_bench::alloc::{measure, Counting};
-use dope_bench::perf::record_sim_point;
-use dope_core::{Mechanism, MonitorSnapshot, Resources};
+use dope_bench::perf::{consults_and_records, record_sim_point};
+use dope_core::{Mechanism, MonitorSnapshot, Resources, StaticMechanism};
 use dope_mechanisms::WqLinear;
 use dope_trace::{Recorder, TraceEvent, TraceRecord};
 
@@ -35,6 +39,11 @@ static ALLOCATOR: Counting = Counting;
 /// The benchmark's `sim_replay` grid point this file budgets: transcode
 /// under WQ-Linear at load 1.0, 2 000 requests, seed 7.
 const REQUESTS: usize = 2_000;
+
+/// The point's recording under WQ-Linear, with its allocation counts.
+fn wq_linear_point(requests: usize) -> (Vec<TraceRecord>, u64, u64) {
+    record_sim_point(&mut WqLinear::new(1, 8, 12.0), requests)
+}
 
 fn first(records: &[TraceRecord], kind: &str) -> TraceRecord {
     records
@@ -46,7 +55,7 @@ fn first(records: &[TraceRecord], kind: &str) -> TraceRecord {
 
 #[test]
 fn a_recorded_sim_request_stays_under_thirty_allocations() {
-    let (_, allocs, bytes) = record_sim_point(REQUESTS);
+    let (_, allocs, bytes) = wq_linear_point(REQUESTS);
     let per_request = allocs as f64 / REQUESTS as f64;
     let bytes_per_request = bytes as f64 / REQUESTS as f64;
     eprintln!(
@@ -60,9 +69,27 @@ fn a_recorded_sim_request_stays_under_thirty_allocations() {
     );
 }
 
+/// A control period is recorded once: its `SnapshotTaken`, the verdict
+/// on the proposal, and — from a mechanism that explains itself — the
+/// scored decision and now and then an applied epoch. A copy of the
+/// snapshot's rows beside it shows here as one more record per consult.
+#[test]
+fn a_recorded_consult_leaves_at_most_four_records() {
+    let model = dope_apps::transcode::sim_model();
+    let mut fixed = StaticMechanism::new(model.config_for_width(24, 8));
+    let (_, per_static) = consults_and_records(&record_sim_point(&mut fixed, REQUESTS).0);
+    let (_, per_wq_linear) = consults_and_records(&wq_linear_point(REQUESTS).0);
+    eprintln!("records per consult: Static {per_static:.2}, WQ-Linear {per_wq_linear:.2}");
+    assert_eq!(per_static, 2.0, "SnapshotTaken + ProposalEvaluated");
+    assert!(
+        per_wq_linear <= 4.0,
+        "{per_wq_linear:.2} records per WQ-Linear consult"
+    );
+}
+
 #[test]
 fn cloning_a_one_task_snapshot_costs_its_row() {
-    let record = first(&record_sim_point(200).0, "SnapshotTaken");
+    let record = first(&wq_linear_point(200).0, "SnapshotTaken");
     let TraceEvent::SnapshotTaken { snapshot } = &record.event else {
         unreachable!("selected by kind");
     };
@@ -78,7 +105,7 @@ fn cloning_a_one_task_snapshot_costs_its_row() {
 
 #[test]
 fn cloning_an_eight_candidate_decision_costs_its_two_vectors() {
-    let record = first(&record_sim_point(200).0, "DecisionTraced");
+    let record = first(&wq_linear_point(200).0, "DecisionTraced");
     let TraceEvent::DecisionTraced {
         observed,
         candidates,

@@ -199,6 +199,12 @@ fn recorded_live_trace_replays_identically() {
     assert!(timeline.contains("PROPOSE"));
     assert!(timeline.contains("EPOCH"));
     assert!(timeline.contains("FINISH"));
+    // A control period is one record: the task rows and the queue render
+    // from the snapshot, and no flattened sample rides beside it.
+    assert!(timeline.contains("STATS") && timeline.contains("QUEUE"));
+    assert!(records
+        .iter()
+        .all(|r| !matches!(r.event.kind(), "TaskStatsSample" | "QueueSample")));
 
     // Replaying the trace through dope-sim reproduces the exact sequence
     // of accepted configurations the live executive committed.
