@@ -155,22 +155,6 @@ impl LivePipeline {
             completed: stats.completed(),
         }
     }
-
-    /// Like [`queue_probe`](LivePipeline::queue_probe), but every probe
-    /// invocation additionally records a `QueueSample` event into
-    /// `recorder` — lightweight queue tracing without attaching the
-    /// recorder to a full executive.
-    pub fn traced_queue_probe(
-        &self,
-        recorder: dope_trace::Recorder,
-    ) -> impl Fn() -> QueueStats + Send + Sync + 'static {
-        let probe = self.queue_probe();
-        move || {
-            let queue = probe();
-            recorder.record_with(|| dope_trace::TraceEvent::QueueSample { queue });
-            queue
-        }
-    }
 }
 
 enum StageOut {
@@ -360,19 +344,5 @@ mod tests {
             .unwrap();
         let probe = pipe.queue_probe();
         assert_eq!(probe().occupancy, 1.0);
-    }
-
-    #[test]
-    fn traced_queue_probe_records_samples() {
-        let pipe = LivePipeline::new();
-        pipe.source
-            .enqueue(PipeItem::new(0, Box::new(5u32)))
-            .unwrap();
-        let recorder = dope_trace::Recorder::bounded(8);
-        let probe = pipe.traced_queue_probe(recorder.clone());
-        let _ = probe();
-        let _ = probe();
-        let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
-        assert_eq!(kinds, ["QueueSample", "QueueSample"]);
     }
 }

@@ -178,26 +178,6 @@ impl TwoLevelService {
             completed: stats.completed(),
         }
     }
-
-    /// Like [`queue_probe`](TwoLevelService::queue_probe), but every
-    /// probe invocation additionally records a `QueueSample` event into
-    /// `recorder`.
-    ///
-    /// Use this *instead of* attaching the same recorder to an
-    /// executive (whose `SnapshotTaken` already carries the queue, and
-    /// which `dope-trace stats` reads in preference to these samples)
-    /// when you want queue samples without full executive tracing.
-    pub fn traced_queue_probe(
-        &self,
-        recorder: dope_trace::Recorder,
-    ) -> impl Fn() -> QueueStats + Send + Sync + 'static {
-        let probe = self.queue_probe();
-        move || {
-            let queue = probe();
-            recorder.record_with(|| dope_trace::TraceEvent::QueueSample { queue });
-            queue
-        }
-    }
 }
 
 /// Transaction metadata shared by its chunks.
@@ -418,19 +398,6 @@ mod tests {
         let second = probe();
         assert_eq!(second.enqueued, 8);
         assert!(second.arrival_rate < first.arrival_rate);
-    }
-
-    #[test]
-    fn traced_queue_probe_records_samples() {
-        let service = TwoLevelService::new();
-        service.queue.enqueue(make_txn(0, 1)).unwrap();
-        let recorder = dope_trace::Recorder::bounded(8);
-        let probe = service.traced_queue_probe(recorder.clone());
-        let stats = probe();
-        assert_eq!(stats.enqueued, 1);
-        let records = recorder.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].event.kind(), "QueueSample");
     }
 
     #[test]

@@ -284,6 +284,12 @@ pub trait ControlSink {
     ) {
         let _ = (time_secs, config, scope, timing);
     }
+
+    /// A replica at `path` failed for `reason`; `policy` is the tag of
+    /// the failure policy that will judge it at the drained boundary.
+    fn task_failed(&mut self, time_secs: f64, path: &TaskPath, reason: &str, policy: &str) {
+        let _ = (time_secs, path, reason, policy);
+    }
 }
 
 /// The sink that listens to nothing (and switches the decision audit
@@ -468,6 +474,8 @@ impl<'a> ControlCore<'a> {
     /// the failure policy's full drain takes precedence — and the whole
     /// epoch must drain.
     pub fn task_failed(&mut self, now: f64, path: TaskPath, reason: String) -> Action {
+        self.sink
+            .task_failed(now, &path, &reason, self.rules.policy.kind());
         self.failures.push((path, reason));
         if self.phase != Phase::Stopping {
             self.retire_target(now, Phase::DrainingForFailure);

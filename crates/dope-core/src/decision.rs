@@ -227,6 +227,19 @@ impl DecisionTrace {
         self.predicted_throughput = Some(throughput);
         self
     }
+
+    /// The relative error of the prediction against the `realized`
+    /// throughput (positive = promised more than was realized); `None`
+    /// when either side is missing or nothing ran.
+    #[must_use]
+    pub fn prediction_error(&self, realized: Option<f64>) -> Option<f64> {
+        match (self.predicted_throughput, realized) {
+            (Some(predicted), Some(realized)) if realized > 0.0 => {
+                Some((predicted - realized) / realized)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The realized throughput a prediction is scored against: the

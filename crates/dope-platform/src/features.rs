@@ -12,9 +12,6 @@ use std::sync::Arc;
 /// Callback returning the current value of a platform feature.
 pub type FeatureCallback = Arc<dyn Fn() -> f64 + Send + Sync>;
 
-/// Observer invoked on every successful feature read.
-pub type FeatureObserver = Arc<dyn Fn(&str, f64) + Send + Sync>;
-
 /// A thread-safe registry of named platform features.
 ///
 /// # Example
@@ -30,7 +27,6 @@ pub type FeatureObserver = Arc<dyn Fn(&str, f64) + Send + Sync>;
 #[derive(Clone, Default)]
 pub struct FeatureRegistry {
     features: Arc<RwLock<HashMap<String, FeatureCallback>>>,
-    observer: Arc<RwLock<Option<FeatureObserver>>>,
 }
 
 impl std::fmt::Debug for FeatureRegistry {
@@ -63,32 +59,12 @@ impl FeatureRegistry {
 
     /// The current value of `feature`, or `None` if unregistered.
     ///
-    /// This is the paper's `DoPE::getValue(feature)`. Successful reads
-    /// are additionally reported to the observer installed with
-    /// [`set_observer`](FeatureRegistry::set_observer) — that is how the
-    /// flight recorder captures `FeatureRead` events.
+    /// This is the paper's `DoPE::getValue(feature)`. The callback runs
+    /// outside the registry's lock, so it may itself use the registry.
     #[must_use]
     pub fn value(&self, feature: &str) -> Option<f64> {
         let cb = self.features.read().get(feature).cloned();
-        let value = cb.map(|cb| cb());
-        if let Some(value) = value {
-            let observer = self.observer.read().clone();
-            if let Some(observer) = observer {
-                observer(feature, value);
-            }
-        }
-        value
-    }
-
-    /// Installs (or, with `None`, removes) the read observer.
-    ///
-    /// The observer fires on every successful
-    /// [`value`](FeatureRegistry::value) call with the feature name and
-    /// the value the callback returned. Reads through any clone of this
-    /// registry are observed; failed reads (unregistered features) are
-    /// not.
-    pub fn set_observer(&self, observer: Option<FeatureObserver>) {
-        *self.observer.write() = observer;
+        cb.map(|cb| cb())
     }
 
     /// Removes a feature; returns `true` if it was registered.
@@ -157,27 +133,6 @@ mod tests {
         r.register("b", || 0.0);
         r.register("a", || 0.0);
         assert_eq!(r.names(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn observer_sees_successful_reads_only() {
-        let r = FeatureRegistry::new();
-        r.register("SystemPower", || 612.5);
-        let seen: Arc<parking_lot::Mutex<Vec<(String, f64)>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        r.set_observer(Some(Arc::new(move |name: &str, value: f64| {
-            sink.lock().push((name.to_string(), value));
-        })));
-        assert_eq!(r.value("SystemPower"), Some(612.5));
-        assert_eq!(r.value("Missing"), None);
-        assert_eq!(
-            seen.lock().as_slice(),
-            &[("SystemPower".to_string(), 612.5)]
-        );
-        r.set_observer(None);
-        let _ = r.value("SystemPower");
-        assert_eq!(seen.lock().len(), 1);
     }
 
     #[test]

@@ -32,11 +32,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod features;
-pub mod metrics;
 pub mod power;
 pub mod topology;
 
-pub use features::{FeatureObserver, FeatureRegistry};
-pub use metrics::metrics_observer;
+pub use features::FeatureRegistry;
 pub use power::{PowerModel, PowerSensor};
 pub use topology::Topology;

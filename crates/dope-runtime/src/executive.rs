@@ -1,7 +1,7 @@
 //! The DoPE-Executive: launch, monitor, reconfigure, finish.
 
 use crate::instance::{instantiate, instantiate_paths, LiveCx, WorkerJob};
-use crate::monitor::Monitor;
+use crate::monitor::{AdmissionProbe, Monitor, QueueProbe};
 use crate::pool::WorkerPool;
 use dope_core::control::{
     Action, ControlCore, ControlSink, DrainTiming, Phase, Rules, Scope, Verdict,
@@ -11,9 +11,9 @@ use dope_core::{
     Goal, Mechanism, MonitorSnapshot, ProgramShape, QueueStats, Resources, Result, StaticMechanism,
     TaskOutcome, TaskPath, TaskSpec, TaskStatus,
 };
-use dope_metrics::{names, Counter, Histogram, MetricsRegistry};
-use dope_platform::{FeatureObserver, FeatureRegistry};
-use dope_trace::{Recorder, TraceEvent};
+use dope_metrics::{names, Counter, Gauge, Histogram, MetricsRegistry};
+use dope_platform::FeatureRegistry;
+use dope_trace::{Recorder, RecordingObserver};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,9 +57,9 @@ pub struct DopeBuilder {
     control_period: Duration,
     throughput_window: Duration,
     features: FeatureRegistry,
-    queue_probe: Option<Arc<dyn Fn() -> QueueStats + Send + Sync>>,
+    queue_probe: Option<QueueProbe>,
     admission: AdmissionPolicy,
-    admission_probe: Option<Arc<dyn Fn() -> AdmissionStats + Send + Sync>>,
+    admission_probe: Option<AdmissionProbe>,
     pool_threads: Option<u32>,
     recorder: Recorder,
     metrics: Option<MetricsRegistry>,
@@ -143,8 +143,8 @@ impl DopeBuilder {
     /// itself — the application routes its producers through a
     /// `dope_workload::admission::AdmissionQueue` built with the same
     /// policy — but declaring it here makes the launch fail fast on a
-    /// degenerate policy and tags the admission samples the monitor
-    /// records with the policy kind.
+    /// degenerate policy and tags the `AdmissionDecision` sample each
+    /// control period records with the policy kind.
     #[must_use]
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
@@ -155,9 +155,9 @@ impl DopeBuilder {
     /// (pass `AdmissionQueue::stats_probe()`): the monitor then polls
     /// the gate's cumulative counters into every snapshot — so
     /// mechanisms see admission pressure as a monitored signal — and,
-    /// when a recorder or metrics registry is attached, emits one
-    /// `AdmissionDecision` trace event per pressured control period and
-    /// exports `dope_admitted_total` / `dope_shed_total` /
+    /// when a recorder or metrics registry is attached, each control
+    /// period that saw traffic leaves one `AdmissionDecision` trace
+    /// event and refreshes `dope_admitted_total` / `dope_shed_total` /
     /// `dope_admission_queue_delay`.
     #[must_use]
     pub fn admission_probe<F>(mut self, probe: F) -> Self
@@ -177,11 +177,12 @@ impl DopeBuilder {
     }
 
     /// Attaches a flight recorder (see `dope-trace`): the executive then
-    /// records `Launched`, one `SnapshotTaken` per control period (task
-    /// rows and queue inside), `ProposalEvaluated`, `ReconfigureEpoch`
-    /// (with measured pause/relaunch latencies), and `Finished` events;
-    /// the monitor records an `AdmissionDecision` when a gate saw traffic;
-    /// and platform feature reads record `FeatureRead`. A disabled
+    /// records `Launched`, per control period a `FeatureRead` of the
+    /// snapshot's power reading, an `AdmissionDecision` when a gate saw
+    /// traffic and one `SnapshotTaken` (task rows and queue inside), then
+    /// `ProposalEvaluated`, `ReconfigureEpoch` (with measured
+    /// pause/relaunch latencies), `TaskFailed` and `Finished` — the same
+    /// records, in the same order, a simulated run leaves. A disabled
     /// recorder ([`Recorder::disabled`], the default) keeps hooks no-ops.
     #[must_use]
     pub fn recorder(mut self, recorder: Recorder) -> Self {
@@ -191,12 +192,12 @@ impl DopeBuilder {
 
     /// Attaches a live metrics registry (see `dope-metrics`): the
     /// monitor then exports per-task `dope_task_exec_seconds` latency
-    /// histograms, queue gauges, and its self-measured overhead; the
-    /// executive exports `dope_reconfigure_epochs_total`, measured
-    /// pause/relaunch latency histograms, and per-verdict proposal
-    /// counts; the pool exports dispatch/park counters; and platform
-    /// feature reads mirror into the `dope_power_watts` gauge. Serve the
-    /// same registry with `dope_metrics::MetricsServer` to scrape the
+    /// histograms; the executive exports, from each control period's
+    /// snapshot, the queue gauges, `dope_power_watts` and the monitor's
+    /// self-measured overhead, plus `dope_reconfigure_epochs_total`,
+    /// measured pause/relaunch latency histograms, and per-verdict
+    /// proposal counts; the pool exports dispatch/park counters. Serve
+    /// the same registry with `dope_metrics::MetricsServer` to scrape the
     /// run live, or dump `registry.render()` at the end.
     #[must_use]
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
@@ -333,55 +334,25 @@ impl Dope {
         initial.validate(&shape, launch_budget)?;
         debug_verify_gate("launch", &shape, &initial, launch_budget);
 
+        let monitor = Monitor::with_sources(
+            builder.throughput_window,
+            0.25,
+            builder.features,
+            builder.queue_probe,
+            builder.admission_probe,
+            builder.metrics.clone(),
+        );
+        // Run time zero is the monitor's: snapshots, the core's clock and
+        // (through the observer's offset) the recorder all count from it.
         let recorder = builder.recorder;
-        recorder.record_with(|| TraceEvent::Launched {
-            mechanism: mechanism.name().into(),
-            goal: goal.to_string(),
-            threads: budget,
-            shape: shape.clone(),
-            config: initial.clone(),
+        let mut observer = recorder.is_enabled().then(|| {
+            RecordingObserver::new(recorder.clone())
+                .with_goal(goal.to_string())
+                .with_admission_policy(builder.admission.kind())
+                .with_clock_offset(recorder.elapsed_secs() - monitor.elapsed_secs())
         });
-
-        let monitor = Monitor::new(builder.throughput_window, 0.25, builder.features.clone());
-        if let Some(probe) = &builder.queue_probe {
-            let probe = Arc::clone(probe);
-            monitor.set_queue_probe(move || probe());
-        }
-        if let Some(probe) = &builder.admission_probe {
-            let probe = Arc::clone(probe);
-            monitor.set_admission_probe(builder.admission.kind(), move || probe());
-        }
-        if recorder.is_enabled() {
-            monitor.set_recorder(recorder.clone());
-        }
-        let exec_metrics = builder.metrics.as_ref().map(|registry| {
-            monitor.set_metrics(registry.clone());
-            ExecMetrics::new(registry)
-        });
-        // The feature registry has a single observer slot, so the
-        // flight-recorder hook and the platform metrics mirror compose
-        // into one closure.
-        let mut observers: Vec<FeatureObserver> = Vec::new();
-        if recorder.is_enabled() {
-            let feature_recorder = recorder.clone();
-            observers.push(Arc::new(move |feature: &str, value: f64| {
-                feature_recorder.record(TraceEvent::FeatureRead {
-                    feature: feature.to_string(),
-                    value,
-                });
-            }));
-        }
-        if let Some(registry) = &builder.metrics {
-            observers.push(dope_platform::metrics_observer(registry));
-        }
-        if !observers.is_empty() {
-            builder
-                .features
-                .set_observer(Some(Arc::new(move |feature: &str, value: f64| {
-                    for observer in &observers {
-                        observer(feature, value);
-                    }
-                })));
+        if let Some(observer) = &mut observer {
+            observer.launched(mechanism.name(), budget, &shape, &initial);
         }
 
         let shared = Arc::new(Shared {
@@ -407,16 +378,13 @@ impl Dope {
                 delta: builder.delta_reconfig,
                 policy: builder.failure_policy,
             },
-            clock_offset: recorder.elapsed_secs(),
-            recorder,
-            metrics: exec_metrics,
-            start: Instant::now(),
+            metrics: builder.metrics.as_ref().map(ExecMetrics::new),
             task_failures: Cell::new(0),
             lost_jobs: Cell::new(0),
         };
         let control = std::thread::Builder::new()
             .name("dope-executive".to_string())
-            .spawn(move || executive.run(mechanism, initial))
+            .spawn(move || executive.run(mechanism, initial, observer))
             .map_err(|err| Error::Usage(format!("spawning the executive thread failed: {err}")))?;
 
         Ok(Dope {
@@ -441,7 +409,10 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Registry handles for the executive's own metric series.
+/// Registry handles for every series the control thread writes: the
+/// control loop's own, and the ones refreshed from each control period's
+/// snapshot. (The monitor registers what a scrape reads per path, the
+/// pool its own counters.)
 struct ExecMetrics {
     epochs: Arc<Counter>,
     pause: Arc<Histogram>,
@@ -453,8 +424,21 @@ struct ExecMetrics {
     proposals_rejected: Arc<Counter>,
     task_failures: Arc<Counter>,
     task_restarts: Arc<Counter>,
+    failed_replicas: Arc<Gauge>,
     prediction_over: Arc<Histogram>,
     prediction_under: Arc<Histogram>,
+    snapshots: Arc<Counter>,
+    overhead_seconds: Arc<Gauge>,
+    overhead_ratio: Arc<Gauge>,
+    queue_occupancy: Arc<Gauge>,
+    queue_arrival_rate: Arc<Gauge>,
+    queue_enqueued: Arc<Counter>,
+    queue_completed: Arc<Counter>,
+    power_watts: Arc<Gauge>,
+    admitted_total: Arc<Counter>,
+    shed_high_water_total: Arc<Counter>,
+    shed_deadline_total: Arc<Counter>,
+    admission_queue_delay: Arc<Gauge>,
     /// Kept for the per-rationale decision counters: the label value is
     /// the decision's rationale code, which is only known when the
     /// decision happens, so the series is created (or re-fetched) on
@@ -469,6 +453,20 @@ impl ExecMetrics {
                 names::PROPOSALS_TOTAL,
                 "Mechanism proposals evaluated, by verdict",
                 &[("verdict", verdict)],
+            )
+        };
+        let prediction = |sign: &str| {
+            registry.histogram_with_labels(
+                names::MECHANISM_PREDICTION_ERROR,
+                "Magnitude of the mechanism's relative throughput-prediction error, by sign",
+                &[("sign", sign)],
+            )
+        };
+        let shed = |reason: &str| {
+            registry.counter_with_labels(
+                names::SHED_TOTAL,
+                "Offers the admission gate dropped, by reason",
+                &[("reason", reason)],
             )
         };
         ExecMetrics {
@@ -503,15 +501,41 @@ impl ExecMetrics {
                 names::TASK_RESTARTS_TOTAL,
                 "Failed replicas re-instantiated by the Restart failure policy",
             ),
-            prediction_over: registry.histogram_with_labels(
-                names::MECHANISM_PREDICTION_ERROR,
-                "Magnitude of the mechanism's relative throughput-prediction error, by sign",
-                &[("sign", "over")],
+            failed_replicas: registry.gauge(
+                names::TASK_FAILED_REPLICAS,
+                "Replicas currently dead in the running epoch",
             ),
-            prediction_under: registry.histogram_with_labels(
-                names::MECHANISM_PREDICTION_ERROR,
-                "Magnitude of the mechanism's relative throughput-prediction error, by sign",
-                &[("sign", "under")],
+            prediction_over: prediction("over"),
+            prediction_under: prediction("under"),
+            snapshots: registry.counter(
+                names::MONITOR_SNAPSHOTS_TOTAL,
+                "Control-period snapshots handed to the mechanism",
+            ),
+            overhead_seconds: registry.gauge(
+                names::MONITORING_OVERHEAD_SECONDS,
+                "Seconds spent inside monitoring code (self-measured)",
+            ),
+            overhead_ratio: registry.gauge(
+                names::MONITORING_OVERHEAD_RATIO,
+                "Monitoring overhead as a fraction of application work",
+            ),
+            queue_occupancy: registry.gauge(names::QUEUE_OCCUPANCY, "Work-queue occupancy"),
+            queue_arrival_rate: registry.gauge(
+                names::QUEUE_ARRIVAL_RATE,
+                "Work-queue arrival rate (requests per second)",
+            ),
+            queue_enqueued: registry.counter(names::QUEUE_ENQUEUED_TOTAL, "Requests enqueued"),
+            queue_completed: registry.counter(names::QUEUE_COMPLETED_TOTAL, "Requests completed"),
+            power_watts: registry.gauge(names::POWER_WATTS, "Platform power draw (watts)"),
+            admitted_total: registry.counter(
+                names::ADMITTED_TOTAL,
+                "Offers the admission gate admitted into the work queue",
+            ),
+            shed_high_water_total: shed("high_water"),
+            shed_deadline_total: shed("deadline"),
+            admission_queue_delay: registry.gauge(
+                names::ADMISSION_QUEUE_DELAY,
+                "Mean queue delay (offer to dispatch) of admitted requests, seconds",
             ),
             registry: registry.clone(),
         }
@@ -538,22 +562,55 @@ impl ExecMetrics {
             histogram.record_secs(error.abs());
         }
     }
+
+    /// Refreshes every series derived from a monitor snapshot: queue,
+    /// admission gate, power, and the monitor's own overhead meter.
+    fn publish(&self, snap: &MonitorSnapshot, monitor: &Monitor) {
+        self.queue_occupancy.set(snap.queue.occupancy);
+        self.queue_arrival_rate.set(snap.queue.arrival_rate);
+        self.queue_enqueued.set_at_least(snap.queue.enqueued);
+        self.queue_completed.set_at_least(snap.queue.completed);
+        if let Some(watts) = snap.power_watts {
+            self.power_watts.set(watts);
+        }
+        self.overhead_seconds
+            .set(monitor.monitoring_overhead_secs());
+        self.overhead_ratio.set(monitor.monitoring_overhead_ratio());
+        if snap.admission.offered > 0 {
+            self.admitted_total.set_at_least(snap.admission.admitted);
+            self.shed_high_water_total
+                .set_at_least(snap.admission.shed_high_water);
+            self.shed_deadline_total
+                .set_at_least(snap.admission.shed_deadline);
+            self.admission_queue_delay
+                .set(snap.admission.mean_queue_delay_secs);
+        }
+    }
 }
 
-/// The control core's sink on the live side: every event becomes its
-/// `TraceEvent` and its `dope_*` metric, and an applied configuration
-/// marks the monitor.
-struct LiveSink<'a>(&'a Executive);
+/// The control core's sink on the live side. Records are written by the
+/// simulators' [`RecordingObserver`] — the one place a control event
+/// becomes a trace record, so a live recording and a simulated one read
+/// alike; this adds the `dope_*` series and marks the monitor.
+struct LiveSink<'a> {
+    exec: &'a Executive,
+    /// `None` when no recorder is attached.
+    observer: Option<RecordingObserver>,
+}
 
 impl ControlSink for LiveSink<'_> {
     fn audits_decisions(&self) -> bool {
-        self.0.recorder.is_enabled() || self.0.metrics.is_some()
+        self.observer.is_some() || self.exec.metrics.is_some()
     }
 
     fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
-        self.0.recorder.record_with(|| TraceEvent::SnapshotTaken {
-            snapshot: snapshot.clone(),
-        });
+        if let Some(observer) = &mut self.observer {
+            observer.snapshot_taken(snapshot);
+        }
+        if let Some(m) = &self.exec.metrics {
+            m.snapshots.inc();
+            m.publish(snapshot, &self.exec.shared.monitor);
+        }
     }
 
     fn decision_scored(
@@ -563,38 +620,25 @@ impl ControlSink for LiveSink<'_> {
         trace: DecisionTrace,
         realized: Option<f64>,
     ) {
-        let event = TraceEvent::decision(mechanism, trace, realized);
-        if let (
-            Some(m),
-            TraceEvent::DecisionTraced {
-                rationale,
-                prediction_error,
-                ..
-            },
-        ) = (&self.0.metrics, &event)
-        {
-            m.record_decision(rationale.code(), *prediction_error);
+        if let Some(m) = &self.exec.metrics {
+            m.record_decision(trace.rationale.code(), trace.prediction_error(realized));
         }
-        self.0
-            .recorder
-            .record_at(time_secs + self.0.clock_offset, event);
+        if let Some(observer) = &mut self.observer {
+            observer.decision_scored(time_secs, mechanism, trace, realized);
+        }
     }
 
     fn proposal_evaluated(
         &mut self,
-        _time_secs: f64,
+        time_secs: f64,
         mechanism: &str,
         proposal: &Config,
         verdict: Verdict,
     ) {
-        self.0
-            .recorder
-            .record_with(|| TraceEvent::ProposalEvaluated {
-                mechanism: mechanism.into(),
-                proposal: proposal.clone(),
-                verdict,
-            });
-        if let Some(m) = &self.0.metrics {
+        if let Some(observer) = &mut self.observer {
+            observer.proposal_evaluated(time_secs, mechanism, proposal, verdict);
+        }
+        if let Some(m) = &self.exec.metrics {
             match verdict {
                 Verdict::Accepted => m.proposals_accepted.inc(),
                 Verdict::Unchanged => m.proposals_unchanged.inc(),
@@ -604,11 +648,11 @@ impl ControlSink for LiveSink<'_> {
         }
     }
 
-    fn reconfigured(&mut self, _time: f64, config: &Config, scope: &Scope, timing: DrainTiming) {
-        self.0
-            .recorder
-            .record_with(|| TraceEvent::reconfigured(config, scope, timing));
-        if let Some(m) = &self.0.metrics {
+    fn reconfigured(&mut self, time: f64, config: &Config, scope: &Scope, timing: DrainTiming) {
+        if let Some(observer) = &mut self.observer {
+            observer.reconfigured(time, config, scope, timing);
+        }
+        if let Some(m) = &self.exec.metrics {
             m.epochs.inc();
             m.pause.record_secs(timing.pause_secs);
             m.relaunch.record_secs(timing.relaunch_secs);
@@ -618,7 +662,18 @@ impl ControlSink for LiveSink<'_> {
             m.paths_drained
                 .record_secs(scope.paths_drained(config) as f64);
         }
-        self.0.shared.monitor.mark_reconfig();
+        self.exec.shared.monitor.mark_reconfig();
+    }
+
+    fn task_failed(&mut self, time: f64, path: &TaskPath, reason: &str, policy: &str) {
+        if let Some(observer) = &mut self.observer {
+            observer.task_failed(time, path, reason, policy);
+        }
+        self.exec.shared.monitor.mark_failed(path);
+        if let Some(m) = &self.exec.metrics {
+            m.task_failures.inc();
+        }
+        self.exec.export_failed_replicas();
     }
 }
 
@@ -741,12 +796,7 @@ struct Executive {
     control_period: Duration,
     window: Duration,
     rules: Rules,
-    recorder: Recorder,
     metrics: Option<ExecMetrics>,
-    start: Instant,
-    /// The recorder's clock at `start`: the core stamps held decisions
-    /// in run-relative seconds, the trace in recorder seconds.
-    clock_offset: f64,
     /// Failure accounting for the honest `RunReport` (cells: the sink
     /// borrows the executive for as long as the core lives).
     task_failures: Cell<u64>,
@@ -760,8 +810,16 @@ impl Executive {
     /// decision is emitted and an in-flight target superseded before
     /// an error propagates (without a `Finished` record: that one closes
     /// *complete* traces only).
-    fn run(self, mut mechanism: Box<dyn Mechanism>, initial: Config) -> Result<RunReport> {
-        let mut sink = LiveSink(&self);
+    fn run(
+        self,
+        mut mechanism: Box<dyn Mechanism>,
+        initial: Config,
+        observer: Option<RecordingObserver>,
+    ) -> Result<RunReport> {
+        let mut sink = LiveSink {
+            exec: &self,
+            observer,
+        };
         let mut core = ControlCore::new(
             mechanism.as_mut(),
             &mut sink,
@@ -771,17 +829,18 @@ impl Executive {
             initial,
         );
         let outcome = self.drive(&mut core);
-        let last = core
-            .holds_decision()
+        // One last look, to score a held decision against and to leave
+        // the exported series at the run's final totals.
+        let last = (core.holds_decision() || self.metrics.is_some())
             .then(|| self.shared.monitor.snapshot());
         let control = core.finish(self.now(), last.as_ref());
+        if let (Some(m), Some(last)) = (&self.metrics, &last) {
+            m.publish(last, &self.shared.monitor);
+        }
         outcome?;
-        if self.recorder.is_enabled() {
-            self.recorder.record(TraceEvent::Finished {
-                completed: self.shared.monitor.queue_completed(),
-                reconfigurations: control.reconfigurations,
-                dropped_events: self.recorder.dropped(),
-            });
+        if let Some(observer) = &mut sink.observer {
+            let completed = self.shared.monitor.queue_completed();
+            observer.finished_at(self.now(), completed, control.reconfigurations);
         }
         let lost = if self.lost_jobs.get() > 0 {
             FailureVerdict::LostWork
@@ -789,7 +848,7 @@ impl Executive {
             FailureVerdict::Clean
         };
         Ok(RunReport {
-            elapsed: self.start.elapsed(),
+            elapsed: Duration::from_secs_f64(self.now()),
             reconfigurations: control.reconfigurations,
             rejected_configs: control.rejected,
             final_config: control.final_config,
@@ -801,9 +860,18 @@ impl Executive {
         })
     }
 
-    /// Run-relative seconds: the core's clock.
+    /// Run-relative seconds — the monitor's clock, so the core's times
+    /// and its snapshots' share one origin.
     fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.shared.monitor.elapsed_secs()
+    }
+
+    /// Mirrors the monitor's dead-replica count into its gauge.
+    fn export_failed_replicas(&self) {
+        if let Some(m) = &self.metrics {
+            m.failed_replicas
+                .set(f64::from(self.shared.monitor.failed_replicas()));
+        }
     }
 
     /// Launches epoch after epoch under the core's configuration until
@@ -816,6 +884,7 @@ impl Executive {
             self.shared
                 .monitor
                 .install_epoch(epoch.load_cbs, epoch.extents);
+            self.export_failed_replicas();
             self.shared.suspend.store(false, Ordering::Release);
             let mut ledger = EpochLedger::new();
             self.submit(&mut ledger, epoch.jobs)?;
@@ -959,8 +1028,9 @@ impl Executive {
         }
     }
 
-    /// Accounts one failed (or vanished) replica and tells the core,
-    /// which escalates whatever was in flight to a full drain.
+    /// Counts one failed (or vanished) replica and tells the core, which
+    /// reports it to the sink and escalates whatever was in flight to a
+    /// full drain.
     fn failed(
         &self,
         core: &mut ControlCore<'_>,
@@ -969,15 +1039,6 @@ impl Executive {
         reason: String,
     ) {
         self.task_failures.set(self.task_failures.get() + 1);
-        self.shared.monitor.mark_failed(&path);
-        if let Some(m) = &self.metrics {
-            m.task_failures.inc();
-        }
-        self.recorder.record_with(|| TraceEvent::TaskFailed {
-            path: path.clone(),
-            reason: reason.clone(),
-            policy: self.rules.policy.kind().into(),
-        });
         let action = core.task_failed(self.now(), path, reason);
         self.obey(action, ledger);
     }
@@ -1006,6 +1067,7 @@ impl Executive {
         self.shared
             .monitor
             .merge_epoch_paths(relaunched.load_cbs, relaunched.extents, &paths);
+        self.export_failed_replicas();
         // The drained paths' share of the completion target is retired
         // with them, and they resume *before* the submit so the new
         // replicas never observe a stale suspend flag.
@@ -1096,6 +1158,7 @@ impl Executive {
 mod tests {
     use super::*;
     use dope_core::{body_fn, TaskBody, TaskKind, TaskSpec, WorkerSlot};
+    use dope_trace::TraceEvent;
     use dope_workload::WorkQueue;
     use std::sync::atomic::AtomicU64;
 
@@ -1484,10 +1547,11 @@ mod tests {
 
     /// End-to-end admission wiring: producers offer through a shedding
     /// `AdmissionQueue`, workers drain it, and the builder-installed
-    /// probe makes the pressure visible — in the monitor's snapshots
-    /// and as `AdmissionDecision` events in the trace.
+    /// probe makes the pressure visible — in the monitor's snapshots,
+    /// as `AdmissionDecision` events in the trace, and in the gate's
+    /// exported counters, which end at the gate's own totals.
     #[test]
-    fn admission_gate_pressure_reaches_snapshots_and_trace() {
+    fn admission_gate_pressure_reaches_snapshots_trace_and_metrics() {
         let gate: dope_workload::AdmissionQueue<u64> =
             dope_workload::AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 4 });
         let hits = Arc::new(AtomicU64::new(0));
@@ -1518,11 +1582,13 @@ mod tests {
             })) as Box<dyn TaskBody>
         });
         let recorder = dope_trace::Recorder::bounded(4096);
+        let registry = MetricsRegistry::new();
         let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
             .admission(gate.policy())
             .admission_probe(gate.stats_probe())
             .control_period(Duration::from_millis(5))
             .recorder(recorder.clone())
+            .metrics(registry.clone())
             .launch(vec![spec])
             .unwrap();
         // An offer storm against slow workers: the watermark guarantees
@@ -1553,6 +1619,18 @@ mod tests {
             .expect("a pressured period must emit an AdmissionDecision");
         assert_eq!(decision.0, "shed");
         assert_eq!(decision.1, "shed");
+        let text = registry.render();
+        let admitted = format!("dope_admitted_total {}", stats.admitted);
+        assert!(text.contains(&admitted), "{text}");
+        let shed = format!(
+            "dope_shed_total{{reason=\"high_water\"}} {}",
+            stats.shed_high_water
+        );
+        assert!(text.contains(&shed), "{text}");
+        assert!(
+            text.contains("dope_shed_total{reason=\"deadline\"} 0"),
+            "{text}"
+        );
     }
 
     /// The lock-rank guard checks the acquisitions a run actually makes,
@@ -1624,13 +1702,6 @@ mod tests {
             })
             .recorder(recorder.clone())
             .metrics(registry.clone())
-            // A gate that saw traffic: the sample it yields is the one
-            // record a snapshot writes itself, under the `recorder` rank.
-            .admission_probe(|| AdmissionStats {
-                offered: 1,
-                admitted: 1,
-                ..AdmissionStats::default()
-            })
             .launch(vec![
                 drain_spec("fast", fast.clone(), Arc::clone(&hits)),
                 slow_spec,

@@ -40,17 +40,9 @@ pub(crate) mod rank {
         /// `MonitorShared::epoch` (load callbacks, extents, failure marks —
         /// installed and read together).
         EPOCH = 20, "epoch";
-        /// `MonitorShared::queue_probe`.
-        QUEUE_PROBE = 40, "queue_probe";
-        /// `MonitorShared::admission_probe`.
-        ADMISSION_PROBE = 50, "admission_probe";
-        /// `MonitorShared::recorder`.
-        RECORDER = 60, "recorder";
         /// `PathStats::shards` (the per-path shard list; the shards
         /// themselves are lock-free).
         SHARDS = 70, "shards";
-        /// `MonitorShared::metrics`.
-        METRICS = 80, "metrics";
     }
 }
 

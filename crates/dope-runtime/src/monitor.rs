@@ -37,9 +37,8 @@
 use crate::lockrank::{rank, RankedMutex};
 use crate::shard::RecorderShard;
 use dope_core::{AdmissionStats, MonitorSnapshot, QueueStats, TaskPath, TaskStats};
-use dope_metrics::{names, Counter, Gauge, LocalHistogram, MetricsRegistry};
+use dope_metrics::{names, Counter, LocalHistogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
-use dope_trace::{AdmissionSampler, Recorder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,100 +224,17 @@ pub struct Monitor {
 /// A registered per-task load probe (queue occupancy, pending work, ...).
 type LoadCallback = Arc<dyn Fn() -> f64 + Send + Sync>;
 
-/// An installed admission gate: the stats probe plus the window sampler
-/// that turns its cumulative counters into `AdmissionDecision` events.
-type AdmissionProbe = (
-    Arc<dyn Fn() -> AdmissionStats + Send + Sync>,
-    AdmissionSampler,
-);
+/// The work-queue probe behind `snapshot().queue`.
+pub(crate) type QueueProbe = Arc<dyn Fn() -> QueueStats + Send + Sync>;
 
-/// Registry handles for the monitor-level metric series.
-struct MonitorMetrics {
-    registry: MetricsRegistry,
-    snapshots: Arc<Counter>,
-    shard_merges: Arc<Counter>,
-    overhead_seconds: Arc<Gauge>,
-    overhead_ratio: Arc<Gauge>,
-    queue_occupancy: Arc<Gauge>,
-    queue_arrival_rate: Arc<Gauge>,
-    queue_enqueued: Arc<Counter>,
-    queue_completed: Arc<Counter>,
-    power_watts: Arc<Gauge>,
-    failed_replicas: Arc<Gauge>,
-    admitted_total: Arc<Counter>,
-    shed_high_water_total: Arc<Counter>,
-    shed_deadline_total: Arc<Counter>,
-    admission_queue_delay: Arc<Gauge>,
-}
-
-impl MonitorMetrics {
-    fn new(registry: MetricsRegistry, shard_merges: Arc<Counter>) -> Self {
-        registry.register_counter(
-            names::MONITOR_SHARD_MERGES_TOTAL,
-            "Recorder shards merged while aggregating snapshots and scrapes",
-            &[],
-            Arc::clone(&shard_merges),
-        );
-        MonitorMetrics {
-            snapshots: registry.counter(names::MONITOR_SNAPSHOTS_TOTAL, "Monitor snapshots taken"),
-            shard_merges,
-            overhead_seconds: registry.gauge(
-                names::MONITORING_OVERHEAD_SECONDS,
-                "Seconds spent inside monitoring code (self-measured)",
-            ),
-            overhead_ratio: registry.gauge(
-                names::MONITORING_OVERHEAD_RATIO,
-                "Monitoring overhead as a fraction of application work",
-            ),
-            queue_occupancy: registry.gauge(names::QUEUE_OCCUPANCY, "Work-queue occupancy"),
-            queue_arrival_rate: registry.gauge(
-                names::QUEUE_ARRIVAL_RATE,
-                "Work-queue arrival rate (requests per second)",
-            ),
-            queue_enqueued: registry.counter(names::QUEUE_ENQUEUED_TOTAL, "Requests enqueued"),
-            queue_completed: registry.counter(names::QUEUE_COMPLETED_TOTAL, "Requests completed"),
-            power_watts: registry.gauge(names::POWER_WATTS, "Platform power draw (watts)"),
-            failed_replicas: registry.gauge(
-                names::TASK_FAILED_REPLICAS,
-                "Replicas currently dead in the running epoch",
-            ),
-            admitted_total: registry.counter(
-                names::ADMITTED_TOTAL,
-                "Offers the admission gate admitted into the work queue",
-            ),
-            shed_high_water_total: registry.counter_with_labels(
-                names::SHED_TOTAL,
-                "Offers the admission gate dropped, by reason",
-                &[("reason", "high_water")],
-            ),
-            shed_deadline_total: registry.counter_with_labels(
-                names::SHED_TOTAL,
-                "Offers the admission gate dropped, by reason",
-                &[("reason", "deadline")],
-            ),
-            admission_queue_delay: registry.gauge(
-                names::ADMISSION_QUEUE_DELAY,
-                "Mean queue delay (offer to dispatch) of admitted requests, seconds",
-            ),
-            registry,
-        }
-    }
-
-    /// Exposes one task path's cell as labelled scrape series.
-    fn register_path(&self, path: &TaskPath, stats: &Arc<PathStats>) {
-        register_path_series(&self.registry, &self.shard_merges, path, stats);
-    }
-}
+/// The admission-gate probe behind `snapshot().admission`.
+pub(crate) type AdmissionProbe = Arc<dyn Fn() -> AdmissionStats + Send + Sync>;
 
 /// Registers one task path's scrape series on `registry`.
 ///
 /// Both series are render-time *sources*: each scrape merges the path's
 /// live shards on demand (and counts the merges into `shard_merges`),
-/// so the record path stays free of shared scrape state. A free
-/// function so callers can register without holding the monitor's
-/// `metrics` lock — the closures acquire `shards` (rank 70) when a
-/// render runs them, which must never be declared under `metrics`
-/// (rank 80).
+/// so the record path stays free of shared scrape state.
 fn register_path_series(
     registry: &MetricsRegistry,
     shard_merges: &Arc<Counter>,
@@ -373,21 +289,20 @@ struct MonitorShared {
     ewma_alpha: f64,
     paths: RankedMutex<PathCells>,
     epoch: RankedMutex<EpochState>,
-    queue_probe: RankedMutex<Option<Arc<dyn Fn() -> QueueStats + Send + Sync>>>,
-    /// Probe into the admission gate plus the window sampler that turns
-    /// its cumulative counters into `AdmissionDecision` trace events.
-    /// `None` until [`Monitor::set_admission_probe`] installs a gate.
-    admission_probe: RankedMutex<Option<AdmissionProbe>>,
+    queue_probe: Option<QueueProbe>,
+    admission_probe: Option<AdmissionProbe>,
     features: FeatureRegistry,
     completed_at_reconfig: AtomicU64,
-    recorder: RankedMutex<Recorder>,
     /// Nanoseconds spent inside monitoring code, summed across threads.
     overhead_nanos: Arc<AtomicU64>,
     /// Shards merged by snapshots and scrapes (`dope_monitor_shard_
     /// merges_total`); monitor-owned so it counts even with no registry
     /// attached.
     shard_merges: Arc<Counter>,
-    metrics: RankedMutex<Option<MonitorMetrics>>,
+    /// Where each task path's scrape sources register as its cell is
+    /// created. Everything else a run exports is written by the control
+    /// thread, from the snapshots this monitor returns.
+    registry: Option<MetricsRegistry>,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -400,9 +315,34 @@ impl std::fmt::Debug for Monitor {
 
 impl Monitor {
     /// A monitor with a throughput window of `window` and execution-time
-    /// smoothing `ewma_alpha`.
+    /// smoothing `ewma_alpha`, without probes or a metrics registry.
     #[must_use]
     pub fn new(window: Duration, ewma_alpha: f64, features: FeatureRegistry) -> Self {
+        Monitor::with_sources(window, ewma_alpha, features, None, None, None)
+    }
+
+    /// The monitor of a launched run, built once from what the builder
+    /// knows: the probes behind `snapshot().queue` / `.admission`, and
+    /// the registry each task path's `dope_task_exec_seconds{path=...}`
+    /// histogram and invocation counter register on as its cell is
+    /// created (plus the shard-merge counter, now).
+    pub(crate) fn with_sources(
+        window: Duration,
+        ewma_alpha: f64,
+        features: FeatureRegistry,
+        queue_probe: Option<QueueProbe>,
+        admission_probe: Option<AdmissionProbe>,
+        registry: Option<MetricsRegistry>,
+    ) -> Self {
+        let shard_merges = Arc::new(Counter::new());
+        if let Some(registry) = &registry {
+            registry.register_counter(
+                names::MONITOR_SHARD_MERGES_TOTAL,
+                "Recorder shards merged while aggregating snapshots and scrapes",
+                &[],
+                Arc::clone(&shard_merges),
+            );
+        }
         Monitor {
             shared: Arc::new(MonitorShared {
                 start: Instant::now(),
@@ -417,39 +357,15 @@ impl Monitor {
                         failed: HashMap::new(),
                     },
                 ),
-                queue_probe: RankedMutex::new(rank::QUEUE_PROBE, None),
-                admission_probe: RankedMutex::new(rank::ADMISSION_PROBE, None),
+                queue_probe,
+                admission_probe,
                 features,
                 completed_at_reconfig: AtomicU64::new(0),
-                recorder: RankedMutex::new(rank::RECORDER, Recorder::disabled()),
                 overhead_nanos: Arc::new(AtomicU64::new(0)),
-                shard_merges: Arc::new(Counter::new()),
-                metrics: RankedMutex::new(rank::METRICS, None),
+                shard_merges,
+                registry,
             }),
         }
-    }
-
-    /// Attaches a flight recorder: a [`snapshot`](Monitor::snapshot) that
-    /// saw traffic at an installed admission gate records one
-    /// `AdmissionDecision` into it.
-    pub fn set_recorder(&self, recorder: Recorder) {
-        *self.shared.recorder.lock() = recorder;
-    }
-
-    /// Attaches a live metrics registry.
-    ///
-    /// Registers monitor-level series (snapshot and shard-merge
-    /// counters, overhead gauges, queue gauges/counters, power gauge)
-    /// immediately, plus one `dope_task_exec_seconds{path=...}`
-    /// histogram source per task path — existing paths now, future paths
-    /// as they are created. Every subsequent
-    /// [`snapshot`](Monitor::snapshot) refreshes the gauges.
-    pub fn set_metrics(&self, registry: MetricsRegistry) {
-        let metrics = MonitorMetrics::new(registry, Arc::clone(&self.shared.shard_merges));
-        for (path, stats) in &self.shared.paths.lock().cells {
-            metrics.register_path(path, stats);
-        }
-        *self.shared.metrics.lock() = Some(metrics);
     }
 
     /// Requests completed so far per the installed queue probe (0 when no
@@ -457,7 +373,6 @@ impl Monitor {
     pub(crate) fn queue_completed(&self) -> u64 {
         self.shared
             .queue_probe
-            .lock()
             .as_ref()
             .map_or(0, |probe| probe().completed)
     }
@@ -472,18 +387,8 @@ impl Monitor {
             self.shared.ewma_alpha,
             Arc::clone(&self.shared.overhead_nanos),
         ));
-        // Clone the registration handles out of the `metrics` guard
-        // before registering: the scrape closures acquire `shards`
-        // (rank 70), which must not be declared under `metrics`
-        // (rank 80).
-        let scrape = self
-            .shared
-            .metrics
-            .lock()
-            .as_ref()
-            .map(|m| (m.registry.clone(), Arc::clone(&m.shard_merges)));
-        if let Some((registry, shard_merges)) = scrape {
-            register_path_series(&registry, &shard_merges, path, &stats);
+        if let Some(registry) = &self.shared.registry {
+            register_path_series(registry, &self.shared.shard_merges, path, &stats);
         }
         paths.cells.insert(path.clone(), Arc::clone(&stats));
         stats
@@ -498,15 +403,10 @@ impl Monitor {
         load_cbs: Vec<(TaskPath, Arc<dyn Fn() -> f64 + Send + Sync>)>,
         extents: HashMap<TaskPath, u32>,
     ) {
-        {
-            let mut epoch = self.shared.epoch.lock();
-            epoch.load_cbs = load_cbs;
-            epoch.extents = extents;
-            epoch.failed.clear();
-        }
-        if let Some(metrics) = self.shared.metrics.lock().as_ref() {
-            metrics.failed_replicas.set(0.0);
-        }
+        let mut epoch = self.shared.epoch.lock();
+        epoch.load_cbs = load_cbs;
+        epoch.extents = extents;
+        epoch.failed.clear();
     }
 
     /// Splices a partially relaunched epoch into the running one: only
@@ -514,28 +414,19 @@ impl Monitor {
     /// keeps its live callbacks, extents, and failure marks.
     ///
     /// The drained paths start their new generation with every replica
-    /// alive, so their failure marks are cleared and the failed-replicas
-    /// gauge is recomputed from what remains.
+    /// alive, so their failure marks are cleared.
     pub(crate) fn merge_epoch_paths(
         &self,
         load_cbs: Vec<(TaskPath, Arc<dyn Fn() -> f64 + Send + Sync>)>,
         extents: HashMap<TaskPath, u32>,
         drained: &[TaskPath],
     ) {
-        let total: u32 = {
-            let mut epoch = self.shared.epoch.lock();
-            epoch.load_cbs.retain(|(path, _)| !drained.contains(path));
-            epoch.load_cbs.extend(load_cbs);
-            for (path, extent) in extents {
-                epoch.extents.insert(path, extent);
-            }
-            for path in drained {
-                epoch.failed.remove(path);
-            }
-            epoch.failed.values().sum()
-        };
-        if let Some(metrics) = self.shared.metrics.lock().as_ref() {
-            metrics.failed_replicas.set(f64::from(total));
+        let mut epoch = self.shared.epoch.lock();
+        epoch.load_cbs.retain(|(path, _)| !drained.contains(path));
+        epoch.load_cbs.extend(load_cbs);
+        epoch.extents.extend(extents);
+        for path in drained {
+            epoch.failed.remove(path);
         }
     }
 
@@ -546,42 +437,19 @@ impl Monitor {
     /// path with no survivors vanishes from `snapshot().tasks` entirely
     /// so mechanisms don't steer threads toward ghosts.
     pub(crate) fn mark_failed(&self, path: &TaskPath) {
-        let total: u32 = {
-            let mut epoch = self.shared.epoch.lock();
-            *epoch.failed.entry(path.clone()).or_insert(0) += 1;
-            epoch.failed.values().sum()
-        };
-        if let Some(metrics) = self.shared.metrics.lock().as_ref() {
-            metrics.failed_replicas.set(f64::from(total));
-        }
+        *self
+            .shared
+            .epoch
+            .lock()
+            .failed
+            .entry(path.clone())
+            .or_insert(0) += 1;
     }
 
     /// Replicas currently marked dead in the running epoch.
     #[must_use]
     pub fn failed_replicas(&self) -> u32 {
         self.shared.epoch.lock().failed.values().sum()
-    }
-
-    /// Installs the work-queue probe feeding `snapshot().queue`.
-    pub fn set_queue_probe<F>(&self, probe: F)
-    where
-        F: Fn() -> QueueStats + Send + Sync + 'static,
-    {
-        *self.shared.queue_probe.lock() = Some(Arc::new(probe));
-    }
-
-    /// Installs the admission-gate probe feeding `snapshot().admission`.
-    ///
-    /// `policy` is the gate's stable lowercase tag (`"block"` / `"shed"`
-    /// / `"deadline"`); each snapshot with offered traffic also emits one
-    /// `AdmissionDecision` event into an attached recorder, stamped with
-    /// that tag.
-    pub fn set_admission_probe<F>(&self, policy: &str, probe: F)
-    where
-        F: Fn() -> AdmissionStats + Send + Sync + 'static,
-    {
-        *self.shared.admission_probe.lock() =
-            Some((Arc::new(probe), AdmissionSampler::new(policy)));
     }
 
     /// The platform feature registry (paper Figure 9).
@@ -593,15 +461,9 @@ impl Monitor {
     /// Marks a reconfiguration: resets the dispatches-since-reconfig
     /// counter.
     pub(crate) fn mark_reconfig(&self) {
-        let completed = self
-            .shared
-            .queue_probe
-            .lock()
-            .as_ref()
-            .map_or(0, |p| p().completed);
         self.shared
             .completed_at_reconfig
-            .store(completed, Ordering::Relaxed);
+            .store(self.queue_completed(), Ordering::Relaxed);
     }
 
     /// Seconds since the monitor was created.
@@ -642,14 +504,16 @@ impl Monitor {
 
     /// Freezes the current measurements into a snapshot.
     ///
-    /// Aggregation happens here, on the monitor's thread: every path's
+    /// Aggregation happens here, on the caller's thread: every path's
     /// worker shards are merged into one view (counted by
     /// `dope_monitor_shard_merges_total`), so workers never pay for the
     /// snapshot. The cost of taking the snapshot itself is charged to
     /// the monitoring-overhead meter.
     ///
-    /// The snapshot is returned, not recorded: the control loop's sink
-    /// records it once, as `SnapshotTaken`, on handing it to the mechanism.
+    /// A pure read apart from those two meters: nothing is recorded and
+    /// no exported series moves, so anyone may call it at any time. The
+    /// control loop's sink records the snapshot it hands the mechanism,
+    /// once, as `SnapshotTaken`, and writes the `dope_*` series from it.
     #[must_use]
     pub fn snapshot(&self) -> MonitorSnapshot {
         let t0 = Instant::now();
@@ -705,7 +569,7 @@ impl Monitor {
         }
         shared.shard_merges.add(merged);
 
-        if let Some(probe) = shared.queue_probe.lock().as_ref() {
+        if let Some(probe) = &shared.queue_probe {
             snap.queue = probe();
         }
         snap.dispatches_since_reconfig = snap
@@ -713,56 +577,8 @@ impl Monitor {
             .completed
             .saturating_sub(shared.completed_at_reconfig.load(Ordering::Relaxed));
         snap.power_watts = shared.features.value("SystemPower");
-
-        // Read the gate's cumulative counters and classify the window in
-        // one step: the sampler's previous-sample state lives with the
-        // probe, under the same rank-50 lock.
-        let admission_event = {
-            let mut probe = shared.admission_probe.lock();
-            match probe.as_mut() {
-                Some((probe, sampler)) => {
-                    snap.admission = probe();
-                    sampler.sample(&snap.admission)
-                }
-                None => None,
-            }
-        };
-
-        if let Some(event) = admission_event {
-            let recorder = shared.recorder.lock().clone();
-            recorder.record(event);
-        }
-
-        // Computed before acquiring `metrics`: monitoring_overhead_ratio
-        // takes `paths` (rank 10), which must never nest under `metrics`
-        // (rank 80) — see `lockrank::rank`. stats_for
-        // nests the two the other way round, so reversing here would be
-        // a deadlock window, not just a style problem.
-        let overhead_secs = self.monitoring_overhead_secs();
-        let overhead_ratio = self.monitoring_overhead_ratio();
-        if let Some(metrics) = shared.metrics.lock().as_ref() {
-            metrics.snapshots.inc();
-            metrics.queue_occupancy.set(snap.queue.occupancy);
-            metrics.queue_arrival_rate.set(snap.queue.arrival_rate);
-            metrics.queue_enqueued.set_at_least(snap.queue.enqueued);
-            metrics.queue_completed.set_at_least(snap.queue.completed);
-            if let Some(watts) = snap.power_watts {
-                metrics.power_watts.set(watts);
-            }
-            metrics.overhead_seconds.set(overhead_secs);
-            metrics.overhead_ratio.set(overhead_ratio);
-            if snap.admission.offered > 0 {
-                metrics.admitted_total.set_at_least(snap.admission.admitted);
-                metrics
-                    .shed_high_water_total
-                    .set_at_least(snap.admission.shed_high_water);
-                metrics
-                    .shed_deadline_total
-                    .set_at_least(snap.admission.shed_deadline);
-                metrics
-                    .admission_queue_delay
-                    .set(snap.admission.mean_queue_delay_secs);
-            }
+        if let Some(probe) = &shared.admission_probe {
+            snap.admission = probe();
         }
         shared
             .overhead_nanos
@@ -775,10 +591,25 @@ impl Monitor {
 mod tests {
     use super::*;
     use dope_metrics::Histogram;
-    use dope_trace::TraceEvent;
 
     fn monitor() -> Monitor {
         Monitor::new(Duration::from_secs(10), 0.25, FeatureRegistry::new())
+    }
+
+    /// A monitor built the way `Dope::launch` builds it.
+    fn monitor_with(
+        queue: Option<QueueStats>,
+        admission: Option<AdmissionStats>,
+        registry: Option<MetricsRegistry>,
+    ) -> Monitor {
+        Monitor::with_sources(
+            Duration::from_secs(10),
+            0.25,
+            FeatureRegistry::new(),
+            queue.map(|stats| Arc::new(move || stats) as QueueProbe),
+            admission.map(|stats| Arc::new(move || stats) as AdmissionProbe),
+            registry,
+        )
     }
 
     #[test]
@@ -867,13 +698,13 @@ mod tests {
 
     #[test]
     fn queue_probe_feeds_snapshot() {
-        let m = monitor();
-        m.set_queue_probe(|| QueueStats {
+        let queue = QueueStats {
             occupancy: 7.0,
             arrival_rate: 2.0,
             enqueued: 10,
             completed: 3,
-        });
+        };
+        let m = monitor_with(Some(queue), None, None);
         let snap = m.snapshot();
         assert_eq!(snap.queue.occupancy, 7.0);
         assert_eq!(snap.dispatches_since_reconfig, 3);
@@ -882,66 +713,17 @@ mod tests {
     }
 
     #[test]
-    fn admission_probe_feeds_snapshot_recorder_and_metrics() {
-        let m = monitor();
-        m.set_admission_probe("shed", || AdmissionStats {
+    fn admission_probe_feeds_snapshot() {
+        let gate = AdmissionStats {
             offered: 100,
             admitted: 80,
             shed_high_water: 20,
             shed_deadline: 0,
             mean_queue_delay_secs: 0.015,
-        });
-        let recorder = Recorder::bounded(16);
-        m.set_recorder(recorder.clone());
-        let registry = MetricsRegistry::new();
-        m.set_metrics(registry.clone());
-
-        let snap = m.snapshot();
-        assert_eq!(snap.admission.offered, 100);
-        assert_eq!(snap.admission.shed(), 20);
-
-        let records = recorder.records();
-        let TraceEvent::AdmissionDecision {
-            policy,
-            verdict,
-            reason,
-            ..
-        } = &records
-            .iter()
-            .find(|r| r.event.kind() == "AdmissionDecision")
-            .expect("snapshot must emit an admission sample")
-            .event
-        else {
-            panic!("wrong kind");
         };
-        assert_eq!(policy, "shed");
-        assert_eq!(verdict, "shed");
-        assert_eq!(reason, "high_water");
-
-        let text = registry.render();
-        assert!(text.contains("dope_admitted_total 80"), "{text}");
-        assert!(
-            text.contains("dope_shed_total{reason=\"high_water\"} 20"),
-            "{text}"
-        );
-        assert!(
-            text.contains("dope_shed_total{reason=\"deadline\"} 0"),
-            "{text}"
-        );
-        assert!(text.contains("dope_admission_queue_delay 0.015"), "{text}");
-    }
-
-    #[test]
-    fn snapshot_without_admission_probe_reports_zero_stats() {
-        let m = monitor();
-        let recorder = Recorder::bounded(16);
-        m.set_recorder(recorder.clone());
-        let snap = m.snapshot();
-        assert_eq!(snap.admission, AdmissionStats::default());
-        assert!(recorder
-            .records()
-            .iter()
-            .all(|r| r.event.kind() != "AdmissionDecision"));
+        let snap = monitor_with(None, Some(gate), None).snapshot();
+        assert_eq!(snap.admission, gate);
+        assert_eq!(monitor().snapshot().admission, AdmissionStats::default());
     }
 
     #[test]
@@ -952,21 +734,27 @@ mod tests {
         assert_eq!(m.snapshot().power_watts, Some(612.5));
     }
 
-    /// The gate's derived sample is the only record a snapshot leaves:
-    /// its task rows and queue are recorded once, inside `SnapshotTaken`,
-    /// by the control loop's sink.
+    /// A snapshot is a read: it takes the three monitor locks in rank
+    /// order and nothing else, and moves no exported series but the
+    /// shard-merge counter it feeds.
     #[test]
-    fn snapshot_emits_samples_into_an_attached_recorder() {
-        let m = monitor();
-        m.set_queue_probe(|| QueueStats {
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the lock-rank guard is compiled out in release builds"
+    )]
+    fn snapshot_acquires_only_paths_epoch_and_shards() {
+        use crate::lockrank::chains_on_this_thread;
+        let queue = QueueStats {
             occupancy: 7.0,
             ..QueueStats::default()
-        });
-        m.set_admission_probe("block", || AdmissionStats {
+        };
+        let gate = AdmissionStats {
             offered: 4,
             admitted: 4,
             ..AdmissionStats::default()
-        });
+        };
+        let registry = MetricsRegistry::new();
+        let m = monitor_with(Some(queue), Some(gate), Some(registry.clone()));
         let path: TaskPath = "0".parse().unwrap();
         let stats = m.stats_for(&path);
         stats.record(
@@ -975,12 +763,24 @@ mod tests {
             Duration::from_secs(10),
         );
         m.install_epoch(Vec::new(), HashMap::from([(path, 1)]));
-        let recorder = Recorder::bounded(16);
-        m.set_recorder(recorder.clone());
+        let families = registry.family_names();
+        let before = chains_on_this_thread();
         let snap = m.snapshot();
         assert_eq!((snap.tasks.len(), snap.queue.occupancy), (1, 7.0));
-        let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
-        assert_eq!(kinds, ["AdmissionDecision"]);
+        let acquired: Vec<Vec<u32>> = chains_on_this_thread()
+            .into_iter()
+            .filter(|(chain, count)| before.get(chain) != Some(count))
+            .map(|(chain, _)| chain)
+            .collect();
+        let (paths, epoch, shards) = (rank::PATHS.0, rank::EPOCH.0, rank::SHARDS.0);
+        assert_eq!(
+            acquired,
+            [vec![paths], vec![paths, epoch], vec![paths, epoch, shards]]
+        );
+        assert_eq!(registry.family_names(), families);
+        assert!(registry
+            .render()
+            .contains("dope_monitor_shard_merges_total 1"));
     }
 
     #[test]
@@ -1059,28 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_replica_gauge_tracks_marks() {
-        let m = monitor();
-        let path: TaskPath = "0".parse().unwrap();
-        let _ = m.stats_for(&path);
-        let registry = MetricsRegistry::new();
-        m.set_metrics(registry.clone());
-        m.install_epoch(Vec::new(), HashMap::from([(path.clone(), 2)]));
-        m.mark_failed(&path);
-        assert!(
-            registry.render().contains("dope_task_failed_replicas 1"),
-            "{}",
-            registry.render()
-        );
-        m.install_epoch(Vec::new(), HashMap::from([(path, 2)]));
-        assert!(
-            registry.render().contains("dope_task_failed_replicas 0"),
-            "{}",
-            registry.render()
-        );
-    }
-
-    #[test]
     fn same_path_shares_cell() {
         let m = monitor();
         let p: TaskPath = "1".parse().unwrap();
@@ -1096,26 +874,18 @@ mod tests {
         assert!(format!("{m:?}").contains("paths: 1"), "{m:?}");
     }
 
+    /// Every path's scrape sources register as its cell is created.
     #[test]
-    fn attached_registry_sees_task_queue_and_overhead_series() {
-        let m = monitor();
-        m.set_queue_probe(|| QueueStats {
-            occupancy: 4.0,
-            arrival_rate: 8.5,
-            enqueued: 20,
-            completed: 15,
-        });
-        // One path exists before attach, one is created after: both must
-        // end up registered.
-        let before: TaskPath = "0".parse().unwrap();
-        let s0 = m.stats_for(&before);
+    fn attached_registry_sees_per_path_series() {
         let registry = MetricsRegistry::new();
-        m.set_metrics(registry.clone());
-        let after: TaskPath = "1".parse().unwrap();
-        let s1 = m.stats_for(&after);
+        let m = monitor_with(None, None, Some(registry.clone()));
         let now = Instant::now();
-        s0.record(Duration::from_millis(2), now, Duration::from_secs(10));
-        s1.record(Duration::from_millis(4), now, Duration::from_secs(10));
+        for (name, millis) in [("0", 2), ("1", 4)] {
+            let path: TaskPath = name.parse().unwrap();
+            let exec = Duration::from_millis(millis);
+            m.stats_for(&path)
+                .record(exec, now, Duration::from_secs(10));
+        }
         let _ = m.snapshot();
         let text = registry.render();
         assert!(
@@ -1130,12 +900,8 @@ mod tests {
             text.contains("dope_task_invocations_total{path=\"0\"} 1"),
             "{text}"
         );
-        assert!(text.contains("dope_monitor_snapshots_total 1"), "{text}");
         // The snapshot above merged one shard per path.
         assert!(text.contains("dope_monitor_shard_merges_total 2"), "{text}");
-        assert!(text.contains("dope_queue_arrival_rate 8.5"), "{text}");
-        assert!(text.contains("dope_queue_completed_total 15"), "{text}");
-        assert!(text.contains("dope_monitoring_overhead_ratio "), "{text}");
     }
 
     #[test]

@@ -348,21 +348,15 @@ impl TraceEvent {
 
     /// One mechanism decision, scored against `realized` — the
     /// bottleneck throughput of the snapshot that followed it (`None`
-    /// when there was nothing to score against). Every control-core sink
-    /// builds its `DecisionTraced` events here, so the prediction-error
-    /// formula exists once.
+    /// when there was nothing to score against), scored by
+    /// [`DecisionTrace::prediction_error`].
     #[must_use]
     pub fn decision(
         mechanism: impl Into<Label>,
         trace: DecisionTrace,
         realized: Option<f64>,
     ) -> Self {
-        let prediction_error = match (trace.predicted_throughput, realized) {
-            (Some(predicted), Some(realized)) if realized > 0.0 => {
-                Some((predicted - realized) / realized)
-            }
-            _ => None,
-        };
+        let prediction_error = trace.prediction_error(realized);
         TraceEvent::DecisionTraced {
             mechanism: mechanism.into(),
             rationale: trace.rationale,

@@ -37,7 +37,7 @@
 //! ```
 
 use dope_core::control::{ControlSink, DrainTiming, Scope, Verdict};
-use dope_core::{Config, DecisionTrace, Label, MonitorSnapshot, ProgramShape};
+use dope_core::{Config, DecisionTrace, Label, MonitorSnapshot, ProgramShape, TaskPath};
 
 use crate::admission::AdmissionSampler;
 use crate::event::TraceEvent;
@@ -45,16 +45,21 @@ use crate::recorder::Recorder;
 
 /// A [`ControlSink`] that records the decision loop into a [`Recorder`].
 ///
-/// A control period leaves one `SnapshotTaken` — task rows and queue
-/// inside — plus a `FeatureRead` for a power reading and an
-/// `AdmissionDecision` when a declared gate saw traffic. Scored decisions
-/// arrive *before* the snapshot that scored them and are stamped at the
-/// decision's own time; the final decision of a simulated run has no next
-/// snapshot and arrives unscored when the simulator finishes the core.
+/// A control period leaves, in this order: the previous consult's scored
+/// `DecisionTraced` (stamped at the decision's own time), a `FeatureRead`
+/// for the snapshot's power reading, an `AdmissionDecision` when a
+/// declared gate saw traffic, the one `SnapshotTaken` — task rows and
+/// queue inside — then the consult's `ProposalEvaluated` and, once it is
+/// applied, its `ReconfigureEpoch`. The final decision of a simulated run
+/// has no next snapshot and arrives unscored when the simulator finishes
+/// the core.
 #[derive(Debug, Clone)]
 pub struct RecordingObserver {
     recorder: Recorder,
     goal: String,
+    // The recorder's clock at the run's time zero: 0 for simulated runs,
+    // whose records carry simulated seconds.
+    clock_offset: f64,
     last_time_secs: f64,
     // Present when the run declares an admission policy: each snapshot
     // with offered traffic then yields one `AdmissionDecision` sample.
@@ -68,6 +73,7 @@ impl RecordingObserver {
         RecordingObserver {
             recorder,
             goal: String::new(),
+            clock_offset: 0.0,
             last_time_secs: 0.0,
             admission: None,
         }
@@ -90,6 +96,15 @@ impl RecordingObserver {
         self
     }
 
+    /// Sets what the recorder's clock read at the run's time zero. A live
+    /// driver's times are run-relative while its recorder may be older
+    /// than the run; every record is stamped `time_secs + offset_secs`.
+    #[must_use]
+    pub fn with_clock_offset(mut self, offset_secs: f64) -> Self {
+        self.clock_offset = offset_secs;
+        self
+    }
+
     /// The wrapped recorder handle.
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
@@ -99,20 +114,27 @@ impl RecordingObserver {
     /// Records `event` and remembers the latest time seen.
     fn record_at(&mut self, time_secs: f64, event: TraceEvent) {
         self.last_time_secs = self.last_time_secs.max(time_secs);
-        self.recorder.record_at(time_secs, event);
+        self.recorder
+            .record_at(time_secs + self.clock_offset, event);
     }
 
     /// Records the terminal `Finished` event, stamped at the latest
     /// time seen. The simulator returns totals rather than calling a
     /// shutdown hook, so callers invoke this once the run returns.
     pub fn finished(&mut self, completed: u64, reconfigurations: u64) {
-        let dropped = self.recorder.dropped();
-        self.recorder.record_at(
-            self.last_time_secs,
+        self.finished_at(self.last_time_secs, completed, reconfigurations);
+    }
+
+    /// [`finished`](Self::finished) for drivers with a clock of their
+    /// own: the run ended at `time_secs`, not at its last control event.
+    pub fn finished_at(&mut self, time_secs: f64, completed: u64, reconfigurations: u64) {
+        let dropped_events = self.recorder.dropped();
+        self.record_at(
+            time_secs,
             TraceEvent::Finished {
                 completed,
                 reconfigurations,
-                dropped_events: dropped,
+                dropped_events,
             },
         );
     }
@@ -120,7 +142,7 @@ impl RecordingObserver {
 
 impl ControlSink for RecordingObserver {
     fn launched(&mut self, mechanism: &str, threads: u32, shape: &ProgramShape, config: &Config) {
-        self.recorder.record_at(
+        self.record_at(
             0.0,
             TraceEvent::Launched {
                 mechanism: mechanism.into(),
@@ -133,12 +155,11 @@ impl ControlSink for RecordingObserver {
     }
 
     fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
-        self.last_time_secs = self.last_time_secs.max(snapshot.time_secs);
         if !self.recorder.is_enabled() {
             return;
         }
         if let Some(watts) = snapshot.power_watts {
-            self.recorder.record_at(
+            self.record_at(
                 snapshot.time_secs,
                 TraceEvent::FeatureRead {
                     feature: "SystemPower".to_string(),
@@ -148,10 +169,10 @@ impl ControlSink for RecordingObserver {
         }
         if let Some(sampler) = &mut self.admission {
             if let Some(event) = sampler.sample(&snapshot.admission) {
-                self.recorder.record_at(snapshot.time_secs, event);
+                self.record_at(snapshot.time_secs, event);
             }
         }
-        self.recorder.record_at(
+        self.record_at(
             snapshot.time_secs,
             TraceEvent::SnapshotTaken {
                 snapshot: snapshot.clone(),
@@ -195,6 +216,17 @@ impl ControlSink for RecordingObserver {
         timing: DrainTiming,
     ) {
         self.record_at(time_secs, TraceEvent::reconfigured(config, scope, timing));
+    }
+
+    fn task_failed(&mut self, time_secs: f64, path: &TaskPath, reason: &str, policy: &str) {
+        self.record_at(
+            time_secs,
+            TraceEvent::TaskFailed {
+                path: path.clone(),
+                reason: reason.to_string(),
+                policy: policy.into(),
+            },
+        );
     }
 }
 

@@ -61,7 +61,6 @@ fn main() {
     // Scrape our own endpoint while the service is still live — exactly
     // what `curl http://.../metrics` would return.
     let monitor = dope.monitor();
-    let _ = monitor.snapshot();
     let scraped = scrape(&server.local_addr().to_string()).expect("self-scrape");
     let exec_count = format!("{}_count", names::TASK_EXEC_SECONDS);
     println!("\n-- live scrape (excerpt) --");

@@ -7,18 +7,19 @@
 //! The gate's counters must stay coherent across that boundary: every
 //! offer gets exactly one verdict, every admitted request is served
 //! (the drain suspends workers, it must not lose queued items), and
-//! the `AdmissionDecision` records the monitor emits while the drain
-//! is in flight carry monotone cumulative counters that satisfy the
+//! the `AdmissionDecision` records the control loop writes while the
+//! drain is in flight carry monotone cumulative counters that satisfy the
 //! conservation invariant at every sample.
 
 use dope_core::{
     body_fn, AdmissionPolicy, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources,
     TaskBody, TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
 };
+use dope_metrics::{names, MetricsRegistry};
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
 use dope_workload::{AdmissionQueue, DequeueOutcome, WorkQueue};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -239,4 +240,121 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
         last.0 <= stats.offered && last.1 <= stats.admitted,
         "trace samples never run ahead of the gate"
     );
+}
+
+/// `Monitor::snapshot()` is a read anyone may take. An outside caller
+/// hammering it between control ticks (a dashboard, the benchmark's
+/// generator) must leave the recording and the exported series to the
+/// control loop: no extra record, no `dope_monitor_snapshots_total`
+/// bump, and — the sampler's window being the control period's alone —
+/// every period in which the gate shed is recorded as `"shed"`.
+#[test]
+fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
+    let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 8 });
+    let spec = {
+        let gate = gate.clone();
+        TaskSpec::leaf("gated", TaskKind::Par, move |_slot: WorkerSlot| {
+            let gate = gate.clone();
+            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+                cx.begin();
+                let out = gate.take(Duration::from_millis(2));
+                cx.end();
+                match out {
+                    DequeueOutcome::Item(_) => TaskStatus::Executing,
+                    DequeueOutcome::Drained => TaskStatus::Finished,
+                    DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
+                        TaskStatus::Suspended
+                    }
+                    DequeueOutcome::TimedOut => TaskStatus::Executing,
+                }
+            })) as Box<dyn TaskBody>
+        })
+    };
+    let recorder = Recorder::bounded(8192);
+    let registry = MetricsRegistry::new();
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 1 })
+        .control_period(Duration::from_millis(10))
+        .admission(gate.policy())
+        .admission_probe(gate.stats_probe())
+        .recorder(recorder.clone())
+        .metrics(registry.clone())
+        .launch(vec![spec])
+        .expect("launch");
+
+    let monitor = dope.monitor();
+    let storming = Arc::new(AtomicBool::new(true));
+    let outside = {
+        let (monitor, storming) = (monitor.clone(), Arc::clone(&storming));
+        std::thread::spawn(move || {
+            while storming.load(Ordering::Acquire) {
+                let _ = monitor.snapshot();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        })
+    };
+    // Every burst overflows the 8-deep watermark, so every control period
+    // of the storm sheds.
+    for burst in 0..30u64 {
+        for i in 0..50 {
+            let _ = gate.offer(burst * 50 + i);
+        }
+        std::thread::sleep(Duration::from_millis(4));
+    }
+    storming.store(false, Ordering::Release);
+    outside.join().expect("outside reader");
+    gate.close();
+    dope.wait().expect("drain");
+
+    // Each recorded period is the control loop's own: its sample sits
+    // right before its snapshot, carries the snapshot's counters, and
+    // judges the window since the previous *period*.
+    let records = recorder.records();
+    let (mut periods, mut shed_periods, mut shed_before) = (0u64, 0u64, 0u64);
+    for (i, record) in records.iter().enumerate() {
+        let TraceEvent::SnapshotTaken { snapshot } = &record.event else {
+            continue;
+        };
+        periods += 1;
+        let gate_now = snapshot.admission;
+        if gate_now.offered == 0 {
+            continue;
+        }
+        let TraceEvent::AdmissionDecision { verdict, shed, .. } = &records[i - 1].event else {
+            panic!("period {periods} has no sample before its snapshot");
+        };
+        assert_eq!(*shed, gate_now.shed(), "the sample is the snapshot's");
+        let shed_in_window = gate_now.shed() > shed_before;
+        shed_periods += u64::from(shed_in_window);
+        let expected = if shed_in_window { "shed" } else { "admitted" };
+        assert_eq!(verdict, expected, "period {periods}");
+        shed_before = gate_now.shed();
+    }
+    assert!(
+        shed_periods >= 3,
+        "the storm shed in {shed_periods} periods"
+    );
+    let samples = records
+        .iter()
+        .filter(|r| r.event.kind() == "AdmissionDecision")
+        .count() as u64;
+    assert!(
+        samples <= periods,
+        "{samples} samples for {periods} periods"
+    );
+    let snapshots_total = format!("{} {periods}\n", names::MONITOR_SNAPSHOTS_TOTAL);
+    assert!(registry.render().contains(&snapshots_total));
+
+    // And with nothing else running, the exact form: N outside calls,
+    // no new record, no counter moved.
+    let (len, rendered) = (recorder.len(), registry.render());
+    for _ in 0..16 {
+        let _ = monitor.snapshot();
+    }
+    assert_eq!(recorder.len(), len);
+    let line = |text: &str| {
+        text.lines()
+            .find(|l| l.starts_with(names::MONITOR_SNAPSHOTS_TOTAL))
+            .map(str::to_string)
+    };
+    assert_eq!(line(&registry.render()), line(&rendered));
 }

@@ -422,6 +422,11 @@ fn restart_policy_reinstates_the_replica_and_completes() {
         Some(1.0),
         "{render}"
     );
+    assert_eq!(
+        counter_value(&render, "dope_task_failed_replicas"),
+        Some(0.0),
+        "the relaunch starts with every replica alive"
+    );
     // Pool-capacity regression: every dispatched job parked its worker
     // again, panic or not — a leak here starves later epochs.
     assert_eq!(
@@ -463,6 +468,11 @@ fn restart_budget_exhaustion_aborts_the_run() {
         counter_value(&render, "dope_task_failures_total"),
         Some(3.0),
         "one failure per epoch: two restarted, the third aborted"
+    );
+    assert_eq!(
+        counter_value(&render, "dope_task_failed_replicas"),
+        Some(1.0),
+        "the replica that aborted the run is still dead"
     );
 }
 

@@ -3,11 +3,59 @@
 
 use dope_apps::kernels::search::Corpus;
 use dope_apps::{dedup, ferret, swaptions, transcode};
-use dope_core::Goal;
-use dope_mechanisms::{for_goal, Tbf, WqLinear, WqtH};
+use dope_core::{AdmissionPolicy, Goal, Resources};
+use dope_mechanisms::{for_goal, Tbf, Tpc, WqLinear, WqtH};
+use dope_platform::FeatureRegistry;
 use dope_runtime::Dope;
+use dope_trace::{Recorder, RecordingObserver, TraceRecord};
+use dope_workload::{AdmissionQueue, ArrivalSchedule};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The one grammar of a recording, live or simulated: `Launched`, then
+/// control periods that each read `DecisionTraced? FeatureRead?
+/// AdmissionDecision? SnapshotTaken ProposalEvaluated? ReconfigureEpoch?`,
+/// then the run's last decision and `Finished`. Returns the body as one
+/// letter per record (`D F A S P R`).
+fn assert_period_grammar(records: &[TraceRecord]) -> String {
+    /// Each letter of `s` appears in `of`, at most once and in order.
+    fn subsequence(of: &str, s: &str) -> bool {
+        let mut rest = of.chars();
+        s.chars().all(|c| rest.any(|o| o == c))
+    }
+    let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
+    assert_eq!(kinds.first(), Some(&"Launched"), "{kinds:?}");
+    assert_eq!(kinds.last(), Some(&"Finished"), "{kinds:?}");
+    let body: String = kinds[1..kinds.len() - 1]
+        .iter()
+        .map(|kind| match *kind {
+            "DecisionTraced" => 'D',
+            "FeatureRead" => 'F',
+            "AdmissionDecision" => 'A',
+            "SnapshotTaken" => 'S',
+            "ProposalEvaluated" => 'P',
+            "ReconfigureEpoch" => 'R',
+            other => panic!("{other} inside a clean run's control periods"),
+        })
+        .collect();
+    // Splitting at each snapshot leaves the tail of one period joined to
+    // the head of the next.
+    let between: Vec<&str> = body.split('S').collect();
+    assert!(between.len() > 2, "fewer than two control periods: {body}");
+    for (i, part) in between.iter().enumerate() {
+        let allowed = match i {
+            0 => "DFA",
+            i if i == between.len() - 1 => "PRD",
+            _ => "PRDFA",
+        };
+        assert!(
+            subsequence(allowed, part),
+            "`{part}` between snapshots {i} and {} is not of `{allowed}`: {body}",
+            i + 1
+        );
+    }
+    body
+}
 
 #[test]
 fn transcoding_service_adapts_and_conserves_work() {
@@ -152,12 +200,20 @@ fn wqt_h_live_switches_modes() {
 
 #[test]
 fn recorded_live_trace_replays_identically() {
-    let recorder = dope_trace::Recorder::bounded(1 << 14);
+    let recorder = Recorder::bounded(1 << 14);
     let (service, descriptor) = transcode::live_service();
+    // A power feature and a declared `Shed` gate, so a period's record
+    // can hold every kind the grammar names.
+    let features = FeatureRegistry::new();
+    features.register("SystemPower", || 612.5);
+    let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 4 });
     let dope = Dope::builder(Goal::MinResponseTime { threads: 4 })
         .mechanism(Box::new(WqLinear::new(1, 4, 8.0)))
         .control_period(Duration::from_millis(10))
         .queue_probe(service.queue_probe())
+        .features(features.clone())
+        .admission(gate.policy())
+        .admission_probe(gate.stats_probe())
         .recorder(recorder.clone())
         .launch(descriptor)
         .expect("launch");
@@ -170,6 +226,7 @@ fn recorded_live_trace_replays_identically() {
     // Same slow-then-burst load as the adaptation test above so WQ-Linear
     // is forced through at least one reconfiguration epoch.
     for id in 0..8u64 {
+        let _ = gate.offer(id);
         service
             .queue
             .enqueue(transcode::make_video(id, params))
@@ -185,12 +242,20 @@ fn recorded_live_trace_replays_identically() {
     service.queue.close();
     let report = dope.wait().expect("drains");
     assert!(report.reconfigurations >= 1, "burst must force an epoch");
+    // Launching reads the caller's registry; it installs nothing on it.
+    assert_eq!(features.names(), ["SystemPower"]);
 
     // The flight recording round-trips through the JSONL wire format.
     let jsonl = recorder.to_jsonl();
     let records = dope_trace::parse_jsonl(&jsonl).expect("live trace parses");
     assert_eq!(records[0].event.kind(), "Launched");
     assert_eq!(records.last().unwrap().event.kind(), "Finished");
+
+    // A live period reads like a simulated one, every kind in its place.
+    let body = assert_period_grammar(&records);
+    for kind in "DFASPR".chars() {
+        assert!(body.contains(kind), "no `{kind}` record in {body}");
+    }
 
     // The human-readable timeline renders every phase of the decision loop.
     let timeline = dope_trace::render_timeline(&records);
@@ -220,6 +285,56 @@ fn recorded_live_trace_replays_identically() {
         outcome.recorded.len() >= 2,
         "launch config plus at least one epoch"
     );
+}
+
+/// The simulators' recordings hold to the same grammar: the system
+/// simulator under a shedding gate, the pipeline simulator with a power
+/// meter.
+#[test]
+fn simulated_recordings_share_the_live_period_grammar() {
+    use dope_sim::pipeline::{run_pipeline_observed, PipelineParams, PowerSim, Source};
+    use dope_sim::system::{run_system_observed, SystemParams};
+
+    let model = transcode::sim_model();
+    let params = SystemParams {
+        admission: AdmissionPolicy::Shed { high_water: 8 },
+        ..SystemParams::default()
+    };
+    let schedule = ArrivalSchedule::for_load_factor(2.0, model.max_throughput(24, 1), 200, 7);
+    let recorder = Recorder::bounded(1 << 14);
+    let mut observer =
+        RecordingObserver::new(recorder.clone()).with_admission_policy(params.admission.kind());
+    let outcome = run_system_observed(
+        &model,
+        &schedule,
+        &mut WqLinear::new(1, 8, 12.0),
+        Resources::threads(24),
+        &params,
+        &mut observer,
+    );
+    observer.finished(outcome.completed, outcome.config_changes);
+    let body = assert_period_grammar(&recorder.records());
+    for kind in "DASPR".chars() {
+        assert!(body.contains(kind), "no `{kind}` record in {body}");
+    }
+
+    let recorder = Recorder::bounded(1 << 14);
+    let mut observer = RecordingObserver::new(recorder.clone());
+    let outcome = run_pipeline_observed(
+        &ferret::sim_model(),
+        &Source::Saturated,
+        &mut Tpc::default(),
+        Resources::threads(24).with_power_budget(500.0),
+        &PipelineParams {
+            horizon_secs: 60.0,
+            power: Some(PowerSim::default()),
+            ..PipelineParams::default()
+        },
+        &mut observer,
+    );
+    observer.finished(outcome.completed, outcome.config_history.len() as u64);
+    let body = assert_period_grammar(&recorder.records());
+    assert!(body.contains('F'), "{body}");
 }
 
 #[test]
