@@ -209,81 +209,52 @@ pub fn report(quick: bool) {
     let requests = crate::request_count(quick);
     let horizon = if quick { 90.0 } else { 240.0 };
 
-    println!("== Ablation: WQT-H hysteresis lengths (x264, load 0.7) ==");
-    println!(
-        "{}",
-        crate::row(&[
-            "N_on".into(),
-            "N_off".into(),
-            "resp (s)".into(),
-            "reconfigs".into()
-        ])
-    );
-    for p in wqt_h_hysteresis(0.7, requests) {
-        println!(
-            "{}",
-            crate::row(&[
+    crate::print_table(
+        "== Ablation: WQT-H hysteresis lengths (x264, load 0.7) ==",
+        &["N_on", "N_off", "resp (s)", "reconfigs"],
+        wqt_h_hysteresis(0.7, requests).into_iter().map(|p| {
+            [
                 p.n_on.to_string(),
                 p.n_off.to_string(),
                 crate::cell(p.mean_response),
                 p.reconfigurations.to_string(),
-            ])
-        );
-    }
-
-    println!("\n== Ablation: WQ-Linear Qmax (x264) ==");
-    println!(
-        "{}",
-        crate::row(&["Qmax".into(), "resp@0.3".into(), "resp@1.0".into()])
+            ]
+        }),
     );
-    for p in wq_linear_qmax(requests) {
-        println!(
-            "{}",
-            crate::row(&[
+    crate::print_table(
+        "\n== Ablation: WQ-Linear Qmax (x264) ==",
+        &["Qmax", "resp@0.3", "resp@1.0"],
+        wq_linear_qmax(requests).into_iter().map(|p| {
+            [
                 format!("{:.0}", p.q_max),
                 crate::cell(p.light),
                 crate::cell(p.heavy),
-            ])
-        );
-    }
-
-    println!("\n== Ablation: TBF fusion threshold (ferret) ==");
-    println!(
-        "{}",
-        crate::row(&["threshold".into(), "thr (q/s)".into(), "fused".into()])
+            ]
+        }),
     );
-    for p in tbf_threshold(horizon) {
-        println!(
-            "{}",
-            crate::row(&[
+    crate::print_table(
+        "\n== Ablation: TBF fusion threshold (ferret) ==",
+        &["threshold", "thr (q/s)", "fused"],
+        tbf_threshold(horizon).into_iter().map(|p| {
+            [
                 format!("{:.2}", p.threshold),
                 crate::cell(p.throughput),
                 p.fused.to_string(),
-            ])
-        );
-    }
-
-    println!("\n== Ablation: TPC power-meter interval (ferret, 630 W) ==");
-    println!(
-        "{}",
-        crate::row(&[
-            "interval(s)".into(),
-            "thr (q/s)".into(),
-            "power (W)".into(),
-            "ramp (s)".into(),
-        ])
+            ]
+        }),
     );
-    for p in tpc_meter_rate(horizon.max(180.0)) {
-        println!(
-            "{}",
-            crate::row(&[
+    crate::print_table(
+        "\n== Ablation: TPC power-meter interval (ferret, 630 W) ==",
+        &["interval(s)", "thr (q/s)", "power (W)", "ramp (s)"],
+        tpc_meter_rate(horizon.max(180.0)).into_iter().map(|p| {
+            [
                 format!("{:.1}", p.interval_secs),
                 crate::cell(p.throughput),
                 crate::cell(p.stable_power),
                 format!("{:.0}", p.ramp_secs),
-            ])
-        );
-    }
+            ]
+        }),
+    );
 
     let ((plain_r, plain_c), (hyst_r, hyst_c)) = wq_linear_hysteresis(requests);
     println!("\n== Ablation: WQ-Linear vs WQ-Linear-H (x264, load 0.9) ==");

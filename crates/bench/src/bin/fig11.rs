@@ -9,12 +9,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let sweeps = dope_bench::fig11::report(quick);
-    if let Some(path) = dope_bench::trace::trace_path(&args, "fig11-x264-wqlinear.jsonl") {
-        let jsonl = dope_bench::trace::record_fig11(quick);
-        dope_bench::trace::write_trace(&jsonl, &path);
+    if let Some(path) = dope_bench::flag_path(&args, "--trace", "fig11-x264-wqlinear.jsonl") {
+        dope_bench::write_output("trace", &path, &dope_bench::trace::record_fig11(quick));
     }
-    if let Some(path) = dope_bench::metrics::metrics_path(&args, "fig11-metrics.prom") {
-        let registry = dope_bench::metrics::fig11_registry(&sweeps);
-        dope_bench::metrics::write_dump(&registry, &path);
+    if let Some(path) = dope_bench::flag_path(&args, "--metrics", "fig11-metrics.prom") {
+        let text = dope_bench::metrics::fig11_registry(&sweeps).render();
+        dope_bench::write_output("metrics", &path, &text);
     }
 }

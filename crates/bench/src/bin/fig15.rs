@@ -9,12 +9,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let results = dope_bench::fig15::report(quick);
-    if let Some(path) = dope_bench::trace::trace_path(&args, "fig15-ferret-tbf.jsonl") {
-        let jsonl = dope_bench::trace::record_fig15(quick);
-        dope_bench::trace::write_trace(&jsonl, &path);
+    if let Some(path) = dope_bench::flag_path(&args, "--trace", "fig15-ferret-tbf.jsonl") {
+        dope_bench::write_output("trace", &path, &dope_bench::trace::record_fig15(quick));
     }
-    if let Some(path) = dope_bench::metrics::metrics_path(&args, "fig15-metrics.prom") {
-        let registry = dope_bench::metrics::fig15_registry(&results);
-        dope_bench::metrics::write_dump(&registry, &path);
+    if let Some(path) = dope_bench::flag_path(&args, "--metrics", "fig15-metrics.prom") {
+        let text = dope_bench::metrics::fig15_registry(&results).render();
+        dope_bench::write_output("metrics", &path, &text);
     }
 }

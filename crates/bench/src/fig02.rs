@@ -67,62 +67,43 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<LoadPoint> {
 /// Runs and prints the three Figure 2 panels.
 pub fn report(quick: bool) -> Vec<LoadPoint> {
     let points = run(&crate::load_factors(quick), crate::request_count(quick));
-
-    println!("== Figure 2(a): x264 per-video execution time (s) vs load ==");
-    println!(
-        "{}",
-        crate::row(&["load".into(), "<24,(1,SEQ)>".into(), "<3,(8,PIPE)>".into()])
+    let header = [
+        "load",
+        "<24,(1,SEQ)>",
+        "<3,(8,PIPE)>",
+        "oracle",
+        "ideal DoP",
+    ];
+    // Panels (a) and (b): one metric of the two static configurations.
+    let statics = |metric: fn(&SystemOutcome) -> f64| {
+        points.iter().map(move |p| {
+            let (seq, par) = (crate::cell(metric(&p.seq)), crate::cell(metric(&p.par)));
+            [format!("{:.1}", p.load), seq, par]
+        })
+    };
+    crate::print_table(
+        "== Figure 2(a): x264 per-video execution time (s) vs load ==",
+        &header[..3],
+        statics(|o| o.mean_exec_secs),
     );
-    for p in &points {
-        println!(
-            "{}",
-            crate::row(&[
-                format!("{:.1}", p.load),
-                crate::cell(p.seq.mean_exec_secs),
-                crate::cell(p.par.mean_exec_secs),
-            ])
-        );
-    }
-
-    println!("\n== Figure 2(b): x264 throughput (videos/s) vs load ==");
-    println!(
-        "{}",
-        crate::row(&["load".into(), "<24,(1,SEQ)>".into(), "<3,(8,PIPE)>".into()])
+    crate::print_table(
+        "\n== Figure 2(b): x264 throughput (videos/s) vs load ==",
+        &header[..3],
+        statics(SystemOutcome::system_throughput),
     );
-    for p in &points {
-        println!(
-            "{}",
-            crate::row(&[
-                format!("{:.1}", p.load),
-                crate::cell(p.seq.system_throughput()),
-                crate::cell(p.par.system_throughput()),
-            ])
-        );
-    }
-
-    println!("\n== Figure 2(c): x264 mean response time (s) vs load ==");
-    println!(
-        "{}",
-        crate::row(&[
-            "load".into(),
-            "<24,(1,SEQ)>".into(),
-            "<3,(8,PIPE)>".into(),
-            "oracle".into(),
-            "ideal DoP".into(),
-        ])
-    );
-    for p in &points {
-        println!(
-            "{}",
-            crate::row(&[
+    crate::print_table(
+        "\n== Figure 2(c): x264 mean response time (s) vs load ==",
+        &header,
+        points.iter().map(|p| {
+            [
                 format!("{:.1}", p.load),
                 crate::cell(p.seq.mean_response()),
                 crate::cell(p.par.mean_response()),
                 crate::cell(p.oracle.mean_response()),
-                format!("{}", p.oracle_width),
-            ])
-        );
-    }
+                p.oracle_width.to_string(),
+            ]
+        }),
+    );
     points
 }
 

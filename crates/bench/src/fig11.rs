@@ -136,22 +136,17 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<AppSweep> {
 }
 
 fn print_panel(title: &str, rows: &[(f64, f64, f64, f64, f64)]) {
-    println!("{title}");
-    let mut header = vec!["load".to_string()];
-    header.extend(MECHANISMS.iter().map(|m| (*m).to_string()));
-    println!("{}", crate::row(&header));
-    for &(load, s, p, h, l) in rows {
-        println!(
-            "{}",
-            crate::row(&[
-                format!("{load:.1}"),
-                crate::cell(s),
-                crate::cell(p),
-                crate::cell(h),
-                crate::cell(l),
-            ])
-        );
-    }
+    let mut header = vec!["load"];
+    header.extend(MECHANISMS);
+    crate::print_table(
+        title,
+        &header,
+        rows.iter().map(|&(load, s, p, h, l)| {
+            let mut cells = vec![format!("{load:.1}")];
+            cells.extend([s, p, h, l].map(crate::cell));
+            cells
+        }),
+    );
     println!();
 }
 

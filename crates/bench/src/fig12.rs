@@ -86,27 +86,15 @@ pub fn report(quick: bool) -> Vec<Row> {
         crate::request_count(quick),
         quick,
     );
-    println!("== Figure 12: ferret mean response time (s) vs load ==");
-    println!(
-        "{}",
-        crate::row(&[
-            "load".into(),
-            "even".into(),
-            "oversub".into(),
-            "DoPE".into()
-        ])
+    crate::print_table(
+        "== Figure 12: ferret mean response time (s) vs load ==",
+        &["load", "even", "oversub", "DoPE"],
+        rows.iter().map(|r| {
+            let mut cells = vec![format!("{:.1}", r.load)];
+            cells.extend([r.even, r.oversubscribed, r.dope].map(crate::cell));
+            cells
+        }),
     );
-    for r in &rows {
-        println!(
-            "{}",
-            crate::row(&[
-                format!("{:.1}", r.load),
-                crate::cell(r.even),
-                crate::cell(r.oversubscribed),
-                crate::cell(r.dope),
-            ])
-        );
-    }
     rows
 }
 

@@ -29,13 +29,13 @@ pub fn run(quick: bool) -> PipelineOutcome {
 /// Runs and prints the throughput time series.
 pub fn report(quick: bool) -> PipelineOutcome {
     let out = run(quick);
-    println!("== Figure 13: ferret throughput (queries/s) over time, DoPE-TBF ==");
-    println!("{}", crate::row(&["t (s)".into(), "throughput".into()]));
-    for &(t, v) in out.throughput_series.points() {
-        if (t.round() - t).abs() < 1e-9 && (t as u64).is_multiple_of(5) {
-            println!("{}", crate::row(&[format!("{t:.0}"), crate::cell(v)]));
-        }
-    }
+    crate::print_table(
+        "== Figure 13: ferret throughput (queries/s) over time, DoPE-TBF ==",
+        &["t (s)", "throughput"],
+        (out.throughput_series.points().iter())
+            .filter(|&&(t, _)| (t.round() - t).abs() < 1e-9 && (t as u64).is_multiple_of(5))
+            .map(|&(t, v)| [format!("{t:.0}"), crate::cell(v)]),
+    );
     println!(
         "reconfigurations: {}   stable throughput: {:.1} queries/s",
         out.config_history.len(),

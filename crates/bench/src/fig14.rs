@@ -41,30 +41,23 @@ pub fn run(quick: bool) -> PipelineOutcome {
 pub fn report(quick: bool) -> PipelineOutcome {
     let out = run(quick);
     let target = power_target();
-    println!("== Figure 14: ferret power & throughput under TPC (target {target:.0} W) ==");
-    println!(
-        "{}",
-        crate::row(&["t (s)".into(), "power (W)".into(), "thr (q/s)".into()])
-    );
     let thr: std::collections::BTreeMap<u64, f64> = out
         .throughput_series
         .points()
         .iter()
         .map(|&(t, v)| (t as u64, v))
         .collect();
-    for &(t, p) in out.power_series.points() {
-        let ti = t as u64;
-        if ti.is_multiple_of(10) {
-            println!(
-                "{}",
-                crate::row(&[
-                    format!("{ti}"),
-                    crate::cell(p),
-                    crate::cell(thr.get(&ti).copied().unwrap_or(0.0)),
-                ])
-            );
-        }
-    }
+    crate::print_table(
+        &format!("== Figure 14: ferret power & throughput under TPC (target {target:.0} W) =="),
+        &["t (s)", "power (W)", "thr (q/s)"],
+        (out.power_series.points().iter())
+            .map(|&(t, p)| (t as u64, p))
+            .filter(|(t, _)| t.is_multiple_of(10))
+            .map(|(t, p)| {
+                let thr = thr.get(&t).copied().unwrap_or(0.0);
+                [t.to_string(), crate::cell(p), crate::cell(thr)]
+            }),
+    );
     println!(
         "mean power: {:.1} W   stable throughput: {:.1} queries/s",
         out.mean_power_watts.unwrap_or(0.0),

@@ -128,18 +128,21 @@ pub fn normalized(results: &AppResults, mechanism: &str) -> f64 {
 /// Runs and prints the normalized table.
 pub fn report(quick: bool) -> Vec<AppResults> {
     let results = run(quick);
-    println!("== Figure 15: throughput normalized to Pthreads-Baseline ==");
-    let mechs: Vec<&str> = results[0].rows.iter().map(|(m, _)| *m).collect();
-    let mut header = vec!["app".to_string()];
-    header.extend(mechs.iter().map(|m| (*m).to_string()));
-    println!("{}", crate::row(&header));
-    for app in &results {
-        let mut cells = vec![app.name.to_string()];
-        for (m, _) in &app.rows {
-            cells.push(format!("{:.2}x", normalized(app, m)));
-        }
-        println!("{}", crate::row(&cells));
-    }
+    let mut header = vec!["app"];
+    header.extend(results[0].rows.iter().map(|(m, _)| *m));
+    crate::print_table(
+        "== Figure 15: throughput normalized to Pthreads-Baseline ==",
+        &header,
+        results.iter().map(|app| {
+            let mut cells = vec![app.name.to_string()];
+            cells.extend(
+                app.rows
+                    .iter()
+                    .map(|(m, _)| format!("{:.2}x", normalized(app, m))),
+            );
+            cells
+        }),
+    );
     let geomean =
         (normalized(&results[0], "DoPE-TBF") * normalized(&results[1], "DoPE-TBF")).sqrt();
     println!("\nDoPE-TBF geomean improvement: {geomean:.2}x (paper: 2.36x)");

@@ -58,14 +58,44 @@ pub fn request_count(_quick: bool) -> usize {
     500
 }
 
-/// Formats one table row of fixed-width cells.
+/// Prints one table: `title`, then `header` and each of `rows` as a line
+/// of right-aligned 12-character cells joined by one space (a wider cell
+/// prints whole).
+pub fn print_table<R: AsRef<[String]>>(
+    title: &str,
+    header: &[&str],
+    rows: impl IntoIterator<Item = R>,
+) {
+    fn line<S: AsRef<str>>(cells: &[S]) -> String {
+        let cells: Vec<String> = cells
+            .iter()
+            .map(|c| format!("{:>12}", c.as_ref()))
+            .collect();
+        cells.join(" ")
+    }
+    println!("{title}\n{}", line(header));
+    for cells in rows {
+        println!("{}", line(cells.as_ref()));
+    }
+}
+
+/// The `PATH` of a figure binary's `--flag=PATH` argument, or
+/// `default_path` for a bare `--flag`; `None` when it is absent.
 #[must_use]
-pub fn row(cells: &[String]) -> String {
-    cells
-        .iter()
-        .map(|c| format!("{c:>12}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+pub fn flag_path(args: &[String], flag: &str, default_path: &str) -> Option<String> {
+    args.iter().find_map(|arg| match arg.strip_prefix(flag)? {
+        "" => Some(default_path.to_string()),
+        rest => rest.strip_prefix('=').map(ToString::to_string),
+    })
+}
+
+/// Writes a `--flag` artefact (`what`: `trace`, `metrics`) to `path`,
+/// saying on stderr how many lines it wrote, or why it could not.
+pub fn write_output(what: &str, path: &str, text: &str) {
+    match std::fs::write(path, text) {
+        Ok(()) => eprintln!("{what}: wrote {} lines to {path}", text.lines().count()),
+        Err(err) => eprintln!("{what}: cannot write {path}: {err}"),
+    }
 }
 
 /// Formats a float cell.
@@ -75,5 +105,26 @@ pub fn cell(v: f64) -> String {
         format!("{v:.1}")
     } else {
         format!("{v:.3}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_path_parses_bare_and_valued_flags() {
+        let args = vec!["--quick".to_string(), "--trace".to_string()];
+        assert_eq!(
+            flag_path(&args, "--trace", "d.jsonl"),
+            Some("d.jsonl".to_string())
+        );
+        let args = vec!["--metrics=x.prom".to_string(), "--tracer".to_string()];
+        assert_eq!(
+            flag_path(&args, "--metrics", "d.prom"),
+            Some("x.prom".to_string())
+        );
+        assert_eq!(flag_path(&args, "--trace", "d.jsonl"), None);
+        assert_eq!(flag_path(&[], "--trace", "d.jsonl"), None);
     }
 }

@@ -17,18 +17,6 @@
 
 use dope_metrics::{names, MetricsRegistry};
 
-/// Parses `--metrics` / `--metrics=PATH` out of the argument list.
-#[must_use]
-pub fn metrics_path(args: &[String], default_path: &str) -> Option<String> {
-    args.iter().find_map(|arg| {
-        if arg == "--metrics" {
-            Some(default_path.to_string())
-        } else {
-            arg.strip_prefix("--metrics=").map(ToString::to_string)
-        }
-    })
-}
-
 /// Builds the Figure 11 registry: per-(app, mechanism) response-time
 /// histograms merged across the load sweep.
 #[must_use]
@@ -66,30 +54,9 @@ pub fn fig15_registry(results: &[crate::fig15::AppResults]) -> MetricsRegistry {
     registry
 }
 
-/// Writes a rendered registry dump to `path`, reporting on stderr.
-pub fn write_dump(registry: &MetricsRegistry, path: &str) {
-    let text = registry.render();
-    match std::fs::write(path, &text) {
-        Ok(()) => eprintln!(
-            "metrics: wrote {} series to {path} (Prometheus text format)",
-            text.lines().filter(|l| !l.starts_with('#')).count()
-        ),
-        Err(err) => eprintln!("metrics: cannot write {path}: {err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metrics_path_parses_flags() {
-        let args = vec!["--quick".to_string(), "--metrics".to_string()];
-        assert_eq!(metrics_path(&args, "d.prom"), Some("d.prom".to_string()));
-        let args = vec!["--metrics=x.prom".to_string()];
-        assert_eq!(metrics_path(&args, "d.prom"), Some("x.prom".to_string()));
-        assert_eq!(metrics_path(&[], "d.prom"), None);
-    }
 
     #[test]
     fn fig11_registry_exports_response_histograms() {

@@ -66,43 +66,31 @@ pub fn table3() -> Vec<MechanismLoc> {
 /// Prints Table 3.
 pub fn report_table3() -> Vec<MechanismLoc> {
     let rows = table3();
-    println!("== Table 3: lines of code per mechanism ==");
-    println!(
-        "{}",
-        crate::row(&["mechanism".into(), "this repo".into(), "paper".into()])
+    crate::print_table(
+        "== Table 3: lines of code per mechanism ==",
+        &["mechanism", "this repo", "paper"],
+        rows.iter()
+            .map(|r| [r.name.to_string(), r.ours.to_string(), r.paper.to_string()]),
     );
-    for r in &rows {
-        println!(
-            "{}",
-            crate::row(&[r.name.into(), r.ours.to_string(), r.paper.to_string()])
-        );
-    }
     rows
 }
 
 /// Prints Table 4 (application metadata).
 pub fn report_table4() {
-    println!("== Table 4: applications enhanced using DoPE ==");
-    println!(
-        "{}",
-        crate::row(&[
-            "app".into(),
-            "levels".into(),
-            "DoP_min".into(),
-            "description".into(),
-        ])
-    );
-    for app in dope_apps::all_apps() {
-        println!(
-            "{}  {}",
-            crate::row(&[
-                app.name.into(),
+    crate::print_table(
+        "== Table 4: applications enhanced using DoPE ==",
+        &["app", "levels", "DoP_min", "description"],
+        dope_apps::all_apps().into_iter().map(|app| {
+            [
+                app.name.to_string(),
                 app.loop_nest_levels.to_string(),
                 app.inner_dop_min.map_or("-".to_string(), |d| d.to_string()),
-            ]),
-            app.description
-        );
-    }
+                // Left-aligned: wider than its cell, it prints whole after
+                // one more space.
+                format!(" {}", app.description),
+            ]
+        }),
+    );
 }
 
 #[cfg(test)]

@@ -78,31 +78,6 @@ pub fn record_fig15(quick: bool) -> String {
     recorder.to_jsonl()
 }
 
-/// Handles a `--trace[=PATH]` argument for a figure binary: records the
-/// JSONL produced by `record` and writes it to `PATH` (default
-/// `default_path`), reporting on stderr.
-pub fn write_trace(jsonl: &str, path: &str) {
-    match std::fs::write(path, jsonl) {
-        Ok(()) => eprintln!(
-            "trace: wrote {} events to {path} (inspect with `dope-trace timeline {path}`)",
-            jsonl.lines().count()
-        ),
-        Err(err) => eprintln!("trace: cannot write {path}: {err}"),
-    }
-}
-
-/// Parses `--trace` / `--trace=PATH` out of the argument list.
-#[must_use]
-pub fn trace_path(args: &[String], default_path: &str) -> Option<String> {
-    args.iter().find_map(|arg| {
-        if arg == "--trace" {
-            Some(default_path.to_string())
-        } else {
-            arg.strip_prefix("--trace=").map(ToString::to_string)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +110,5 @@ mod tests {
             .filter(|r| matches!(r.event, TraceEvent::ReconfigureEpoch { .. }))
             .count();
         assert!(epochs >= 1, "TBF must reconfigure the ferret pipeline");
-    }
-
-    #[test]
-    fn trace_path_parses_flags() {
-        let args = vec!["--quick".to_string(), "--trace".to_string()];
-        assert_eq!(trace_path(&args, "d.jsonl"), Some("d.jsonl".to_string()));
-        let args = vec!["--trace=x.jsonl".to_string()];
-        assert_eq!(trace_path(&args, "d.jsonl"), Some("x.jsonl".to_string()));
-        assert_eq!(trace_path(&[], "d.jsonl"), None);
     }
 }

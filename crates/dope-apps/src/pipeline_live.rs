@@ -7,15 +7,15 @@
 //! queue, so downstream stages finish their residual work before
 //! suspending — a globally consistent state.
 
-use crate::service::ServiceStats;
+use crate::service::{stage_step, ServiceStats};
 use dope_core::{
     NestFactory, QueueStats, TaskBody, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
 };
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::WorkQueue;
 use std::any::Any;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An item flowing through the pipeline.
 pub struct PipeItem {
@@ -231,27 +231,15 @@ impl TaskBody for StageBody {
     fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
         // Only the inlet honours the suspend directive directly; inner
         // stages drain until their queue closes (paper §3.2 step 5).
-        if self.is_inlet && cx.directive().wants_suspend() {
-            return TaskStatus::Suspended;
-        }
-        cx.begin();
-        let outcome = self.input.dequeue_timeout(Duration::from_millis(2));
-        let status = match outcome {
-            DequeueOutcome::Item(item) => {
-                let item = (self.work)(item);
-                match &*self.output {
-                    StageOut::Queue(q) => {
-                        let _ = q.enqueue(item);
-                    }
-                    StageOut::Sink(stats) => stats.record_completion(item.submitted),
+        stage_step(cx, self.is_inlet, &self.input, |item| {
+            let item = (self.work)(item);
+            match &*self.output {
+                StageOut::Queue(q) => {
+                    let _ = q.enqueue(item);
                 }
-                TaskStatus::Executing
+                StageOut::Sink(stats) => stats.record_completion(item.submitted),
             }
-            DequeueOutcome::Drained => TaskStatus::Finished,
-            DequeueOutcome::TimedOut => TaskStatus::Executing,
-        };
-        cx.end();
-        status
+        })
     }
 
     fn fini(&mut self, _status: TaskStatus) {

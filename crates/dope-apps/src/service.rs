@@ -216,21 +216,12 @@ fn parallel_nest(
         let queue = work_in.clone();
         let stats = Arc::clone(&work_stats);
         Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            cx.begin();
-            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-            let status = match outcome {
-                DequeueOutcome::Item((meta, chunk)) => {
-                    chunk();
-                    if meta.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        stats.record_completion(meta.submitted);
-                    }
-                    TaskStatus::Executing
+            stage_step(cx, false, &queue, |(meta, chunk): ChunkItem| {
+                chunk();
+                if meta.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    stats.record_completion(meta.submitted);
                 }
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut => TaskStatus::Executing,
-            };
-            cx.end();
-            status
+            })
         })) as Box<dyn TaskBody>
     })
     .with_load(move || chunk_q.occupancy());
@@ -249,43 +240,30 @@ struct ReadBody {
 
 impl TaskBody for ReadBody {
     fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
-        if cx.begin().wants_suspend() {
-            cx.end();
-            return TaskStatus::Suspended;
-        }
         // Backpressure: keep pending transactions in the *global* work
         // queue (where LoadCB and the mechanisms can see them) instead of
         // hoarding them in the replica-local chunk queue.
-        if self.chunk_q.len() >= 2 {
+        if self.chunk_q.len() >= 2 && !cx.directive().wants_suspend() {
             std::thread::sleep(Duration::from_micros(200));
-            cx.end();
             return TaskStatus::Executing;
         }
-        let outcome = self.source.dequeue_timeout(Duration::from_millis(2));
-        let status = match outcome {
-            DequeueOutcome::Item(txn) => {
-                let chunk_count = txn.chunks.len() as u32;
-                if chunk_count == 0 {
-                    self.stats.record_completion(txn.submitted);
-                } else {
-                    let meta = Arc::new(TxnMeta {
-                        submitted: txn.submitted,
-                        remaining: AtomicU32::new(chunk_count),
-                    });
-                    for chunk in txn.chunks {
-                        // A closed chunk queue only happens during drain;
-                        // the transaction is then re-counted as lost, which
-                        // the suspend-before-dequeue protocol prevents.
-                        let _ = self.chunk_q.enqueue((Arc::clone(&meta), chunk));
-                    }
-                }
-                TaskStatus::Executing
+        stage_step(cx, true, &self.source, |txn| {
+            let chunk_count = txn.chunks.len() as u32;
+            if chunk_count == 0 {
+                self.stats.record_completion(txn.submitted);
+                return;
             }
-            DequeueOutcome::Drained => TaskStatus::Finished,
-            DequeueOutcome::TimedOut => TaskStatus::Executing,
-        };
-        cx.end();
-        status
+            let meta = Arc::new(TxnMeta {
+                submitted: txn.submitted,
+                remaining: AtomicU32::new(chunk_count),
+            });
+            for chunk in txn.chunks {
+                // A closed chunk queue only happens during drain; the
+                // transaction is then re-counted as lost, which the
+                // suspend-before-dequeue protocol prevents.
+                let _ = self.chunk_q.enqueue((Arc::clone(&meta), chunk));
+            }
+        })
     }
 
     fn fini(&mut self, _status: TaskStatus) {
@@ -299,26 +277,40 @@ fn whole_task(source: WorkQueue<Transaction>, stats: Arc<ServiceStats>) -> TaskS
         let source = source.clone();
         let stats = Arc::clone(&stats);
         Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            if cx.begin().wants_suspend() {
-                cx.end();
-                return TaskStatus::Suspended;
-            }
-            let outcome = source.dequeue_timeout(Duration::from_millis(2));
-            let status = match outcome {
-                DequeueOutcome::Item(txn) => {
-                    for chunk in txn.chunks {
-                        chunk();
-                    }
-                    stats.record_completion(txn.submitted);
-                    TaskStatus::Executing
+            stage_step(cx, true, &source, |txn: Transaction| {
+                for chunk in txn.chunks {
+                    chunk();
                 }
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut => TaskStatus::Executing,
-            };
-            cx.end();
-            status
+                stats.record_completion(txn.submitted);
+            })
         })) as Box<dyn TaskBody>
     })
+}
+
+/// One invocation of a stage body: a stage that `obeys_suspend` returns
+/// `Suspended` when told to; otherwise it waits up to 2 ms for an item
+/// (re-reading its directive on the next invocation) and brackets only
+/// the item's `work` and hand-off in `begin`/`end`. An idle poll is no
+/// invocation, so a path's counts, times and utilization measure items.
+pub(crate) fn stage_step<T>(
+    cx: &mut dyn TaskCx,
+    obeys_suspend: bool,
+    input: &WorkQueue<T>,
+    work: impl FnOnce(T),
+) -> TaskStatus {
+    if obeys_suspend && cx.directive().wants_suspend() {
+        return TaskStatus::Suspended;
+    }
+    match input.dequeue_timeout(Duration::from_millis(2)) {
+        DequeueOutcome::Item(item) => {
+            cx.begin();
+            work(item);
+            cx.end();
+            TaskStatus::Executing
+        }
+        DequeueOutcome::TimedOut => TaskStatus::Executing,
+        DequeueOutcome::Drained => TaskStatus::Finished,
+    }
 }
 
 #[cfg(test)]

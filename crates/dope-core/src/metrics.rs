@@ -193,17 +193,6 @@ impl MonitorSnapshot {
             })
             .map(|(p, _)| p.clone())
     }
-
-    /// Sum of `mean_exec_secs` over a set of sibling tasks, used by the
-    /// proportional mechanism (paper Figure 10, step 1).
-    #[must_use]
-    pub fn total_exec_time(&self, paths: &[TaskPath]) -> f64 {
-        paths
-            .iter()
-            .filter_map(|p| self.tasks.get(p))
-            .map(|s| s.mean_exec_secs)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -292,21 +281,6 @@ mod tests {
     #[test]
     fn slowest_task_none_when_empty() {
         assert_eq!(MonitorSnapshot::at(0.0).slowest_task(), None);
-    }
-
-    #[test]
-    fn total_exec_time_sums_known_paths() {
-        let mut snap = MonitorSnapshot::at(0.0);
-        snap.tasks
-            .insert("0.0".parse().unwrap(), sample(0.25, 1.0, 1));
-        snap.tasks
-            .insert("0.1".parse().unwrap(), sample(0.75, 1.0, 1));
-        let paths: Vec<TaskPath> = vec![
-            "0.0".parse().unwrap(),
-            "0.1".parse().unwrap(),
-            "0.9".parse().unwrap(),
-        ];
-        assert!((snap.total_exec_time(&paths) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -65,20 +65,6 @@ pub fn find_two_level(shape: &ProgramShape) -> Option<TwoLevelNest> {
     None
 }
 
-/// Threads one transaction occupies when the inner loop runs with extent
-/// `d`: the sum of inner leaf extents (1 for the sequential alternative).
-#[must_use]
-pub fn width_for(shape: &ProgramShape, nest: &TwoLevelNest, d: u32) -> u32 {
-    if d <= 1 && nest.sequential_alt.is_some() {
-        return 1;
-    }
-    let node = shape
-        .node(&nest.outer)
-        .expect("nest path resolves in its own shape");
-    let alt = &node.alternatives[nest.parallel_alt];
-    alt.iter().map(|n| leaf_width(n, d)).sum::<u32>().max(1)
-}
-
 fn leaf_width(node: &ShapeNode, d: u32) -> u32 {
     if node.is_leaf() {
         match node.kind {
@@ -257,32 +243,6 @@ pub fn width_of(config: &Config, nest: &TwoLevelNest) -> u32 {
         .max(1)
 }
 
-/// Reads the inner extent `d` back out of a configuration.
-///
-/// Returns 1 when the sequential alternative is selected; otherwise the
-/// maximum extent over the parallel leaves of the chosen descriptor.
-#[must_use]
-pub fn inner_extent_of(config: &Config, nest: &TwoLevelNest) -> u32 {
-    let Some(outer) = config.node(&nest.outer) else {
-        return 1;
-    };
-    let Some(inner) = &outer.nested else {
-        return 1;
-    };
-    if Some(inner.alternative) == nest.sequential_alt {
-        return 1;
-    }
-    inner
-        .tasks
-        .iter()
-        .map(|t| match &t.nested {
-            None => t.extent,
-            Some(n) => n.tasks.iter().map(|c| c.extent).max().unwrap_or(1),
-        })
-        .max()
-        .unwrap_or(1)
-}
-
 /// The outer extent (concurrent transactions) of a configuration.
 #[must_use]
 pub fn outer_extent_of(config: &Config, nest: &TwoLevelNest) -> u32 {
@@ -333,9 +293,10 @@ mod tests {
     fn width_uses_sequential_alternative_at_d1() {
         let shape = transcode_shape();
         let nest = find_two_level(&shape).unwrap();
-        assert_eq!(width_for(&shape, &nest, 1), 1);
-        assert_eq!(width_for(&shape, &nest, 6), 8); // 1 + 6 + 1
-        assert_eq!(width_for(&shape, &nest, 12), 10); // transform capped at 8
+        let width = |d| width_of(&config_for_inner_extent(&shape, &nest, 24, d), &nest);
+        assert_eq!(width(1), 1);
+        assert_eq!(width(6), 8); // 1 + 6 + 1
+        assert_eq!(width(12), 10); // transform capped at 8
     }
 
     #[test]
@@ -343,8 +304,9 @@ mod tests {
         let shape = doall_shape();
         let nest = find_two_level(&shape).unwrap();
         assert_eq!(nest.sequential_alt, None);
-        assert_eq!(width_for(&shape, &nest, 1), 1);
-        assert_eq!(width_for(&shape, &nest, 6), 6);
+        let width = |d| width_of(&config_for_inner_extent(&shape, &nest, 24, d), &nest);
+        assert_eq!(width(1), 1);
+        assert_eq!(width(6), 6);
     }
 
     #[test]
@@ -352,17 +314,26 @@ mod tests {
         let shape = transcode_shape();
         let nest = find_two_level(&shape).unwrap();
 
+        let transform: TaskPath = "0.1".parse().unwrap();
         // <(24, DOALL), (1, SEQ)>
         let seq = config_for_inner_extent(&shape, &nest, 24, 1);
         assert_eq!(outer_extent_of(&seq, &nest), 24);
-        assert_eq!(inner_extent_of(&seq, &nest), 1);
+        assert_eq!(
+            seq.node(&nest.outer)
+                .unwrap()
+                .nested
+                .as_ref()
+                .unwrap()
+                .alternative,
+            1
+        );
         assert_eq!(seq.total_threads(), 24);
         seq.validate(&shape, 24).unwrap();
 
         // <(3, DOALL), (6, PIPE)>: width = 8, outer = 3
         let par = config_for_inner_extent(&shape, &nest, 24, 6);
         assert_eq!(outer_extent_of(&par, &nest), 3);
-        assert_eq!(inner_extent_of(&par, &nest), 6);
+        assert_eq!(par.extent_of(&transform), Some(6));
         assert_eq!(par.total_threads(), 24);
         par.validate(&shape, 24).unwrap();
     }
@@ -372,7 +343,7 @@ mod tests {
         let shape = transcode_shape();
         let nest = find_two_level(&shape).unwrap();
         let config = config_for_inner_extent(&shape, &nest, 64, 20);
-        assert_eq!(inner_extent_of(&config, &nest), 8);
+        assert_eq!(config.extent_of(&"0.1".parse().unwrap()), Some(8));
         config.validate(&shape, 64).unwrap();
     }
 

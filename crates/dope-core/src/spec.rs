@@ -248,12 +248,6 @@ impl TaskSpec {
         self.load.as_ref()
     }
 
-    /// Samples the load callback, or 0.0 when none is registered.
-    #[must_use]
-    pub fn sample_load(&self) -> f64 {
-        self.load.as_ref().map_or(0.0, |cb| cb())
-    }
-
     /// The configured extent cap, if any.
     #[must_use]
     pub fn max_extent(&self) -> Option<u32> {
@@ -291,9 +285,8 @@ mod tests {
     #[test]
     fn load_callback_is_sampled() {
         let spec = noop_leaf("t", TaskKind::Seq).with_load(|| 42.0);
-        assert_eq!(spec.sample_load(), 42.0);
-        let bare = noop_leaf("u", TaskKind::Seq);
-        assert_eq!(bare.sample_load(), 0.0);
+        assert_eq!(spec.load_cb().map(|cb| cb()), Some(42.0));
+        assert!(noop_leaf("u", TaskKind::Seq).load_cb().is_none());
     }
 
     #[test]

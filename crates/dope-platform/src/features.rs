@@ -67,11 +67,6 @@ impl FeatureRegistry {
         cb.map(|cb| cb())
     }
 
-    /// Removes a feature; returns `true` if it was registered.
-    pub fn unregister(&self, feature: &str) -> bool {
-        self.features.write().remove(feature).is_some()
-    }
-
     /// Names of all registered features, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
@@ -116,15 +111,6 @@ mod tests {
         r.register("F", || 1.0);
         r.register("F", || 2.0);
         assert_eq!(r.value("F"), Some(2.0));
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let r = FeatureRegistry::new();
-        r.register("F", || 1.0);
-        assert!(r.unregister("F"));
-        assert!(!r.unregister("F"));
-        assert_eq!(r.value("F"), None);
     }
 
     #[test]

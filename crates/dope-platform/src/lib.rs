@@ -5,9 +5,8 @@
 //! distribution unit at 13 samples per minute. This crate models that
 //! platform so the reproduction can run anywhere:
 //!
-//! * [`Topology`] — sockets x cores, total hardware contexts;
 //! * [`PowerModel`] — idle + per-active-context power with measurement
-//!   noise;
+//!   noise, for any number of hardware contexts;
 //! * [`PowerSensor`] — a *rate-limited* sampler over a power model,
 //!   reproducing the slow-feedback control problem the paper's TPC
 //!   controller faces (§8.2.3);
@@ -17,12 +16,9 @@
 //! # Example
 //!
 //! ```
-//! use dope_platform::{PowerModel, Topology};
+//! use dope_platform::PowerModel;
 //!
-//! let xeon = Topology::xeon_x7460();
-//! assert_eq!(xeon.contexts(), 24);
-//!
-//! let model = PowerModel::for_topology(&xeon);
+//! let model = PowerModel::for_contexts(24);
 //! let idle = model.expected_power(0);
 //! let peak = model.peak_power();
 //! assert!(peak > idle);
@@ -33,8 +29,6 @@
 
 pub mod features;
 pub mod power;
-pub mod topology;
 
 pub use features::FeatureRegistry;
 pub use power::{PowerModel, PowerSensor};
-pub use topology::Topology;

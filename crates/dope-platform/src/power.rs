@@ -7,7 +7,6 @@
 //! (§8.2.3) — i.e. idle power is 75% of peak. The defaults here reproduce
 //! those proportions.
 
-use crate::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -20,9 +19,10 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use dope_platform::{PowerModel, Topology};
+/// use dope_platform::PowerModel;
 ///
-/// let model = PowerModel::for_topology(&Topology::xeon_x7460());
+/// // The paper's 24-context Xeon X7460.
+/// let model = PowerModel::for_contexts(24);
 /// let idle = model.expected_power(0);
 /// let peak = model.peak_power();
 /// // Paper §8.2.3: idle is 75% of peak.
@@ -64,11 +64,15 @@ impl PowerModel {
         }
     }
 
-    /// The default model for a topology, scaled so that peak power is
-    /// 700 W on the paper's 24-context machine with idle at 75% of peak.
+    /// The default model for a machine of `contexts` hardware contexts,
+    /// scaled so that peak power is 700 W on the paper's 24-context machine
+    /// with idle at 75% of peak.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contexts` is zero.
     #[must_use]
-    pub fn for_topology(topology: &Topology) -> Self {
-        let contexts = topology.contexts();
+    pub fn for_contexts(contexts: u32) -> Self {
         let peak = 700.0 * f64::from(contexts) / 24.0;
         let idle = 0.75 * peak;
         let per_context = (peak - idle) / f64::from(contexts);
@@ -97,12 +101,6 @@ impl PowerModel {
         self.idle_watts
     }
 
-    /// The dynamic CPU range: peak minus idle.
-    #[must_use]
-    pub fn dynamic_range(&self) -> f64 {
-        self.peak_power() - self.idle_watts
-    }
-
     /// Number of hardware contexts the model covers.
     #[must_use]
     pub fn contexts(&self) -> u32 {
@@ -125,7 +123,8 @@ impl PowerModel {
 
 impl Default for PowerModel {
     fn default() -> Self {
-        PowerModel::for_topology(&Topology::default())
+        // The paper's Xeon X7460: 4 sockets x 6 cores.
+        PowerModel::for_contexts(24)
     }
 }
 
@@ -250,7 +249,8 @@ mod tests {
     fn paper_proportion_90pct_peak_is_60pct_dynamic() {
         let m = PowerModel::default();
         let target = 0.9 * m.peak_power();
-        let dynamic_fraction = (target - m.idle_watts()) / m.dynamic_range();
+        let dynamic_range = m.peak_power() - m.idle_watts();
+        let dynamic_fraction = (target - m.idle_watts()) / dynamic_range;
         assert!((dynamic_fraction - 0.6).abs() < 1e-9);
     }
 

@@ -131,18 +131,6 @@ impl AmdahlProfile {
     pub fn m_min(&self, limit: u32) -> Option<u32> {
         (2..=limit.max(1)).find(|&w| self.exec_time(w) < self.t1)
     }
-
-    /// The width up to `limit` with the lowest execution time.
-    #[must_use]
-    pub fn best_width(&self, limit: u32) -> u32 {
-        (1..=limit.max(1))
-            .min_by(|&a, &b| {
-                self.exec_time(a)
-                    .partial_cmp(&self.exec_time(b))
-                    .expect("execution times are finite")
-            })
-            .unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -197,15 +185,6 @@ mod tests {
     fn m_min_none_when_never_profitable() {
         let p = AmdahlProfile::new(1.0, 0.1, 5.0, 1.0);
         assert_eq!(p.m_min(16), None);
-    }
-
-    #[test]
-    fn best_width_is_interior_minimum() {
-        let p = x264_like();
-        let best = p.best_width(24);
-        assert!(best > 1 && best <= 24);
-        assert!(p.exec_time(best) <= p.exec_time(best + 1));
-        assert!(p.exec_time(best) <= p.exec_time(best - 1));
     }
 
     #[test]

@@ -275,7 +275,70 @@ fn the_generator_reaches_every_kind() {
     }
 }
 
+/// `parse_jsonl` on hostile `text` returns `Ok`, or an `Err` whose message
+/// starts by naming a line of `text` (`line N: ...`) — and does not panic.
+fn parses_or_names_the_line(text: &str) -> Result<(), TestCaseError> {
+    let Err(err) = parse_jsonl(text) else {
+        return Ok(());
+    };
+    let message = err.to_string();
+    let line = message
+        .strip_prefix("line ")
+        .and_then(|rest| rest.split_once(':'))
+        .and_then(|(n, _)| n.parse::<usize>().ok());
+    prop_assert!(
+        line.is_some_and(|n| (1..=text.lines().count()).contains(&n)),
+        "`{message}` names no line of the input"
+    );
+    Ok(())
+}
+
 proptest! {
+    /// A trace cut short at any char boundary, or with any one ASCII byte
+    /// replaced by any other, degrades to an error naming its line (or
+    /// still parses) — truncated and bit-flipped recordings never take
+    /// the reader down.
+    #[test]
+    fn truncated_or_corrupted_jsonl_errs_with_a_line_number(
+        kinds in prop::collection::vec(0usize..TraceEvent::KINDS.len(), 1..10),
+        idx in 0usize..16,
+        power in prop::option::of(0.0f64..900.0),
+        f_small in 0.0f64..1.0,
+        f_big in 0.0f64..1.0e6,
+        n_big in any::<u64>(),
+        cuts in prop::collection::vec(0.0f64..1.0, 8),
+        spots in prop::collection::vec(0.0f64..1.0, 8),
+        bytes in prop::collection::vec(0u8..128, 8),
+    ) {
+        let records: Vec<TraceRecord> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| TraceRecord {
+                seq: i as u64,
+                time_secs: f_small + i as f64,
+                event: build_event(
+                    kind, idx + i, &[3, 1], i % 2, i % 3 == 0, Some(4), &[1, i as u32 % 5],
+                    power, f_small, f_big, i as u64, n_big, i, idx, 8,
+                ),
+            })
+            .collect();
+        let jsonl = to_jsonl(&records);
+        for cut in cuts {
+            let mut end = (cut * jsonl.len() as f64) as usize;
+            while !jsonl.is_char_boundary(end) {
+                end -= 1;
+            }
+            parses_or_names_the_line(&jsonl[..end])?;
+        }
+        let ascii: Vec<usize> = (0..jsonl.len()).filter(|&i| jsonl.as_bytes()[i].is_ascii()).collect();
+        for (spot, byte) in spots.into_iter().zip(bytes) {
+            let mut corrupted = jsonl.clone().into_bytes();
+            corrupted[ascii[(spot * ascii.len() as f64) as usize]] = byte;
+            let text = String::from_utf8(corrupted).expect("an ASCII byte for an ASCII byte");
+            parses_or_names_the_line(&text)?;
+        }
+    }
+
     /// Any single record of any event kind round-trips through one
     /// JSONL line without loss.
     #[test]

@@ -1,10 +1,10 @@
-//! The bounded front door: an admission-gated work queue.
+//! The work queue: an admission-gated FIFO that closes to drain.
 //!
-//! [`AdmissionQueue`] wraps the producer/consumer queue at the
-//! workload/runtime boundary with an
-//! [`AdmissionPolicy`]:
+//! [`AdmissionQueue`] is the crate's one queue ([`WorkQueue`](crate::WorkQueue)
+//! is it under `AdmissionPolicy::Open`); the policy decides what an offer
+//! past saturation does:
 //!
-//! * `Open` — every offer is admitted (the historical unbounded queue);
+//! * `Open` — every offer is admitted (the unbounded queue);
 //! * `Block` — offers block the producer while occupancy is at
 //!   capacity (closed-loop backpressure: the arrival process slows, no
 //!   request is lost);
@@ -17,24 +17,32 @@
 //!   queue delay exceeds the budget when a worker would pick it up is
 //!   dropped at dispatch instead of served.
 //!
+//! Closing lets consumers take until the queue is empty, then observe
+//! [`DequeueOutcome::Drained`] — the drain the paper's `FiniCB` sentinel
+//! cascade uses to steer a nest into a globally consistent state.
+//!
 //! # Stamps
 //!
 //! Only `Deadline` *judges* by the admission stamp; under the other
 //! policies it feeds one statistic, the mean queue delay, so the live
 //! clock is read for a sample of the traffic, not for every item:
-//! `offer` stamps every 16th admitted item and every item
-//! that finds a consumer parked, and `take` reads the clock when it pops
-//! a stamped item, after any park. Sparse traffic (every offer finds
-//! its consumer parked) is therefore stamped throughout. `offer_at` /
+//! `offer` stamps every 16th admitted item and every hand-off to a parked
+//! consumer (an item that finds the queue empty and a consumer parked),
+//! and `take` reads the clock when it pops a stamped item, after any park.
+//! Sparse traffic is therefore stamped throughout, while a burst offered
+//! during one wake-up is sampled one in 16. `offer_at` /
 //! `take_at`, whose caller supplies the time, stamp and judge everything.
 //!
 //! # Counter invariants
 //!
-//! For any interleaving: `offered == admitted + shed_high_water`, and
-//! `shed_deadline <= admitted` (deadline drops happen *after*
-//! admission, at the dispatch point). Offers rejected because the queue
-//! was already closed touch no counter — they are not traffic, the run
-//! is over.
+//! `offered == admitted + shed_high_water` in every [`stats`] read (the
+//! gate adds the two up rather than counting offers), and `shed_deadline
+//! <= admitted` (deadline drops happen at dispatch). Offers rejected by a
+//! closed queue touch no counter: the run is over. Only the shed path does
+//! a locked read-modify-write; the other counters are written under the
+//! queue lock with a plain load and store.
+//!
+//! [`stats`]: AdmissionQueue::stats
 //!
 //! # Wake-ups
 //!
@@ -68,7 +76,9 @@ use crate::handoff::{Sleepers, WaitBudget};
 use crate::queue::DequeueOutcome;
 use dope_core::{AdmissionPolicy, AdmissionStats};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,11 +105,24 @@ const STAMP_EVERY: u64 = 16;
 
 #[derive(Debug)]
 struct Inner<T> {
-    /// Items with their admission stamp (seconds), if they got one.
-    queue: std::collections::VecDeque<(T, Option<f64>)>,
-    /// Items ever pushed: the phase of the one-in-`STAMP_EVERY` stamp.
+    items: VecDeque<T>,
+    /// `(push index, seconds)` of the queued items that were stamped,
+    /// oldest first: an unstamped item occupies just its `T`.
+    stamps: VecDeque<(u64, f64)>,
+    /// Items ever pushed: the next push index, and the phase of the
+    /// one-in-`STAMP_EVERY` stamp.
     pushed: u64,
     closed: bool,
+}
+
+impl<T> Inner<T> {
+    /// The oldest item, with its stamp if it got one.
+    fn pop(&mut self) -> Option<(T, Option<f64>)> {
+        let item = self.items.pop_front()?;
+        let index = self.pushed - self.items.len() as u64 - 1;
+        let stamp = self.stamps.pop_front_if(|&mut (at, _)| at == index);
+        Some((item, stamp.map(|(_, secs)| secs)))
+    }
 }
 
 struct Shared<T> {
@@ -108,17 +131,24 @@ struct Shared<T> {
     not_empty: Sleepers,
     /// Producers parked by `Block` at capacity, woken by a dispatch.
     not_full: Sleepers,
-    /// Lock-free mirror of `inner.queue.len()`, written only while the
+    /// Lock-free mirror of `inner.items.len()`, written only while the
     /// lock is held but readable without it — the shed fast path.
     occupancy: AtomicU64,
-    offered: AtomicU64,
+    /// `inner.pushed`, readable without the lock.
     admitted: AtomicU64,
+    /// The one counter written without the lock, by the shed path.
     shed_high_water: AtomicU64,
     shed_deadline: AtomicU64,
     /// Served dispatches of *stamped* items and their cumulative queue
     /// delay (nanoseconds), for the mean-delay stat.
     dispatched: AtomicU64,
     delay_nanos: AtomicU64,
+}
+
+/// `counter += by` for a counter written only under the queue lock: the
+/// lock orders the writers, so a plain load and store is enough.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Relaxed) + by, Relaxed);
 }
 
 /// An admission-gated FIFO work queue shared by cloning.
@@ -170,14 +200,16 @@ impl<T> AdmissionQueue<T> {
             start: Instant::now(),
             shared: Arc::new(Shared {
                 inner: Mutex::new(Inner {
-                    queue: std::collections::VecDeque::new(),
+                    items: VecDeque::new(),
+                    // Reserved so the item buffer grows in place: stamps
+                    // grown beside it cost `pipe_fine` ~0.2 MB of peak RSS.
+                    stamps: VecDeque::with_capacity(1024),
                     pushed: 0,
                     closed: false,
                 }),
                 not_empty: Sleepers::new(),
                 not_full: Sleepers::new(),
                 occupancy: AtomicU64::new(0),
-                offered: AtomicU64::new(0),
                 admitted: AtomicU64::new(0),
                 shed_high_water: AtomicU64::new(0),
                 shed_deadline: AtomicU64::new(0),
@@ -200,8 +232,8 @@ impl<T> AdmissionQueue<T> {
 
     /// Offers an item on the internal clock, which is read only when the
     /// item is to be stamped: always under `Deadline`; otherwise for one
-    /// admitted item in 16 and for every item that finds a consumer
-    /// parked (module docs, "Stamps"). The mean queue delay in
+    /// admitted item in 16 and for every hand-off to a parked consumer
+    /// (module docs, "Stamps"). The mean queue delay in
     /// [`AdmissionStats`] is the mean over the stamped dispatches.
     pub fn offer(&self, item: T) -> OfferOutcome<T> {
         let judged = matches!(self.policy, AdmissionPolicy::Deadline { .. });
@@ -228,9 +260,8 @@ impl<T> AdmissionQueue<T> {
             // Lock-free shed verdict: the occupancy mirror is enough.
             // A racing dispatch may admit one extra request right at the
             // watermark; the bound is on occupancy, not a turnstile.
-            if self.shared.occupancy.load(Ordering::Acquire) >= u64::from(high_water) {
-                self.shared.offered.fetch_add(1, Ordering::Relaxed);
-                self.shared.shed_high_water.fetch_add(1, Ordering::Relaxed);
+            if self.shared.occupancy.load(Acquire) >= u64::from(high_water) {
+                self.shared.shed_high_water.fetch_add(1, Relaxed);
                 return OfferOutcome::Shed(item);
             }
         }
@@ -239,8 +270,8 @@ impl<T> AdmissionQueue<T> {
             return OfferOutcome::Closed(item);
         }
         if let AdmissionPolicy::Block { capacity } = self.policy {
-            while inner.queue.len() >= capacity as usize {
-                self.shared.not_full.wait(&mut inner);
+            while inner.items.len() >= capacity as usize {
+                self.shared.not_full.wait(&mut inner, None);
                 if inner.closed {
                     return OfferOutcome::Closed(item);
                 }
@@ -248,16 +279,19 @@ impl<T> AdmissionQueue<T> {
         }
         let stamp = now_secs.or_else(|| {
             let sampled = inner.pushed.is_multiple_of(STAMP_EVERY)
-                || self.shared.not_empty.any_parked(&inner);
+                || (inner.items.is_empty() && self.shared.not_empty.any_parked(&inner));
             sampled.then(|| self.clock_secs())
         });
+        if let Some(secs) = stamp {
+            let at = inner.pushed;
+            inner.stamps.push_back((at, secs));
+        }
         inner.pushed += 1;
-        inner.queue.push_back((item, stamp));
+        inner.items.push_back(item);
         self.shared
             .occupancy
-            .store(inner.queue.len() as u64, Ordering::Release);
-        self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        self.shared.admitted.fetch_add(1, Ordering::Relaxed);
+            .store(inner.items.len() as u64, Release);
+        self.shared.admitted.store(inner.pushed, Relaxed);
         self.shared.not_empty.unlock_and_wake_one(inner);
         OfferOutcome::Admitted
     }
@@ -267,7 +301,13 @@ impl<T> AdmissionQueue<T> {
     /// delay of a hand-off to a parked consumer includes the wake-up —
     /// and not at all for an unstamped one.
     pub fn take(&self, timeout: Duration) -> DequeueOutcome<T> {
-        self.take_inner(None, timeout)
+        self.take_inner(None, Some(timeout))
+    }
+
+    /// `take` with no timeout: parked with no timer armed until an offer
+    /// or `close` wakes it, so it never returns `TimedOut`.
+    pub(crate) fn take_untimed(&self) -> DequeueOutcome<T> {
+        self.take_inner(None, None)
     }
 
     /// Takes the next serviceable item at an explicit dispatch time.
@@ -278,33 +318,31 @@ impl<T> AdmissionQueue<T> {
     /// serving. Waits up to `timeout` in total for one. Returns
     /// [`DequeueOutcome::Drained`] once the queue is closed and empty.
     pub fn take_at(&self, now_secs: f64, timeout: Duration) -> DequeueOutcome<T> {
-        self.take_inner(Some(now_secs), timeout)
+        self.take_inner(Some(now_secs), Some(timeout))
     }
 
-    fn take_inner(&self, now_secs: Option<f64>, timeout: Duration) -> DequeueOutcome<T> {
-        let mut budget = WaitBudget::new(timeout);
+    fn take_inner(&self, now_secs: Option<f64>, timeout: Option<Duration>) -> DequeueOutcome<T> {
+        let mut budget = timeout.map(WaitBudget::new);
         let mut inner = self.shared.inner.lock();
         loop {
             // The dispatch time of this scan: the caller's, or the
             // internal clock read once, at the first stamped item.
             let mut now_secs = now_secs;
-            while let Some((item, stamp)) = inner.queue.pop_front() {
+            while let Some((item, stamp)) = inner.pop() {
                 self.shared
                     .occupancy
-                    .store(inner.queue.len() as u64, Ordering::Release);
+                    .store(inner.items.len() as u64, Release);
                 if let Some(stamp) = stamp {
                     let now = *now_secs.get_or_insert_with(|| self.clock_secs());
                     let delay = (now - stamp).max(0.0);
                     if let AdmissionPolicy::Deadline { budget_secs } = self.policy {
                         if delay > budget_secs {
-                            self.shared.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                            bump(&self.shared.shed_deadline, 1);
                             continue;
                         }
                     }
-                    self.shared.dispatched.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .delay_nanos
-                        .fetch_add((delay * 1e9) as u64, Ordering::Relaxed);
+                    bump(&self.shared.dispatched, 1);
+                    bump(&self.shared.delay_nanos, (delay * 1e9) as u64);
                 }
                 // A dispatch frees one slot: one `Block` producer, if
                 // any is parked, can use it. Other consumers have
@@ -315,7 +353,7 @@ impl<T> AdmissionQueue<T> {
             if inner.closed {
                 return DequeueOutcome::Drained;
             }
-            if !self.shared.not_empty.wait_within(&mut inner, &mut budget) {
+            if !self.shared.not_empty.wait(&mut inner, budget.as_mut()) {
                 return DequeueOutcome::TimedOut;
             }
         }
@@ -330,16 +368,10 @@ impl<T> AdmissionQueue<T> {
         self.shared.not_full.wake_all();
     }
 
-    /// `true` once [`AdmissionQueue::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.shared.inner.lock().closed
-    }
-
     /// Current occupancy, from the lock-free mirror.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shared.occupancy.load(Ordering::Acquire) as usize
+        self.shared.occupancy.load(Acquire) as usize
     }
 
     /// `true` if no items are queued.
@@ -348,23 +380,25 @@ impl<T> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    /// A consistent snapshot of the gate's cumulative counters.
+    /// A snapshot of the gate's cumulative counters.
     ///
-    /// Lock-free; individual counters are each exact, and the
-    /// documented invariants hold for any quiescent point.
+    /// Lock-free; individual counters are each exact, and `offered` is
+    /// `admitted + shed_high_water` of this very read.
     #[must_use]
     pub fn stats(&self) -> AdmissionStats {
-        let dispatched = self.shared.dispatched.load(Ordering::Relaxed);
-        let delay_nanos = self.shared.delay_nanos.load(Ordering::Relaxed);
+        let load = |counter: &AtomicU64| counter.load(Relaxed);
+        let admitted = load(&self.shared.admitted);
+        let shed_high_water = load(&self.shared.shed_high_water);
+        let dispatched = load(&self.shared.dispatched);
         AdmissionStats {
-            offered: self.shared.offered.load(Ordering::Relaxed),
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
-            shed_high_water: self.shared.shed_high_water.load(Ordering::Relaxed),
-            shed_deadline: self.shared.shed_deadline.load(Ordering::Relaxed),
+            offered: admitted + shed_high_water,
+            admitted,
+            shed_high_water,
+            shed_deadline: load(&self.shared.shed_deadline),
             mean_queue_delay_secs: if dispatched == 0 {
                 0.0
             } else {
-                delay_nanos as f64 / 1e9 / dispatched as f64
+                load(&self.shared.delay_nanos) as f64 / 1e9 / dispatched as f64
             },
         }
     }
@@ -378,52 +412,26 @@ impl<T> AdmissionQueue<T> {
         let q = self.clone();
         move || q.stats()
     }
-
-    /// Test hook: holds the queue lock so tests can prove the shed
-    /// verdict path never touches it.
-    #[cfg(test)]
-    fn hold_lock_for_test(&self) -> parking_lot::MutexGuard<'_, Inner<T>> {
-        self.shared.inner.lock()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handoff::scenarios::{self, Port};
+    use crate::handoff::scenarios;
+    use std::sync::atomic::Ordering;
     use std::thread;
 
-    impl Port for AdmissionQueue<u64> {
-        fn put(&self, v: u64) -> bool {
-            self.offer(v) == OfferOutcome::Admitted
-        }
-        fn take(&self, timeout: Duration) -> DequeueOutcome<u64> {
-            AdmissionQueue::take(self, timeout)
-        }
-        fn close(&self) {
-            AdmissionQueue::close(self);
-        }
-        fn consumers(&self) -> &Sleepers {
+    impl<T> AdmissionQueue<T> {
+        /// Where this queue's consumers park, for the hand-off scenarios.
+        pub(crate) fn consumers(&self) -> &Sleepers {
             &self.shared.not_empty
         }
-    }
 
-    #[test]
-    fn offer_wakes_only_a_parked_consumer_and_take_wakes_nobody() {
-        let q = AdmissionQueue::new(AdmissionPolicy::Open);
-        scenarios::wakes_only_sleepers(q.clone());
-        assert_eq!(q.shared.not_full.notifies(), 0);
-    }
-
-    #[test]
-    fn ping_pong_loses_no_wakeup() {
-        let open = || AdmissionQueue::new(AdmissionPolicy::Open);
-        scenarios::ping_pong(open(), open(), 100_000);
-    }
-
-    #[test]
-    fn take_timeout_bounds_the_whole_call() {
-        scenarios::timeout_bounds_the_whole_call(AdmissionQueue::new(AdmissionPolicy::Open));
+        /// Holds the queue lock, so a test can prove the shed verdict path
+        /// never touches it.
+        fn hold_lock_for_test(&self) -> parking_lot::MutexGuard<'_, Inner<T>> {
+            self.shared.inner.lock()
+        }
     }
 
     #[test]
@@ -449,6 +457,12 @@ mod tests {
         assert_eq!(stats.admitted, 100);
         assert_eq!(stats.shed(), 0);
         assert_eq!(q.len(), 100);
+        // Nobody is parked on either side: no hand-off notifies anybody.
+        for i in 0..100 {
+            assert_eq!(q.take_at(1.0, Duration::ZERO), DequeueOutcome::Item(i));
+        }
+        assert_eq!(q.shared.not_empty.notifies(), 0);
+        assert_eq!(q.shared.not_full.notifies(), 0);
     }
 
     #[test]
@@ -461,7 +475,6 @@ mod tests {
         assert_eq!(stats.offered, 10);
         assert_eq!(stats.admitted, 3);
         assert_eq!(stats.shed_high_water, 7);
-        assert_eq!(stats.offered, stats.admitted + stats.shed_high_water);
         // Draining re-opens the gate.
         assert!(matches!(
             q.take_at(0.1, Duration::from_millis(1)),
@@ -566,7 +579,7 @@ mod tests {
         q.offer(42u32);
         assert!(matches!(consumer.join().unwrap(), DequeueOutcome::Item(42)));
         let q3 = q.clone();
-        let consumer = thread::spawn(move || q3.take(Duration::from_secs(5)));
+        let consumer = thread::spawn(move || q3.take_untimed());
         q.shared.not_empty.await_parked(1);
         q.close();
         assert_eq!(consumer.join().unwrap(), DequeueOutcome::Drained);
@@ -611,22 +624,26 @@ mod tests {
 
     #[test]
     fn live_offers_stamp_a_sample_unless_the_policy_judges_by_the_stamp() {
+        // Returns the stamped dispatches, and the stamps held at the peak.
         let stamped_of_64 = |policy| {
             let q = AdmissionQueue::new(policy);
             for i in 0..64 {
                 assert_eq!(q.offer(i), OfferOutcome::Admitted);
             }
-            for _ in 0..64 {
-                assert!(matches!(q.take(Duration::ZERO), DequeueOutcome::Item(_)));
+            let held = q.hold_lock_for_test().stamps.len();
+            for i in 0..64 {
+                assert_eq!(q.take(Duration::ZERO), DequeueOutcome::Item(i));
             }
             assert_eq!(q.stats().admitted, 64);
-            q.shared.dispatched.load(Ordering::Relaxed)
+            (q.shared.dispatched.load(Ordering::Relaxed), held as u64)
         };
-        // Nobody parked: one item in 16 carries a stamp...
-        assert_eq!(stamped_of_64(AdmissionPolicy::Open), 64 / STAMP_EVERY);
+        // Nobody parked: one item in 16 carries a stamp, and only those
+        // items hold one while queued...
+        let sampled = 64 / STAMP_EVERY;
+        assert_eq!(stamped_of_64(AdmissionPolicy::Open), (sampled, sampled));
         // ...except where freshness is judged by it.
         let deadline = AdmissionPolicy::Deadline { budget_secs: 60.0 };
-        assert_eq!(stamped_of_64(deadline), 64);
+        assert_eq!(stamped_of_64(deadline), (64, 64));
         // An explicit time always stamps.
         let q = AdmissionQueue::new(AdmissionPolicy::Open);
         for i in 0..5 {
@@ -643,8 +660,25 @@ mod tests {
     #[test]
     fn conservation_holds_under_concurrent_offer_storm() {
         let q = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 8 });
+        // A reader polls the counters throughout the storm: every read
+        // balances, not just the quiescent one.
+        let storming = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let reader = {
+            let (q, storming) = (q.clone(), Arc::clone(&storming));
+            thread::spawn(move || {
+                let mut reads = 0u64;
+                while storming.load(Ordering::Acquire) {
+                    let stats = q.stats();
+                    assert_eq!(stats.offered, stats.admitted + stats.shed_high_water);
+                    reads += 1;
+                }
+                reads
+            })
+        };
         // Every admitted item is taken exactly once...
         scenarios::conserves_items(q.clone(), 4, 3, 5_000);
+        storming.store(false, Ordering::Release);
+        assert!(reader.join().unwrap() > 0);
         // ...and every offer is either admitted or shed.
         let stats = q.stats();
         assert_eq!(stats.offered, 20_000);

@@ -1,4 +1,4 @@
-//! The hand-off rule both queues share: wake only sleepers.
+//! The gate's hand-off rule: wake only sleepers.
 //!
 //! `std::sync::Condvar::notify_*` (which the in-tree `parking_lot` shim
 //! forwards to) issues a `futex_wake` syscall whether or not anybody is
@@ -10,9 +10,8 @@
 //! # Why no wake-up is lost
 //!
 //! * The count is written only by a waiter, around its own wait, **while
-//!   it holds the queue mutex** ([`Sleepers::wait`] and
-//!   [`Sleepers::wait_within`] take the guard), and read only by a
-//!   notifier **while it holds the same mutex**
+//!   it holds the queue mutex** ([`Sleepers::wait`] takes the guard), and
+//!   read only by a notifier **while it holds the same mutex**
 //!   ([`Sleepers::unlock_and_wake_one`] consumes the guard). The mutex
 //!   orders every access, so the atomic is `Relaxed`: it is an atomic
 //!   only because the condvar wait needs `&self`.
@@ -91,26 +90,23 @@ impl Sleepers {
         }
     }
 
-    /// Parks until notified. The caller re-checks its condition afterwards.
-    pub(crate) fn wait<T>(&self, held: &mut MutexGuard<'_, T>) {
-        self.parked.fetch_add(1, Relaxed);
-        self.cvar.wait(held);
-        self.parked.fetch_sub(1, Relaxed);
-    }
-
-    /// Parks until notified or until `budget` runs out. Returns `false`
-    /// without parking once the budget is spent; after `true` the caller
-    /// re-checks its condition.
-    pub(crate) fn wait_within<T>(
+    /// Parks until notified or, given a `budget`, until it runs out; with
+    /// none, no timer is armed. Returns `false` without parking once the
+    /// budget is spent; after `true` the caller re-checks its condition.
+    pub(crate) fn wait<T>(
         &self,
         held: &mut MutexGuard<'_, T>,
-        budget: &mut WaitBudget,
+        budget: Option<&mut WaitBudget>,
     ) -> bool {
-        let Some(left) = budget.remaining() else {
-            return false;
+        let left = match budget.map(WaitBudget::remaining) {
+            Some(None) => return false,
+            left => left.flatten(),
         };
         self.parked.fetch_add(1, Relaxed);
-        self.cvar.wait_for(held, left);
+        match left {
+            Some(left) => _ = self.cvar.wait_for(held, left),
+            None => self.cvar.wait(held),
+        }
         self.parked.fetch_sub(1, Relaxed);
         true
     }
@@ -154,12 +150,13 @@ impl Sleepers {
     }
 }
 
-/// The hand-off scenarios both queues must pass, written once against
-/// the little they share and run by each queue's own tests.
+/// The hand-off scenarios, written once against the little the two faces
+/// of the gate share and run through each (`WorkQueue` and
+/// `AdmissionQueue`), timed and untimed.
 #[cfg(test)]
 pub(crate) mod scenarios {
     use super::Sleepers;
-    use crate::queue::DequeueOutcome;
+    use crate::{AdmissionQueue, DequeueOutcome, OfferOutcome, WorkQueue};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::thread;
@@ -176,9 +173,82 @@ pub(crate) mod scenarios {
         /// Hands `v` over; `false` if it was refused (shed).
         fn put(&self, v: u64) -> bool;
         fn take(&self, timeout: Duration) -> DequeueOutcome<u64>;
+        /// Takes with no timeout: never `TimedOut`.
+        fn take_untimed(&self) -> DequeueOutcome<u64>;
         fn close(&self);
         /// Where this queue's consumers park.
         fn consumers(&self) -> &Sleepers;
+    }
+
+    impl Port for AdmissionQueue<u64> {
+        fn put(&self, v: u64) -> bool {
+            self.offer(v) == OfferOutcome::Admitted
+        }
+        fn take(&self, timeout: Duration) -> DequeueOutcome<u64> {
+            AdmissionQueue::take(self, timeout)
+        }
+        fn take_untimed(&self) -> DequeueOutcome<u64> {
+            AdmissionQueue::take_untimed(self)
+        }
+        fn close(&self) {
+            AdmissionQueue::close(self);
+        }
+        fn consumers(&self) -> &Sleepers {
+            AdmissionQueue::consumers(self)
+        }
+    }
+
+    impl Port for WorkQueue<u64> {
+        fn put(&self, v: u64) -> bool {
+            self.enqueue(v).is_ok()
+        }
+        fn take(&self, timeout: Duration) -> DequeueOutcome<u64> {
+            self.dequeue_timeout(timeout)
+        }
+        fn take_untimed(&self) -> DequeueOutcome<u64> {
+            self.dequeue()
+                .map_or(DequeueOutcome::Drained, DequeueOutcome::Item)
+        }
+        fn close(&self) {
+            WorkQueue::close(self);
+        }
+        fn consumers(&self) -> &Sleepers {
+            self.0.consumers()
+        }
+    }
+
+    /// A queue taken from with no timeout: a lost wake-up is a hang, not
+    /// a stall, so [`within`] bounds the scenario from outside.
+    #[derive(Clone)]
+    struct Blocking<P>(P);
+
+    impl<P: Port> Port for Blocking<P> {
+        fn put(&self, v: u64) -> bool {
+            self.0.put(v)
+        }
+        fn take(&self, _timeout: Duration) -> DequeueOutcome<u64> {
+            self.0.take_untimed()
+        }
+        fn take_untimed(&self) -> DequeueOutcome<u64> {
+            self.0.take_untimed()
+        }
+        fn close(&self) {
+            self.0.close();
+        }
+        fn consumers(&self) -> &Sleepers {
+            self.0.consumers()
+        }
+    }
+
+    fn within(scenario: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            scenario();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the scenario panicked, or an untimed take was never woken");
     }
 
     fn take_or_stall<P: Port>(port: &P) -> Option<u64> {
@@ -197,7 +267,7 @@ pub(crate) mod scenarios {
 
     /// A thousand hand-offs with nobody parked notify nobody; one parked
     /// consumer gets exactly the one wake it needs.
-    pub(crate) fn wakes_only_sleepers<P: Port>(port: P) {
+    fn wakes_only_sleepers<P: Port>(port: P) {
         for round in 0..10 {
             for v in 0..100 {
                 assert!(port.put(round * 100 + v));
@@ -222,7 +292,7 @@ pub(crate) mod scenarios {
 
     /// Two threads bounce one token `tokens` times: each side parks almost
     /// every round, so a skipped notify that was needed stalls the run.
-    pub(crate) fn ping_pong<P: Port>(ping: P, pong: P, tokens: u64) {
+    fn ping_pong<P: Port>(ping: P, pong: P, tokens: u64) {
         let echo = {
             let (ping, pong) = (ping.clone(), pong.clone());
             thread::spawn(move || {
@@ -275,7 +345,7 @@ pub(crate) mod scenarios {
     /// A consumer whose every wake-up finds the item already taken by a
     /// sibling still times out on schedule: the timeout bounds the call,
     /// not each park inside it.
-    pub(crate) fn timeout_bounds_the_whole_call<P: Port>(port: P) {
+    fn timeout_bounds_the_whole_call<P: Port>(port: P) {
         const TIMEOUT: Duration = Duration::from_millis(100);
         let done = Arc::new(AtomicBool::new(false));
         let sibling = {
@@ -303,5 +373,49 @@ pub(crate) mod scenarios {
                 return;
             }
         }
+    }
+
+    /// One `#[test]` per scenario and face: `$open` builds an open queue.
+    macro_rules! through_each_face {
+        ($($face:ident: $open:expr;)*) => {$(
+            mod $face {
+                use super::*;
+
+                #[test]
+                fn wakes_only_sleepers() {
+                    super::wakes_only_sleepers($open);
+                }
+
+                #[test]
+                fn ping_pong_loses_no_wakeup() {
+                    ping_pong($open, $open, 100_000);
+                }
+
+                #[test]
+                fn conserves_items() {
+                    super::conserves_items($open, 4, 3, 5_000);
+                }
+
+                #[test]
+                fn timeout_bounds_the_whole_call() {
+                    super::timeout_bounds_the_whole_call($open);
+                }
+
+                #[test]
+                fn untimed_ping_pong_loses_no_wakeup() {
+                    within(|| ping_pong(Blocking($open), Blocking($open), 100_000));
+                }
+
+                #[test]
+                fn untimed_takes_conserve_items() {
+                    within(|| super::conserves_items(Blocking($open), 4, 3, 5_000));
+                }
+            }
+        )*};
+    }
+
+    through_each_face! {
+        work_queue: WorkQueue::<u64>::new();
+        admission_queue: AdmissionQueue::<u64>::new(dope_core::AdmissionPolicy::Open);
     }
 }

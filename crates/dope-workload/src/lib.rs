@@ -8,10 +8,10 @@
 //!
 //! * [`PoissonProcess`] and [`ArrivalSchedule`] — seeded, reproducible
 //!   open-workload arrival processes;
-//! * [`WorkQueue`] — a thread-safe, instrumented work queue with the
-//!   close-to-drain idiom the paper's `FiniCB` callbacks implement;
-//! * [`AdmissionQueue`] — the same queue behind an admission gate
-//!   (block / shed / deadline policies) for behaviour past saturation;
+//! * [`AdmissionQueue`] — the one work queue: a thread-safe FIFO with the
+//!   close-to-drain idiom the paper's `FiniCB` callbacks implement, behind
+//!   an admission gate (open / block / shed / deadline);
+//! * [`WorkQueue`] — that queue with the gate open, as stages use it;
 //! * [`ResponseStats`], [`ThroughputMeter`], [`TimeSeries`] — the
 //!   measurements behind every figure in the evaluation.
 //!

@@ -70,25 +70,22 @@ fn main() {
                         mid: WorkQueue<u64>,
                     }
                     impl TaskBody for Admit {
+                        // Only the hand-off sits between `begin` and `end`;
+                        // an idle poll reads the suspend directive instead.
                         fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
-                            cx.begin();
-                            let out = self.gate.take(Duration::from_millis(2));
-                            let status = match out {
-                                dope_workload::DequeueOutcome::Item(i) => {
+                            match self.gate.take(Duration::from_millis(2)) {
+                                DequeueOutcome::Item(i) => {
+                                    cx.begin();
                                     let _ = self.mid.enqueue(i);
+                                    cx.end();
                                     TaskStatus::Executing
                                 }
-                                dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                                dope_workload::DequeueOutcome::TimedOut => {
-                                    if cx.directive().wants_suspend() {
-                                        TaskStatus::Suspended
-                                    } else {
-                                        TaskStatus::Executing
-                                    }
+                                DequeueOutcome::Drained => TaskStatus::Finished,
+                                DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
+                                    TaskStatus::Suspended
                                 }
-                            };
-                            cx.end();
-                            status
+                                DequeueOutcome::TimedOut => TaskStatus::Executing,
+                            }
                         }
                         fn fini(&mut self, status: TaskStatus) {
                             if status == TaskStatus::Finished {
@@ -107,25 +104,20 @@ fn main() {
                     let mid = mid_factory.clone();
                     let served = Arc::clone(&served);
                     Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                        cx.begin();
-                        let out = mid.dequeue_timeout(Duration::from_millis(2));
-                        let status = match out {
+                        match mid.dequeue_timeout(Duration::from_millis(2)) {
                             DequeueOutcome::Item(_) => {
+                                cx.begin();
                                 spin(200); // ~5k requests/s per replica, tops
                                 served.fetch_add(1, Ordering::Relaxed);
+                                cx.end();
                                 TaskStatus::Executing
                             }
                             DequeueOutcome::Drained => TaskStatus::Finished,
-                            DequeueOutcome::TimedOut => {
-                                if cx.directive().wants_suspend() {
-                                    TaskStatus::Suspended
-                                } else {
-                                    TaskStatus::Executing
-                                }
+                            DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
+                                TaskStatus::Suspended
                             }
-                        };
-                        cx.end();
-                        status
+                            DequeueOutcome::TimedOut => TaskStatus::Executing,
+                        }
                     })) as Box<dyn TaskBody>
                 })
                 .with_load(move || mid_load.occupancy())

@@ -48,20 +48,20 @@ fn main() {
                 mid: WorkQueue<u64>,
             }
             impl TaskBody for Produce {
+                // Only an item's work and hand-off sit between `begin` and
+                // `end`: an idle poll is not an invocation.
                 fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
-                    cx.begin();
-                    let out = self.inlet.dequeue_timeout(Duration::from_millis(2));
-                    let status = match out {
+                    match self.inlet.dequeue_timeout(Duration::from_millis(2)) {
                         DequeueOutcome::Item(i) => {
+                            cx.begin();
                             spin(30);
                             let _ = self.mid.enqueue(i);
+                            cx.end();
                             TaskStatus::Executing
                         }
                         DequeueOutcome::Drained => TaskStatus::Finished,
                         DequeueOutcome::TimedOut => TaskStatus::Executing,
-                    };
-                    cx.end();
-                    status
+                    }
                 }
                 fn fini(&mut self, _status: TaskStatus) {
                     self.mid.close();
@@ -81,19 +81,17 @@ fn main() {
             let mid = mid_factory.clone();
             let consumed = Arc::clone(&consumed);
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                cx.begin();
-                let out = mid.dequeue_timeout(Duration::from_millis(2));
-                let status = match out {
+                match mid.dequeue_timeout(Duration::from_millis(2)) {
                     DequeueOutcome::Item(_) => {
+                        cx.begin();
                         spin(300);
                         consumed.fetch_add(1, Ordering::Relaxed);
+                        cx.end();
                         TaskStatus::Executing
                     }
                     DequeueOutcome::Drained => TaskStatus::Finished,
                     DequeueOutcome::TimedOut => TaskStatus::Executing,
-                };
-                cx.end();
-                status
+                }
             })) as Box<dyn TaskBody>
         })
         .with_load(move || mid_load.occupancy())

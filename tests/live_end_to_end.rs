@@ -2,6 +2,7 @@
 //! applications with the paper's mechanisms.
 
 use dope_apps::kernels::search::Corpus;
+use dope_apps::pipeline_live::{LivePipeline, PipeItem, StageDef};
 use dope_apps::{dedup, ferret, swaptions, transcode};
 use dope_core::{AdmissionPolicy, Goal, Resources};
 use dope_mechanisms::{for_goal, Tbf, Tpc, WqLinear, WqtH};
@@ -360,4 +361,45 @@ fn early_stop_is_orderly() {
     dope.stop();
     let report = dope.wait().expect("stops cleanly");
     assert!(report.elapsed >= Duration::from_millis(50));
+}
+
+/// A stage path's statistics count items, not idle polls: fed 20 items at
+/// least 5 ms apart, each stage waits out two or three 2 ms polls between
+/// items, and still ends with exactly 20 invocations of a microsecond or
+/// so each.
+#[test]
+fn stage_paths_count_items_not_idle_polls() {
+    const ITEMS: u64 = 20;
+    let pipe = LivePipeline::new();
+    let stages = vec![
+        StageDef::seq("first", |item| item),
+        StageDef::par("second", |item| item),
+    ];
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
+        .control_period(Duration::from_millis(10))
+        .queue_probe(pipe.queue_probe())
+        .launch(pipe.descriptor("paced", vec![stages]))
+        .expect("launch");
+    let monitor = dope.monitor();
+    for id in 0..ITEMS {
+        pipe.source
+            .enqueue(PipeItem::new(id, Box::new(())))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    pipe.source.close();
+    dope.wait().expect("drains");
+    assert_eq!(pipe.stats.completed(), ITEMS);
+
+    let snapshot = monitor.snapshot();
+    let stage_rows: Vec<_> = snapshot
+        .tasks
+        .iter()
+        .filter(|(path, _)| ["0.0", "0.1"].contains(&path.to_string().as_str()))
+        .collect();
+    assert_eq!(stage_rows.len(), 2, "{:?}", snapshot.tasks);
+    for (path, stats) in stage_rows {
+        assert_eq!(stats.invocations, ITEMS, "{path}: {stats:?}");
+        assert!(stats.mean_exec_secs < 1e-3, "{path}: {stats:?}");
+    }
 }
