@@ -18,15 +18,15 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
-LOC_CEILING=21950
+LOC_CEILING=21898
 
 step "loc: non-test Rust lines per crate (ceiling $LOC_CEILING)"
 # Tracked crates/<crate>/src/**/*.rs, each file counted up to its
 # `#[cfg(test)]` module (fixture trees under tests/ are skipped), so the
 # per-crate before/after rows in results/perf-history.jsonl can be
 # reproduced at any commit. The total may not pass LOC_CEILING (the last
-# PR's result rounded up to the next 50): a PR that grows the tree raises
-# the constant, and says why, on purpose.
+# PR's total): a PR that grows the tree raises the constant, and says why,
+# on purpose.
 git ls-files 'crates/*/src/*.rs' | grep -v '/tests/' | awk -v ceiling="$LOC_CEILING" '
   { split($0, part, "/"); crate = part[2]
     while ((getline line < $0) > 0) { if (line ~ /^#\[cfg\(test\)\]/) break; loc[crate]++ }

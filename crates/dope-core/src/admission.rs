@@ -73,6 +73,32 @@ impl AdmissionPolicy {
         }
     }
 
+    /// `true` if an offer made at queue `occupancy` is shed: `Shed` at or
+    /// above its high watermark.
+    ///
+    /// This and [`holds`](Self::holds) and [`expired`](Self::expired) are
+    /// the policy's verdicts, written once: the live gate's lock-free shed
+    /// path and `Block` wait judge by them, and so does the simulator's
+    /// hold-back queue.
+    #[must_use]
+    pub fn sheds(self, occupancy: u64) -> bool {
+        matches!(self, AdmissionPolicy::Shed { high_water } if occupancy >= u64::from(high_water))
+    }
+
+    /// `true` if an offer made at queue `occupancy` must wait for a
+    /// dispatch: `Block` at capacity.
+    #[must_use]
+    pub fn holds(self, occupancy: u64) -> bool {
+        matches!(self, AdmissionPolicy::Block { capacity } if occupancy >= u64::from(capacity))
+    }
+
+    /// `true` if an admitted request that has queued `delay_secs` is
+    /// dropped at dispatch instead of served: `Deadline` past its budget.
+    #[must_use]
+    pub fn expired(self, delay_secs: f64) -> bool {
+        matches!(self, AdmissionPolicy::Deadline { budget_secs } if delay_secs > budget_secs)
+    }
+
     /// Validates the policy's parameters.
     ///
     /// # Errors
@@ -203,6 +229,28 @@ mod tests {
         ] {
             let err = bad.validate().unwrap_err();
             assert_eq!(err.code().to_string(), "DV017", "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn each_verdict_belongs_to_one_policy() {
+        let shed = AdmissionPolicy::Shed { high_water: 4 };
+        let block = AdmissionPolicy::Block { capacity: 4 };
+        let deadline = AdmissionPolicy::Deadline { budget_secs: 0.5 };
+        assert_eq!((shed.sheds(3), shed.sheds(4)), (false, true));
+        assert_eq!((block.holds(3), block.holds(4)), (false, true));
+        assert_eq!(
+            (deadline.expired(0.5), deadline.expired(0.6)),
+            (false, true)
+        );
+        for policy in [AdmissionPolicy::Open, shed, block, deadline] {
+            let judged = [
+                policy.sheds(u64::MAX),
+                policy.holds(u64::MAX),
+                policy.expired(f64::MAX),
+            ];
+            let expected = usize::from(policy != AdmissionPolicy::Open);
+            assert_eq!(judged.iter().filter(|&&v| v).count(), expected, "{policy}");
         }
     }
 

@@ -1,4 +1,7 @@
-//! Ordered time values for event heaps.
+//! Event time and the event agenda both simulators run on.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// A finite `f64` with a total order, usable as a heap key.
 ///
@@ -36,13 +39,13 @@ impl OrdF64 {
 impl Eq for OrdF64 {}
 
 impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0
             .partial_cmp(&other.0)
             .expect("OrdF64 values are finite")
@@ -55,11 +58,105 @@ impl From<OrdF64> for f64 {
     }
 }
 
+/// The pending events of a discrete-event loop: popped earliest first,
+/// and events due at the same instant in the order they were pushed.
+///
+/// That tie rule is the whole of the simulators' event ordering, so it is
+/// written here once. A run's figures depend on it: two completions due
+/// at one instant release their contexts in dispatch order.
+///
+/// # Example
+///
+/// ```
+/// use dope_sim::event::Agenda;
+///
+/// let mut agenda = Agenda::new();
+/// agenda.push(2.0, "late");
+/// agenda.push(1.0, "first");
+/// agenda.push(1.0, "second");
+/// assert_eq!(agenda.peek_time(), Some(1.0));
+/// assert_eq!(agenda.pop(), Some((1.0, "first")));
+/// assert_eq!(agenda.pop(), Some((1.0, "second")));
+/// assert_eq!(agenda.pop(), Some((2.0, "late")));
+/// assert_eq!(agenda.pop(), None);
+/// ```
+#[derive(Debug)]
+pub struct Agenda<E> {
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    pushed: u64,
+}
+
+/// One pending event, ordered by its `(time, push count)` key alone.
+#[derive(Debug)]
+struct Entry<E> {
+    key: (OrdF64, u64),
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+impl<E> Default for Agenda<E> {
+    fn default() -> Self {
+        Agenda::new()
+    }
+}
+
+impl<E> Agenda<E> {
+    /// An empty agenda.
+    #[must_use]
+    pub fn new() -> Self {
+        Agenda {
+            heap: BinaryHeap::new(),
+            pushed: 0,
+        }
+    }
+
+    /// Schedules `event` at `at` seconds, after every event already due
+    /// then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is NaN or infinite.
+    pub fn push(&mut self, at: f64, event: E) {
+        let key = (OrdF64::new(at), self.pushed);
+        self.pushed += 1;
+        self.heap.push(Reverse(Entry { key, event }));
+    }
+
+    /// Removes the next event, with its time.
+    pub fn pop(&mut self) -> Option<(f64, E)> {
+        let Reverse(Entry { key, event }) = self.heap.pop()?;
+        Some((key.0.get(), event))
+    }
+
+    /// When the next event is due.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|Reverse(entry)| entry.key.0.get())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     #[test]
     fn orders_like_f64() {
@@ -68,13 +165,29 @@ mod tests {
     }
 
     #[test]
-    fn min_heap_pops_earliest() {
-        let mut heap = BinaryHeap::new();
-        for t in [3.0, 1.0, 2.0] {
-            heap.push(Reverse(OrdF64::new(t)));
+    fn pops_earliest_then_first_pushed() {
+        let mut agenda = Agenda::new();
+        for (at, name) in [
+            (3.0, "c"),
+            (1.0, "a1"),
+            (2.0, "b"),
+            (1.0, "a2"),
+            (1.0, "a3"),
+        ] {
+            agenda.push(at, name);
         }
-        assert_eq!(heap.pop().unwrap().0.get(), 1.0);
-        assert_eq!(heap.pop().unwrap().0.get(), 2.0);
+        let order: Vec<_> = std::iter::from_fn(|| agenda.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (1.0, "a1"),
+                (1.0, "a2"),
+                (1.0, "a3"),
+                (2.0, "b"),
+                (3.0, "c")
+            ]
+        );
+        assert_eq!(agenda.peek_time(), None);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! cannot tell whether its snapshots come from the simulator or from
 //! real threads, and a [`ControlSink`] hears the identical event
 //! sequence either way. The simulators answer every requested drain at
-//! once, with zero timing.
+//! once, with zero timing. The system model's requests wait in the live
+//! runtime's admission gate too (`dope_workload::AdmissionQueue`, on
+//! simulated time), and both models order their events on one
+//! [`event::Agenda`].
 //!
 //! # Example
 //!

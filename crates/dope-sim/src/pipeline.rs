@@ -13,7 +13,7 @@
 //! * **power** — a [`PowerSensor`] samples a linear power model at the
 //!   PDU's limited rate, feeding the TPC controller (§7.3, Figure 14).
 
-use crate::event::OrdF64;
+use crate::event::Agenda;
 use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::{
     Config, Ewma, Mechanism, MonitorSnapshot, ProgramShape, Resources, ShapeNode, TaskConfig,
@@ -23,8 +23,7 @@ use dope_platform::{PowerModel, PowerSensor};
 use dope_workload::{ArrivalSchedule, ResponseStats, TimeSeries};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Service profile of one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -340,8 +339,13 @@ impl PipelineOutcome {
     }
 }
 
+/// An item in flight; its `Complete` event carries it whole.
 #[derive(Debug, Clone, Copy)]
 struct Item {
+    /// Submission time, exact. Rounding it down to whole microseconds
+    /// would lengthen every response by up to 1 µs and buy nothing: no
+    /// figure depends on that digit, and the events carry the `f64` as
+    /// cheaply.
     submit: f64,
 }
 
@@ -356,43 +360,32 @@ struct StageState {
     exec_ewma: Ewma,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Complete { generation: u32, stage: usize },
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// `item` finished `stage` of the structure built as `generation`.
+    Complete {
+        generation: u32,
+        stage: usize,
+        item: Item,
+    },
     Tick,
     Arrive,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    time: OrdF64,
-    seq: u64,
-    kind: EvKind,
-    item: Option<ItemSlot>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ItemSlot {
-    submit_millis: u64,
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+/// Where stage `stage` of a structure with `old_len` stages lands in one
+/// with `new_len`: proportionally, so a fused stage takes the items of the
+/// stages it replaced (the identity when the lengths agree).
+fn remap(stage: usize, old_len: usize, new_len: usize) -> usize {
+    (stage * new_len)
+        .checked_div(old_len)
+        .map_or(0, |t| t.min(new_len.saturating_sub(1)))
 }
 
 struct Sim<'a> {
     model: &'a PipelineModel,
     params: &'a PipelineParams,
     now: f64,
-    seq: u64,
-    events: BinaryHeap<Reverse<Ev>>,
+    events: Agenda<Ev>,
     stages: Vec<StageState>,
     generation: u32,
     alt: usize,
@@ -413,18 +406,6 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn push_event(&mut self, time: f64, kind: EvKind, item: Option<Item>) {
-        self.seq += 1;
-        self.events.push(Reverse(Ev {
-            time: OrdF64::new(time),
-            seq: self.seq,
-            kind,
-            item: item.map(|i| ItemSlot {
-                submit_millis: (i.submit * 1e6) as u64,
-            }),
-        }));
-    }
-
     fn service_time(&mut self, stage: usize) -> f64 {
         let base = self.stages[stage].mean_service
             + if stage > 0 {
@@ -475,12 +456,12 @@ impl<'a> Sim<'a> {
             }
             let service = self.service_time(stage);
             self.stages[stage].exec_ewma.update(service);
-            let generation = self.generation;
-            self.push_event(
-                self.now + service,
-                EvKind::Complete { generation, stage },
-                Some(item),
-            );
+            let complete = Ev::Complete {
+                generation: self.generation,
+                stage,
+                item,
+            };
+            self.events.push(self.now + service, complete);
         }
     }
 
@@ -497,14 +478,6 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn map_stage(&self, old_stage: usize, old_len: usize) -> usize {
-        let new_len = self.stages.len();
-        if old_len == 0 || new_len == 0 {
-            return 0;
-        }
-        (old_stage * new_len / old_len).min(new_len - 1)
-    }
-
     fn deliver(&mut self, from_stage: usize, structure_len: usize, item: Item) {
         // Item finished `from_stage` of a structure with `structure_len`
         // stages; route it onward in the *current* structure.
@@ -513,11 +486,7 @@ impl<'a> Sim<'a> {
             self.sink(item);
             return;
         }
-        let target = if structure_len == self.stages.len() {
-            next_old
-        } else {
-            self.map_stage(next_old, structure_len)
-        };
+        let target = remap(next_old, structure_len, self.stages.len());
         self.stages[target].queue.push_back(item);
         self.try_start(target);
     }
@@ -586,9 +555,7 @@ impl<'a> Sim<'a> {
             .collect();
         // Remap queued items proportionally into the new structure.
         for (s, queue) in old_queues.into_iter().enumerate() {
-            let target = (s * new_stages.len())
-                .checked_div(old_len)
-                .map_or(0, |t| t.min(new_stages.len() - 1));
+            let target = remap(s, old_len, new_stages.len());
             for item in queue {
                 new_stages[target].queue.push_back(item);
             }
@@ -664,8 +631,7 @@ pub fn run_pipeline_observed(
         model,
         params,
         now: 0.0,
-        seq: 0,
-        events: BinaryHeap::new(),
+        events: Agenda::new(),
         stages: Vec::new(),
         generation: 0,
         alt: 0,
@@ -697,49 +663,41 @@ pub fn run_pipeline_observed(
         initial,
     );
 
-    // Seed arrivals.
-    let mut arrival_times: Vec<f64> = Vec::new();
-    if let Source::Open(schedule) = source {
-        arrival_times = schedule.times().to_vec();
+    // Arrivals enter the agenda one at a time, each as its predecessor
+    // arrives.
+    let mut arrivals = match source {
+        Source::Open(schedule) => schedule.times(),
+        Source::Saturated => &[],
     }
-    let mut next_arrival = 0usize;
-    if let Some(&t) = arrival_times.first() {
-        sim.push_event(t, EvKind::Arrive, None);
-        next_arrival = 1;
-    } else {
-        sim.arrivals_done = true;
-    }
-    sim.push_event(params.control_period_secs, EvKind::Tick, None);
+    .iter();
+    let mut next_arrival = |sim: &mut Sim<'_>| match arrivals.next() {
+        Some(&t) => sim.events.push(t, Ev::Arrive),
+        None => sim.arrivals_done = true,
+    };
+    next_arrival(&mut sim);
+    sim.events.push(params.control_period_secs, Ev::Tick);
     for s in 0..sim.stages.len() {
         sim.try_start(s);
     }
 
-    while let Some(Reverse(ev)) = sim.events.pop() {
-        let t = ev.time.get();
+    while let Some((t, ev)) = sim.events.pop() {
         if t > params.horizon_secs {
             sim.now = params.horizon_secs;
             break;
         }
         sim.now = t;
-        match ev.kind {
-            EvKind::Arrive => {
+        match ev {
+            Ev::Arrive => {
                 let item = Item { submit: sim.now };
                 sim.stages[0].queue.push_back(item);
                 sim.try_start(0);
-                if next_arrival < arrival_times.len() {
-                    let t = arrival_times[next_arrival];
-                    next_arrival += 1;
-                    sim.push_event(t, EvKind::Arrive, None);
-                } else {
-                    sim.arrivals_done = true;
-                }
+                next_arrival(&mut sim);
             }
-            EvKind::Complete { generation, stage } => {
-                let submit = ev
-                    .item
-                    .map(|s| s.submit_millis as f64 / 1e6)
-                    .unwrap_or(sim.now);
-                let item = Item { submit };
+            Ev::Complete {
+                generation,
+                stage,
+                item,
+            } => {
                 sim.accumulate_power();
                 sim.global_busy = sim.global_busy.saturating_sub(1);
                 if generation == sim.generation {
@@ -756,7 +714,7 @@ pub fn run_pipeline_observed(
                     sim.deliver(stage, old_len, item);
                 }
             }
-            EvKind::Tick => {
+            Ev::Tick => {
                 let snap = sim.snapshot();
                 if let Some(power) = snap.power_watts {
                     sim.power_series.push(sim.now, power);
@@ -773,7 +731,8 @@ pub fn run_pipeline_observed(
                     st.completions_at_tick = st.completions;
                 }
                 if sim.now + params.control_period_secs <= params.horizon_secs {
-                    sim.push_event(sim.now + params.control_period_secs, EvKind::Tick, None);
+                    sim.events
+                        .push(sim.now + params.control_period_secs, Ev::Tick);
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! on every arrival — the paper's per-task adaptation granularity — and
 //! may change the configuration for subsequent dispatches.
 
-use crate::event::OrdF64;
+use crate::event::Agenda;
 use crate::profile::AmdahlProfile;
 use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::nest::{self, TwoLevelNest};
@@ -16,9 +16,11 @@ use dope_core::{
     AdmissionPolicy, AdmissionStats, Config, Mechanism, MonitorSnapshot, ProgramShape, Resources,
     ShapeNode, TaskKind, TaskStats,
 };
-use dope_workload::{ArrivalSchedule, ResponseStats, ThroughputMeter, TimeSeries};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use dope_workload::{
+    AdmissionQueue, ArrivalSchedule, DequeueOutcome, ResponseStats, ThroughputMeter, TimeSeries,
+};
+use std::collections::VecDeque;
+use std::time::Duration;
 
 /// A two-level application model: an outer transaction loop whose body
 /// parallelizes per a calibrated [`AmdahlProfile`].
@@ -157,14 +159,14 @@ pub struct SystemParams {
     /// Smoothing factor for the snapshot's execution-time average.
     pub ewma_alpha: f64,
     /// How the front door treats offered requests (default
-    /// [`AdmissionPolicy::Open`]): `Shed` drops offers while queue
-    /// occupancy is at or above the high watermark, `Deadline` drops
-    /// admitted requests whose queue delay exceeds the budget at
-    /// dispatch, and `Block` holds offers in a blocked FIFO until
-    /// occupancy falls below capacity (closed-loop backpressure —
-    /// response times then include the blocking delay). The same
-    /// semantics as `dope_workload::admission::AdmissionQueue`, so
-    /// shed-vs-block frontiers swept here transfer to the live runtime.
+    /// [`AdmissionPolicy::Open`]). Requests queue in the live runtime's
+    /// own gate, `dope_workload::AdmissionQueue`, driven on simulated
+    /// time, so its verdicts are the ones judged here and shed-vs-block
+    /// frontiers swept here transfer to the live runtime. `Block` holds
+    /// offers in a FIFO beside the gate until it would admit them
+    /// (closed-loop backpressure — response times then include the
+    /// blocking delay); a held offer counts as offered when it reaches
+    /// the gate.
     pub admission: AdmissionPolicy,
 }
 
@@ -206,9 +208,8 @@ pub struct SystemOutcome {
     pub rejected_configs: u64,
     /// Configuration in force at the end of the run.
     pub final_config: Config,
-    /// Admission-gate counters at the end of the run (all zero when
-    /// [`SystemParams::admission`] was `Open` — every offer admitted,
-    /// nothing shed).
+    /// Admission-gate counters at the end of the run (under `Open`
+    /// every offer admitted, nothing shed).
     pub admission: AdmissionStats,
 }
 
@@ -242,28 +243,10 @@ impl SystemOutcome {
     }
 }
 
-struct InFlight {
-    finish: OrdF64,
-    seq: u64,
+/// A transaction in service: what its departure gives back.
+struct Job {
     submit: f64,
     width: u32,
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.finish == other.finish && self.seq == other.seq
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.finish, self.seq).cmp(&(other.finish, other.seq))
-    }
 }
 
 /// Simulates the open system over a full arrival schedule, draining all
@@ -326,21 +309,17 @@ pub fn run_system_observed(
         config,
     );
 
-    params
-        .admission
-        .validate()
-        .expect("admission policy must validate");
-
+    // The runtime's own gate queues the requests and judges every offer
+    // and dispatch; the simulator supplies the clock.
+    let gate = AdmissionQueue::new(params.admission);
+    // Offers `Block` holds back, stamped with their offer time: a simulator
+    // cannot park its producer, so they wait here until the gate would no
+    // longer hold them, and their response time includes the wait.
+    let mut held: VecDeque<f64> = VecDeque::new();
+    let mut in_flight: Agenda<Job> = Agenda::new();
     let mut now = 0.0_f64;
-    let mut queue: VecDeque<(u64, f64)> = VecDeque::new();
-    // Offers held back by `Block` admission, stamped with their offer
-    // time: they enter `queue` once occupancy falls below capacity, so
-    // their eventual response time includes the blocking delay.
-    let mut blocked: VecDeque<f64> = VecDeque::new();
-    let mut in_flight: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
     let mut free = budget;
     let mut active: u32 = 0;
-    let mut seq: u64 = 0;
 
     let mut response = ResponseStats::new();
     let mut throughput = ThroughputMeter::new();
@@ -348,13 +327,7 @@ pub fn run_system_observed(
     dop_series.push(0.0, f64::from(width));
     let mut exec_sum = 0.0_f64;
     let mut dispatched: u64 = 0;
-    let mut enqueued: u64 = 0;
     let mut completed: u64 = 0;
-    let mut offered: u64 = 0;
-    let mut admitted: u64 = 0;
-    let mut shed_high_water: u64 = 0;
-    let mut shed_deadline: u64 = 0;
-    let mut queue_delay_sum = 0.0_f64;
     let mut dispatches_since_reconfig: u64 = 0;
     let mut last_reconfig_at = f64::NEG_INFINITY;
     let mut exec_ewma = dope_core::Ewma::new(params.ewma_alpha);
@@ -364,70 +337,57 @@ pub fn run_system_observed(
     let mut next_arrival = 0usize;
 
     loop {
-        // Pick the earliest pending event.
-        let arrival_time = arrivals.get(next_arrival).copied();
-        let departure_time = in_flight.peek().map(|Reverse(j)| j.finish.get());
-        let (event_time, is_arrival) = match (arrival_time, departure_time) {
+        // The earliest pending event; an arrival at the same instant as a
+        // departure goes first.
+        let (event_time, is_arrival) = match (arrivals.get(next_arrival), in_flight.peek_time()) {
             (None, None) => break,
-            (Some(a), None) => (a, true),
+            (Some(&a), Some(d)) if d < a => (d, false),
+            (Some(&a), _) => (a, true),
             (None, Some(d)) => (d, false),
-            (Some(a), Some(d)) => {
-                if a <= d {
-                    (a, true)
-                } else {
-                    (d, false)
-                }
-            }
         };
         now = event_time;
 
         if is_arrival {
             next_arrival += 1;
-            offered += 1;
-            // The front door decides before the work queue sees the
-            // offer; a shed offer never enters the system.
-            match params.admission {
-                AdmissionPolicy::Shed { high_water } if queue.len() >= high_water as usize => {
-                    shed_high_water += 1;
-                }
-                AdmissionPolicy::Block { capacity } if queue.len() >= capacity as usize => {
-                    blocked.push_back(now);
-                }
-                _ => {
-                    admitted += 1;
-                    enqueued += 1;
-                    queue.push_back((enqueued, now));
-                }
+            // The gate decides before the work queue sees the offer; a shed
+            // offer never enters the system.
+            if params.admission.holds(gate.len() as u64) {
+                held.push_back(now);
+            } else {
+                gate.offer_at(now, now);
             }
 
             // Consult the mechanism at task granularity — shed offers
             // included: the pressure they create is exactly what a
             // shed-aware mechanism needs to see.
             if now - last_reconfig_at >= params.reconfig_penalty_secs {
-                let admission = AdmissionStats {
-                    offered,
-                    admitted,
-                    shed_high_water,
-                    shed_deadline,
-                    mean_queue_delay_secs: if dispatched > 0 {
-                        queue_delay_sum / dispatched as f64
-                    } else {
-                        0.0
-                    },
+                let admission = gate.stats();
+                let queued = gate.len() as f64;
+                let mut snap = MonitorSnapshot::at(now);
+                snap.admission = admission;
+                snap.queue.occupancy = queued;
+                snap.queue.enqueued = admission.admitted;
+                snap.queue.completed = completed;
+                snap.queue.arrival_rate = if now > 0.0 {
+                    admission.admitted as f64 / now
+                } else {
+                    0.0
                 };
-                let snap = build_snapshot(
-                    now,
-                    &queue,
-                    enqueued,
-                    completed,
-                    dispatches_since_reconfig,
-                    exec_ewma.value_or(exec),
-                    &recent_completions,
-                    params,
-                    budget,
-                    free,
-                    model,
-                    admission,
+                snap.dispatches_since_reconfig = dispatches_since_reconfig;
+                let window = params.throughput_window_secs.min(now.max(1e-9));
+                snap.tasks.insert(
+                    model.nest().outer.clone(),
+                    TaskStats {
+                        invocations: completed,
+                        mean_exec_secs: exec_ewma.value_or(exec),
+                        throughput: recent_completions.len() as f64 / window,
+                        load: queued,
+                        utilization: f64::from(budget - free) / f64::from(budget),
+                        // Percentile fields stay 0.0: the simulator's
+                        // monitor is analytic and does not measure latency
+                        // distributions.
+                        ..TaskStats::default()
+                    },
                 );
                 if core.tick_instant(now, &snap) {
                     width = model.width_of(core.config()).max(1);
@@ -439,7 +399,7 @@ pub fn run_system_observed(
                 }
             }
         } else {
-            let Reverse(job) = in_flight.pop().expect("departure event exists");
+            let (_, job) = in_flight.pop().expect("departure event exists");
             free += job.width;
             active -= 1;
             completed += 1;
@@ -453,47 +413,31 @@ pub fn run_system_observed(
         }
 
         // Dispatch as many queued transactions as resources allow,
-        // admitting blocked offers as dispatches free queue slots —
-        // iterate to a fixpoint so a freed slot admits and a fresh
-        // admission dispatches within the same event.
+        // admitting held offers as dispatches free queue slots — iterate
+        // to a fixpoint so a freed slot admits and a fresh admission
+        // dispatches within the same event. The gate drops a request past
+        // its deadline inside `take_at`.
         loop {
             let mut progressed = false;
-            if let AdmissionPolicy::Block { capacity } = params.admission {
-                while !blocked.is_empty() && queue.len() < capacity as usize {
-                    let offer_time = blocked.pop_front().expect("blocked non-empty");
-                    admitted += 1;
-                    enqueued += 1;
-                    queue.push_back((enqueued, offer_time));
-                    progressed = true;
-                }
-            }
-            while !queue.is_empty() && active < outer_cap && free >= width {
-                let (_, submit) = queue.pop_front().expect("queue non-empty");
+            while let Some(offered_at) =
+                held.pop_front_if(|_| !params.admission.holds(gate.len() as u64))
+            {
+                gate.offer_at(offered_at, offered_at);
                 progressed = true;
-                if let AdmissionPolicy::Deadline { budget_secs } = params.admission {
-                    // Deadline-aware shedding acts at dispatch: the
-                    // request's answer is already too late, so serving
-                    // it would only delay requests still in budget.
-                    if now - submit > budget_secs {
-                        shed_deadline += 1;
-                        continue;
-                    }
-                }
-                seq += 1;
+            }
+            while active < outer_cap && free >= width && !gate.is_empty() {
+                let DequeueOutcome::Item(submit) = gate.take_at(now, Duration::ZERO) else {
+                    break;
+                };
+                progressed = true;
                 let service = exec;
                 exec_sum += service;
                 dispatched += 1;
                 dispatches_since_reconfig += 1;
-                queue_delay_sum += (now - submit).max(0.0);
                 exec_ewma.update(service);
                 free -= width;
                 active += 1;
-                in_flight.push(Reverse(InFlight {
-                    finish: OrdF64::new(now + service),
-                    seq,
-                    submit,
-                    width,
-                }));
+                in_flight.push(now + service, Job { submit, width });
             }
             if !progressed {
                 break;
@@ -518,62 +462,8 @@ pub fn run_system_observed(
         config_history: control.config_history,
         rejected_configs: control.rejected,
         final_config: control.final_config,
-        admission: AdmissionStats {
-            offered,
-            admitted,
-            shed_high_water,
-            shed_deadline,
-            mean_queue_delay_secs: if dispatched > 0 {
-                queue_delay_sum / dispatched as f64
-            } else {
-                0.0
-            },
-        },
+        admission: gate.stats(),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_snapshot(
-    now: f64,
-    queue: &VecDeque<(u64, f64)>,
-    enqueued: u64,
-    completed: u64,
-    dispatches_since_reconfig: u64,
-    mean_exec: f64,
-    recent_completions: &VecDeque<f64>,
-    params: &SystemParams,
-    budget: u32,
-    free: u32,
-    model: &TwoLevelModel,
-    admission: AdmissionStats,
-) -> MonitorSnapshot {
-    let mut snap = MonitorSnapshot::at(now);
-    snap.admission = admission;
-    snap.queue.occupancy = queue.len() as f64;
-    snap.queue.enqueued = enqueued;
-    snap.queue.completed = completed;
-    snap.queue.arrival_rate = if now > 0.0 {
-        enqueued as f64 / now
-    } else {
-        0.0
-    };
-    snap.dispatches_since_reconfig = dispatches_since_reconfig;
-    let window = params.throughput_window_secs.min(now.max(1e-9));
-    let rate = recent_completions.len() as f64 / window;
-    snap.tasks.insert(
-        model.nest().outer.clone(),
-        TaskStats {
-            invocations: completed,
-            mean_exec_secs: mean_exec,
-            throughput: rate,
-            load: queue.len() as f64,
-            utilization: f64::from(budget - free) / f64::from(budget),
-            // Percentile fields stay 0.0: the simulator's monitor is
-            // analytic and does not measure latency distributions.
-            ..TaskStats::default()
-        },
-    );
-    snap
 }
 
 #[cfg(test)]
@@ -605,6 +495,39 @@ mod tests {
         assert_eq!(out.completed, 200);
         assert_eq!(out.response.count(), 200);
         assert_eq!(out.throughput.completed(), 200);
+    }
+
+    #[test]
+    fn an_arrival_goes_before_a_departure_due_at_the_same_instant() {
+        /// Holds, noting the completions each consult saw.
+        struct CompletionWatch(Vec<u64>);
+        impl Mechanism for CompletionWatch {
+            fn name(&self) -> &'static str {
+                "CompletionWatch"
+            }
+            fn reconfigure(
+                &mut self,
+                snap: &MonitorSnapshot,
+                _current: &Config,
+                _shape: &ProgramShape,
+                _res: &Resources,
+            ) -> Option<Config> {
+                self.0.push(snap.queue.completed);
+                None
+            }
+        }
+        // One context, one-second transactions, one arrival a second:
+        // every arrival after the first meets its predecessor's departure.
+        let m = TwoLevelModel::doall("tick", AmdahlProfile::new(1.0, 0.9, 0.0, 0.0));
+        let mut watch = CompletionWatch(Vec::new());
+        let schedule = ArrivalSchedule::uniform(1.0, 5);
+        let res = Resources::threads(1);
+        let out = run_system(&m, &schedule, &mut watch, res, &SystemParams::default());
+        assert_eq!(out.completed, 5);
+        // The arrival is consulted on before the transaction departing at
+        // its instant has completed.
+        assert_eq!(watch.0, [0, 0, 1, 2, 3]);
+        assert_eq!(out.mean_response(), 1.0);
     }
 
     #[test]
@@ -678,10 +601,10 @@ mod tests {
         assert!(out.rejected_configs > 0);
     }
 
-    fn run_overloaded(admission: AdmissionPolicy, load: f64, n: usize) -> SystemOutcome {
+    fn run_overloaded(admission: AdmissionPolicy, load: f64, n: usize, seed: u64) -> SystemOutcome {
         let m = model();
         let max_thr = m.max_throughput(24, 1);
-        let schedule = ArrivalSchedule::for_load_factor(load, max_thr, n, 7);
+        let schedule = ArrivalSchedule::for_load_factor(load, max_thr, n, seed);
         let mut mech = StaticMechanism::new(m.config_for_width(24, 1));
         run_system(
             &m,
@@ -695,28 +618,50 @@ mod tests {
         )
     }
 
+    /// Every offer gets one verdict and every admitted request one end,
+    /// under every policy, below and past saturation, for several arrival
+    /// draws.
     #[test]
-    fn open_admission_admits_everything_and_counts() {
-        let out = run_overloaded(AdmissionPolicy::Open, 2.0, 300);
-        assert_eq!(out.admission.offered, 300);
-        assert_eq!(out.admission.admitted, 300);
-        assert_eq!(out.admission.shed(), 0);
-        assert_eq!(out.completed, 300);
-        assert!((out.goodput_fraction() - 1.0).abs() < 1e-12);
+    fn admission_conserves_every_request() {
+        const OFFERS: usize = 300;
+        let budget_secs = model().exec_time(1) * 4.0;
+        for admission in [
+            AdmissionPolicy::Open,
+            AdmissionPolicy::Shed { high_water: 8 },
+            AdmissionPolicy::Block { capacity: 4 },
+            AdmissionPolicy::Deadline { budget_secs },
+        ] {
+            for load in [0.5, 2.0, 3.0] {
+                for seed in [7, 11, 13] {
+                    let out = run_overloaded(admission, load, OFFERS, seed);
+                    let gate = out.admission;
+                    let case = format!("{admission} at load {load}, seed {seed}: {gate:?}");
+                    assert_eq!(gate.offered, OFFERS as u64, "{case}");
+                    assert_eq!(gate.offered, gate.admitted + gate.shed_high_water, "{case}");
+                    assert_eq!(out.completed + gate.shed_deadline, gate.admitted, "{case}");
+                    // Each policy sheds only at its own door.
+                    if !matches!(admission, AdmissionPolicy::Shed { .. }) {
+                        assert_eq!(gate.shed_high_water, 0, "{case}");
+                    }
+                    if !matches!(admission, AdmissionPolicy::Deadline { .. }) {
+                        assert_eq!(gate.shed_deadline, 0, "{case}");
+                    }
+                    if matches!(
+                        admission,
+                        AdmissionPolicy::Open | AdmissionPolicy::Block { .. }
+                    ) {
+                        assert_eq!(out.goodput_fraction(), 1.0, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn shed_bounds_queue_delay_at_the_cost_of_goodput() {
-        let open = run_overloaded(AdmissionPolicy::Open, 3.0, 400);
-        let shed = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 3.0, 400);
-        // Conservation: every offer is admitted or shed, never both.
-        assert_eq!(shed.admission.offered, 400);
-        assert_eq!(
-            shed.admission.offered,
-            shed.admission.admitted + shed.admission.shed_high_water
-        );
+        let open = run_overloaded(AdmissionPolicy::Open, 3.0, 400, 7);
+        let shed = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 3.0, 400, 7);
         assert!(shed.admission.shed_high_water > 0, "3x load must overflow");
-        assert_eq!(shed.completed, shed.admission.admitted);
         // The point of shedding: admitted requests see bounded queueing
         // while the open queue's delay grows with the backlog.
         assert!(
@@ -729,12 +674,8 @@ mod tests {
     }
 
     #[test]
-    fn block_loses_nothing_and_throttles_arrivals() {
-        let out = run_overloaded(AdmissionPolicy::Block { capacity: 4 }, 3.0, 300);
-        assert_eq!(out.admission.offered, 300);
-        assert_eq!(out.admission.admitted, 300);
-        assert_eq!(out.admission.shed(), 0);
-        assert_eq!(out.completed, 300);
+    fn block_throttles_arrivals_into_response_time() {
+        let out = run_overloaded(AdmissionPolicy::Block { capacity: 4 }, 3.0, 300, 7);
         // Blocking delay is real latency: responses include the wait at
         // the front door, so the mean exceeds the bare service time.
         assert!(out.mean_response() > model().exec_time(1));
@@ -742,31 +683,18 @@ mod tests {
 
     #[test]
     fn deadline_sheds_stale_requests_at_dispatch() {
-        let m = model();
-        let out = run_overloaded(
-            AdmissionPolicy::Deadline {
-                budget_secs: m.exec_time(1) * 4.0,
-            },
-            3.0,
-            400,
-        );
-        assert_eq!(out.admission.offered, 400);
-        assert_eq!(out.admission.admitted, 400);
+        let budget_secs = model().exec_time(1) * 4.0;
+        let out = run_overloaded(AdmissionPolicy::Deadline { budget_secs }, 3.0, 400, 7);
         assert!(out.admission.shed_deadline > 0, "3x load must miss budgets");
-        assert!(out.admission.shed_deadline <= out.admission.admitted);
-        assert_eq!(
-            out.completed,
-            out.admission.admitted - out.admission.shed_deadline
-        );
         // Served requests were, by construction, within budget when
         // dispatched.
-        assert!(out.admission.mean_queue_delay_secs <= m.exec_time(1) * 4.0);
+        assert!(out.admission.mean_queue_delay_secs <= budget_secs);
     }
 
     #[test]
     fn admission_outcomes_are_deterministic() {
-        let a = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 2.0, 200);
-        let b = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 2.0, 200);
+        let a = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 2.0, 200, 7);
+        let b = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 2.0, 200, 7);
         assert_eq!(a.admission, b.admission);
         assert_eq!(a.completed, b.completed);
     }

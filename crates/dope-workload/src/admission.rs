@@ -31,7 +31,10 @@
 //! and `take` reads the clock when it pops a stamped item, after any park.
 //! Sparse traffic is therefore stamped throughout, while a burst offered
 //! during one wake-up is sampled one in 16. `offer_at` /
-//! `take_at`, whose caller supplies the time, stamp and judge everything.
+//! `take_at`, whose caller supplies the time, stamp and judge everything;
+//! `take_at` reads the wall clock only to time a park, which is how
+//! `dope-sim` queues its requests in this gate (it takes with a zero
+//! timeout, and only from a non-empty gate).
 //!
 //! # Counter invariants
 //!
@@ -139,16 +142,18 @@ struct Shared<T> {
     /// The one counter written without the lock, by the shed path.
     shed_high_water: AtomicU64,
     shed_deadline: AtomicU64,
-    /// Served dispatches of *stamped* items and their cumulative queue
-    /// delay (nanoseconds), for the mean-delay stat.
+    /// Served dispatches of *stamped* items and the bits of their
+    /// cumulative queue delay, an `f64` of seconds summed in dispatch
+    /// order. Not integer nanoseconds: a simulated run's mean lands in its
+    /// recording, and rounding each delay would move those bytes.
     dispatched: AtomicU64,
-    delay_nanos: AtomicU64,
+    delay_secs: AtomicU64,
 }
 
-/// `counter += by` for a counter written only under the queue lock: the
+/// `counter += 1` for a counter written only under the queue lock: the
 /// lock orders the writers, so a plain load and store is enough.
-fn bump(counter: &AtomicU64, by: u64) {
-    counter.store(counter.load(Relaxed) + by, Relaxed);
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Relaxed) + 1, Relaxed);
 }
 
 /// An admission-gated FIFO work queue shared by cloning.
@@ -214,7 +219,7 @@ impl<T> AdmissionQueue<T> {
                 shed_high_water: AtomicU64::new(0),
                 shed_deadline: AtomicU64::new(0),
                 dispatched: AtomicU64::new(0),
-                delay_nanos: AtomicU64::new(0),
+                delay_secs: AtomicU64::new(0),
             }),
         }
     }
@@ -256,25 +261,25 @@ impl<T> AdmissionQueue<T> {
     /// `offer_at` when the caller has the time, `offer`'s sampled stamp
     /// when it does not.
     fn offer_inner(&self, item: T, now_secs: Option<f64>) -> OfferOutcome<T> {
-        if let AdmissionPolicy::Shed { high_water } = self.policy {
-            // Lock-free shed verdict: the occupancy mirror is enough.
-            // A racing dispatch may admit one extra request right at the
-            // watermark; the bound is on occupancy, not a turnstile.
-            if self.shared.occupancy.load(Acquire) >= u64::from(high_water) {
-                self.shared.shed_high_water.fetch_add(1, Relaxed);
-                return OfferOutcome::Shed(item);
-            }
+        // Lock-free shed verdict: the occupancy mirror is enough. A racing
+        // dispatch may admit one extra request right at the watermark; the
+        // bound is on occupancy, not a turnstile. Only a shedding gate reads
+        // the mirror here: every take writes it, so another gate's offer
+        // would pay a cache miss for a verdict that cannot fire.
+        if matches!(self.policy, AdmissionPolicy::Shed { .. })
+            && self.policy.sheds(self.shared.occupancy.load(Acquire))
+        {
+            self.shared.shed_high_water.fetch_add(1, Relaxed);
+            return OfferOutcome::Shed(item);
         }
         let mut inner = self.shared.inner.lock();
         if inner.closed {
             return OfferOutcome::Closed(item);
         }
-        if let AdmissionPolicy::Block { capacity } = self.policy {
-            while inner.items.len() >= capacity as usize {
-                self.shared.not_full.wait(&mut inner, None);
-                if inner.closed {
-                    return OfferOutcome::Closed(item);
-                }
+        while self.policy.holds(inner.items.len() as u64) {
+            self.shared.not_full.wait(&mut inner, None);
+            if inner.closed {
+                return OfferOutcome::Closed(item);
             }
         }
         let stamp = now_secs.or_else(|| {
@@ -335,14 +340,13 @@ impl<T> AdmissionQueue<T> {
                 if let Some(stamp) = stamp {
                     let now = *now_secs.get_or_insert_with(|| self.clock_secs());
                     let delay = (now - stamp).max(0.0);
-                    if let AdmissionPolicy::Deadline { budget_secs } = self.policy {
-                        if delay > budget_secs {
-                            bump(&self.shared.shed_deadline, 1);
-                            continue;
-                        }
+                    if self.policy.expired(delay) {
+                        bump(&self.shared.shed_deadline);
+                        continue;
                     }
-                    bump(&self.shared.dispatched, 1);
-                    bump(&self.shared.delay_nanos, (delay * 1e9) as u64);
+                    bump(&self.shared.dispatched);
+                    let delay_secs = f64::from_bits(self.shared.delay_secs.load(Relaxed)) + delay;
+                    self.shared.delay_secs.store(delay_secs.to_bits(), Relaxed);
                 }
                 // A dispatch frees one slot: one `Block` producer, if
                 // any is parked, can use it. Other consumers have
@@ -398,7 +402,7 @@ impl<T> AdmissionQueue<T> {
             mean_queue_delay_secs: if dispatched == 0 {
                 0.0
             } else {
-                load(&self.shared.delay_nanos) as f64 / 1e9 / dispatched as f64
+                f64::from_bits(load(&self.shared.delay_secs)) / dispatched as f64
             },
         }
     }
