@@ -4,7 +4,7 @@
 //! The repo benchmark (`benchmark/`, `BENCHMARK.json`) prints a per-layer
 //! metric for the record path, the snapshot, the reconfiguration pauses,
 //! the queue hand-offs and the simulator sweep on every change, so none
-//! of those is probed again here. Three probes stay (see
+//! of those is probed again here. Four probes stay (see
 //! `docs/performance.md`):
 //!
 //! 1. **overload** — admission policies under 10x offered load
@@ -21,7 +21,10 @@
 //!    untimed `begin`..`end` on the live task context, the share of
 //!    invocations timed back to back and 2 ms apart
 //!    ([`dope_runtime::perf::bench_invoke`]), and a gate offer that
-//!    stamps every item next to one that stamps a sample.
+//!    stamps every item next to one that stamps a sample;
+//! 4. **paced** — what a parked consumer pays per item, by how it parks
+//!    (`bench_paced`); skipped where `/proc/thread-self/schedstat` is
+//!    absent.
 //!
 //! The report states `nproc`, the core count it was taken on, and is
 //! strict-codec JSON (`dope_core::json`). Its history is
@@ -37,9 +40,9 @@ use dope_core::{
 use dope_mechanisms::WqLinear;
 use dope_sim::system::{run_system_observed, SystemParams};
 use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
-use dope_workload::{AdmissionQueue, ArrivalSchedule};
+use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, WorkQueue};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema tag carried by every report.
 pub const SCHEMA: &str = "dope-bench-perf/v1";
@@ -69,7 +72,10 @@ pub fn run(quick: bool) -> Value {
     println!("perf: monitor (timed vs untimed invocation, stamped vs sampled offer)");
     let monitor = bench_monitor(quick);
 
-    obj(vec![
+    println!("perf: paced (one consumer parked between Poisson arrivals, three ways)");
+    let paced = bench_paced(quick);
+
+    let mut sections = vec![
         ("schema", Value::String(SCHEMA.to_string())),
         ("quick", Value::Bool(quick)),
         (
@@ -79,7 +85,9 @@ pub fn run(quick: bool) -> Value {
         ("overload", overload),
         ("control", control),
         ("monitor", monitor),
-    ])
+    ];
+    sections.extend(paced.map(|paced| ("paced", paced)));
+    obj(sections)
 }
 
 /// Offers each stamping probe times per run.
@@ -279,6 +287,89 @@ fn bench_monitor(quick: bool) -> Value {
     ])
 }
 
+/// The calling thread's CPU time so far (ns): the first field of
+/// `/proc/thread-self/schedstat`, `None` where the file is absent.
+fn thread_cpu_ns() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().next()?.parse().ok()
+}
+
+/// `pipe_paced`'s idle side in miniature: a Poisson producer at
+/// `rate`/s hands `items` items through a [`WorkQueue`] to one consumer
+/// that works ~4 µs on each and parks in between through
+/// `dequeue_timeout(park)`, or through untimed `dequeue()` when `park`
+/// is `None`. Returns the consumer's and the producer's CPU µs per item
+/// and the consumer's expired parks per item.
+fn paced_run(rate: f64, items: usize, park: Option<Duration>) -> Option<[f64; 3]> {
+    thread_cpu_ns()?;
+    let queue = WorkQueue::new();
+    let consumer = {
+        let queue = queue.clone();
+        std::thread::spawn(move || {
+            let cpu0 = thread_cpu_ns()?;
+            let mut expired = 0u64;
+            loop {
+                let item = match park {
+                    Some(timeout) => queue.dequeue_timeout(timeout),
+                    None => queue
+                        .dequeue()
+                        .map_or(DequeueOutcome::Drained, DequeueOutcome::Item),
+                };
+                match item {
+                    DequeueOutcome::Item(_) => {
+                        let t0 = Instant::now();
+                        while t0.elapsed() < Duration::from_micros(4) {
+                            std::hint::spin_loop();
+                        }
+                    }
+                    DequeueOutcome::TimedOut => expired += 1,
+                    DequeueOutcome::Drained => break,
+                }
+            }
+            Some((thread_cpu_ns()? - cpu0, expired))
+        })
+    };
+    let schedule = ArrivalSchedule::poisson(rate, items, 7);
+    let cpu0 = thread_cpu_ns()?;
+    let start = Instant::now();
+    for (i, &due) in schedule.times().iter().enumerate() {
+        std::thread::sleep(Duration::from_secs_f64(due).saturating_sub(start.elapsed()));
+        let _ = queue.enqueue(i);
+    }
+    let producer = thread_cpu_ns()? - cpu0;
+    queue.close();
+    let (consumer, expired) = consumer.join().ok()??;
+    let per_item = |x: u64| x as f64 / items as f64;
+    Some([
+        per_item(consumer) / 1e3,
+        per_item(producer) / 1e3,
+        per_item(expired),
+    ])
+}
+
+/// The paced hop of the ledger (ROADMAP item 1's sizing): [`paced_run`]
+/// at 500 items/s with the consumer parked by a 2 ms poll (what the
+/// frozen benchmark's bodies do), by a 1 s timeout that never expires,
+/// and untimed. `None` where thread CPU cannot be read.
+fn bench_paced(quick: bool) -> Option<Value> {
+    const RATE: f64 = 500.0;
+    let items = if quick { 500 } else { 5_000 };
+    let mut fields = vec![("items".to_string(), Value::Number(items as u64))];
+    for (park, timeout) in [
+        ("poll_2ms", Some(Duration::from_millis(2))),
+        ("timer_1s", Some(Duration::from_secs(1))),
+        ("untimed", None),
+    ] {
+        let [consumer, producer, expired] = paced_run(RATE, items, timeout)?;
+        fields.extend([
+            (format!("{park}_consumer_us"), Value::from_f64(consumer)),
+            (format!("{park}_producer_us"), Value::from_f64(producer)),
+            (format!("{park}_expired_per_item"), Value::from_f64(expired)),
+        ]);
+    }
+    Some(Value::Object(fields))
+}
+
 fn metric(report: &Value, section: &str, key: &str) -> Option<f64> {
     report.get(section)?.get(key)?.as_f64()
 }
@@ -395,9 +486,15 @@ pub fn summary(report: &Value) -> String {
         ("monitor", "timed_share_paced"),
         ("monitor", "offer_stamped_ns"),
         ("monitor", "offer_unstamped_ns"),
+        ("paced", "poll_2ms_consumer_us"),
+        ("paced", "poll_2ms_producer_us"),
+        ("paced", "poll_2ms_expired_per_item"),
+        ("paced", "timer_1s_consumer_us"),
+        ("paced", "untimed_consumer_us"),
+        ("paced", "untimed_producer_us"),
     ] {
         if let Some(v) = metric(report, section, key) {
-            out.push_str(&format!("{section:>12}.{key:<22} {v:>12.2}\n"));
+            out.push_str(&format!("{section:>12}.{key:<25} {v:>12.2}\n"));
         }
     }
     out

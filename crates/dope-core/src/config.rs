@@ -121,10 +121,10 @@ impl std::fmt::Display for TaskConfig {
 
 /// How two configurations differ, as computed by [`Config::diff`].
 ///
-/// The distinction drives the runtime's two-tier reconfiguration
-/// protocol: extent-only differences are candidates for a *delta*
-/// reconfiguration (drain only the changed paths), while structural
-/// differences always take the full-drain path of the paper protocol.
+/// The distinction decides which top-level paths a reconfiguration
+/// drains and relaunches: extent-only differences are candidates for a
+/// *delta* reconfiguration (only the changed paths), while structural
+/// differences drain every top-level path, as the paper's protocol does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigDiff {
     /// The configurations are equal.
@@ -311,15 +311,15 @@ impl Config {
     }
 
     /// The changed-path set of a *delta-eligible* transition from this
-    /// configuration to `other`, or `None` when the transition must take
-    /// the full-drain path.
+    /// configuration to `other`, or `None` when the transition must
+    /// drain every top-level path.
     ///
     /// A transition is delta-eligible when the diff is extents-only
     /// **and** every changed path is a top-level leaf task: nested
     /// replicas are instantiated as a unit (`TaskFactory::make_nest`),
     /// so changing anything inside a nest means rebuilding the replica —
     /// a full drain. The control core (`crate::control`) is the one
-    /// caller: it decides which epochs are partial for the live
+    /// caller: it decides which drains are partial for the live
     /// executive and the simulators alike.
     #[must_use]
     pub fn delta_paths(&self, other: &Config) -> Option<Vec<TaskPath>> {

@@ -36,10 +36,12 @@
 //!   followed by exactly one of a `reconfigured` event or a
 //!   [`Verdict::Superseded`] one: a failure, a stop, or an aborted
 //!   relaunch retires the target instead of dropping it.
-//! * **Partial when possible.** With delta reconfiguration enabled, a
-//!   target that differs only in top-level leaf extents
-//!   ([`Config::delta_paths`]) drains just those paths; everything
-//!   else — and every drain caused by a failure or a stop — is full.
+//! * **One suspend rule.** Every drain — for a target, a failure, a
+//!   restart or a stop — suspends a set of top-level paths, and exactly
+//!   that set is relaunched: the changed paths ([`Config::delta_paths`])
+//!   when delta reconfiguration is enabled and the target differs only in
+//!   top-level leaf extents, otherwise every top-level path
+//!   ([`Scope::paths`]).
 //!
 //! # Example
 //!
@@ -82,7 +84,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The proposal validated and differs from the current configuration;
-    /// a reconfiguration epoch follows.
+    /// a drain and relaunch follows.
     Accepted,
     /// The proposal equals the current configuration.
     Unchanged,
@@ -99,11 +101,10 @@ pub enum Verdict {
     Superseded,
 }
 
-/// How much of the running epoch a reconfiguration drains.
+/// Which top-level paths a drain suspends and relaunches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Scope {
-    /// Every replica is steered to a consistent point and the whole
-    /// epoch is relaunched.
+    /// Every top-level path drains and relaunches.
     Full,
     /// Only these (top-level leaf) paths drain and relaunch; every other
     /// replica keeps running across the boundary.
@@ -111,6 +112,19 @@ pub enum Scope {
 }
 
 impl Scope {
+    /// The top-level paths the scope drains and relaunches under
+    /// `config`: the changed paths of a partial drain, every top-level
+    /// path for a full one.
+    #[must_use]
+    pub fn paths(&self, config: &Config) -> Vec<TaskPath> {
+        match self {
+            Scope::Full => (0..config.tasks.len())
+                .map(|i| TaskPath::root_child(i as u16))
+                .collect(),
+            Scope::Partial(paths) => paths.clone(),
+        }
+    }
+
     /// The stable trace tag: `"full"` or `"partial"`.
     #[must_use]
     pub fn tag(&self) -> &'static str {
@@ -148,18 +162,16 @@ pub struct DrainTiming {
 pub enum Action {
     /// Nothing: keep running (or keep draining).
     Continue,
-    /// Steer exactly these paths to a consistent point, then report
-    /// [`drained`](ControlCore::drained).
+    /// Steer every replica of these top-level paths to a consistent
+    /// point, then report [`drained`](ControlCore::drained) once they all
+    /// have. A later request while one is in flight names a superset.
     SuspendPaths(Vec<TaskPath>),
-    /// Steer every replica to a consistent point, then report
-    /// [`drained`](ControlCore::drained).
-    SuspendAll,
-    /// Relaunch under [`ControlCore::config`] — the whole epoch or just
-    /// the scope's paths — then report
+    /// Relaunch the scope's paths ([`Scope::paths`]) under
+    /// [`ControlCore::config`], then report
     /// [`relaunched`](ControlCore::relaunched).
     Relaunch(Scope),
     /// The `Restart` policy absorbed `replicas` failures: back off for
-    /// `backoff`, relaunch the whole epoch under the unchanged
+    /// `backoff`, relaunch every top-level path under the unchanged
     /// configuration, then report [`relaunched`](ControlCore::relaunched).
     Restart {
         /// Failed replicas being restarted.
@@ -179,27 +191,22 @@ pub enum Action {
 /// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Phase {
-    /// The epoch runs; ticks consult the mechanism.
+    /// The tasks run; ticks consult the mechanism.
     Running,
-    /// An accepted delta target waits for its changed paths to drain.
-    DrainingPartial {
+    /// An accepted target waits for its scope's paths to drain.
+    Draining {
         /// The accepted configuration.
         target: Config,
         /// The paths being drained.
-        paths: Vec<TaskPath>,
+        scope: Scope,
     },
-    /// An accepted target waits for the whole epoch to drain.
-    DrainingFull {
-        /// The accepted configuration.
-        target: Config,
-    },
-    /// A replica failed: the epoch drains so the failure policy acts at
-    /// a consistent point.
+    /// A replica failed: every top-level path drains so the failure
+    /// policy acts at a consistent point.
     DrainingForFailure,
     /// A stop was requested or the program finished: nothing is
     /// consulted or relaunched any more.
     Stopping,
-    /// The epoch drained and the driver is relaunching it under the
+    /// Every path drained and the driver is relaunching them under the
     /// unchanged configuration.
     Relaunching,
     /// [`ControlCore::config`] changed at the drained boundary and the
@@ -441,19 +448,13 @@ impl<'a> ControlCore<'a> {
         }
         self.judged(now, &proposal, Verdict::Accepted);
         let delta = self.rules.delta.then(|| self.config.delta_paths(&proposal));
-        match delta.flatten() {
-            Some(paths) => {
-                self.phase = Phase::DrainingPartial {
-                    target: proposal,
-                    paths: paths.clone(),
-                };
-                Action::SuspendPaths(paths)
-            }
-            None => {
-                self.phase = Phase::DrainingFull { target: proposal };
-                Action::SuspendAll
-            }
-        }
+        let scope = delta.flatten().map_or(Scope::Full, Scope::Partial);
+        let paths = scope.paths(&self.config);
+        self.phase = Phase::Draining {
+            target: proposal,
+            scope,
+        };
+        Action::SuspendPaths(paths)
     }
 
     /// [`tick`](Self::tick) for drivers whose drains take no time (the
@@ -471,8 +472,8 @@ impl<'a> ControlCore<'a> {
     }
 
     /// A replica at `path` failed. Any in-flight target is superseded —
-    /// the failure policy's full drain takes precedence — and the whole
-    /// epoch must drain.
+    /// the failure policy's full drain takes precedence — and every
+    /// top-level path must drain.
     pub fn task_failed(&mut self, now: f64, path: TaskPath, reason: String) -> Action {
         self.sink
             .task_failed(now, &path, &reason, self.rules.policy.kind());
@@ -480,39 +481,36 @@ impl<'a> ControlCore<'a> {
         if self.phase != Phase::Stopping {
             self.retire_target(now, Phase::DrainingForFailure);
         }
-        Action::SuspendAll
+        Action::SuspendPaths(Scope::Full.paths(&self.config))
     }
 
     /// An orderly stop was requested: any in-flight target is
-    /// superseded and the epoch drains for the last time. Idempotent.
+    /// superseded and every top-level path drains for the last time.
+    /// Idempotent.
     pub fn stop(&mut self, now: f64) -> Action {
         let action = match self.phase {
             Phase::Stopping => return Action::Continue,
             // Nothing is running: there is nothing to drain.
             Phase::Relaunching | Phase::Applying { .. } => Action::Finish,
-            _ => Action::SuspendAll,
+            _ => Action::SuspendPaths(Scope::Full.paths(&self.config)),
         };
         self.retire_target(now, Phase::Stopping);
         action
     }
 
-    /// What the last suspend request asked for has drained: the changed
-    /// paths of a partial drain, otherwise the whole epoch (also
-    /// reported, unasked, when every replica of a running epoch
-    /// returned). `finished` says every replica of the drained epoch
-    /// reported `Finished` — the program is complete.
+    /// The paths of the last suspend request have drained (also
+    /// reported, unasked, when every replica returned while running).
+    /// `finished` says every replica launched since its path was last
+    /// relaunched reported `Finished` — the program is complete.
     pub fn drained(&mut self, finished: bool) -> Action {
         match std::mem::replace(&mut self.phase, Phase::Relaunching) {
-            Phase::DrainingPartial { target, paths } => {
-                self.switch_to(target, Scope::Partial(paths), true)
-            }
-            Phase::DrainingFull { target } => self.switch_to(target, Scope::Full, true),
+            Phase::Draining { target, scope } => self.switch_to(target, scope, true),
             Phase::DrainingForFailure => self.apply_policy(false),
             Phase::Stopping if !self.failures.is_empty() => self.apply_policy(true),
             Phase::Stopping => self.ended(Action::Finish),
             Phase::Running if finished => self.ended(Action::Finish),
-            // Replicas suspended without a target (a stop raced and
-            // lost): relaunch the epoch as it was.
+            // Replicas suspended without being asked: relaunch them as
+            // they were.
             Phase::Running => Action::Relaunch(Scope::Full),
             relaunching @ (Phase::Relaunching | Phase::Applying { .. }) => {
                 self.phase = relaunching;
@@ -566,7 +564,7 @@ impl<'a> ControlCore<'a> {
     /// phase carried — the one place a target is ever retired.
     fn retire_target(&mut self, now: f64, next: Phase) {
         let retired = match std::mem::replace(&mut self.phase, next) {
-            Phase::DrainingPartial { target, .. } | Phase::DrainingFull { target } => Some(target),
+            Phase::Draining { target, .. } => Some(target),
             // The relaunch never completed: the configuration last
             // applied is still the one in force.
             Phase::Applying { proposed, .. } => {
@@ -595,7 +593,7 @@ impl<'a> ControlCore<'a> {
         action
     }
 
-    /// The epoch drained with failures on the books: the policy decides
+    /// Every path drained with failures on the books: the policy decides
     /// what the run does next. While `stopping` it still accounts (and
     /// may abort), but nothing is relaunched.
     fn apply_policy(&mut self, stopping: bool) -> Action {

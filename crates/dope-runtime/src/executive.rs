@@ -1,6 +1,6 @@
 //! The DoPE-Executive: launch, monitor, reconfigure, finish.
 
-use crate::instance::{instantiate, instantiate_paths, LiveCx, WorkerJob};
+use crate::instance::{instantiate_paths, LiveCx, WorkerJob};
 use crate::monitor::{AdmissionProbe, Monitor, QueueProbe};
 use crate::pool::WorkerPool;
 use dope_core::control::{
@@ -209,7 +209,7 @@ impl DopeBuilder {
     /// worker thread itself always survives — the pool contains the
     /// unwind). The default is [`FailurePolicy::Abort`]: fail fast with
     /// the panic message in the returned error. `Restart` re-instantiates
-    /// the epoch (up to a retry budget, with backoff); `Degrade` drops
+    /// every task (up to a retry budget, with backoff); `Degrade` drops
     /// the failed replica's degree of parallelism and keeps going.
     /// Either way the failure is counted in the [`RunReport`], traced as
     /// a `TaskFailed` event, and exported as
@@ -221,14 +221,14 @@ impl DopeBuilder {
     }
 
     /// Enables or disables partial (delta) reconfigurations (enabled by
-    /// default). When enabled, an accepted proposal that only changes
-    /// the extent of top-level leaf tasks drains *just those paths* to a
-    /// consistent point and splices the relaunched replicas into the
-    /// running epoch — every other replica keeps executing across the
-    /// boundary. Structural changes (and every drain triggered by stop
-    /// or a failure policy) always take the full-drain path. Disable to
-    /// force the paper's original drain-the-world protocol, e.g. for
-    /// A/B latency measurements.
+    /// default): which top-level paths a reconfiguration drains. When
+    /// enabled, an accepted proposal that only changes the extent of
+    /// top-level leaf tasks drains *just those paths* to a consistent
+    /// point and relaunches them — every other replica keeps executing
+    /// across the boundary. Structural changes (and every drain
+    /// triggered by stop or a failure policy) drain every top-level
+    /// path. Disable to make every drain the paper's drain-the-world
+    /// one, e.g. for A/B latency measurements.
     #[must_use]
     pub fn delta_reconfig(mut self, enabled: bool) -> Self {
         self.delta_reconfig = enabled;
@@ -249,9 +249,20 @@ impl DopeBuilder {
 
 /// Shared executive state.
 struct Shared {
-    suspend: Arc<AtomicBool>,
+    /// Set by the first [`Dope::stop`], which also posts [`Note::Stop`].
     stop: AtomicBool,
     monitor: Monitor,
+    /// The run's done channel: every replica reports on it, and a stop
+    /// request wakes the control thread through it.
+    notes: mpsc::Sender<Note>,
+}
+
+/// What wakes the control thread besides its tick.
+enum Note {
+    /// A replica at this (leaf) path returned for good.
+    Done(TaskPath, TaskOutcome),
+    /// [`Dope::stop`] was called.
+    Stop,
 }
 
 /// The Degree of Parallelism Executive.
@@ -284,8 +295,10 @@ impl Dope {
     /// Requests an orderly early stop: tasks are suspended and the run
     /// report is produced.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.suspend.store(true, Ordering::Release);
+        if !self.shared.stop.swap(true, Ordering::AcqRel) {
+            // The run may be over already, its receiver gone.
+            let _ = self.shared.notes.send(Note::Stop);
+        }
     }
 
     /// Waits for the application to finish (the paper's `DoPE::destroy`
@@ -355,10 +368,15 @@ impl Dope {
             observer.launched(mechanism.name(), budget, &shape, &initial);
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "depth is bounded by the run's live job count plus one stop note: every other sender is a submitted job, which sends once, and the control thread receives whenever it is not relaunching or backing off"
+        )]
+        let (notes, notes_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
-            suspend: Arc::new(AtomicBool::new(false)),
             stop: AtomicBool::new(false),
             monitor: monitor.clone(),
+            notes,
         });
 
         let pool = WorkerPool::new(builder.pool_threads.unwrap_or(budget).max(1));
@@ -371,6 +389,7 @@ impl Dope {
             res,
             pool,
             shared: Arc::clone(&shared),
+            notes: notes_rx,
             control_period: builder.control_period,
             window: builder.throughput_window,
             rules: Rules {
@@ -503,7 +522,7 @@ impl ExecMetrics {
             ),
             failed_replicas: registry.gauge(
                 names::TASK_FAILED_REPLICAS,
-                "Replicas currently dead in the running epoch",
+                "Replicas currently dead (until their path is relaunched)",
             ),
             prediction_over: prediction("over"),
             prediction_under: prediction("under"),
@@ -705,57 +724,50 @@ fn debug_verify_gate(stage: &str, shape: &ProgramShape, config: &Config, threads
     }
 }
 
-/// One live path's share of the running epoch.
+/// One top-level path's share of the run.
 #[derive(Default)]
 struct PathLedger {
-    /// The path's own suspend flag: a partial drain flips only the
-    /// changed paths' flags, stop and full drains the global one.
-    /// Workers suspend on the union.
+    /// The path's suspend flag, the one every replica under it reads: a
+    /// drain sets it for exactly the paths it suspends, their relaunch
+    /// clears it.
     suspend: Arc<AtomicBool>,
-    /// Replicas submitted that have not reported yet.
-    outstanding: usize,
-    /// Replicas submitted since the path was last (re)launched, and how
-    /// many of them reported `Finished`.
-    submitted: usize,
-    finished: usize,
+    /// The (leaf) path of every replica submitted that has not reported.
+    outstanding: Vec<TaskPath>,
+    /// Replicas submitted since the path was last relaunched that have
+    /// not reported `Finished`.
+    unfinished: usize,
 }
 
-/// The accounting of one epoch: who runs where, who has reported, and
-/// the channel they report on. A partial relaunch splices into it; a
-/// full relaunch starts a fresh one.
-struct EpochLedger {
-    done_tx: mpsc::Sender<(TaskPath, TaskOutcome)>,
-    done_rx: mpsc::Receiver<(TaskPath, TaskOutcome)>,
+/// The run's accounting, kept per top-level path from launch to the
+/// end: who runs, who has reported, and which drain is in flight. Every
+/// relaunch splices into it.
+#[derive(Default)]
+struct RunLedger {
     paths: HashMap<TaskPath, PathLedger>,
-    /// Replicas still out, over all paths.
-    remaining: usize,
-    /// When the drain in flight (if any) was requested.
-    drain_started: Option<Instant>,
+    /// The paths the suspend request in flight names, and when the first
+    /// request of this drain was made.
+    drain: Option<(Vec<TaskPath>, Instant)>,
 }
 
-impl EpochLedger {
-    fn new() -> Self {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "depth is bounded by the epoch's job count — every sender is one submitted job (plus the ledger's handle kept for partial relaunches), and the epoch drains before the next one launches"
-        )]
-        let (done_tx, done_rx) = mpsc::channel();
-        EpochLedger {
-            done_tx,
-            done_rx,
-            paths: HashMap::new(),
-            remaining: 0,
-            drain_started: None,
-        }
+/// The top-level path a (leaf) path runs under.
+fn top_level(path: &TaskPath) -> TaskPath {
+    TaskPath::root_child(path.indices().next().unwrap_or(0))
+}
+
+impl RunLedger {
+    /// Replicas still out, over all paths.
+    fn remaining(&self) -> usize {
+        self.paths.values().map(|p| p.outstanding.len()).sum()
     }
 
     /// Books one reported outcome; a failure hands back its reason.
     fn settle(&mut self, path: &TaskPath, outcome: TaskOutcome) -> Option<String> {
-        self.remaining -= 1;
-        if let Some(entry) = self.paths.get_mut(path) {
-            entry.outstanding = entry.outstanding.saturating_sub(1);
+        if let Some(entry) = self.paths.get_mut(&top_level(path)) {
+            if let Some(at) = entry.outstanding.iter().position(|p| p == path) {
+                entry.outstanding.swap_remove(at);
+            }
             let finished = outcome == TaskOutcome::Completed(TaskStatus::Finished);
-            entry.finished += usize::from(finished);
+            entry.unfinished = entry.unfinished.saturating_sub(usize::from(finished));
         }
         match outcome {
             TaskOutcome::Completed(_) => None,
@@ -763,23 +775,41 @@ impl EpochLedger {
         }
     }
 
-    /// Every replica of `paths` has reported.
-    fn drained(&self, paths: &[TaskPath]) -> bool {
-        paths
-            .iter()
-            .all(|path| self.paths.get(path).is_none_or(|p| p.outstanding == 0))
+    /// Does what a suspend request asks — sets the named paths' flags —
+    /// and waits for those paths from now on; every other action is the
+    /// caller's business.
+    fn suspend(&mut self, action: Action) {
+        if let Action::SuspendPaths(paths) = action {
+            for path in &paths {
+                if let Some(entry) = self.paths.get(path) {
+                    entry.suspend.store(true, Ordering::Release);
+                }
+            }
+            let since = self
+                .drain
+                .take()
+                .map_or_else(Instant::now, |(_, since)| since);
+            self.drain = Some((paths, since));
+        }
+    }
+
+    /// Every replica of the paths the drain in flight waits for has
+    /// reported — or, with no drain in flight, every replica has.
+    fn at_boundary(&self) -> bool {
+        match &self.drain {
+            Some((paths, _)) => paths.iter().all(|path| {
+                self.paths
+                    .get(path)
+                    .is_none_or(|p| p.outstanding.is_empty())
+            }),
+            None => self.remaining() == 0,
+        }
     }
 
     /// The program is complete: every replica launched (since its path
     /// was last relaunched) reported `Finished`.
     fn finished(&self) -> bool {
-        self.paths.values().all(|p| p.finished == p.submitted)
-    }
-
-    fn pause_secs(&mut self) -> f64 {
-        self.drain_started
-            .take()
-            .map_or(0.0, |since| since.elapsed().as_secs_f64())
+        self.paths.values().all(|p| p.unfinished == 0)
     }
 }
 
@@ -793,6 +823,7 @@ struct Executive {
     res: Resources,
     pool: WorkerPool,
     shared: Arc<Shared>,
+    notes: mpsc::Receiver<Note>,
     control_period: Duration,
     window: Duration,
     rules: Rules,
@@ -874,239 +905,162 @@ impl Executive {
         }
     }
 
-    /// Launches epoch after epoch under the core's configuration until
-    /// the core says the run is over.
+    /// Launches every top-level path, then monitors the run — ticks,
+    /// outcomes, stop notes — answering each drained boundary with the
+    /// relaunch the core asks for, until the core says the run is over.
     fn drive(&self, core: &mut ControlCore<'_>) -> Result<()> {
-        let mut pause_secs = 0.0;
-        loop {
-            let relaunch_started = Instant::now();
-            let epoch = instantiate(&self.descriptor, core.config())?;
-            self.shared
-                .monitor
-                .install_epoch(epoch.load_cbs, epoch.extents);
-            self.export_failed_replicas();
-            self.shared.suspend.store(false, Ordering::Release);
-            let mut ledger = EpochLedger::new();
-            self.submit(&mut ledger, epoch.jobs)?;
-            // A no-op for the first launch; confirms every later one.
-            core.relaunched(
-                self.now(),
-                DrainTiming {
-                    pause_secs,
-                    relaunch_secs: relaunch_started.elapsed().as_secs_f64(),
-                    jobs: ledger.remaining as u64,
-                },
-            );
-            let next = self.run_epoch(core, &mut ledger)?;
-            pause_secs = ledger.pause_secs();
-            match next {
-                Action::Abort(err) => return Err(err),
-                Action::Restart { replicas, backoff } => {
-                    if let Some(m) = &self.metrics {
-                        m.task_restarts.add(replicas);
-                    }
-                    // Sleep in slices so a stop request interrupts the
-                    // backoff instead of blocking shutdown through it.
-                    let deadline = Instant::now() + backoff;
-                    loop {
-                        if self.shared.stop.load(Ordering::Acquire) {
-                            core.stop(self.now());
-                            return Ok(());
-                        }
-                        let left = deadline.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(5)));
-                    }
-                }
-                Action::Relaunch(_) => {}
-                _ => return Ok(()),
-            }
-        }
-    }
-
-    /// Monitors one epoch — ticks, partial boundaries, outcomes — until
-    /// every replica has reported, then asks the core what the drained
-    /// epoch means.
-    fn run_epoch(&self, core: &mut ControlCore<'_>, ledger: &mut EpochLedger) -> Result<Action> {
+        let mut ledger = RunLedger::default();
+        self.relaunch(core, &mut ledger, &Scope::Full, 0.0)?;
         // Control ticks run off an absolute deadline: driving the timer
         // from `recv_timeout` alone reset it on every completion, so a
         // flood of completions starved the mechanism of consults.
         let mut next_tick = Instant::now() + self.control_period;
-        // The ledger's own `done_tx` (kept for partial relaunches)
-        // prevents the channel from ever disconnecting, so vanished jobs
-        // are detected via pool quiescence instead — two consecutive
-        // idle timeouts with every submitted job parked.
+        // `Shared` keeps a sender, so the channel never disconnects and
+        // vanished jobs are detected via pool quiescence instead — two
+        // consecutive idle timeouts with every submitted job parked.
         let mut pool_idle_seen = false;
-        // A partial drain keeps the loop alive past `remaining == 0`:
-        // when the drained paths were the only ones left, the boundary
-        // below still has to splice in the relaunch.
-        while ledger.remaining > 0 || matches!(core.phase(), Phase::DrainingPartial { .. }) {
-            if self.shared.stop.load(Ordering::Acquire) {
-                let action = core.stop(self.now());
-                self.obey(action, ledger);
-            }
+        loop {
             if Instant::now() >= next_tick {
                 next_tick = Instant::now() + self.control_period;
                 if core.is_running() {
                     let snap = self.shared.monitor.snapshot();
-                    let action = core.tick(self.now(), &snap);
-                    self.obey(action, ledger);
+                    ledger.suspend(core.tick(self.now(), &snap));
                 }
             }
-            if matches!(core.phase(), Phase::DrainingPartial { paths, .. } if ledger.drained(paths))
-            {
-                self.splice(core, ledger)?;
+            if ledger.at_boundary() {
+                let pause_secs = ledger
+                    .drain
+                    .take()
+                    .map_or(0.0, |(_, since)| since.elapsed().as_secs_f64());
+                let action = core.drained(ledger.finished());
+                if matches!(core.phase(), Phase::Applying { .. }) {
+                    debug_verify_gate("reconfigure", &self.shape, core.config(), self.rules.budget);
+                }
+                match action {
+                    Action::Relaunch(scope) => {
+                        self.relaunch(core, &mut ledger, &scope, pause_secs)?
+                    }
+                    Action::Restart { replicas, backoff } => {
+                        if let Some(m) = &self.metrics {
+                            m.task_restarts.add(replicas);
+                        }
+                        // Nothing runs during the back-off: the one note
+                        // that can end it early is a stop.
+                        if self.notes.recv_timeout(backoff).is_ok() {
+                            core.stop(self.now());
+                            return Ok(());
+                        }
+                        self.relaunch(core, &mut ledger, &Scope::Full, pause_secs)?;
+                    }
+                    Action::Abort(err) => return Err(err),
+                    _ => return Ok(()),
+                }
             }
-            match ledger
-                .done_rx
+            match self
+                .notes
                 .recv_timeout(next_tick.saturating_duration_since(Instant::now()))
             {
-                Ok((path, outcome)) => {
+                Ok(Note::Done(path, outcome)) => {
                     pool_idle_seen = false;
                     if let Some(reason) = ledger.settle(&path, outcome) {
-                        self.failed(core, ledger, path, reason);
+                        self.failed(core, &mut ledger, path, reason);
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+                Ok(Note::Stop) => ledger.suspend(core.stop(self.now())),
+                Err(_) => {
                     // Vanished-job detection: every send happens before
                     // its worker parks, so once submitted == dispatched
                     // == parks the channel holds all outcomes that will
-                    // ever arrive. One more recv attempt (the next loop
-                    // iteration) drains any straggler; a second idle
-                    // timeout means the missing replicas are lost work.
+                    // ever arrive. One more recv attempt drains any
+                    // straggler; a second idle timeout means the missing
+                    // replicas vanished without sending an outcome (an
+                    // escaped unwind, a worker died some other way).
+                    // Each is counted as a failure that poisons the
+                    // verdict, never silently dropped.
                     let idle = self.pool.submitted() == self.pool.dispatched()
                         && self.pool.dispatched() == self.pool.parks();
                     if idle && pool_idle_seen {
-                        break;
+                        let lost: Vec<TaskPath> = ledger
+                            .paths
+                            .values_mut()
+                            .flat_map(|entry| std::mem::take(&mut entry.outstanding))
+                            .collect();
+                        for path in lost {
+                            self.lost_jobs.set(self.lost_jobs.get() + 1);
+                            let reason = "worker job vanished without reporting an outcome";
+                            self.failed(core, &mut ledger, path, reason.to_string());
+                        }
                     }
                     pool_idle_seen = idle;
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
-        }
-
-        // Anything still outstanding vanished without sending an outcome
-        // (an escaped unwind, a worker died some other way). Silently
-        // shrinking `remaining` here is how work used to get lost
-        // without a trace — count every missing replica as a failure
-        // and poison the verdict.
-        let lost: Vec<TaskPath> = ledger
-            .paths
-            .iter()
-            .flat_map(|(path, entry)| std::iter::repeat_n(path, entry.outstanding).cloned())
-            .collect();
-        for path in lost {
-            self.lost_jobs.set(self.lost_jobs.get() + 1);
-            let reason = "worker job vanished without reporting an outcome".to_string();
-            self.failed(core, ledger, path, reason);
-        }
-        if self.shared.stop.load(Ordering::Acquire) {
-            core.stop(self.now());
-        }
-        Ok(self.boundary(core, ledger.finished()))
-    }
-
-    /// Does what a suspend action asks; every other action is the
-    /// caller's business.
-    fn obey(&self, action: Action, ledger: &mut EpochLedger) {
-        match action {
-            Action::SuspendPaths(paths) => {
-                for path in &paths {
-                    if let Some(entry) = ledger.paths.get(path) {
-                        entry.suspend.store(true, Ordering::Release);
-                    }
-                }
-                ledger.drain_started = Some(Instant::now());
-            }
-            Action::SuspendAll => {
-                self.shared.suspend.store(true, Ordering::Release);
-                ledger.drain_started.get_or_insert_with(Instant::now);
-            }
-            _ => {}
         }
     }
 
     /// Counts one failed (or vanished) replica and tells the core, which
-    /// reports it to the sink and escalates whatever was in flight to a
-    /// full drain.
+    /// reports it to the sink and suspends every top-level path.
     fn failed(
         &self,
         core: &mut ControlCore<'_>,
-        ledger: &mut EpochLedger,
+        ledger: &mut RunLedger,
         path: TaskPath,
         reason: String,
     ) {
         self.task_failures.set(self.task_failures.get() + 1);
-        let action = core.task_failed(self.now(), path, reason);
-        self.obey(action, ledger);
+        ledger.suspend(core.task_failed(self.now(), path, reason));
     }
 
-    /// Reports a drained boundary to the core; a configuration it
-    /// switches to passes the debug verify gate before anything runs
-    /// under it.
-    fn boundary(&self, core: &mut ControlCore<'_>, finished: bool) -> Action {
-        let action = core.drained(finished);
-        if matches!(core.phase(), Phase::Applying { .. }) {
-            debug_verify_gate("reconfigure", &self.shape, core.config(), self.rules.budget);
-        }
-        action
-    }
-
-    /// The partial boundary: every changed path's replicas have reported
-    /// while the rest of the nest keeps running. Splices the relaunched
-    /// replicas into the live epoch.
-    fn splice(&self, core: &mut ControlCore<'_>, ledger: &mut EpochLedger) -> Result<()> {
-        let pause_secs = ledger.pause_secs();
-        let Action::Relaunch(Scope::Partial(paths)) = self.boundary(core, false) else {
-            return Ok(());
-        };
-        let relaunch_started = Instant::now();
-        let relaunched = instantiate_paths(&self.descriptor, core.config(), &paths)?;
-        self.shared
-            .monitor
-            .merge_epoch_paths(relaunched.load_cbs, relaunched.extents, &paths);
+    /// Relaunches the scope's top-level paths under the core's
+    /// configuration — the launch, every drain's relaunch and a restart
+    /// alike — beside the replicas still running, and confirms it to the
+    /// core: instantiates the paths, installs them in the monitor, clears
+    /// their suspend flags and submits their replicas.
+    fn relaunch(
+        &self,
+        core: &mut ControlCore<'_>,
+        ledger: &mut RunLedger,
+        scope: &Scope,
+        pause_secs: f64,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let paths = scope.paths(core.config());
+        let launch = instantiate_paths(&self.descriptor, core.config(), &paths)?;
+        self.shared.monitor.install(&paths, launch.tasks);
         self.export_failed_replicas();
-        // The drained paths' share of the completion target is retired
+        // The relaunched paths' share of the completion target restarts
         // with them, and they resume *before* the submit so the new
         // replicas never observe a stale suspend flag.
-        for path in &paths {
-            if let Some(entry) = ledger.paths.get_mut(path) {
-                entry.submitted = 0;
-                entry.finished = 0;
-                entry.suspend.store(false, Ordering::Release);
-            }
+        for path in paths {
+            let entry = ledger.paths.entry(path).or_default();
+            entry.unfinished = 0;
+            entry.suspend.store(false, Ordering::Release);
         }
-        self.submit(ledger, relaunched.jobs)?;
+        self.submit(ledger, launch.jobs)?;
+        // A no-op for the launch; confirms every later relaunch.
         core.relaunched(
             self.now(),
             DrainTiming {
                 pause_secs,
-                relaunch_secs: relaunch_started.elapsed().as_secs_f64(),
-                jobs: ledger.remaining as u64,
+                relaunch_secs: started.elapsed().as_secs_f64(),
+                jobs: ledger.remaining() as u64,
             },
         );
         Ok(())
     }
 
-    /// Submits one batch of worker jobs — a full epoch or a partial
-    /// relaunch — wiring each body to the global and per-path suspend
-    /// flags and the ledger's done channel.
-    fn submit(&self, ledger: &mut EpochLedger, jobs: Vec<WorkerJob>) -> Result<()> {
+    /// Submits one relaunch's worker jobs, wiring each body to its
+    /// top-level path's suspend flag and the run's done channel.
+    fn submit(&self, ledger: &mut RunLedger, jobs: Vec<WorkerJob>) -> Result<()> {
         for job in jobs {
-            let entry = ledger.paths.entry(job.path.clone()).or_default();
-            entry.outstanding += 1;
-            entry.submitted += 1;
-            ledger.remaining += 1;
-            let path_suspend = Arc::clone(&entry.suspend);
+            let entry = ledger.paths.entry(top_level(&job.path)).or_default();
+            entry.outstanding.push(job.path.clone());
+            entry.unfinished += 1;
+            let suspend = Arc::clone(&entry.suspend);
             let monitor = self.shared.monitor.clone();
-            let suspend = Arc::clone(&self.shared.suspend);
             let window = self.window;
-            let done = ledger.done_tx.clone();
+            let done = self.shared.notes.clone();
             self.pool.try_submit(move || {
-                let mut cx =
-                    LiveCx::new(&monitor, suspend, path_suspend, &job.path, job.slot, window);
+                let mut cx = LiveCx::new(&monitor, suspend, &job.path, job.slot, window);
                 let mut body = job.body;
                 // The paper's TaskExecutor (Figure 4a): re-invoke while the
                 // body reports EXECUTING. The suspend directive reaches the
@@ -1147,7 +1101,7 @@ impl Executive {
                         TaskOutcome::Failed { reason }
                     }
                 };
-                let _ = done.send((job.path, outcome));
+                let _ = done.send(Note::Done(job.path, outcome));
             })?;
         }
         Ok(())

@@ -1,7 +1,7 @@
 //! Instantiation of a task nest under a concrete configuration, and the
 //! live task context workers run with.
 
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, RunningTask};
 use crate::shard::RecorderShard;
 use dope_core::{
     BodyFactory, Config, DiagCode, Directive, Error, Result, TaskBody, TaskConfig, TaskCx,
@@ -12,48 +12,47 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One worker's assignment for an epoch: a body plus its coordinates.
+/// One worker's assignment: a body plus its coordinates.
 pub(crate) struct WorkerJob {
     pub path: TaskPath,
     pub slot: WorkerSlot,
     pub body: Box<dyn TaskBody>,
 }
 
-impl std::fmt::Debug for WorkerJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerJob")
-            .field("path", &self.path)
-            .field("slot", &self.slot)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Everything instantiated for one epoch.
+/// Everything one relaunch instantiated: the worker jobs, and per task
+/// path (nested ones included) what the monitor reads beside its cell.
 #[derive(Default)]
-pub(crate) struct Epoch {
+pub(crate) struct Launch {
     pub jobs: Vec<WorkerJob>,
-    pub load_cbs: Vec<(TaskPath, Arc<dyn Fn() -> f64 + Send + Sync>)>,
-    pub extents: HashMap<TaskPath, u32>,
+    pub tasks: HashMap<TaskPath, RunningTask>,
 }
 
-impl std::fmt::Debug for Epoch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Epoch")
-            .field("jobs", &self.jobs.len())
-            .field("load_cbs", &self.load_cbs.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Builds the worker jobs for `specs` under `config`.
+/// Builds the worker jobs of the top-level tasks named by `paths`,
+/// leaves or nests, under `config` — the relaunch half of every drain,
+/// and the launch itself (every top-level path).
 ///
 /// Each replica of a nested task instantiates a *fresh* inner descriptor
 /// (fresh queues, fresh accumulators); the descriptor's names and kinds
 /// must match the shape derived from replica zero.
-pub(crate) fn instantiate(specs: &[TaskSpec], config: &Config) -> Result<Epoch> {
-    let mut epoch = Epoch::default();
-    instantiate_level(specs, &config.tasks, &TaskPath::root(), 0, &mut epoch)?;
-    Ok(epoch)
+pub(crate) fn instantiate_paths(
+    specs: &[TaskSpec],
+    config: &Config,
+    paths: &[TaskPath],
+) -> Result<Launch> {
+    let mut launch = Launch::default();
+    for path in paths {
+        let mut indices = path.indices();
+        let (Some(index), None) = (indices.next(), indices.next()) else {
+            let detail = "a relaunch names top-level tasks only".to_string();
+            return Err(mismatch(path, DiagCode::StructureMismatch, detail));
+        };
+        let (Some(spec), Some(cfg)) = (specs.get(index as usize), config.tasks.get(index as usize))
+        else {
+            return Err(Error::UnknownPath { path: path.clone() });
+        };
+        instantiate_task(spec, cfg, path, 0, &mut launch)?;
+    }
+    Ok(launch)
 }
 
 fn mismatch(path: &TaskPath, code: DiagCode, detail: String) -> Error {
@@ -64,10 +63,75 @@ fn mismatch(path: &TaskPath, code: DiagCode, detail: String) -> Error {
     }
 }
 
+/// The task `spec` configured as `cfg` at `path`, in replica `replica`
+/// of the enclosing nest (0 at the top level).
+fn instantiate_task(
+    spec: &TaskSpec,
+    cfg: &TaskConfig,
+    path: &TaskPath,
+    replica: u32,
+    launch: &mut Launch,
+) -> Result<()> {
+    if spec.name() != cfg.name {
+        let detail = format!(
+            "replica {replica}: descriptor task `{}` is configured as `{}`",
+            spec.name(),
+            cfg.name
+        );
+        return Err(mismatch(path, DiagCode::NameMismatch, detail));
+    }
+    let task = launch
+        .tasks
+        .entry(path.clone())
+        .or_insert_with(|| RunningTask {
+            name: cfg.name.clone(),
+            extent: 0,
+            load_cbs: Vec::new(),
+            failed: 0,
+        });
+    task.extent += cfg.extent;
+    if let Some(cb) = spec.load_cb() {
+        task.load_cbs.push(Arc::clone(cb));
+    }
+    match (spec.work(), &cfg.nested) {
+        (Work::Leaf(factory), None) => {
+            push_workers(launch, path, factory.as_ref(), replica, cfg.extent);
+        }
+        (Work::Nest(alts), Some(nest)) => {
+            let factory = alts
+                .get(nest.alternative)
+                .ok_or_else(|| Error::UnknownAlternative {
+                    path: path.clone(),
+                    requested: nest.alternative,
+                    available: alts.len(),
+                })?;
+            for inner_replica in 0..cfg.extent {
+                let inner = factory.make_nest(inner_replica);
+                if inner.len() != nest.tasks.len() {
+                    let detail = format!(
+                        "replica {inner_replica}: descriptor has {} tasks but configuration has {}",
+                        inner.len(),
+                        nest.tasks.len()
+                    );
+                    return Err(mismatch(path, DiagCode::ArityMismatch, detail));
+                }
+                for (i, (spec, cfg)) in inner.iter().zip(&nest.tasks).enumerate() {
+                    instantiate_task(spec, cfg, &path.child(i as u16), inner_replica, launch)?;
+                }
+            }
+        }
+        _ => {
+            let detail = format!("replica {replica}: leaf/nest structure differs");
+            return Err(mismatch(path, DiagCode::StructureMismatch, detail));
+        }
+    }
+    Ok(())
+}
+
 /// One job per worker of the leaf at `path`, tagged with the `replica`
 /// of the nest it sits in.
 fn push_workers(
-    epoch: &mut Epoch,
+    launch: &mut Launch,
     path: &TaskPath,
     factory: &dyn BodyFactory,
     replica: u32,
@@ -79,112 +143,12 @@ fn push_workers(
             worker,
             extent,
         };
-        epoch.jobs.push(WorkerJob {
+        launch.jobs.push(WorkerJob {
             path: path.clone(),
             slot,
             body: factory.make_body(slot),
         });
     }
-}
-
-/// One descriptor level of replica `replica` of the enclosing nest (0
-/// at the root).
-fn instantiate_level(
-    specs: &[TaskSpec],
-    configs: &[TaskConfig],
-    prefix: &TaskPath,
-    replica: u32,
-    epoch: &mut Epoch,
-) -> Result<()> {
-    if specs.len() != configs.len() {
-        let detail = format!(
-            "replica {replica}: descriptor has {} tasks but configuration has {}",
-            specs.len(),
-            configs.len()
-        );
-        return Err(mismatch(prefix, DiagCode::ArityMismatch, detail));
-    }
-    for (i, (spec, cfg)) in specs.iter().zip(configs).enumerate() {
-        let path = prefix.child(i as u16);
-        if spec.name() != cfg.name {
-            let detail = format!(
-                "replica {replica}: descriptor task `{}` is configured as `{}`",
-                spec.name(),
-                cfg.name
-            );
-            return Err(mismatch(&path, DiagCode::NameMismatch, detail));
-        }
-        *epoch.extents.entry(path.clone()).or_insert(0) += cfg.extent;
-        if let Some(cb) = spec.load_cb() {
-            epoch.load_cbs.push((path.clone(), Arc::clone(cb)));
-        }
-        match (spec.work(), &cfg.nested) {
-            (Work::Leaf(factory), None) => {
-                push_workers(epoch, &path, factory.as_ref(), replica, cfg.extent);
-            }
-            (Work::Nest(alts), Some(nest)) => {
-                let factory =
-                    alts.get(nest.alternative)
-                        .ok_or_else(|| Error::UnknownAlternative {
-                            path: path.clone(),
-                            requested: nest.alternative,
-                            available: alts.len(),
-                        })?;
-                for inner_replica in 0..cfg.extent {
-                    let inner = factory.make_nest(inner_replica);
-                    instantiate_level(&inner, &nest.tasks, &path, inner_replica, epoch)?;
-                }
-            }
-            _ => {
-                let detail = format!("replica {replica}: leaf/nest structure differs");
-                return Err(mismatch(&path, DiagCode::StructureMismatch, detail));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Builds worker jobs for *only* the top-level leaf tasks named by
-/// `paths` — the relaunch half of a partial (delta) reconfiguration.
-///
-/// Delta eligibility is decided by `Config::delta_paths` before this is
-/// called, but the invariant is re-checked here: every path must be a
-/// depth-one leaf in both the descriptor and the configuration, because
-/// nested replicas are instantiated as a unit (`make_nest`) and cannot
-/// be relaunched piecemeal.
-pub(crate) fn instantiate_paths(
-    specs: &[TaskSpec],
-    config: &Config,
-    paths: &[TaskPath],
-) -> Result<Epoch> {
-    let not_a_leaf = |path| {
-        let detail = "partial relaunch supports top-level leaf tasks only".to_string();
-        mismatch(path, DiagCode::StructureMismatch, detail)
-    };
-    let mut epoch = Epoch::default();
-    for path in paths {
-        let mut indices = path.indices();
-        let (Some(index), None) = (indices.next(), indices.next()) else {
-            return Err(not_a_leaf(path));
-        };
-        let (Some(spec), Some(cfg)) = (specs.get(index as usize), config.tasks.get(index as usize))
-        else {
-            return Err(Error::UnknownPath { path: path.clone() });
-        };
-        if spec.name() != cfg.name {
-            let detail = format!("expected `{}`, found `{}`", spec.name(), cfg.name);
-            return Err(mismatch(path, DiagCode::NameMismatch, detail));
-        }
-        let (Work::Leaf(factory), None) = (spec.work(), &cfg.nested) else {
-            return Err(not_a_leaf(path));
-        };
-        epoch.extents.insert(path.clone(), cfg.extent);
-        if let Some(cb) = spec.load_cb() {
-            epoch.load_cbs.push((path.clone(), Arc::clone(cb)));
-        }
-        push_workers(&mut epoch, path, factory.as_ref(), 0, cfg.extent);
-    }
-    Ok(epoch)
 }
 
 /// The gap between timed invocations a busy context aims for. The
@@ -228,13 +192,9 @@ enum Began {
     Timed(Instant),
 }
 
-/// The live [`TaskCx`]: timers into the monitor plus the epoch's suspend
-/// flags.
-///
-/// Suspension is the union of two signals: the *global* flag (stop and
-/// full-drain reconfigurations park every replica) and this job's
-/// *per-path* flag (a partial reconfiguration parks only the paths whose
-/// extent changed, leaving the rest of the nest running).
+/// The live [`TaskCx`]: timers into the monitor plus the suspend flag of
+/// the job's top-level path, which every drain — a reconfiguration, a
+/// failure, a stop — flips for exactly the paths it suspends.
 ///
 /// Construction resolves the calling worker thread's private
 /// [`RecorderShard`] once (the only locking step); every `begin`..`end`
@@ -250,7 +210,6 @@ enum Began {
 /// last measured execution time.
 pub(crate) struct LiveCx {
     suspend: Arc<AtomicBool>,
-    path_suspend: Arc<AtomicBool>,
     shard: Arc<RecorderShard>,
     window: Duration,
     slot: WorkerSlot,
@@ -275,7 +234,6 @@ impl LiveCx {
     pub fn new(
         monitor: &Monitor,
         suspend: Arc<AtomicBool>,
-        path_suspend: Arc<AtomicBool>,
         path: &TaskPath,
         slot: WorkerSlot,
         window: Duration,
@@ -289,7 +247,6 @@ impl LiveCx {
         let seed = shard.invocations().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         LiveCx {
             suspend,
-            path_suspend,
             rng: (Arc::as_ptr(&shard) as u64 ^ seed) | 1,
             shard,
             window,
@@ -304,7 +261,7 @@ impl LiveCx {
     }
 
     fn current_directive(&self) -> Directive {
-        if self.suspend.load(Ordering::Acquire) || self.path_suspend.load(Ordering::Acquire) {
+        if self.suspend.load(Ordering::Acquire) {
             Directive::Suspend
         } else {
             Directive::Continue
@@ -402,6 +359,7 @@ impl TaskCx for LiveCx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dope_core::control::Scope;
     use dope_core::{body_fn, Config, TaskKind, TaskStatus};
     use dope_platform::FeatureRegistry;
 
@@ -409,6 +367,18 @@ mod tests {
         TaskSpec::leaf(name, kind, |_slot: WorkerSlot| {
             Box::new(body_fn(|_| TaskStatus::Finished)) as Box<dyn TaskBody>
         })
+    }
+
+    /// What the launch instantiates: every top-level path.
+    fn instantiate(specs: &[TaskSpec], config: &Config) -> Result<Launch> {
+        instantiate_paths(specs, config, &Scope::Full.paths(config))
+    }
+
+    fn extent(launch: &Launch, path: &str) -> Option<u32> {
+        launch
+            .tasks
+            .get(&path.parse().unwrap())
+            .map(|task| task.extent)
     }
 
     #[test]
@@ -444,8 +414,8 @@ mod tests {
         let epoch = instantiate(&[spec], &config).unwrap();
         assert_eq!(made.load(Ordering::SeqCst), 3, "one nest per replica");
         assert_eq!(epoch.jobs.len(), 6, "3 replicas x 2 workers");
-        assert_eq!(epoch.extents.get(&"0.0".parse().unwrap()), Some(&6));
-        assert_eq!(epoch.extents.get(&"0".parse().unwrap()), Some(&3));
+        assert_eq!(extent(&epoch, "0.0"), Some(6));
+        assert_eq!(extent(&epoch, "0"), Some(3));
     }
 
     #[test]
@@ -477,7 +447,6 @@ mod tests {
     fn live_cx_records_and_suspends() {
         let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
         let suspend = Arc::new(AtomicBool::new(false));
-        let path_suspend = Arc::new(AtomicBool::new(false));
         let path: TaskPath = "0".parse().unwrap();
         let slot = WorkerSlot {
             replica: 0,
@@ -487,7 +456,6 @@ mod tests {
         let mut cx = LiveCx::new(
             &monitor,
             Arc::clone(&suspend),
-            Arc::clone(&path_suspend),
             &path,
             slot,
             Duration::from_secs(5),
@@ -497,12 +465,10 @@ mod tests {
         suspend.store(true, Ordering::Release);
         assert_eq!(cx.directive(), Directive::Suspend);
         assert_eq!(cx.begin(), Directive::Suspend);
-        let snap = {
-            use std::collections::HashMap;
-            monitor.install_epoch(Vec::new(), HashMap::from([(path.clone(), 1)]));
-            monitor.snapshot()
-        };
-        assert_eq!(snap.task(&path).unwrap().invocations, 1);
+        assert_eq!(monitor.snapshot().task(&path).unwrap().invocations, 1);
+        // The relaunch clears the flag before its replicas start.
+        suspend.store(false, Ordering::Release);
+        assert_eq!(cx.directive(), Directive::Continue);
     }
 
     #[test]
@@ -631,7 +597,6 @@ mod tests {
     fn an_idle_invoke_flushes_the_tail_and_retimes_the_next_invocation() {
         let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
         let path: TaskPath = "0".parse().unwrap();
-        let flag = || Arc::new(AtomicBool::new(false));
         let slot = WorkerSlot {
             replica: 0,
             worker: 0,
@@ -639,8 +604,7 @@ mod tests {
         };
         let mut cx = LiveCx::new(
             &monitor,
-            flag(),
-            flag(),
+            Arc::new(AtomicBool::new(false)),
             &path,
             slot,
             Duration::from_secs(5),
@@ -674,40 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn live_cx_path_flag_suspends_independently_of_the_global_flag() {
-        let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
-        let suspend = Arc::new(AtomicBool::new(false));
-        let path_suspend = Arc::new(AtomicBool::new(false));
-        let path: TaskPath = "0".parse().unwrap();
-        let slot = WorkerSlot {
-            replica: 0,
-            worker: 0,
-            extent: 1,
-        };
-        let cx = LiveCx::new(
-            &monitor,
-            Arc::clone(&suspend),
-            Arc::clone(&path_suspend),
-            &path,
-            slot,
-            Duration::from_secs(5),
-        );
-        assert_eq!(cx.directive(), Directive::Continue);
-        path_suspend.store(true, Ordering::Release);
-        assert_eq!(
-            cx.directive(),
-            Directive::Suspend,
-            "per-path flag must suspend without the global flag"
-        );
-        path_suspend.store(false, Ordering::Release);
-        assert_eq!(
-            cx.directive(),
-            Directive::Continue,
-            "clearing the per-path flag must resume the replica"
-        );
-    }
-
-    #[test]
     fn instantiate_paths_builds_only_the_named_leaves() {
         let specs = vec![leaf("a", TaskKind::Par), leaf("b", TaskKind::Par)];
         let config = Config::new(vec![TaskConfig::leaf("a", 3), TaskConfig::leaf("b", 2)]);
@@ -715,28 +645,29 @@ mod tests {
         let epoch = instantiate_paths(&specs, &config, std::slice::from_ref(&target)).unwrap();
         assert_eq!(epoch.jobs.len(), 2, "only path 1's workers");
         assert!(epoch.jobs.iter().all(|j| j.path == target));
-        assert_eq!(epoch.extents.get(&target), Some(&2));
-        assert!(!epoch
-            .extents
-            .contains_key(&"0".parse::<TaskPath>().unwrap()));
+        assert_eq!(extent(&epoch, "1"), Some(2));
+        assert_eq!(extent(&epoch, "0"), None);
     }
 
     #[test]
-    fn instantiate_paths_rejects_nested_and_unknown_paths() {
+    fn instantiate_paths_takes_top_level_tasks_only() {
         let nest = TaskSpec::nest("o", TaskKind::Par, |_r: u32| vec![leaf("i", TaskKind::Seq)]);
         let specs = vec![leaf("a", TaskKind::Par), nest];
         let config = Config::new(vec![
             TaskConfig::leaf("a", 1),
-            TaskConfig::nest("o", 1, 0, vec![TaskConfig::leaf("i", 1)]),
+            TaskConfig::nest("o", 2, 0, vec![TaskConfig::leaf("i", 1)]),
         ]);
-        // A nested path is not a top-level leaf.
+        // A top-level nest relaunches as a unit: its inner paths with it.
+        let nest = instantiate_paths(&specs, &config, &["1".parse().unwrap()]).unwrap();
+        assert_eq!(nest.jobs.len(), 2, "2 replicas x 1 worker");
+        assert_eq!(
+            (extent(&nest, "1"), extent(&nest, "1.0")),
+            (Some(2), Some(2))
+        );
+        assert_eq!(extent(&nest, "0"), None);
+        // A nested path cannot relaunch apart from its nest.
         assert!(matches!(
             instantiate_paths(&specs, &config, &["1.0".parse().unwrap()]),
-            Err(Error::ShapeMismatch { .. })
-        ));
-        // A top-level nest is not a leaf either.
-        assert!(matches!(
-            instantiate_paths(&specs, &config, &["1".parse().unwrap()]),
             Err(Error::ShapeMismatch { .. })
         ));
         // An out-of-range index is unknown.

@@ -37,8 +37,8 @@ pub(crate) mod rank {
     lock_order! {
         /// `MonitorShared::paths`.
         PATHS = 10, "paths";
-        /// `MonitorShared::epoch` (load callbacks, extents, failure marks —
-        /// installed and read together).
+        /// `MonitorShared::epoch` (each running task's name, extent, load
+        /// callbacks and failure marks — installed and read together).
         EPOCH = 20, "epoch";
         /// `PathStats::shards` (the per-path shard list; the shards
         /// themselves are lock-free).

@@ -36,7 +36,7 @@
 
 use crate::lockrank::{rank, RankedMutex};
 use crate::shard::RecorderShard;
-use dope_core::{AdmissionStats, MonitorSnapshot, QueueStats, TaskPath, TaskStats};
+use dope_core::{AdmissionStats, Label, MonitorSnapshot, QueueStats, TaskPath, TaskStats};
 use dope_metrics::{names, Counter, LocalHistogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
 use std::collections::HashMap;
@@ -263,15 +263,21 @@ fn register_path_series(
     );
 }
 
-/// Per-epoch registrations, installed and read as one unit.
-struct EpochState {
-    load_cbs: Vec<(TaskPath, LoadCallback)>,
-    extents: HashMap<TaskPath, u32>,
-    /// Replicas that failed (panicked or vanished) in the running epoch,
-    /// per path. Snapshots exclude them from per-task statistics so
-    /// mechanisms don't steer toward ghosts; `install_epoch` clears the
-    /// set when the next epoch (restarted or degraded) launches.
-    failed: HashMap<TaskPath, u32>,
+/// What the monitor knows of one running task path beside its cell.
+pub(crate) struct RunningTask {
+    /// The task's name: a relaunch that gives the path another task
+    /// starts the path's cell afresh.
+    pub name: Label,
+    /// Workers (or nest replicas) at the path, summed over the replicas
+    /// of the enclosing nest.
+    pub extent: u32,
+    /// One load probe per replica that registered one; a snapshot sums
+    /// them.
+    pub load_cbs: Vec<LoadCallback>,
+    /// Replicas that failed (panicked or vanished) since the path was
+    /// last relaunched. Snapshots exclude them from per-task statistics
+    /// so mechanisms don't steer toward ghosts.
+    pub failed: u32,
 }
 
 /// The measurement cells, with the one histogram every snapshot merges
@@ -280,6 +286,9 @@ struct EpochState {
 #[derive(Default)]
 struct PathCells {
     cells: HashMap<TaskPath, Arc<PathStats>>,
+    /// Busy time of the cells relaunches dropped: application work the
+    /// overhead ratio still counts.
+    retired_busy_nanos: u64,
     merge_scratch: LocalHistogram,
 }
 
@@ -288,7 +297,8 @@ struct MonitorShared {
     window: Duration,
     ewma_alpha: f64,
     paths: RankedMutex<PathCells>,
-    epoch: RankedMutex<EpochState>,
+    /// Every running task path, installed and read as one unit.
+    epoch: RankedMutex<HashMap<TaskPath, RunningTask>>,
     queue_probe: Option<QueueProbe>,
     admission_probe: Option<AdmissionProbe>,
     features: FeatureRegistry,
@@ -349,14 +359,7 @@ impl Monitor {
                 window,
                 ewma_alpha,
                 paths: RankedMutex::new(rank::PATHS, PathCells::default()),
-                epoch: RankedMutex::new(
-                    rank::EPOCH,
-                    EpochState {
-                        load_cbs: Vec::new(),
-                        extents: HashMap::new(),
-                        failed: HashMap::new(),
-                    },
-                ),
+                epoch: RankedMutex::new(rank::EPOCH, HashMap::new()),
                 queue_probe,
                 admission_probe,
                 features,
@@ -394,62 +397,55 @@ impl Monitor {
         stats
     }
 
-    /// Registers the load callbacks and extents of a freshly instantiated
-    /// epoch, replacing the previous epoch's. Failure marks from the
-    /// previous epoch are cleared: a restarted or degraded epoch starts
-    /// with every replica alive.
-    pub(crate) fn install_epoch(
-        &self,
-        load_cbs: Vec<(TaskPath, Arc<dyn Fn() -> f64 + Send + Sync>)>,
-        extents: HashMap<TaskPath, u32>,
-    ) {
+    /// Installs what a relaunch of the top-level paths `relaunched`
+    /// instantiated, replacing everything that ran under them: the
+    /// paths' load probes, extents and failure marks. A cell under them
+    /// stays only if the path still runs the same task — an extent-only
+    /// relaunch keeps its statistics, a path the new configuration lacks
+    /// leaves the snapshot, and one whose task changed starts afresh.
+    pub(crate) fn install(&self, relaunched: &[TaskPath], tasks: HashMap<TaskPath, RunningTask>) {
+        let under = |path: &TaskPath| relaunched.iter().any(|top| top.is_prefix_of(path));
+        let mut paths = self.shared.paths.lock();
         let mut epoch = self.shared.epoch.lock();
-        epoch.load_cbs = load_cbs;
-        epoch.extents = extents;
-        epoch.failed.clear();
+        let PathCells {
+            cells,
+            retired_busy_nanos,
+            ..
+        } = &mut *paths;
+        cells.retain(|path, stats| {
+            let same_task =
+                |new: &RunningTask| epoch.get(path).is_none_or(|old| old.name == new.name);
+            let keep = !under(path) || tasks.get(path).is_some_and(same_task);
+            if !keep {
+                *retired_busy_nanos += stats.total_busy_nanos();
+            }
+            keep
+        });
+        epoch.retain(|path, _| !under(path));
+        epoch.extend(tasks);
     }
 
-    /// Splices a partially relaunched epoch into the running one: only
-    /// the `drained` paths' registrations are replaced, everything else
-    /// keeps its live callbacks, extents, and failure marks.
-    ///
-    /// The drained paths start their new generation with every replica
-    /// alive, so their failure marks are cleared.
-    pub(crate) fn merge_epoch_paths(
-        &self,
-        load_cbs: Vec<(TaskPath, Arc<dyn Fn() -> f64 + Send + Sync>)>,
-        extents: HashMap<TaskPath, u32>,
-        drained: &[TaskPath],
-    ) {
-        let mut epoch = self.shared.epoch.lock();
-        epoch.load_cbs.retain(|(path, _)| !drained.contains(path));
-        epoch.load_cbs.extend(load_cbs);
-        epoch.extents.extend(extents);
-        for path in drained {
-            epoch.failed.remove(path);
-        }
-    }
-
-    /// Marks one replica of `path` as dead in the running epoch.
+    /// Marks one replica of `path` as dead until the path is relaunched.
     ///
     /// Snapshots taken afterwards exclude the dead replica: the path's
     /// utilization denominator shrinks to its surviving extent, and a
     /// path with no survivors vanishes from `snapshot().tasks` entirely
     /// so mechanisms don't steer threads toward ghosts.
     pub(crate) fn mark_failed(&self, path: &TaskPath) {
-        *self
-            .shared
-            .epoch
-            .lock()
-            .failed
-            .entry(path.clone())
-            .or_insert(0) += 1;
+        if let Some(task) = self.shared.epoch.lock().get_mut(path) {
+            task.failed += 1;
+        }
     }
 
-    /// Replicas currently marked dead in the running epoch.
+    /// Replicas currently marked dead.
     #[must_use]
     pub fn failed_replicas(&self) -> u32 {
-        self.shared.epoch.lock().failed.values().sum()
+        self.shared
+            .epoch
+            .lock()
+            .values()
+            .map(|task| task.failed)
+            .sum()
     }
 
     /// The platform feature registry (paper Figure 9).
@@ -490,15 +486,9 @@ impl Monitor {
     #[must_use]
     pub fn monitoring_overhead_ratio(&self) -> f64 {
         let overhead = self.monitoring_overhead_secs();
-        let busy: u64 = self
-            .shared
-            .paths
-            .lock()
-            .cells
-            .values()
-            .map(|s| s.total_busy_nanos())
-            .sum();
-        let busy_secs = busy as f64 / 1e9;
+        let paths = self.shared.paths.lock();
+        let live: u64 = paths.cells.values().map(|s| s.total_busy_nanos()).sum();
+        let busy_secs = (paths.retired_busy_nanos + live) as f64 / 1e9;
         overhead / busy_secs.max(self.elapsed_secs()).max(1e-9)
     }
 
@@ -532,22 +522,24 @@ impl Monitor {
             let PathCells {
                 cells,
                 merge_scratch,
+                ..
             } = &mut *paths;
             let epoch = shared.epoch.lock();
             for (path, stats) in cells.iter() {
                 let agg = stats.aggregate(now, shared.window, merge_scratch);
                 merged += agg.shards_merged;
-                let extent = epoch.extents.get(path).copied().unwrap_or(1).max(1);
+                let task = epoch.get(path);
+                let extent = task.map_or(1, |task| task.extent).max(1);
                 // Dead replicas leave the statistics: a fully failed path
                 // is a ghost no mechanism should feed threads to, and a
                 // partly failed path only counts its survivors in the
                 // utilization denominator.
-                let dead = epoch.failed.get(path).copied().unwrap_or(0);
+                let dead = task.map_or(0, |task| task.failed);
                 let alive = extent.saturating_sub(dead);
                 if dead > 0 && alive == 0 {
                     continue;
                 }
-                let load_cbs = epoch.load_cbs.iter().filter(|(p, _)| p == path);
+                let load_cbs = task.map_or(&[][..], |task| &task.load_cbs);
                 let busy_secs = agg.busy_nanos as f64 / 1e9;
                 let [p50, p95, p99] = merge_scratch
                     .quantiles_secs([0.50, 0.95, 0.99])
@@ -558,7 +550,7 @@ impl Monitor {
                         invocations: agg.invocations,
                         mean_exec_secs: agg.mean_exec_secs,
                         throughput: agg.throughput,
-                        load: load_cbs.map(|(_, cb)| cb()).sum(),
+                        load: load_cbs.iter().map(|cb| cb()).sum(),
                         utilization: (busy_secs / (elapsed * f64::from(alive.max(1)))).min(1.0),
                         p50_exec_secs: p50,
                         p95_exec_secs: p95,
@@ -596,6 +588,36 @@ mod tests {
         Monitor::new(Duration::from_secs(10), 0.25, FeatureRegistry::new())
     }
 
+    fn path(text: &str) -> TaskPath {
+        text.parse().unwrap()
+    }
+
+    /// What a relaunch instantiates for a path: `extent` workers of the
+    /// task `name`, each replica registering one of `loads`.
+    fn task(name: &str, extent: u32, loads: &[f64]) -> RunningTask {
+        let load_cbs = loads
+            .iter()
+            .map(|&load| Arc::new(move || load) as LoadCallback)
+            .collect();
+        RunningTask {
+            name: name.into(),
+            extent,
+            load_cbs,
+            failed: 0,
+        }
+    }
+
+    /// Relaunches the top-level paths of `tasks` with what they name.
+    fn relaunch(m: &Monitor, tasks: Vec<(&str, RunningTask)>) {
+        let relaunched: Vec<TaskPath> = tasks
+            .iter()
+            .filter(|(text, _)| !text.contains('.'))
+            .map(|(text, _)| path(text))
+            .collect();
+        let tasks = tasks.into_iter().map(|(text, task)| (path(text), task));
+        m.install(&relaunched, tasks.collect());
+    }
+
     /// A monitor built the way `Dope::launch` builds it.
     fn monitor_with(
         queue: Option<QueueStats>,
@@ -620,7 +642,6 @@ mod tests {
         let now = Instant::now();
         stats.record(Duration::from_millis(10), now, Duration::from_secs(10));
         stats.record(Duration::from_millis(30), now, Duration::from_secs(10));
-        m.install_epoch(Vec::new(), HashMap::from([(path.clone(), 2)]));
         let snap = m.snapshot();
         let ts = snap.task(&path).unwrap();
         assert_eq!(ts.invocations, 2);
@@ -640,7 +661,6 @@ mod tests {
             stats.record(Duration::from_millis(1), now, Duration::from_secs(10));
         }
         stats.record(Duration::from_millis(500), now, Duration::from_secs(10));
-        m.install_epoch(Vec::new(), HashMap::from([(path.clone(), 1)]));
         let snap = m.snapshot();
         let ts = snap.task(&path).unwrap();
         assert!(
@@ -683,17 +703,10 @@ mod tests {
     #[test]
     fn load_callbacks_sum_across_replicas() {
         let m = monitor();
-        let path: TaskPath = "0".parse().unwrap();
-        let _ = m.stats_for(&path);
-        m.install_epoch(
-            vec![
-                (path.clone(), Arc::new(|| 2.0)),
-                (path.clone(), Arc::new(|| 3.0)),
-            ],
-            HashMap::from([(path.clone(), 2)]),
-        );
+        let _ = m.stats_for(&path("0"));
+        relaunch(&m, vec![("0", task("a", 2, &[2.0, 3.0]))]);
         let snap = m.snapshot();
-        assert_eq!(snap.task(&path).unwrap().load, 5.0);
+        assert_eq!(snap.task(&path("0")).unwrap().load, 5.0);
     }
 
     #[test]
@@ -762,7 +775,6 @@ mod tests {
             Instant::now(),
             Duration::from_secs(10),
         );
-        m.install_epoch(Vec::new(), HashMap::from([(path, 1)]));
         let families = registry.family_names();
         let before = chains_on_this_thread();
         let snap = m.snapshot();
@@ -793,10 +805,7 @@ mod tests {
             m.stats_for(path)
                 .record(Duration::from_millis(2), now, Duration::from_secs(10));
         }
-        m.install_epoch(
-            Vec::new(),
-            HashMap::from([(alive.clone(), 2), (doomed.clone(), 1)]),
-        );
+        relaunch(&m, vec![("0", task("a", 2, &[])), ("1", task("b", 1, &[]))]);
         assert_eq!(m.failed_replicas(), 0);
         // One of `alive`'s two replicas dies: the path stays, but its
         // utilization denominator shrinks to the single survivor.
@@ -815,25 +824,21 @@ mod tests {
         let snap = m.snapshot();
         assert!(snap.task(&doomed).is_none(), "ghost path must be excluded");
         assert!(snap.task(&alive).is_some());
-        // The next epoch resurrects everything.
-        m.install_epoch(Vec::new(), HashMap::from([(doomed.clone(), 1)]));
+        // Relaunching both resurrects everything.
+        relaunch(&m, vec![("0", task("a", 2, &[])), ("1", task("b", 1, &[]))]);
         assert_eq!(m.failed_replicas(), 0);
         assert!(m.snapshot().task(&doomed).is_some());
     }
 
     #[test]
-    fn merge_epoch_paths_replaces_only_the_drained_paths() {
+    fn install_replaces_only_the_relaunched_paths() {
         let m = monitor();
-        let kept: TaskPath = "0".parse().unwrap();
-        let drained: TaskPath = "1".parse().unwrap();
+        let (kept, drained) = (path("0"), path("1"));
         let _ = m.stats_for(&kept);
         let _ = m.stats_for(&drained);
-        m.install_epoch(
-            vec![
-                (kept.clone(), Arc::new(|| 1.0)),
-                (drained.clone(), Arc::new(|| 2.0)),
-            ],
-            HashMap::from([(kept.clone(), 2), (drained.clone(), 1)]),
+        relaunch(
+            &m,
+            vec![("0", task("k", 2, &[1.0])), ("1", task("d", 1, &[2.0]))],
         );
         // One failure on each path before the partial boundary.
         m.mark_failed(&kept);
@@ -843,11 +848,7 @@ mod tests {
         // The partial relaunch widens `drained` to 3 workers with a new
         // load callback; `kept` must keep its registrations and its
         // failure mark.
-        m.merge_epoch_paths(
-            vec![(drained.clone(), Arc::new(|| 5.0))],
-            HashMap::from([(drained.clone(), 3)]),
-            std::slice::from_ref(&drained),
-        );
+        relaunch(&m, vec![("1", task("d", 3, &[5.0]))]);
         assert_eq!(
             m.failed_replicas(),
             1,
@@ -856,6 +857,50 @@ mod tests {
         let snap = m.snapshot();
         assert!((snap.task(&kept).unwrap().load - 1.0).abs() < 1e-9);
         assert!((snap.task(&drained).unwrap().load - 5.0).abs() < 1e-9);
+    }
+
+    /// A relaunch keeps a cell only while its path runs the same task: a
+    /// nest switching from `[a, b]` to `[fused]` drops `b`'s row and
+    /// starts `0.0` afresh, and an extent-only relaunch keeps its stats.
+    #[test]
+    fn install_drops_the_cells_a_relaunch_no_longer_runs() {
+        let m = monitor();
+        let now = Instant::now();
+        let record = |text: &str| {
+            m.stats_for(&path(text))
+                .record(Duration::from_millis(1), now, Duration::from_secs(10));
+        };
+        relaunch(
+            &m,
+            vec![
+                ("0", task("outer", 1, &[])),
+                ("0.0", task("a", 1, &[])),
+                ("0.1", task("b", 1, &[])),
+                ("1", task("sink", 1, &[])),
+            ],
+        );
+        for text in ["0.0", "0.1", "1"] {
+            record(text);
+        }
+        assert_eq!(m.snapshot().tasks.len(), 3);
+
+        relaunch(
+            &m,
+            vec![("0", task("outer", 1, &[])), ("0.0", task("fused", 1, &[]))],
+        );
+        let snap = m.snapshot();
+        assert!(snap.task(&path("0.1")).is_none(), "b left with its nest");
+        assert!(snap.task(&path("0.0")).is_none(), "fused has not run yet");
+        assert_eq!(snap.task(&path("1")).unwrap().invocations, 1, "untouched");
+        record("0.0");
+        assert_eq!(m.snapshot().task(&path("0.0")).unwrap().invocations, 1);
+
+        // An extent-only relaunch of the same task keeps the cell.
+        relaunch(&m, vec![("1", task("sink", 2, &[]))]);
+        assert_eq!(m.snapshot().task(&path("1")).unwrap().invocations, 1);
+        // The dropped cells' work still counts as application work.
+        let busy = m.shared.paths.lock().retired_busy_nanos;
+        assert_eq!(busy, 2_000_000, "a's and b's millisecond each");
     }
 
     #[test]
@@ -952,7 +997,6 @@ mod tests {
         let m = monitor();
         let path: TaskPath = "0".parse().unwrap();
         let window = Duration::from_secs(600); // nothing ages out mid-test
-        m.install_epoch(Vec::new(), HashMap::from([(path.clone(), THREADS as u32)]));
         let stats = m.stats_for(&path);
 
         let mut handles = Vec::new();

@@ -14,7 +14,6 @@ use crate::instance::LiveCx;
 use crate::monitor::Monitor;
 use dope_core::{TaskCx, TaskPath, WorkerSlot};
 use dope_platform::FeatureRegistry;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -140,7 +139,6 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
     let path = TaskPath::root().child(0);
     let stats = monitor.stats_for(&path);
-    let flag = || Arc::new(AtomicBool::new(false));
     let slot = WorkerSlot {
         replica: 0,
         worker: 0,
@@ -149,7 +147,8 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let iters = iters.max(1);
     // One fresh context per phase, as a relaunched replica would have.
     let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
-        let mut cx = LiveCx::new(&monitor, flag(), flag(), &path, slot, window);
+        let suspend = Arc::new(AtomicBool::new(false));
+        let mut cx = LiveCx::new(&monitor, suspend, &path, slot, window);
         let before = stats.total_timings();
         let ns = time_per_op(n, |_| each(&mut cx));
         (ns, (stats.total_timings() - before) as f64 / n as f64)
@@ -189,16 +188,12 @@ pub fn bench_snapshot(paths: u32, records_per_path: u64, samples: u32) -> Snapsh
     let window = Duration::from_secs(10);
     let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
     let now = Instant::now();
-    let mut extents = HashMap::new();
     for p in 0..paths {
-        let path = TaskPath::root().child(p as u16);
-        let shard = monitor.stats_for(&path).shard();
+        let shard = monitor.stats_for(&TaskPath::root_child(p as u16)).shard();
         for i in 0..records_per_path {
             shard.record(Duration::from_nanos(1_000 + i % 1_000), now, window);
         }
-        extents.insert(path, 1);
     }
-    monitor.install_epoch(Vec::new(), extents);
 
     let samples = samples.max(1);
     let t0 = Instant::now();

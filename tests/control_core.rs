@@ -52,6 +52,11 @@ fn path(text: &str) -> TaskPath {
     text.parse().unwrap()
 }
 
+/// Every top-level path of any configuration of [`shape`].
+fn top_level() -> Vec<TaskPath> {
+    vec![path("0"), path("1"), path("2")]
+}
+
 /// The explorer's only source of choice.
 struct Rng(SmallRng);
 
@@ -259,7 +264,7 @@ enum Step {
 fn owed_after(action: &Action, before: Owed) -> Owed {
     match action {
         Action::Continue => before,
-        Action::SuspendPaths(_) | Action::SuspendAll => Owed::Drain,
+        Action::SuspendPaths(_) => Owed::Drain,
         Action::Relaunch(_) | Action::Restart { .. } => Owed::Relaunch,
         Action::Finish | Action::Abort(_) => Owed::Finish,
     }
@@ -313,7 +318,42 @@ fn run(rules: Rules, script: Vec<(Move, bool)>, steps: &[Step]) -> Run {
         actions,
     };
     check_closing_invariants(&run, rules);
+    check_suspend_requests(&run, steps, rules);
     run
+}
+
+/// One suspend rule: a drain relaunches exactly the paths its suspend
+/// request named (every top-level path after an unasked drain), a
+/// request made while one is in flight names a superset of it, and
+/// without delta every request names every top-level path. Turned red
+/// by `let paths = Scope::Full.paths(&self.config);` in `ControlCore::tick`
+/// (a partial target that suspends everything but relaunches one path).
+fn check_suspend_requests(run: &Run, steps: &[Step], rules: Rules) {
+    let all = top_level();
+    let mut requested: Option<&Vec<TaskPath>> = None;
+    for (step, action) in steps.iter().zip(&run.actions) {
+        let relaunched = match action {
+            Action::SuspendPaths(paths) => {
+                if !rules.delta {
+                    assert_eq!(*paths, all, "{steps:?}");
+                }
+                if let Some(earlier) = requested {
+                    assert!(earlier.iter().all(|p| paths.contains(p)), "{steps:?}");
+                }
+                requested = Some(paths);
+                None
+            }
+            Action::Relaunch(scope) => Some(scope.paths(&config(2, 2, 1))),
+            Action::Restart { .. } => Some(all.clone()),
+            _ => None,
+        };
+        if let Some(relaunched) = relaunched {
+            assert_eq!(&relaunched, requested.unwrap_or(&all), "{steps:?}");
+        }
+        if matches!(step, Step::Drained(_)) {
+            requested = None;
+        }
+    }
 }
 
 /// The invariants every schedule must satisfy once finished.
@@ -539,8 +579,8 @@ fn pr9_failure_during_partial_drain_supersedes_the_target() {
             Step::Relaunched,
         ],
     );
-    assert!(matches!(run.actions[0], Action::SuspendPaths(_)));
-    assert_eq!(run.actions[1], Action::SuspendAll);
+    assert_eq!(run.actions[0], Action::SuspendPaths(vec![path("0")]));
+    assert_eq!(run.actions[1], Action::SuspendPaths(top_level()));
     assert_eq!(run.actions[2], Action::Relaunch(Scope::Full));
     assert_eq!(
         run.verdicts(),
@@ -566,7 +606,11 @@ fn pr9_restart_and_stop_supersede_the_target() {
             Step::Relaunched,
         ],
     );
-    assert_eq!(restart.actions[0], Action::SuspendAll, "delta is off");
+    assert_eq!(
+        restart.actions[0],
+        Action::SuspendPaths(top_level()),
+        "delta is off"
+    );
     assert!(matches!(
         restart.actions[2],
         Action::Restart { replicas: 1, .. }

@@ -1,6 +1,7 @@
 //! Control-loop regression tests for bugs the full-epoch drain used to
 //! hide: tick starvation under completion floods, restart backoff
-//! blocking shutdown, and the final decision audit going missing.
+//! blocking shutdown, a stop waiting for a tick, and the final decision
+//! audit going missing.
 
 use dope_core::{
     body_fn, Config, DecisionTrace, FailurePolicy, FailureVerdict, Goal, Mechanism,
@@ -100,6 +101,62 @@ fn restart_backoff_yields_to_stop() {
     );
     assert!(report.task_failures >= 1);
     assert!(report.failure_verdict >= FailureVerdict::Recovered);
+}
+
+/// A leaf that polls `queue` and suspends at an empty poll when asked.
+fn polling_leaf(name: &str, queue: WorkQueue<u64>) -> TaskSpec {
+    TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
+        let queue = queue.clone();
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            cx.begin();
+            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
+            cx.end();
+            match outcome {
+                DequeueOutcome::Item(_) => TaskStatus::Executing,
+                DequeueOutcome::Drained => TaskStatus::Finished,
+                DequeueOutcome::TimedOut if cx.directive().wants_suspend() => TaskStatus::Suspended,
+                DequeueOutcome::TimedOut => TaskStatus::Executing,
+            }
+        })) as Box<dyn TaskBody>
+    })
+}
+
+/// A stop wakes the control thread itself: with a 10 s control period no
+/// tick comes to notice it, yet every path — a nest's replicas and a
+/// leaf — suspends, and `wait()` returns promptly with nothing lost.
+#[test]
+fn stop_lands_without_waiting_for_a_tick() {
+    // Never closed: without the stop the run would not end.
+    let queue: WorkQueue<u64> = WorkQueue::new();
+    let inner = queue.clone();
+    let specs = vec![
+        TaskSpec::nest("outer", TaskKind::Par, move |_replica: u32| {
+            vec![polling_leaf("inner", inner.clone())]
+        }),
+        polling_leaf("leaf", queue),
+    ];
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
+        .control_period(Duration::from_secs(10))
+        .launch(specs)
+        .expect("launch");
+    std::thread::sleep(Duration::from_millis(50));
+    let asked = Instant::now();
+    dope.stop();
+    // Waited for off-thread, so a lost wake-up fails here instead of
+    // hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(dope.wait()));
+    let report = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("wait() returns after stop()")
+        .expect("stops cleanly");
+    let took = asked.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "wait() returned {took:?} after stop()"
+    );
+    assert_eq!(report.lost_jobs, 0);
+    assert_eq!(report.failure_verdict, FailureVerdict::Clean);
 }
 
 /// Every consult the audit holds must reach the trace: the decision

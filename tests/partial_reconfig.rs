@@ -1,11 +1,11 @@
 //! End-to-end partial (delta) reconfiguration: an extents-only change
 //! on a top-level leaf drains *only* that path — replicas of untouched
-//! paths run straight through the epoch boundary — while structural or
-//! disabled-delta transitions still take the classic full drain.
+//! paths run straight through the boundary — while structural or
+//! disabled-delta transitions drain and relaunch every top-level path.
 
 use dope_core::{
-    body_fn, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources, TaskBody,
-    TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, Config, Goal, Mechanism, MonitorSnapshot, NestFactory, ProgramShape, Resources,
+    TaskBody, TaskConfig, TaskCx, TaskKind, TaskPath, TaskSpec, TaskStatus, WorkerSlot,
 };
 use dope_metrics::MetricsRegistry;
 use dope_runtime::Dope;
@@ -13,7 +13,7 @@ use dope_trace::{Recorder, TraceEvent};
 use dope_workload::{DequeueOutcome, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pins a starting configuration, proposes one target at the first
 /// consult, then holds.
@@ -267,4 +267,99 @@ fn disabling_delta_falls_back_to_the_full_drain() {
         })
         .collect();
     assert_eq!(scopes, vec!["full".to_string()]);
+}
+
+/// A leaf whose every invocation takes ~1 ms and is counted into `hits`
+/// before it ends — so `hits` never trails what the monitor recorded —
+/// and which suspends whenever asked.
+fn ticking_leaf(name: &'static str, hits: &Arc<AtomicU64>) -> TaskSpec {
+    let hits = Arc::clone(hits);
+    TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
+        let hits = Arc::clone(&hits);
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            let directive = cx.begin();
+            std::thread::sleep(Duration::from_millis(1));
+            hits.fetch_add(1, Ordering::SeqCst);
+            cx.end();
+            if directive.wants_suspend() {
+                TaskStatus::Suspended
+            } else {
+                TaskStatus::Executing
+            }
+        })) as Box<dyn TaskBody>
+    })
+}
+
+/// A structural reconfiguration leaves no ghost rows: after nest `outer`
+/// switches from `[a, b]` to `[fused]`, the snapshot has no row for `b`
+/// (which no longer runs, and whose decaying rate would otherwise be the
+/// bottleneck every decision is scored against), and row `0.0` counts
+/// `fused` alone, not `a` and `fused` merged.
+#[test]
+fn a_structural_relaunch_drops_the_rows_it_no_longer_runs() {
+    let (a, b, fused) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicU64::new(0)),
+    );
+    let pair: Arc<dyn NestFactory> = {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        Arc::new(move |_replica: u32| vec![ticking_leaf("a", &a), ticking_leaf("b", &b)])
+    };
+    let single: Arc<dyn NestFactory> = {
+        let fused = Arc::clone(&fused);
+        Arc::new(move |_replica: u32| vec![ticking_leaf("fused", &fused)])
+    };
+    let spec = TaskSpec::nest_choice("outer", TaskKind::Par, vec![pair, single]);
+    let start = Config::new(vec![TaskConfig::nest(
+        "outer",
+        1,
+        0,
+        vec![TaskConfig::leaf("a", 1), TaskConfig::leaf("b", 1)],
+    )]);
+    let target = Config::new(vec![TaskConfig::nest(
+        "outer",
+        1,
+        1,
+        vec![TaskConfig::leaf("fused", 1)],
+    )]);
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
+        .mechanism(Box::new(OneBump {
+            fired: false,
+            start,
+            target: target.clone(),
+        }))
+        .control_period(Duration::from_millis(20))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let switched =
+        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
+    while !recorder.records().iter().any(switched) {
+        assert!(Instant::now() < deadline, "the nest never switched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let snap = dope.monitor().snapshot();
+    let fused_ran = fused.load(Ordering::SeqCst);
+    dope.stop();
+    let report = dope.wait().expect("stops cleanly");
+
+    assert_eq!(report.final_config, target);
+    assert!(a.load(Ordering::SeqCst) > 0 && b.load(Ordering::SeqCst) > 0);
+    let rows: Vec<String> = snap
+        .tasks
+        .iter()
+        .map(|(path, _)| path.to_string())
+        .collect();
+    assert_eq!(rows, ["0.0"], "only fused's row: {snap:?}");
+    let row = snap.task(&"0.0".parse::<TaskPath>().unwrap()).unwrap();
+    assert!(
+        row.invocations <= fused_ran,
+        "row 0.0 counts {} invocations, fused ran {fused_ran}: a's were merged in",
+        row.invocations
+    );
 }
