@@ -18,7 +18,7 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
-LOC_CEILING=21891
+LOC_CEILING=21810
 
 step "loc: non-test Rust lines per crate (ceiling $LOC_CEILING)"
 # Tracked crates/<crate>/src/**/*.rs, each file counted up to its
@@ -147,9 +147,10 @@ if [[ "$QUICK" -eq 0 ]]; then
   step "overload smoke: shedding gate storm -> admission stats -> decision audit"
   # The live overload example (docs/overload.md) storms a Shed-gated
   # two-stage service, asserting conservation and a non-zero shed count
-  # in-process; the trace it writes must carry AdmissionDecision events
-  # (stats renders the admission section with the gate's totals) and a
-  # non-empty decision audit from the ShedAware-wrapped mechanism.
+  # in-process; the trace it writes declares the gate in Launched and
+  # keeps its counters in every snapshot, from which stats derives the
+  # admission section with the gate's totals, and it carries a non-empty
+  # decision audit from the ShedAware-wrapped mechanism.
   OVERLOAD_TRACE="$TRACE_TMP/overload.jsonl"
   cargo run -q --release --offline --example overload -- "$OVERLOAD_TRACE" > /dev/null
   cargo run -q --release --offline -p dope-trace --bin dope-trace -- \

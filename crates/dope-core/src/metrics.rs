@@ -23,8 +23,10 @@ pub struct TaskStats {
     pub throughput: f64,
     /// Most recent `LoadCB` sample (typically input-queue occupancy).
     pub load: f64,
-    /// Fraction of wall-clock time the task's workers spent inside
-    /// `begin`/`end`, in `[0, 1]`.
+    /// Fraction of wall-clock time the task's live workers spent inside
+    /// `begin`/`end`, in `[0, 1]`, averaged over the lifetime of the
+    /// task's measurement cell: since launch, or since the relaunch that
+    /// created the cell.
     pub utilization: f64,
     /// Median per-invocation execution time, in seconds.
     ///

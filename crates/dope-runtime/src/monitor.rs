@@ -76,6 +76,8 @@ struct PathAggregate {
     /// Ring-counted completions in the window over the effective
     /// (elapsed-bounded) window length.
     throughput: f64,
+    /// Seconds since the cell was created: the span `busy_nanos` counts.
+    age_secs: f64,
     shards_merged: u64,
 }
 
@@ -167,6 +169,7 @@ impl PathStats {
             busy_nanos,
             mean_exec_secs,
             throughput,
+            age_secs: elapsed.as_secs_f64().max(1e-9),
             shards_merged,
         }
     }
@@ -511,7 +514,6 @@ impl Monitor {
         let shared = &self.shared;
         let mut snap = MonitorSnapshot::at(self.elapsed_secs());
 
-        let elapsed = self.elapsed_secs().max(1e-9);
         let mut merged = 0u64;
         {
             // Per-task loads (summed across replicas), extents, and
@@ -551,7 +553,8 @@ impl Monitor {
                         mean_exec_secs: agg.mean_exec_secs,
                         throughput: agg.throughput,
                         load: load_cbs.iter().map(|cb| cb()).sum(),
-                        utilization: (busy_secs / (elapsed * f64::from(alive.max(1)))).min(1.0),
+                        utilization: (busy_secs / (agg.age_secs * f64::from(alive.max(1))))
+                            .min(1.0),
                         p50_exec_secs: p50,
                         p95_exec_secs: p95,
                         p99_exec_secs: p99,

@@ -22,8 +22,8 @@ use dope_mechanisms::WqLinear;
 use dope_sim::profile::AmdahlProfile;
 use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
 use dope_trace::{
-    explain as explain_trace, parse_jsonl, render_timeline, replay_into_sim, summarize, Recorder,
-    RecordingObserver, TraceRecord,
+    explain, parse_jsonl, render_timeline, replay_into_sim, summarize, Recorder, RecordingObserver,
+    TraceRecord,
 };
 use dope_workload::ArrivalSchedule;
 
@@ -39,16 +39,29 @@ const USAGE: &str =
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("record") if args.len() <= 2 => record(args.get(1).map(String::as_str)),
-        Some("replay") if args.len() == 2 => replay(&args[1]),
-        Some("timeline") if args.len() == 2 => timeline(&args[1]),
-        Some("stats") if args.len() == 2 => stats(&args[1]),
-        Some("explain") if args.len() == 2 => explain(&args[1], false),
-        Some("explain") if args.len() == 3 && args[2] == "--json" => explain(&args[1], true),
+    let read: fn(&[TraceRecord]) -> Result<String, String> = match args.first().map(String::as_str)
+    {
+        Some("record") if args.len() <= 2 => return record(args.get(1).map(String::as_str)),
+        Some("replay") if args.len() == 2 => replay,
+        Some("timeline") if args.len() == 2 => |records| Ok(render_timeline(records)),
+        Some("stats") if args.len() == 2 => |records| Ok(summarize(records).render()),
+        Some("explain") if args.len() == 2 => |records| Ok(explain(records).render()),
+        Some("explain") if args.len() == 3 && args[2] == "--json" => {
+            |records| Ok(explain(records).to_jsonl())
+        }
         _ => {
             eprintln!("{USAGE}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
+        }
+    };
+    match load(&args[1]).and_then(|records| read(&records)) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(err) => {
+            eprintln!("dope-trace: {err}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -72,100 +85,34 @@ fn record(out: Option<&str>) -> ExitCode {
     );
     observer.finished(outcome.completed, outcome.config_changes);
     let jsonl = recorder.to_jsonl();
-    match out {
-        None => {
-            print!("{jsonl}");
-            ExitCode::SUCCESS
-        }
-        Some(path) => match std::fs::write(path, &jsonl) {
-            Ok(()) => {
-                eprintln!(
-                    "recorded {} events ({} reconfigurations) to {path}",
-                    recorder.len(),
-                    outcome.config_changes
-                );
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("dope-trace: cannot write {path}: {err}");
-                ExitCode::FAILURE
-            }
-        },
-    }
-}
-
-fn replay(path: &str) -> ExitCode {
-    let records = match load(path) {
-        Ok(records) => records,
-        Err(err) => {
-            eprintln!("dope-trace: {err}");
-            return ExitCode::FAILURE;
-        }
+    let Some(path) = out else {
+        print!("{jsonl}");
+        return ExitCode::SUCCESS;
     };
-    match replay_into_sim(&records) {
-        Ok(outcome) if outcome.matches() => {
-            println!(
-                "replay OK: {} accepted configuration(s) reproduced",
-                outcome.recorded.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(outcome) => {
-            eprintln!(
-                "replay DIVERGED: recorded {} accepted configuration(s), replayed {}",
-                outcome.recorded.len(),
-                outcome.replayed.len()
-            );
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("dope-trace: {err}");
-            ExitCode::FAILURE
-        }
+    if let Err(err) = std::fs::write(path, &jsonl) {
+        eprintln!("dope-trace: cannot write {path}: {err}");
+        return ExitCode::FAILURE;
     }
+    let (events, reconfigs) = (recorder.len(), outcome.config_changes);
+    eprintln!("recorded {events} events ({reconfigs} reconfigurations) to {path}");
+    ExitCode::SUCCESS
 }
 
-fn stats(path: &str) -> ExitCode {
-    match load(path) {
-        Ok(records) => {
-            print!("{}", summarize(&records).render());
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("dope-trace: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn explain(path: &str, json: bool) -> ExitCode {
-    match load(path) {
-        Ok(records) => {
-            let report = explain_trace(&records);
-            if json {
-                print!("{}", report.to_jsonl());
-            } else {
-                print!("{}", report.render());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("dope-trace: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn timeline(path: &str) -> ExitCode {
-    match load(path) {
-        Ok(records) => {
-            print!("{}", render_timeline(&records));
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("dope-trace: {err}");
-            ExitCode::FAILURE
-        }
+/// Replays `records` into dope-sim; a diverged decision sequence is an
+/// error.
+fn replay(records: &[TraceRecord]) -> Result<String, String> {
+    let outcome = replay_into_sim(records)?;
+    if outcome.matches() {
+        Ok(format!(
+            "replay OK: {} accepted configuration(s) reproduced\n",
+            outcome.recorded.len()
+        ))
+    } else {
+        Err(format!(
+            "replay DIVERGED: recorded {} accepted configuration(s), replayed {}",
+            outcome.recorded.len(),
+            outcome.replayed.len()
+        ))
     }
 }
 

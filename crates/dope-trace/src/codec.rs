@@ -401,6 +401,7 @@ mod tests {
                 threads: 4,
                 shape: sample_shape(),
                 config: sample_config(),
+                admission: "shed".into(),
             },
             TraceEvent::SnapshotTaken {
                 snapshot: sample_snapshot(),
@@ -802,6 +803,7 @@ mod tests {
                 threads: 24,
                 shape: sample_shape(),
                 config: sample_config(),
+                admission: "".into(),
             },
         };
         let back = parse_line(&to_jsonl_line(&record)).unwrap();

@@ -179,13 +179,20 @@ trace_schema! {
             shape: ProgramShape,
             /// The initial configuration.
             config: Config,
+            /// The admission policy the run declared, as its stable
+            /// lowercase tag (`"open"` / `"block"` / `"shed"` /
+            /// `"deadline"`). Additive in schema v1; absent decodes as
+            /// `""`, "no gate declared", which every trace that wrote
+            /// its own `AdmissionDecision` records carries.
+            admission: Label = "".into(),
         },
         /// A [`MonitorSnapshot`] was frozen for the mechanism.
         SnapshotTaken {
             /// The frozen snapshot, verbatim.
             snapshot: MonitorSnapshot,
         },
-        /// One task's EWMA statistics, sampled at a control period.
+        /// One task's EWMA statistics, sampled at a control period. No
+        /// longer written: readers derive it from a snapshot's rows.
         TaskStatsSample {
             /// Configured-tree path of the task.
             path: TaskPath,
@@ -336,16 +343,106 @@ trace_schema! {
     }
 }
 
-impl TraceEvent {
-    /// Where `stats` and `timeline` read a control period's rows: from
-    /// its `SnapshotTaken` when the trace holds any (samples beside one
-    /// are copies, in older recordings), else from a probe's samples.
-    pub(crate) fn holds_snapshots(records: &[TraceRecord]) -> bool {
-        records
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::SnapshotTaken { .. }))
+/// How `stats` and `timeline` read a trace: each record as the rows it
+/// stands for. A `SnapshotTaken` expands to the records a period was once
+/// written as; the copies older recordings wrote are read only where no
+/// snapshot stands for them (the rule is in `docs/event-schema.md`,
+/// "Reading a period").
+#[derive(Debug)]
+pub(crate) struct Periods {
+    snapshots: bool,
+    // The policy each derived `AdmissionDecision` carries; `None` when the
+    // trace wrote its own decisions or its `Launched` declares no gate.
+    admission: Option<Label>,
+    // The gate's counters at the previous period with offered traffic;
+    // `None` until the first snapshot of a trace whose start was evicted.
+    last: Option<AdmissionStats>,
+}
+
+impl Periods {
+    /// The reading rule for the trace `records`.
+    pub(crate) fn of(records: &[TraceRecord]) -> Self {
+        let has = |kind: &str| records.iter().any(|r| r.event.kind() == kind);
+        let launched = records.iter().find_map(|r| match &r.event {
+            TraceEvent::Launched { admission, .. } => Some(admission.clone()),
+            _ => None,
+        });
+        Periods {
+            snapshots: has("SnapshotTaken"),
+            admission: match &launched {
+                _ if has("AdmissionDecision") => None,
+                Some(policy) => Some(policy.clone()).filter(|p| !p.is_empty()),
+                // A full ring evicted `Launched`: the gate's counters are
+                // still in every snapshot, its policy is not.
+                None => Some("?".into()),
+            },
+            // A trace that starts at launch starts from zero counters.
+            last: launched.map(|_| AdmissionStats::default()),
+        }
     }
 
+    /// Hands `row` every event `event` reads as, in recording order.
+    pub(crate) fn expand(&mut self, event: &TraceEvent, mut row: impl FnMut(&TraceEvent)) {
+        match event {
+            TraceEvent::SnapshotTaken { snapshot } => {
+                if let Some(decision) = self.admission_decision(&snapshot.admission) {
+                    row(&decision);
+                }
+                if let Some(value) = snapshot.power_watts {
+                    row(&TraceEvent::FeatureRead {
+                        feature: "SystemPower".to_string(),
+                        value,
+                    });
+                }
+                row(event);
+                for (path, &stats) in snapshot.tasks.iter() {
+                    let path = path.clone();
+                    row(&TraceEvent::TaskStatsSample { path, stats });
+                }
+                let queue = snapshot.queue;
+                row(&TraceEvent::QueueSample { queue });
+            }
+            TraceEvent::TaskStatsSample { .. } | TraceEvent::QueueSample { .. }
+                if self.snapshots => {}
+            TraceEvent::FeatureRead { feature, .. }
+                if self.snapshots && feature == "SystemPower" => {}
+            other => row(other),
+        }
+    }
+
+    /// The gate's `AdmissionDecision` for the window since the previous
+    /// period, or `None` when rows are not derived or no traffic has been
+    /// offered yet (an idle gate is not worth a row). The first snapshot
+    /// of a trace whose start was evicted has no previous period and
+    /// reads as its own baseline.
+    fn admission_decision(&mut self, stats: &AdmissionStats) -> Option<TraceEvent> {
+        let policy = self.admission.clone().filter(|_| stats.offered > 0)?;
+        let last = self.last.replace(*stats).unwrap_or(*stats);
+        let hw = stats.shed_high_water.saturating_sub(last.shed_high_water);
+        let dl = stats.shed_deadline.saturating_sub(last.shed_deadline);
+        let verdict = if hw + dl > 0 { "shed" } else { "admitted" };
+        // Dominant drop reason in the window; high-water wins ties
+        // because it is the earlier (pre-queue) drop point.
+        let reason = if hw >= dl && hw > 0 {
+            "high_water"
+        } else if dl > 0 {
+            "deadline"
+        } else {
+            "none"
+        };
+        Some(TraceEvent::AdmissionDecision {
+            policy,
+            verdict: verdict.to_string(),
+            reason: reason.to_string(),
+            queue_delay_secs: stats.mean_queue_delay_secs,
+            offered: stats.offered,
+            admitted: stats.admitted,
+            shed: stats.shed(),
+        })
+    }
+}
+
+impl TraceEvent {
     /// One mechanism decision, scored against `realized` — the
     /// bottleneck throughput of the snapshot that followed it (`None`
     /// when there was nothing to score against), scored by
@@ -457,5 +554,181 @@ mod tests {
             },
             Verdict::Unchanged
         );
+    }
+
+    fn launched(admission: &str) -> TraceRecord {
+        TraceRecord {
+            seq: 0,
+            time_secs: 0.0,
+            event: TraceEvent::Launched {
+                mechanism: "Static".into(),
+                goal: String::new(),
+                threads: 1,
+                shape: ProgramShape::new(vec![]),
+                config: Config::default(),
+                admission: admission.into(),
+            },
+        }
+    }
+
+    fn gate(offered: u64, admitted: u64, hw: u64, dl: u64) -> TraceEvent {
+        let mut snapshot = MonitorSnapshot::at(1.0);
+        snapshot.admission = AdmissionStats {
+            offered,
+            admitted,
+            shed_high_water: hw,
+            shed_deadline: dl,
+            mean_queue_delay_secs: 0.005,
+        };
+        TraceEvent::SnapshotTaken { snapshot }
+    }
+
+    /// `(verdict, reason, shed)` of each derived `AdmissionDecision`.
+    fn decisions(periods: &mut Periods, events: &[TraceEvent]) -> Vec<(String, String, u64)> {
+        let mut out = Vec::new();
+        for event in events {
+            periods.expand(event, |row| {
+                if let TraceEvent::AdmissionDecision {
+                    verdict,
+                    reason,
+                    shed,
+                    ..
+                } = row
+                {
+                    out.push((verdict.clone(), reason.clone(), *shed));
+                }
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn a_snapshot_expands_to_the_records_a_period_was_written_as() {
+        let mut snapshot = MonitorSnapshot::at(1.0);
+        snapshot
+            .tasks
+            .insert(TaskPath::root_child(0), TaskStats::default());
+        snapshot
+            .tasks
+            .insert(TaskPath::root_child(1), TaskStats::default());
+        snapshot.power_watts = Some(612.5);
+        snapshot.admission.offered = 3;
+        let taken = TraceEvent::SnapshotTaken { snapshot };
+        let mut kinds = Vec::new();
+        Periods::of(&[launched("shed")]).expand(&taken, |row| kinds.push(row.kind()));
+        assert_eq!(
+            kinds,
+            [
+                "AdmissionDecision",
+                "FeatureRead",
+                "SnapshotTaken",
+                "TaskStatsSample",
+                "TaskStatsSample",
+                "QueueSample"
+            ]
+        );
+    }
+
+    #[test]
+    fn an_idle_or_undeclared_gate_derives_no_decision() {
+        let mut declared = Periods::of(&[launched("block")]);
+        assert!(decisions(&mut declared, &[gate(0, 0, 0, 0)]).is_empty());
+        let mut undeclared = Periods::of(&[launched("")]);
+        assert!(decisions(&mut undeclared, &[gate(30, 25, 5, 0)]).is_empty());
+    }
+
+    #[test]
+    fn verdict_and_reason_describe_the_window_not_the_totals() {
+        let mut periods = Periods::of(&[launched("shed")]);
+        // First window: 2 high-water drops. Second: no *new* drops, so
+        // the verdict flips back to admitted though cumulative shed is 2.
+        let windows = [gate(10, 8, 2, 0), gate(20, 18, 2, 0)];
+        assert_eq!(
+            decisions(&mut periods, &windows),
+            [
+                ("shed".to_string(), "high_water".to_string(), 2),
+                ("admitted".to_string(), "none".to_string(), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn deadline_drops_dominate_when_they_outnumber_high_water() {
+        let mut periods = Periods::of(&[launched("deadline")]);
+        let found = decisions(&mut periods, &[gate(10, 9, 0, 3)]);
+        assert_eq!(found[0].1, "deadline");
+    }
+
+    /// A full ring evicts `Launched` first; every retained snapshot still
+    /// holds the gate's counters, so rows are derived under an unknown
+    /// policy, and the first retained window is its own baseline rather
+    /// than a window since launch.
+    #[test]
+    fn a_trace_that_lost_its_launch_still_derives_decisions() {
+        let evicted = TraceRecord {
+            event: gate(10, 8, 2, 0),
+            ..launched("")
+        };
+        let mut periods = Periods::of(&[evicted]);
+        let windows = [gate(10, 8, 2, 0), gate(20, 15, 5, 0)];
+        assert_eq!(
+            decisions(&mut periods, &windows),
+            [
+                ("admitted".to_string(), "none".to_string(), 2),
+                ("shed".to_string(), "high_water".to_string(), 5)
+            ]
+        );
+        let mut policy = Vec::new();
+        periods.expand(&gate(30, 25, 5, 0), |row| {
+            if let TraceEvent::AdmissionDecision { policy: p, .. } = row {
+                policy.push(p.to_string());
+            }
+        });
+        assert_eq!(policy, ["?"]);
+    }
+
+    /// A trace that wrote its own `AdmissionDecision` records (every
+    /// trace recorded before `Launched.admission`) is read from them and
+    /// derives none; a `SystemPower` read is a copy wherever a snapshot is.
+    #[test]
+    fn standalone_copies_are_read_only_where_no_snapshot_stands_for_them() {
+        let written = TraceEvent::AdmissionDecision {
+            policy: "shed".into(),
+            verdict: "shed".to_string(),
+            reason: "high_water".to_string(),
+            queue_delay_secs: 0.0,
+            offered: 1,
+            admitted: 0,
+            shed: 1,
+        };
+        let power = TraceEvent::FeatureRead {
+            feature: "SystemPower".to_string(),
+            value: 1.0,
+        };
+        let count = |records: &[TraceRecord], event: &TraceEvent| {
+            let mut n = 0;
+            Periods::of(records).expand(event, |_| n += 1);
+            n
+        };
+        let snapshot = TraceRecord {
+            event: gate(0, 0, 0, 0),
+            ..launched("")
+        };
+        let decided = TraceRecord {
+            event: written.clone(),
+            ..launched("")
+        };
+        assert_eq!(count(&[launched(""), decided.clone()], &written), 1);
+        assert_eq!(count(std::slice::from_ref(&decided), &written), 1);
+        // The written decisions stand for the periods: no row is derived.
+        assert_eq!(count(&[decided], &gate(30, 25, 5, 0)), 2);
+        assert_eq!(count(&[launched("shed")], &gate(30, 25, 5, 0)), 3);
+        assert_eq!(count(&[launched("")], &power), 1);
+        assert_eq!(count(&[launched(""), snapshot.clone()], &power), 0);
+        let temperature = TraceEvent::FeatureRead {
+            feature: "Temp".to_string(),
+            value: 1.0,
+        };
+        assert_eq!(count(&[launched(""), snapshot], &temperature), 1);
     }
 }

@@ -9,9 +9,9 @@
 //!   ring buffer of structured [`TraceEvent`]s; zero-cost when disabled,
 //!   shared by every instrumented component when enabled;
 //! * [`event`] — the versioned event model ([`SCHEMA_VERSION`]): launch,
-//!   snapshot, per-task EWMA samples, proposal verdicts with `DV0xx`
-//!   rejection codes, reconfiguration-epoch latencies, platform feature
-//!   reads, queue probes, and the terminal summary;
+//!   one snapshot per control period, proposal verdicts with `DV0xx`
+//!   rejection codes, reconfiguration-epoch latencies, decisions,
+//!   failures, and the terminal summary;
 //! * [`codec`] — a strict JSONL serialization of that model, the
 //!   **public contract** documented in `docs/event-schema.md`;
 //! * [`RecordingObserver`] — the control-core sink
@@ -72,7 +72,6 @@
 // `clippy.toml` bans `Instant::now()` here; a waiver states its reason.
 #![deny(clippy::allow_attributes_without_reason)]
 
-pub mod admission;
 pub mod codec;
 pub mod event;
 pub mod explain;
@@ -82,7 +81,6 @@ pub mod replay;
 pub mod stats;
 pub mod timeline;
 
-pub use admission::AdmissionSampler;
 pub use codec::{parse_jsonl, parse_line, to_jsonl, to_jsonl_line};
 pub use event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
 pub use explain::{explain, ExplainReport};

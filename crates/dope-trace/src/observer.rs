@@ -39,17 +39,15 @@
 use dope_core::control::{ControlSink, DrainTiming, Scope, Verdict};
 use dope_core::{Config, DecisionTrace, Label, MonitorSnapshot, ProgramShape, TaskPath};
 
-use crate::admission::AdmissionSampler;
 use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 
 /// A [`ControlSink`] that records the decision loop into a [`Recorder`].
 ///
 /// A control period leaves, in this order: the previous consult's scored
-/// `DecisionTraced` (stamped at the decision's own time), a `FeatureRead`
-/// for the snapshot's power reading, an `AdmissionDecision` when a
-/// declared gate saw traffic, the one `SnapshotTaken` — task rows and
-/// queue inside — then the consult's `ProposalEvaluated` and, once it is
+/// `DecisionTraced` (stamped at the decision's own time), the one
+/// `SnapshotTaken` — task rows, queue, power reading and gate counters
+/// inside — then the consult's `ProposalEvaluated` and, once it is
 /// applied, its `ReconfigureEpoch`. The final decision of a simulated run
 /// has no next snapshot and arrives unscored when the simulator finishes
 /// the core.
@@ -61,9 +59,8 @@ pub struct RecordingObserver {
     // whose records carry simulated seconds.
     clock_offset: f64,
     last_time_secs: f64,
-    // Present when the run declares an admission policy: each snapshot
-    // with offered traffic then yields one `AdmissionDecision` sample.
-    admission: Option<AdmissionSampler>,
+    // Stamped into `Launched.admission`; empty when no gate is declared.
+    admission: Label,
 }
 
 impl RecordingObserver {
@@ -75,7 +72,7 @@ impl RecordingObserver {
             goal: String::new(),
             clock_offset: 0.0,
             last_time_secs: 0.0,
-            admission: None,
+            admission: "".into(),
         }
     }
 
@@ -87,12 +84,12 @@ impl RecordingObserver {
     }
 
     /// Declares the admission policy of the recorded run (its stable
-    /// lowercase tag, e.g. `"shed"`). Each subsequent snapshot whose
-    /// admission counters show offered traffic emits one
-    /// `AdmissionDecision` sample stamped with this tag.
+    /// lowercase tag, e.g. `"shed"`), stamped into the `Launched` event.
+    /// Readers then derive each period's `AdmissionDecision` from its
+    /// snapshot's gate counters.
     #[must_use]
     pub fn with_admission_policy(mut self, policy: impl Into<Label>) -> Self {
-        self.admission = Some(AdmissionSampler::new(policy));
+        self.admission = policy.into();
         self
     }
 
@@ -150,6 +147,7 @@ impl ControlSink for RecordingObserver {
                 threads,
                 shape: shape.clone(),
                 config: config.clone(),
+                admission: self.admission.clone(),
             },
         );
     }
@@ -157,20 +155,6 @@ impl ControlSink for RecordingObserver {
     fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
         if !self.recorder.is_enabled() {
             return;
-        }
-        if let Some(watts) = snapshot.power_watts {
-            self.record_at(
-                snapshot.time_secs,
-                TraceEvent::FeatureRead {
-                    feature: "SystemPower".to_string(),
-                    value: watts,
-                },
-            );
-        }
-        if let Some(sampler) = &mut self.admission {
-            if let Some(event) = sampler.sample(&snapshot.admission) {
-                self.record_at(snapshot.time_secs, event);
-            }
         }
         self.record_at(
             snapshot.time_secs,
@@ -343,18 +327,22 @@ mod tests {
         assert_eq!(epochs, vec![("partial".into(), 1), ("full".into(), 2)]);
     }
 
+    /// The gate's policy is a run constant, written once in `Launched`;
+    /// a period's power reading and gate counters stay in its snapshot,
+    /// and the `AdmissionDecision` a reader shows is derived from them.
     #[test]
-    fn admission_samples_ride_along_with_snapshots() {
+    fn the_policy_rides_in_launched_and_a_period_writes_no_copy() {
         use dope_core::AdmissionStats;
         let recorder = Recorder::bounded(64);
         let mut obs = RecordingObserver::new(recorder.clone()).with_admission_policy("shed");
-        let shape = ProgramShape::new(vec![]);
-        obs.launched("WQ-Linear", 8, &shape, &Config::default());
-
-        // An idle gate records nothing.
-        obs.snapshot_taken(&MonitorSnapshot::at(1.0));
-        // A gate under pressure records one sample per snapshot.
+        obs.launched(
+            "WQ-Linear",
+            8,
+            &ProgramShape::new(vec![]),
+            &Config::default(),
+        );
         let mut snap = MonitorSnapshot::at(2.0);
+        snap.power_watts = Some(612.5);
         snap.admission = AdmissionStats {
             offered: 30,
             admitted: 25,
@@ -365,33 +353,21 @@ mod tests {
         obs.snapshot_taken(&snap);
 
         let records = recorder.records();
-        let admitted: Vec<_> = records
-            .iter()
-            .filter(|r| r.event.kind() == "AdmissionDecision")
-            .collect();
-        assert_eq!(admitted.len(), 1);
-        let TraceEvent::AdmissionDecision {
-            policy,
-            verdict,
-            reason,
-            offered,
-            ..
-        } = &admitted[0].event
-        else {
-            panic!("wrong kind");
+        let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
+        assert_eq!(kinds, ["Launched", "SnapshotTaken"]);
+        let TraceEvent::Launched { admission, .. } = &records[0].event else {
+            panic!("first event must be Launched");
         };
-        assert_eq!(policy, "shed");
-        assert_eq!(verdict, "shed");
-        assert_eq!(reason, "high_water");
-        assert_eq!(*offered, 30);
-        // Without a declared policy nothing is emitted even under load.
-        let recorder2 = Recorder::bounded(64);
-        let mut plain = RecordingObserver::new(recorder2.clone());
-        plain.snapshot_taken(&snap);
-        assert!(recorder2
-            .records()
-            .iter()
-            .all(|r| r.event.kind() != "AdmissionDecision"));
+        assert_eq!(admission, "shed");
+        let timeline = crate::render_timeline(&records);
+        assert!(
+            timeline.contains("ADMIT    shed verdict=shed offered=30"),
+            "{timeline}"
+        );
+        assert!(
+            timeline.contains("FEATURE  SystemPower=612.5"),
+            "{timeline}"
+        );
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! Dimensionless series (occupancy, feature values) reuse the same
 //! 1e-9-resolution storage — `LocalHistogram` is unit-agnostic.
 //!
-//! A control period's task rows and queue are read from its
-//! `SnapshotTaken` when the trace holds any, else from a probe's sample
-//! records. The `TaskStatsSample` / `QueueSample` copies older recordings
-//! carry beside their snapshots are counted under `events` and otherwise
-//! skipped, so a period feeds each series once either way.
+//! A control period is read from its `SnapshotTaken`, expanded into the
+//! task, queue, power and admission rows it stands for; the copies of
+//! those rows older recordings carry beside their snapshots are counted
+//! under `events` and otherwise skipped, so a period feeds each series
+//! once whichever way it was written (the read rule is in
+//! `docs/event-schema.md`).
 //!
 //! Traces recorded **before** `TaskStats` grew its percentile fields
 //! still summarize: the per-sample `p*_exec_secs` histograms simply
@@ -48,8 +49,7 @@
 //! assert!(text.contains("reconfigure.pause_secs"), "{text}");
 //! ```
 
-use crate::event::{TraceEvent, TraceRecord};
-use dope_core::{QueueStats, TaskPath, TaskStats};
+use crate::event::{Periods, TraceEvent, TraceRecord};
 use dope_metrics::LocalHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -108,40 +108,56 @@ pub struct TraceSummary {
 #[must_use]
 pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
     let mut out = TraceSummary::default();
-    let snapshots = TraceEvent::holds_snapshots(records);
+    let mut periods = Periods::of(records);
     for record in records {
         *out.events.entry(record.event.kind()).or_insert(0) += 1;
-        match &record.event {
-            TraceEvent::SnapshotTaken { snapshot } => {
-                for (path, stats) in snapshot.tasks.iter() {
-                    out.task_row(path, stats);
-                }
-                out.queue_row(&snapshot.queue);
+        periods.expand(&record.event, |row| out.row(row));
+    }
+    out
+}
+
+impl TraceSummary {
+    /// Feeds one row of the trace into its series.
+    fn row(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::TaskStatsSample { path, stats } => {
+                // Pre-percentile traces parse `p99_exec_secs` as 0.0 ("not
+                // measured"); skip so old recordings stay clean.
+                let feed = |series: &mut BTreeMap<String, LocalHistogram>, secs: f64| {
+                    if secs > 0.0 {
+                        series
+                            .entry(path.to_string())
+                            .or_default()
+                            .record_secs(secs);
+                    }
+                };
+                feed(&mut self.task_exec_secs, stats.mean_exec_secs);
+                feed(&mut self.task_p99_exec_secs, stats.p99_exec_secs);
             }
-            TraceEvent::TaskStatsSample { path, stats } if !snapshots => {
-                out.task_row(path, stats);
+            TraceEvent::QueueSample { queue } => {
+                self.queue_occupancy.record_secs(queue.occupancy);
+                self.queue_arrival_rate.record_secs(queue.arrival_rate);
             }
-            TraceEvent::QueueSample { queue } if !snapshots => out.queue_row(queue),
             TraceEvent::ReconfigureEpoch {
                 pause_secs,
                 relaunch_secs,
                 scope,
                 ..
             } => {
-                out.pause_secs.record_secs(*pause_secs);
-                out.relaunch_secs.record_secs(*relaunch_secs);
+                self.pause_secs.record_secs(*pause_secs);
+                self.relaunch_secs.record_secs(*relaunch_secs);
                 if scope == "partial" {
-                    out.partial_reconfigs += 1;
+                    self.partial_reconfigs += 1;
                 }
             }
             TraceEvent::FeatureRead { feature, value } => {
-                out.feature_values
+                self.feature_values
                     .entry(feature.clone())
                     .or_default()
                     .record_secs(*value);
             }
             TraceEvent::TaskFailed { path, .. } => {
-                *out.task_failures.entry(path.to_string()).or_insert(0) += 1;
+                *self.task_failures.entry(path.to_string()).or_insert(0) += 1;
             }
             TraceEvent::DecisionTraced {
                 mechanism,
@@ -149,11 +165,12 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
                 prediction_error,
                 ..
             } => {
-                *out.decision_rationales
+                *self
+                    .decision_rationales
                     .entry(format!("{mechanism}/{}", rationale.code()))
                     .or_insert(0) += 1;
                 if let Some(error) = prediction_error {
-                    out.prediction_error_abs.record_secs(error.abs());
+                    self.prediction_error_abs.record_secs(error.abs());
                 }
             }
             TraceEvent::AdmissionDecision {
@@ -165,53 +182,30 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
                 shed,
                 ..
             } => {
-                *out.admission_verdicts
+                *self
+                    .admission_verdicts
                     .entry(format!("{policy}/{verdict}"))
                     .or_insert(0) += 1;
                 if *queue_delay_secs > 0.0 {
-                    out.admission_queue_delay_secs
+                    self.admission_queue_delay_secs
                         .record_secs(*queue_delay_secs);
                 }
                 // Counters are cumulative; the last sample wins.
-                out.admission_totals = Some((*offered, *admitted, *shed));
+                self.admission_totals = Some((*offered, *admitted, *shed));
             }
             TraceEvent::Finished {
                 completed,
                 reconfigurations,
                 dropped_events,
             } => {
-                out.completed = Some(*completed);
-                out.reconfigurations = Some(*reconfigurations);
-                out.dropped_events = Some(*dropped_events);
+                self.completed = Some(*completed);
+                self.reconfigurations = Some(*reconfigurations);
+                self.dropped_events = Some(*dropped_events);
             }
             TraceEvent::Launched { .. }
-            | TraceEvent::ProposalEvaluated { .. }
-            | TraceEvent::TaskStatsSample { .. }
-            | TraceEvent::QueueSample { .. } => {}
+            | TraceEvent::SnapshotTaken { .. }
+            | TraceEvent::ProposalEvaluated { .. } => {}
         }
-    }
-    out
-}
-
-impl TraceSummary {
-    /// One task's row of one control period.
-    fn task_row(&mut self, path: &TaskPath, stats: &TaskStats) {
-        // Pre-percentile traces parse `p99_exec_secs` as 0.0 ("not
-        // measured"); skip so old recordings stay clean.
-        let feed = |series: &mut BTreeMap<String, LocalHistogram>, secs: f64| {
-            if secs > 0.0 {
-                let hist = series.entry(path.to_string()).or_default();
-                hist.record_secs(secs);
-            }
-        };
-        feed(&mut self.task_exec_secs, stats.mean_exec_secs);
-        feed(&mut self.task_p99_exec_secs, stats.p99_exec_secs);
-    }
-
-    /// The queue reading of one control period.
-    fn queue_row(&mut self, queue: &QueueStats) {
-        self.queue_occupancy.record_secs(queue.occupancy);
-        self.queue_arrival_rate.record_secs(queue.arrival_rate);
     }
 
     /// Renders the summary as an ASCII table.
@@ -319,6 +313,7 @@ fn fmt_value(value: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dope_core::{QueueStats, TaskPath, TaskStats};
 
     fn record(seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {

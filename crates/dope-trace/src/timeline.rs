@@ -1,12 +1,14 @@
 //! ASCII rendering of a trace as a human-readable timeline.
 //!
-//! One record becomes one line: a right-aligned timestamp, an upper-case
-//! event tag, and the fields an operator scans for. A `SNAPSHOT` line is
-//! followed by a `STATS` line per task row it holds and its `QUEUE`; the
-//! sample records older recordings carry beside their snapshots are
-//! copies of those rows and are not rendered again. Sequence gaps (events
-//! the bounded ring evicted) render as an explicit `~~ n dropped ~~`
-//! marker so a reader never mistakes a truncated trace for a quiet one.
+//! One row becomes one line: a right-aligned timestamp, an upper-case
+//! event tag, and the fields an operator scans for. A control period's
+//! snapshot renders as the rows it stands for — `ADMIT` (a gate that saw
+//! traffic), `FEATURE` (its power reading), `SNAPSHOT`, a `STATS` line
+//! per task row and its `QUEUE` — all at its time, by the rule in
+//! `docs/event-schema.md` ("Reading a period"). Sequence gaps (events the
+//! bounded ring evicted) render as an explicit `~~ n dropped ~~` marker so
+//! a reader never mistakes a truncated trace for a quiet one; derived
+//! rows are never a gap.
 //!
 //! # Example
 //!
@@ -28,13 +30,13 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{TraceEvent, TraceRecord, Verdict};
+use crate::event::{Periods, TraceEvent, TraceRecord, Verdict};
 
-/// Renders `records` as an ASCII timeline, one line per record.
+/// Renders `records` as an ASCII timeline, one line per row.
 #[must_use]
 pub fn render_timeline(records: &[TraceRecord]) -> String {
     let mut out = String::new();
-    let snapshots = TraceEvent::holds_snapshots(records);
+    let mut periods = Periods::of(records);
     let mut expected_seq: Option<u64> = None;
     for record in records {
         if let Some(expected) = expected_seq {
@@ -43,22 +45,9 @@ pub fn render_timeline(records: &[TraceRecord]) -> String {
             }
         }
         expected_seq = Some(record.seq + 1);
-        let mut line = |text: String| {
-            let _ = writeln!(out, "{:>9.3}s  {text}", record.time_secs);
-        };
-        match &record.event {
-            TraceEvent::TaskStatsSample { .. } | TraceEvent::QueueSample { .. } if snapshots => {}
-            event => line(describe(event)),
-        }
-        // A snapshot's rows render as the sample records they replace.
-        if let TraceEvent::SnapshotTaken { snapshot } = &record.event {
-            for (path, &stats) in snapshot.tasks.iter() {
-                let path = path.clone();
-                line(describe(&TraceEvent::TaskStatsSample { path, stats }));
-            }
-            let queue = snapshot.queue;
-            line(describe(&TraceEvent::QueueSample { queue }));
-        }
+        periods.expand(&record.event, |row| {
+            let _ = writeln!(out, "{:>9.3}s  {}", record.time_secs, describe(row));
+        });
     }
     out
 }
@@ -72,8 +61,10 @@ fn describe(event: &TraceEvent) -> String {
             threads,
             shape,
             config,
+            admission,
         } => format!(
-            "LAUNCH   {mechanism} goal=\"{goal}\" threads={threads} tasks={} config={config}",
+            "LAUNCH   {mechanism} goal=\"{goal}\" admission=\"{admission}\" threads={threads} \
+             tasks={} config={config}",
             shape.leaf_paths().len()
         ),
         TraceEvent::SnapshotTaken { snapshot } => {

@@ -142,6 +142,7 @@ fn build_event(
             threads,
             shape: shape(cap),
             config: config(extents, alt, nested),
+            admission: ["", "open", "shed"][idx % 3].into(),
         },
         1 => {
             let mut snapshot = MonitorSnapshot {

@@ -6,7 +6,8 @@
 //! can absorb. The gate drops the excess with a counted verdict —
 //! without ever taking the queue lock — so the requests that *are*
 //! admitted see bounded queueing. The run records a flight-recorder
-//! trace carrying `AdmissionDecision` events, and the mechanism is
+//! trace whose snapshots carry the gate's counters (`dope-trace stats`
+//! reads them as per-period `AdmissionDecision` rows), and the mechanism is
 //! wrapped in `ShedAware`, which vetoes shrink proposals while the gate
 //! is dropping (shedding makes the queue *look* short; see
 //! `docs/overload.md`).

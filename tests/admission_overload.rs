@@ -7,17 +7,18 @@
 //! The gate's counters must stay coherent across that boundary: every
 //! offer gets exactly one verdict, every admitted request is served
 //! (the drain suspends workers, it must not lose queued items), and
-//! the `AdmissionDecision` records the control loop writes while the
-//! drain is in flight carry monotone cumulative counters that satisfy the
-//! conservation invariant at every sample.
+//! the `AdmissionDecision` rows a reader derives from the periods
+//! recorded while the drain is in flight carry monotone cumulative
+//! counters that satisfy the conservation invariant at every row.
 
 use dope_core::{
-    body_fn, AdmissionPolicy, Config, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources,
-    TaskBody, TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, AdmissionPolicy, AdmissionStats, Config, Goal, Mechanism, MonitorSnapshot,
+    ProgramShape, Resources, TaskBody, TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus,
+    WorkerSlot,
 };
 use dope_metrics::{names, MetricsRegistry};
 use dope_runtime::Dope;
-use dope_trace::{Recorder, TraceEvent};
+use dope_trace::{render_timeline, summarize, Recorder, TraceEvent, TraceRecord};
 use dope_workload::{AdmissionQueue, DequeueOutcome, WorkQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,6 +53,30 @@ impl Mechanism for OneBump {
             Some(self.target.clone())
         }
     }
+}
+
+/// The gate's counters in each recorded period whose gate saw traffic:
+/// the periods a reader derives an `AdmissionDecision` row from.
+fn pressured(records: &[TraceRecord]) -> Vec<AdmissionStats> {
+    records
+        .iter()
+        .filter_map(|r| match &r.event {
+            TraceEvent::SnapshotTaken { snapshot } if snapshot.admission.offered > 0 => {
+                Some(snapshot.admission)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The window verdict of each `ADMIT` row the timeline derives.
+fn verdicts(records: &[TraceRecord]) -> Vec<String> {
+    render_timeline(records)
+        .lines()
+        .filter(|line| line.contains("ADMIT "))
+        .filter_map(|line| line.split_once("verdict=")?.1.split_whitespace().next())
+        .map(str::to_string)
+        .collect()
 }
 
 #[test]
@@ -203,42 +228,54 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
         "every admitted request is served; the drain loses nothing"
     );
 
-    // Every AdmissionDecision sampled while the race was in flight is
-    // internally consistent and cumulative counters never regress.
-    let mut last = (0u64, 0u64, 0u64);
-    let mut decisions = 0;
-    for record in recorder.records() {
-        if let TraceEvent::AdmissionDecision {
-            policy,
-            verdict,
-            offered,
-            admitted,
-            shed,
-            ..
-        } = &record.event
-        {
-            decisions += 1;
-            assert_eq!(policy, "shed");
-            assert!(verdict == "admitted" || verdict == "shed", "{verdict}");
-            assert_eq!(
-                *offered,
-                admitted + shed,
-                "conservation holds at every sample"
-            );
-            assert!(
-                *offered >= last.0 && *admitted >= last.1 && *shed >= last.2,
-                "cumulative counters are monotone across the boundary"
-            );
-            last = (*offered, *admitted, *shed);
-        }
+    // Every period recorded while the race was in flight holds gate
+    // counters that are internally consistent and never regress, and
+    // each is read as one derived row. The recording holds no copy.
+    let records = recorder.records();
+    assert!(records
+        .iter()
+        .all(|r| !matches!(r.event.kind(), "AdmissionDecision" | "FeatureRead")));
+    let periods = pressured(&records);
+    let mut last = AdmissionStats::default();
+    for gate_now in &periods {
+        assert_eq!(
+            gate_now.offered,
+            gate_now.admitted + gate_now.shed(),
+            "conservation holds at every period"
+        );
+        assert!(
+            gate_now.offered >= last.offered
+                && gate_now.admitted >= last.admitted
+                && gate_now.shed() >= last.shed(),
+            "cumulative counters are monotone across the boundary"
+        );
+        last = *gate_now;
     }
     assert!(
-        decisions >= 2,
+        periods.len() >= 2,
         "the monitor sampled the gate during the run"
     );
     assert!(
-        last.0 <= stats.offered && last.1 <= stats.admitted,
-        "trace samples never run ahead of the gate"
+        last.offered <= stats.offered && last.admitted <= stats.admitted,
+        "recorded counters never run ahead of the gate"
+    );
+    let summary = summarize(&records);
+    assert!(
+        summary
+            .admission_verdicts
+            .keys()
+            .all(|key| key == "shed/admitted" || key == "shed/shed"),
+        "{:?}",
+        summary.admission_verdicts
+    );
+    assert_eq!(
+        summary.admission_verdicts.values().sum::<u64>(),
+        periods.len() as u64,
+        "one row per period with traffic"
+    );
+    assert_eq!(
+        summary.admission_totals,
+        Some((last.offered, last.admitted, last.shed()))
     );
 }
 
@@ -246,8 +283,8 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
 /// hammering it between control ticks (a dashboard, the benchmark's
 /// generator) must leave the recording and the exported series to the
 /// control loop: no extra record, no `dope_monitor_snapshots_total`
-/// bump, and — the sampler's window being the control period's alone —
-/// every period in which the gate shed is recorded as `"shed"`.
+/// bump, and — the window being the recorded period's alone — every
+/// period in which the gate shed reads as `"shed"`.
 #[test]
 fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
     let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 8 });
@@ -305,41 +342,32 @@ fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
     gate.close();
     dope.wait().expect("drain");
 
-    // Each recorded period is the control loop's own: its sample sits
-    // right before its snapshot, carries the snapshot's counters, and
-    // judges the window since the previous *period*.
+    // Each recorded period is the control loop's own: its derived row
+    // carries its snapshot's counters and judges the window since the
+    // previous recorded *period*.
     let records = recorder.records();
-    let (mut periods, mut shed_periods, mut shed_before) = (0u64, 0u64, 0u64);
-    for (i, record) in records.iter().enumerate() {
-        let TraceEvent::SnapshotTaken { snapshot } = &record.event else {
-            continue;
-        };
-        periods += 1;
-        let gate_now = snapshot.admission;
-        if gate_now.offered == 0 {
-            continue;
-        }
-        let TraceEvent::AdmissionDecision { verdict, shed, .. } = &records[i - 1].event else {
-            panic!("period {periods} has no sample before its snapshot");
-        };
-        assert_eq!(*shed, gate_now.shed(), "the sample is the snapshot's");
+    let periods = records
+        .iter()
+        .filter(|r| r.event.kind() == "SnapshotTaken")
+        .count();
+    let pressured = pressured(&records);
+    let verdicts = verdicts(&records);
+    assert_eq!(
+        verdicts.len(),
+        pressured.len(),
+        "one row per period with traffic"
+    );
+    let (mut shed_periods, mut shed_before) = (0u64, 0u64);
+    for (verdict, gate_now) in verdicts.iter().zip(&pressured) {
         let shed_in_window = gate_now.shed() > shed_before;
         shed_periods += u64::from(shed_in_window);
         let expected = if shed_in_window { "shed" } else { "admitted" };
-        assert_eq!(verdict, expected, "period {periods}");
+        assert_eq!(verdict, expected, "{gate_now:?}");
         shed_before = gate_now.shed();
     }
     assert!(
         shed_periods >= 3,
         "the storm shed in {shed_periods} periods"
-    );
-    let samples = records
-        .iter()
-        .filter(|r| r.event.kind() == "AdmissionDecision")
-        .count() as u64;
-    assert!(
-        samples <= periods,
-        "{samples} samples for {periods} periods"
     );
     let snapshots_total = format!("{} {periods}\n", names::MONITOR_SNAPSHOTS_TOTAL);
     assert!(registry.render().contains(&snapshots_total));

@@ -14,10 +14,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The one grammar of a recording, live or simulated: `Launched`, then
-/// control periods that each read `DecisionTraced? FeatureRead?
-/// AdmissionDecision? SnapshotTaken ProposalEvaluated? ReconfigureEpoch?`,
-/// then the run's last decision and `Finished`. Returns the body as one
-/// letter per record (`D F A S P R`).
+/// control periods that each read `DecisionTraced? SnapshotTaken
+/// ProposalEvaluated? ReconfigureEpoch?`, then the run's last decision
+/// and `Finished`. A period's power reading and gate counters live in its
+/// snapshot: no `FeatureRead` or `AdmissionDecision` is written. Returns
+/// the body as one letter per record (`D S P R`).
 fn assert_period_grammar(records: &[TraceRecord]) -> String {
     /// Each letter of `s` appears in `of`, at most once and in order.
     fn subsequence(of: &str, s: &str) -> bool {
@@ -31,8 +32,6 @@ fn assert_period_grammar(records: &[TraceRecord]) -> String {
         .iter()
         .map(|kind| match *kind {
             "DecisionTraced" => 'D',
-            "FeatureRead" => 'F',
-            "AdmissionDecision" => 'A',
             "SnapshotTaken" => 'S',
             "ProposalEvaluated" => 'P',
             "ReconfigureEpoch" => 'R',
@@ -44,11 +43,7 @@ fn assert_period_grammar(records: &[TraceRecord]) -> String {
     let between: Vec<&str> = body.split('S').collect();
     assert!(between.len() > 2, "fewer than two control periods: {body}");
     for (i, part) in between.iter().enumerate() {
-        let allowed = match i {
-            0 => "DFA",
-            i if i == between.len() - 1 => "PRD",
-            _ => "PRDFA",
-        };
+        let allowed = if i == 0 { "D" } else { "PRD" };
         assert!(
             subsequence(allowed, part),
             "`{part}` between snapshots {i} and {} is not of `{allowed}`: {body}",
@@ -203,8 +198,8 @@ fn wqt_h_live_switches_modes() {
 fn recorded_live_trace_replays_identically() {
     let recorder = Recorder::bounded(1 << 14);
     let (service, descriptor) = transcode::live_service();
-    // A power feature and a declared `Shed` gate, so a period's record
-    // can hold every kind the grammar names.
+    // A power feature and a declared `Shed` gate, so a period's snapshot
+    // carries every reading a period has.
     let features = FeatureRegistry::new();
     features.register("SystemPower", || 612.5);
     let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 4 });
@@ -254,7 +249,7 @@ fn recorded_live_trace_replays_identically() {
 
     // A live period reads like a simulated one, every kind in its place.
     let body = assert_period_grammar(&records);
-    for kind in "DFASPR".chars() {
+    for kind in "DSPR".chars() {
         assert!(body.contains(kind), "no `{kind}` record in {body}");
     }
 
@@ -265,9 +260,17 @@ fn recorded_live_trace_replays_identically() {
     assert!(timeline.contains("PROPOSE"));
     assert!(timeline.contains("EPOCH"));
     assert!(timeline.contains("FINISH"));
-    // A control period is one record: the task rows and the queue render
-    // from the snapshot, and no flattened sample rides beside it.
-    assert!(timeline.contains("STATS") && timeline.contains("QUEUE"));
+    // A control period is one record: the task rows, the queue, the power
+    // reading and the gate's window render from the snapshot, and no
+    // flattened sample rides beside it.
+    for tag in [
+        "STATS",
+        "QUEUE",
+        "FEATURE  SystemPower=612.5",
+        "ADMIT    shed",
+    ] {
+        assert!(timeline.contains(tag), "no {tag} in {timeline}");
+    }
     assert!(records
         .iter()
         .all(|r| !matches!(r.event.kind(), "TaskStatsSample" | "QueueSample")));
@@ -314,10 +317,12 @@ fn simulated_recordings_share_the_live_period_grammar() {
         &mut observer,
     );
     observer.finished(outcome.completed, outcome.config_changes);
-    let body = assert_period_grammar(&recorder.records());
-    for kind in "DASPR".chars() {
+    let records = recorder.records();
+    let body = assert_period_grammar(&records);
+    for kind in "DSPR".chars() {
         assert!(body.contains(kind), "no `{kind}` record in {body}");
     }
+    assert!(dope_trace::render_timeline(&records).contains("ADMIT    shed verdict=shed"));
 
     let recorder = Recorder::bounded(1 << 14);
     let mut observer = RecordingObserver::new(recorder.clone());
@@ -334,8 +339,9 @@ fn simulated_recordings_share_the_live_period_grammar() {
         &mut observer,
     );
     observer.finished(outcome.completed, outcome.config_history.len() as u64);
-    let body = assert_period_grammar(&recorder.records());
-    assert!(body.contains('F'), "{body}");
+    let records = recorder.records();
+    assert_period_grammar(&records);
+    assert!(dope_trace::render_timeline(&records).contains("FEATURE  SystemPower="));
 }
 
 #[test]

@@ -15,9 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Pins a starting configuration, proposes one target at the first
-/// consult, then holds.
+/// Pins a starting configuration, holds for `holds` consults, proposes
+/// one target at the next, then holds.
 struct OneBump {
+    holds: u32,
     fired: bool,
     start: Config,
     target: Config,
@@ -38,6 +39,9 @@ impl Mechanism for OneBump {
         _res: &Resources,
     ) -> Option<Config> {
         if self.fired {
+            None
+        } else if self.holds > 0 {
+            self.holds -= 1;
             None
         } else {
             self.fired = true;
@@ -145,6 +149,7 @@ fn partial_reconfig_keeps_untouched_paths_running() {
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
         .mechanism(Box::new(OneBump {
+            holds: 0,
             fired: false,
             start,
             target: target.clone(),
@@ -239,6 +244,7 @@ fn disabling_delta_falls_back_to_the_full_drain() {
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
         .mechanism(Box::new(OneBump {
+            holds: 0,
             fired: false,
             start,
             target: target.clone(),
@@ -326,6 +332,7 @@ fn a_structural_relaunch_drops_the_rows_it_no_longer_runs() {
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
         .mechanism(Box::new(OneBump {
+            holds: 0,
             fired: false,
             start,
             target: target.clone(),
@@ -361,5 +368,78 @@ fn a_structural_relaunch_drops_the_rows_it_no_longer_runs() {
         row.invocations <= fused_ran,
         "row 0.0 counts {} invocations, fused ran {fused_ran}: a's were merged in",
         row.invocations
+    );
+}
+
+/// A leaf whose every invocation spins ~0.5 ms between `begin` and `end`,
+/// so its one worker is busy all the time it runs.
+fn spinning_leaf(name: &'static str) -> TaskSpec {
+    TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            let directive = cx.begin();
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(500) {
+                std::hint::spin_loop();
+            }
+            cx.end();
+            if directive.wants_suspend() {
+                TaskStatus::Suspended
+            } else {
+                TaskStatus::Executing
+            }
+        })) as Box<dyn TaskBody>
+    })
+}
+
+/// A relaunched path's utilization is its busy time over its own
+/// lifetime, not the run's: 100 ms after nest `outer` switches from `[a]`
+/// to `[fused]` half a second in, `fused` — saturated since it started —
+/// reads near 1, not the ~0.17 its 0.1 s of work over the run's 0.6 s
+/// would give.
+#[test]
+fn a_relaunched_path_reads_utilization_over_its_own_lifetime() {
+    let single = |name: &'static str| -> Arc<dyn NestFactory> {
+        Arc::new(move |_replica: u32| vec![spinning_leaf(name)])
+    };
+    let spec = TaskSpec::nest_choice("outer", TaskKind::Par, vec![single("a"), single("fused")]);
+    let nest = |alternative, leaf| {
+        Config::new(vec![TaskConfig::nest(
+            "outer",
+            1,
+            alternative,
+            vec![TaskConfig::leaf(leaf, 1)],
+        )])
+    };
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
+        .mechanism(Box::new(OneBump {
+            holds: 24,
+            fired: false,
+            start: nest(0, "a"),
+            target: nest(1, "fused"),
+        }))
+        .control_period(Duration::from_millis(20))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let switched =
+        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
+    while !recorder.records().iter().any(switched) {
+        assert!(Instant::now() < deadline, "the nest never switched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let snap = dope.monitor().snapshot();
+    dope.stop();
+    dope.wait().expect("stops cleanly");
+
+    let row = snap.task(&"0.0".parse::<TaskPath>().unwrap()).unwrap();
+    assert!(
+        row.utilization >= 0.8,
+        "fused ran saturated but reads utilization {:.3} at {:.2} s",
+        row.utilization,
+        snap.time_secs
     );
 }

@@ -1,14 +1,19 @@
 //! The simulators' recordings, pinned to the byte.
 //!
 //! Every figure is drawn by `dope-sim`, and a recording is the finest
-//! grain of what a simulation did: every snapshot's statistics, every
-//! admission sample, every decision with its score, in order. Each test
-//! below hashes the JSONL of one recording and compares it with the hash
-//! the same run produced before the simulator last changed shape, so an
+//! grain of what a simulation did: every snapshot's statistics and gate
+//! counters, every decision with its score, in order. Each test below
+//! hashes the JSONL of one recording and compares it with the hash the
+//! same run produced before the simulator last changed shape, so an
 //! event reordered at a tie, an `f64` summed in another order or an
 //! admission counter taken at another moment fails here, by name, instead
 //! of drifting a figure. A deliberate change updates the constant and
 //! says why.
+//!
+//! The constants last moved when a period stopped writing copies of its
+//! snapshot: each recording, decoded, is the one before with every
+//! `FeatureRead` and `AdmissionDecision` removed, `seq` renumbered and
+//! `Launched.admission` carrying the declared policy (`""` when none).
 
 use dope_apps::{ferret, transcode};
 use dope_core::{AdmissionPolicy, Resources};
@@ -40,7 +45,8 @@ fn assert_pinned_text(name: &str, text: &str, expected: u64) {
 }
 
 /// Transcode at 2x offered load through `admission`, under WQ-Linear
-/// wrapped to hold while the gate sheds, recorded with the policy tag.
+/// wrapped to hold while the gate sheds, recorded with the policy
+/// declared in `Launched`.
 fn overloaded_recording(admission: AdmissionPolicy) -> (Vec<TraceRecord>, SystemOutcome) {
     let model = transcode::sim_model();
     let schedule = ArrivalSchedule::for_load_factor(2.0, model.max_throughput(24, 1), 200, 7);
@@ -69,7 +75,7 @@ fn the_benchmark_grid_point_records_the_same_bytes() {
     assert_pinned(
         "transcode, WQ-Linear, 200 requests",
         &records,
-        0xf5bc_80af_4ed4_bb04,
+        0xb5bd_c610_ed5f_3e85,
     );
 }
 
@@ -81,18 +87,18 @@ fn shed_recording_is_pinned() {
         "{:?}",
         outcome.admission
     );
-    assert_pinned("Shed", &records, 0x0ea3_7c58_5b5c_7a47);
+    assert_pinned("Shed", &records, 0xec42_04b0_7168_6682);
 }
 
 /// A held offer is counted as `offered` when it reaches the gate, not on
-/// arrival, so the samples taken while `Block` holds offers read
+/// arrival, so the snapshots taken while `Block` holds offers read
 /// `offered == admitted`: the gate's own invariant, and the only byte
 /// that moved when the simulator began queueing in the gate.
 #[test]
 fn block_recording_is_pinned() {
     let (records, outcome) = overloaded_recording(AdmissionPolicy::Block { capacity: 8 });
     assert_eq!(outcome.completed, 200);
-    assert_pinned("Block", &records, 0xe5df_ff14_1c4c_84bc);
+    assert_pinned("Block", &records, 0x0c0b_3574_416a_b915);
 }
 
 #[test]
@@ -104,7 +110,7 @@ fn deadline_recording_is_pinned() {
         "{:?}",
         outcome.admission
     );
-    assert_pinned("Deadline", &records, 0x8050_9579_4de9_981c);
+    assert_pinned("Deadline", &records, 0xc79d_3ffe_d7fb_4c90);
 }
 
 #[test]
@@ -127,7 +133,7 @@ fn pipeline_recording_is_pinned() {
     assert_pinned(
         "ferret, TPC, saturated",
         &recorder.drain(),
-        0xde42_c4ea_a296_28dc,
+        0x60fa_7847_c54d_ed57,
     );
 }
 
@@ -155,5 +161,5 @@ fn open_pipeline_recording_and_responses_are_pinned() {
     assert_eq!(outcome.completed, 300);
     let mean = outcome.response.mean().expect("responses recorded");
     let text = format!("{}{:#x}\n", to_jsonl(&recorder.drain()), mean.to_bits());
-    assert_pinned_text("ferret, Proportional, open", &text, 0x06ff_260c_2b9c_6a66);
+    assert_pinned_text("ferret, Proportional, open", &text, 0x9945_3d07_47ff_83bb);
 }
