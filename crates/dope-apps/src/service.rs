@@ -17,7 +17,7 @@
 use dope_core::{
     body_fn, QueueStats, TaskBody, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
 };
-use dope_workload::{DequeueOutcome, ResponseStats, ThroughputMeter, WorkQueue};
+use dope_workload::{DequeueOutcome, ResponseStats, WorkQueue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,7 +63,6 @@ impl Transaction {
 pub struct ServiceStats {
     start: Instant,
     response: Mutex<ResponseStats>,
-    throughput: Mutex<ThroughputMeter>,
     completed: AtomicU64,
 }
 
@@ -74,18 +73,15 @@ impl ServiceStats {
         Arc::new(ServiceStats {
             start: Instant::now(),
             response: Mutex::new(ResponseStats::new()),
-            throughput: Mutex::new(ThroughputMeter::new()),
             completed: AtomicU64::new(0),
         })
     }
 
     /// Records the completion of a transaction submitted at `submitted`.
     pub fn record_completion(&self, submitted: Instant) {
-        let now = Instant::now();
-        self.response.lock().record((now - submitted).as_secs_f64());
-        self.throughput
+        self.response
             .lock()
-            .record((now - self.start).as_secs_f64());
+            .record(submitted.elapsed().as_secs_f64());
         self.completed.fetch_add(1, Ordering::Release);
     }
 
@@ -99,12 +95,6 @@ impl ServiceStats {
     #[must_use]
     pub fn response(&self) -> ResponseStats {
         self.response.lock().clone()
-    }
-
-    /// A copy of the completion meter.
-    #[must_use]
-    pub fn throughput(&self) -> ThroughputMeter {
-        self.throughput.lock().clone()
     }
 
     /// Seconds since the sink was created.
@@ -400,7 +390,6 @@ mod tests {
         stats.record_completion(t);
         assert_eq!(stats.completed(), 2);
         assert_eq!(stats.response().count(), 2);
-        assert_eq!(stats.throughput().completed(), 2);
     }
 
     #[test]

@@ -50,7 +50,7 @@ metric_names! {
     PROPOSALS_TOTAL = "dope_proposals_total";
     /// Jobs dispatched to pool workers.
     POOL_JOBS_DISPATCHED_TOTAL = "dope_pool_jobs_dispatched_total";
-    /// Times a pool worker went back to waiting on the job channel.
+    /// Times a pool worker went back to waiting on the job queue.
     POOL_WORKER_PARKS_TOTAL = "dope_pool_worker_parks_total";
     /// Job panics the pool's supervision layer caught (the worker thread
     /// survived each one).

@@ -14,11 +14,12 @@ use dope_core::{
 use dope_metrics::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
 use dope_trace::{Recorder, RecordingObserver};
+use dope_workload::{DequeueOutcome, WorkQueue};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -253,17 +254,44 @@ struct Shared {
     /// Set by the first [`Dope::stop`], which also posts [`Note::Stop`].
     stop: AtomicBool,
     monitor: Monitor,
-    /// The run's done channel: every replica reports on it, and a stop
-    /// request wakes the control thread through it.
-    notes: mpsc::Sender<Note>,
+    /// The run's done channel: every replica reports on it once, a stop
+    /// request wakes the control thread through it, and the control
+    /// thread closes it on its way out, refusing late notes.
+    notes: WorkQueue<Note>,
 }
 
 /// What wakes the control thread besides its tick.
 enum Note {
-    /// A replica at this (leaf) path returned for good.
-    Done(TaskPath, TaskOutcome),
+    /// A replica at this (leaf) path returned for good, with its outcome,
+    /// or `None` if its job ended without one (see [`Report`]).
+    Done(TaskPath, Option<TaskOutcome>),
     /// [`Dope::stop`] was called.
     Stop,
+}
+
+/// A replica's one report, owned by its pool job and posted on drop: with
+/// the outcome [`send`](Report::send) gave it, or with none if the job
+/// never got there — dropped unrun, or unwound past its own
+/// containment. Every submitted replica is therefore heard exactly once.
+struct Report {
+    notes: WorkQueue<Note>,
+    path: TaskPath,
+    outcome: Option<TaskOutcome>,
+}
+
+impl Report {
+    fn send(mut self, outcome: TaskOutcome) {
+        self.outcome = Some(outcome);
+    }
+}
+
+impl Drop for Report {
+    fn drop(&mut self) {
+        // Refused once the run is over: nobody reads the notes then.
+        let _ = self
+            .notes
+            .enqueue(Note::Done(self.path.clone(), self.outcome.take()));
+    }
 }
 
 /// The Degree of Parallelism Executive.
@@ -297,8 +325,8 @@ impl Dope {
     /// report is produced.
     pub fn stop(&self) {
         if !self.shared.stop.swap(true, Ordering::AcqRel) {
-            // The run may be over already, its receiver gone.
-            let _ = self.shared.notes.send(Note::Stop);
+            // The run may be over already, its done channel closed.
+            let _ = self.shared.notes.enqueue(Note::Stop);
         }
     }
 
@@ -371,9 +399,9 @@ impl Dope {
 
         #[expect(
             clippy::disallowed_methods,
-            reason = "depth is bounded by the run's live job count plus one stop note: every other sender is a submitted job, which sends once, and the control thread receives whenever it is not relaunching or backing off"
+            reason = "depth is bounded by the run's live replicas plus one stop note: every other sender is a submitted job, which reports once, and the control thread takes whenever it is not relaunching or backing off"
         )]
-        let (notes, notes_rx) = mpsc::channel();
+        let notes = WorkQueue::new();
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             monitor: monitor.clone(),
@@ -390,7 +418,6 @@ impl Dope {
             res,
             pool,
             shared: Arc::clone(&shared),
-            notes: notes_rx,
             control_period: builder.control_period,
             window: builder.throughput_window,
             rules: Rules {
@@ -817,14 +844,13 @@ impl RunLedger {
 /// Everything the control thread owns: the live driver of the
 /// [`ControlCore`]. The core decides; this keeps only what is genuinely
 /// live — instants, suspend flags, pool submits, the done channel,
-/// vanished-job detection, metrics and the debug verify gate.
+/// metrics and the debug verify gate.
 struct Executive {
     descriptor: Vec<TaskSpec>,
     shape: ProgramShape,
     res: Resources,
     pool: WorkerPool,
     shared: Arc<Shared>,
-    notes: mpsc::Receiver<Note>,
     control_period: Duration,
     window: Duration,
     rules: Rules,
@@ -861,6 +887,9 @@ impl Executive {
             initial,
         );
         let outcome = self.drive(&mut core);
+        // Replicas still out report into a closed channel: nobody reads
+        // their notes any more.
+        self.shared.notes.close();
         // One last look, to score a held decision against and to leave
         // the exported series at the run's final totals.
         let last = (core.holds_decision() || self.metrics.is_some())
@@ -913,13 +942,9 @@ impl Executive {
         let mut ledger = RunLedger::default();
         self.relaunch(core, &mut ledger, &Scope::Full, 0.0)?;
         // Control ticks run off an absolute deadline: driving the timer
-        // from `recv_timeout` alone reset it on every completion, so a
-        // flood of completions starved the mechanism of consults.
+        // from the wait's timeout alone reset it on every completion, so
+        // a flood of completions starved the mechanism of consults.
         let mut next_tick = Instant::now() + self.control_period;
-        // `Shared` keeps a sender, so the channel never disconnects and
-        // vanished jobs are detected via pool quiescence instead — two
-        // consecutive idle timeouts with every submitted job parked.
-        let mut pool_idle_seen = false;
         loop {
             if Instant::now() >= next_tick {
                 next_tick = Instant::now() + self.control_period;
@@ -947,7 +972,7 @@ impl Executive {
                         }
                         // Nothing runs during the back-off: the one note
                         // that can end it early is a stop.
-                        if self.notes.recv_timeout(backoff).is_ok() {
+                        if self.shared.notes.dequeue_timeout(backoff).item().is_some() {
                             core.stop(self.now());
                             return Ok(());
                         }
@@ -957,43 +982,24 @@ impl Executive {
                     _ => return Ok(()),
                 }
             }
-            match self
-                .notes
-                .recv_timeout(next_tick.saturating_duration_since(Instant::now()))
-            {
-                Ok(Note::Done(path, outcome)) => {
-                    pool_idle_seen = false;
+            let wait = next_tick.saturating_duration_since(Instant::now());
+            match self.shared.notes.dequeue_timeout(wait) {
+                DequeueOutcome::Item(Note::Done(path, outcome)) => {
+                    // A job that ended without an outcome is counted as a
+                    // failure that poisons the verdict, never dropped.
+                    let outcome = outcome.unwrap_or_else(|| {
+                        self.lost_jobs.set(self.lost_jobs.get() + 1);
+                        let reason = "worker job vanished without reporting an outcome";
+                        TaskOutcome::Failed {
+                            reason: reason.to_string(),
+                        }
+                    });
                     if let Some(reason) = ledger.settle(&path, outcome) {
                         self.failed(core, &mut ledger, path, reason);
                     }
                 }
-                Ok(Note::Stop) => ledger.suspend(core.stop(self.now())),
-                Err(_) => {
-                    // Vanished-job detection: every send happens before
-                    // its worker parks, so once submitted == dispatched
-                    // == parks the channel holds all outcomes that will
-                    // ever arrive. One more recv attempt drains any
-                    // straggler; a second idle timeout means the missing
-                    // replicas vanished without sending an outcome (an
-                    // escaped unwind, a worker died some other way).
-                    // Each is counted as a failure that poisons the
-                    // verdict, never silently dropped.
-                    let idle = self.pool.submitted() == self.pool.dispatched()
-                        && self.pool.dispatched() == self.pool.parks();
-                    if idle && pool_idle_seen {
-                        let lost: Vec<TaskPath> = ledger
-                            .paths
-                            .values_mut()
-                            .flat_map(|entry| std::mem::take(&mut entry.outstanding))
-                            .collect();
-                        for path in lost {
-                            self.lost_jobs.set(self.lost_jobs.get() + 1);
-                            let reason = "worker job vanished without reporting an outcome";
-                            self.failed(core, &mut ledger, path, reason.to_string());
-                        }
-                    }
-                    pool_idle_seen = idle;
-                }
+                DequeueOutcome::Item(Note::Stop) => ledger.suspend(core.stop(self.now())),
+                DequeueOutcome::TimedOut | DequeueOutcome::Drained => {}
             }
         }
     }
@@ -1059,9 +1065,13 @@ impl Executive {
             let suspend = Arc::clone(&entry.suspend);
             let monitor = self.shared.monitor.clone();
             let window = self.window;
-            let done = self.shared.notes.clone();
+            let report = Report {
+                notes: self.shared.notes.clone(),
+                path: job.path,
+                outcome: None,
+            };
             self.pool.try_submit(move || {
-                let mut cx = LiveCx::new(&monitor, suspend, &job.path, job.slot, window);
+                let mut cx = LiveCx::new(&monitor, suspend, &report.path, job.slot, window);
                 let mut body = job.body;
                 // The paper's TaskExecutor (Figure 4a): re-invoke while the
                 // body reports EXECUTING. The suspend directive reaches the
@@ -1086,23 +1096,25 @@ impl Executive {
                 // Flushes the context's unrecorded tail before the
                 // executive can learn that this replica is done.
                 drop(cx);
+                let failed = |payload: Box<dyn std::any::Any + Send>| TaskOutcome::Failed {
+                    reason: panic_reason(payload.as_ref()),
+                };
                 let outcome = match result {
-                    Ok(status) => {
-                        body.fini(status);
-                        TaskOutcome::Completed(status)
-                    }
+                    // A `fini` that panics after a clean finish fails the
+                    // replica, as a panic in `invoke` does.
+                    Ok(status) => catch_unwind(AssertUnwindSafe(|| body.fini(status)))
+                        .map_or_else(failed, |()| TaskOutcome::Completed(status)),
                     Err(payload) => {
-                        let reason = panic_reason(payload.as_ref());
                         // The executive's contract is that `fini` always
                         // runs; a `fini` that panics in turn is contained
                         // rather than allowed to mask the original reason.
                         let _ = catch_unwind(AssertUnwindSafe(|| {
                             body.fini(TaskStatus::Suspended);
                         }));
-                        TaskOutcome::Failed { reason }
+                        failed(payload)
                     }
                 };
-                let _ = done.send(Note::Done(job.path, outcome));
+                report.send(outcome);
             })?;
         }
         Ok(())
@@ -1110,11 +1122,14 @@ impl Executive {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "each test queue holds at most the items its test enqueues"
+)]
 mod tests {
     use super::*;
     use dope_core::{body_fn, TaskBody, TaskKind, TaskSpec, WorkerSlot};
     use dope_trace::TraceEvent;
-    use dope_workload::WorkQueue;
     use std::sync::atomic::AtomicU64;
 
     /// A leaf task draining a shared queue of `n` items.
@@ -1732,5 +1747,31 @@ mod tests {
         let report = dope.wait().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 2000);
         assert_eq!(report.final_config, target);
+    }
+
+    /// A report is posted once whether its job reached `send` or not: a
+    /// job dropped unrun, or unwound past its own containment, still
+    /// reports — with no outcome, which the run counts as lost work.
+    #[test]
+    fn a_report_posts_once_sent_or_dropped() {
+        let notes = WorkQueue::new();
+        let report = || Report {
+            notes: notes.clone(),
+            path: TaskPath::root_child(0),
+            outcome: None,
+        };
+        report().send(TaskOutcome::Completed(TaskStatus::Finished));
+        drop(report());
+        notes.close();
+        let posted: Vec<_> = std::iter::from_fn(|| notes.dequeue())
+            .map(|note| match note {
+                Note::Done(_, outcome) => outcome,
+                Note::Stop => panic!("no stop was requested"),
+            })
+            .collect();
+        assert_eq!(
+            posted,
+            vec![Some(TaskOutcome::Completed(TaskStatus::Finished)), None]
+        );
     }
 }

@@ -48,7 +48,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // The executive degrades through `Error` / `FailurePolicy`, never by
-// panicking (`clippy.toml` exempts tests and bans unbounded channels).
+// panicking (`clippy.toml` exempts tests; an unbounded queue states its bound).
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

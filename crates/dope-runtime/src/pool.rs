@@ -2,8 +2,9 @@
 //!
 //! DoPE "maintains a Thread Pool with as many threads as constrained by
 //! the performance goals" (paper §5). Workers pull long-running jobs (task
-//! executor loops) from a shared queue; between epochs they sit idle on
-//! the channel.
+//! executor loops) from a shared [`WorkQueue`], the queue every stage
+//! hands its items over on; between epochs they sit parked in its untimed
+//! `dequeue`, woken only by a submit or by `shutdown`'s `close`.
 //!
 //! Workers are **supervised**: each job runs under
 //! [`std::panic::catch_unwind`], so a panicking job can
@@ -20,11 +21,10 @@
 //! shard count bounded by the pool size instead of growing with the
 //! job count.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dope_core::Error;
 use dope_metrics::{names, Counter, MetricsRegistry};
+use dope_workload::WorkQueue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -52,13 +52,12 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// ```
 #[derive(Debug)]
 pub struct WorkerPool {
-    tx: Option<Sender<Job>>,
+    jobs: WorkQueue<Job>,
     handles: Vec<JoinHandle<()>>,
-    submitted: Arc<AtomicU64>,
     /// Jobs a worker actually started executing.
     dispatched: Arc<Counter>,
     /// Times a worker finished a job and went back to waiting on the
-    /// channel (between-epoch idleness, the paper's "threads sit idle").
+    /// queue (between-epoch idleness, the paper's "threads sit idle").
     parks: Arc<Counter>,
     /// Job panics the supervision wrapper caught. Each one left its
     /// worker thread alive.
@@ -76,9 +75,9 @@ impl WorkerPool {
         assert!(threads >= 1, "pool needs at least one thread");
         #[expect(
             clippy::disallowed_methods,
-            reason = "depth is bounded by the jobs the executive submits per epoch; submission is throttled by the epoch rendezvous, not by this queue"
+            reason = "depth is bounded by the jobs the executive submits per relaunch; submission is throttled by the drain rendezvous, not by this queue"
         )]
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        let jobs: WorkQueue<Job> = WorkQueue::new();
         let dispatched = Arc::new(Counter::new());
         let parks = Arc::new(Counter::new());
         let panics_caught = Arc::new(Counter::new());
@@ -88,14 +87,14 @@ impl WorkerPool {
         )]
         let handles = (0..threads)
             .map(|i| {
-                let rx = rx.clone();
+                let jobs = jobs.clone();
                 let dispatched = Arc::clone(&dispatched);
                 let parks = Arc::clone(&parks);
                 let panics_caught = Arc::clone(&panics_caught);
                 std::thread::Builder::new()
                     .name(format!("dope-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = jobs.dequeue() {
                             dispatched.inc();
                             // Supervision: a panicking job must not kill
                             // this thread, or the pool silently loses
@@ -112,9 +111,8 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            tx: Some(tx),
+            jobs,
             handles,
-            submitted: Arc::new(AtomicU64::new(0)),
             dispatched,
             parks,
             panics_caught,
@@ -155,7 +153,7 @@ impl WorkerPool {
     }
 
     /// Times a worker finished a job (panicked or not) and went back to
-    /// waiting on the channel. Equal to [`dispatched`](Self::dispatched)
+    /// waiting on the queue. Equal to [`dispatched`](Self::dispatched)
     /// whenever no job is currently running — panics do not break the
     /// balance, proving no worker thread died.
     #[must_use]
@@ -181,31 +179,23 @@ impl WorkerPool {
     /// flight recorder's per-epoch `jobs` field sums to it).
     #[must_use]
     pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        self.jobs.total_enqueued()
     }
 
-    /// Submits a job, failing gracefully if the pool can no longer
-    /// accept work (it was shut down, or every worker thread is gone).
+    /// Submits a job, failing gracefully if the pool was shut down.
     /// Jobs beyond the thread count queue until a worker frees up.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Usage`] if the pool has been shut down or the
-    /// job channel is disconnected. The job is dropped unexecuted.
+    /// Returns [`Error::Usage`] if the pool has been shut down. The job
+    /// is dropped unexecuted.
     pub fn try_submit<F>(&self, job: F) -> dope_core::Result<()>
     where
         F: FnOnce() + Send + 'static,
     {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(Error::Usage(
-                "job submitted to a shut-down worker pool".to_string(),
-            ));
-        };
-        tx.send(Box::new(job)).map_err(|_| {
-            Error::Usage("worker pool has no live workers to accept the job".to_string())
-        })?;
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.jobs
+            .enqueue(Box::new(job))
+            .map_err(|_| Error::Usage("job submitted to a shut-down worker pool".to_string()))
     }
 
     /// Submits a job, panicking if the pool cannot accept it. This is
@@ -214,8 +204,8 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Panics if the pool has been shut down or its workers are gone;
-    /// use [`try_submit`](Self::try_submit) to handle that case.
+    /// Panics if the pool has been shut down; use
+    /// [`try_submit`](Self::try_submit) to handle that case.
     pub fn submit<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
@@ -231,7 +221,7 @@ impl WorkerPool {
     }
 
     fn shutdown_inner(&mut self) {
-        self.tx.take();
+        self.jobs.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

@@ -16,9 +16,7 @@ use dope_core::{
     AdmissionPolicy, AdmissionStats, Config, Mechanism, MonitorSnapshot, ProgramShape, Resources,
     ShapeNode, TaskKind, TaskStats,
 };
-use dope_workload::{
-    AdmissionQueue, ArrivalSchedule, DequeueOutcome, ResponseStats, ThroughputMeter, TimeSeries,
-};
+use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, ResponseStats, TimeSeries};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -188,8 +186,6 @@ impl Default for SystemParams {
 pub struct SystemOutcome {
     /// Per-request response times (submission to completion).
     pub response: ResponseStats,
-    /// Completion events.
-    pub throughput: ThroughputMeter,
     /// Requests completed.
     pub completed: u64,
     /// Time at which the last request completed.
@@ -322,7 +318,6 @@ pub fn run_system_observed(
     let mut active: u32 = 0;
 
     let mut response = ResponseStats::new();
-    let mut throughput = ThroughputMeter::new();
     let mut dop_series = TimeSeries::new("inner DoP extent");
     dop_series.push(0.0, f64::from(width));
     let mut exec_sum = 0.0_f64;
@@ -404,7 +399,6 @@ pub fn run_system_observed(
             active -= 1;
             completed += 1;
             response.record(now - job.submit);
-            throughput.record(now);
             recent_completions.push_back(now);
             let cutoff = now - params.throughput_window_secs;
             while recent_completions.front().is_some_and(|&t| t < cutoff) {
@@ -449,7 +443,6 @@ pub fn run_system_observed(
     let control = core.finish(now, None);
     SystemOutcome {
         response,
-        throughput,
         completed,
         horizon_secs: now,
         mean_exec_secs: if dispatched > 0 {
@@ -494,7 +487,6 @@ mod tests {
         let out = run_static(1, 0.5, 200);
         assert_eq!(out.completed, 200);
         assert_eq!(out.response.count(), 200);
-        assert_eq!(out.throughput.completed(), 200);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   close-to-drain idiom the paper's `FiniCB` callbacks implement, behind
 //!   an admission gate (open / block / shed / deadline);
 //! * [`WorkQueue`] — that queue with the gate open, as stages use it;
-//! * [`ResponseStats`], [`ThroughputMeter`], [`TimeSeries`] — the
-//!   measurements behind every figure in the evaluation.
+//! * [`ResponseStats`], [`TimeSeries`] — the measurements behind every
+//!   figure in the evaluation.
 //!
 //! # Example
 //!
@@ -43,4 +43,4 @@ pub mod stats;
 pub use admission::{AdmissionQueue, OfferOutcome};
 pub use arrivals::{ArrivalSchedule, PoissonProcess};
 pub use queue::{DequeueOutcome, WorkQueue};
-pub use stats::{ResponseStats, ThroughputMeter, TimeSeries};
+pub use stats::{ResponseStats, TimeSeries};

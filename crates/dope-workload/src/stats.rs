@@ -150,91 +150,6 @@ impl ResponseStats {
     }
 }
 
-/// Measures throughput as completions over elapsed time, with windowed
-/// rates for time-series plots (paper Figures 13 and 14).
-///
-/// # Example
-///
-/// ```
-/// use dope_workload::ThroughputMeter;
-///
-/// let mut meter = ThroughputMeter::new();
-/// meter.record(1.0);
-/// meter.record(2.0);
-/// meter.record(3.0);
-/// assert_eq!(meter.completed(), 3);
-/// assert!((meter.overall(4.0) - 0.75).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    completions: Vec<f64>,
-}
-
-impl ThroughputMeter {
-    /// An empty meter.
-    #[must_use]
-    pub fn new() -> Self {
-        ThroughputMeter::default()
-    }
-
-    /// Records a completion at time `at_secs`.
-    pub fn record(&mut self, at_secs: f64) {
-        self.completions.push(at_secs);
-    }
-
-    /// Total completions.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completions.len() as u64
-    }
-
-    /// Overall throughput over `horizon_secs` (completions / horizon).
-    #[must_use]
-    pub fn overall(&self, horizon_secs: f64) -> f64 {
-        if horizon_secs <= 0.0 {
-            return 0.0;
-        }
-        self.completions.len() as f64 / horizon_secs
-    }
-
-    /// Throughput within `[from_secs, to_secs)`.
-    #[must_use]
-    pub fn windowed(&self, from_secs: f64, to_secs: f64) -> f64 {
-        if to_secs <= from_secs {
-            return 0.0;
-        }
-        let n = self
-            .completions
-            .iter()
-            .filter(|&&t| t >= from_secs && t < to_secs)
-            .count();
-        n as f64 / (to_secs - from_secs)
-    }
-
-    /// Throughput series over fixed windows of `window_secs` up to
-    /// `horizon_secs`, as `(window_end, rate)` pairs.
-    #[must_use]
-    pub fn series(&self, window_secs: f64, horizon_secs: f64) -> TimeSeries {
-        let mut out = TimeSeries::new("throughput");
-        if window_secs <= 0.0 {
-            return out;
-        }
-        let mut start = 0.0;
-        while start < horizon_secs {
-            let end = (start + window_secs).min(horizon_secs);
-            out.push(end, self.windowed(start, end));
-            start += window_secs;
-        }
-        out
-    }
-
-    /// Completion timestamps, ascending if recorded in order.
-    #[must_use]
-    pub fn completions(&self) -> &[f64] {
-        &self.completions
-    }
-}
-
 /// A named sequence of `(time, value)` points: one plotted line.
 ///
 /// # Example
@@ -395,36 +310,6 @@ mod tests {
         b.record(3.0);
         a.merge(&b);
         assert_eq!(a.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn windowed_throughput_counts_half_open() {
-        let mut m = ThroughputMeter::new();
-        for t in [0.5, 1.0, 1.5, 2.0] {
-            m.record(t);
-        }
-        assert!((m.windowed(0.0, 1.0) - 1.0).abs() < 1e-12); // only 0.5
-        assert!((m.windowed(1.0, 2.0) - 2.0).abs() < 1e-12); // 1.0 and 1.5
-    }
-
-    #[test]
-    fn throughput_series_covers_horizon() {
-        let mut m = ThroughputMeter::new();
-        for i in 0..10 {
-            m.record(f64::from(i) * 0.3);
-        }
-        let series = m.series(1.0, 3.0);
-        assert_eq!(series.len(), 3);
-        let total: f64 = series.points().iter().map(|&(_, v)| v).sum();
-        assert!((total - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_horizon_throughput_is_zero() {
-        let mut m = ThroughputMeter::new();
-        m.record(1.0);
-        assert_eq!(m.overall(0.0), 0.0);
-        assert_eq!(m.windowed(2.0, 2.0), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use dope_trace::{Recorder, TraceEvent};
 use dope_workload::{DequeueOutcome, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A mechanism that always proposes a configuration violating the budget.
 #[derive(Debug)]
@@ -290,6 +290,53 @@ fn panicking_replica_aborts_without_killing_workers() {
         Some(0.0),
         "executive-level supervision reports the panic; the pool's own \
          net stays untouched"
+    );
+}
+
+/// A leaf that finishes cleanly and then panics in `fini` fails the run
+/// with that panic's text within a few control periods, while its sibling
+/// still runs: the report is not left to a pool that never goes idle.
+#[test]
+fn a_fini_panic_after_a_clean_finish_fails_the_run_promptly() {
+    struct FiniBomb;
+    impl TaskBody for FiniBomb {
+        fn invoke(&mut self, _cx: &mut dyn TaskCx) -> TaskStatus {
+            TaskStatus::Finished
+        }
+        fn fini(&mut self, _status: TaskStatus) {
+            panic!("fini exploded");
+        }
+    }
+    let bomb = TaskSpec::leaf("a", TaskKind::Seq, |_slot: WorkerSlot| {
+        Box::new(FiniBomb) as Box<dyn TaskBody>
+    });
+    // Honours a suspend; finishes on its own after 2 s, so a lost report
+    // fails the test instead of hanging it.
+    let sibling = TaskSpec::leaf("b", TaskKind::Seq, |_slot: WorkerSlot| {
+        let started = Instant::now();
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            std::thread::sleep(Duration::from_millis(1));
+            if cx.directive().wants_suspend() {
+                TaskStatus::Suspended
+            } else if started.elapsed() > Duration::from_secs(2) {
+                TaskStatus::Finished
+            } else {
+                TaskStatus::Executing
+            }
+        })) as Box<dyn TaskBody>
+    });
+    let started = Instant::now();
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
+        .control_period(Duration::from_millis(5))
+        .launch(vec![bomb, sibling])
+        .expect("launch");
+    let err = dope.wait().expect_err("the fini panic fails the run");
+    let elapsed = started.elapsed();
+    assert_eq!(err.code(), DiagCode::TaskFailed);
+    assert!(err.to_string().contains("fini exploded"), "{err}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "the failure took {elapsed:?} to surface"
     );
 }
 
