@@ -140,8 +140,8 @@ pub fn record_sim_point(
 /// 8-path snapshot against [`NullSink`]. `tick_hold_ns` is a consult
 /// that proposes nothing; `tick_accept_ns` one whose proposal (a
 /// single-leaf extent flip) is accepted, with the partial drain and the
-/// relaunch answered at once — judge, delta classification, two
-/// configuration clones and the history push included.
+/// relaunch answered at once — judge, delta classification, the
+/// proposal's interning and the history push included.
 /// `allocs_per_consult` / `bytes_per_consult` / `records_per_consult`
 /// are [`record_sim_point`]'s counts under WQ-Linear over its consults.
 fn bench_control(quick: bool) -> Value {
@@ -201,7 +201,7 @@ fn bench_control(quick: bool) -> Value {
                 &shape,
                 res,
                 rules,
-                initial.clone(),
+                initial.clone().into(),
             );
             let t0 = Instant::now();
             for i in 0..iters {

@@ -25,6 +25,10 @@
 //!   configuration in force is [`Verdict::Unchanged`] without a
 //!   validation walk; only a differing proposal is validated against
 //!   the budget ([`Verdict::Rejected`] carries the first error's code).
+//! * **Each configuration is stored once.** A differing proposal (and a
+//!   `Degrade` shrink) is interned against the run's distinct
+//!   configurations, so the sink, the history and the report share one
+//!   [`Arc<Config>`] per distinct configuration.
 //! * **Pend and score.** The mechanism's explanation of a consult is
 //!   held until the *next* snapshot, scored against its
 //!   [`realized_throughput`], and emitted *before* that snapshot. The
@@ -58,7 +62,7 @@
 //! let mut mechanism = StaticMechanism::new(Config::new(vec![TaskConfig::leaf("stage", 4)]));
 //! let mut sink = NullSink;
 //! let rules = Rules { budget: 8, delta: true, policy: FailurePolicy::Abort };
-//! let initial = Config::new(vec![TaskConfig::leaf("stage", 1)]);
+//! let initial = Config::new(vec![TaskConfig::leaf("stage", 1)]).into();
 //! let mut core = ControlCore::new(
 //!     &mut mechanism, &mut sink, &shape, Resources::threads(8), rules, initial,
 //! );
@@ -78,6 +82,8 @@ use crate::mechanism::{Mechanism, Resources};
 use crate::metrics::MonitorSnapshot;
 use crate::path::TaskPath;
 use crate::shape::ProgramShape;
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How the control core judged one mechanism proposal.
@@ -196,7 +202,7 @@ pub enum Phase {
     /// An accepted target waits for its scope's paths to drain.
     Draining {
         /// The accepted configuration.
-        target: Config,
+        target: Arc<Config>,
         /// The paths being drained.
         scope: Scope,
     },
@@ -246,7 +252,13 @@ pub trait ControlSink {
 
     /// The run started under `config`. Called by the *driver*, once,
     /// before the first tick.
-    fn launched(&mut self, mechanism: &str, threads: u32, shape: &ProgramShape, config: &Config) {
+    fn launched(
+        &mut self,
+        mechanism: &str,
+        threads: u32,
+        shape: &ProgramShape,
+        config: &Arc<Config>,
+    ) {
         let _ = (mechanism, threads, shape, config);
     }
 
@@ -274,7 +286,7 @@ pub trait ControlSink {
         &mut self,
         time_secs: f64,
         mechanism: &str,
-        proposal: &Config,
+        proposal: &Arc<Config>,
         verdict: Verdict,
     ) {
         let _ = (time_secs, mechanism, proposal, verdict);
@@ -285,7 +297,7 @@ pub trait ControlSink {
     fn reconfigured(
         &mut self,
         time_secs: f64,
-        config: &Config,
+        config: &Arc<Config>,
         scope: &Scope,
         timing: DrainTiming,
     ) {
@@ -320,8 +332,9 @@ pub struct ControlReport {
     /// Configuration in force at the end.
     pub final_config: Config,
     /// `(time_secs, config)` for every applied configuration, the
-    /// initial one (at 0.0) included.
-    pub config_history: Vec<(f64, Config)>,
+    /// initial one (at 0.0) included; a configuration applied twice is
+    /// the same allocation both times.
+    pub config_history: Vec<(f64, Arc<Config>)>,
     /// Failed replicas the `Restart` policy absorbed.
     pub restarts: u64,
     /// The most severe thing the failure policy had to do.
@@ -336,14 +349,16 @@ pub struct ControlCore<'a> {
     res: Resources,
     rules: Rules,
     audit: bool,
-    config: Config,
+    config: Arc<Config>,
+    /// Every distinct configuration of the run, allocated once.
+    interned: HashSet<Arc<Config>>,
     phase: Phase,
     /// The last explained decision and when it was taken, held for
     /// scoring against the next snapshot.
     held: Option<(f64, DecisionTrace)>,
     /// Failures reported since the last boundary.
     failures: Vec<(TaskPath, String)>,
-    history: Vec<(f64, Config)>,
+    history: Vec<(f64, Arc<Config>)>,
     rejected: u64,
     restarts: u64,
     verdict: FailureVerdict,
@@ -367,7 +382,7 @@ impl<'a> ControlCore<'a> {
         shape: &'a ProgramShape,
         res: Resources,
         rules: Rules,
-        initial: Config,
+        initial: Arc<Config>,
     ) -> Self {
         ControlCore {
             audit: sink.audits_decisions(),
@@ -376,7 +391,8 @@ impl<'a> ControlCore<'a> {
             shape,
             res,
             rules,
-            history: vec![(0.0, initial.clone())],
+            history: vec![(0.0, Arc::clone(&initial))],
+            interned: HashSet::from([Arc::clone(&initial)]),
             config: initial,
             phase: Phase::Running,
             held: None,
@@ -437,10 +453,12 @@ impl<'a> ControlCore<'a> {
         let Some(proposal) = proposal else {
             return Action::Continue;
         };
-        if proposal == self.config {
-            self.judged(now, &proposal, Verdict::Unchanged);
+        if proposal == *self.config {
+            let current = Arc::clone(&self.config);
+            self.judged(now, &current, Verdict::Unchanged);
             return Action::Continue;
         }
+        let proposal = self.intern(proposal);
         if let Err(err) = proposal.validate(self.shape, self.rules.budget) {
             self.rejected += 1;
             self.judged(now, &proposal, Verdict::Rejected { code: err.code() });
@@ -527,7 +545,7 @@ impl<'a> ControlCore<'a> {
         match std::mem::replace(&mut self.phase, Phase::Running) {
             Phase::Relaunching => {}
             Phase::Applying { scope, .. } => {
-                self.history.push((now, self.config.clone()));
+                self.history.push((now, Arc::clone(&self.config)));
                 self.mechanism.applied(&self.config);
                 self.sink.reconfigured(now, &self.config, &scope, timing);
             }
@@ -548,14 +566,14 @@ impl<'a> ControlCore<'a> {
         ControlReport {
             reconfigurations: self.history.len() as u64 - 1,
             rejected: self.rejected,
-            final_config: self.config,
+            final_config: Config::clone(&self.config),
             config_history: self.history,
             restarts: self.restarts,
             failure_verdict: self.verdict,
         }
     }
 
-    fn judged(&mut self, now: f64, proposal: &Config, verdict: Verdict) {
+    fn judged(&mut self, now: f64, proposal: &Arc<Config>, verdict: Verdict) {
         self.sink
             .proposal_evaluated(now, self.mechanism.name(), proposal, verdict);
     }
@@ -569,7 +587,7 @@ impl<'a> ControlCore<'a> {
             // applied is still the one in force.
             Phase::Applying { proposed, .. } => {
                 let (_, applied) = self.history.last().expect("history starts non-empty");
-                let dropped = std::mem::replace(&mut self.config, applied.clone());
+                let dropped = std::mem::replace(&mut self.config, Arc::clone(applied));
                 proposed.then_some(dropped)
             }
             _ => None,
@@ -579,7 +597,17 @@ impl<'a> ControlCore<'a> {
         }
     }
 
-    fn switch_to(&mut self, config: Config, scope: Scope, proposed: bool) -> Action {
+    /// The run's one allocation of `config`.
+    fn intern(&mut self, config: Config) -> Arc<Config> {
+        if let Some(known) = self.interned.get(&config) {
+            return Arc::clone(known);
+        }
+        let config = Arc::new(config);
+        self.interned.insert(Arc::clone(&config));
+        config
+    }
+
+    fn switch_to(&mut self, config: Arc<Config>, scope: Scope, proposed: bool) -> Action {
         self.config = config;
         self.phase = Phase::Applying {
             scope: scope.clone(),
@@ -642,10 +670,10 @@ impl<'a> ControlCore<'a> {
     }
 
     /// The configuration in force with each failed task's extent shrunk
-    /// by its dead replicas; a task with no survivors cannot be
+    /// by its dead replicas, interned; a task with no survivors cannot be
     /// degraded, only aborted.
-    fn degraded(&self, failures: &[(TaskPath, String)]) -> Result<Config, Error> {
-        let mut degraded = self.config.clone();
+    fn degraded(&mut self, failures: &[(TaskPath, String)]) -> Result<Arc<Config>, Error> {
+        let mut degraded = Config::clone(&self.config);
         for (path, _) in failures {
             let survivors = degraded.extent_of(path).unwrap_or(0).saturating_sub(1);
             if survivors == 0 {
@@ -664,6 +692,6 @@ impl<'a> ControlCore<'a> {
             degraded.set_extent(path, survivors)?;
         }
         degraded.validate(self.shape, self.rules.budget)?;
-        Ok(degraded)
+        Ok(self.intern(degraded))
     }
 }

@@ -17,111 +17,65 @@
 
 use crate::label::Label;
 
-/// Stable machine-readable reason codes for mechanism decisions.
-///
-/// Codes are part of the trace contract (`docs/event-schema.md`): they
-/// may be added, never renamed or removed. Each code names the dominant
-/// clause of the mechanism's decision logic, not the outcome — two
-/// different configurations can share a rationale, and a "hold" (no
-/// proposal) carries one too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rationale {
-    /// Work-queue occupancy mapped through the linear width law (Eq. 2).
-    OccupancyLinear,
-    /// A width change is pending until it persists past the hysteresis
-    /// window.
-    HysteresisPending,
-    /// Occupancy crossed the sequential/parallel threshold for long
-    /// enough to flip the mode.
-    ThresholdCrossed,
-    /// The occupancy landed in a configured oracle table row.
-    OracleLookup,
-    /// Extents rebalanced proportionally to measured stage service times.
-    ThroughputBalance,
-    /// Stage imbalance exceeded the fusion threshold; switching to the
-    /// fused pipeline alternative.
-    ImbalanceFusion,
-    /// A stage queue rose above its high watermark.
-    QueueAboveHighWater,
-    /// A stage queue fell below its low watermark.
-    QueueBelowLowWater,
-    /// Hill climber probing a neighbouring configuration.
-    HillClimbProbe,
-    /// The probed configuration beat the baseline; keeping it.
-    KeepBetterMove,
-    /// The probed configuration lost to the baseline; reverting.
-    RevertWorseMove,
-    /// The search converged; holding the current configuration.
-    Converged,
-    /// The power budget binds: capping or shedding parallelism.
-    PowerCapBinding,
-    /// Power headroom exists: growing within the budget.
-    PowerHeadroomGrow,
-    /// The power signal has not refreshed since the last decision;
-    /// holding rather than acting on stale data.
-    PowerSignalStale,
-    /// Waiting out a settle tick after a reconfiguration.
-    SettleWait,
-    /// A static mechanism restoring its pinned configuration.
-    Pinned,
-    /// The admission gate is shedding offers; steering capacity toward
-    /// goodput for the admitted requests rather than chasing an
-    /// unserviceable backlog.
-    AdmissionShedding,
-    /// No clause fired; holding the current configuration.
-    Hold,
+catalogue! {
+    /// Stable machine-readable reason codes for mechanism decisions.
+    ///
+    /// Codes are part of the trace contract (`docs/event-schema.md`): they
+    /// may be added, never renamed or removed. Each code names the dominant
+    /// clause of the mechanism's decision logic, not the outcome — two
+    /// different configurations can share a rationale, and a "hold" (no
+    /// proposal) carries one too.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum Rationale {
+        /// Work-queue occupancy mapped through the linear width law (Eq. 2).
+        OccupancyLinear,
+        /// A width change is pending until it persists past the hysteresis
+        /// window.
+        HysteresisPending,
+        /// Occupancy crossed the sequential/parallel threshold for long
+        /// enough to flip the mode.
+        ThresholdCrossed,
+        /// The occupancy landed in a configured oracle table row.
+        OracleLookup,
+        /// Extents rebalanced proportionally to measured stage service times.
+        ThroughputBalance,
+        /// Stage imbalance exceeded the fusion threshold; switching to the
+        /// fused pipeline alternative.
+        ImbalanceFusion,
+        /// A stage queue rose above its high watermark.
+        QueueAboveHighWater,
+        /// A stage queue fell below its low watermark.
+        QueueBelowLowWater,
+        /// Hill climber probing a neighbouring configuration.
+        HillClimbProbe,
+        /// The probed configuration beat the baseline; keeping it.
+        KeepBetterMove,
+        /// The probed configuration lost to the baseline; reverting.
+        RevertWorseMove,
+        /// The search converged; holding the current configuration.
+        Converged,
+        /// The power budget binds: capping or shedding parallelism.
+        PowerCapBinding,
+        /// Power headroom exists: growing within the budget.
+        PowerHeadroomGrow,
+        /// The power signal has not refreshed since the last decision;
+        /// holding rather than acting on stale data.
+        PowerSignalStale,
+        /// Waiting out a settle tick after a reconfiguration.
+        SettleWait,
+        /// A static mechanism restoring its pinned configuration.
+        Pinned,
+        /// The admission gate is shedding offers; steering capacity toward
+        /// goodput for the admitted requests rather than chasing an
+        /// unserviceable backlog.
+        AdmissionShedding,
+        /// No clause fired; holding the current configuration.
+        Hold,
+    }
+    fn code;
 }
 
 impl Rationale {
-    /// Every rationale code, for docs/tests cross-checks.
-    pub const ALL: [Rationale; 19] = [
-        Rationale::OccupancyLinear,
-        Rationale::HysteresisPending,
-        Rationale::ThresholdCrossed,
-        Rationale::OracleLookup,
-        Rationale::ThroughputBalance,
-        Rationale::ImbalanceFusion,
-        Rationale::QueueAboveHighWater,
-        Rationale::QueueBelowLowWater,
-        Rationale::HillClimbProbe,
-        Rationale::KeepBetterMove,
-        Rationale::RevertWorseMove,
-        Rationale::Converged,
-        Rationale::PowerCapBinding,
-        Rationale::PowerHeadroomGrow,
-        Rationale::PowerSignalStale,
-        Rationale::SettleWait,
-        Rationale::Pinned,
-        Rationale::AdmissionShedding,
-        Rationale::Hold,
-    ];
-
-    /// The stable code this rationale serializes under.
-    #[must_use]
-    pub fn code(self) -> &'static str {
-        match self {
-            Rationale::OccupancyLinear => "OccupancyLinear",
-            Rationale::HysteresisPending => "HysteresisPending",
-            Rationale::ThresholdCrossed => "ThresholdCrossed",
-            Rationale::OracleLookup => "OracleLookup",
-            Rationale::ThroughputBalance => "ThroughputBalance",
-            Rationale::ImbalanceFusion => "ImbalanceFusion",
-            Rationale::QueueAboveHighWater => "QueueAboveHighWater",
-            Rationale::QueueBelowLowWater => "QueueBelowLowWater",
-            Rationale::HillClimbProbe => "HillClimbProbe",
-            Rationale::KeepBetterMove => "KeepBetterMove",
-            Rationale::RevertWorseMove => "RevertWorseMove",
-            Rationale::Converged => "Converged",
-            Rationale::PowerCapBinding => "PowerCapBinding",
-            Rationale::PowerHeadroomGrow => "PowerHeadroomGrow",
-            Rationale::PowerSignalStale => "PowerSignalStale",
-            Rationale::SettleWait => "SettleWait",
-            Rationale::Pinned => "Pinned",
-            Rationale::AdmissionShedding => "AdmissionShedding",
-            Rationale::Hold => "Hold",
-        }
-    }
-
     /// Parses a stable code back into a rationale.
     #[must_use]
     pub fn from_code(code: &str) -> Option<Rationale> {

@@ -32,110 +32,68 @@ use std::str::FromStr;
 use crate::error::Error;
 use crate::path::TaskPath;
 
-/// Stable diagnostic codes (`DV0xx`) for configuration problems.
-///
-/// # Example
-///
-/// ```
-/// use dope_core::diag::DiagCode;
-///
-/// let code: DiagCode = "DV001".parse().unwrap();
-/// assert_eq!(code, DiagCode::BudgetExceeded);
-/// assert_eq!(code.to_string(), "DV001");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum DiagCode {
-    /// DV001: the configuration needs more threads than the budget allows.
-    BudgetExceeded,
-    /// DV002: the configuration uses a small fraction of the budget.
-    UnderSubscription,
-    /// DV003: a sequential task was assigned extent greater than one.
-    SequentialExtent,
-    /// DV004: a nest selects an alternative the shape does not declare.
-    AltOutOfRange,
-    /// DV005: a task name in the config differs from the shape's name.
-    NameMismatch,
-    /// DV006: an extent exceeds the shape's declared `max_extent`.
-    MaxExtentExceeded,
-    /// DV007: a task was assigned extent zero.
-    ZeroExtent,
-    /// DV008: a nest alternative contains no tasks, or a shape node
-    /// declares no alternatives at all.
-    EmptyNest,
-    /// DV009: a shape alternative can never be selected.
-    UnreachableAlternative,
-    /// DV010: a pipeline stage has far less capacity than its siblings.
-    PipeStarvation,
-    /// DV011: a config level has a different number of tasks than the
-    /// shape's selected alternative.
-    ArityMismatch,
-    /// DV012: a config node is a leaf where the shape declares a nest,
-    /// or vice versa.
-    StructureMismatch,
-    /// DV013: a path does not address a node in the tree.
-    UnknownPath,
-    /// DV014: the executive or a harness was misused.
-    Usage,
-    /// DV015: two sibling tasks share a name, making paths ambiguous to
-    /// humans (addressing is positional, so this is only a warning).
-    DuplicateTaskName,
-    /// DV016: a task body failed (panicked) at run time. This code is
-    /// emitted by the runtime's supervision layer, never by the static
-    /// analyzer — no configuration can predict a panic.
-    TaskFailed,
-    /// DV017: an admission policy carries degenerate parameters (zero
-    /// capacity / high watermark, or a non-positive deadline budget):
-    /// the gate would admit nothing.
-    AdmissionPolicy,
+catalogue! {
+    /// Stable diagnostic codes (`DV0xx`) for configuration problems.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dope_core::diag::DiagCode;
+    ///
+    /// let code: DiagCode = "DV001".parse().unwrap();
+    /// assert_eq!(code, DiagCode::BudgetExceeded);
+    /// assert_eq!(code.to_string(), "DV001");
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[non_exhaustive]
+    pub enum DiagCode {
+        /// DV001: the configuration needs more threads than the budget allows.
+        BudgetExceeded = "DV001",
+        /// DV002: the configuration uses a small fraction of the budget.
+        UnderSubscription = "DV002",
+        /// DV003: a sequential task was assigned extent greater than one.
+        SequentialExtent = "DV003",
+        /// DV004: a nest selects an alternative the shape does not declare.
+        AltOutOfRange = "DV004",
+        /// DV005: a task name in the config differs from the shape's name.
+        NameMismatch = "DV005",
+        /// DV006: an extent exceeds the shape's declared `max_extent`.
+        MaxExtentExceeded = "DV006",
+        /// DV007: a task was assigned extent zero.
+        ZeroExtent = "DV007",
+        /// DV008: a nest alternative contains no tasks, or a shape node
+        /// declares no alternatives at all.
+        EmptyNest = "DV008",
+        /// DV009: a shape alternative can never be selected.
+        UnreachableAlternative = "DV009",
+        /// DV010: a pipeline stage has far less capacity than its siblings.
+        PipeStarvation = "DV010",
+        /// DV011: a config level has a different number of tasks than the
+        /// shape's selected alternative.
+        ArityMismatch = "DV011",
+        /// DV012: a config node is a leaf where the shape declares a nest,
+        /// or vice versa.
+        StructureMismatch = "DV012",
+        /// DV013: a path does not address a node in the tree.
+        UnknownPath = "DV013",
+        /// DV014: the executive or a harness was misused.
+        Usage = "DV014",
+        /// DV015: two sibling tasks share a name, making paths ambiguous to
+        /// humans (addressing is positional, so this is only a warning).
+        DuplicateTaskName = "DV015",
+        /// DV016: a task body failed (panicked) at run time. This code is
+        /// emitted by the runtime's supervision layer, never by the static
+        /// analyzer — no configuration can predict a panic.
+        TaskFailed = "DV016",
+        /// DV017: an admission policy carries degenerate parameters (zero
+        /// capacity / high watermark, or a non-positive deadline budget):
+        /// the gate would admit nothing.
+        AdmissionPolicy = "DV017",
+    }
+    fn as_str;
 }
 
 impl DiagCode {
-    /// All catalogued codes, in numeric order.
-    pub const ALL: [DiagCode; 17] = [
-        DiagCode::BudgetExceeded,
-        DiagCode::UnderSubscription,
-        DiagCode::SequentialExtent,
-        DiagCode::AltOutOfRange,
-        DiagCode::NameMismatch,
-        DiagCode::MaxExtentExceeded,
-        DiagCode::ZeroExtent,
-        DiagCode::EmptyNest,
-        DiagCode::UnreachableAlternative,
-        DiagCode::PipeStarvation,
-        DiagCode::ArityMismatch,
-        DiagCode::StructureMismatch,
-        DiagCode::UnknownPath,
-        DiagCode::Usage,
-        DiagCode::DuplicateTaskName,
-        DiagCode::TaskFailed,
-        DiagCode::AdmissionPolicy,
-    ];
-
-    /// The stable textual form, e.g. `"DV001"`.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DiagCode::BudgetExceeded => "DV001",
-            DiagCode::UnderSubscription => "DV002",
-            DiagCode::SequentialExtent => "DV003",
-            DiagCode::AltOutOfRange => "DV004",
-            DiagCode::NameMismatch => "DV005",
-            DiagCode::MaxExtentExceeded => "DV006",
-            DiagCode::ZeroExtent => "DV007",
-            DiagCode::EmptyNest => "DV008",
-            DiagCode::UnreachableAlternative => "DV009",
-            DiagCode::PipeStarvation => "DV010",
-            DiagCode::ArityMismatch => "DV011",
-            DiagCode::StructureMismatch => "DV012",
-            DiagCode::UnknownPath => "DV013",
-            DiagCode::Usage => "DV014",
-            DiagCode::DuplicateTaskName => "DV015",
-            DiagCode::TaskFailed => "DV016",
-            DiagCode::AdmissionPolicy => "DV017",
-        }
-    }
-
     /// The severity this code is reported at by default.
     ///
     /// Warnings describe configurations that are legal but probably not

@@ -46,6 +46,40 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// Declares a fieldless enum that is a stable catalogue of codes, each
+/// variant written once: the enum, `ALL` (every variant, in declaration
+/// order) and `fn $code`, the `&'static str` code a variant serializes
+/// under — its `= "CODE"` when given, its name otherwise.
+macro_rules! catalogue {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$doc:meta])* $variant:ident $(= $text:literal)?,)+
+        }
+        fn $code:ident;
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl $name {
+            /// Every catalogued variant, in declaration order.
+            pub const ALL: [$name; [$(stringify!($variant)),+].len()] = [$($name::$variant),+];
+
+            /// The stable code this variant serializes under.
+            #[must_use]
+            pub fn $code(self) -> &'static str {
+                match self {
+                    $($name::$variant => catalogue!(@code $variant $($text)?),)+
+                }
+            }
+        }
+    };
+    (@code $variant:ident $text:literal) => { $text };
+    (@code $variant:ident) => { stringify!($variant) };
+}
+
 pub mod admission;
 pub mod config;
 pub mod control;

@@ -71,18 +71,11 @@ impl Counter {
 
 /// A floating-point metric that can go up and down.
 ///
-/// Stored as the bit pattern of an `f64` in an `AtomicU64`.
-#[derive(Debug)]
+/// Stored as the bit pattern of an `f64` in an `AtomicU64`; the pattern
+/// of `0.0` is all zeros, so the default gauge reads zero.
+#[derive(Debug, Default)]
 pub struct Gauge {
     bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
 }
 
 impl Gauge {

@@ -36,7 +36,7 @@ pub struct RunReport {
     pub final_config: Config,
     /// `(elapsed_secs, config)` for every applied configuration, the
     /// initial one included.
-    pub config_history: Vec<(f64, Config)>,
+    pub config_history: Vec<(f64, Arc<Config>)>,
     /// Task replicas that failed (panicked or vanished) during the run.
     pub task_failures: u64,
     /// Failed replicas the `Restart` policy re-instantiated.
@@ -369,9 +369,10 @@ impl Dope {
             Box::new(StaticMechanism::new(Config::even(&shape, budget)).named("Static-Even"))
         });
 
-        let initial = mechanism
+        let initial: Arc<Config> = mechanism
             .initial(&shape, &res)
-            .unwrap_or_else(|| Config::even(&shape, budget));
+            .unwrap_or_else(|| Config::even(&shape, budget))
+            .into();
         let launch_budget = builder.pool_threads.unwrap_or(budget).max(budget);
         initial.validate(&shape, launch_budget)?;
         debug_verify_gate("launch", &shape, &initial, launch_budget);
@@ -679,7 +680,7 @@ impl ControlSink for LiveSink<'_> {
         &mut self,
         time_secs: f64,
         mechanism: &str,
-        proposal: &Config,
+        proposal: &Arc<Config>,
         verdict: Verdict,
     ) {
         if let Some(observer) = &mut self.observer {
@@ -695,7 +696,13 @@ impl ControlSink for LiveSink<'_> {
         }
     }
 
-    fn reconfigured(&mut self, time: f64, config: &Config, scope: &Scope, timing: DrainTiming) {
+    fn reconfigured(
+        &mut self,
+        time: f64,
+        config: &Arc<Config>,
+        scope: &Scope,
+        timing: DrainTiming,
+    ) {
         if let Some(observer) = &mut self.observer {
             observer.reconfigured(time, config, scope, timing);
         }
@@ -871,7 +878,7 @@ impl Executive {
     fn run(
         self,
         mut mechanism: Box<dyn Mechanism>,
-        initial: Config,
+        initial: Arc<Config>,
         observer: Option<RecordingObserver>,
     ) -> Result<RunReport> {
         let mut sink = LiveSink {
@@ -1379,7 +1386,7 @@ mod tests {
             .expect("a ReconfigureEpoch event");
         assert!(epoch.0 >= 0.0 && epoch.1 >= 0.0);
         assert_eq!(epoch.2, 2, "new epoch runs the pinned extent-2 jobs");
-        assert_eq!(epoch.3, pinned);
+        assert_eq!(*epoch.3, pinned);
         assert_eq!(
             epoch.4, "partial",
             "a single-leaf extent change takes the delta path"

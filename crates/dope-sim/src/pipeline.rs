@@ -24,6 +24,7 @@ use dope_workload::{ArrivalSchedule, ResponseStats, TimeSeries};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Service profile of one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,7 +312,7 @@ pub struct PipelineOutcome {
     /// Power-meter readings at each control tick (Figure 14).
     pub power_series: TimeSeries,
     /// `(time, config)` for every applied reconfiguration.
-    pub config_history: Vec<(f64, Config)>,
+    pub config_history: Vec<(f64, Arc<Config>)>,
     /// Configuration in force at the end.
     pub final_config: Config,
     /// Time-weighted expected power, if a meter was attached.
@@ -622,10 +623,11 @@ pub fn run_pipeline_observed(
         res.threads.min(params.contexts).max(1)
     };
     let shape = model.shape();
-    let initial = mechanism
+    let initial: Arc<Config> = mechanism
         .initial(shape, &res)
         .filter(|c| c.validate(shape, budget).is_ok())
-        .unwrap_or_else(|| model.config_even(res.threads.min(params.contexts)));
+        .unwrap_or_else(|| model.config_even(res.threads.min(params.contexts)))
+        .into();
 
     let mut sim = Sim {
         model,

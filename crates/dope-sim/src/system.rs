@@ -18,6 +18,7 @@ use dope_core::{
 };
 use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, ResponseStats, TimeSeries};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A two-level application model: an outer transaction loop whose body
@@ -199,7 +200,7 @@ pub struct SystemOutcome {
     pub config_changes: u64,
     /// `(time, config)` for every applied configuration, the launch
     /// configuration (at 0.0) included.
-    pub config_history: Vec<(f64, Config)>,
+    pub config_history: Vec<(f64, Arc<Config>)>,
     /// Mechanism proposals rejected by validation.
     pub rejected_configs: u64,
     /// Configuration in force at the end of the run.
@@ -288,10 +289,11 @@ pub fn run_system_observed(
     };
     let shape = model.shape();
 
-    let config = mechanism
+    let config: Arc<Config> = mechanism
         .initial(shape, &res)
         .filter(|c| c.validate(shape, budget).is_ok())
-        .unwrap_or_else(|| model.config_for_width(budget, 1));
+        .unwrap_or_else(|| model.config_for_width(budget, 1))
+        .into();
     observer.launched(mechanism.name(), budget, shape, &config);
     let mut width = model.width_of(&config).max(1);
     let mut outer_cap = nest::outer_extent_of(&config, model.nest()).max(1);

@@ -39,6 +39,7 @@ use dope_core::json::{
     config_from_value, config_to_value, parse, shape_from_value, shape_to_value, JsonError, Value,
 };
 use dope_core::{Config, DiagCode, Label, ProgramShape, Rationale, TaskPath, TaskStats, TaskTable};
+use std::sync::Arc;
 
 /// The wire form of one payload type. `put`/`take` are its JSON value
 /// (`key` names it in error messages only); `put_field`/`take_field` are
@@ -183,6 +184,18 @@ impl<T: Wire> Wire for Option<T> {
             Value::Null => Ok(None),
             other => T::take(other, key).map(Some),
         }
+    }
+}
+
+/// Shared in memory, the value itself on the wire: a decoded record
+/// holds an allocation of its own.
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self) -> Value {
+        T::put(self)
+    }
+
+    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
+        T::take(value, key).map(Arc::new)
     }
 }
 
@@ -335,8 +348,8 @@ mod tests {
         TaskKind,
     };
 
-    fn sample_config() -> Config {
-        Config::new(vec![TaskConfig::nest(
+    fn sample_config() -> Arc<Config> {
+        Arc::new(Config::new(vec![TaskConfig::nest(
             "transcode",
             2,
             0,
@@ -345,7 +358,7 @@ mod tests {
                 TaskConfig::leaf("work", 2),
                 TaskConfig::leaf("write", 1),
             ],
-        )])
+        )]))
     }
 
     fn sample_shape() -> ProgramShape {

@@ -38,6 +38,7 @@ use dope_core::{
 };
 
 use crate::codec::Wire;
+use std::sync::Arc;
 
 /// Version of the event schema emitted by this build.
 ///
@@ -178,7 +179,7 @@ trace_schema! {
             /// The structural shape derived from the descriptor.
             shape: ProgramShape,
             /// The initial configuration.
-            config: Config,
+            config: Arc<Config>,
             /// The admission policy the run declared, as its stable
             /// lowercase tag (`"open"` / `"block"` / `"shed"` /
             /// `"deadline"`). Additive in schema v1; absent decodes as
@@ -204,7 +205,7 @@ trace_schema! {
             /// `Mechanism::name()` of the proposer.
             mechanism: Label,
             /// The proposed configuration.
-            proposal: Config,
+            proposal: Arc<Config>,
             /// Accept / unchanged / reject-with-DV-code.
             verdict: Verdict,
         },
@@ -221,7 +222,7 @@ trace_schema! {
             /// Worker jobs live after the reconfiguration.
             jobs: u64,
             /// The configuration now in force.
-            config: Config,
+            config: Arc<Config>,
             /// `"full"` (the paper protocol: every replica drained) or
             /// `"partial"` (delta reconfiguration: only changed paths
             /// drained). Additive in schema v1; absent decodes as `"full"`,
@@ -470,12 +471,12 @@ impl TraceEvent {
     /// the one mapping from its [`Scope`] to the wire's `scope` tag and
     /// `paths_drained` count.
     #[must_use]
-    pub fn reconfigured(config: &Config, scope: &Scope, timing: DrainTiming) -> Self {
+    pub fn reconfigured(config: &Arc<Config>, scope: &Scope, timing: DrainTiming) -> Self {
         TraceEvent::ReconfigureEpoch {
             pause_secs: timing.pause_secs,
             relaunch_secs: timing.relaunch_secs,
             jobs: timing.jobs,
-            config: config.clone(),
+            config: Arc::clone(config),
             scope: scope.tag().into(),
             paths_drained: scope.paths_drained(config),
         }
@@ -565,7 +566,7 @@ mod tests {
                 goal: String::new(),
                 threads: 1,
                 shape: ProgramShape::new(vec![]),
-                config: Config::default(),
+                config: Arc::default(),
                 admission: admission.into(),
             },
         }

@@ -38,6 +38,7 @@
 
 use dope_core::control::{ControlSink, DrainTiming, Scope, Verdict};
 use dope_core::{Config, DecisionTrace, Label, MonitorSnapshot, ProgramShape, TaskPath};
+use std::sync::Arc;
 
 use crate::event::TraceEvent;
 use crate::recorder::Recorder;
@@ -138,7 +139,13 @@ impl RecordingObserver {
 }
 
 impl ControlSink for RecordingObserver {
-    fn launched(&mut self, mechanism: &str, threads: u32, shape: &ProgramShape, config: &Config) {
+    fn launched(
+        &mut self,
+        mechanism: &str,
+        threads: u32,
+        shape: &ProgramShape,
+        config: &Arc<Config>,
+    ) {
         self.record_at(
             0.0,
             TraceEvent::Launched {
@@ -146,7 +153,7 @@ impl ControlSink for RecordingObserver {
                 goal: self.goal.clone(),
                 threads,
                 shape: shape.clone(),
-                config: config.clone(),
+                config: Arc::clone(config),
                 admission: self.admission.clone(),
             },
         );
@@ -179,14 +186,14 @@ impl ControlSink for RecordingObserver {
         &mut self,
         time_secs: f64,
         mechanism: &str,
-        proposal: &Config,
+        proposal: &Arc<Config>,
         verdict: Verdict,
     ) {
         self.record_at(
             time_secs,
             TraceEvent::ProposalEvaluated {
                 mechanism: mechanism.into(),
-                proposal: proposal.clone(),
+                proposal: Arc::clone(proposal),
                 verdict,
             },
         );
@@ -195,7 +202,7 @@ impl ControlSink for RecordingObserver {
     fn reconfigured(
         &mut self,
         time_secs: f64,
-        config: &Config,
+        config: &Arc<Config>,
         scope: &Scope,
         timing: DrainTiming,
     ) {
@@ -224,7 +231,7 @@ mod tests {
         let recorder = Recorder::bounded(64);
         let mut obs = RecordingObserver::new(recorder.clone()).with_goal("MaxThroughput");
         let shape = ProgramShape::new(vec![]);
-        let config = Config::new(vec![TaskConfig::leaf("t", 1)]);
+        let config = Arc::new(Config::new(vec![TaskConfig::leaf("t", 1)]));
         obs.launched("WQ-Linear", 8, &shape, &config);
         let mut snapshot = MonitorSnapshot::at(1.0);
         snapshot
@@ -307,7 +314,10 @@ mod tests {
     fn reconfigured_spells_partial_and_full_scopes() {
         let recorder = Recorder::bounded(16);
         let mut obs = RecordingObserver::new(recorder.clone());
-        let config = Config::new(vec![TaskConfig::leaf("a", 1), TaskConfig::leaf("b", 4)]);
+        let config = Arc::new(Config::new(vec![
+            TaskConfig::leaf("a", 1),
+            TaskConfig::leaf("b", 4),
+        ]));
         let partial = Scope::Partial(vec!["1".parse().unwrap()]);
         obs.reconfigured(1.0, &config, &partial, DrainTiming::default());
         obs.reconfigured(2.0, &config, &Scope::Full, DrainTiming::default());
@@ -335,12 +345,7 @@ mod tests {
         use dope_core::AdmissionStats;
         let recorder = Recorder::bounded(64);
         let mut obs = RecordingObserver::new(recorder.clone()).with_admission_policy("shed");
-        obs.launched(
-            "WQ-Linear",
-            8,
-            &ProgramShape::new(vec![]),
-            &Config::default(),
-        );
+        obs.launched("WQ-Linear", 8, &ProgramShape::new(vec![]), &Arc::default());
         let mut snap = MonitorSnapshot::at(2.0);
         snap.power_watts = Some(612.5);
         snap.admission = AdmissionStats {
@@ -374,12 +379,7 @@ mod tests {
     fn finished_is_stamped_at_the_latest_seen_time() {
         let recorder = Recorder::bounded(16);
         let mut obs = RecordingObserver::new(recorder.clone());
-        obs.reconfigured(
-            7.5,
-            &Config::default(),
-            &Scope::Full,
-            DrainTiming::default(),
-        );
+        obs.reconfigured(7.5, &Arc::default(), &Scope::Full, DrainTiming::default());
         obs.finished(1, 1);
         let last = recorder.records().last().cloned().unwrap();
         assert_eq!(last.time_secs, 7.5);

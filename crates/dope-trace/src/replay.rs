@@ -44,6 +44,7 @@ use dope_core::{Config, Mechanism, MonitorSnapshot, ProgramShape, Resources};
 use dope_sim::profile::AmdahlProfile;
 use dope_sim::system::{run_system, SystemParams, TwoLevelModel};
 use dope_workload::ArrivalSchedule;
+use std::sync::Arc;
 
 use crate::event::{TraceEvent, TraceRecord};
 
@@ -56,8 +57,8 @@ use crate::event::{TraceEvent, TraceRecord};
 /// queue is exhausted, then proposes nothing.
 #[derive(Debug, Clone)]
 pub struct ReplayMechanism {
-    initial: Option<Config>,
-    queued: std::collections::VecDeque<Config>,
+    initial: Arc<Config>,
+    queued: std::collections::VecDeque<Arc<Config>>,
 }
 
 impl ReplayMechanism {
@@ -78,8 +79,8 @@ impl ReplayMechanism {
                 _ => {}
             }
         }
-        initial.map(|initial| ReplayMechanism {
-            initial: Some(initial),
+        Some(ReplayMechanism {
+            initial: initial?,
             queued,
         })
     }
@@ -103,11 +104,11 @@ impl Mechanism for ReplayMechanism {
         _shape: &ProgramShape,
         _res: &Resources,
     ) -> Option<Config> {
-        self.queued.pop_front()
+        self.queued.pop_front().map(Arc::unwrap_or_clone)
     }
 
     fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
-        self.initial.clone()
+        Some(Config::clone(&self.initial))
     }
 }
 
@@ -115,7 +116,7 @@ impl Mechanism for ReplayMechanism {
 /// configuration followed by every `ReconfigureEpoch` configuration, in
 /// record order.
 #[must_use]
-pub fn accepted_configs(records: &[TraceRecord]) -> Vec<Config> {
+pub fn accepted_configs(records: &[TraceRecord]) -> Vec<Arc<Config>> {
     let mut configs = Vec::new();
     for record in records {
         match &record.event {
@@ -131,13 +132,12 @@ pub fn accepted_configs(records: &[TraceRecord]) -> Vec<Config> {
 /// Result of replaying a trace through the simulator.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    /// The configuration the trace launched with.
-    pub launched: Config,
-    /// Accepted-config sequence read from the trace (launch included).
-    pub recorded: Vec<Config>,
+    /// Accepted-config sequence read from the trace, the launch
+    /// configuration first.
+    pub recorded: Vec<Arc<Config>>,
     /// Accepted-config sequence the simulator applied on replay (launch
     /// included).
-    pub replayed: Vec<Config>,
+    pub replayed: Vec<Arc<Config>>,
 }
 
 impl ReplayOutcome {
@@ -156,15 +156,10 @@ impl ReplayOutcome {
 /// Returns a description of the problem when the trace has no `Launched`
 /// event or its shape contains no two-level nest the simulator can model.
 pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String> {
-    let (shape, threads, launched) = records
+    let (shape, threads) = records
         .iter()
         .find_map(|record| match &record.event {
-            TraceEvent::Launched {
-                shape,
-                threads,
-                config,
-                ..
-            } => Some((shape.clone(), *threads, config.clone())),
+            TraceEvent::Launched { shape, threads, .. } => Some((shape.clone(), *threads)),
             _ => None,
         })
         .ok_or_else(|| "trace has no Launched event".to_string())?;
@@ -195,7 +190,6 @@ pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String>
     );
 
     Ok(ReplayOutcome {
-        launched,
         recorded,
         replayed: outcome.config_history.into_iter().map(|(_, c)| c).collect(),
     })
@@ -265,7 +259,6 @@ mod tests {
         let outcome = replay_into_sim(&records).expect("replay");
         assert_eq!(outcome.recorded.len(), 1);
         assert!(outcome.matches());
-        assert_eq!(outcome.launched, outcome.recorded[0]);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!         pause_secs: 0.004,
 //!         relaunch_secs: 0.001,
 //!         jobs: 8,
-//!         config: dope_core::Config::default(),
+//!         config: Default::default(),
 //!         scope: "full".into(),
 //!         paths_drained: 3,
 //!     },
@@ -404,7 +404,7 @@ mod tests {
                     pause_secs: 0.004,
                     relaunch_secs: 0.001,
                     jobs: 8,
-                    config: dope_core::Config::default(),
+                    config: Default::default(),
                     scope: "full".into(),
                     paths_drained: 3,
                 },
@@ -415,7 +415,7 @@ mod tests {
                     pause_secs: 0.0004,
                     relaunch_secs: 0.0001,
                     jobs: 9,
-                    config: dope_core::Config::default(),
+                    config: Default::default(),
                     scope: "partial".into(),
                     paths_drained: 1,
                 },

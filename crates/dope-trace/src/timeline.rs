@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn every_kind_renders_its_tag() {
-        let config = Config::new(vec![TaskConfig::leaf("t", 1)]);
+        let config = std::sync::Arc::new(Config::new(vec![TaskConfig::leaf("t", 1)]));
         let lines = render_timeline(&[
             record(
                 0,

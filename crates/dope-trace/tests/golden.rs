@@ -150,7 +150,7 @@ fn a_period_written_with_its_copies_reads_as_the_snapshot_alone() {
         goal: "MaxThroughput(4 threads)".to_string(),
         threads: 4,
         shape: ProgramShape::new(vec![]),
-        config: Config::default(),
+        config: Config::default().into(),
         admission: admission.into(),
     };
     let (mut old, mut new) = (Vec::new(), Vec::new());

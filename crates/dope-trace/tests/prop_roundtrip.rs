@@ -141,7 +141,7 @@ fn build_event(
             goal: format!("MinResponseTime(threads={threads})"),
             threads,
             shape: shape(cap),
-            config: config(extents, alt, nested),
+            config: config(extents, alt, nested).into(),
             admission: ["", "open", "shed"][idx % 3].into(),
         },
         1 => {
@@ -173,7 +173,7 @@ fn build_event(
         },
         3 => TraceEvent::ProposalEvaluated {
             mechanism: mechanism(idx).into(),
-            proposal: config(extents, alt, nested),
+            proposal: config(extents, alt, nested).into(),
             verdict: match verdict_sel % 4 {
                 0 => Verdict::Accepted,
                 1 => Verdict::Unchanged,
@@ -187,7 +187,7 @@ fn build_event(
             pause_secs: f_small,
             relaunch_secs: f_big,
             jobs: n_small,
-            config: config(extents, alt, nested),
+            config: config(extents, alt, nested).into(),
             scope: if verdict_sel.is_multiple_of(2) {
                 "full"
             } else {

@@ -21,6 +21,7 @@ use dope_core::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
+use std::sync::Arc;
 use std::time::Duration;
 
 const BUDGET: u32 = 16;
@@ -181,16 +182,28 @@ impl ControlSink for Log {
         });
     }
 
-    fn proposal_evaluated(&mut self, _time: f64, _mech: &str, proposal: &Config, verdict: Verdict) {
+    fn proposal_evaluated(
+        &mut self,
+        _time: f64,
+        _mech: &str,
+        proposal: &Arc<Config>,
+        verdict: Verdict,
+    ) {
         self.0.push(Event::Proposal {
-            config: proposal.clone(),
+            config: Config::clone(proposal),
             verdict,
         });
     }
 
-    fn reconfigured(&mut self, _time: f64, config: &Config, scope: &Scope, _timing: DrainTiming) {
+    fn reconfigured(
+        &mut self,
+        _time: f64,
+        config: &Arc<Config>,
+        scope: &Scope,
+        _timing: DrainTiming,
+    ) {
         self.0.push(Event::Reconfigured {
-            config: config.clone(),
+            config: Config::clone(config),
             scope: scope.clone(),
         });
     }
@@ -284,7 +297,7 @@ fn run(rules: Rules, script: Vec<(Move, bool)>, steps: &[Step]) -> Run {
             &shape,
             Resources::threads(BUDGET),
             rules,
-            config(2, 2, 1),
+            config(2, 2, 1).into(),
         );
         let mut now = 0.0;
         let mut with_final = false;
@@ -413,7 +426,7 @@ fn check_closing_invariants(run: &Run, rules: Rules) {
     let history: Vec<Config> = report
         .config_history
         .iter()
-        .map(|(_, c)| c.clone())
+        .map(|(_, c)| Config::clone(c))
         .collect();
     assert_eq!(report.reconfigurations as usize, history.len() - 1);
     assert_eq!(history[1..], reconfigured[..]);
