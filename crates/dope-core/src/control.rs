@@ -4,11 +4,12 @@
 //! clock-agnostic state machine. It owns the whole protocol state — the
 //! configuration in force, the one held [`DecisionTrace`], the in-flight
 //! target and its [`Scope`], the reconfiguration and rejection counts,
-//! the configuration history and the failure-policy bookkeeping — and
-//! nothing else: no threads, no clock, no queues. A *driver* feeds it
-//! what happened ([`tick`](ControlCore::tick),
-//! [`task_failed`](ControlCore::task_failed),
-//! [`drained`](ControlCore::drained),
+//! the configuration history, the failure-policy bookkeeping and the
+//! replica books (how many replicas of each top-level path are out, and
+//! when the drain in flight was first acted on) — and nothing else: no
+//! threads, no clock, no queues. A *driver* feeds it what happened
+//! ([`tick`](ControlCore::tick), [`reported`](ControlCore::reported),
+//! [`suspended`](ControlCore::suspended),
 //! [`relaunched`](ControlCore::relaunched), [`stop`](ControlCore::stop),
 //! [`finish`](ControlCore::finish)), does what the returned [`Action`]
 //! says, and hears what the core decided through one [`ControlSink`].
@@ -46,6 +47,10 @@
 //!   when delta reconfiguration is enabled and the target differs only in
 //!   top-level leaf extents, otherwise every top-level path
 //!   ([`Scope::paths`]).
+//! * **The core decides the boundary.** A partial drain awaits its
+//!   scope's paths, any other drain (and a running run) all paths; the
+//!   [`reported`](ControlCore::reported) that settles the last awaited
+//!   replica — or a suspend request that finds none out — returns it.
 //!
 //! # Example
 //!
@@ -77,11 +82,12 @@ use crate::config::Config;
 use crate::decision::{realized_throughput, DecisionTrace};
 use crate::diag::DiagCode;
 use crate::error::Error;
-use crate::failure::{FailurePolicy, FailureVerdict};
+use crate::failure::{FailurePolicy, FailureVerdict, TaskOutcome};
 use crate::mechanism::{Mechanism, Resources};
 use crate::metrics::MonitorSnapshot;
 use crate::path::TaskPath;
 use crate::shape::ProgramShape;
+use crate::status::TaskStatus;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -155,11 +161,11 @@ impl Scope {
 /// drivers whose drains take no time).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DrainTiming {
-    /// Seconds from the suspend request to the drained boundary.
+    /// Seconds from the drain's first [`suspended`](ControlCore::suspended) to its boundary.
     pub pause_secs: f64,
     /// Seconds spent instantiating and submitting the relaunch.
     pub relaunch_secs: f64,
-    /// Worker jobs running after the relaunch.
+    /// Worker jobs out after the relaunch.
     pub jobs: u64,
 }
 
@@ -169,8 +175,10 @@ pub enum Action {
     /// Nothing: keep running (or keep draining).
     Continue,
     /// Steer every replica of these top-level paths to a consistent
-    /// point, then report [`drained`](ControlCore::drained) once they all
-    /// have. A later request while one is in flight names a superset.
+    /// point and confirm it with [`suspended`](ControlCore::suspended);
+    /// each replica's [`reported`](ControlCore::reported) outcome
+    /// settles it, and the last awaited one brings the boundary. A later
+    /// request while one is in flight names a superset.
     SuspendPaths(Vec<TaskPath>),
     /// Relaunch the scope's paths ([`Scope::paths`]) under
     /// [`ControlCore::config`], then report
@@ -337,8 +345,22 @@ pub struct ControlReport {
     pub config_history: Vec<(f64, Arc<Config>)>,
     /// Failed replicas the `Restart` policy absorbed.
     pub restarts: u64,
-    /// The most severe thing the failure policy had to do.
+    /// Replicas that failed (panicked or vanished).
+    pub task_failures: u64,
+    /// Replicas whose job ended without an outcome (`<= task_failures`).
+    pub lost_jobs: u64,
+    /// The most severe thing that happened: what the failure policy had
+    /// to do, or [`FailureVerdict::LostWork`] once a job vanished.
     pub failure_verdict: FailureVerdict,
+}
+
+/// One top-level path's replicas, as the core books them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Books {
+    /// Replicas launched that have not reported.
+    out: usize,
+    /// Replicas launched since the path's last relaunch not yet `Finished`.
+    unfinished: usize,
 }
 
 /// The control protocol state machine. See the [module docs](self).
@@ -358,9 +380,17 @@ pub struct ControlCore<'a> {
     held: Option<(f64, DecisionTrace)>,
     /// Failures reported since the last boundary.
     failures: Vec<(TaskPath, String)>,
+    /// One entry per top-level path of the shape, by index.
+    books: Vec<Books>,
+    /// When the driver first acted on the drain in flight.
+    drain_since: Option<f64>,
+    /// How long the last boundary's drain took, for its relaunch.
+    pause_secs: f64,
     history: Vec<(f64, Arc<Config>)>,
     rejected: u64,
     restarts: u64,
+    task_failures: u64,
+    lost_jobs: u64,
     verdict: FailureVerdict,
 }
 
@@ -374,8 +404,8 @@ impl std::fmt::Debug for ControlCore<'_> {
 }
 
 impl<'a> ControlCore<'a> {
-    /// A core in [`Phase::Running`] under `initial`, which the driver
-    /// has validated and launched.
+    /// A core in [`Phase::Running`] under `initial`, which the driver has
+    /// validated; its launch is the first [`relaunched`](Self::relaunched).
     pub fn new(
         mechanism: &'a mut dyn Mechanism,
         sink: &'a mut dyn ControlSink,
@@ -397,8 +427,13 @@ impl<'a> ControlCore<'a> {
             phase: Phase::Running,
             held: None,
             failures: Vec::new(),
+            books: vec![Books::default(); shape.tasks.len()],
+            drain_since: None,
+            pause_secs: 0.0,
             rejected: 0,
             restarts: 0,
+            task_failures: 0,
+            lost_jobs: 0,
             verdict: FailureVerdict::Clean,
         }
     }
@@ -420,6 +455,12 @@ impl<'a> ControlCore<'a> {
     #[must_use]
     pub fn is_running(&self) -> bool {
         self.phase == Phase::Running
+    }
+
+    /// Replicas launched that have not reported ([`DrainTiming::jobs`]).
+    #[must_use]
+    pub fn replicas_out(&self) -> u64 {
+        self.books.iter().map(|books| books.out as u64).sum()
     }
 
     /// `true` while an explained decision waits to be scored — a driver
@@ -472,34 +513,50 @@ impl<'a> ControlCore<'a> {
             target: proposal,
             scope,
         };
-        Action::SuspendPaths(paths)
+        self.suspend(now, paths)
     }
 
     /// [`tick`](Self::tick) for drivers whose drains take no time (the
-    /// simulators): a requested drain is answered at once with
-    /// [`drained`](Self::drained) and a zero-timing
-    /// [`relaunched`](Self::relaunched). Returns `true` when
-    /// [`config`](Self::config) changed.
+    /// simulators, which book no replicas): a requested drain finds
+    /// nothing out, and its relaunch is confirmed at once with nothing
+    /// launched. Returns `true` when [`config`](Self::config) changed.
     pub fn tick_instant(&mut self, now: f64, snap: &MonitorSnapshot) -> bool {
         if matches!(self.tick(now, snap), Action::Continue) {
             return false;
         }
-        self.drained(false);
-        self.relaunched(now, DrainTiming::default());
+        self.relaunched(now, 0.0, &[]);
         true
     }
 
-    /// A replica at `path` failed. Any in-flight target is superseded —
-    /// the failure policy's full drain takes precedence — and every
-    /// top-level path must drain.
-    pub fn task_failed(&mut self, now: f64, path: TaskPath, reason: String) -> Action {
+    /// The replica at (leaf) `path` returned with `outcome`, or without
+    /// one (`None`: a lost job, booked as a failure). A failure supersedes
+    /// any in-flight target and suspends every top-level path; the report
+    /// that settles the last awaited replica returns the boundary.
+    pub fn reported(&mut self, now: f64, path: TaskPath, outcome: Option<TaskOutcome>) -> Action {
+        if let Some(books) = self.books.get_mut(path.top_index()) {
+            books.out = books.out.saturating_sub(1);
+            if outcome == Some(TaskOutcome::Completed(TaskStatus::Finished)) {
+                books.unfinished = books.unfinished.saturating_sub(1);
+            }
+        }
+        let reason = match outcome {
+            Some(TaskOutcome::Completed(_)) if self.drained() => return self.boundary(now),
+            Some(TaskOutcome::Completed(_)) => return Action::Continue,
+            Some(TaskOutcome::Failed { reason }) => reason,
+            None => {
+                self.lost_jobs += 1;
+                self.verdict = self.verdict.worsen(FailureVerdict::LostWork);
+                "worker job vanished without reporting an outcome".to_string()
+            }
+        };
+        self.task_failures += 1;
         self.sink
             .task_failed(now, &path, &reason, self.rules.policy.kind());
         self.failures.push((path, reason));
         if self.phase != Phase::Stopping {
             self.retire_target(now, Phase::DrainingForFailure);
         }
-        Action::SuspendPaths(Scope::Full.paths(&self.config))
+        self.suspend(now, Scope::Full.paths(&self.config))
     }
 
     /// An orderly stop was requested: any in-flight target is
@@ -509,42 +566,45 @@ impl<'a> ControlCore<'a> {
         let action = match self.phase {
             Phase::Stopping => return Action::Continue,
             // Nothing is running: there is nothing to drain.
-            Phase::Relaunching | Phase::Applying { .. } => Action::Finish,
-            _ => Action::SuspendPaths(Scope::Full.paths(&self.config)),
+            Phase::Relaunching | Phase::Applying { .. } => Some(Action::Finish),
+            _ => None,
         };
         self.retire_target(now, Phase::Stopping);
-        action
+        action.unwrap_or_else(|| self.suspend(now, Scope::Full.paths(&self.config)))
     }
 
-    /// The paths of the last suspend request have drained (also
-    /// reported, unasked, when every replica returned while running).
-    /// `finished` says every replica launched since its path was last
-    /// relaunched reported `Finished` — the program is complete.
-    pub fn drained(&mut self, finished: bool) -> Action {
-        match std::mem::replace(&mut self.phase, Phase::Relaunching) {
-            Phase::Draining { target, scope } => self.switch_to(target, scope, true),
-            Phase::DrainingForFailure => self.apply_policy(false),
-            Phase::Stopping if !self.failures.is_empty() => self.apply_policy(true),
-            Phase::Stopping => self.ended(Action::Finish),
-            Phase::Running if finished => self.ended(Action::Finish),
-            // Replicas suspended without being asked: relaunch them as
-            // they were.
-            Phase::Running => Action::Relaunch(Scope::Full),
-            relaunching @ (Phase::Relaunching | Phase::Applying { .. }) => {
-                self.phase = relaunching;
-                Action::Continue
+    /// The driver set the flags of the last [`Action::SuspendPaths`] at
+    /// `now` (after the consult and sink work that are not pause); the
+    /// drain's pause runs from the first such call.
+    pub fn suspended(&mut self, now: f64) {
+        self.drain_since.get_or_insert(now);
+    }
+
+    /// The launch, or the relaunch the last boundary asked for, put out a
+    /// replica at each (leaf) path of `launched` in `relaunch_secs`; the
+    /// relaunched paths' books restart with them. A configuration changed
+    /// at the boundary counts here: the history grows, the mechanism hears
+    /// [`applied`](Mechanism::applied), and the sink `reconfigured`.
+    pub fn relaunched(&mut self, now: f64, relaunch_secs: f64, launched: &[TaskPath]) {
+        for index in 0..self.books.len() {
+            if self.covers(index) {
+                self.books[index].unfinished = 0;
             }
         }
-    }
-
-    /// The relaunch requested by the last [`drained`](Self::drained)
-    /// completed. If the configuration changed at the boundary this is
-    /// where it counts: the history grows, the mechanism hears
-    /// [`applied`](Mechanism::applied), and the sink `reconfigured`.
-    pub fn relaunched(&mut self, now: f64, timing: DrainTiming) {
+        for path in launched {
+            if let Some(books) = self.books.get_mut(path.top_index()) {
+                books.out += 1;
+                books.unfinished += 1;
+            }
+        }
         match std::mem::replace(&mut self.phase, Phase::Running) {
             Phase::Relaunching => {}
             Phase::Applying { scope, .. } => {
+                let timing = DrainTiming {
+                    pause_secs: self.pause_secs,
+                    relaunch_secs,
+                    jobs: self.replicas_out(),
+                };
                 self.history.push((now, Arc::clone(&self.config)));
                 self.mechanism.applied(&self.config);
                 self.sink.reconfigured(now, &self.config, &scope, timing);
@@ -569,7 +629,54 @@ impl<'a> ControlCore<'a> {
             final_config: Config::clone(&self.config),
             config_history: self.history,
             restarts: self.restarts,
+            task_failures: self.task_failures,
+            lost_jobs: self.lost_jobs,
             failure_verdict: self.verdict,
+        }
+    }
+
+    /// Whether the drain or relaunch under way covers top-level path
+    /// `index`: a partial one its changed paths, any other all paths.
+    fn covers(&self, index: usize) -> bool {
+        match &self.phase {
+            Phase::Draining { scope, .. } | Phase::Applying { scope, .. } => match scope {
+                Scope::Full => true,
+                Scope::Partial(paths) => paths.iter().any(|path| path.top_index() == index),
+            },
+            _ => true,
+        }
+    }
+
+    /// Every replica the phase waits for has reported (the covered paths';
+    /// a relaunch under way waits for nothing).
+    fn drained(&self) -> bool {
+        !matches!(self.phase, Phase::Relaunching | Phase::Applying { .. })
+            && (self.books.iter().enumerate())
+                .all(|(index, books)| books.out == 0 || !self.covers(index))
+    }
+
+    /// A suspend request for `paths`; one that finds nothing out is its
+    /// own boundary.
+    fn suspend(&mut self, now: f64, paths: Vec<TaskPath>) -> Action {
+        if self.drained() {
+            return self.boundary(now);
+        }
+        Action::SuspendPaths(paths)
+    }
+
+    /// What the phase does once every awaited replica has reported.
+    fn boundary(&mut self, now: f64) -> Action {
+        self.pause_secs = self.drain_since.take().map_or(0.0, |since| now - since);
+        let finished = self.books.iter().all(|books| books.unfinished == 0);
+        match std::mem::replace(&mut self.phase, Phase::Relaunching) {
+            Phase::Draining { target, scope } => self.switch_to(target, scope, true),
+            Phase::DrainingForFailure => self.apply_policy(false),
+            Phase::Stopping if !self.failures.is_empty() => self.apply_policy(true),
+            Phase::Stopping => self.ended(Action::Finish),
+            Phase::Running if finished => self.ended(Action::Finish),
+            // `Running` (a relaunch under way is never drained): replicas
+            // suspended without being asked relaunch as they were.
+            _ => Action::Relaunch(Scope::Full),
         }
     }
 

@@ -216,7 +216,9 @@ impl fmt::Display for Value {
     }
 }
 
-/// Escapes a string for embedding in JSON output.
+/// Escapes a string for embedding in JSON output: newline and tab become
+/// `\n` and `\t`, any other control character `\u00XX` (lower-case hex),
+/// so any string survives [`parse`] unchanged.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -226,6 +228,7 @@ pub fn escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }
@@ -353,6 +356,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // The plain run up to the next quote, backslash or control byte
+        // goes in whole (those are ASCII: it ends on a char boundary).
+        let start = *pos;
+        let plain = |&&c: &&u8| c != b'"' && c != b'\\' && c >= 0x20;
+        *pos += bytes[start..].iter().take_while(plain).count();
+        let run = std::str::from_utf8(&bytes[start..*pos]);
+        out.push_str(run.map_err(|_| JsonError::at(start, "invalid UTF-8"))?);
         match bytes.get(*pos) {
             None => return Err(JsonError::at(*pos, "unterminated string")),
             Some(b'"') => {
@@ -361,27 +371,53 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(b'\\') => {
                 *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    _ => return Err(JsonError::at(*pos, "unsupported escape")),
-                }
-                *pos += 1;
+                out.push(parse_escape(bytes, pos)?);
             }
-            Some(&c) if c < 0x20 => return Err(JsonError::at(*pos, "control character in string")),
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(_) => return Err(JsonError::at(*pos, "control character in string")),
         }
     }
+}
+
+/// Decodes the escape whose letter is at `pos` and moves past it. A
+/// `\uXXXX` naming a UTF-16 high surrogate must be followed by a
+/// `\uXXXX` naming a low one; a lone surrogate is refused.
+fn parse_escape(bytes: &[u8], pos: &mut usize) -> Result<char, JsonError> {
+    let at = *pos;
+    *pos += 1;
+    Ok(match bytes.get(at) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b't') => '\t',
+        Some(b'r') => '\r',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'u') => {
+            let mut code = parse_hex4(bytes, pos)?;
+            if (0xD800..0xDC00).contains(&code) && bytes[*pos..].starts_with(b"\\u") {
+                *pos += 2;
+                let low = parse_hex4(bytes, pos)?;
+                if (0xDC00..0xE000).contains(&low) {
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
+            }
+            // Still a surrogate: it was not half of a pair.
+            char::from_u32(code).ok_or_else(|| JsonError::at(at, "lone surrogate in \\u escape"))?
+        }
+        _ => return Err(JsonError::at(at, "unsupported escape")),
+    })
+}
+
+/// Reads the four hex digits of a `\u` escape at `pos`.
+fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+    let unit = bytes
+        .get(*pos..*pos + 4)
+        .filter(|digits| digits.iter().all(u8::is_ascii_hexdigit))
+        .and_then(|digits| u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok())
+        .ok_or_else(|| JsonError::at(*pos, "expected four hex digits"))?;
+    *pos += 4;
+    Ok(unit)
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
@@ -664,6 +700,57 @@ mod tests {
                 Value::String("x".into()),
             ])
         );
+    }
+
+    /// Every control character survives `escape` then `parse`: newline
+    /// and tab keep their short escapes, the rest go out as `\u00XX`.
+    #[test]
+    fn every_control_character_round_trips() {
+        let all: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/ä😀".chars())
+            .collect();
+        let encoded = Value::String(all.clone()).to_json();
+        assert!(encoded.bytes().all(|b| b >= 0x20), "{encoded:?}");
+        assert!(encoded.contains("\\n") && encoded.contains("\\t") && encoded.contains("\\u000d"));
+        assert_eq!(parse(&encoded).unwrap(), Value::String(all));
+    }
+
+    #[test]
+    fn decodes_every_escape() {
+        let decoded = parse(r#""\r\b\f\/\u00e9\u20AC\ud83d\ude00""#).unwrap();
+        assert_eq!(decoded, Value::String("\r\u{8}\u{c}/é€😀".to_string()));
+        for lone in [
+            r#""\ud800""#,
+            r#""\udc00x""#,
+            r#""\ud800\u0041""#,
+            r#""\u12""#,
+            r#""\q""#,
+        ] {
+            assert!(parse(lone).is_err(), "{lone}");
+        }
+    }
+
+    /// Decoding a string is linear in its length: a 64 KiB string takes
+    /// about 16 times as long as a 4 KiB one (the per-character
+    /// re-validation of the rest of the input made it about 256 times).
+    /// The bound is a ratio of best-of-N timings, never a wall-clock one.
+    #[test]
+    fn string_decode_is_linear() {
+        let line = |kib: usize| format!(r#"{{"reason": "{}"}}"#, "abc€\\n".repeat(kib * 1024 / 8));
+        let best = |doc: &str| {
+            (0..15)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    assert!(parse(doc).is_ok());
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (line(4), line(64));
+        let ratio = best(&large).as_secs_f64() / best(&small).as_secs_f64().max(1e-9);
+        assert!(ratio < 64.0, "64 KiB took {ratio:.0}x the 4 KiB decode");
     }
 
     #[test]

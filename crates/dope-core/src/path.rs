@@ -119,6 +119,13 @@ impl TaskPath {
         self.as_slice().last().copied()
     }
 
+    /// The index of the top-level path this path runs under (its first
+    /// component; zero for the root).
+    #[must_use]
+    pub fn top_index(&self) -> usize {
+        usize::from(self.as_slice().first().copied().unwrap_or(0))
+    }
+
     /// Iterates over the component indices.
     pub fn indices(&self) -> impl Iterator<Item = u16> + '_ {
         self.as_slice().iter().copied()
@@ -283,5 +290,12 @@ mod tests {
         let c: TaskPath = "1".parse().unwrap();
         assert!(a < b);
         assert!(b < c);
+    }
+
+    #[test]
+    fn top_index_is_the_first_component() {
+        assert_eq!(TaskPath::root().top_index(), 0);
+        assert_eq!("2".parse::<TaskPath>().unwrap().top_index(), 2);
+        assert_eq!("3.0.1".parse::<TaskPath>().unwrap().top_index(), 3);
     }
 }

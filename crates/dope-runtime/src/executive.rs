@@ -15,8 +15,6 @@ use dope_metrics::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
 use dope_trace::{Recorder, RecordingObserver};
 use dope_workload::{DequeueOutcome, WorkQueue};
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -414,6 +412,7 @@ impl Dope {
             pool.register_metrics(registry);
         }
         let executive = Executive {
+            suspend: shape.tasks.iter().map(|_| Arc::default()).collect(),
             descriptor,
             shape,
             res,
@@ -427,8 +426,6 @@ impl Dope {
                 policy: builder.failure_policy,
             },
             metrics: builder.metrics.as_ref().map(ExecMetrics::new),
-            task_failures: Cell::new(0),
-            lost_jobs: Cell::new(0),
         };
         let control = std::thread::Builder::new()
             .name("dope-executive".to_string())
@@ -759,99 +756,10 @@ fn debug_verify_gate(stage: &str, shape: &ProgramShape, config: &Config, threads
     }
 }
 
-/// One top-level path's share of the run.
-#[derive(Default)]
-struct PathLedger {
-    /// The path's suspend flag, the one every replica under it reads: a
-    /// drain sets it for exactly the paths it suspends, their relaunch
-    /// clears it.
-    suspend: Arc<AtomicBool>,
-    /// The (leaf) path of every replica submitted that has not reported.
-    outstanding: Vec<TaskPath>,
-    /// Replicas submitted since the path was last relaunched that have
-    /// not reported `Finished`.
-    unfinished: usize,
-}
-
-/// The run's accounting, kept per top-level path from launch to the
-/// end: who runs, who has reported, and which drain is in flight. Every
-/// relaunch splices into it.
-#[derive(Default)]
-struct RunLedger {
-    paths: HashMap<TaskPath, PathLedger>,
-    /// The paths the suspend request in flight names, and when the first
-    /// request of this drain was made.
-    drain: Option<(Vec<TaskPath>, Instant)>,
-}
-
-/// The top-level path a (leaf) path runs under.
-fn top_level(path: &TaskPath) -> TaskPath {
-    TaskPath::root_child(path.indices().next().unwrap_or(0))
-}
-
-impl RunLedger {
-    /// Replicas still out, over all paths.
-    fn remaining(&self) -> usize {
-        self.paths.values().map(|p| p.outstanding.len()).sum()
-    }
-
-    /// Books one reported outcome; a failure hands back its reason.
-    fn settle(&mut self, path: &TaskPath, outcome: TaskOutcome) -> Option<String> {
-        if let Some(entry) = self.paths.get_mut(&top_level(path)) {
-            if let Some(at) = entry.outstanding.iter().position(|p| p == path) {
-                entry.outstanding.swap_remove(at);
-            }
-            let finished = outcome == TaskOutcome::Completed(TaskStatus::Finished);
-            entry.unfinished = entry.unfinished.saturating_sub(usize::from(finished));
-        }
-        match outcome {
-            TaskOutcome::Completed(_) => None,
-            TaskOutcome::Failed { reason } => Some(reason),
-        }
-    }
-
-    /// Does what a suspend request asks — sets the named paths' flags —
-    /// and waits for those paths from now on; every other action is the
-    /// caller's business.
-    fn suspend(&mut self, action: Action) {
-        if let Action::SuspendPaths(paths) = action {
-            for path in &paths {
-                if let Some(entry) = self.paths.get(path) {
-                    entry.suspend.store(true, Ordering::Release);
-                }
-            }
-            let since = self
-                .drain
-                .take()
-                .map_or_else(Instant::now, |(_, since)| since);
-            self.drain = Some((paths, since));
-        }
-    }
-
-    /// Every replica of the paths the drain in flight waits for has
-    /// reported — or, with no drain in flight, every replica has.
-    fn at_boundary(&self) -> bool {
-        match &self.drain {
-            Some((paths, _)) => paths.iter().all(|path| {
-                self.paths
-                    .get(path)
-                    .is_none_or(|p| p.outstanding.is_empty())
-            }),
-            None => self.remaining() == 0,
-        }
-    }
-
-    /// The program is complete: every replica launched (since its path
-    /// was last relaunched) reported `Finished`.
-    fn finished(&self) -> bool {
-        self.paths.values().all(|p| p.unfinished == 0)
-    }
-}
-
 /// Everything the control thread owns: the live driver of the
-/// [`ControlCore`]. The core decides; this keeps only what is genuinely
-/// live — instants, suspend flags, pool submits, the done channel,
-/// metrics and the debug verify gate.
+/// [`ControlCore`]. The core decides and keeps the books; this keeps
+/// only what is genuinely live — the clock, suspend flags, pool
+/// submits, the done channel, metrics and the debug verify gate.
 struct Executive {
     descriptor: Vec<TaskSpec>,
     shape: ProgramShape,
@@ -862,10 +770,10 @@ struct Executive {
     window: Duration,
     rules: Rules,
     metrics: Option<ExecMetrics>,
-    /// Failure accounting for the honest `RunReport` (cells: the sink
-    /// borrows the executive for as long as the core lives).
-    task_failures: Cell<u64>,
-    lost_jobs: Cell<u64>,
+    /// One suspend flag per top-level path, by index, read by every
+    /// replica under it: a drain sets it for exactly the paths it
+    /// suspends, their relaunch clears it.
+    suspend: Vec<Arc<AtomicBool>>,
 }
 
 impl Executive {
@@ -910,21 +818,16 @@ impl Executive {
             let completed = self.shared.monitor.queue_completed();
             observer.finished_at(self.now(), completed, control.reconfigurations);
         }
-        let lost = if self.lost_jobs.get() > 0 {
-            FailureVerdict::LostWork
-        } else {
-            FailureVerdict::Clean
-        };
         Ok(RunReport {
             elapsed: Duration::from_secs_f64(self.now()),
             reconfigurations: control.reconfigurations,
             rejected_configs: control.rejected,
             final_config: control.final_config,
             config_history: control.config_history,
-            task_failures: self.task_failures.get(),
+            task_failures: control.task_failures,
             task_restarts: control.restarts,
-            lost_jobs: self.lost_jobs.get(),
-            failure_verdict: control.failure_verdict.worsen(lost),
+            lost_jobs: control.lost_jobs,
+            failure_verdict: control.failure_verdict,
         })
     }
 
@@ -942,134 +845,92 @@ impl Executive {
         }
     }
 
-    /// Launches every top-level path, then monitors the run — ticks,
-    /// outcomes, stop notes — answering each drained boundary with the
-    /// relaunch the core asks for, until the core says the run is over.
+    /// Launches every top-level path, then feeds the core one input at a
+    /// time — a tick, a replica's report, a stop note — and does the
+    /// action it returns, until the core says the run is over.
     fn drive(&self, core: &mut ControlCore<'_>) -> Result<()> {
-        let mut ledger = RunLedger::default();
-        self.relaunch(core, &mut ledger, &Scope::Full, 0.0)?;
+        let mut action = Action::Relaunch(Scope::Full);
         // Control ticks run off an absolute deadline: driving the timer
         // from the wait's timeout alone reset it on every completion, so
         // a flood of completions starved the mechanism of consults.
         let mut next_tick = Instant::now() + self.control_period;
         loop {
-            if Instant::now() >= next_tick {
+            match action {
+                Action::Continue => {}
+                Action::SuspendPaths(paths) => {
+                    for path in &paths {
+                        self.suspend[path.top_index()].store(true, Ordering::Release);
+                    }
+                    core.suspended(self.now());
+                }
+                Action::Relaunch(scope) => self.relaunch(core, &scope)?,
+                Action::Restart { replicas, backoff } => {
+                    if let Some(m) = &self.metrics {
+                        m.task_restarts.add(replicas);
+                    }
+                    // Nothing runs during the back-off: the one note that
+                    // can end it early is a stop.
+                    action = match self.shared.notes.dequeue_timeout(backoff).item() {
+                        Some(_) => core.stop(self.now()),
+                        None => Action::Relaunch(Scope::Full),
+                    };
+                    continue;
+                }
+                Action::Finish => return Ok(()),
+                Action::Abort(err) => return Err(err),
+            }
+            action = if Instant::now() >= next_tick {
                 next_tick = Instant::now() + self.control_period;
                 if core.is_running() {
                     let snap = self.shared.monitor.snapshot();
-                    ledger.suspend(core.tick(self.now(), &snap));
+                    core.tick(self.now(), &snap)
+                } else {
+                    Action::Continue
                 }
-            }
-            if ledger.at_boundary() {
-                let pause_secs = ledger
-                    .drain
-                    .take()
-                    .map_or(0.0, |(_, since)| since.elapsed().as_secs_f64());
-                let action = core.drained(ledger.finished());
-                if matches!(core.phase(), Phase::Applying { .. }) {
-                    debug_verify_gate("reconfigure", &self.shape, core.config(), self.rules.budget);
-                }
-                match action {
-                    Action::Relaunch(scope) => {
-                        self.relaunch(core, &mut ledger, &scope, pause_secs)?
+            } else {
+                let wait = next_tick.saturating_duration_since(Instant::now());
+                match self.shared.notes.dequeue_timeout(wait) {
+                    DequeueOutcome::Item(Note::Done(path, outcome)) => {
+                        core.reported(self.now(), path, outcome)
                     }
-                    Action::Restart { replicas, backoff } => {
-                        if let Some(m) = &self.metrics {
-                            m.task_restarts.add(replicas);
-                        }
-                        // Nothing runs during the back-off: the one note
-                        // that can end it early is a stop.
-                        if self.shared.notes.dequeue_timeout(backoff).item().is_some() {
-                            core.stop(self.now());
-                            return Ok(());
-                        }
-                        self.relaunch(core, &mut ledger, &Scope::Full, pause_secs)?;
-                    }
-                    Action::Abort(err) => return Err(err),
-                    _ => return Ok(()),
+                    DequeueOutcome::Item(Note::Stop) => core.stop(self.now()),
+                    DequeueOutcome::TimedOut | DequeueOutcome::Drained => Action::Continue,
                 }
-            }
-            let wait = next_tick.saturating_duration_since(Instant::now());
-            match self.shared.notes.dequeue_timeout(wait) {
-                DequeueOutcome::Item(Note::Done(path, outcome)) => {
-                    // A job that ended without an outcome is counted as a
-                    // failure that poisons the verdict, never dropped.
-                    let outcome = outcome.unwrap_or_else(|| {
-                        self.lost_jobs.set(self.lost_jobs.get() + 1);
-                        let reason = "worker job vanished without reporting an outcome";
-                        TaskOutcome::Failed {
-                            reason: reason.to_string(),
-                        }
-                    });
-                    if let Some(reason) = ledger.settle(&path, outcome) {
-                        self.failed(core, &mut ledger, path, reason);
-                    }
-                }
-                DequeueOutcome::Item(Note::Stop) => ledger.suspend(core.stop(self.now())),
-                DequeueOutcome::TimedOut | DequeueOutcome::Drained => {}
-            }
+            };
         }
-    }
-
-    /// Counts one failed (or vanished) replica and tells the core, which
-    /// reports it to the sink and suspends every top-level path.
-    fn failed(
-        &self,
-        core: &mut ControlCore<'_>,
-        ledger: &mut RunLedger,
-        path: TaskPath,
-        reason: String,
-    ) {
-        self.task_failures.set(self.task_failures.get() + 1);
-        ledger.suspend(core.task_failed(self.now(), path, reason));
     }
 
     /// Relaunches the scope's top-level paths under the core's
     /// configuration — the launch, every drain's relaunch and a restart
     /// alike — beside the replicas still running, and confirms it to the
-    /// core: instantiates the paths, installs them in the monitor, clears
-    /// their suspend flags and submits their replicas.
-    fn relaunch(
-        &self,
-        core: &mut ControlCore<'_>,
-        ledger: &mut RunLedger,
-        scope: &Scope,
-        pause_secs: f64,
-    ) -> Result<()> {
+    /// core: checks a reconfiguration (debug builds), instantiates the
+    /// paths, installs them in the monitor, clears their suspend flags and
+    /// submits their replicas.
+    fn relaunch(&self, core: &mut ControlCore<'_>, scope: &Scope) -> Result<()> {
+        if matches!(core.phase(), Phase::Applying { .. }) {
+            debug_verify_gate("reconfigure", &self.shape, core.config(), self.rules.budget);
+        }
         let started = Instant::now();
         let paths = scope.paths(core.config());
         let launch = instantiate_paths(&self.descriptor, core.config(), &paths)?;
         self.shared.monitor.install(&paths, launch.tasks);
         self.export_failed_replicas();
-        // The relaunched paths' share of the completion target restarts
-        // with them, and they resume *before* the submit so the new
+        // The relaunched paths resume *before* the submit so the new
         // replicas never observe a stale suspend flag.
-        for path in paths {
-            let entry = ledger.paths.entry(path).or_default();
-            entry.unfinished = 0;
-            entry.suspend.store(false, Ordering::Release);
+        for path in &paths {
+            self.suspend[path.top_index()].store(false, Ordering::Release);
         }
-        self.submit(ledger, launch.jobs)?;
-        // A no-op for the launch; confirms every later relaunch.
-        core.relaunched(
-            self.now(),
-            DrainTiming {
-                pause_secs,
-                relaunch_secs: started.elapsed().as_secs_f64(),
-                jobs: ledger.remaining() as u64,
-            },
-        );
+        let launched: Vec<TaskPath> = launch.jobs.iter().map(|job| job.path.clone()).collect();
+        self.submit(launch.jobs)?;
+        core.relaunched(self.now(), started.elapsed().as_secs_f64(), &launched);
         Ok(())
     }
 
     /// Submits one relaunch's worker jobs, wiring each body to its
     /// top-level path's suspend flag and the run's done channel.
-    fn submit(&self, ledger: &mut RunLedger, jobs: Vec<WorkerJob>) -> Result<()> {
+    fn submit(&self, jobs: Vec<WorkerJob>) -> Result<()> {
         for job in jobs {
-            let entry = ledger.paths.entry(top_level(&job.path)).or_default();
-            entry.outstanding.push(job.path.clone());
-            entry.unfinished += 1;
-            let suspend = Arc::clone(&entry.suspend);
+            let suspend = Arc::clone(&self.suspend[job.path.top_index()]);
             let monitor = self.shared.monitor.clone();
             let window = self.window;
             let report = Report {

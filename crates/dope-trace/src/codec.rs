@@ -258,9 +258,9 @@ impl Wire for Verdict {
     }
 }
 
-/// Encodes a record as a JSON [`Value`] (one object per line).
+/// Renders a record as one JSONL line (no trailing newline).
 #[must_use]
-pub fn record_to_value(record: &TraceRecord) -> Value {
+pub fn to_jsonl_line(record: &TraceRecord) -> String {
     // Room for the envelope plus the widest kind (eight payload keys).
     let mut fields = Vec::with_capacity(12);
     SCHEMA_VERSION.put_field("v", &mut fields);
@@ -271,13 +271,7 @@ pub fn record_to_value(record: &TraceRecord) -> Value {
         Value::String(record.event.kind().to_string()),
     ));
     record.event.put_payload(&mut fields);
-    Value::Object(fields)
-}
-
-/// Renders a record as one JSONL line (no trailing newline).
-#[must_use]
-pub fn to_jsonl_line(record: &TraceRecord) -> String {
-    record_to_value(record).to_json()
+    Value::Object(fields).to_json()
 }
 
 /// Renders a whole trace as JSONL, one record per line, newline-terminated.
@@ -291,33 +285,25 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Decodes a record from a parsed JSON [`Value`].
+/// Parses one JSONL line.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] on unknown schema versions, unknown `kind`s,
-/// or missing / mistyped fields.
-pub fn record_from_value(value: &Value) -> Result<TraceRecord, JsonError> {
-    let version = u64::take_field(value, "v", None)?;
+/// Returns a [`JsonError`] on malformed JSON, unknown schema versions,
+/// unknown `kind`s, or missing / mistyped fields.
+pub fn parse_line(line: &str) -> Result<TraceRecord, JsonError> {
+    let value = parse(line)?;
+    let version = u64::take_field(&value, "v", None)?;
     if version != SCHEMA_VERSION {
         return Err(JsonError::decode(format!(
             "unsupported trace schema version {version} (this build reads version {SCHEMA_VERSION})"
         )));
     }
     Ok(TraceRecord {
-        seq: Wire::take_field(value, "seq", None)?,
-        time_secs: Wire::take_field(value, "t", None)?,
-        event: TraceEvent::take_payload(take_str(required(value, "kind")?, "kind")?, value)?,
+        seq: Wire::take_field(&value, "seq", None)?,
+        time_secs: Wire::take_field(&value, "t", None)?,
+        event: TraceEvent::take_payload(take_str(required(&value, "kind")?, "kind")?, &value)?,
     })
-}
-
-/// Parses one JSONL line.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] on malformed JSON or schema violations.
-pub fn parse_line(line: &str) -> Result<TraceRecord, JsonError> {
-    record_from_value(&parse(line)?)
 }
 
 /// Parses a whole JSONL trace; blank lines are skipped.

@@ -5,6 +5,8 @@
 //! level. The generators stick to finite floats: the codec canonicalizes
 //! non-finite values to `null` by design (see `dope_core::json`), so
 //! NaN/infinity round-trips are covered by the codec's own unit tests.
+//! The free-text fields carry arbitrary strings, control characters and
+//! multi-byte UTF-8 included.
 
 use dope_core::{
     AdmissionStats, Config, DecisionCandidate, DiagCode, MonitorSnapshot, NestConfig, ProgramShape,
@@ -33,6 +35,81 @@ const MECHANISMS: [&str; 4] = [
     "Static",
     "Work-Queue-Threshold-Hysteresis",
 ];
+
+/// The pieces arbitrary strings are built from (the proptest shim has no
+/// string strategy): every kind of byte the codec must escape or carry —
+/// control characters, quotes, backslashes — and one-, two-, three- and
+/// four-byte UTF-8.
+const PIECES: [&str; 18] = [
+    "a", "Z", " ", "/", "\"", "\\", "\n", "\t", "\r", "\u{0}", "\u{8}", "\u{c}", "\u{1f}",
+    "\u{7f}", "ä", "€", "\u{2028}", "😀",
+];
+
+/// The string the `picks` spell out of [`PIECES`].
+fn text(picks: &[usize]) -> String {
+    picks
+        .iter()
+        .map(|&pick| PIECES[pick % PIECES.len()])
+        .collect()
+}
+
+/// Puts `text` into the event's free-text fields: a failure's reason, a
+/// feature's name, a decision's labels and a launch's mechanism.
+fn with_text(event: TraceEvent, text: &str) -> TraceEvent {
+    match event {
+        TraceEvent::TaskFailed { path, policy, .. } => TraceEvent::TaskFailed {
+            path,
+            reason: text.to_string(),
+            policy,
+        },
+        TraceEvent::FeatureRead { value, .. } => TraceEvent::FeatureRead {
+            feature: text.to_string(),
+            value,
+        },
+        TraceEvent::DecisionTraced {
+            rationale,
+            mut observed,
+            mut candidates,
+            predicted_throughput,
+            realized_throughput,
+            prediction_error,
+            ..
+        } => {
+            for (label, _) in &mut observed {
+                *label = text.into();
+            }
+            for candidate in &mut candidates {
+                candidate.action = text.into();
+            }
+            TraceEvent::DecisionTraced {
+                mechanism: text.into(),
+                rationale,
+                observed,
+                candidates,
+                chosen: text.into(),
+                predicted_throughput,
+                realized_throughput,
+                prediction_error,
+            }
+        }
+        TraceEvent::Launched {
+            goal,
+            threads,
+            shape,
+            config,
+            admission,
+            ..
+        } => TraceEvent::Launched {
+            mechanism: text.into(),
+            goal,
+            threads,
+            shape,
+            config,
+            admission,
+        },
+        other => other,
+    }
+}
 
 fn name(idx: usize) -> String {
     NAMES[idx % NAMES.len()].to_string()
@@ -276,6 +353,33 @@ fn the_generator_reaches_every_kind() {
     }
 }
 
+/// A failure reason or feature name holding a carriage return once made
+/// the whole recording unreadable: the encoder passed it through raw and
+/// the decoder refused raw control characters.
+#[test]
+fn a_carriage_return_round_trips() {
+    for event in [
+        TraceEvent::FeatureRead {
+            feature: "a\rb".to_string(),
+            value: 1.0,
+        },
+        TraceEvent::TaskFailed {
+            path: task_path(&[0]),
+            reason: "line one\r\nline two\u{0}".to_string(),
+            policy: "abort".into(),
+        },
+    ] {
+        let record = TraceRecord {
+            seq: 0,
+            time_secs: 0.5,
+            event,
+        };
+        let line = to_jsonl_line(&record);
+        assert!(!line.contains('\r'), "{line}");
+        assert_eq!(parse_line(&line), Ok(record));
+    }
+}
+
 /// `parse_jsonl` on hostile `text` returns `Ok`, or an `Err` whose message
 /// starts by naming a line of `text` (`line N: ...`) — and does not panic.
 fn parses_or_names_the_line(text: &str) -> Result<(), TestCaseError> {
@@ -361,14 +465,16 @@ proptest! {
         verdict_sel in 0usize..4,
         code_idx in 0usize..16,
         threads in 1u32..256,
+        picks in prop::collection::vec(0usize..PIECES.len(), 0..24),
     ) {
+        let event = build_event(
+            kind, idx, &extents, alt, nested, cap, &path_parts, power,
+            f_small, f_big, n_small, n_big, verdict_sel, code_idx, threads,
+        );
         let record = TraceRecord {
             seq,
             time_secs: t,
-            event: build_event(
-                kind, idx, &extents, alt, nested, cap, &path_parts, power,
-                f_small, f_big, n_small, n_big, verdict_sel, code_idx, threads,
-            ),
+            event: with_text(event, &text(&picks)),
         };
         let line = to_jsonl_line(&record);
         prop_assert!(!line.contains('\n'), "one record must stay one line");
@@ -392,6 +498,7 @@ proptest! {
         n_big in 0u64..1_000_000,
         code_idx in 0usize..16,
         threads in 1u32..64,
+        picks in prop::collection::vec(0usize..PIECES.len(), 0..16),
     ) {
         let records: Vec<TraceRecord> = kinds
             .iter()
@@ -399,9 +506,12 @@ proptest! {
             .map(|(i, &kind)| TraceRecord {
                 seq: i as u64 * 2, // even gaps: drops must not break parsing
                 time_secs: i as f64 * 0.5 + f_small,
-                event: build_event(
-                    kind, i, &extents, alt, i % 2 == 0, Some(8), &[0, i as u32 % 4],
-                    power, f_small, f_big, n_small, n_big, i, code_idx, threads,
+                event: with_text(
+                    build_event(
+                        kind, i, &extents, alt, i % 2 == 0, Some(8), &[0, i as u32 % 4],
+                        power, f_small, f_big, n_small, n_big, i, code_idx, threads,
+                    ),
+                    &text(&picks[i.min(picks.len())..]),
                 ),
             })
             .collect();
