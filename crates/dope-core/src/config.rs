@@ -83,7 +83,7 @@ impl TaskConfig {
 
     /// The parallelism kind label used in reports (`SEQ`/`DOALL`/`PIPE`).
     #[must_use]
-    pub fn par_kind(&self) -> ParKind {
+    fn par_kind(&self) -> ParKind {
         match &self.nested {
             Some(nest) if nest.tasks.len() > 1 => ParKind::Pipe,
             Some(nest) => nest
@@ -126,7 +126,7 @@ impl std::fmt::Display for TaskConfig {
 /// *delta* reconfiguration (only the changed paths), while structural
 /// differences drain every top-level path, as the paper's protocol does.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigDiff {
+enum ConfigDiff {
     /// The configurations are equal.
     Identical,
     /// Same task tree (names, nesting, alternatives, arities), but the
@@ -188,7 +188,7 @@ impl Config {
     }
 
     /// Mutably resolves the task configuration at `path`.
-    pub fn node_mut(&mut self, path: &TaskPath) -> Option<&mut TaskConfig> {
+    fn node_mut(&mut self, path: &TaskPath) -> Option<&mut TaskConfig> {
         let mut indices = path.indices();
         let first = indices.next()?;
         let mut node = self.tasks.get_mut(first as usize)?;
@@ -267,7 +267,7 @@ impl Config {
     /// alternatives, or level arity), otherwise the depth-first list of
     /// paths whose extents changed — or [`ConfigDiff::Identical`].
     #[must_use]
-    pub fn diff(&self, other: &Config) -> ConfigDiff {
+    fn diff(&self, other: &Config) -> ConfigDiff {
         fn walk(
             a: &[TaskConfig],
             b: &[TaskConfig],

@@ -8,43 +8,32 @@ use serde::{Deserialize, Serialize};
 /// execution time and throughput (the paper's TBF mechanism, §7.2, records
 /// "a moving average of the throughput ... of each task").
 ///
+/// Every average in the workspace smooths with the one factor
+/// [`Ewma::ALPHA`]: the live monitor's shards and both simulators.
+///
 /// # Example
 ///
 /// ```
 /// use dope_core::Ewma;
 ///
-/// let mut avg = Ewma::new(0.5);
+/// let mut avg = Ewma::default();
 /// avg.update(10.0);
 /// avg.update(20.0);
-/// assert_eq!(avg.value(), Some(15.0));
+/// assert_eq!(avg.value(), Some(12.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ewma {
-    alpha: f64,
     value: Option<f64>,
 }
 
 impl Ewma {
-    /// Creates a new average with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// Higher `alpha` weights recent samples more heavily; `alpha = 1`
-    /// tracks only the last sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]` or is not finite.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0, 1], got {alpha}"
-        );
-        Ewma { alpha, value: None }
-    }
+    /// The smoothing factor: each sample moves the average a quarter of
+    /// the way towards it.
+    pub const ALPHA: f64 = 0.25;
 
     /// Folds a new sample into the average.
     pub fn update(&mut self, sample: f64) {
-        self.value = Some(Ewma::fold(self.alpha, self.value, sample));
+        self.value = Some(Ewma::fold(self.value, sample));
     }
 
     /// One folding step without the struct: the value after observing
@@ -56,10 +45,10 @@ impl Ewma {
     /// as the bit pattern of an `f64` in an atomic cell and fold samples
     /// in place with this function.
     #[must_use]
-    pub fn fold(alpha: f64, prev: Option<f64>, sample: f64) -> f64 {
+    pub fn fold(prev: Option<f64>, sample: f64) -> f64 {
         match prev {
             None => sample,
-            Some(v) => v + alpha * (sample - v),
+            Some(v) => v + Ewma::ALPHA * (sample - v),
         }
     }
 
@@ -74,24 +63,6 @@ impl Ewma {
     pub fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
-
-    /// The smoothing factor.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Forgets all samples.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-impl Default for Ewma {
-    /// An average with `alpha = 0.25`, the monitor's default smoothing.
-    fn default() -> Self {
-        Ewma::new(0.25)
-    }
 }
 
 #[cfg(test)]
@@ -100,23 +71,24 @@ mod tests {
 
     #[test]
     fn first_sample_taken_verbatim() {
-        let mut e = Ewma::new(0.1);
+        let mut e = Ewma::default();
         assert_eq!(e.value(), None);
+        assert_eq!(e.value_or(7.0), 7.0);
         e.update(42.0);
         assert_eq!(e.value(), Some(42.0));
     }
 
     #[test]
-    fn alpha_one_tracks_last_sample() {
-        let mut e = Ewma::new(1.0);
-        e.update(1.0);
-        e.update(9.0);
-        assert_eq!(e.value(), Some(9.0));
+    fn each_sample_moves_the_average_by_alpha() {
+        let mut e = Ewma::default();
+        e.update(10.0);
+        e.update(30.0);
+        assert_eq!(e.value(), Some(10.0 + Ewma::ALPHA * 20.0));
     }
 
     #[test]
     fn converges_to_constant_signal() {
-        let mut e = Ewma::new(0.3);
+        let mut e = Ewma::default();
         e.update(100.0);
         for _ in 0..200 {
             e.update(5.0);
@@ -126,33 +98,12 @@ mod tests {
 
     #[test]
     fn fold_matches_update() {
-        let mut e = Ewma::new(0.3);
+        let mut e = Ewma::default();
         let mut folded = None;
         for sample in [10.0, 4.0, 7.5, 0.25] {
             e.update(sample);
-            folded = Some(Ewma::fold(0.3, folded, sample));
+            folded = Some(Ewma::fold(folded, sample));
         }
         assert_eq!(e.value(), folded);
-    }
-
-    #[test]
-    fn reset_forgets() {
-        let mut e = Ewma::new(0.5);
-        e.update(3.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.value_or(7.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn zero_alpha_panics() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn oversized_alpha_panics() {
-        let _ = Ewma::new(1.5);
     }
 }

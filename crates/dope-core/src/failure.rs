@@ -28,9 +28,9 @@
 //! assert_eq!(policy.kind(), "restart");
 //!
 //! let ok = TaskOutcome::Completed(TaskStatus::Finished);
-//! assert!(!ok.is_failure());
+//! assert_eq!(ok.status(), Some(TaskStatus::Finished));
 //! let bad = TaskOutcome::Failed { reason: "index out of bounds".into() };
-//! assert!(bad.is_failure());
+//! assert_eq!(bad.status(), None);
 //! ```
 
 use std::fmt;
@@ -57,12 +57,6 @@ pub enum TaskOutcome {
 }
 
 impl TaskOutcome {
-    /// `true` if this outcome represents a failed (panicked) body.
-    #[must_use]
-    pub fn is_failure(&self) -> bool {
-        matches!(self, TaskOutcome::Failed { .. })
-    }
-
     /// The terminal status, if the body completed normally.
     #[must_use]
     pub fn status(&self) -> Option<TaskStatus> {
@@ -199,14 +193,12 @@ mod tests {
     #[test]
     fn outcome_classifies_and_displays() {
         let ok = TaskOutcome::Completed(TaskStatus::Finished);
-        assert!(!ok.is_failure());
         assert_eq!(ok.status(), Some(TaskStatus::Finished));
         assert_eq!(ok.to_string(), "FINISHED");
 
         let bad = TaskOutcome::Failed {
             reason: "boom".into(),
         };
-        assert!(bad.is_failure());
         assert_eq!(bad.status(), None);
         assert_eq!(bad.to_string(), "FAILED(boom)");
     }

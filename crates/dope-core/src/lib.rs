@@ -101,7 +101,7 @@ pub mod status;
 pub mod task;
 
 pub use admission::{AdmissionPolicy, AdmissionStats};
-pub use config::{Config, ConfigDiff, NestConfig, TaskConfig};
+pub use config::{Config, NestConfig, TaskConfig};
 pub use control::{ControlCore, ControlSink, Verdict};
 pub use decision::{realized_throughput, DecisionCandidate, DecisionTrace, Rationale};
 pub use diag::{DiagCode, Diagnostic, Finding, Severity};

@@ -18,9 +18,6 @@ pub struct Resources {
     pub threads: u32,
     /// Power budget in watts, if the goal constrains power.
     pub power_budget_watts: Option<f64>,
-    /// Peak power the platform can draw, if known (lets controllers express
-    /// budgets as a fraction of peak).
-    pub peak_power_watts: Option<f64>,
 }
 
 impl Resources {
@@ -30,7 +27,6 @@ impl Resources {
         Resources {
             threads,
             power_budget_watts: None,
-            peak_power_watts: None,
         }
     }
 
@@ -38,13 +34,6 @@ impl Resources {
     #[must_use]
     pub fn with_power_budget(mut self, watts: f64) -> Self {
         self.power_budget_watts = Some(watts);
-        self
-    }
-
-    /// Adds the platform's peak power.
-    #[must_use]
-    pub fn with_peak_power(mut self, watts: f64) -> Self {
-        self.peak_power_watts = Some(watts);
         self
     }
 }
@@ -233,12 +222,9 @@ mod tests {
 
     #[test]
     fn resources_builders() {
-        let res = Resources::threads(24)
-            .with_power_budget(600.0)
-            .with_peak_power(700.0);
+        let res = Resources::threads(24).with_power_budget(600.0);
         assert_eq!(res.threads, 24);
         assert_eq!(res.power_budget_watts, Some(600.0));
-        assert_eq!(res.peak_power_watts, Some(700.0));
     }
 
     #[test]

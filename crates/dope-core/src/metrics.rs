@@ -143,8 +143,8 @@ impl FromIterator<(TaskPath, TaskStats)> for TaskTable {
 ///         ..TaskStats::default()
 ///     },
 /// );
-/// let slowest = snap.slowest_task().unwrap();
-/// assert_eq!(slowest.to_string(), "0.1");
+/// let stats = snap.task(&"0.1".parse().unwrap()).unwrap();
+/// assert_eq!(stats.throughput, 48.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct MonitorSnapshot {
@@ -179,21 +179,6 @@ impl MonitorSnapshot {
     #[must_use]
     pub fn task(&self, path: &TaskPath) -> Option<&TaskStats> {
         self.tasks.get(path)
-    }
-
-    /// Path of the task with the lowest throughput among tasks that have
-    /// run at least once — the pipeline's current bottleneck.
-    #[must_use]
-    pub fn slowest_task(&self) -> Option<TaskPath> {
-        self.tasks
-            .iter()
-            .filter(|(_, s)| s.invocations > 0)
-            .min_by(|a, b| {
-                a.1.throughput
-                    .partial_cmp(&b.1.throughput)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(p, _)| p.clone())
     }
 }
 
@@ -268,21 +253,6 @@ mod tests {
         assert_eq!(stats.p99_exec_secs, 0.0);
         let partial = sample(0.5, 2.0, 1);
         assert_eq!(partial.p99_exec_secs, 0.0);
-    }
-
-    #[test]
-    fn slowest_task_ignores_never_run() {
-        let mut snap = MonitorSnapshot::at(0.0);
-        snap.tasks
-            .insert("0".parse().unwrap(), sample(1.0, 10.0, 5));
-        snap.tasks.insert("1".parse().unwrap(), sample(1.0, 2.0, 5));
-        snap.tasks.insert("2".parse().unwrap(), sample(1.0, 0.0, 0));
-        assert_eq!(snap.slowest_task().unwrap().to_string(), "1");
-    }
-
-    #[test]
-    fn slowest_task_none_when_empty() {
-        assert_eq!(MonitorSnapshot::at(0.0).slowest_task(), None);
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn leaf_width(node: &ShapeNode, d: u32) -> u32 {
 /// The outer extent is `max(1, threads / width)`; parallel leaves get `d`
 /// clamped to their caps; sequential leaves get 1.
 #[must_use]
-pub fn config_for_inner_extent(
+fn config_for_inner_extent(
     shape: &ProgramShape,
     nest: &TwoLevelNest,
     threads: u32,

@@ -113,12 +113,6 @@ impl TaskPath {
         self.as_slice().is_empty()
     }
 
-    /// The last component, or `None` for the root.
-    #[must_use]
-    pub fn leaf_index(&self) -> Option<u16> {
-        self.as_slice().last().copied()
-    }
-
     /// The index of the top-level path this path runs under (its first
     /// component; zero for the root).
     #[must_use]
@@ -274,7 +268,6 @@ mod tests {
         assert!(matches!(parent.0, Repr::Inline { .. }));
         assert_eq!(parent.child(INLINE_DEPTH as u16), deep);
         assert!(parent < deep && parent.is_prefix_of(&deep));
-        assert_eq!(deep.child(7).leaf_index(), Some(7));
         // A spilled and an in-place copy of one sequence are one path.
         let spilled = TaskPath(Repr::Heap(vec![0, 1].into()));
         let inline: TaskPath = "0.1".parse().unwrap();

@@ -90,7 +90,7 @@ impl ShapeNode {
     /// Nested descriptors are instantiated once (replica 0) to observe
     /// their structure; per-replica instantiations at run time must match.
     #[must_use]
-    pub fn of_spec(spec: &TaskSpec) -> Self {
+    fn of_spec(spec: &TaskSpec) -> Self {
         let alternatives = match spec.work() {
             Work::Leaf(_) => Vec::new(),
             Work::Nest(alts) => alts
@@ -161,7 +161,7 @@ impl ProgramShape {
     /// Resolves the node at `path`, with `alt_of(path)` supplying the
     /// chosen alternative for every nest node along the way.
     #[must_use]
-    pub fn node_in_alt(
+    fn node_in_alt(
         &self,
         path: &TaskPath,
         alt_of: &dyn Fn(&TaskPath) -> usize,

@@ -158,18 +158,6 @@ pub struct NullCx {
     pub extent: u32,
 }
 
-impl NullCx {
-    /// A context describing worker `worker` of `extent` workers.
-    #[must_use]
-    pub fn with_slot(replica: u32, worker: u32, extent: u32) -> Self {
-        NullCx {
-            replica,
-            worker,
-            extent,
-        }
-    }
-}
-
 impl TaskCx for NullCx {
     fn begin(&mut self) -> Directive {
         Directive::Continue
@@ -219,7 +207,11 @@ mod tests {
 
     #[test]
     fn null_cx_reports_slot() {
-        let cx = NullCx::with_slot(2, 1, 4);
+        let cx = NullCx {
+            replica: 2,
+            worker: 1,
+            extent: 4,
+        };
         assert_eq!(cx.replica(), 2);
         assert_eq!(cx.worker(), 1);
         assert_eq!(cx.extent(), 4);

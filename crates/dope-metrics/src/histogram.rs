@@ -23,10 +23,12 @@
 //! * [`Histogram`] — atomics per bucket, for concurrent hot paths (the
 //!   monitor's record of a timed invocation is one `fetch_add` each for
 //!   the bucket, count and sum, and a read-modify-write of min or max
-//!   only when the value moves one of them);
+//!   only when the value moves one of them). It is only written to;
+//!   every reading goes through a [`snapshot`](Histogram::snapshot);
 //! * [`LocalHistogram`] — a plain single-threaded variant with
 //!   grow-on-demand storage, `Clone`/`PartialEq`, and `merge`, used by
-//!   `ResponseStats` and the offline `dope-trace stats` summarizer.
+//!   `ResponseStats`, the offline `dope-trace stats` summarizer and
+//!   every reading of a [`Histogram`].
 //!
 //! ```
 //! use dope_metrics::Histogram;
@@ -35,10 +37,11 @@
 //! for ms in [1_u64, 2, 3, 4, 100] {
 //!     h.record_secs(ms as f64 / 1e3);
 //! }
-//! assert_eq!(h.count(), 5);
-//! let p50 = h.quantile_secs(0.50).unwrap();
+//! let reading = h.snapshot();
+//! assert_eq!(reading.count(), 5);
+//! let p50 = reading.quantile_secs(0.50).unwrap();
 //! assert!((p50 - 0.003).abs() / 0.003 < 0.04, "p50 = {p50}");
-//! let p99 = h.quantile_secs(0.99).unwrap();
+//! let p99 = reading.quantile_secs(0.99).unwrap();
 //! assert!((p99 - 0.100).abs() / 0.100 < 0.04, "p99 = {p99}");
 //! ```
 
@@ -106,8 +109,7 @@ fn secs_to_nanos(secs: f64) -> u64 {
 /// (in ns) of the buckets holding each of `ranks`, in one pass.
 ///
 /// `ranks` are 1-based (the k-th smallest recorded value) and ascending.
-/// A rank beyond the counts seen — a concurrent writer bumped `count`
-/// after its bucket was read — reports the highest non-empty bucket.
+/// A rank beyond the counts seen reports the highest non-empty bucket.
 fn rank_bucket_uppers<const N: usize>(
     counts: impl Iterator<Item = (usize, u64)>,
     ranks: [u64; N],
@@ -154,9 +156,10 @@ fn quantile_rank(q: f64, count: u64) -> u64 {
 
 /// A concurrent log-linear histogram of nanosecond latencies.
 ///
-/// All operations are lock-free (`Relaxed` atomics). Reads taken while
-/// writers are active are *approximately* consistent — fine for
-/// monitoring, matching Prometheus semantics.
+/// All operations are lock-free (`Relaxed` atomics). A
+/// [`snapshot`](Histogram::snapshot) taken while writers are active may
+/// miss their latest records, but its count is the sum of the buckets it
+/// read, so its buckets, quantiles and count agree with each other.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKET_COUNT]>,
@@ -218,90 +221,6 @@ impl Histogram {
     /// values clamp to 0).
     pub fn record_secs(&self, secs: f64) {
         self.record_nanos(secs_to_nanos(secs));
-    }
-
-    /// Total number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded values, in seconds.
-    #[must_use]
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / NANOS_PER_SEC
-    }
-
-    /// Mean recorded value in seconds (`None` when empty).
-    #[must_use]
-    pub fn mean_secs(&self) -> Option<f64> {
-        let count = self.count();
-        (count > 0).then(|| self.sum_secs() / count as f64)
-    }
-
-    /// Smallest recorded value in seconds (`None` when empty).
-    #[must_use]
-    pub fn min_secs(&self) -> Option<f64> {
-        (self.count() > 0).then(|| self.min_nanos.load(Ordering::Relaxed) as f64 / NANOS_PER_SEC)
-    }
-
-    /// Largest recorded value in seconds (`None` when empty).
-    #[must_use]
-    pub fn max_secs(&self) -> Option<f64> {
-        (self.count() > 0).then(|| self.max_nanos.load(Ordering::Relaxed) as f64 / NANOS_PER_SEC)
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) in seconds, within
-    /// [`QUANTILE_RELATIVE_ERROR`] of the true sample quantile, clamped
-    /// to the observed `[min, max]`. `None` when empty.
-    #[must_use]
-    pub fn quantile_secs(&self, q: f64) -> Option<f64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let [nanos] = rank_bucket_uppers(
-            self.buckets
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i, b.load(Ordering::Relaxed))),
-            [quantile_rank(q, count)],
-        );
-        let min = self.min_nanos.load(Ordering::Relaxed);
-        let max = self.max_nanos.load(Ordering::Relaxed);
-        Some(nanos.clamp(min, max) as f64 / NANOS_PER_SEC)
-    }
-
-    /// Number of recorded values `<= upper_secs` (cumulative, Prometheus
-    /// `le` semantics, conservative: a fine bucket counts when its whole
-    /// range lies at or below the boundary).
-    #[must_use]
-    pub fn cumulative_le_secs(&self, upper_secs: f64) -> u64 {
-        let upper = secs_to_nanos(upper_secs);
-        let mut total = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            let (_, high) = bucket_bounds(i);
-            // Bucket range [low, high) fits under `upper` iff high-1 <= upper.
-            if high.saturating_sub(1) <= upper {
-                total += c;
-            }
-        }
-        total
-    }
-
-    /// Resets all buckets and counters to empty.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
-        self.min_nanos.store(u64::MAX, Ordering::Relaxed);
-        self.max_nanos.store(0, Ordering::Relaxed);
     }
 
     /// Absorbs every recorded value of a [`LocalHistogram`] into this
@@ -507,8 +426,9 @@ impl LocalHistogram {
         Some(nanos.map(|n| n.clamp(self.min_nanos, self.max_nanos) as f64 / NANOS_PER_SEC))
     }
 
-    /// Number of recorded values `<= upper_secs` (Prometheus `le`
-    /// semantics; see [`Histogram::cumulative_le_secs`]).
+    /// Number of recorded values `<= upper_secs` (cumulative, Prometheus
+    /// `le` semantics, conservative: a fine bucket counts when its whole
+    /// range lies at or below the boundary).
     #[must_use]
     pub fn cumulative_le_secs(&self, upper_secs: f64) -> u64 {
         let upper = secs_to_nanos(upper_secs);
@@ -518,6 +438,7 @@ impl LocalHistogram {
                 continue;
             }
             let (_, high) = bucket_bounds(i);
+            // Bucket range [low, high) fits under `upper` iff high-1 <= upper.
             if high.saturating_sub(1) <= upper {
                 total += c;
             }
@@ -589,6 +510,7 @@ mod tests {
             h.record_nanos(v);
         }
         values.sort_unstable();
+        let h = h.snapshot();
         for &q in &[0.5f64, 0.9, 0.95, 0.99, 1.0] {
             let exact = values[((q * 1000.0).ceil() as usize).clamp(1, 1000) - 1] as f64 / 1e9;
             let approx = h.quantile_secs(q).unwrap();
@@ -599,7 +521,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_none() {
-        let h = Histogram::new();
+        let h = Histogram::new().snapshot();
         assert_eq!(h.count(), 0);
         assert!(h.quantile_secs(0.5).is_none());
         assert!(h.mean_secs().is_none());
@@ -613,6 +535,7 @@ mod tests {
     fn single_value_quantiles_clamp_to_observation() {
         let h = Histogram::new();
         h.record_secs(0.010);
+        let h = h.snapshot();
         for q in [0.0, 0.5, 0.99, 1.0] {
             let v = h.quantile_secs(q).unwrap();
             assert!(
@@ -627,6 +550,7 @@ mod tests {
         let h = Histogram::new();
         h.record_secs(-1.0);
         h.record_secs(f64::NAN);
+        let h = h.snapshot();
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile_secs(1.0), Some(0.0));
     }
@@ -637,6 +561,7 @@ mod tests {
         for ms in [1u64, 2, 5, 10, 20, 50] {
             h.record_secs(ms as f64 / 1e3);
         }
+        let h = h.snapshot();
         assert_eq!(h.cumulative_le_secs(0.0005), 0);
         assert!(h.cumulative_le_secs(0.011) >= 4);
         assert_eq!(h.cumulative_le_secs(1.0), 6);
@@ -681,15 +606,16 @@ mod tests {
         let h = Histogram::new();
         h.record_nanos(7);
         h.merge_local(&local);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.min_secs(), Some(7e-9));
-        assert_eq!(h.max_secs(), Some(0.03));
+        let reading = h.snapshot();
+        assert_eq!(reading.count(), 4);
+        assert_eq!(reading.min_secs(), Some(7e-9));
+        assert_eq!(reading.max_secs(), Some(0.03));
         let mut expected = local.clone();
         expected.record_nanos(7);
-        assert_eq!(h.snapshot(), expected);
+        assert_eq!(reading, expected);
         // Merging an empty histogram is a no-op.
         h.merge_local(&LocalHistogram::new());
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.snapshot(), expected);
     }
 
     #[test]
@@ -756,15 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_histogram() {
-        let h = Histogram::new();
-        h.record_secs(0.5);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert!(h.quantile_secs(0.5).is_none());
-    }
-
-    #[test]
     fn concurrent_recording_loses_nothing() {
         use std::sync::Arc;
         let h = Arc::new(Histogram::new());
@@ -781,6 +698,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(h.count(), 4000);
+        assert_eq!(h.snapshot().count(), 4000);
     }
 }

@@ -197,12 +197,11 @@ fn fmt_f64(v: f64) -> String {
     } else if v.is_infinite() {
         if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
     } else {
+        // Integers render as "x.0" for gauge clarity — but counters
+        // pass through the u64 path, not this one.
         let mut s = format!("{v}");
-        if !s.contains('.') && !s.contains('e') && !s.contains("inf") {
+        if !s.contains('.') && !s.contains('e') {
             s.push_str(".0");
-            // Integers render as "x.0" for gauge clarity — but counters
-            // pass through the u64 path, not this one.
-            s.truncate(s.len());
         }
         s
     }
@@ -309,23 +308,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Registers an externally owned histogram under `name{labels}`,
-    /// replacing any series previously registered there.
-    ///
-    /// Used by instrumented components (the monitor's per-path latency
-    /// cells) that own their histograms but want them scraped.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        histogram: Arc<Histogram>,
-    ) {
-        self.replace_series(name, help, Kind::Histogram, labels, || {
-            Series::Histogram(histogram)
-        });
-    }
-
     /// Registers an externally owned counter under `name{labels}`,
     /// replacing any series previously registered there.
     pub fn register_counter(
@@ -343,11 +325,9 @@ impl MetricsRegistry {
     /// Registers a render-time histogram source under `name{labels}`,
     /// replacing any series previously registered there.
     ///
-    /// Where [`register_histogram`](MetricsRegistry::register_histogram)
-    /// exposes one shared atomic histogram, a *source* is a closure the
-    /// registry calls on every render — the scrape hook for state that
-    /// is sharded across writers (the monitor's per-worker recorder
-    /// shards) and only merged on demand.
+    /// A *source* is a closure the registry calls on every render — the
+    /// scrape hook for state that is sharded across writers (the
+    /// monitor's per-worker recorder shards) and only merged on demand.
     pub fn register_histogram_source(
         &self,
         name: &str,
@@ -424,10 +404,10 @@ impl MetricsRegistry {
                         out.push_str(&format!("{name}{labels} {}\n", fmt_f64(g.get())));
                     }
                     Series::Histogram(h) => {
-                        render_histogram(&mut out, name, labels, h);
+                        render_histogram(&mut out, name, labels, &h.snapshot());
                     }
                     Series::HistogramSource(source) => {
-                        render_local_histogram(&mut out, name, labels, &source());
+                        render_histogram(&mut out, name, labels, &source());
                     }
                     Series::CounterSource(source) => {
                         out.push_str(&format!("{name}{labels} {}\n", source()));
@@ -449,29 +429,13 @@ fn labels_with_le(labels: &str, le: &str) -> String {
     }
 }
 
-fn render_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
-    render_histogram_parts(out, name, labels, h.count(), h.sum_secs(), |bound| {
-        h.cumulative_le_secs(bound)
-    });
-}
-
-fn render_local_histogram(out: &mut String, name: &str, labels: &str, h: &LocalHistogram) {
-    render_histogram_parts(out, name, labels, h.count(), h.sum_secs(), |bound| {
-        h.cumulative_le_secs(bound)
-    });
-}
-
-fn render_histogram_parts(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    count: u64,
-    sum_secs: f64,
-    cumulative_le: impl Fn(f64) -> u64,
-) {
+/// Renders one reading of a histogram, so its buckets, `+Inf` and
+/// `_count` agree however writers race the scrape.
+fn render_histogram(out: &mut String, name: &str, labels: &str, h: &LocalHistogram) {
+    let count = h.count();
     for &bound in &EXPOSITION_BOUNDS_SECS {
         let le = fmt_f64(bound);
-        let cum = cumulative_le(bound);
+        let cum = h.cumulative_le_secs(bound);
         out.push_str(&format!(
             "{name}_bucket{} {cum}\n",
             labels_with_le(labels, &le)
@@ -481,7 +445,7 @@ fn render_histogram_parts(
         "{name}_bucket{} {count}\n",
         labels_with_le(labels, "+Inf")
     ));
-    out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(sum_secs)));
+    out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(h.sum_secs())));
     out.push_str(&format!("{name}_count{labels} {count}\n"));
 }
 
@@ -585,15 +549,52 @@ mod tests {
     }
 
     #[test]
-    fn register_external_histogram_is_scraped() {
+    fn a_render_racing_a_writer_is_one_reading() {
+        use std::sync::atomic::AtomicBool;
         let r = MetricsRegistry::new();
-        let h = Arc::new(Histogram::new());
-        r.register_histogram("dope_ext_seconds", "ext", &[("path", "0")], Arc::clone(&h));
-        h.record_secs(0.25);
-        let text = r.render();
+        let h = r.histogram("dope_race_seconds", "raced");
+        let started = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (started, stop) = (Arc::clone(&started), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                // Every value sits below the first `le` bound, so a
+                // record landing mid-render moves every bucket line.
+                for nanos in (100..1_100).cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    h.record_nanos(nanos);
+                    started.store(true, Ordering::Relaxed);
+                }
+            })
+        };
+        while !started.load(Ordering::Relaxed) {
+            std::hint::spin_loop();
+        }
+        let value = |line: &str| -> u64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
+        let torn: Vec<String> = (0..500)
+            .map(|_| r.render())
+            .filter(|text| {
+                let buckets: Vec<u64> = text
+                    .lines()
+                    .filter(|l| l.starts_with("dope_race_seconds_bucket"))
+                    .map(value)
+                    .collect();
+                let count = text
+                    .lines()
+                    .find(|l| l.starts_with("dope_race_seconds_count"))
+                    .map(value);
+                !buckets.windows(2).all(|w| w[0] <= w[1]) || buckets.last().copied() != count
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
         assert!(
-            text.contains("dope_ext_seconds_count{path=\"0\"} 1\n"),
-            "{text}"
+            torn.is_empty(),
+            "{} of 500 renders torn, e.g.\n{}",
+            torn.len(),
+            torn[0]
         );
     }
 

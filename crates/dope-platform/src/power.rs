@@ -148,7 +148,8 @@ fn gaussian(rng: &mut impl Rng) -> f64 {
 /// ```
 /// use dope_platform::{PowerModel, PowerSensor};
 ///
-/// let mut sensor = PowerSensor::ap7892(PowerModel::default(), 7);
+/// // The AP7892's maximum rate: 13 samples per minute.
+/// let mut sensor = PowerSensor::new(PowerModel::default(), 60.0 / 13.0, 7);
 /// let first = sensor.read(0.0, 24);
 /// // One second later the PDU has no new sample yet:
 /// let replay = sensor.read(1.0, 0);
@@ -187,12 +188,6 @@ impl PowerSensor {
         }
     }
 
-    /// A sensor with the AP7892's maximum rate: 13 samples per minute.
-    #[must_use]
-    pub fn ap7892(model: PowerModel, seed: u64) -> Self {
-        PowerSensor::new(model, 60.0 / 13.0, seed)
-    }
-
     /// Reads the meter at time `now_secs` with `busy` active contexts.
     ///
     /// Returns a fresh sample if the sampling interval has elapsed since
@@ -207,18 +202,6 @@ impl PowerSensor {
             self.last_sample_time = Some(now_secs);
         }
         self.last_value
-    }
-
-    /// The sensor's sampling interval in seconds.
-    #[must_use]
-    pub fn interval_secs(&self) -> f64 {
-        self.interval_secs
-    }
-
-    /// The underlying power model.
-    #[must_use]
-    pub fn model(&self) -> &PowerModel {
-        &self.model
     }
 }
 
@@ -270,12 +253,6 @@ mod tests {
         assert_eq!(s.read(4.9, 0), v0, "no fresh sample before the interval");
         let v1 = s.read(5.0, 0);
         assert!((v1 - 525.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ap7892_rate_is_13_per_minute() {
-        let s = PowerSensor::ap7892(PowerModel::default(), 0);
-        assert!((s.interval_secs() - 60.0 / 13.0).abs() < 1e-12);
     }
 
     #[test]

@@ -49,12 +49,15 @@ pub struct RunReport {
     pub failure_verdict: FailureVerdict,
 }
 
+/// The sliding window the monitor counts a task's recent completions
+/// over.
+const THROUGHPUT_WINDOW: Duration = Duration::from_secs(5);
+
 /// Builder for a [`Dope`] executive (the paper's `DoPE::create`).
 pub struct DopeBuilder {
     goal: Goal,
     mechanism: Option<Box<dyn Mechanism>>,
     control_period: Duration,
-    throughput_window: Duration,
     features: FeatureRegistry,
     queue_probe: Option<QueueProbe>,
     admission: AdmissionPolicy,
@@ -81,7 +84,6 @@ impl DopeBuilder {
             goal,
             mechanism: None,
             control_period: Duration::from_millis(100),
-            throughput_window: Duration::from_secs(5),
             features: FeatureRegistry::new(),
             queue_probe: None,
             admission: AdmissionPolicy::Open,
@@ -107,13 +109,6 @@ impl DopeBuilder {
     #[must_use]
     pub fn control_period(mut self, period: Duration) -> Self {
         self.control_period = period;
-        self
-    }
-
-    /// The sliding window for throughput measurements.
-    #[must_use]
-    pub fn throughput_window(mut self, window: Duration) -> Self {
-        self.throughput_window = window;
         self
     }
 
@@ -360,7 +355,6 @@ impl Dope {
         let res = Resources {
             threads: budget,
             power_budget_watts: goal.power_budget_watts(),
-            peak_power_watts: None,
         };
 
         let mut mechanism: Box<dyn Mechanism> = builder.mechanism.unwrap_or_else(|| {
@@ -376,8 +370,7 @@ impl Dope {
         debug_verify_gate("launch", &shape, &initial, launch_budget);
 
         let monitor = Monitor::with_sources(
-            builder.throughput_window,
-            0.25,
+            THROUGHPUT_WINDOW,
             builder.features,
             builder.queue_probe,
             builder.admission_probe,
@@ -419,7 +412,6 @@ impl Dope {
             pool,
             shared: Arc::clone(&shared),
             control_period: builder.control_period,
-            window: builder.throughput_window,
             rules: Rules {
                 budget,
                 delta: builder.delta_reconfig,
@@ -767,7 +759,6 @@ struct Executive {
     pool: WorkerPool,
     shared: Arc<Shared>,
     control_period: Duration,
-    window: Duration,
     rules: Rules,
     metrics: Option<ExecMetrics>,
     /// One suspend flag per top-level path, by index, read by every
@@ -932,14 +923,14 @@ impl Executive {
         for job in jobs {
             let suspend = Arc::clone(&self.suspend[job.path.top_index()]);
             let monitor = self.shared.monitor.clone();
-            let window = self.window;
             let report = Report {
                 notes: self.shared.notes.clone(),
                 path: job.path,
                 outcome: None,
             };
             self.pool.try_submit(move || {
-                let mut cx = LiveCx::new(&monitor, suspend, &report.path, job.slot, window);
+                let mut cx =
+                    LiveCx::new(&monitor, suspend, &report.path, job.slot, THROUGHPUT_WINDOW);
                 let mut body = job.body;
                 // The paper's TaskExecutor (Figure 4a): re-invoke while the
                 // body reports EXECUTING. The suspend directive reaches the

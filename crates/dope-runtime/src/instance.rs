@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn live_cx_records_and_suspends() {
-        let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
+        let monitor = Monitor::new(Duration::from_secs(5), FeatureRegistry::new());
         let suspend = Arc::new(AtomicBool::new(false));
         let path: TaskPath = "0".parse().unwrap();
         let slot = WorkerSlot {
@@ -595,7 +595,7 @@ mod tests {
 
     #[test]
     fn an_idle_invoke_flushes_the_tail_and_retimes_the_next_invocation() {
-        let monitor = Monitor::new(Duration::from_secs(5), 0.25, FeatureRegistry::new());
+        let monitor = Monitor::new(Duration::from_secs(5), FeatureRegistry::new());
         let path: TaskPath = "0".parse().unwrap();
         let slot = WorkerSlot {
             replica: 0,

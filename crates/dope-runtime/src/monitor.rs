@@ -57,8 +57,6 @@ pub(crate) struct PathStats {
     /// after launch (see [`PathStats::aggregate`]) and anchors every
     /// shard's completion-ring ticks to one shared epoch.
     created: Instant,
-    /// EWMA smoothing factor handed to each shard.
-    alpha: f64,
     /// Shared monitoring-overhead accumulator (nanoseconds).
     overhead_nanos: Arc<AtomicU64>,
     /// One recorder shard per worker thread that ever executed this
@@ -82,10 +80,9 @@ struct PathAggregate {
 }
 
 impl PathStats {
-    fn new(alpha: f64, overhead_nanos: Arc<AtomicU64>) -> Self {
+    fn new(overhead_nanos: Arc<AtomicU64>) -> Self {
         PathStats {
             created: Instant::now(),
-            alpha,
             overhead_nanos,
             shards: RankedMutex::new(rank::SHARDS, Vec::new()),
         }
@@ -101,7 +98,6 @@ impl PathStats {
             return Arc::clone(shard);
         }
         let shard = Arc::new(RecorderShard::new(
-            self.alpha,
             self.created,
             Arc::clone(&self.overhead_nanos),
         ));
@@ -298,7 +294,6 @@ struct PathCells {
 struct MonitorShared {
     start: Instant,
     window: Duration,
-    ewma_alpha: f64,
     paths: RankedMutex<PathCells>,
     /// Every running task path, installed and read as one unit.
     epoch: RankedMutex<HashMap<TaskPath, RunningTask>>,
@@ -327,11 +322,13 @@ impl std::fmt::Debug for Monitor {
 }
 
 impl Monitor {
-    /// A monitor with a throughput window of `window` and execution-time
-    /// smoothing `ewma_alpha`, without probes or a metrics registry.
+    /// A monitor with a throughput window of `window`, without probes or
+    /// a metrics registry. Execution times smooth with [`Ewma::ALPHA`].
+    ///
+    /// [`Ewma::ALPHA`]: dope_core::Ewma::ALPHA
     #[must_use]
-    pub fn new(window: Duration, ewma_alpha: f64, features: FeatureRegistry) -> Self {
-        Monitor::with_sources(window, ewma_alpha, features, None, None, None)
+    pub fn new(window: Duration, features: FeatureRegistry) -> Self {
+        Monitor::with_sources(window, features, None, None, None)
     }
 
     /// The monitor of a launched run, built once from what the builder
@@ -341,7 +338,6 @@ impl Monitor {
     /// created (plus the shard-merge counter, now).
     pub(crate) fn with_sources(
         window: Duration,
-        ewma_alpha: f64,
         features: FeatureRegistry,
         queue_probe: Option<QueueProbe>,
         admission_probe: Option<AdmissionProbe>,
@@ -360,7 +356,6 @@ impl Monitor {
             shared: Arc::new(MonitorShared {
                 start: Instant::now(),
                 window,
-                ewma_alpha,
                 paths: RankedMutex::new(rank::PATHS, PathCells::default()),
                 epoch: RankedMutex::new(rank::EPOCH, HashMap::new()),
                 queue_probe,
@@ -389,10 +384,7 @@ impl Monitor {
         if let Some(stats) = paths.cells.get(path) {
             return Arc::clone(stats);
         }
-        let stats = Arc::new(PathStats::new(
-            self.shared.ewma_alpha,
-            Arc::clone(&self.shared.overhead_nanos),
-        ));
+        let stats = Arc::new(PathStats::new(Arc::clone(&self.shared.overhead_nanos)));
         if let Some(registry) = &self.shared.registry {
             register_path_series(registry, &self.shared.shard_merges, path, &stats);
         }
@@ -588,7 +580,7 @@ mod tests {
     use dope_metrics::Histogram;
 
     fn monitor() -> Monitor {
-        Monitor::new(Duration::from_secs(10), 0.25, FeatureRegistry::new())
+        Monitor::new(Duration::from_secs(10), FeatureRegistry::new())
     }
 
     fn path(text: &str) -> TaskPath {
@@ -629,7 +621,6 @@ mod tests {
     ) -> Monitor {
         Monitor::with_sources(
             Duration::from_secs(10),
-            0.25,
             FeatureRegistry::new(),
             queue.map(|stats| Arc::new(move || stats) as QueueProbe),
             admission.map(|stats| Arc::new(move || stats) as AdmissionProbe),
@@ -746,7 +737,7 @@ mod tests {
     fn power_feature_appears_in_snapshot() {
         let features = FeatureRegistry::new();
         features.register("SystemPower", || 612.5);
-        let m = Monitor::new(Duration::from_secs(5), 0.25, features);
+        let m = Monitor::new(Duration::from_secs(5), features);
         assert_eq!(m.snapshot().power_watts, Some(612.5));
     }
 

@@ -99,14 +99,14 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
     let threads = threads.max(1);
 
     // Sharded, one writer.
-    let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
+    let monitor = Monitor::new(window, FeatureRegistry::new());
     let shard = monitor.stats_for(&TaskPath::root().child(0)).shard();
     let now = Instant::now();
     let sharded_single_ns = time_per_op(iters, |_| shard.record(exec, now, window));
 
     // Sharded, contended: every writer has its own shard of the same
     // path — the contention the design is supposed to have eliminated.
-    let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
+    let monitor = Monitor::new(window, FeatureRegistry::new());
     let barrier = Arc::new(Barrier::new(threads as usize));
     let mut handles = Vec::new();
     for _ in 0..threads {
@@ -136,7 +136,7 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
 #[must_use]
 pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let window = Duration::from_secs(10);
-    let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
+    let monitor = Monitor::new(window, FeatureRegistry::new());
     let path = TaskPath::root().child(0);
     let stats = monitor.stats_for(&path);
     let slot = WorkerSlot {
@@ -186,7 +186,7 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
 #[must_use]
 pub fn bench_snapshot(paths: u32, records_per_path: u64, samples: u32) -> SnapshotReport {
     let window = Duration::from_secs(10);
-    let monitor = Monitor::new(window, 0.25, FeatureRegistry::new());
+    let monitor = Monitor::new(window, FeatureRegistry::new());
     let now = Instant::now();
     for p in 0..paths {
         let shard = monitor.stats_for(&TaskPath::root_child(p as u16)).shard();

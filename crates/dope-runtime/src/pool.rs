@@ -9,8 +9,8 @@
 //! Workers are **supervised**: each job runs under
 //! [`std::panic::catch_unwind`], so a panicking job can
 //! never tear down its worker thread — the pool keeps its full capacity
-//! for the rest of the run, and [`WorkerPool::panics_caught`] counts
-//! every contained panic. Jobs that must *report* their panic (the
+//! for the rest of the run, and the exported
+//! `dope_pool_panics_caught_total` counter counts every contained panic. Jobs that must *report* their panic (the
 //! executive's task loops) catch the unwind themselves first; the pool's
 //! net is the last line of defence.
 //!
@@ -159,13 +159,6 @@ impl WorkerPool {
     #[must_use]
     pub fn parks(&self) -> u64 {
         self.parks.get()
-    }
-
-    /// Job panics the supervision wrapper caught so far. Each one left
-    /// its worker thread alive and parked.
-    #[must_use]
-    pub fn panics_caught(&self) -> u64 {
-        self.panics_caught.get()
     }
 
     /// Number of worker threads.
@@ -332,7 +325,7 @@ mod tests {
         }
         assert_eq!(pool.dispatched(), 7);
         assert_eq!(pool.parks(), 7);
-        assert_eq!(pool.panics_caught(), 1);
+        assert_eq!(pool.panics_caught.get(), 1);
         pool.shutdown();
     }
 

@@ -64,8 +64,6 @@ const EWMA_EMPTY: u64 = f64::NAN.to_bits();
 /// One worker's private measurement state for one task path.
 #[derive(Debug)]
 pub(crate) struct RecorderShard {
-    /// Smoothing factor of the per-shard execution-time EWMA.
-    alpha: f64,
     /// The owning `PathStats` cell's creation instant — the shared
     /// anchor all shards of a path quantize ring ticks against.
     created: Instant,
@@ -104,9 +102,8 @@ fn unpack(word: u64) -> (u64, u64) {
 }
 
 impl RecorderShard {
-    pub(crate) fn new(alpha: f64, created: Instant, overhead_nanos: Arc<AtomicU64>) -> Self {
+    pub(crate) fn new(created: Instant, overhead_nanos: Arc<AtomicU64>) -> Self {
         RecorderShard {
-            alpha,
             created,
             invocations: AtomicU64::new(0),
             timings: AtomicU64::new(0),
@@ -158,7 +155,7 @@ impl RecorderShard {
         // the weight, so the smoothing horizon is counted in samples.
         let prev = f64::from_bits(self.ewma_bits.load(Ordering::Relaxed));
         let prev = if prev.is_nan() { None } else { Some(prev) };
-        let next = Ewma::fold(self.alpha, prev, exec.as_secs_f64());
+        let next = Ewma::fold(prev, exec.as_secs_f64());
         self.ewma_bits.store(next.to_bits(), Ordering::Relaxed);
 
         // Completion ring: bump the current tick's slot, or claim it if
@@ -252,7 +249,7 @@ mod tests {
     const SAMPLED_QUANTILE_ERROR: f64 = QUANTILE_RELATIVE_ERROR + 0.05;
 
     fn shard() -> RecorderShard {
-        RecorderShard::new(0.25, Instant::now(), Arc::new(AtomicU64::new(0)))
+        RecorderShard::new(Instant::now(), Arc::new(AtomicU64::new(0)))
     }
 
     fn record(s: &RecorderShard, exec: Duration, now: Instant, window: Duration) {
@@ -282,7 +279,7 @@ mod tests {
         let s = shard();
         let now = Instant::now();
         let w = Duration::from_secs(10);
-        let mut reference = Ewma::new(0.25);
+        let mut reference = Ewma::default();
         for ms in [10u64, 30, 20, 5] {
             record(&s, Duration::from_millis(ms), now, w);
             reference.update(ms as f64 / 1e3);
@@ -393,7 +390,7 @@ mod tests {
     #[test]
     fn charging_advances_the_overhead_meter() {
         let overhead = Arc::new(AtomicU64::new(0));
-        let s = RecorderShard::new(0.25, Instant::now(), Arc::clone(&overhead));
+        let s = RecorderShard::new(Instant::now(), Arc::clone(&overhead));
         s.record(
             Duration::from_millis(1),
             Instant::now(),

@@ -21,8 +21,6 @@ use dope_core::{
 };
 use dope_platform::{PowerModel, PowerSensor};
 use dope_workload::{ArrivalSchedule, ResponseStats, TimeSeries};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -176,12 +174,6 @@ impl PipelineModel {
         self.alternatives.len()
     }
 
-    /// Per-boundary forwarding overhead.
-    #[must_use]
-    pub fn forward_overhead_secs(&self) -> f64 {
-        self.forward_overhead_secs
-    }
-
     /// A configuration selecting alternative `alt` with the given stage
     /// extents.
     ///
@@ -189,7 +181,7 @@ impl PipelineModel {
     ///
     /// Panics if `extents` does not match the alternative's stage count.
     #[must_use]
-    pub fn config_with_extents(&self, alt: usize, extents: &[u32]) -> Config {
+    fn config_with_extents(&self, alt: usize, extents: &[u32]) -> Config {
         let stages = &self.alternatives[alt];
         assert_eq!(
             stages.len(),
@@ -272,12 +264,6 @@ pub struct PipelineParams {
     /// contexts. Application-dependent: small for compute-dense stages
     /// (ferret), large for cache-sensitive ones (dedup).
     pub oversub_penalty_frac: f64,
-    /// Multiplicative service-time jitter amplitude in `[0, 1)`.
-    pub service_jitter: f64,
-    /// Jitter seed.
-    pub seed: u64,
-    /// Smoothing for per-stage execution-time averages.
-    pub ewma_alpha: f64,
     /// Attach a power meter.
     pub power: Option<PowerSim>,
 }
@@ -290,9 +276,6 @@ impl Default for PipelineParams {
             horizon_secs: 120.0,
             allow_oversubscription: false,
             oversub_penalty_frac: 0.1,
-            service_jitter: 0.0,
-            seed: 1,
-            ewma_alpha: 0.25,
             power: None,
         }
     }
@@ -399,7 +382,6 @@ struct Sim<'a> {
     response: ResponseStats,
     throughput_series: TimeSeries,
     power_series: TimeSeries,
-    rng: SmallRng,
     sensor: Option<PowerSensor>,
     power_integral: f64,
     last_power_time: f64,
@@ -407,19 +389,13 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn service_time(&mut self, stage: usize) -> f64 {
+    fn service_time(&self, stage: usize) -> f64 {
         let base = self.stages[stage].mean_service
             + if stage > 0 {
                 self.model.forward_overhead_secs
             } else {
                 0.0
             };
-        let jitter = if self.params.service_jitter > 0.0 {
-            let j = self.params.service_jitter;
-            1.0 + self.rng.gen_range(-j..j)
-        } else {
-            1.0
-        };
         // Work-conserving processor sharing: with more busy workers than
         // contexts, every service dilates proportionally.
         let dilation = f64::from(self.global_busy.max(1)).max(f64::from(self.params.contexts))
@@ -431,7 +407,7 @@ impl<'a> Sim<'a> {
         } else {
             1.0
         };
-        base * jitter * dilation * penalty
+        base * dilation * penalty
     }
 
     fn try_start(&mut self, stage: usize) {
@@ -551,7 +527,7 @@ impl<'a> Sim<'a> {
                 mean_service: p.mean_service_secs,
                 completions: 0,
                 completions_at_tick: 0,
-                exec_ewma: Ewma::new(self.params.ewma_alpha),
+                exec_ewma: Ewma::default(),
             })
             .collect();
         // Remap queued items proportionally into the new structure.
@@ -646,7 +622,6 @@ pub fn run_pipeline_observed(
         response: ResponseStats::new(),
         throughput_series: TimeSeries::new("throughput"),
         power_series: TimeSeries::new("power"),
-        rng: SmallRng::seed_from_u64(params.seed),
         sensor: params
             .power
             .map(|p| PowerSensor::new(p.model, p.sample_interval_secs, p.seed)),
@@ -906,9 +881,10 @@ mod tests {
         assert!(mean <= model_power.peak_power() * 1.01, "mean {mean}");
     }
 
-    #[test]
-    fn fused_alternative_switch_is_work_conserving() {
-        let model = PipelineModel::new(
+    /// A four-stage pipeline whose second alternative fuses its middle
+    /// stages.
+    fn fusable() -> PipelineModel {
+        PipelineModel::new(
             "p",
             vec![
                 StageProfile::seq("in", 0.001),
@@ -921,28 +897,65 @@ mod tests {
             StageProfile::seq("in", 0.001),
             StageProfile::par("ab", 0.008),
             StageProfile::seq("out", 0.001),
-        ]);
-        // Static mechanism that switches to the fused alternative.
-        let fused = model.config_with_extents(1, &[1, 8, 1]);
-        let mut mech = StaticMechanism::new(fused);
-        let out = run_pipeline(
-            &model,
+        ])
+    }
+
+    /// 200 evenly spaced items through `model` under `mech`.
+    fn run_open(model: &PipelineModel, mech: &mut dyn Mechanism) -> PipelineOutcome {
+        run_pipeline(
+            model,
             &Source::Open(ArrivalSchedule::uniform(0.005, 200)),
-            &mut mech,
+            mech,
             Resources::threads(24),
             &PipelineParams {
                 horizon_secs: 100.0,
                 ..PipelineParams::default()
             },
-        );
-        assert_eq!(out.completed, 200, "no items lost across the switch");
+        )
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let model = three_stage();
-        let a = run_static(&model, &[1, 4, 1], 20.0);
-        let b = run_static(&model, &[1, 4, 1], 20.0);
+    fn fused_alternative_switch_is_work_conserving() {
+        let model = fusable();
+        // Static mechanism that switches to the fused alternative.
+        let fused = model.config_with_extents(1, &[1, 8, 1]);
+        let out = run_open(&model, &mut StaticMechanism::new(fused));
+        assert_eq!(out.completed, 200, "no items lost across the switch");
+    }
+
+    /// Switches between a plain and a fused configuration every tick.
+    struct Flip(Config, Config);
+
+    impl Mechanism for Flip {
+        fn name(&self) -> &'static str {
+            "flip"
+        }
+
+        fn reconfigure(
+            &mut self,
+            _snap: &MonitorSnapshot,
+            current: &Config,
+            _shape: &ProgramShape,
+            _res: &Resources,
+        ) -> Option<Config> {
+            let next = if *current == self.0 { &self.1 } else { &self.0 };
+            Some(next.clone())
+        }
+    }
+
+    #[test]
+    fn outcome_is_deterministic() {
+        let model = fusable();
+        let run = || {
+            let plain = model.config_with_extents(0, &[1, 4, 4, 1]);
+            let fused = model.config_with_extents(1, &[1, 8, 1]);
+            run_open(&model, &mut Flip(plain, fused))
+        };
+        let (a, b) = (run(), run());
+        assert!(a.response.count() > 0 && !a.config_history.is_empty());
+        assert_eq!(a.throughput_series.points(), b.throughput_series.points());
+        assert_eq!(a.response, b.response);
+        assert_eq!(a.config_history, b.config_history);
         assert_eq!(a.completed, b.completed);
     }
 }

@@ -145,18 +145,15 @@ impl TwoLevelModel {
     }
 }
 
+/// The sliding window the snapshot's throughput estimate counts
+/// completions over.
+const THROUGHPUT_WINDOW_SECS: f64 = 60.0;
+
 /// Fixed parameters of a system simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
     /// Hardware contexts of the simulated machine.
     pub contexts: u32,
-    /// Dead time after a reconfiguration during which the mechanism is not
-    /// consulted again (models the suspend/relaunch protocol cost).
-    pub reconfig_penalty_secs: f64,
-    /// Window for the snapshot's throughput estimate.
-    pub throughput_window_secs: f64,
-    /// Smoothing factor for the snapshot's execution-time average.
-    pub ewma_alpha: f64,
     /// How the front door treats offered requests (default
     /// [`AdmissionPolicy::Open`]). Requests queue in the live runtime's
     /// own gate, `dope_workload::AdmissionQueue`, driven on simulated
@@ -170,13 +167,10 @@ pub struct SystemParams {
 }
 
 impl Default for SystemParams {
-    /// The paper's machine: 24 contexts, no reconfiguration dead time.
+    /// The paper's machine: 24 contexts, an open front door.
     fn default() -> Self {
         SystemParams {
             contexts: 24,
-            reconfig_penalty_secs: 0.0,
-            throughput_window_secs: 60.0,
-            ewma_alpha: 0.25,
             admission: AdmissionPolicy::Open,
         }
     }
@@ -326,8 +320,7 @@ pub fn run_system_observed(
     let mut dispatched: u64 = 0;
     let mut completed: u64 = 0;
     let mut dispatches_since_reconfig: u64 = 0;
-    let mut last_reconfig_at = f64::NEG_INFINITY;
-    let mut exec_ewma = dope_core::Ewma::new(params.ewma_alpha);
+    let mut exec_ewma = dope_core::Ewma::default();
     let mut recent_completions: VecDeque<f64> = VecDeque::new();
 
     let arrivals = schedule.times();
@@ -357,43 +350,40 @@ pub fn run_system_observed(
             // Consult the mechanism at task granularity — shed offers
             // included: the pressure they create is exactly what a
             // shed-aware mechanism needs to see.
-            if now - last_reconfig_at >= params.reconfig_penalty_secs {
-                let admission = gate.stats();
-                let queued = gate.len() as f64;
-                let mut snap = MonitorSnapshot::at(now);
-                snap.admission = admission;
-                snap.queue.occupancy = queued;
-                snap.queue.enqueued = admission.admitted;
-                snap.queue.completed = completed;
-                snap.queue.arrival_rate = if now > 0.0 {
-                    admission.admitted as f64 / now
-                } else {
-                    0.0
-                };
-                snap.dispatches_since_reconfig = dispatches_since_reconfig;
-                let window = params.throughput_window_secs.min(now.max(1e-9));
-                snap.tasks.insert(
-                    model.nest().outer.clone(),
-                    TaskStats {
-                        invocations: completed,
-                        mean_exec_secs: exec_ewma.value_or(exec),
-                        throughput: recent_completions.len() as f64 / window,
-                        load: queued,
-                        utilization: f64::from(budget - free) / f64::from(budget),
-                        // Percentile fields stay 0.0: the simulator's
-                        // monitor is analytic and does not measure latency
-                        // distributions.
-                        ..TaskStats::default()
-                    },
-                );
-                if core.tick_instant(now, &snap) {
-                    width = model.width_of(core.config()).max(1);
-                    outer_cap = nest::outer_extent_of(core.config(), model.nest()).max(1);
-                    exec = model.exec_time(width);
-                    dispatches_since_reconfig = 0;
-                    last_reconfig_at = now;
-                    dop_series.push(now, f64::from(width));
-                }
+            let admission = gate.stats();
+            let queued = gate.len() as f64;
+            let mut snap = MonitorSnapshot::at(now);
+            snap.admission = admission;
+            snap.queue.occupancy = queued;
+            snap.queue.enqueued = admission.admitted;
+            snap.queue.completed = completed;
+            snap.queue.arrival_rate = if now > 0.0 {
+                admission.admitted as f64 / now
+            } else {
+                0.0
+            };
+            snap.dispatches_since_reconfig = dispatches_since_reconfig;
+            let window = THROUGHPUT_WINDOW_SECS.min(now.max(1e-9));
+            snap.tasks.insert(
+                model.nest().outer.clone(),
+                TaskStats {
+                    invocations: completed,
+                    mean_exec_secs: exec_ewma.value_or(exec),
+                    throughput: recent_completions.len() as f64 / window,
+                    load: queued,
+                    utilization: f64::from(budget - free) / f64::from(budget),
+                    // Percentile fields stay 0.0: the simulator's
+                    // monitor is analytic and does not measure latency
+                    // distributions.
+                    ..TaskStats::default()
+                },
+            );
+            if core.tick_instant(now, &snap) {
+                width = model.width_of(core.config()).max(1);
+                outer_cap = nest::outer_extent_of(core.config(), model.nest()).max(1);
+                exec = model.exec_time(width);
+                dispatches_since_reconfig = 0;
+                dop_series.push(now, f64::from(width));
             }
         } else {
             let (_, job) = in_flight.pop().expect("departure event exists");
@@ -402,7 +392,7 @@ pub fn run_system_observed(
             completed += 1;
             response.record(now - job.submit);
             recent_completions.push_back(now);
-            let cutoff = now - params.throughput_window_secs;
+            let cutoff = now - THROUGHPUT_WINDOW_SECS;
             while recent_completions.front().is_some_and(|&t| t < cutoff) {
                 recent_completions.pop_front();
             }

@@ -86,6 +86,6 @@ pub use event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
 pub use explain::{explain, ExplainReport};
 pub use observer::RecordingObserver;
 pub use recorder::Recorder;
-pub use replay::{accepted_configs, replay_into_sim, ReplayMechanism, ReplayOutcome};
+pub use replay::{accepted_configs, replay_into_sim, ReplayOutcome};
 pub use stats::{summarize, TraceSummary};
 pub use timeline::render_timeline;

@@ -4,7 +4,7 @@
 //! event), the **initial configuration** (ditto), and the ordered
 //! sequence of **accepted configurations** (the `ReconfigureEpoch`
 //! events). [`replay_into_sim`] rebuilds a simulated system around that
-//! shape, drives it with a [`ReplayMechanism`] that re-proposes exactly
+//! shape, drives it with a mechanism that re-proposes exactly
 //! the recorded configurations in order, and returns a [`ReplayOutcome`]
 //! comparing the recorded accepted-config sequence against the one the
 //! simulator actually applied. A faithful trace replays to an identical
@@ -56,7 +56,7 @@ use crate::event::{TraceEvent, TraceRecord};
 /// call pops the next recorded `ReconfigureEpoch` configuration until the
 /// queue is exhausted, then proposes nothing.
 #[derive(Debug, Clone)]
-pub struct ReplayMechanism {
+struct ReplayMechanism {
     initial: Arc<Config>,
     queued: std::collections::VecDeque<Arc<Config>>,
 }
@@ -67,7 +67,7 @@ impl ReplayMechanism {
     /// Returns `None` if the trace has no `Launched` event (there is
     /// nothing to anchor the replay to).
     #[must_use]
-    pub fn from_records(records: &[TraceRecord]) -> Option<Self> {
+    fn from_records(records: &[TraceRecord]) -> Option<Self> {
         let mut initial = None;
         let mut queued = std::collections::VecDeque::new();
         for record in records {
@@ -83,12 +83,6 @@ impl ReplayMechanism {
             initial: initial?,
             queued,
         })
-    }
-
-    /// Configurations not yet re-proposed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.queued.len()
     }
 }
 
@@ -273,7 +267,7 @@ mod tests {
         // would clamp to the sequential alternative and record nothing).
         let records = record_pipeline_run(&[4, 6]);
         let mut mech = ReplayMechanism::from_records(&records).expect("mechanism");
-        assert_eq!(mech.remaining(), 2);
+        assert_eq!(mech.queued.len(), 2);
         let shape = ProgramShape::new(vec![]);
         let res = Resources::threads(8);
         let snap = MonitorSnapshot::at(0.0);

@@ -31,9 +31,7 @@
 
 pub use dope_core::json::{parse, JsonError, Value};
 
-use dope_core::json::{
-    config_to_value, shape_node_from_value, shape_to_value, task_config_from_value,
-};
+use dope_core::json::{shape_node_from_value, task_config_from_value};
 use dope_core::{Config, ProgramShape};
 
 /// The decoded CLI input: a shape, a configuration, and a thread budget.
@@ -89,20 +87,6 @@ pub fn input_from_json(text: &str) -> Result<VerifyInput, JsonError> {
     })
 }
 
-/// Encodes a [`VerifyInput`] back to the CLI's JSON format.
-///
-/// The output round-trips through [`input_from_json`]; used by tests and
-/// for generating example documents.
-#[must_use]
-pub fn input_to_json(input: &VerifyInput) -> String {
-    let shape = shape_to_value(&input.shape).to_json();
-    let config = config_to_value(&input.config).to_json();
-    format!(
-        "{{\"threads\": {},\n \"shape\": {shape},\n \"config\": {config}}}\n",
-        input.threads
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +118,25 @@ mod tests {
     }
 
     #[test]
-    fn round_trip() {
-        let input = sample();
-        let text = input_to_json(&input);
-        let back = input_from_json(&text).unwrap();
-        assert_eq!(back, input);
+    fn parses_the_documented_format() {
+        let text = r#"{
+          "threads": 24,
+          "shape": { "tasks": [
+            { "name": "transcode", "kind": "par", "alternatives": [[
+              { "name": "read", "kind": "seq" },
+              { "name": "transform", "kind": "par", "max_extent": 16 },
+              { "name": "write", "kind": "seq" }
+            ]] }
+          ]},
+          "config": { "tasks": [
+            { "name": "transcode", "extent": 3, "nested": { "alternative": 0, "tasks": [
+              { "name": "read", "extent": 1 },
+              { "name": "transform", "extent": 6 },
+              { "name": "write", "extent": 1 }
+            ]}}
+          ]}
+        }"#;
+        assert_eq!(input_from_json(text).unwrap(), sample());
     }
 
     #[test]
