@@ -1,43 +1,70 @@
-//! The workspace's strict JSON codec.
+//! The workspace's one typed codec.
 //!
 //! The vendored `serde` is an offline no-op shim, so every crate that
 //! speaks JSON — the `dope-verify` CLI, the `dope-trace` flight
-//! recorder — shares this hand-rolled codec instead: a strict JSON
-//! subset (objects, arrays, strings, integers, finite floats, `null`,
-//! booleans) with precise byte-offset errors, plus encoders and
-//! decoders for the [`Config`]/[`ProgramShape`] trees that appear in
-//! serialized documents.
+//! recorder — shares this hand-rolled codec instead. It has two layers:
 //!
-//! The codec is deliberately strict: no comments, no trailing commas,
-//! no `NaN`/`Infinity` (non-finite floats encode as `null`), and no
-//! duplicate-silently-wins semantics — objects preserve insertion
-//! order and [`Value::get`] returns the first match.
+//! * a strict JSON subset (objects, arrays, strings, integers, finite
+//!   floats, `null`, booleans) parsed into a [`Value`] with precise
+//!   byte-offset errors, and written back by [`Value::to_json`];
+//! * [`Wire`], the one rule for how a typed value becomes a [`Value`] and
+//!   is read back. Leaves (numbers, strings, tags) have an impl each; the
+//!   structs — configurations, shapes, snapshot payloads — are *rows* of
+//!   one table at the bottom of this file, keyed by their field names.
+//!   `dope-trace` adds the trace envelope and its kinds on top, and
+//!   `dope-verify` reads its input document through the same rows.
+//!
+//! The codec is deliberately strict: no comments, no trailing commas, no
+//! leading zeros, no `NaN`/`Infinity` (non-finite floats encode as
+//! `null`), and no duplicate-silently-wins semantics — objects preserve
+//! insertion order and [`Value::get`] returns the first match. A decode
+//! error names the key path of the value that failed
+//! (`` `config.tasks[0].extent` is missing ``).
 //!
 //! # Example
 //!
 //! ```
-//! use dope_core::json::{parse, Value};
+//! use dope_core::json::{parse, Value, Wire};
+//! use dope_core::{Config, TaskConfig};
 //!
 //! let doc = parse(r#"{"threads": 24, "load": 0.75, "tags": ["a", null]}"#).unwrap();
 //! assert_eq!(doc.get("threads").and_then(Value::as_u64), Some(24));
 //! assert_eq!(doc.get("load").and_then(Value::as_f64), Some(0.75));
 //! // Values render back to compact JSON.
 //! assert_eq!(doc.get("tags").unwrap().to_json(), r#"["a", null]"#);
+//!
+//! // Typed values go through their `Wire` row.
+//! let config = Config::new(vec![TaskConfig::leaf("work", 4)]);
+//! let text = config.put().to_json();
+//! assert_eq!(text, r#"{"tasks": [{"name": "work", "extent": 4}]}"#);
+//! assert_eq!(Config::take(&parse(&text).unwrap()).unwrap(), config);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
+use crate::admission::AdmissionStats;
 use crate::config::{Config, NestConfig, TaskConfig};
+use crate::control::Verdict;
+use crate::decision::{DecisionCandidate, Rationale};
+use crate::diag::DiagCode;
+use crate::label::Label;
+use crate::metrics::{MonitorSnapshot, QueueStats, TaskStats, TaskTable};
+use crate::path::TaskPath;
 use crate::shape::{ProgramShape, ShapeNode};
 use crate::spec::TaskKind;
 
-/// A parse or decode failure, with a byte offset when parsing failed.
+/// A parse or decode failure, with a byte offset when parsing failed and
+/// the key path of the value when decoding it failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
     pub message: String,
     /// Byte offset into the input, if the failure was syntactic.
     pub offset: Option<usize>,
+    /// Where in the document a decode failed, e.g. `config.tasks[0].extent`;
+    /// empty for syntax errors and for failures of the document as a whole.
+    path: String,
 }
 
 impl JsonError {
@@ -47,6 +74,7 @@ impl JsonError {
         JsonError {
             message: message.into(),
             offset: Some(offset),
+            path: String::new(),
         }
     }
 
@@ -56,7 +84,20 @@ impl JsonError {
         JsonError {
             message: message.into(),
             offset: None,
+            path: String::new(),
         }
+    }
+
+    /// The same failure, one step further out: `step` (a key, or `[i]`
+    /// for an array element) is prefixed to the path as the error unwinds.
+    fn within(mut self, step: impl fmt::Display) -> Self {
+        let dot = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{step}{dot}{}", self.path);
+        self
     }
 }
 
@@ -64,7 +105,8 @@ impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.offset {
             Some(offset) => write!(f, "{} (at byte {offset})", self.message),
-            None => f.write_str(&self.message),
+            None if self.path.is_empty() => f.write_str(&self.message),
+            None => write!(f, "`{}` {}", self.path, self.message),
         }
     }
 }
@@ -139,7 +181,8 @@ impl Value {
     }
 
     /// An [`f64`] encoded canonically: integers that fit `u64` exactly
-    /// become [`Value::Number`], non-finite values become [`Value::Null`].
+    /// become [`Value::Number`] (negative zero too: `-0.0` is written
+    /// `0`), non-finite values become [`Value::Null`].
     #[must_use]
     pub fn from_f64(x: f64) -> Value {
         if !x.is_finite() {
@@ -157,39 +200,33 @@ impl Value {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_json(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the value's compact JSON to `out`: numbers and strings are
+    /// written in place, with no buffer of their own.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => out.push_str(&n.to_string()),
-            Value::Float(x) => {
-                if x.is_finite() {
-                    let text = format!("{x}");
-                    // `{}` renders integral floats without a fraction
-                    // ("2" for 2.0); keep a marker so the value parses
-                    // back as written when it carried a sign.
-                    out.push_str(&text);
-                } else {
-                    out.push_str("null");
-                }
+            // Writing to a `String` cannot fail.
+            Value::Number(n) => {
+                let _ = write!(out, "{n}");
             }
-            Value::String(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
+            Value::Float(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
             }
+            Value::Float(_) => out.push_str("null"),
+            Value::String(s) => escape(s, out),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    item.write(out);
+                    item.write_json(out);
                 }
                 out.push(']');
             }
@@ -199,10 +236,9 @@ impl Value {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\": ");
-                    value.write(out);
+                    escape(key, out);
+                    out.push_str(": ");
+                    value.write_json(out);
                 }
                 out.push('}');
             }
@@ -216,23 +252,32 @@ impl fmt::Display for Value {
     }
 }
 
-/// Escapes a string for embedding in JSON output: newline and tab become
+/// Appends `s` to `out` as a quoted JSON string: newline and tab become
 /// `\n` and `\t`, any other control character `\u00XX` (lower-case hex),
-/// so any string survives [`parse`] unchanged.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
+/// so any string survives [`parse`] unchanged. Runs of plain characters
+/// are copied whole.
+fn escape(s: &str, out: &mut String) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
         }
+        // The escaped byte is ASCII: the rest starts on a char boundary.
+        rest = &rest[at + 1..];
     }
-    out
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// Parses a JSON document.
@@ -309,6 +354,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     }
     if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         return Err(JsonError::at(*pos, "expected a digit"));
+    }
+    if bytes[*pos] == b'0' && bytes.get(*pos + 1).is_some_and(u8::is_ascii_digit) {
+        return Err(JsonError::at(*pos, "leading zero in number"));
     }
     while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         *pos += 1;
@@ -469,217 +517,329 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
 }
 
 // ---------------------------------------------------------------------------
-// Shape / config tree codecs (shared by dope-verify and dope-trace).
+// Typed values: the `Wire` rule and the table of rows.
 // ---------------------------------------------------------------------------
 
-fn field_string(value: &Value, key: &str, what: &str) -> Result<String, JsonError> {
-    match value.get(key) {
-        Some(Value::String(s)) => Ok(s.clone()),
-        Some(_) => Err(JsonError::decode(format!("{what}.{key} must be a string"))),
-        None => Err(JsonError::decode(format!("{what} is missing `{key}`"))),
+/// The wire form of one type: `put` is its JSON value and `take` reads
+/// it back; `put_field` / `take_field` are the key(s) it owns in an
+/// enclosing object — one key, its own, unless overridden ([`Verdict`]
+/// flattens into two).
+///
+/// A `take` error names only what was wrong; `take_field` prefixes the
+/// key, and a sequence the element index, so the error that reaches the
+/// caller names the whole path (`` `snapshot.queue.occupancy` is missing ``).
+pub trait Wire: Sized {
+    /// The keys a row writes, in order; empty for every other type.
+    const KEYS: &'static [&'static str] = &[];
+
+    /// The value's JSON form.
+    fn put(&self) -> Value;
+
+    /// Reads a value back from its JSON form.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when `value` is mistyped or a key it
+    /// needs is missing.
+    fn take(value: &Value) -> Result<Self, JsonError>;
+
+    /// Appends the value to an object under construction, under `key`.
+    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
+        out.push((key.to_string(), self.put()));
+    }
+
+    /// Reads the value under `key` of `obj`. A `default` marks an
+    /// *additive* field: absent or `null` (a document written before the
+    /// field existed, or a writer that did not measure) reads as the
+    /// default — so a non-finite additive number, which the encoder
+    /// writes as `null`, also reads back as its default. Present but
+    /// mistyped is still an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] whose path starts at `key`.
+    fn take_field(obj: &Value, key: &str, default: Option<Self>) -> Result<Self, JsonError> {
+        match (obj.get(key), default) {
+            (None | Some(Value::Null), Some(default)) => Ok(default),
+            (value, _) => required(value)
+                .and_then(Self::take)
+                .map_err(|err| err.within(key)),
+        }
     }
 }
 
-fn as_array<'a>(value: &'a Value, what: &str) -> Result<&'a [Value], JsonError> {
-    value
-        .as_array()
-        .ok_or_else(|| JsonError::decode(format!("{what} must be an array")))
+fn required(value: Option<&Value>) -> Result<&Value, JsonError> {
+    value.ok_or_else(|| JsonError::decode("is missing"))
 }
 
-/// Encodes a [`ShapeNode`] as a JSON value.
-#[must_use]
-pub fn shape_node_to_value(node: &ShapeNode) -> Value {
-    let mut fields = vec![
-        ("name".to_string(), Value::String(node.name.clone())),
-        (
-            "kind".to_string(),
-            Value::String(
-                match node.kind {
-                    TaskKind::Seq => "seq",
-                    TaskKind::Par => "par",
-                }
-                .to_string(),
-            ),
-        ),
-    ];
-    if let Some(max) = node.max_extent {
-        fields.push(("max_extent".to_string(), Value::Number(u64::from(max))));
-    }
-    if !node.alternatives.is_empty() {
-        fields.push((
-            "alternatives".to_string(),
-            Value::Array(
-                node.alternatives
-                    .iter()
-                    .map(|alt| Value::Array(alt.iter().map(shape_node_to_value).collect()))
-                    .collect(),
-            ),
+fn mistyped(expected: &str) -> JsonError {
+    JsonError::decode(format!("must be {expected}"))
+}
+
+fn take_str(value: &Value) -> Result<&str, JsonError> {
+    value.as_str().ok_or_else(|| mistyped("a string"))
+}
+
+/// The items of an array, each read by `take`; an item's error is
+/// prefixed with its index.
+fn take_items<T, C: FromIterator<T>>(
+    value: &Value,
+    take: impl Fn(&Value) -> Result<T, JsonError>,
+) -> Result<C, JsonError> {
+    let items = value.as_array().ok_or_else(|| mistyped("an array"))?;
+    let item = |(i, item)| take(item).map_err(|err: JsonError| err.within(format_args!("[{i}]")));
+    items.iter().enumerate().map(item).collect()
+}
+
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// The leaf types, one entry each: how `self` becomes a value, then how
+/// a value is read back.
+macro_rules! wire {
+    ($(
+        $(#[$doc:meta])*
+        $ty:ty: |$this:ident| $put:expr, |$value:ident| $take:expr;
+    )+) => {$(
+        $(#[$doc])*
+        impl Wire for $ty {
+            fn put(&self) -> Value {
+                let $this = self;
+                $put
+            }
+
+            fn take($value: &Value) -> Result<Self, JsonError> {
+                $take
+            }
+        }
+    )+};
+}
+
+wire! {
+    u64: |n| Value::Number(*n),
+        |value| value.as_u64().ok_or_else(|| mistyped("a non-negative integer"));
+    u32: |n| Value::Number(u64::from(*n)),
+        |value| u32::try_from(u64::take(value)?)
+            .map_err(|_| JsonError::decode("does not fit in u32"));
+    usize: |n| Value::Number(*n as u64),
+        |value| usize::try_from(u64::take(value)?)
+            .map_err(|_| JsonError::decode("does not fit in usize"));
+    /// JSON has no NaN or infinity, so the encoder writes every
+    /// non-finite float as `null`; a `null` where a number is required
+    /// therefore decodes as NaN ("the writer had no finite reading")
+    /// instead of failing the whole document. Anything else that is not
+    /// a number is still an error.
+    f64: |x| Value::from_f64(*x),
+        |value| match value {
+            Value::Null => Ok(f64::NAN),
+            other => other.as_f64().ok_or_else(|| mistyped("a number")),
+        };
+    String: |s| Value::String(s.clone()),
+        |value| take_str(value).map(str::to_string);
+    Label: |s| Value::String(s.to_string()),
+        |value| take_str(value).map(Label::from);
+    TaskPath: |path| Value::String(path.to_string()),
+        |value| take_str(value)?.parse().map_err(|_| mistyped("a valid task path"));
+    DiagCode: |code| Value::String(code.to_string()),
+        |value| take_str(value)?.parse().map_err(|_| mistyped("a catalogued DV code"));
+    Rationale: |rationale| Value::String(rationale.code().to_string()),
+        |value| Rationale::from_code(take_str(value)?)
+            .ok_or_else(|| mistyped("a catalogued rationale code"));
+    /// A task's kind is its lowercase tag.
+    TaskKind: |kind| Value::String(match kind {
+            TaskKind::Seq => "seq",
+            TaskKind::Par => "par",
+        }.to_string()),
+        |value| match take_str(value)? {
+            "seq" => Ok(TaskKind::Seq),
+            "par" => Ok(TaskKind::Par),
+            other => Err(mistyped(&format!("\"seq\" or \"par\", got {other:?}"))),
+        };
+    /// One observed `(signal, value)` pair of a decision.
+    (Label, f64): |pair| Value::Object(vec![
+            ("signal".to_string(), pair.0.put()),
+            ("value".to_string(), pair.1.put()),
+        ]),
+        |obj| Ok((
+            Wire::take_field(obj, "signal", None)?,
+            Wire::take_field(obj, "value", None)?,
         ));
+}
+
+/// `None` ("not measured") is `null` on the wire.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Wire::put)
     }
-    Value::Object(fields)
-}
 
-/// Encodes a [`ProgramShape`] as `{"tasks": [...]}`.
-#[must_use]
-pub fn shape_to_value(shape: &ProgramShape) -> Value {
-    Value::Object(vec![(
-        "tasks".to_string(),
-        Value::Array(shape.tasks.iter().map(shape_node_to_value).collect()),
-    )])
-}
-
-/// Decodes one [`ShapeNode`].
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] when required fields are missing or typed
-/// wrongly.
-pub fn shape_node_from_value(value: &Value) -> Result<ShapeNode, JsonError> {
-    let name = field_string(value, "name", "shape node")?;
-    let kind = match field_string(value, "kind", "shape node")?.as_str() {
-        "seq" => TaskKind::Seq,
-        "par" => TaskKind::Par,
-        other => {
-            return Err(JsonError::decode(format!(
-                "shape node kind must be \"seq\" or \"par\", got {other:?}"
-            )))
+    fn take(value: &Value) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::take(other).map(Some),
         }
-    };
-    let max_extent = match value.get("max_extent") {
-        None | Some(Value::Null) => None,
-        Some(Value::Number(n)) => Some(
-            u32::try_from(*n).map_err(|_| JsonError::decode("`max_extent` does not fit in u32"))?,
-        ),
-        Some(_) => return Err(JsonError::decode("`max_extent` must be an integer or null")),
-    };
-    let alternatives = match value.get("alternatives") {
-        None | Some(Value::Null) => Vec::new(),
-        Some(alts) => as_array(alts, "alternatives")?
-            .iter()
-            .map(|alt| {
-                as_array(alt, "alternative")?
-                    .iter()
-                    .map(shape_node_from_value)
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    Ok(ShapeNode {
-        name,
-        kind,
-        max_extent,
-        alternatives,
-    })
-}
-
-/// Decodes a [`ProgramShape`] from `{"tasks": [...]}`.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] on missing or mistyped fields.
-pub fn shape_from_value(value: &Value) -> Result<ProgramShape, JsonError> {
-    let tasks = value
-        .get("tasks")
-        .ok_or_else(|| JsonError::decode("shape is missing `tasks`"))?;
-    Ok(ProgramShape::new(
-        as_array(tasks, "shape tasks")?
-            .iter()
-            .map(shape_node_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
-}
-
-/// Encodes a [`TaskConfig`] as a JSON value.
-#[must_use]
-pub fn task_config_to_value(task: &TaskConfig) -> Value {
-    let mut fields = vec![
-        ("name".to_string(), Value::String(task.name.to_string())),
-        ("extent".to_string(), Value::Number(u64::from(task.extent))),
-    ];
-    if let Some(nest) = &task.nested {
-        fields.push((
-            "nested".to_string(),
-            Value::Object(vec![
-                (
-                    "alternative".to_string(),
-                    Value::Number(nest.alternative as u64),
-                ),
-                (
-                    "tasks".to_string(),
-                    Value::Array(nest.tasks.iter().map(task_config_to_value).collect()),
-                ),
-            ]),
-        ));
     }
-    Value::Object(fields)
 }
 
-/// Encodes a [`Config`] as `{"tasks": [...]}`.
-#[must_use]
-pub fn config_to_value(config: &Config) -> Value {
-    Value::Object(vec![(
-        "tasks".to_string(),
-        Value::Array(config.tasks.iter().map(task_config_to_value).collect()),
-    )])
+/// Shared in memory, the value itself on the wire: a decoded value
+/// holds an allocation of its own.
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self) -> Value {
+        T::put(self)
+    }
+
+    fn take(value: &Value) -> Result<Self, JsonError> {
+        T::take(value).map(Arc::new)
+    }
 }
 
-/// Decodes one [`TaskConfig`].
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] on missing or mistyped fields.
-pub fn task_config_from_value(value: &Value) -> Result<TaskConfig, JsonError> {
-    let name = field_string(value, "name", "config node")?;
-    let extent = match value.get("extent") {
-        Some(Value::Number(n)) => {
-            u32::try_from(*n).map_err(|_| JsonError::decode("`extent` does not fit in u32"))?
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> Value {
+        Value::Array(self.iter().map(Wire::put).collect())
+    }
+
+    fn take(value: &Value) -> Result<Self, JsonError> {
+        take_items(value, T::take)
+    }
+}
+
+/// A snapshot's per-task table: an array of rows in path order, each the
+/// task's `path` followed by its [`TaskStats`] keys, flattened. Rows are
+/// read in any order; of rows repeating a `path` the last one stays.
+impl Wire for TaskTable {
+    fn put(&self) -> Value {
+        let row = |(path, stats): (&TaskPath, &TaskStats)| {
+            let mut row = Vec::with_capacity(1 + TaskStats::KEYS.len());
+            path.put_field("path", &mut row);
+            if let Value::Object(stats) = stats.put() {
+                row.extend(stats);
+            }
+            Value::Object(row)
+        };
+        Value::Array(self.iter().map(row).collect())
+    }
+
+    fn take(value: &Value) -> Result<Self, JsonError> {
+        take_items(value, |row| {
+            Ok((Wire::take_field(row, "path", None)?, TaskStats::take(row)?))
+        })
+    }
+}
+
+/// The verdict's tag is its value; a rejection's `DV0xx` diagnostic
+/// rides beside it in the enclosing object, under `code`.
+impl Wire for Verdict {
+    fn put(&self) -> Value {
+        let tag = match self {
+            Verdict::Accepted => "accepted",
+            Verdict::Unchanged => "unchanged",
+            Verdict::Rejected { .. } => "rejected",
+            Verdict::Superseded => "superseded",
+        };
+        Value::String(tag.to_string())
+    }
+
+    /// The three verdicts a bare tag can carry; `"rejected"` needs its
+    /// `code` and is read by `take_field`.
+    fn take(value: &Value) -> Result<Self, JsonError> {
+        match take_str(value)? {
+            "accepted" => Ok(Verdict::Accepted),
+            "unchanged" => Ok(Verdict::Unchanged),
+            "superseded" => Ok(Verdict::Superseded),
+            other => Err(mistyped(&format!(
+                "\"accepted\", \"unchanged\", \"rejected\" or \"superseded\", got {other:?}"
+            ))),
         }
-        Some(_) => return Err(JsonError::decode("`extent` must be an integer")),
-        None => return Err(JsonError::decode("config node is missing `extent`")),
-    };
-    let nested = match value.get("nested") {
-        None | Some(Value::Null) => None,
-        Some(nest) => {
-            let alternative = match nest.get("alternative") {
-                Some(Value::Number(n)) => usize::try_from(*n)
-                    .map_err(|_| JsonError::decode("`alternative` does not fit in usize"))?,
-                Some(_) => return Err(JsonError::decode("`alternative` must be an integer")),
-                None => return Err(JsonError::decode("nested block is missing `alternative`")),
-            };
-            let tasks = nest
-                .get("tasks")
-                .ok_or_else(|| JsonError::decode("nested block is missing `tasks`"))?;
-            Some(NestConfig {
-                alternative,
-                tasks: as_array(tasks, "config tasks")?
-                    .iter()
-                    .map(task_config_from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-            })
+    }
+
+    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
+        out.push((key.to_string(), self.put()));
+        if let Verdict::Rejected { code } = self {
+            code.put_field("code", out);
         }
-    };
-    Ok(TaskConfig {
-        name: name.into(),
-        extent,
-        nested,
-    })
+    }
+
+    fn take_field(obj: &Value, key: &str, _: Option<Self>) -> Result<Self, JsonError> {
+        match obj.get(key) {
+            Some(Value::String(tag)) if tag == "rejected" => Ok(Verdict::Rejected {
+                code: Wire::take_field(obj, "code", None)?,
+            }),
+            value => required(value)
+                .and_then(Self::take)
+                .map_err(|err| err.within(key)),
+        }
+    }
 }
 
-/// Decodes a [`Config`] from `{"tasks": [...]}`.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] on missing or mistyped fields.
-pub fn config_from_value(value: &Value) -> Result<Config, JsonError> {
-    let tasks = value
-        .get("tasks")
-        .ok_or_else(|| JsonError::decode("config is missing `tasks`"))?;
-    Ok(Config::new(
-        as_array(tasks, "config tasks")?
-            .iter()
-            .map(task_config_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
+/// Expands the table of rows: structs whose wire form is an object keyed
+/// by their field names, in table order. A field is `name`, optionally
+/// `= default`: an *additive* field that reads as the default when a
+/// document written before it existed omits it (or carries `null`). A
+/// field marked `#[omit_empty]` is left out when it equals its type's
+/// default (an absent cap, no alternatives, no nest) and reads back as
+/// that default; every other field is always written, `null` included.
+macro_rules! wire_rows {
+    ($(
+        struct $row:ident {
+            $($(#[$marker:ident])? $field:ident $(= $default:expr)?),+ $(,)?
+        }
+    )+) => {$(
+        impl Wire for $row {
+            const KEYS: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            fn put(&self) -> Value {
+                let mut out = Vec::with_capacity(Self::KEYS.len());
+                $(wire_rows!(@put $($marker)? self.$field, stringify!($field), out);)+
+                Value::Object(out)
+            }
+
+            fn take(obj: &Value) -> Result<Self, JsonError> {
+                Ok($row {
+                    $($field: Wire::take_field(
+                        obj,
+                        stringify!($field),
+                        wire_rows!(@default $($marker)? $(= $default)?),
+                    )?),+
+                })
+            }
+        }
+    )+};
+    (@put omit_empty $value:expr, $key:expr, $out:ident) => {
+        if !is_default(&$value) {
+            $value.put_field($key, &mut $out);
+        }
+    };
+    (@put $value:expr, $key:expr, $out:ident) => {
+        $value.put_field($key, &mut $out)
+    };
+    (@default omit_empty) => { Some(Default::default()) };
+    (@default = $default:expr) => { Some($default) };
+    (@default) => { None };
+}
+
+wire_rows! {
+    // The `p*_exec_secs` percentiles arrived with the metrics plane;
+    // older traces omit them, which reads as 0.0 ("not measured").
+    struct TaskStats {
+        invocations, mean_exec_secs, throughput, load, utilization,
+        p50_exec_secs = 0.0, p95_exec_secs = 0.0, p99_exec_secs = 0.0,
+    }
+    struct QueueStats { occupancy, arrival_rate, enqueued, completed }
+    struct AdmissionStats {
+        offered, admitted, shed_high_water, shed_deadline, mean_queue_delay_secs,
+    }
+    struct DecisionCandidate { action, score, predicted_throughput = None }
+    // `admission` arrived with the admission gate; pre-admission traces
+    // omit it, which reads as all-zero counters ("no gate installed").
+    struct MonitorSnapshot {
+        time_secs, tasks, queue, power_watts = None, dispatches_since_reconfig,
+        admission = AdmissionStats::default(),
+    }
+    struct ShapeNode { name, kind, #[omit_empty] max_extent, #[omit_empty] alternatives }
+    struct ProgramShape { tasks }
+    struct TaskConfig { name, extent, #[omit_empty] nested }
+    struct NestConfig { alternative, tasks }
+    struct Config { tasks }
 }
 
 #[cfg(test)]
@@ -771,6 +931,13 @@ mod tests {
         assert!(parse("1.").is_err());
         assert!(parse("-").is_err());
         assert!(parse("1e").is_err());
+        for leading_zero in ["01", "-01", "00", "[1, 007]"] {
+            let err = parse(leading_zero).unwrap_err();
+            assert!(err.offset.is_some(), "{leading_zero}: {err}");
+        }
+        for zero in ["0", "-0", "0.5", "0e1", "-0.25", "10"] {
+            assert!(parse(zero).is_ok(), "{zero}");
+        }
     }
 
     #[test]
@@ -843,31 +1010,71 @@ mod tests {
     #[test]
     fn shape_round_trips() {
         let shape = sample_shape();
-        let value = shape_to_value(&shape);
-        let back = shape_from_value(&parse(&value.to_json()).unwrap()).unwrap();
+        let value = shape.put();
+        let back = ProgramShape::take(&parse(&value.to_json()).unwrap()).unwrap();
         assert_eq!(back, shape);
     }
 
     #[test]
     fn config_round_trips() {
         let config = sample_config();
-        let value = config_to_value(&config);
-        let back = config_from_value(&parse(&value.to_json()).unwrap()).unwrap();
+        let value = config.put();
+        let back = Config::take(&parse(&value.to_json()).unwrap()).unwrap();
         assert_eq!(back, config);
     }
 
     #[test]
     fn decode_rejects_bad_kind() {
         let value = parse(r#"{"name": "t", "kind": "pipe"}"#).unwrap();
-        let err = shape_node_from_value(&value).unwrap_err();
+        let err = ShapeNode::take(&value).unwrap_err();
         assert!(err.to_string().contains("seq"), "{err}");
     }
 
     #[test]
     fn decode_reports_missing_fields() {
-        let err = config_from_value(&parse("{}").unwrap()).unwrap_err();
+        let err = Config::take(&parse("{}").unwrap()).unwrap_err();
         assert!(err.to_string().contains("tasks"), "{err}");
-        let err = task_config_from_value(&parse(r#"{"name": "x"}"#).unwrap()).unwrap_err();
+        let err = TaskConfig::take(&parse(r#"{"name": "x"}"#).unwrap()).unwrap_err();
         assert!(err.to_string().contains("extent"), "{err}");
+    }
+
+    /// A decode error names the whole key path of the value that failed,
+    /// through objects, arrays and arrays of arrays.
+    #[test]
+    fn a_missing_nested_key_reports_its_full_path() {
+        let doc = parse(
+            r#"{"config": {"tasks": [{"name": "t", "extent": 2, "nested": {"alternative": 0, "tasks": [{"name": "a", "extent": 1}, {"name": "b"}]}}]},
+                "shape": {"tasks": [{"name": "t", "kind": "par", "alternatives": [[{"name": "a", "kind": "seq"}, {"name": "b", "kind": 3}]]}]},
+                "snapshot": {"time_secs": 0.5, "tasks": [], "queue": {"arrival_rate": 0, "enqueued": 0, "completed": 0}, "power_watts": null, "dispatches_since_reconfig": 0}}"#,
+        )
+        .unwrap();
+        let err = Config::take_field(&doc, "config", None).unwrap_err();
+        assert_eq!(err.path, "config.tasks[0].nested.tasks[1].extent");
+        assert_eq!(
+            err.to_string(),
+            "`config.tasks[0].nested.tasks[1].extent` is missing"
+        );
+        let err = ProgramShape::take_field(&doc, "shape", None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "`shape.tasks[0].alternatives[0][1].kind` must be a string"
+        );
+        let err = MonitorSnapshot::take_field(&doc, "snapshot", None).unwrap_err();
+        assert_eq!(err.to_string(), "`snapshot.queue.occupancy` is missing");
+    }
+
+    /// Configurations and shapes leave out an absent cap, an empty
+    /// alternative list and an absent nest, and read them back from
+    /// either an absent key or `null`.
+    #[test]
+    fn empty_tree_fields_are_omitted_and_read_as_their_default() {
+        let leaf = ShapeNode::leaf("read", TaskKind::Seq);
+        assert_eq!(leaf.put().to_json(), r#"{"name": "read", "kind": "seq"}"#);
+        let nulls = r#"{"name": "read", "kind": "seq", "max_extent": null, "alternatives": null}"#;
+        assert_eq!(ShapeNode::take(&parse(nulls).unwrap()).unwrap(), leaf);
+        let task = TaskConfig::leaf("read", 1);
+        assert_eq!(task.put().to_json(), r#"{"name": "read", "extent": 1}"#);
+        let null_nest = r#"{"name": "read", "extent": 1, "nested": null}"#;
+        assert_eq!(TaskConfig::take(&parse(null_nest).unwrap()).unwrap(), task);
     }
 }

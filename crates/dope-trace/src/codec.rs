@@ -9,8 +9,9 @@
 //! losslessly.
 //!
 //! Which keys a kind carries is declared once, in the schema table of
-//! [`crate::event`]; this module holds what the table is expanded over:
-//! one `Wire` impl per payload type and the four-key envelope.
+//! [`crate::event`]; every value inside a record is written and read by
+//! its [`Wire`] impl in `dope-core`, the one typed codec. This module
+//! holds the four-key envelope around them.
 //!
 //! # Example
 //!
@@ -34,233 +35,12 @@
 //! assert_eq!(parse_line(&line).unwrap(), record);
 //! ```
 
-use crate::event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
-use dope_core::json::{
-    config_from_value, config_to_value, parse, shape_from_value, shape_to_value, JsonError, Value,
-};
-use dope_core::{Config, DiagCode, Label, ProgramShape, Rationale, TaskPath, TaskStats, TaskTable};
-use std::sync::Arc;
+use crate::event::{TraceEvent, TraceRecord, SCHEMA_VERSION};
+use dope_core::json::{parse, JsonError, Value, Wire};
+use dope_core::Label;
 
-/// The wire form of one payload type. `put`/`take` are its JSON value
-/// (`key` names it in error messages only); `put_field`/`take_field` are
-/// the key(s) it owns in an enclosing object — one key, its own, unless
-/// overridden ([`Verdict`] flattens into two).
-pub(crate) trait Wire: Sized {
-    fn put(&self) -> Value;
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError>;
-
-    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
-        out.push((key.to_string(), self.put()));
-    }
-
-    /// A `default` marks an *additive* field: absent or `null` (a trace
-    /// written before the field existed, or a writer that did not
-    /// measure) decodes as the default — so a non-finite additive number,
-    /// which the encoder writes as `null`, also reads back as its
-    /// default. Present-but-mistyped is still an error.
-    fn take_field(obj: &Value, key: &str, default: Option<Self>) -> Result<Self, JsonError> {
-        match (required(obj, key), default) {
-            (Err(_) | Ok(Value::Null), Some(default)) => Ok(default),
-            (value, _) => Self::take(value?, key),
-        }
-    }
-}
-
-fn required<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, JsonError> {
-    obj.get(key)
-        .ok_or_else(|| JsonError::decode(format!("trace record is missing `{key}`")))
-}
-
-fn mistyped(key: &str, expected: &str) -> JsonError {
-    JsonError::decode(format!("`{key}` must be {expected}"))
-}
-
-fn take_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, JsonError> {
-    value.as_str().ok_or_else(|| mistyped(key, "a string"))
-}
-
-fn take_array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], JsonError> {
-    value.as_array().ok_or_else(|| mistyped(key, "an array"))
-}
-
-/// The leaf payload types, one entry each: how `self` becomes a value,
-/// then how a value (named `key` in errors) is read back.
-macro_rules! wire {
-    ($(
-        $(#[$doc:meta])*
-        $ty:ty: |$this:ident| $put:expr, |$value:ident, $key:ident| $take:expr;
-    )+) => {$(
-        $(#[$doc])*
-        impl Wire for $ty {
-            fn put(&self) -> Value {
-                let $this = self;
-                $put
-            }
-
-            fn take($value: &Value, $key: &str) -> Result<Self, JsonError> {
-                $take
-            }
-        }
-    )+};
-}
-
-wire! {
-    u64: |n| Value::Number(*n),
-        |value, key| value.as_u64().ok_or_else(|| mistyped(key, "a non-negative integer"));
-    u32: |n| Value::Number(u64::from(*n)),
-        |value, key| u32::try_from(u64::take(value, key)?)
-            .map_err(|_| JsonError::decode(format!("`{key}` does not fit in u32")));
-    /// JSON has no NaN or infinity, so the encoder writes every
-    /// non-finite float as `null`; a `null` where a number is required
-    /// therefore decodes as NaN ("the writer had no finite reading")
-    /// instead of failing the whole trace. Anything else that is not a
-    /// number is still an error.
-    f64: |x| Value::from_f64(*x),
-        |value, key| match value {
-            Value::Null => Ok(f64::NAN),
-            other => other.as_f64().ok_or_else(|| mistyped(key, "a number")),
-        };
-    String: |s| Value::String(s.clone()),
-        |value, key| take_str(value, key).map(str::to_string);
-    Label: |s| Value::String(s.to_string()),
-        |value, key| take_str(value, key).map(Label::from);
-    TaskPath: |path| Value::String(path.to_string()),
-        |value, key| take_str(value, key)?.parse()
-            .map_err(|_| mistyped(key, "a valid task path"));
-    DiagCode: |code| Value::String(code.to_string()),
-        |value, key| take_str(value, key)?.parse()
-            .map_err(|_| mistyped(key, "a catalogued DV code"));
-    Rationale: |rationale| Value::String(rationale.code().to_string()),
-        |value, key| Rationale::from_code(take_str(value, key)?)
-            .ok_or_else(|| mistyped(key, "a catalogued rationale code"));
-    Config: |config| config_to_value(config), |value, _key| config_from_value(value);
-    ProgramShape: |shape| shape_to_value(shape), |value, _key| shape_from_value(value);
-    /// One observed `(signal, value)` pair of a decision.
-    (Label, f64): |pair| Value::Object(vec![
-            ("signal".to_string(), pair.0.put()),
-            ("value".to_string(), pair.1.put()),
-        ]),
-        |obj, _key| Ok((
-            Wire::take_field(obj, "signal", None)?,
-            Wire::take_field(obj, "value", None)?,
-        ));
-}
-
-/// A snapshot's per-task table: an array of rows in path order, each the
-/// task's `path` followed by its [`TaskStats`] keys, flattened. Rows are
-/// read in any order; of rows repeating a `path` the last one stays.
-impl Wire for TaskTable {
-    fn put(&self) -> Value {
-        let row = |(path, stats): (&TaskPath, &TaskStats)| {
-            let mut row = Vec::new();
-            path.put_field("path", &mut row);
-            if let Value::Object(stats) = stats.put() {
-                row.extend(stats);
-            }
-            Value::Object(row)
-        };
-        Value::Array(self.iter().map(row).collect())
-    }
-
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
-        let row = |row| {
-            Ok((
-                Wire::take_field(row, "path", None)?,
-                TaskStats::take(row, key)?,
-            ))
-        };
-        take_array(value, key)?.iter().map(row).collect()
-    }
-}
-
-/// `None` ("not measured") is `null` on the wire.
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self) -> Value {
-        self.as_ref().map_or(Value::Null, Wire::put)
-    }
-
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::take(other, key).map(Some),
-        }
-    }
-}
-
-/// Shared in memory, the value itself on the wire: a decoded record
-/// holds an allocation of its own.
-impl<T: Wire> Wire for Arc<T> {
-    fn put(&self) -> Value {
-        T::put(self)
-    }
-
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
-        T::take(value, key).map(Arc::new)
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self) -> Value {
-        Value::Array(self.iter().map(Wire::put).collect())
-    }
-
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
-        take_array(value, key)?
-            .iter()
-            .map(|item| T::take(item, key))
-            .collect()
-    }
-}
-
-/// The verdict's tag is its value; a rejection's `DV0xx` diagnostic
-/// rides beside it in the enclosing object, under `code`.
-impl Wire for Verdict {
-    fn put(&self) -> Value {
-        let tag = match self {
-            Verdict::Accepted => "accepted",
-            Verdict::Unchanged => "unchanged",
-            Verdict::Rejected { .. } => "rejected",
-            Verdict::Superseded => "superseded",
-        };
-        Value::String(tag.to_string())
-    }
-
-    /// The three verdicts a bare tag can carry; `"rejected"` needs its
-    /// `code` and is read by `take_field`.
-    fn take(value: &Value, key: &str) -> Result<Self, JsonError> {
-        match take_str(value, key)? {
-            "accepted" => Ok(Verdict::Accepted),
-            "unchanged" => Ok(Verdict::Unchanged),
-            "superseded" => Ok(Verdict::Superseded),
-            other => Err(mistyped(
-                key,
-                &format!(
-                    "\"accepted\", \"unchanged\", \"rejected\" or \"superseded\", got {other:?}"
-                ),
-            )),
-        }
-    }
-
-    fn put_field(&self, key: &str, out: &mut Vec<(String, Value)>) {
-        out.push((key.to_string(), self.put()));
-        if let Verdict::Rejected { code } = self {
-            code.put_field("code", out);
-        }
-    }
-
-    fn take_field(obj: &Value, key: &str, _: Option<Self>) -> Result<Self, JsonError> {
-        match required(obj, key)? {
-            Value::String(tag) if tag == "rejected" => Ok(Verdict::Rejected {
-                code: Wire::take_field(obj, "code", None)?,
-            }),
-            value => Self::take(value, key),
-        }
-    }
-}
-
-/// Renders a record as one JSONL line (no trailing newline).
-#[must_use]
-pub fn to_jsonl_line(record: &TraceRecord) -> String {
+/// Appends a record's JSONL line (no trailing newline) to `out`.
+fn write_line(record: &TraceRecord, out: &mut String) {
     // Room for the envelope plus the widest kind (eight payload keys).
     let mut fields = Vec::with_capacity(12);
     SCHEMA_VERSION.put_field("v", &mut fields);
@@ -271,15 +51,23 @@ pub fn to_jsonl_line(record: &TraceRecord) -> String {
         Value::String(record.event.kind().to_string()),
     ));
     record.event.put_payload(&mut fields);
-    Value::Object(fields).to_json()
+    Value::Object(fields).write_json(out);
+}
+
+/// Renders a record as one JSONL line (no trailing newline).
+#[must_use]
+pub fn to_jsonl_line(record: &TraceRecord) -> String {
+    let mut line = String::new();
+    write_line(record, &mut line);
+    line
 }
 
 /// Renders a whole trace as JSONL, one record per line, newline-terminated.
 #[must_use]
-pub fn to_jsonl(records: &[TraceRecord]) -> String {
+pub fn to_jsonl<'r>(records: impl IntoIterator<Item = &'r TraceRecord>) -> String {
     let mut out = String::new();
     for record in records {
-        out.push_str(&to_jsonl_line(record));
+        write_line(record, &mut out);
         out.push('\n');
     }
     out
@@ -290,7 +78,8 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 /// # Errors
 ///
 /// Returns a [`JsonError`] on malformed JSON, unknown schema versions,
-/// unknown `kind`s, or missing / mistyped fields.
+/// unknown `kind`s, or missing / mistyped fields (named by their key
+/// path, e.g. `snapshot.queue.occupancy`).
 pub fn parse_line(line: &str) -> Result<TraceRecord, JsonError> {
     let value = parse(line)?;
     let version = u64::take_field(&value, "v", None)?;
@@ -299,10 +88,11 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, JsonError> {
             "unsupported trace schema version {version} (this build reads version {SCHEMA_VERSION})"
         )));
     }
+    let kind = Label::take_field(&value, "kind", None)?;
     Ok(TraceRecord {
         seq: Wire::take_field(&value, "seq", None)?,
         time_secs: Wire::take_field(&value, "t", None)?,
-        event: TraceEvent::take_payload(take_str(required(&value, "kind")?, "kind")?, &value)?,
+        event: TraceEvent::take_payload(&kind, &value)?,
     })
 }
 
@@ -329,10 +119,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Verdict;
     use dope_core::{
-        AdmissionStats, DecisionCandidate, MonitorSnapshot, QueueStats, ShapeNode, TaskConfig,
-        TaskKind,
+        AdmissionStats, Config, DecisionCandidate, DiagCode, MonitorSnapshot, ProgramShape,
+        QueueStats, Rationale, ShapeNode, TaskConfig, TaskKind, TaskStats,
     };
+    use std::sync::Arc;
 
     fn sample_config() -> Arc<Config> {
         Arc::new(Config::new(vec![TaskConfig::nest(
@@ -750,7 +542,7 @@ mod tests {
             wire.last(),
             Some(&("p99_exec_secs".to_string(), Value::Null))
         );
-        let back = TaskStats::take(&Value::Object(wire), "stats").unwrap();
+        let back = TaskStats::take(&Value::Object(wire)).unwrap();
         assert_eq!(back.p99_exec_secs, 0.0);
     }
 

@@ -13,6 +13,8 @@
 //! the JSONL codec are generated from it. Adding a field to a kind is
 //! one line in the table (plus one word appended to
 //! `baseline/event-fields.txt`, the frozen record of what has shipped).
+//! The payload structs `dope-core` defines are rows of the
+//! [`dope_core::json`] codec's table, which the kinds' fields go through.
 //!
 //! # Example
 //!
@@ -31,13 +33,11 @@
 //! ```
 
 use dope_core::control::{DrainTiming, Scope};
-use dope_core::json::{JsonError, Value};
+use dope_core::json::{JsonError, Value, Wire};
 use dope_core::{
     AdmissionStats, Config, DecisionCandidate, DecisionTrace, Label, MonitorSnapshot, ProgramShape,
     QueueStats, Rationale, TaskPath, TaskStats,
 };
-
-use crate::codec::Wire;
 use std::sync::Arc;
 
 /// Version of the event schema emitted by this build.
@@ -65,9 +65,9 @@ pub use dope_core::control::Verdict;
 /// Expands the schema table into everything that used to be spelled by
 /// hand per kind. A field is `name: Type`, optionally `= default`: the
 /// value an *additive* field decodes to when a trace written before the
-/// field existed omits it (or carries `null`). The trailing `struct`
-/// entries give the same treatment to the payload structs `dope-core`
-/// defines: their wire keys are their field names, in table order.
+/// field existed omits it (or carries `null`). The trailing `rows` list
+/// names the payload structs whose keys [`TraceEvent::FIELDS`] records;
+/// their wire form is their row in [`dope_core::json`].
 macro_rules! trace_schema {
     (
         $(#[$enum_meta:meta])*
@@ -82,7 +82,7 @@ macro_rules! trace_schema {
                 }
             ),+ $(,)?
         }
-        $(struct $payload:ident { $($pfield:ident $(= $pdefault:expr)?),+ $(,)? })+
+        rows { $($payload:ident),+ $(,)? }
     ) => {
         $(#[$enum_meta])*
         pub enum TraceEvent {
@@ -112,7 +112,7 @@ macro_rules! trace_schema {
             /// the `code` key of a rejection.
             pub const FIELDS: &'static [(&'static str, &'static [&'static str])] = &[
                 $((stringify!($kind), &[$(stringify!($field)),+])),+,
-                $((stringify!($payload), &[$(stringify!($pfield)),+])),+
+                $((stringify!($payload), <$payload as Wire>::KEYS)),+
             ];
 
             /// Appends this event's payload keys to a record under
@@ -141,22 +141,6 @@ macro_rules! trace_schema {
                 })
             }
         }
-
-        $(impl Wire for $payload {
-            fn put(&self) -> Value {
-                let mut out = Vec::with_capacity([$(stringify!($pfield)),+].len());
-                $(self.$pfield.put_field(stringify!($pfield), &mut out);)+
-                Value::Object(out)
-            }
-
-            fn take(obj: &Value, _key: &str) -> Result<Self, JsonError> {
-                Ok($payload {
-                    $($pfield: Wire::take_field(
-                        obj, stringify!($pfield), None$(.or(Some($pdefault)))?
-                    )?),+
-                })
-            }
-        })+
     };
 }
 
@@ -325,23 +309,7 @@ trace_schema! {
         },
     }
 
-    // The `p*_exec_secs` percentiles arrived with the metrics plane;
-    // older traces omit them, which reads as 0.0 ("not measured").
-    struct TaskStats {
-        invocations, mean_exec_secs, throughput, load, utilization,
-        p50_exec_secs = 0.0, p95_exec_secs = 0.0, p99_exec_secs = 0.0,
-    }
-    struct QueueStats { occupancy, arrival_rate, enqueued, completed }
-    struct AdmissionStats {
-        offered, admitted, shed_high_water, shed_deadline, mean_queue_delay_secs,
-    }
-    struct DecisionCandidate { action, score, predicted_throughput = None }
-    // `admission` arrived with the admission gate; pre-admission traces
-    // omit it, which reads as all-zero counters ("no gate installed").
-    struct MonitorSnapshot {
-        time_secs, tasks, queue, power_watts = None, dispatches_since_reconfig,
-        admission = AdmissionStats::default(),
-    }
+    rows { TaskStats, QueueStats, AdmissionStats, DecisionCandidate, MonitorSnapshot }
 }
 
 /// How `stats` and `timeline` read a trace: each record as the rows it

@@ -42,9 +42,10 @@ use crate::event::{TraceEvent, TraceRecord};
 
 /// The decision audit extracted from a trace: every `DecisionTraced`
 /// record, in trace order, plus aggregate prediction-accuracy figures.
+/// It borrows the records from the trace it was extracted from.
 #[derive(Debug, Clone, Default)]
-pub struct ExplainReport {
-    decisions: Vec<TraceRecord>,
+pub struct ExplainReport<'a> {
+    decisions: Vec<&'a TraceRecord>,
 }
 
 /// Extracts the decision audit from `records`.
@@ -54,17 +55,16 @@ pub struct ExplainReport {
 /// yields an empty report, which [`ExplainReport::render`] states
 /// explicitly rather than printing nothing.
 #[must_use]
-pub fn explain(records: &[TraceRecord]) -> ExplainReport {
+pub fn explain(records: &[TraceRecord]) -> ExplainReport<'_> {
     ExplainReport {
         decisions: records
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::DecisionTraced { .. }))
-            .cloned()
             .collect(),
     }
 }
 
-impl ExplainReport {
+impl<'a> ExplainReport<'a> {
     /// Number of decisions in the audit.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -79,7 +79,7 @@ impl ExplainReport {
 
     /// The audited records themselves, in trace order.
     #[must_use]
-    pub fn decisions(&self) -> &[TraceRecord] {
+    pub fn decisions(&self) -> &[&'a TraceRecord] {
         &self.decisions
     }
 
@@ -89,7 +89,7 @@ impl ExplainReport {
     /// original values; the gaps are the non-decision events).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        to_jsonl(&self.decisions)
+        to_jsonl(self.decisions.iter().copied())
     }
 
     /// Renders the audit as human-readable text: a header with scoring
@@ -323,6 +323,6 @@ mod tests {
         let jsonl = report.to_jsonl();
         let parsed = crate::parse_jsonl(&jsonl).expect("strict round-trip");
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0], report.decisions()[0]);
+        assert_eq!(parsed[0], *report.decisions()[0]);
     }
 }

@@ -1,11 +1,11 @@
 //! JSON document codec for the `dope-verify` CLI.
 //!
-//! The strict JSON parser and the shape/config tree codecs now live in
-//! [`dope_core::json`] (they are shared with the `dope-trace` flight
-//! recorder); this module re-exports them so existing callers of
+//! The strict JSON parser and the typed codec live in [`dope_core::json`]
+//! (they are shared with the `dope-trace` flight recorder); this module
+//! re-exports the parser so existing callers of
 //! `dope_verify::json::{parse, Value, JsonError}` keep compiling, and
-//! keeps only what is specific to the CLI: the [`VerifyInput`] document
-//! format.
+//! keeps only what is specific to the CLI: the [`VerifyInput`] document,
+//! whose `shape` and `config` are read by their codec rows.
 //!
 //! The document format is:
 //!
@@ -31,7 +31,7 @@
 
 pub use dope_core::json::{parse, JsonError, Value};
 
-use dope_core::json::{shape_node_from_value, task_config_from_value};
+use dope_core::json::Wire;
 use dope_core::{Config, ProgramShape};
 
 /// The decoded CLI input: a shape, a configuration, and a thread budget.
@@ -53,37 +53,10 @@ pub struct VerifyInput {
 /// required fields / using wrong types.
 pub fn input_from_json(text: &str) -> Result<VerifyInput, JsonError> {
     let doc = parse(text)?;
-    let threads = match doc.get("threads") {
-        Some(Value::Number(n)) => {
-            u32::try_from(*n).map_err(|_| JsonError::decode("`threads` does not fit in u32"))?
-        }
-        Some(_) => return Err(JsonError::decode("`threads` must be an integer")),
-        None => return Err(JsonError::decode("missing `threads`")),
-    };
-    let shape_tasks = doc
-        .get("shape")
-        .and_then(|s| s.get("tasks"))
-        .ok_or_else(|| JsonError::decode("missing `shape.tasks`"))?;
-    let config_tasks = doc
-        .get("config")
-        .and_then(|c| c.get("tasks"))
-        .ok_or_else(|| JsonError::decode("missing `config.tasks`"))?;
-    let shape_nodes = shape_tasks
-        .as_array()
-        .ok_or_else(|| JsonError::decode("shape tasks must be an array"))?
-        .iter()
-        .map(shape_node_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    let config_nodes = config_tasks
-        .as_array()
-        .ok_or_else(|| JsonError::decode("config tasks must be an array"))?
-        .iter()
-        .map(task_config_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(VerifyInput {
-        shape: ProgramShape::new(shape_nodes),
-        config: Config::new(config_nodes),
-        threads,
+        shape: Wire::take_field(&doc, "shape", None)?,
+        config: Wire::take_field(&doc, "config", None)?,
+        threads: Wire::take_field(&doc, "threads", None)?,
     })
 }
 
