@@ -206,7 +206,7 @@ pub fn wq_linear_hysteresis(requests: usize) -> ((f64, u64), (f64, u64)) {
 
 /// Runs and prints all ablations.
 pub fn report(quick: bool) {
-    let requests = crate::request_count(quick);
+    let requests = crate::REQUESTS;
     let horizon = if quick { 90.0 } else { 240.0 };
 
     crate::print_table(

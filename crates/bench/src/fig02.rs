@@ -66,7 +66,7 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<LoadPoint> {
 
 /// Runs and prints the three Figure 2 panels.
 pub fn report(quick: bool) -> Vec<LoadPoint> {
-    let points = run(&crate::load_factors(quick), crate::request_count(quick));
+    let points = run(&crate::load_factors(quick), crate::REQUESTS);
     let header = [
         "load",
         "<24,(1,SEQ)>",

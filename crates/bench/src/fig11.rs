@@ -153,7 +153,7 @@ fn print_panel(title: &str, rows: &[(f64, f64, f64, f64, f64)]) {
 /// Runs and prints all four panels: the paper's mean response times plus
 /// a histogram-backed p99 panel per application.
 pub fn report(quick: bool) -> Vec<AppSweep> {
-    let sweeps = run(&crate::load_factors(quick), crate::request_count(quick));
+    let sweeps = run(&crate::load_factors(quick), crate::REQUESTS);
     for sweep in &sweeps {
         print_panel(
             &format!("== Figure 11: {} — mean response time (s) ==", sweep.name),

@@ -81,11 +81,7 @@ pub fn run(loads: &[f64], requests: usize, quick: bool) -> Vec<Row> {
 
 /// Runs and prints the sweep.
 pub fn report(quick: bool) -> Vec<Row> {
-    let rows = run(
-        &crate::load_factors(quick),
-        crate::request_count(quick),
-        quick,
-    );
+    let rows = run(&crate::load_factors(quick), crate::REQUESTS, quick);
     crate::print_table(
         "== Figure 12: ferret mean response time (s) vs load ==",
         &["load", "even", "oversub", "DoPE"],

@@ -53,10 +53,7 @@ pub fn load_factors(quick: bool) -> Vec<f64> {
 ///
 /// The count is *not* reduced in quick mode: the response-time crossover
 /// of Figure 2(c) is a queueing transient that needs the full run length.
-#[must_use]
-pub fn request_count(_quick: bool) -> usize {
-    500
-}
+pub const REQUESTS: usize = 500;
 
 /// Prints one table: `title`, then `header` and each of `rows` as a line
 /// of right-aligned 12-character cells joined by one space (a wider cell

@@ -23,8 +23,9 @@
 //!    ([`dope_runtime::perf::bench_invoke`]), and a gate offer that
 //!    stamps every item next to one that stamps a sample;
 //! 4. **paced** — what a parked consumer pays per item, by how it parks
-//!    (`bench_paced`); skipped where `/proc/thread-self/schedstat` is
-//!    absent.
+//!    (`bench_paced`): a 2 ms poll, a timer that never fires, untimed, and
+//!    in `dequeue_for` as a task body waits; skipped where
+//!    `/proc/thread-self/schedstat` is absent.
 //!
 //! The report states `nproc`, the core count it was taken on, and is
 //! strict-codec JSON (`dope_core::json`). Its history is
@@ -33,6 +34,7 @@
 use dope_apps::transcode;
 use dope_core::control::{ControlCore, NullSink, Rules};
 use dope_core::json::{parse, Value};
+use dope_core::task::NullCx;
 use dope_core::{
     AdmissionPolicy, Config, FailurePolicy, Mechanism, MonitorSnapshot, ProgramShape, Resources,
     ShapeNode, TaskConfig, TaskKind, TaskPath, TaskStats,
@@ -40,7 +42,7 @@ use dope_core::{
 use dope_mechanisms::WqLinear;
 use dope_sim::system::{run_system_observed, SystemParams};
 use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
-use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, WorkQueue};
+use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, Waited, WorkQueue};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -72,7 +74,7 @@ pub fn run(quick: bool) -> Value {
     println!("perf: monitor (timed vs untimed invocation, stamped vs sampled offer)");
     let monitor = bench_monitor(quick);
 
-    println!("perf: paced (one consumer parked between Poisson arrivals, three ways)");
+    println!("perf: paced (one consumer parked between Poisson arrivals, four ways)");
     let paced = bench_paced(quick);
 
     let mut sections = vec![
@@ -294,13 +296,23 @@ fn thread_cpu_ns() -> Option<u64> {
     stat.split_whitespace().next()?.parse().ok()
 }
 
+/// How the paced consumer waits for its next item.
+#[derive(Clone, Copy)]
+enum Park {
+    /// `dequeue_timeout`, re-called whenever it expires.
+    Timed(Duration),
+    /// `dequeue()`.
+    Untimed,
+    /// `dequeue_for` under a [`NullCx`], as a task body waits.
+    ForCx,
+}
+
 /// `pipe_paced`'s idle side in miniature: a Poisson producer at
 /// `rate`/s hands `items` items through a [`WorkQueue`] to one consumer
-/// that works ~4 µs on each and parks in between through
-/// `dequeue_timeout(park)`, or through untimed `dequeue()` when `park`
-/// is `None`. Returns the consumer's and the producer's CPU µs per item
-/// and the consumer's expired parks per item.
-fn paced_run(rate: f64, items: usize, park: Option<Duration>) -> Option<[f64; 3]> {
+/// that works ~4 µs on each and waits for the next as `park` says.
+/// Returns the consumer's and the producer's CPU µs per item and the
+/// consumer's expired parks per item.
+fn paced_run(rate: f64, items: usize, park: Park) -> Option<[f64; 3]> {
     thread_cpu_ns()?;
     let queue = WorkQueue::new();
     let consumer = {
@@ -310,10 +322,14 @@ fn paced_run(rate: f64, items: usize, park: Option<Duration>) -> Option<[f64; 3]
             let mut expired = 0u64;
             loop {
                 let item = match park {
-                    Some(timeout) => queue.dequeue_timeout(timeout),
-                    None => queue
+                    Park::Timed(timeout) => queue.dequeue_timeout(timeout),
+                    Park::Untimed => queue
                         .dequeue()
                         .map_or(DequeueOutcome::Drained, DequeueOutcome::Item),
+                    Park::ForCx => match queue.dequeue_for(&mut NullCx::default()) {
+                        Waited::Item(item) => DequeueOutcome::Item(item),
+                        Waited::Suspended | Waited::Closed => DequeueOutcome::Drained,
+                    },
                 };
                 match item {
                     DequeueOutcome::Item(_) => {
@@ -347,24 +363,26 @@ fn paced_run(rate: f64, items: usize, park: Option<Duration>) -> Option<[f64; 3]
     ])
 }
 
-/// The paced hop of the ledger (ROADMAP item 1's sizing): [`paced_run`]
-/// at 500 items/s with the consumer parked by a 2 ms poll (what the
-/// frozen benchmark's bodies do), by a 1 s timeout that never expires,
-/// and untimed. `None` where thread CPU cannot be read.
+/// The paced hop of the ledger: [`paced_run`] at 500 items/s with the
+/// consumer parked by a 2 ms poll (what the frozen benchmark's bodies
+/// do), by a 1 s timeout that never expires, untimed, and in
+/// `dequeue_for` (what every in-tree body does). `None` where thread CPU
+/// cannot be read.
 fn bench_paced(quick: bool) -> Option<Value> {
     const RATE: f64 = 500.0;
     let items = if quick { 500 } else { 5_000 };
     let mut fields = vec![("items".to_string(), Value::Number(items as u64))];
-    for (park, timeout) in [
-        ("poll_2ms", Some(Duration::from_millis(2))),
-        ("timer_1s", Some(Duration::from_secs(1))),
-        ("untimed", None),
+    for (name, park) in [
+        ("poll_2ms", Park::Timed(Duration::from_millis(2))),
+        ("timer_1s", Park::Timed(Duration::from_secs(1))),
+        ("untimed", Park::Untimed),
+        ("dequeue_for", Park::ForCx),
     ] {
-        let [consumer, producer, expired] = paced_run(RATE, items, timeout)?;
+        let [consumer, producer, expired] = paced_run(RATE, items, park)?;
         fields.extend([
-            (format!("{park}_consumer_us"), Value::from_f64(consumer)),
-            (format!("{park}_producer_us"), Value::from_f64(producer)),
-            (format!("{park}_expired_per_item"), Value::from_f64(expired)),
+            (format!("{name}_consumer_us"), Value::from_f64(consumer)),
+            (format!("{name}_producer_us"), Value::from_f64(producer)),
+            (format!("{name}_expired_per_item"), Value::from_f64(expired)),
         ]);
     }
     Some(Value::Object(fields))
@@ -492,6 +510,8 @@ pub fn summary(report: &Value) -> String {
         ("paced", "timer_1s_consumer_us"),
         ("paced", "untimed_consumer_us"),
         ("paced", "untimed_producer_us"),
+        ("paced", "dequeue_for_consumer_us"),
+        ("paced", "dequeue_for_producer_us"),
     ] {
         if let Some(v) = metric(report, section, key) {
             out.push_str(&format!("{section:>12}.{key:<25} {v:>12.2}\n"));

@@ -31,11 +31,7 @@ pub fn record_fig11(quick: bool) -> String {
     let mut mechanism = WqLinear::new(1, 8, 12.0);
     let params = SystemParams::default();
     let res = Resources::threads(24);
-    let requests = if quick {
-        100
-    } else {
-        crate::request_count(quick)
-    };
+    let requests = if quick { 100 } else { crate::REQUESTS };
     let schedule = ArrivalSchedule::for_load_factor(0.8, model.max_throughput(24, 1), requests, 7);
 
     let recorder = Recorder::bounded(1 << 16);

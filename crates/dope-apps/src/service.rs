@@ -17,7 +17,7 @@
 use dope_core::{
     body_fn, QueueStats, TaskBody, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot,
 };
-use dope_workload::{DequeueOutcome, ResponseStats, WorkQueue};
+use dope_workload::{ResponseStats, Waited, WorkQueue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -277,30 +277,30 @@ fn whole_task(source: WorkQueue<Transaction>, stats: Arc<ServiceStats>) -> TaskS
     })
 }
 
-/// One invocation of a stage body: a stage that `obeys_suspend` returns
-/// `Suspended` when told to; otherwise it waits up to 2 ms for an item
-/// (re-reading its directive on the next invocation) and brackets only
-/// the item's `work` and hand-off in `begin`/`end`. An idle poll is no
-/// invocation, so a path's counts, times and utilization measure items.
-pub(crate) fn stage_step<T>(
+/// One invocation of a stage body: waits for an item in `dequeue_for` and
+/// brackets only the item's `work` and hand-off in `begin`/`end`, so a
+/// path's counts, times and utilization measure items. A stage that
+/// `obeys_suspend` returns `Suspended` when told to; an inner stage keeps
+/// taking, untimed, until its inlet's `fini` closes its queue.
+pub(crate) fn stage_step<T: Send + 'static>(
     cx: &mut dyn TaskCx,
     obeys_suspend: bool,
     input: &WorkQueue<T>,
     work: impl FnOnce(T),
 ) -> TaskStatus {
-    if obeys_suspend && cx.directive().wants_suspend() {
-        return TaskStatus::Suspended;
-    }
-    match input.dequeue_timeout(Duration::from_millis(2)) {
-        DequeueOutcome::Item(item) => {
-            cx.begin();
-            work(item);
-            cx.end();
-            TaskStatus::Executing
-        }
-        DequeueOutcome::TimedOut => TaskStatus::Executing,
-        DequeueOutcome::Drained => TaskStatus::Finished,
-    }
+    let item = match input.dequeue_for(cx) {
+        Waited::Item(item) => Some(item),
+        Waited::Suspended if obeys_suspend => return TaskStatus::Suspended,
+        Waited::Suspended => input.dequeue(),
+        Waited::Closed => None,
+    };
+    let Some(item) = item else {
+        return TaskStatus::Finished;
+    };
+    cx.begin();
+    work(item);
+    cx.end();
+    TaskStatus::Executing
 }
 
 #[cfg(test)]

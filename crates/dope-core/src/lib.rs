@@ -116,7 +116,7 @@ pub use path::TaskPath;
 pub use shape::{ParKind, ProgramShape, ShapeNode};
 pub use spec::{BodyFactory, NestFactory, TaskKind, TaskSpec, Work, WorkerSlot};
 pub use status::{Directive, TaskStatus};
-pub use task::{body_fn, FnBody, TaskBody, TaskCx};
+pub use task::{body_fn, FnBody, ParkedQueue, TaskBody, TaskCx};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {

@@ -1,6 +1,7 @@
 //! Task bodies: the paper's *functors*.
 
 use crate::status::{Directive, TaskStatus};
+use std::sync::Arc;
 
 /// Execution context handed to a task body on every invocation.
 ///
@@ -29,9 +30,18 @@ pub trait TaskCx {
 
     /// Current executive directive without touching the timers.
     ///
-    /// Bodies that block on queues should poll this (or use a timed
-    /// dequeue) so reconfiguration is never delayed indefinitely.
+    /// A body that waits for work waits in `AdmissionQueue::take_for`
+    /// (or `WorkQueue::dequeue_for`), which reads this before it takes an
+    /// item and again, under the queue's lock, before every park.
     fn directive(&self) -> Directive;
+
+    /// Called once by a take on behalf of this context that found its
+    /// queue empty, just before it parks on `queue`: the context runs its
+    /// idle rule and has a suspend of its path wake `queue`. The default
+    /// does neither — a context that never suspends and records nothing.
+    fn parking(&mut self, queue: &Arc<dyn ParkedQueue>) {
+        let _ = queue;
+    }
 
     /// The replica of this task the body belongs to (outer-loop instance).
     fn replica(&self) -> u32;
@@ -41,6 +51,14 @@ pub trait TaskCx {
 
     /// Number of workers concurrently invoking this task's body.
     fn extent(&self) -> u32;
+}
+
+/// A queue a task body parks on, as its context sees it: what a suspend
+/// of the body's path must wake (see [`TaskCx::parking`]).
+pub trait ParkedQueue: Send + Sync {
+    /// Wakes every consumer parked on the queue, after passing through
+    /// the queue's lock.
+    fn wake_parked(&self);
 }
 
 /// A task's functionality: the paper's functor (Figure 4b).

@@ -14,7 +14,7 @@ use dope_core::{
 use dope_metrics::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
 use dope_trace::{Recorder, RecordingObserver};
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{DequeueOutcome, SuspendFlag, WorkQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -763,8 +763,9 @@ struct Executive {
     metrics: Option<ExecMetrics>,
     /// One suspend flag per top-level path, by index, read by every
     /// replica under it: a drain sets it for exactly the paths it
-    /// suspends, their relaunch clears it.
-    suspend: Vec<Arc<AtomicBool>>,
+    /// suspends — waking their replicas parked in `take_for` — and their
+    /// relaunch clears it.
+    suspend: Vec<Arc<SuspendFlag>>,
 }
 
 impl Executive {
@@ -850,7 +851,7 @@ impl Executive {
                 Action::Continue => {}
                 Action::SuspendPaths(paths) => {
                     for path in &paths {
-                        self.suspend[path.top_index()].store(true, Ordering::Release);
+                        self.suspend[path.top_index()].set();
                     }
                     core.suspended(self.now());
                 }
@@ -909,7 +910,7 @@ impl Executive {
         // The relaunched paths resume *before* the submit so the new
         // replicas never observe a stale suspend flag.
         for path in &paths {
-            self.suspend[path.top_index()].store(false, Ordering::Release);
+            self.suspend[path.top_index()].clear();
         }
         let launched: Vec<TaskPath> = launch.jobs.iter().map(|job| job.path.clone()).collect();
         self.submit(launch.jobs)?;
@@ -989,31 +990,30 @@ mod tests {
     use super::*;
     use dope_core::{body_fn, TaskBody, TaskKind, TaskSpec, WorkerSlot};
     use dope_trace::TraceEvent;
+    use dope_workload::Waited;
     use std::sync::atomic::AtomicU64;
 
-    /// A leaf task draining a shared queue of `n` items.
-    fn drain_spec(name: &str, queue: WorkQueue<u64>, hits: Arc<AtomicU64>) -> TaskSpec {
+    /// A leaf task draining a shared queue, `work` per item, and
+    /// suspending when asked.
+    fn drain_spec(
+        name: &str,
+        queue: WorkQueue<u64>,
+        hits: Arc<AtomicU64>,
+        work: Duration,
+    ) -> TaskSpec {
         TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
             let queue = queue.clone();
             let hits = Arc::clone(&hits);
-            Box::new(body_fn(move |cx| {
-                cx.begin();
-                let item = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match item {
-                    dope_workload::DequeueOutcome::Item(_) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        TaskStatus::Executing
-                    }
-                    dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                    dope_workload::DequeueOutcome::TimedOut => {
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
+            Box::new(body_fn(move |cx| match queue.dequeue_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
+                    std::thread::sleep(work);
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    cx.end();
+                    TaskStatus::Executing
                 }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             })) as Box<dyn TaskBody>
         })
     }
@@ -1033,31 +1033,26 @@ mod tests {
         ) -> TaskSpec {
             TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
                 let (input, output, done) = (input.clone(), output.clone(), Arc::clone(&done));
-                Box::new(body_fn(move |cx| {
-                    if cx.directive().wants_suspend() {
-                        return TaskStatus::Suspended;
+                Box::new(body_fn(move |cx| match input.dequeue_for(cx) {
+                    Waited::Item(item) => {
+                        cx.begin();
+                        let t0 = Instant::now();
+                        while t0.elapsed() < Duration::from_micros(1) {
+                            std::hint::spin_loop();
+                        }
+                        cx.end();
+                        match &output {
+                            Some(next) => drop(next.enqueue(item)),
+                            None => drop(done.fetch_add(1, Ordering::Relaxed)),
+                        }
+                        TaskStatus::Executing
                     }
-                    match input.dequeue_timeout(Duration::from_millis(2)) {
-                        dope_workload::DequeueOutcome::Item(item) => {
-                            cx.begin();
-                            let t0 = Instant::now();
-                            while t0.elapsed() < Duration::from_micros(1) {
-                                std::hint::spin_loop();
-                            }
-                            cx.end();
-                            match &output {
-                                Some(next) => drop(next.enqueue(item)),
-                                None => drop(done.fetch_add(1, Ordering::Relaxed)),
-                            }
-                            TaskStatus::Executing
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => {
+                        if let Some(next) = &output {
+                            next.close();
                         }
-                        dope_workload::DequeueOutcome::TimedOut => TaskStatus::Executing,
-                        dope_workload::DequeueOutcome::Drained => {
-                            if let Some(next) = &output {
-                                next.close();
-                            }
-                            TaskStatus::Finished
-                        }
+                        TaskStatus::Finished
                     }
                 })) as Box<dyn TaskBody>
             })
@@ -1106,7 +1101,7 @@ mod tests {
         }
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         let pinned = Config::new(vec![dope_core::TaskConfig::leaf("drain", 2)]);
         let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
             .mechanism(Box::new(StaticMechanism::new(pinned.clone())))
@@ -1130,45 +1125,10 @@ mod tests {
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
         // Each item takes ~1 ms so the run outlives several control
-        // periods and the mechanism actually gets consulted.
-        let q = queue.clone();
-        let h = Arc::clone(&hits);
-        let spec = TaskSpec::leaf(
-            "drain",
-            TaskKind::Par,
-            move |_slot: dope_core::WorkerSlot| {
-                let queue = q.clone();
-                let hits = Arc::clone(&h);
-                Box::new(dope_core::body_fn(move |cx| {
-                    cx.begin();
-                    let item = queue.dequeue_timeout(Duration::from_millis(2));
-                    cx.end();
-                    match item {
-                        dope_workload::DequeueOutcome::Item(_) => {
-                            std::thread::sleep(Duration::from_millis(1));
-                            hits.fetch_add(1, Ordering::Relaxed);
-                            // Each item is a consistent point: honoring
-                            // the directive here lets the drain finish
-                            // while the queue still holds work, which is
-                            // what makes the delta path observable.
-                            if cx.directive().wants_suspend() {
-                                TaskStatus::Suspended
-                            } else {
-                                TaskStatus::Executing
-                            }
-                        }
-                        dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                        dope_workload::DequeueOutcome::TimedOut => {
-                            if cx.directive().wants_suspend() {
-                                TaskStatus::Suspended
-                            } else {
-                                TaskStatus::Executing
-                            }
-                        }
-                    }
-                })) as Box<dyn dope_core::TaskBody>
-            },
-        );
+        // periods and the mechanism actually gets consulted. The take
+        // honors the directive before every item, so the drain finishes
+        // while the queue still holds work: the delta path is observable.
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::from_millis(1));
         let pinned = Config::new(vec![dope_core::TaskConfig::leaf("drain", 2)]);
         // Starts on the executive's even split, then proposes the pinned
         // config at the first decision point — guaranteeing exactly the
@@ -1256,7 +1216,7 @@ mod tests {
         }
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
             .launch(vec![spec])
             .unwrap();
@@ -1295,26 +1255,7 @@ mod tests {
         }
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let q = queue.clone();
-        let h = Arc::clone(&hits);
-        let spec = TaskSpec::leaf("drain", TaskKind::Par, move |_slot: WorkerSlot| {
-            let queue = q.clone();
-            let hits = Arc::clone(&h);
-            Box::new(body_fn(move |cx| {
-                cx.begin();
-                let item = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match item {
-                    dope_workload::DequeueOutcome::Item(_) => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        TaskStatus::Executing
-                    }
-                    dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                    dope_workload::DequeueOutcome::TimedOut => TaskStatus::Executing,
-                }
-            })) as Box<dyn TaskBody>
-        });
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::from_millis(1));
         let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
             .mechanism(Box::new(Exploding))
             .control_period(Duration::from_millis(5))
@@ -1334,7 +1275,7 @@ mod tests {
         }
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
             .launch(vec![spec])
             .unwrap();
@@ -1348,7 +1289,7 @@ mod tests {
         let queue: WorkQueue<u64> = WorkQueue::new();
         // Never closed: tasks would run forever.
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
             .control_period(Duration::from_millis(5))
             .launch(vec![spec])
@@ -1366,7 +1307,7 @@ mod tests {
         let queue = WorkQueue::new();
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         let err = Dope::builder(Goal::MaxThroughput { threads: 2 })
             .admission(AdmissionPolicy::Shed { high_water: 0 })
             .launch(vec![spec])
@@ -1390,25 +1331,16 @@ mod tests {
         let spec = TaskSpec::leaf("serve", TaskKind::Par, move |_slot: WorkerSlot| {
             let gate = q.clone();
             let hits = Arc::clone(&h);
-            Box::new(body_fn(move |cx| {
-                cx.begin();
-                let item = gate.take(Duration::from_millis(2));
-                cx.end();
-                match item {
-                    dope_workload::DequeueOutcome::Item(_) => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        TaskStatus::Executing
-                    }
-                    dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                    dope_workload::DequeueOutcome::TimedOut => {
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
+            Box::new(body_fn(move |cx| match gate.take_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
+                    std::thread::sleep(Duration::from_millis(1));
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    cx.end();
+                    TaskStatus::Executing
                 }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             })) as Box<dyn TaskBody>
         });
         let recorder = dope_trace::Recorder::bounded(4096);
@@ -1509,16 +1441,15 @@ mod tests {
         let poisoned = slow.clone();
         let slow_spec = TaskSpec::leaf("slow", TaskKind::Par, move |_slot: WorkerSlot| {
             let queue = poisoned.clone();
-            Box::new(body_fn(move |cx| {
-                cx.begin();
-                let item = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match item {
-                    dope_workload::DequeueOutcome::Item(POISON) => panic!("poisoned item"),
-                    dope_workload::DequeueOutcome::Drained => TaskStatus::Finished,
-                    _ if cx.directive().wants_suspend() => TaskStatus::Suspended,
-                    _ => TaskStatus::Executing,
+            Box::new(body_fn(move |cx| match queue.dequeue_for(cx) {
+                Waited::Item(POISON) => panic!("poisoned item"),
+                Waited::Item(_) => {
+                    cx.begin();
+                    cx.end();
+                    TaskStatus::Executing
                 }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             })) as Box<dyn TaskBody>
         });
         let recorder = Recorder::bounded(4096);
@@ -1533,7 +1464,7 @@ mod tests {
             .recorder(recorder.clone())
             .metrics(registry.clone())
             .launch(vec![
-                drain_spec("fast", fast.clone(), Arc::clone(&hits)),
+                drain_spec("fast", fast.clone(), Arc::clone(&hits), Duration::ZERO),
                 slow_spec,
             ])
             .unwrap();
@@ -1590,7 +1521,7 @@ mod tests {
         }
         queue.close();
         let hits = Arc::new(AtomicU64::new(0));
-        let spec = drain_spec("drain", queue, Arc::clone(&hits));
+        let spec = drain_spec("drain", queue, Arc::clone(&hits), Duration::ZERO);
         // The mechanism pins extent 3, while the initial even split uses 4.
         let target = Config::new(vec![dope_core::TaskConfig::leaf("drain", 3)]);
         let mut mech = StaticMechanism::new(target.clone());

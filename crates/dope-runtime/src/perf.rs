@@ -14,7 +14,6 @@ use crate::instance::LiveCx;
 use crate::monitor::Monitor;
 use dope_core::{TaskCx, TaskPath, WorkerSlot};
 use dope_platform::FeatureRegistry;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -147,8 +146,7 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let iters = iters.max(1);
     // One fresh context per phase, as a relaunched replica would have.
     let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
-        let suspend = Arc::new(AtomicBool::new(false));
-        let mut cx = LiveCx::new(&monitor, suspend, &path, slot, window);
+        let mut cx = LiveCx::new(&monitor, Arc::default(), &path, slot, window);
         let before = stats.total_timings();
         let ns = time_per_op(n, |_| each(&mut cx));
         (ns, (stats.total_timings() - before) as f64 / n as f64)

@@ -58,6 +58,10 @@
 //! sides. A `take`'s timeout bounds the whole call, not each park
 //! inside it.
 //!
+//! A task body waits in [`take_for`](AdmissionQueue::take_for) instead:
+//! no timer, and a suspend of the body's path is the third thing that
+//! wakes it (`handoff.rs`, "Suspension").
+//!
 //! # Example
 //!
 //! ```
@@ -76,9 +80,9 @@
 //! ```
 
 use crate::handoff::{Sleepers, WaitBudget};
-use crate::queue::DequeueOutcome;
-use dope_core::{AdmissionPolicy, AdmissionStats};
-use parking_lot::Mutex;
+use crate::queue::{DequeueOutcome, Waited};
+use dope_core::{AdmissionPolicy, AdmissionStats, ParkedQueue, TaskCx};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
@@ -148,6 +152,15 @@ struct Shared<T> {
     /// recording, and rounding each delay would move those bytes.
     dispatched: AtomicU64,
     delay_secs: AtomicU64,
+}
+
+impl<T: Send> ParkedQueue for Shared<T> {
+    fn wake_parked(&self) {
+        // Through the lock: a consumer between its flag check and its
+        // wait holds it (`handoff.rs`, "Suspension").
+        drop(self.inner.lock());
+        self.not_empty.wake_all();
+    }
 }
 
 /// `counter += 1` for a counter written only under the queue lock: the
@@ -315,6 +328,42 @@ impl<T> AdmissionQueue<T> {
         self.take_inner(None, None)
     }
 
+    /// Takes the next item for the task body running under `cx`, parked
+    /// with no timer armed until an offer, `close` or a suspend of the
+    /// body's path wakes it: the one wait every body makes.
+    ///
+    /// The directive is read first, so a busy path suspends between two
+    /// items. A call that finds the queue empty calls
+    /// [`TaskCx::parking`] and re-reads the directive under the queue lock
+    /// before every park; one that finds an item takes the lock once and
+    /// nothing else. Under a context that never suspends, this is the
+    /// untimed take.
+    pub fn take_for(&self, cx: &mut dyn TaskCx) -> Waited<T>
+    where
+        T: Send + 'static,
+    {
+        if cx.directive().wants_suspend() {
+            return Waited::Suspended;
+        }
+        let outcome = match self.take_parking(None, |_| false) {
+            DequeueOutcome::TimedOut => {
+                // Outside the queue lock: a suspend takes the registry's
+                // lock, then this one.
+                let queue: Arc<dyn ParkedQueue> = self.shared.clone();
+                cx.parking(&queue);
+                self.take_parking(None, |inner| {
+                    !cx.directive().wants_suspend() && self.shared.not_empty.wait(inner, None)
+                })
+            }
+            found => found,
+        };
+        match outcome {
+            DequeueOutcome::Item(item) => Waited::Item(item),
+            DequeueOutcome::Drained => Waited::Closed,
+            DequeueOutcome::TimedOut => Waited::Suspended,
+        }
+    }
+
     /// Takes the next serviceable item at an explicit dispatch time.
     ///
     /// Under `Deadline`, requests whose queue delay already exceeds the
@@ -328,6 +377,19 @@ impl<T> AdmissionQueue<T> {
 
     fn take_inner(&self, now_secs: Option<f64>, timeout: Option<Duration>) -> DequeueOutcome<T> {
         let mut budget = timeout.map(WaitBudget::new);
+        self.take_parking(now_secs, |inner| {
+            self.shared.not_empty.wait(inner, budget.as_mut())
+        })
+    }
+
+    /// Pops the next serviceable item, calling `park` with the queue lock
+    /// held whenever there is none and the queue is open; once `park`
+    /// returns `false` the call returns `TimedOut`.
+    fn take_parking(
+        &self,
+        now_secs: Option<f64>,
+        mut park: impl FnMut(&mut MutexGuard<'_, Inner<T>>) -> bool,
+    ) -> DequeueOutcome<T> {
         let mut inner = self.shared.inner.lock();
         loop {
             // The dispatch time of this scan: the caller's, or the
@@ -357,7 +419,7 @@ impl<T> AdmissionQueue<T> {
             if inner.closed {
                 return DequeueOutcome::Drained;
             }
-            if !self.shared.not_empty.wait(&mut inner, budget.as_mut()) {
+            if !park(&mut inner) {
                 return DequeueOutcome::TimedOut;
             }
         }

@@ -34,10 +34,67 @@
 //! A parked peer still costs a real wake (`workload.queue_wake_us` in
 //! the benchmark): the rule removes the syscall only where it had no
 //! receiver.
+//!
+//! # Suspension
+//!
+//! A task body parks in `take_for` with no timer armed, so a suspend of
+//! its path must wake it. The consumer registers its queue with the
+//! path's [`SuspendFlag`] before it parks and re-reads the flag **under
+//! the queue mutex** before every park; [`SuspendFlag::set`] stores the
+//! flag, then passes **through the same mutex** of every registered
+//! queue before it notifies. A setter that read the registry before the
+//! registration stored the flag before the consumer's check, which sees
+//! it; otherwise it takes the queue mutex before that check (which sees
+//! the flag) or after it — when the consumer is on the condvar.
 
-use parking_lot::{Condvar, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use dope_core::ParkedQueue;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
+
+/// A top-level path's suspend flag, read by every replica under the path,
+/// and the queues those replicas park on, which a suspend wakes (module
+/// docs, "Suspension").
+#[derive(Debug, Default)]
+pub struct SuspendFlag {
+    set: AtomicBool,
+    /// Each queue once; dropped ones go at the next registration.
+    queues: Mutex<Vec<Weak<dyn ParkedQueue>>>,
+}
+
+impl SuspendFlag {
+    /// `true` while the path is asked to suspend. Inlined: every
+    /// `begin`, `end` and `directive` of a live context reads it.
+    #[inline]
+    pub fn is_set(&self) -> bool {
+        self.set.load(Acquire)
+    }
+
+    /// Asks the path to suspend, and wakes every consumer parked on a
+    /// queue registered here.
+    pub fn set(&self) {
+        self.set.store(true, Release);
+        for queue in self.queues.lock().iter().filter_map(Weak::upgrade) {
+            queue.wake_parked();
+        }
+    }
+
+    /// Lets the path run again: its relaunch clears the flag before the
+    /// new replicas start.
+    pub fn clear(&self) {
+        self.set.store(false, Release);
+    }
+
+    /// Registers `queue` to be woken by [`set`](Self::set), once.
+    pub fn watch(&self, queue: &Arc<dyn ParkedQueue>) {
+        let mut queues = self.queues.lock();
+        queues
+            .retain(|q| q.strong_count() > 0 && !std::ptr::addr_eq(q.as_ptr(), Arc::as_ptr(queue)));
+        queues.push(Arc::downgrade(queue));
+    }
+}
 
 /// The time a blocking call may spend parked, counted once for the whole
 /// call however many times it parks: a spurious wake-up, or an item a
@@ -155,8 +212,9 @@ impl Sleepers {
 /// `AdmissionQueue`), timed and untimed.
 #[cfg(test)]
 pub(crate) mod scenarios {
-    use super::Sleepers;
-    use crate::{AdmissionQueue, DequeueOutcome, OfferOutcome, WorkQueue};
+    use super::{Sleepers, SuspendFlag};
+    use crate::{AdmissionQueue, DequeueOutcome, OfferOutcome, Waited, WorkQueue};
+    use dope_core::{Directive, ParkedQueue, TaskCx};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::thread;
@@ -175,6 +233,8 @@ pub(crate) mod scenarios {
         fn take(&self, timeout: Duration) -> DequeueOutcome<u64>;
         /// Takes with no timeout: never `TimedOut`.
         fn take_untimed(&self) -> DequeueOutcome<u64>;
+        /// Takes on behalf of a task body.
+        fn take_for(&self, cx: &mut dyn TaskCx) -> Waited<u64>;
         fn close(&self);
         /// Where this queue's consumers park.
         fn consumers(&self) -> &Sleepers;
@@ -189,6 +249,9 @@ pub(crate) mod scenarios {
         }
         fn take_untimed(&self) -> DequeueOutcome<u64> {
             AdmissionQueue::take_untimed(self)
+        }
+        fn take_for(&self, cx: &mut dyn TaskCx) -> Waited<u64> {
+            AdmissionQueue::take_for(self, cx)
         }
         fn close(&self) {
             AdmissionQueue::close(self);
@@ -208,6 +271,9 @@ pub(crate) mod scenarios {
         fn take_untimed(&self) -> DequeueOutcome<u64> {
             self.dequeue()
                 .map_or(DequeueOutcome::Drained, DequeueOutcome::Item)
+        }
+        fn take_for(&self, cx: &mut dyn TaskCx) -> Waited<u64> {
+            self.dequeue_for(cx)
         }
         fn close(&self) {
             WorkQueue::close(self);
@@ -231,6 +297,9 @@ pub(crate) mod scenarios {
         }
         fn take_untimed(&self) -> DequeueOutcome<u64> {
             self.0.take_untimed()
+        }
+        fn take_for(&self, cx: &mut dyn TaskCx) -> Waited<u64> {
+            self.0.take_for(cx)
         }
         fn close(&self) {
             self.0.close();
@@ -375,6 +444,59 @@ pub(crate) mod scenarios {
         }
     }
 
+    /// A context whose path can be suspended: the live context's suspend
+    /// side, without its monitor.
+    struct Suspendable(Arc<SuspendFlag>);
+
+    impl TaskCx for Suspendable {
+        fn begin(&mut self) -> Directive {
+            self.directive()
+        }
+        fn end(&mut self) -> Directive {
+            self.directive()
+        }
+        fn directive(&self) -> Directive {
+            if self.0.is_set() {
+                Directive::Suspend
+            } else {
+                Directive::Continue
+            }
+        }
+        fn replica(&self) -> u32 {
+            0
+        }
+        fn worker(&self) -> u32 {
+            0
+        }
+        fn extent(&self) -> u32 {
+            1
+        }
+        fn parking(&mut self, queue: &Arc<dyn ParkedQueue>) {
+            self.0.watch(queue);
+        }
+    }
+
+    /// A consumer in `take_for` on an empty queue returns `Suspended`
+    /// whenever its path's flag is set: before the call, anywhere between
+    /// its registration, its flag check and its wait, or once it is
+    /// parked. A suspend lost in that window leaves it parked for good.
+    fn a_suspend_racing_a_park<P: Port>(port: P) {
+        for round in 0..1_500u32 {
+            let flag = Arc::new(SuspendFlag::default());
+            let consumer = {
+                let (port, flag) = (port.clone(), Arc::clone(&flag));
+                thread::spawn(move || port.take_for(&mut Suspendable(flag)))
+            };
+            match round % 3 {
+                0 => {}
+                1 => port.consumers().await_parked(1),
+                _ => (0..round % 101 * 8).for_each(|_| std::hint::spin_loop()),
+            }
+            flag.set();
+            assert_eq!(consumer.join().unwrap(), Waited::Suspended);
+        }
+    }
+
     /// One `#[test]` per scenario and face: `$open` builds an open queue.
     macro_rules! through_each_face {
         ($($face:ident: $open:expr;)*) => {$(
@@ -409,6 +531,11 @@ pub(crate) mod scenarios {
                 #[test]
                 fn untimed_takes_conserve_items() {
                     within(|| super::conserves_items(Blocking($open), 4, 3, 5_000));
+                }
+
+                #[test]
+                fn a_suspend_racing_a_park_is_never_lost() {
+                    within(|| super::a_suspend_racing_a_park($open));
                 }
             }
         )*};

@@ -42,5 +42,6 @@ pub mod stats;
 
 pub use admission::{AdmissionQueue, OfferOutcome};
 pub use arrivals::{ArrivalSchedule, PoissonProcess};
-pub use queue::{DequeueOutcome, WorkQueue};
+pub use handoff::SuspendFlag;
+pub use queue::{DequeueOutcome, Waited, WorkQueue};
 pub use stats::{ResponseStats, TimeSeries};

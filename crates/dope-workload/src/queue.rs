@@ -5,7 +5,7 @@
 //! consumer), timed wait, close-to-drain and counters are the gate's.
 
 use crate::admission::{AdmissionQueue, OfferOutcome};
-use dope_core::AdmissionPolicy;
+use dope_core::{AdmissionPolicy, TaskCx};
 use std::time::Duration;
 
 /// Result of a timed dequeue.
@@ -27,6 +27,20 @@ impl<T> DequeueOutcome<T> {
             _ => None,
         }
     }
+}
+
+/// Result of a take on behalf of a task body
+/// ([`AdmissionQueue::take_for`], [`WorkQueue::dequeue_for`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Waited<T> {
+    /// An item was taken.
+    Item(T),
+    /// The body's path is asked to suspend: no item was taken, and the
+    /// body should steer into a consistent state and return
+    /// `TaskStatus::Suspended`.
+    Suspended,
+    /// The queue is closed and empty; no item will ever arrive.
+    Closed,
 }
 
 /// A thread-safe FIFO work queue shared by cloning: the open gate.
@@ -94,6 +108,15 @@ impl<T> WorkQueue<T> {
     /// wakes it. Returns `None` once the queue is closed and empty.
     pub fn dequeue(&self) -> Option<T> {
         self.0.take_untimed().item()
+    }
+
+    /// Dequeues on behalf of the task body running under `cx`: see
+    /// [`AdmissionQueue::take_for`].
+    pub fn dequeue_for(&self, cx: &mut dyn TaskCx) -> Waited<T>
+    where
+        T: Send + 'static,
+    {
+        self.0.take_for(cx)
     }
 
     /// Closes the queue: no further enqueues; consumers drain then stop.

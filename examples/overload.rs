@@ -27,7 +27,7 @@ use dope_core::{
 use dope_mechanisms::{Proportional, ShedAware};
 use dope_runtime::Dope;
 use dope_trace::Recorder;
-use dope_workload::{AdmissionQueue, DequeueOutcome, WorkQueue};
+use dope_workload::{AdmissionQueue, Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,21 +71,17 @@ fn main() {
                         mid: WorkQueue<u64>,
                     }
                     impl TaskBody for Admit {
-                        // Only the hand-off sits between `begin` and `end`;
-                        // an idle poll reads the suspend directive instead.
+                        // Only the hand-off sits between `begin` and `end`.
                         fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
-                            match self.gate.take(Duration::from_millis(2)) {
-                                DequeueOutcome::Item(i) => {
+                            match self.gate.take_for(cx) {
+                                Waited::Item(i) => {
                                     cx.begin();
                                     let _ = self.mid.enqueue(i);
                                     cx.end();
                                     TaskStatus::Executing
                                 }
-                                DequeueOutcome::Drained => TaskStatus::Finished,
-                                DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
-                                    TaskStatus::Suspended
-                                }
-                                DequeueOutcome::TimedOut => TaskStatus::Executing,
+                                Waited::Suspended => TaskStatus::Suspended,
+                                Waited::Closed => TaskStatus::Finished,
                             }
                         }
                         fn fini(&mut self, status: TaskStatus) {
@@ -105,19 +101,16 @@ fn main() {
                     let mid = mid_factory.clone();
                     let served = Arc::clone(&served);
                     Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                        match mid.dequeue_timeout(Duration::from_millis(2)) {
-                            DequeueOutcome::Item(_) => {
+                        match mid.dequeue_for(cx) {
+                            Waited::Item(_) => {
                                 cx.begin();
                                 spin(200); // ~5k requests/s per replica, tops
                                 served.fetch_add(1, Ordering::Relaxed);
                                 cx.end();
                                 TaskStatus::Executing
                             }
-                            DequeueOutcome::Drained => TaskStatus::Finished,
-                            DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
-                                TaskStatus::Suspended
-                            }
-                            DequeueOutcome::TimedOut => TaskStatus::Executing,
+                            Waited::Suspended => TaskStatus::Suspended,
+                            Waited::Closed => TaskStatus::Finished,
                         }
                     })) as Box<dyn TaskBody>
                 })

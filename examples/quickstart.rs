@@ -11,7 +11,7 @@
 use dope_core::{body_fn, Goal, TaskBody, TaskCx, TaskKind, TaskSpec, TaskStatus, WorkerSlot};
 use dope_mechanisms::Proportional;
 use dope_runtime::Dope;
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,22 +49,26 @@ fn main() {
             }
             impl TaskBody for Produce {
                 // Only an item's work and hand-off sit between `begin` and
-                // `end`: an idle poll is not an invocation.
+                // `end`: waiting for one is not an invocation.
                 fn invoke(&mut self, cx: &mut dyn TaskCx) -> TaskStatus {
-                    match self.inlet.dequeue_timeout(Duration::from_millis(2)) {
-                        DequeueOutcome::Item(i) => {
+                    match self.inlet.dequeue_for(cx) {
+                        Waited::Item(i) => {
                             cx.begin();
                             spin(30);
                             let _ = self.mid.enqueue(i);
                             cx.end();
                             TaskStatus::Executing
                         }
-                        DequeueOutcome::Drained => TaskStatus::Finished,
-                        DequeueOutcome::TimedOut => TaskStatus::Executing,
+                        Waited::Suspended => TaskStatus::Suspended,
+                        Waited::Closed => TaskStatus::Finished,
                     }
                 }
-                fn fini(&mut self, _status: TaskStatus) {
-                    self.mid.close();
+                // A suspended producer is relaunched and keeps feeding
+                // `mid`: only the finished one closes it.
+                fn fini(&mut self, status: TaskStatus) {
+                    if status == TaskStatus::Finished {
+                        self.mid.close();
+                    }
                 }
             }
             Box::new(Produce { inlet, mid }) as Box<dyn TaskBody>
@@ -81,16 +85,16 @@ fn main() {
             let mid = mid_factory.clone();
             let consumed = Arc::clone(&consumed);
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                match mid.dequeue_timeout(Duration::from_millis(2)) {
-                    DequeueOutcome::Item(_) => {
+                match mid.dequeue_for(cx) {
+                    Waited::Item(_) => {
                         cx.begin();
                         spin(300);
                         consumed.fetch_add(1, Ordering::Relaxed);
                         cx.end();
                         TaskStatus::Executing
                     }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => TaskStatus::Executing,
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => TaskStatus::Finished,
                 }
             })) as Box<dyn TaskBody>
         })

@@ -19,7 +19,7 @@ use dope_core::{
 use dope_metrics::{names, MetricsRegistry};
 use dope_runtime::Dope;
 use dope_trace::{render_timeline, summarize, Recorder, TraceEvent, TraceRecord};
-use dope_workload::{AdmissionQueue, DequeueOutcome, WorkQueue};
+use dope_workload::{AdmissionQueue, Waited, WorkQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,29 +92,17 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
             let gate = gate_factory.clone();
             let served = Arc::clone(&served);
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                cx.begin();
-                let out = gate.take(Duration::from_millis(2));
-                let status = match out {
-                    DequeueOutcome::Item(_) => {
+                match gate.take_for(cx) {
+                    Waited::Item(_) => {
+                        cx.begin();
                         served.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(Duration::from_millis(1));
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
+                        cx.end();
+                        TaskStatus::Executing
                     }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
-                };
-                cx.end();
-                status
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => TaskStatus::Finished,
+                }
             })) as Box<dyn TaskBody>
         })
     };
@@ -131,22 +119,15 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
         TaskSpec::leaf("background", TaskKind::Par, move |_slot: WorkerSlot| {
             let queue = queue.clone();
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                cx.begin();
-                let out = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match out {
-                    DequeueOutcome::Item(_) => {
+                match queue.dequeue_for(cx) {
+                    Waited::Item(_) => {
+                        cx.begin();
                         std::thread::sleep(Duration::from_millis(3));
+                        cx.end();
                         TaskStatus::Executing
                     }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => TaskStatus::Finished,
                 }
             })) as Box<dyn TaskBody>
         })
@@ -293,16 +274,14 @@ fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
         TaskSpec::leaf("gated", TaskKind::Par, move |_slot: WorkerSlot| {
             let gate = gate.clone();
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                cx.begin();
-                let out = gate.take(Duration::from_millis(2));
-                cx.end();
-                match out {
-                    DequeueOutcome::Item(_) => TaskStatus::Executing,
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut if cx.directive().wants_suspend() => {
-                        TaskStatus::Suspended
+                match gate.take_for(cx) {
+                    Waited::Item(_) => {
+                        cx.begin();
+                        cx.end();
+                        TaskStatus::Executing
                     }
-                    DequeueOutcome::TimedOut => TaskStatus::Executing,
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => TaskStatus::Finished,
                 }
             })) as Box<dyn TaskBody>
         })

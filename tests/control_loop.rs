@@ -10,7 +10,7 @@ use dope_core::{
 };
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,19 +103,21 @@ fn restart_backoff_yields_to_stop() {
     assert!(report.failure_verdict >= FailureVerdict::Recovered);
 }
 
-/// A leaf that polls `queue` and suspends at an empty poll when asked.
-fn polling_leaf(name: &str, queue: WorkQueue<u64>) -> TaskSpec {
+/// A leaf that waits on `queue`, works `work` per item and suspends when
+/// asked.
+fn waiting_leaf(name: &str, queue: WorkQueue<u64>, work: Duration) -> TaskSpec {
     TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
         let queue = queue.clone();
         Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            cx.begin();
-            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-            cx.end();
-            match outcome {
-                DequeueOutcome::Item(_) => TaskStatus::Executing,
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut if cx.directive().wants_suspend() => TaskStatus::Suspended,
-                DequeueOutcome::TimedOut => TaskStatus::Executing,
+            match queue.dequeue_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
+                    std::thread::sleep(work);
+                    cx.end();
+                    TaskStatus::Executing
+                }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             }
         })) as Box<dyn TaskBody>
     })
@@ -131,9 +133,9 @@ fn stop_lands_without_waiting_for_a_tick() {
     let inner = queue.clone();
     let specs = vec![
         TaskSpec::nest("outer", TaskKind::Par, move |_replica: u32| {
-            vec![polling_leaf("inner", inner.clone())]
+            vec![waiting_leaf("inner", inner.clone(), Duration::ZERO)]
         }),
-        polling_leaf("leaf", queue),
+        waiting_leaf("leaf", queue, Duration::ZERO),
     ];
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
         .control_period(Duration::from_secs(10))
@@ -170,31 +172,7 @@ fn every_consult_reaches_the_decision_trace() {
         queue.enqueue(i).unwrap();
     }
     queue.close();
-    let spec = {
-        let queue = queue.clone();
-        TaskSpec::leaf("drain", TaskKind::Par, move |_slot: WorkerSlot| {
-            let queue = queue.clone();
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                cx.begin();
-                let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match outcome {
-                    DequeueOutcome::Item(_) => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        TaskStatus::Executing
-                    }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if cx.directive().wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
-                }
-            })) as Box<dyn TaskBody>
-        })
-    };
+    let spec = waiting_leaf("drain", queue.clone(), Duration::from_millis(1));
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
         .mechanism(Box::new(Auditor {

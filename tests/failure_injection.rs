@@ -10,7 +10,7 @@ use dope_core::{
 use dope_metrics::MetricsRegistry;
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,24 +41,16 @@ fn drain_spec(queue: WorkQueue<u64>, hits: Arc<AtomicU64>) -> TaskSpec {
         let queue = queue.clone();
         let hits = Arc::clone(&hits);
         Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            cx.begin();
-            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-            let status = match outcome {
-                DequeueOutcome::Item(_) => {
+            match queue.dequeue_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
                     hits.fetch_add(1, Ordering::Relaxed);
+                    cx.end();
                     TaskStatus::Executing
                 }
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut => {
-                    if cx.directive().wants_suspend() {
-                        TaskStatus::Suspended
-                    } else {
-                        TaskStatus::Executing
-                    }
-                }
-            };
-            cx.end();
-            status
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
+            }
         })) as Box<dyn TaskBody>
     })
 }
@@ -127,33 +119,27 @@ fn slow_suspenders_drain_before_relaunch() {
             let hits = Arc::clone(&hits);
             let mut ignored_suspends = 0u32;
             Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                let directive = cx.begin();
-                let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-                let status = match outcome {
-                    DequeueOutcome::Item(_) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_micros(300));
-                        // Slow to yield: honour only the fourth suspend.
-                        if directive.wants_suspend() {
-                            ignored_suspends += 1;
-                            if ignored_suspends >= 4 {
-                                cx.end();
-                                return TaskStatus::Suspended;
-                            }
+                let item = match queue.dequeue_for(cx) {
+                    Waited::Item(item) => Some(item),
+                    // Slow to yield: honour only the fourth suspend, and
+                    // keep taking (the queue is closed) until then.
+                    Waited::Suspended => {
+                        ignored_suspends += 1;
+                        if ignored_suspends >= 4 {
+                            return TaskStatus::Suspended;
                         }
-                        TaskStatus::Executing
+                        queue.dequeue()
                     }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if directive.wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
+                    Waited::Closed => None,
                 };
+                if item.is_none() {
+                    return TaskStatus::Finished;
+                }
+                cx.begin();
+                hits.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_micros(300));
                 cx.end();
-                status
+                TaskStatus::Executing
             })) as Box<dyn TaskBody>
         })
     };
@@ -179,6 +165,9 @@ fn slow_suspenders_drain_before_relaunch() {
 /// A task whose replica 0 of the *first* instantiation panics before
 /// touching the queue; every later instantiation behaves. `armed`
 /// counts factory calls so re-instantiated epochs run clean bodies.
+/// Told to suspend, a replica first drains its (closed) queue: under
+/// `Abort` nothing relaunches, and the survivor draining everything is
+/// the evidence that its worker thread lived.
 fn bomb_once_spec(
     name: &str,
     queue: WorkQueue<u64>,
@@ -194,22 +183,50 @@ fn bomb_once_spec(
             if exploding {
                 panic!("injected failure");
             }
+            let item = match queue.dequeue_for(cx) {
+                Waited::Item(item) => Some(item),
+                Waited::Suspended => queue.dequeue(),
+                Waited::Closed => None,
+            };
+            if item.is_none() {
+                return TaskStatus::Finished;
+            }
             cx.begin();
-            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
+            hits.fetch_add(1, Ordering::Relaxed);
             cx.end();
-            match outcome {
-                DequeueOutcome::Item(_) => {
+            TaskStatus::Executing
+        })) as Box<dyn TaskBody>
+    })
+}
+
+/// A leaf draining `queue` at ~200 µs an item whose worker 0 panics the
+/// first time it is told to suspend (once per run, counted in `exploded`).
+fn bomb_at_the_drain_spec(
+    queue: WorkQueue<u64>,
+    hits: Arc<AtomicU64>,
+    exploded: Arc<AtomicU64>,
+) -> TaskSpec {
+    TaskSpec::leaf("drain", TaskKind::Par, move |slot: WorkerSlot| {
+        let (queue, hits, exploded) = (queue.clone(), Arc::clone(&hits), Arc::clone(&exploded));
+        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+            match queue.dequeue_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
                     hits.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_micros(200));
+                    cx.end();
                     TaskStatus::Executing
                 }
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut => {
-                    if cx.directive().wants_suspend() {
-                        TaskStatus::Suspended
-                    } else {
-                        TaskStatus::Executing
-                    }
+                Waited::Suspended
+                    if slot.worker == 0
+                        && exploded
+                            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                            .is_ok() =>
+                {
+                    panic!("panicked at the suspension point")
                 }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             }
         })) as Box<dyn TaskBody>
     })
@@ -619,47 +636,9 @@ fn panic_during_reconfiguration_drain_is_handled_first() {
     queue.close();
     let hits = Arc::new(AtomicU64::new(0));
     let exploded = Arc::new(AtomicU64::new(0));
-    let spec = {
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        let exploded = Arc::clone(&exploded);
-        TaskSpec::leaf("drain", TaskKind::Par, move |slot: WorkerSlot| {
-            let queue = queue.clone();
-            let hits = Arc::clone(&hits);
-            let exploded = Arc::clone(&exploded);
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                let directive = cx.begin();
-                // The first replica to observe the drain directive blows
-                // up exactly at the suspension point (once per run).
-                if directive.wants_suspend()
-                    && slot.worker == 0
-                    && exploded
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    cx.end();
-                    panic!("panicked while draining");
-                }
-                let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match outcome {
-                    DequeueOutcome::Item(_) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_micros(200));
-                        TaskStatus::Executing
-                    }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if directive.wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
-                }
-            })) as Box<dyn TaskBody>
-        })
-    };
+    // The first replica to observe the drain directive blows up exactly
+    // at the suspension point (once per run).
+    let spec = bomb_at_the_drain_spec(queue, Arc::clone(&hits), Arc::clone(&exploded));
     let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
         .mechanism(Box::new(Widen {
             target: Config::new(vec![TaskConfig::leaf("drain", 2)]),
@@ -725,48 +704,10 @@ fn failure_during_partial_drain_supersedes_the_target() {
     queue.close();
     let hits = Arc::new(AtomicU64::new(0));
     let exploded = Arc::new(AtomicU64::new(0));
-    let spec = {
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        let exploded = Arc::clone(&exploded);
-        TaskSpec::leaf("drain", TaskKind::Par, move |slot: WorkerSlot| {
-            let queue = queue.clone();
-            let hits = Arc::clone(&hits);
-            let exploded = Arc::clone(&exploded);
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                let directive = cx.begin();
-                // Detonate exactly at the partial drain's suspension
-                // point (once per run): the per-path flag is the only
-                // suspend source until the failure escalates it.
-                if directive.wants_suspend()
-                    && slot.worker == 0
-                    && exploded
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    cx.end();
-                    panic!("panicked during the partial drain");
-                }
-                let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-                cx.end();
-                match outcome {
-                    DequeueOutcome::Item(_) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_micros(200));
-                        TaskStatus::Executing
-                    }
-                    DequeueOutcome::Drained => TaskStatus::Finished,
-                    DequeueOutcome::TimedOut => {
-                        if directive.wants_suspend() {
-                            TaskStatus::Suspended
-                        } else {
-                            TaskStatus::Executing
-                        }
-                    }
-                }
-            })) as Box<dyn TaskBody>
-        })
-    };
+    // Detonate exactly at the partial drain's suspension point (once per
+    // run): the per-path flag is the only suspend source until the failure
+    // escalates it.
+    let spec = bomb_at_the_drain_spec(queue, Arc::clone(&hits), Arc::clone(&exploded));
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
         .mechanism(Box::new(Narrow {

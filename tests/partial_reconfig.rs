@@ -10,7 +10,7 @@ use dope_core::{
 use dope_metrics::MetricsRegistry;
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{DequeueOutcome, WorkQueue};
+use dope_workload::{Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,7 +51,7 @@ impl Mechanism for OneBump {
 }
 
 /// A leaf draining its own queue at a fixed per-item cost, honoring the
-/// suspend directive after every item, counting factory invocations so
+/// suspend directive before every item, counting factory invocations so
 /// the test can tell which paths were relaunched.
 fn counted_drain_spec(
     name: &'static str,
@@ -65,27 +65,16 @@ fn counted_drain_spec(
         let queue = queue.clone();
         let hits = Arc::clone(&hits);
         Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            cx.begin();
-            let outcome = queue.dequeue_timeout(Duration::from_millis(2));
-            cx.end();
-            match outcome {
-                DequeueOutcome::Item(_) => {
+            match queue.dequeue_for(cx) {
+                Waited::Item(_) => {
+                    cx.begin();
                     hits.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(work);
-                    if cx.directive().wants_suspend() {
-                        TaskStatus::Suspended
-                    } else {
-                        TaskStatus::Executing
-                    }
+                    cx.end();
+                    TaskStatus::Executing
                 }
-                DequeueOutcome::Drained => TaskStatus::Finished,
-                DequeueOutcome::TimedOut => {
-                    if cx.directive().wants_suspend() {
-                        TaskStatus::Suspended
-                    } else {
-                        TaskStatus::Executing
-                    }
-                }
+                Waited::Suspended => TaskStatus::Suspended,
+                Waited::Closed => TaskStatus::Finished,
             }
         })) as Box<dyn TaskBody>
     })
@@ -441,5 +430,141 @@ fn a_relaunched_path_reads_utilization_over_its_own_lifetime() {
         "fused ran saturated but reads utilization {:.3} at {:.2} s",
         row.utilization,
         snap.time_secs
+    );
+}
+
+/// A top-level path kept busy suspends within one item of its flag being
+/// set: its body waits in `dequeue_for`, which reads the flag before it
+/// takes an item, so a queue that never runs dry cannot hold a drain open.
+#[test]
+fn a_busy_path_suspends_within_one_item_of_its_flag() {
+    let queue = WorkQueue::new();
+    // Items that finished with the flag already set.
+    let late = Arc::new(AtomicU64::new(0));
+    let spec = {
+        let (queue, late) = (queue.clone(), Arc::clone(&late));
+        TaskSpec::leaf("busy", TaskKind::Par, move |_slot: WorkerSlot| {
+            let (queue, late) = (queue.clone(), Arc::clone(&late));
+            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
+                match queue.dequeue_for(cx) {
+                    Waited::Item(_) => {
+                        cx.begin();
+                        std::thread::sleep(Duration::from_micros(200));
+                        if cx.end().wants_suspend() {
+                            late.fetch_add(1, Ordering::SeqCst);
+                        }
+                        TaskStatus::Executing
+                    }
+                    Waited::Suspended => TaskStatus::Suspended,
+                    Waited::Closed => TaskStatus::Finished,
+                }
+            })) as Box<dyn TaskBody>
+        })
+    };
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
+        .mechanism(Box::new(OneBump {
+            holds: 2,
+            fired: false,
+            start: Config::new(vec![TaskConfig::leaf("busy", 1)]),
+            target: Config::new(vec![TaskConfig::leaf("busy", 2)]),
+        }))
+        .control_period(Duration::from_millis(10))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+    // Keep the queue from running dry until the boundary lands.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let boundary =
+        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
+    let mut next = 0u64;
+    while !recorder.records().iter().any(boundary) && Instant::now() < deadline {
+        while queue.len() < 8 {
+            queue.enqueue(next).unwrap();
+            next += 1;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    queue.close();
+    let report = dope.wait().expect("completes");
+
+    assert_eq!(report.reconfigurations, 1);
+    let late = late.load(Ordering::SeqCst);
+    assert!(late <= 1, "{late} items finished after the flag was set");
+}
+
+/// Flips the `idle` leaf between extents 1 and 2 at every consult.
+struct Flip;
+
+impl Mechanism for Flip {
+    fn name(&self) -> &'static str {
+        "Flip"
+    }
+    fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
+        Some(Config::new(vec![TaskConfig::leaf("idle", 1)]))
+    }
+    fn reconfigure(
+        &mut self,
+        _snap: &MonitorSnapshot,
+        current: &Config,
+        _shape: &ProgramShape,
+        _res: &Resources,
+    ) -> Option<Config> {
+        let extent = 3 - current.tasks[0].extent;
+        Some(Config::new(vec![TaskConfig::leaf("idle", extent)]))
+    }
+}
+
+/// A partial drain of an idle path is a wake-up, not a poll period: its
+/// replicas are parked in `dequeue_for`, and setting the flag wakes them.
+#[test]
+fn an_idle_path_pauses_for_a_wake_up_not_a_poll() {
+    // Never fed: every replica is parked whenever it is asked to suspend.
+    let spec = counted_drain_spec(
+        "idle",
+        WorkQueue::new(),
+        Duration::ZERO,
+        Arc::default(),
+        Arc::default(),
+    );
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
+        .mechanism(Box::new(Flip))
+        .control_period(Duration::from_millis(5))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+    let pauses = || -> Vec<f64> {
+        recorder
+            .records()
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::ReconfigureEpoch {
+                    scope, pause_secs, ..
+                } if scope == "partial" => Some(*pause_secs),
+                _ => None,
+            })
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while pauses().len() < 120 {
+        assert!(
+            Instant::now() < deadline,
+            "{} partial epochs",
+            pauses().len()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    dope.stop();
+    dope.wait().expect("stops cleanly");
+
+    let mut pauses = pauses();
+    pauses.sort_by(f64::total_cmp);
+    let median = pauses[pauses.len() / 2];
+    assert!(
+        median < 500e-6,
+        "median pause {:.0} µs over {} partial epochs",
+        median * 1e6,
+        pauses.len()
     );
 }
