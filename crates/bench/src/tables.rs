@@ -23,6 +23,13 @@ const MECHANISM_SOURCES: &[(&str, &str, u32)] = &[
     ("TPC", include_str!("../../dope-mechanisms/src/tpc.rs"), 154),
 ];
 
+/// Source text of the helpers the mechanisms are written on (the decision
+/// audit they share), printed as Table 3's footer row.
+const HELPER_SOURCES: &[&str] = &[
+    include_str!("../../dope-mechanisms/src/pipeline_util.rs"),
+    include_str!("../../dope-mechanisms/src/two_level.rs"),
+];
+
 /// Counts effective implementation lines: everything before the test
 /// module, excluding blanks, comments, and doc comments.
 #[must_use]
@@ -63,14 +70,17 @@ pub fn table3() -> Vec<MechanismLoc> {
         .collect()
 }
 
-/// Prints Table 3.
+/// Prints Table 3, with the shared helpers as a footer row.
 pub fn report_table3() -> Vec<MechanismLoc> {
     let rows = table3();
+    let helpers: usize = HELPER_SOURCES.iter().map(|s| effective_loc(s)).sum();
+    let footer = ["helpers".into(), helpers.to_string(), "-".into()];
     crate::print_table(
         "== Table 3: lines of code per mechanism ==",
         &["mechanism", "this repo", "paper"],
         rows.iter()
-            .map(|r| [r.name.to_string(), r.ours.to_string(), r.paper.to_string()]),
+            .map(|r| [r.name.to_string(), r.ours.to_string(), r.paper.to_string()])
+            .chain([footer]),
     );
     rows
 }

@@ -114,10 +114,10 @@ impl DecisionCandidate {
         }
     }
 
-    /// Attaches a predicted throughput.
+    /// Sets the predicted throughput (`None`: no model for it).
     #[must_use]
-    pub fn predicting(mut self, throughput: f64) -> Self {
-        self.predicted_throughput = Some(throughput);
+    pub fn predicting(mut self, throughput: impl Into<Option<f64>>) -> Self {
+        self.predicted_throughput = throughput.into();
         self
     }
 }
@@ -175,10 +175,11 @@ impl DecisionTrace {
         self
     }
 
-    /// Sets the predicted throughput for the chosen action.
+    /// Sets the predicted throughput for the chosen action (`None`: no
+    /// model, nothing to score).
     #[must_use]
-    pub fn predicting(mut self, throughput: f64) -> Self {
-        self.predicted_throughput = Some(throughput);
+    pub fn predicting(mut self, throughput: impl Into<Option<f64>>) -> Self {
+        self.predicted_throughput = throughput.into();
         self
     }
 

@@ -67,56 +67,16 @@ impl Fdp {
         }
     }
 
-    fn sink_throughput(views: &[StageView]) -> f64 {
-        views.last().map_or(0.0, |v| v.throughput)
-    }
-
-    /// Index of the stage limiting throughput: lowest potential
-    /// (`extent / mean_exec`) among parallel stages.
-    fn bottleneck(views: &[StageView]) -> Option<usize> {
-        views
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.parallel && v.mean_exec > 0.0)
-            .min_by(|a, b| {
-                let pa = f64::from(a.1.extent) / a.1.mean_exec;
-                let pb = f64::from(b.1.extent) / b.1.mean_exec;
-                pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Index of the most over-provisioned parallel stage with workers to
-    /// spare.
-    fn donor(views: &[StageView], exclude: usize) -> Option<usize> {
-        views
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| i != exclude && v.parallel && v.extent > 1 && v.mean_exec > 0.0)
-            .max_by(|a, b| {
-                let pa = f64::from(a.1.extent) / a.1.mean_exec;
-                let pb = f64::from(b.1.extent) / b.1.mean_exec;
-                pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-    }
-
+    /// One more worker for the bottleneck: from the budget while it
+    /// lasts, else from the most over-provisioned stage.
     fn propose_move(views: &[StageView], budget: u32) -> Option<Vec<u32>> {
-        let bottleneck = Self::bottleneck(views)?;
-        let mut extents: Vec<u32> = views.iter().map(|v| v.extent).collect();
-        let cap = views[bottleneck].max_extent.unwrap_or(u32::MAX);
-        if extents[bottleneck] >= cap {
-            return None;
-        }
-        let total: u32 = extents.iter().sum();
-        if total < budget {
+        let bottleneck = pipeline_util::bottleneck(views)?;
+        let mut extents = pipeline_util::extents(views);
+        if extents.iter().sum::<u32>() < budget {
             extents[bottleneck] += 1;
             return Some(extents);
         }
-        let donor = Self::donor(views, bottleneck)?;
-        extents[donor] -= 1;
-        extents[bottleneck] += 1;
-        Some(extents)
+        pipeline_util::shift_to(views, bottleneck)
     }
 }
 
@@ -144,11 +104,7 @@ impl Mechanism for Fdp {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
-        let (alt, views) = pipeline_util::stages(snap, current, shape)?;
-        if views.iter().any(|v| v.parallel && v.mean_exec <= 0.0) {
-            return None; // not all stages observed yet
-        }
-        let throughput = Self::sink_throughput(&views);
+        let (alt, views, throughput) = pipeline_util::observed_stages(snap, current, shape)?;
 
         // Audit trail: every arm of the state machine records what it saw
         // and why it moved (or held); the executive scores the prediction
@@ -176,22 +132,18 @@ impl Mechanism for Fdp {
                     };
                     return None;
                 };
-                let saved: Vec<u32> = views.iter().map(|v| v.extent).collect();
+                let saved = pipeline_util::extents(&views);
                 let chosen = pipeline_util::extents_label(&extents);
-                let mut probe = DecisionCandidate::new(chosen.clone(), 1.0);
-                if let Some(rate) = pipeline_util::bottleneck_rate(&views, &extents) {
-                    probe = probe.predicting(rate);
-                }
-                let mut trace = base_trace(Rationale::HillClimbProbe, chosen)
-                    .candidate(probe)
-                    .candidate(
-                        DecisionCandidate::new(pipeline_util::extents_label(&saved), 0.0)
-                            .predicting(throughput),
-                    );
-                if let Some(rate) = pipeline_util::bottleneck_rate(&views, &extents) {
-                    trace = trace.predicting(rate);
-                }
-                self.last_decision = Some(trace);
+                let rate = pipeline_util::bottleneck_rate(&views, &extents);
+                self.last_decision = Some(
+                    base_trace(Rationale::HillClimbProbe, chosen.clone())
+                        .candidate(DecisionCandidate::new(chosen, 1.0).predicting(rate))
+                        .candidate(
+                            DecisionCandidate::new(pipeline_util::extents_label(&saved), 0.0)
+                                .predicting(throughput),
+                        )
+                        .predicting(rate),
+                );
                 self.phase = Phase::Settle {
                     saved,
                     baseline: throughput,
@@ -209,47 +161,27 @@ impl Mechanism for Fdp {
                 None
             }
             Phase::Trial { saved, baseline } => {
-                let bar = baseline * (1.0 + self.improvement_eps);
-                let keep = DecisionCandidate::new("keep", throughput).predicting(throughput);
-                let revert = DecisionCandidate::new(
-                    format!("revert: {}", pipeline_util::extents_label(&saved)),
-                    bar,
-                )
-                .predicting(baseline);
-                if throughput > bar {
+                let (keep, trace) = pipeline_util::judge_trial(
+                    throughput,
+                    baseline,
+                    self.improvement_eps,
+                    &saved,
+                    base_trace,
+                );
+                self.last_decision = Some(trace);
+                if keep {
                     // Keep the move; continue climbing from here.
                     self.failed_moves = 0;
-                    self.last_decision = Some(
-                        base_trace(Rationale::KeepBetterMove, "keep".to_string())
-                            .observing("baseline_throughput", baseline)
-                            .candidate(keep)
-                            .candidate(revert)
-                            .predicting(throughput),
-                    );
-                    self.phase = Phase::Measure;
-                    None
-                } else {
-                    self.failed_moves += 1;
-                    self.last_decision = Some(
-                        base_trace(
-                            Rationale::RevertWorseMove,
-                            format!("revert: {}", pipeline_util::extents_label(&saved)),
-                        )
-                        .observing("baseline_throughput", baseline)
-                        .candidate(keep)
-                        .candidate(revert)
-                        .predicting(baseline),
-                    );
-                    if self.failed_moves >= self.max_failed_moves {
-                        self.failed_moves = 0;
-                        self.phase = Phase::Converged {
-                            ticks_left: self.cooldown_ticks,
-                        };
-                    } else {
-                        self.phase = Phase::Measure;
-                    }
-                    pipeline_util::config_from_extents(current, alt, shape, &saved)
+                    return None;
                 }
+                self.failed_moves += 1;
+                if self.failed_moves >= self.max_failed_moves {
+                    self.failed_moves = 0;
+                    self.phase = Phase::Converged {
+                        ticks_left: self.cooldown_ticks,
+                    };
+                }
+                pipeline_util::config_from_extents(current, alt, shape, &saved)
             }
             Phase::Converged { ticks_left } => {
                 self.last_decision = Some(
@@ -260,8 +192,6 @@ impl Mechanism for Fdp {
                     self.phase = Phase::Converged {
                         ticks_left: ticks_left - 1,
                     };
-                } else {
-                    self.phase = Phase::Measure;
                 }
                 None
             }

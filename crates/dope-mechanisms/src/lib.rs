@@ -24,17 +24,61 @@
 //! let mech = for_goal(Goal::MaxThroughput { threads: 24 });
 //! assert_eq!(mech.name(), "TBF");
 //! ```
+//!
+//! # Writing a mechanism
+//!
+//! A mechanism developer writes the policy; the decision audit around it
+//! is written once, in [`two_level`] (find the nest, read the width,
+//! predict, label, keep the trace) and [`pipeline_util`] (stage views,
+//! the bottleneck law, bottleneck and donor, the keep/revert trial).
+//! WQ-Linear's Equation 2 (`Mmin = 1`, `Mmax = 8`, `Qmax = 16`) on the
+//! two-level helper decides what [`WqLinear`] decides:
+//!
+//! ```
+//! use dope_core::{Config, DecisionTrace, Mechanism, MonitorSnapshot as Snap, ProgramShape as Shape};
+//! use dope_core::{Rationale, Resources as Res, ShapeNode, TaskKind};
+//! use dope_mechanisms::{two_level::TwoLevel, WqLinear};
+//!
+//! #[derive(Debug, Default)]
+//! struct Eq2(TwoLevel);
+//!
+//! impl Mechanism for Eq2 {
+//!     fn name(&self) -> &'static str { "Eq2" }
+//!     fn initial(&mut self, shape: &Shape, res: &Res) -> Option<Config> { self.0.initial(shape, res, 8) }
+//!     fn reconfigure(&mut self, snap: &Snap, current: &Config, shape: &Shape, res: &Res) -> Option<Config> {
+//!         let c = self.0.consult(snap, current, shape)?;
+//!         let width = (8.0 - 7.0 / 16.0 * c.occupancy.max(0.0)).round().clamp(1.0, 8.0) as u32;
+//!         self.0.decide(&c, c.trace(Rationale::OccupancyLinear, width), width, shape, res)
+//!     }
+//!     fn explain(&self) -> Option<DecisionTrace> { self.0.explain() }
+//! }
+//!
+//! let work = vec![ShapeNode::leaf("work", TaskKind::Par)];
+//! let shape = Shape::new(vec![ShapeNode { alternatives: vec![work], ..ShapeNode::leaf("txn", TaskKind::Par) }]);
+//! let (res, mut eq2, mut paper) = (Res::threads(24), Eq2::default(), WqLinear::default());
+//! let current = eq2.initial(&shape, &res).unwrap();
+//! assert_eq!(paper.initial(&shape, &res).as_ref(), Some(&current));
+//! for occupancy in [0.0, 3.0, 8.0, 16.0, 40.0] {
+//!     let mut snap = Snap::at(1.0);
+//!     snap.queue.occupancy = occupancy;
+//!     let proposal = eq2.reconfigure(&snap, &current, &shape, &res);
+//!     assert_eq!(proposal, paper.reconfigure(&snap, &current, &shape, &res));
+//!     assert_eq!(eq2.explain().unwrap().chosen, paper.explain().unwrap().chosen);
+//! }
+//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fdp;
 pub mod oracle;
+pub mod pipeline_util;
 pub mod proportional;
 pub mod seda;
 pub mod shed_aware;
 pub mod tbf;
 pub mod tpc;
+pub mod two_level;
 pub mod wq_linear;
 pub mod wq_linear_h;
 pub mod wqt_h;
@@ -86,180 +130,5 @@ mod tests {
             .name(),
             "TPC"
         );
-    }
-}
-
-/// Shared helpers for pipeline-shaped programs (a single nest whose chosen
-/// alternative is a list of stages). Useful to mechanism developers
-/// writing new pipeline mechanisms.
-pub mod pipeline_util {
-    use dope_core::{
-        Config, Label, MonitorSnapshot, ProgramShape, ShapeNode, TaskConfig, TaskPath,
-    };
-
-    /// Per-stage view of a pipeline configuration.
-    #[derive(Debug, Clone)]
-    pub struct StageView {
-        /// Path of the stage task (`0.s`).
-        pub path: TaskPath,
-        /// Stage name.
-        pub name: Label,
-        /// `true` for parallel stages.
-        pub parallel: bool,
-        /// Extent cap, if declared.
-        pub max_extent: Option<u32>,
-        /// Current extent.
-        pub extent: u32,
-        /// Moving-average per-item execution time (0 if unobserved).
-        pub mean_exec: f64,
-        /// Observed throughput (items/s).
-        pub throughput: f64,
-        /// Input-queue occupancy.
-        pub load: f64,
-        /// Busy fraction of the stage's workers.
-        pub utilization: f64,
-    }
-
-    /// Extracts the stage views of the nest at root index 0.
-    ///
-    /// Returns `None` when the program is not pipeline-shaped.
-    pub fn stages(
-        snap: &MonitorSnapshot,
-        config: &Config,
-        shape: &ProgramShape,
-    ) -> Option<(usize, Vec<StageView>)> {
-        let outer = config.tasks.first()?;
-        let nest = outer.nested.as_ref()?;
-        let outer_shape = shape.tasks.first()?;
-        let alt_nodes: &[ShapeNode] = outer_shape.alternatives.get(nest.alternative)?;
-        let mut views = Vec::with_capacity(nest.tasks.len());
-        for (s, (task, node)) in nest.tasks.iter().zip(alt_nodes).enumerate() {
-            let path = TaskPath::root_child(0).child(s as u16);
-            let stats = snap.task(&path).copied().unwrap_or_default();
-            views.push(StageView {
-                path,
-                name: task.name.clone(),
-                parallel: node.kind == dope_core::TaskKind::Par,
-                max_extent: node.max_extent,
-                extent: task.extent,
-                mean_exec: stats.mean_exec_secs,
-                throughput: stats.throughput,
-                load: stats.load,
-                utilization: stats.utilization,
-            });
-        }
-        Some((nest.alternative, views))
-    }
-
-    /// Builds a pipeline configuration from per-stage extents.
-    pub fn config_from_extents(
-        config: &Config,
-        alternative: usize,
-        shape: &ProgramShape,
-        extents: &[u32],
-    ) -> Option<Config> {
-        let outer = config.tasks.first()?;
-        let outer_shape = shape.tasks.first()?;
-        let nodes = outer_shape.alternatives.get(alternative)?;
-        if nodes.len() != extents.len() {
-            return None;
-        }
-        let children = nodes
-            .iter()
-            .zip(extents)
-            .map(|(n, &e)| TaskConfig::leaf(n.name.clone(), e.max(1)))
-            .collect();
-        Some(Config::new(vec![TaskConfig::nest(
-            outer.name.clone(),
-            outer.extent,
-            alternative,
-            children,
-        )]))
-    }
-
-    /// The bottleneck law's steady-state throughput prediction for
-    /// per-stage `extents`: the minimum stage service rate
-    /// `extent / mean_exec` over stages with a measured execution time.
-    ///
-    /// Returns `None` when no stage has been observed yet — there is no
-    /// model to predict from. Mechanisms use this to fill
-    /// [`DecisionTrace::predicted_throughput`](dope_core::DecisionTrace),
-    /// which the executive scores against the realized bottleneck one
-    /// epoch later.
-    #[must_use]
-    pub fn bottleneck_rate(nodes: &[StageView], extents: &[u32]) -> Option<f64> {
-        nodes
-            .iter()
-            .zip(extents)
-            .filter(|(v, _)| v.mean_exec > 0.0)
-            .map(|(v, &e)| f64::from(e.max(1)) / v.mean_exec)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Renders per-stage extents as a compact action label
-    /// (`"extents=1/3/2/1"`), for [`DecisionTrace`](dope_core::DecisionTrace)
-    /// candidate and chosen-action fields.
-    #[must_use]
-    pub fn extents_label(extents: &[u32]) -> String {
-        let parts: Vec<String> = extents.iter().map(u32::to_string).collect();
-        format!("extents={}", parts.join("/"))
-    }
-
-    /// Distributes `budget` workers over stages proportionally to their
-    /// execution times (sequential stages pinned to one worker), always
-    /// giving every stage at least one worker and respecting caps.
-    pub fn proportional_extents(
-        nodes: &[StageView],
-        budget: u32,
-        exec_of: impl Fn(&StageView) -> f64,
-    ) -> Vec<u32> {
-        let n = nodes.len() as u32;
-        let budget = budget.max(n);
-        // Sequential stages and floor-of-one allocations first.
-        let mut extents: Vec<u32> = nodes.iter().map(|_| 1u32).collect();
-        let mut remaining = budget - n;
-        let par_idx: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.parallel)
-            .map(|(i, _)| i)
-            .collect();
-        if par_idx.is_empty() || remaining == 0 {
-            return extents;
-        }
-        let total_exec: f64 = par_idx.iter().map(|&i| exec_of(&nodes[i]).max(1e-12)).sum();
-        // Largest-remainder apportionment of the extra workers.
-        let mut shares: Vec<(usize, f64)> = par_idx
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    f64::from(remaining) * exec_of(&nodes[i]).max(1e-12) / total_exec,
-                )
-            })
-            .collect();
-        for &mut (i, ref mut share) in &mut shares {
-            let whole = share.floor() as u32;
-            let cap_room = nodes[i]
-                .max_extent
-                .map_or(u32::MAX, |m| m.saturating_sub(extents[i]));
-            let grant = whole.min(cap_room).min(remaining);
-            extents[i] += grant;
-            remaining -= grant;
-            *share -= f64::from(grant);
-        }
-        // Hand out leftovers by largest fractional remainder.
-        shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut k = 0;
-        while remaining > 0 && k < shares.len() * 2 {
-            let (i, _) = shares[k % shares.len()];
-            let cap = nodes[i].max_extent.unwrap_or(u32::MAX);
-            if extents[i] < cap {
-                extents[i] += 1;
-                remaining -= 1;
-            }
-            k += 1;
-        }
-        extents
     }
 }

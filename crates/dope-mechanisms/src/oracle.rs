@@ -1,10 +1,9 @@
 //! The oracle of Figure 2(c): continuously picks the ideal DoP for the
 //! observed load.
 
-use dope_core::nest::{self, TwoLevelNest};
+use crate::two_level::TwoLevel;
 use dope_core::{
-    realized_throughput, Config, DecisionCandidate, DecisionTrace, Mechanism, MonitorSnapshot,
-    ProgramShape, Rationale, Resources,
+    Config, DecisionTrace, Mechanism, MonitorSnapshot, ProgramShape, Rationale, Resources,
 };
 
 /// An oracle that maps work-queue occupancy directly to the best
@@ -32,8 +31,7 @@ pub struct Oracle {
     /// `(occupancy_upper_bound, width)` entries, ascending by bound.
     table: Vec<(f64, u32)>,
     fallback: u32,
-    nest: Option<TwoLevelNest>,
-    last_decision: Option<DecisionTrace>,
+    two: TwoLevel,
 }
 
 impl Oracle {
@@ -59,8 +57,7 @@ impl Oracle {
         Oracle {
             table,
             fallback,
-            nest: None,
-            last_decision: None,
+            two: TwoLevel::default(),
         }
     }
 
@@ -82,10 +79,7 @@ impl Mechanism for Oracle {
     }
 
     fn initial(&mut self, shape: &ProgramShape, res: &Resources) -> Option<Config> {
-        self.nest = nest::find_two_level(shape);
-        let nest = self.nest.as_ref()?;
-        let width = self.width_for_occupancy(0.0);
-        Some(nest::config_for_width(shape, nest, res.threads, width))
+        self.two.initial(shape, res, self.width_for_occupancy(0.0))
     }
 
     fn reconfigure(
@@ -95,63 +89,35 @@ impl Mechanism for Oracle {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
-        if self.nest.is_none() {
-            self.nest = nest::find_two_level(shape);
-        }
-        let nest = self.nest.clone()?;
-        let occ = snap.queue.occupancy;
-        let width = self.width_for_occupancy(occ);
-        let cur_width = nest::width_of(current, &nest);
-        let changed = cur_width != width;
-
+        let c = self.two.consult(snap, current, shape)?;
+        let width = self.width_for_occupancy(c.occupancy);
         // Audit trail: one candidate per table row (plus the fallback),
         // scored 1.0 for the matching row and 0.0 otherwise.
-        let base = realized_throughput(snap).filter(|_| cur_width > 0);
-        let predict = |w: u32| base.map(|t| t * f64::from(w) / f64::from(cur_width));
-        let chosen = if changed {
-            format!("width={width}")
-        } else {
-            "hold".to_string()
-        };
-        let mut trace = DecisionTrace::new(Rationale::OracleLookup, chosen)
-            .observing("queue_occupancy", occ)
-            .observing("current_width", f64::from(cur_width))
+        let mut trace = c
+            .trace(Rationale::OracleLookup, width)
+            .observing("current_width", f64::from(c.width))
             .observing("target_width", f64::from(width));
         let rows = self
             .table
             .iter()
-            .map(|&(bound, w)| (format!("occ<={bound}: width={w}"), w))
-            .chain(std::iter::once((
-                format!("fallback: width={}", self.fallback),
-                self.fallback,
-            )));
-        for (action, w) in rows {
-            let mut candidate = DecisionCandidate::new(action, if w == width { 1.0 } else { 0.0 });
-            if let Some(t) = predict(w) {
-                candidate = candidate.predicting(t);
-            }
-            trace = trace.candidate(candidate);
+            .map(|&(bound, w)| (format!("occ<={bound}: width={w}"), w));
+        let fallback = (format!("fallback: width={}", self.fallback), self.fallback);
+        for (action, w) in rows.chain([fallback]) {
+            let score = if w == width { 1.0 } else { 0.0 };
+            trace = trace.candidate(c.candidate(action, score, w));
         }
-        if let Some(t) = predict(width) {
-            trace = trace.predicting(t);
-        }
-        self.last_decision = Some(trace);
-
-        if !changed {
-            return None;
-        }
-        Some(nest::config_for_width(shape, &nest, res.threads, width))
+        self.two.decide(&c, trace, width, shape, res)
     }
 
     fn explain(&self) -> Option<DecisionTrace> {
-        self.last_decision.clone()
+        self.two.explain()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{ShapeNode, TaskKind};
+    use dope_core::{nest, ShapeNode, TaskKind};
 
     #[test]
     fn table_lookup_uses_first_matching_bound() {

@@ -79,10 +79,8 @@ impl Mechanism for Proportional {
                     },
                 ));
         }
-        if let Some(rate) = pipeline_util::bottleneck_rate(&views, &extents) {
-            trace = trace.predicting(rate);
-        }
-        self.last_decision = Some(trace);
+        self.last_decision =
+            Some(trace.predicting(pipeline_util::bottleneck_rate(&views, &extents)));
 
         changed.then_some(proposal)
     }

@@ -78,7 +78,7 @@ impl Mechanism for Seda {
         if views.iter().all(|v| v.mean_exec <= 0.0) {
             return None;
         }
-        let mut extents: Vec<u32> = views.iter().map(|v| v.extent).collect();
+        let mut extents = pipeline_util::extents(&views);
         let mut changed = false;
         let mut grew = false;
         let mut shrank = false;
@@ -134,10 +134,8 @@ impl Mechanism for Seda {
         for candidate in candidates {
             trace = trace.candidate(candidate);
         }
-        if let Some(rate) = pipeline_util::bottleneck_rate(&views, &extents) {
-            trace = trace.predicting(rate);
-        }
-        self.last_decision = Some(trace);
+        self.last_decision =
+            Some(trace.predicting(pipeline_util::bottleneck_rate(&views, &extents)));
 
         if !changed {
             return None;

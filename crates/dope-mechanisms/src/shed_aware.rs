@@ -49,12 +49,6 @@ impl<M: Mechanism> ShedAware<M> {
             veto: None,
         }
     }
-
-    /// The wrapped mechanism.
-    #[must_use]
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
 }
 
 impl<M: Mechanism> Mechanism for ShedAware<M> {

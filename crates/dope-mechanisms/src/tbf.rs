@@ -129,24 +129,19 @@ impl Mechanism for Tbf {
         // threshold.
         let threshold = self.imbalance_threshold;
         let fusion_enabled = self.fusion;
-        let mut balance_candidate = DecisionCandidate::new(
+        let balance_candidate = DecisionCandidate::new(
             format!("balance: {}", pipeline_util::extents_label(&extents)),
             1.0 - imbalance,
-        );
-        if let Some(rate) = pipeline_util::bottleneck_rate(&views, &extents) {
-            balance_candidate = balance_candidate.predicting(rate);
-        }
+        )
+        .predicting(pipeline_util::bottleneck_rate(&views, &extents));
         let trace = |rationale, chosen: String, predicted: Option<f64>| {
-            let mut t = DecisionTrace::new(rationale, chosen)
+            DecisionTrace::new(rationale, chosen)
                 .observing("imbalance", imbalance)
                 .observing("imbalance_threshold", threshold)
                 .observing("fusion_enabled", if fusion_enabled { 1.0 } else { 0.0 })
                 .candidate(balance_candidate.clone())
-                .candidate(DecisionCandidate::new("fuse", imbalance));
-            if let Some(p) = predicted {
-                t = t.predicting(p);
-            }
-            t
+                .candidate(DecisionCandidate::new("fuse", imbalance))
+                .predicting(predicted)
         };
 
         // Fusion check: if the best achievable balance is still worse than

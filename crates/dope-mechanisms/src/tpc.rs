@@ -1,6 +1,6 @@
 //! The Throughput Power Controller (paper §7.3).
 
-use crate::pipeline_util::{self, StageView};
+use crate::pipeline_util;
 use dope_core::{
     Config, DecisionCandidate, DecisionTrace, Mechanism, MonitorSnapshot, ProgramShape, Rationale,
     Resources,
@@ -68,14 +68,6 @@ impl Tpc {
             last_decision: None,
         }
     }
-
-    fn sink_throughput(views: &[StageView]) -> f64 {
-        views.last().map_or(0.0, |v| v.throughput)
-    }
-
-    fn extents(views: &[StageView]) -> Vec<u32> {
-        views.iter().map(|v| v.extent).collect()
-    }
 }
 
 impl Default for Tpc {
@@ -114,19 +106,17 @@ impl Mechanism for Tpc {
         }
         self.last_power = Some(power);
 
-        let (alt, views) = pipeline_util::stages(snap, current, shape)?;
-        if views.iter().any(|v| v.parallel && v.mean_exec <= 0.0) {
-            return None;
-        }
-        let throughput = Self::sink_throughput(&views);
+        let (alt, views, throughput) = pipeline_util::observed_stages(snap, current, shape)?;
         let total: u32 = views.iter().map(|v| v.extent).sum();
         let over = power > budget_watts;
         let headroom = power < budget_watts - self.margin_watts;
+        // The total extent cap a power overshoot sets: below the current.
+        let cap = total.saturating_sub(1).max(views.len() as u32);
 
         if !over {
             match &self.best {
                 Some((t, _)) if *t >= throughput => {}
-                _ => self.best = Some((throughput, Self::extents(&views))),
+                _ => self.best = Some((throughput, pipeline_util::extents(&views))),
             }
         }
 
@@ -144,10 +134,8 @@ impl Mechanism for Tpc {
         match std::mem::replace(&mut self.phase, Phase::Ramp) {
             Phase::Ramp => {
                 if over {
-                    // Power overshoot: cap the total extent below the
-                    // current configuration and fall back to the best
-                    // recorded configuration under budget.
-                    let cap = total.saturating_sub(1).max(views.len() as u32);
+                    // Power overshoot: cap the total extent and fall back
+                    // to the best recorded configuration under budget.
                     self.extent_cap = Some(cap);
                     let fallback = self
                         .best
@@ -155,14 +143,13 @@ impl Mechanism for Tpc {
                         .map(|(_, e)| e.clone())
                         .unwrap_or_else(|| vec![1; views.len()]);
                     let chosen = format!("fallback: {}", pipeline_util::extents_label(&fallback));
-                    let mut trace = base_trace(Rationale::PowerCapBinding, chosen.clone())
-                        .observing("extent_cap", f64::from(cap))
-                        .candidate(DecisionCandidate::new("stay over budget", 0.0))
-                        .candidate(DecisionCandidate::new(chosen, 1.0));
-                    if let Some(rate) = predicted(&fallback) {
-                        trace = trace.predicting(rate);
-                    }
-                    self.last_decision = Some(trace);
+                    self.last_decision = Some(
+                        base_trace(Rationale::PowerCapBinding, chosen.clone())
+                            .observing("extent_cap", f64::from(cap))
+                            .candidate(DecisionCandidate::new("stay over budget", 0.0))
+                            .candidate(DecisionCandidate::new(chosen, 1.0))
+                            .predicting(predicted(&fallback)),
+                    );
                     self.phase = Phase::Explore {
                         saved: fallback.clone(),
                         baseline: 0.0,
@@ -172,85 +159,69 @@ impl Mechanism for Tpc {
                 let at_cap = self.extent_cap.is_some_and(|cap| total >= cap);
                 if headroom && !at_cap && total < res.threads {
                     // Grow the slowest task's DoP.
-                    if let Some(extents) = grow_bottleneck(&views) {
+                    if let Some(i) = pipeline_util::slowest(&views, |_, v| v.has_room()) {
+                        let mut extents = pipeline_util::extents(&views);
+                        extents[i] += 1;
                         let chosen = pipeline_util::extents_label(&extents);
-                        let mut trace = base_trace(Rationale::PowerHeadroomGrow, chosen.clone())
-                            .observing("headroom_watts", budget_watts - self.margin_watts - power)
-                            .candidate(DecisionCandidate::new(chosen, 1.0))
-                            .candidate(DecisionCandidate::new("hold", 0.0).predicting(throughput));
-                        if let Some(rate) = predicted(&extents) {
-                            trace = trace.predicting(rate);
-                        }
-                        self.last_decision = Some(trace);
-                        self.phase = Phase::Ramp;
+                        self.last_decision = Some(
+                            base_trace(Rationale::PowerHeadroomGrow, chosen.clone())
+                                .observing(
+                                    "headroom_watts",
+                                    budget_watts - self.margin_watts - power,
+                                )
+                                .candidate(DecisionCandidate::new(chosen, 1.0))
+                                .candidate(
+                                    DecisionCandidate::new("hold", 0.0).predicting(throughput),
+                                )
+                                .predicting(predicted(&extents)),
+                        );
                         return pipeline_util::config_from_extents(current, alt, shape, &extents);
                     }
                 }
-                // At the boundary: explore same-size moves.
-                if let Some(extents) = swap_move(&views) {
+                // At the boundary: explore same-size moves, one worker
+                // from the most over-provisioned stage to the bottleneck.
+                let swap = pipeline_util::bottleneck(&views);
+                if let Some(extents) = swap.and_then(|b| pipeline_util::shift_to(&views, b)) {
                     let chosen = format!("swap: {}", pipeline_util::extents_label(&extents));
-                    let mut trace = base_trace(Rationale::HillClimbProbe, chosen.clone())
-                        .candidate(DecisionCandidate::new(chosen, 1.0))
-                        .candidate(DecisionCandidate::new("hold", 0.0).predicting(throughput));
-                    if let Some(rate) = predicted(&extents) {
-                        trace = trace.predicting(rate);
-                    }
-                    self.last_decision = Some(trace);
+                    self.last_decision = Some(
+                        base_trace(Rationale::HillClimbProbe, chosen.clone())
+                            .candidate(DecisionCandidate::new(chosen, 1.0))
+                            .candidate(DecisionCandidate::new("hold", 0.0).predicting(throughput))
+                            .predicting(predicted(&extents)),
+                    );
                     self.phase = Phase::Explore {
-                        saved: Self::extents(&views),
+                        saved: pipeline_util::extents(&views),
                         baseline: throughput,
                     };
                     return pipeline_util::config_from_extents(current, alt, shape, &extents);
                 }
                 self.last_decision =
                     Some(base_trace(Rationale::Hold, "hold".to_string()).predicting(throughput));
-                self.phase = Phase::Ramp;
                 None
             }
             Phase::Explore { saved, baseline } => {
                 if over {
-                    let cap = total.saturating_sub(1).max(views.len() as u32);
                     self.extent_cap = Some(cap);
                     let chosen = format!("revert: {}", pipeline_util::extents_label(&saved));
-                    let mut trace = base_trace(Rationale::PowerCapBinding, chosen)
-                        .observing("extent_cap", f64::from(cap));
-                    if let Some(rate) = predicted(&saved) {
-                        trace = trace.predicting(rate);
-                    }
-                    self.last_decision = Some(trace);
-                    self.phase = Phase::Ramp;
+                    self.last_decision = Some(
+                        base_trace(Rationale::PowerCapBinding, chosen)
+                            .observing("extent_cap", f64::from(cap))
+                            .predicting(predicted(&saved)),
+                    );
                     return pipeline_util::config_from_extents(current, alt, shape, &saved);
                 }
-                let keep = DecisionCandidate::new("keep", throughput).predicting(throughput);
-                let revert = DecisionCandidate::new(
-                    format!("revert: {}", pipeline_util::extents_label(&saved)),
-                    baseline * (1.0 + self.improvement_eps),
-                )
-                .predicting(baseline);
-                if throughput > baseline * (1.0 + self.improvement_eps) {
-                    self.last_decision = Some(
-                        base_trace(Rationale::KeepBetterMove, "keep".to_string())
-                            .observing("baseline_throughput", baseline)
-                            .candidate(keep)
-                            .candidate(revert)
-                            .predicting(throughput),
-                    );
-                    self.phase = Phase::Ramp;
-                    None
-                } else {
-                    self.last_decision = Some(
-                        base_trace(
-                            Rationale::RevertWorseMove,
-                            format!("revert: {}", pipeline_util::extents_label(&saved)),
-                        )
-                        .observing("baseline_throughput", baseline)
-                        .candidate(keep)
-                        .candidate(revert)
-                        .predicting(baseline),
-                    );
-                    self.phase = Phase::Ramp;
-                    pipeline_util::config_from_extents(current, alt, shape, &saved)
+                let (keep, trace) = pipeline_util::judge_trial(
+                    throughput,
+                    baseline,
+                    self.improvement_eps,
+                    &saved,
+                    base_trace,
+                );
+                self.last_decision = Some(trace);
+                if keep {
+                    return None;
                 }
+                pipeline_util::config_from_extents(current, alt, shape, &saved)
             }
         }
     }
@@ -258,60 +229,6 @@ impl Mechanism for Tpc {
     fn explain(&self) -> Option<DecisionTrace> {
         self.last_decision.clone()
     }
-}
-
-/// One more worker for the stage with the least potential throughput.
-fn grow_bottleneck(views: &[StageView]) -> Option<Vec<u32>> {
-    let i = views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| {
-            v.parallel && v.mean_exec > 0.0 && v.max_extent.is_none_or(|m| v.extent < m)
-        })
-        .min_by(|a, b| {
-            let pa = f64::from(a.1.extent) / a.1.mean_exec;
-            let pb = f64::from(b.1.extent) / b.1.mean_exec;
-            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)?;
-    let mut extents: Vec<u32> = views.iter().map(|v| v.extent).collect();
-    extents[i] += 1;
-    Some(extents)
-}
-
-/// Move one worker from the most over-provisioned stage to the
-/// bottleneck, keeping the total extent constant.
-fn swap_move(views: &[StageView]) -> Option<Vec<u32>> {
-    let bottleneck = views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.parallel && v.mean_exec > 0.0)
-        .min_by(|a, b| {
-            let pa = f64::from(a.1.extent) / a.1.mean_exec;
-            let pb = f64::from(b.1.extent) / b.1.mean_exec;
-            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)?;
-    let donor = views
-        .iter()
-        .enumerate()
-        .filter(|&(i, v)| i != bottleneck && v.parallel && v.extent > 1 && v.mean_exec > 0.0)
-        .max_by(|a, b| {
-            let pa = f64::from(a.1.extent) / a.1.mean_exec;
-            let pb = f64::from(b.1.extent) / b.1.mean_exec;
-            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)?;
-    if views[bottleneck]
-        .max_extent
-        .is_some_and(|m| views[bottleneck].extent >= m)
-    {
-        return None;
-    }
-    let mut extents: Vec<u32> = views.iter().map(|v| v.extent).collect();
-    extents[donor] -= 1;
-    extents[bottleneck] += 1;
-    Some(extents)
 }
 
 #[cfg(test)]

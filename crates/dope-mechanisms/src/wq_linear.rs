@@ -1,9 +1,8 @@
 //! Work Queue Linear (paper §7.1, Equation 2).
 
-use dope_core::nest::{self, TwoLevelNest};
+use crate::two_level::TwoLevel;
 use dope_core::{
-    realized_throughput, Config, DecisionCandidate, DecisionTrace, Mechanism, MonitorSnapshot,
-    ProgramShape, Rationale, Resources,
+    Config, DecisionTrace, Mechanism, MonitorSnapshot, ProgramShape, Rationale, Resources,
 };
 
 /// *Work Queue Linear*: varies the inner DoP extent continuously with
@@ -33,8 +32,7 @@ pub struct WqLinear {
     m_min: u32,
     m_max: u32,
     q_max: f64,
-    nest: Option<TwoLevelNest>,
-    last_decision: Option<DecisionTrace>,
+    two: TwoLevel,
 }
 
 impl WqLinear {
@@ -54,8 +52,7 @@ impl WqLinear {
             m_min,
             m_max,
             q_max,
-            nest: None,
-            last_decision: None,
+            two: TwoLevel::default(),
         }
     }
 
@@ -65,11 +62,15 @@ impl WqLinear {
         f64::from(self.m_max - self.m_min) / self.q_max
     }
 
+    /// Equation 2 before rounding and clamping.
+    fn raw_width(&self, occupancy: f64) -> f64 {
+        f64::from(self.m_max) - self.k() * occupancy.max(0.0)
+    }
+
     /// The width Equation 2 assigns at queue occupancy `occupancy`.
     #[must_use]
     pub fn width_for_occupancy(&self, occupancy: f64) -> u32 {
-        let raw = f64::from(self.m_max) - self.k() * occupancy.max(0.0);
-        let rounded = raw.round();
+        let rounded = self.raw_width(occupancy).round();
         (rounded.max(f64::from(self.m_min)) as u32).clamp(self.m_min, self.m_max)
     }
 }
@@ -87,9 +88,7 @@ impl Mechanism for WqLinear {
     }
 
     fn initial(&mut self, shape: &ProgramShape, res: &Resources) -> Option<Config> {
-        self.nest = nest::find_two_level(shape);
-        let nest = self.nest.as_ref()?;
-        Some(nest::config_for_width(shape, nest, res.threads, self.m_max))
+        self.two.initial(shape, res, self.m_max)
     }
 
     fn reconfigure(
@@ -99,58 +98,31 @@ impl Mechanism for WqLinear {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
-        if self.nest.is_none() {
-            self.nest = nest::find_two_level(shape);
-        }
-        let nest = self.nest.clone()?;
-        let occ = snap.queue.occupancy;
-        let width = self.width_for_occupancy(occ);
-        let cur_width = nest::width_of(current, &nest);
-        let changed = cur_width != width;
-
+        let c = self.two.consult(snap, current, shape)?;
+        let width = self.width_for_occupancy(c.occupancy);
         // Audit trail: every width on the Eq.-2 segment is a candidate,
         // scored by its (negative) distance to the unclamped target.
-        // Predictions scale the measured bottleneck linearly with width.
-        let raw_target = f64::from(self.m_max) - self.k() * occ.max(0.0);
-        let base = realized_throughput(snap).filter(|_| cur_width > 0);
-        let predict = |w: u32| base.map(|t| t * f64::from(w) / f64::from(cur_width));
-        let chosen = if changed {
-            format!("width={width}")
-        } else {
-            "hold".to_string()
-        };
-        let mut trace = DecisionTrace::new(Rationale::OccupancyLinear, chosen)
-            .observing("queue_occupancy", occ)
-            .observing("current_width", f64::from(cur_width))
+        let raw_target = self.raw_width(c.occupancy);
+        let mut trace = c
+            .trace(Rationale::OccupancyLinear, width)
+            .observing("current_width", f64::from(c.width))
             .observing("target_width", f64::from(width));
         for w in self.m_min..=self.m_max {
-            let mut candidate =
-                DecisionCandidate::new(format!("width={w}"), -(raw_target - f64::from(w)).abs());
-            if let Some(t) = predict(w) {
-                candidate = candidate.predicting(t);
-            }
-            trace = trace.candidate(candidate);
+            let score = -(raw_target - f64::from(w)).abs();
+            trace = trace.candidate(c.candidate(format!("width={w}"), score, w));
         }
-        if let Some(t) = predict(width) {
-            trace = trace.predicting(t);
-        }
-        self.last_decision = Some(trace);
-
-        if !changed {
-            return None;
-        }
-        Some(nest::config_for_width(shape, &nest, res.threads, width))
+        self.two.decide(&c, trace, width, shape, res)
     }
 
     fn explain(&self) -> Option<DecisionTrace> {
-        self.last_decision.clone()
+        self.two.explain()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{ShapeNode, TaskKind};
+    use dope_core::{nest, ShapeNode, TaskKind};
 
     fn shape() -> ProgramShape {
         ProgramShape::new(vec![ShapeNode {

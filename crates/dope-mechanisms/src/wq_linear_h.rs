@@ -2,11 +2,10 @@
 //! "A variant of WQ-Linear could be a mechanism that incorporates the
 //! hysteresis component of WQT-H into WQ-Linear."
 
+use crate::two_level::TwoLevel;
 use crate::wq_linear::WqLinear;
-use dope_core::nest::{self, TwoLevelNest};
 use dope_core::{
-    realized_throughput, Config, DecisionCandidate, DecisionTrace, Mechanism, MonitorSnapshot,
-    ProgramShape, Rationale, Resources,
+    Config, DecisionTrace, Mechanism, MonitorSnapshot, ProgramShape, Rationale, Resources,
 };
 
 /// WQ-Linear whose width changes are gated by hysteresis: Equation 2's
@@ -27,8 +26,7 @@ pub struct WqLinearH {
     inner: WqLinear,
     persistence: u64,
     pending: Option<(u32, u64)>,
-    nest: Option<TwoLevelNest>,
-    last_decision: Option<DecisionTrace>,
+    two: TwoLevel,
 }
 
 impl WqLinearH {
@@ -45,8 +43,7 @@ impl WqLinearH {
             inner: WqLinear::new(m_min, m_max, q_max),
             persistence: persistence.max(1),
             pending: None,
-            nest: None,
-            last_decision: None,
+            two: TwoLevel::default(),
         }
     }
 
@@ -70,8 +67,8 @@ impl Mechanism for WqLinearH {
     }
 
     fn initial(&mut self, shape: &ProgramShape, res: &Resources) -> Option<Config> {
-        self.nest = nest::find_two_level(shape);
-        self.inner.initial(shape, res)
+        self.two
+            .initial(shape, res, self.inner.width_for_occupancy(0.0))
     }
 
     fn reconfigure(
@@ -81,84 +78,44 @@ impl Mechanism for WqLinearH {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
-        if self.nest.is_none() {
-            self.nest = nest::find_two_level(shape);
-        }
-        let nest = self.nest.clone()?;
-        let occ = snap.queue.occupancy;
-        let target = self.inner.width_for_occupancy(occ);
-        let current_width = nest::width_of(current, &nest);
-        let base = realized_throughput(snap).filter(|_| current_width > 0);
-        let predict = |w: u32| base.map(|t| t * f64::from(w) / f64::from(current_width));
-        let persistence = self.persistence;
-        // Two candidates every consult: move to Equation 2's target now
-        // (scored by how far the persistence streak has run) vs hold at
-        // the current width until the target proves stable.
-        let observe = |trace: DecisionTrace, streak: u64| {
-            let streak_ratio = streak as f64 / persistence as f64;
-            let mut moving = DecisionCandidate::new(format!("width={target}"), streak_ratio);
-            if let Some(t) = predict(target) {
-                moving = moving.predicting(t);
-            }
-            let mut holding = DecisionCandidate::new("hold", 1.0 - streak_ratio);
-            if let Some(t) = predict(current_width) {
-                holding = holding.predicting(t);
-            }
-            trace
-                .observing("queue_occupancy", occ)
-                .observing("current_width", f64::from(current_width))
-                .observing("target_width", f64::from(target))
-                .observing("persistence_streak", streak as f64)
-                .candidate(moving)
-                .candidate(holding)
-        };
-
-        if target == current_width {
-            self.pending = None;
-            let mut trace = observe(DecisionTrace::new(Rationale::Hold, "hold"), 0);
-            if let Some(t) = predict(current_width) {
-                trace = trace.predicting(t);
-            }
-            self.last_decision = Some(trace);
-            return None;
-        }
+        let c = self.two.consult(snap, current, shape)?;
+        let target = self.inner.width_for_occupancy(c.occupancy);
         let streak = match self.pending {
+            _ if target == c.width => 0,
             Some((w, streak)) if w == target => streak + 1,
             _ => 1,
         };
-        if streak < self.persistence {
-            self.pending = Some((target, streak));
-            let mut trace = observe(
-                DecisionTrace::new(Rationale::HysteresisPending, "hold"),
-                streak,
-            );
-            if let Some(t) = predict(current_width) {
-                trace = trace.predicting(t);
-            }
-            self.last_decision = Some(trace);
-            return None;
-        }
-        self.pending = None;
-        let mut trace = observe(
-            DecisionTrace::new(Rationale::OccupancyLinear, format!("width={target}")),
-            streak,
-        );
-        if let Some(t) = predict(target) {
-            trace = trace.predicting(t);
-        }
-        self.last_decision = Some(trace);
-        Some(nest::config_for_width(shape, &nest, res.threads, target))
+        let (rationale, width) = if streak == 0 {
+            (Rationale::Hold, c.width)
+        } else if streak < self.persistence {
+            (Rationale::HysteresisPending, c.width)
+        } else {
+            (Rationale::OccupancyLinear, target)
+        };
+        self.pending = (rationale == Rationale::HysteresisPending).then_some((target, streak));
+        // Two candidates every consult: move to Equation 2's target now
+        // (scored by how far the persistence streak has run) vs hold at
+        // the current width until the target proves stable.
+        let streak_ratio = streak as f64 / self.persistence as f64;
+        let trace = c
+            .trace(rationale, width)
+            .observing("current_width", f64::from(c.width))
+            .observing("target_width", f64::from(target))
+            .observing("persistence_streak", streak as f64)
+            .candidate(c.candidate(format!("width={target}"), streak_ratio, target))
+            .candidate(c.candidate("hold", 1.0 - streak_ratio, c.width));
+        self.two.decide(&c, trace, width, shape, res)
     }
 
     fn explain(&self) -> Option<DecisionTrace> {
-        self.last_decision.clone()
+        self.two.explain()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{ShapeNode, TaskKind};
+    use dope_core::{nest, ShapeNode, TaskKind};
 
     fn shape() -> ProgramShape {
         ProgramShape::new(vec![ShapeNode {

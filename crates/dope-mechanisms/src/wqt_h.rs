@@ -1,9 +1,8 @@
 //! Work Queue Threshold with Hysteresis (paper §7.1).
 
-use dope_core::nest::{self, TwoLevelNest};
+use crate::two_level::TwoLevel;
 use dope_core::{
-    realized_throughput, Config, DecisionCandidate, DecisionTrace, Mechanism, MonitorSnapshot,
-    ProgramShape, Rationale, Resources,
+    Config, DecisionTrace, Mechanism, MonitorSnapshot, ProgramShape, Rationale, Resources,
 };
 
 /// The two states of the WQT-H machine.
@@ -43,14 +42,14 @@ pub struct WqtH {
     mode: Mode,
     streak: u64,
     last_dispatches: u64,
-    nest: Option<TwoLevelNest>,
-    last_decision: Option<DecisionTrace>,
+    two: TwoLevel,
 }
 
 impl WqtH {
     /// A WQT-H machine with queue threshold `threshold`, latency-mode
     /// width `m_max`, and hysteresis lengths `n_on` (PAR→SEQ) and `n_off`
-    /// (SEQ→PAR), both in observed tasks.
+    /// (SEQ→PAR), both in observed tasks; `N_off >> N_on` (the paper's
+    /// example) switches to PAR only under the lightest of loads.
     ///
     /// # Panics
     ///
@@ -67,25 +66,8 @@ impl WqtH {
             mode: Mode::Seq,
             streak: 0,
             last_dispatches: 0,
-            nest: None,
-            last_decision: None,
+            two: TwoLevel::default(),
         }
-    }
-
-    /// Weights the hysteresis in favour of one state (the paper's
-    /// `N_off >> N_on` example switches to PAR only under the lightest of
-    /// loads).
-    #[must_use]
-    pub fn with_hysteresis(mut self, n_on: u64, n_off: u64) -> Self {
-        self.n_on = n_on;
-        self.n_off = n_off;
-        self
-    }
-
-    /// The current latency-mode width.
-    #[must_use]
-    pub fn m_max(&self) -> u32 {
-        self.m_max
     }
 
     fn target_width(&self) -> u32 {
@@ -110,9 +92,7 @@ impl Mechanism for WqtH {
     }
 
     fn initial(&mut self, shape: &ProgramShape, res: &Resources) -> Option<Config> {
-        self.nest = nest::find_two_level(shape);
-        let nest = self.nest.as_ref()?;
-        Some(nest::config_for_width(shape, nest, res.threads, 1))
+        self.two.initial(shape, res, 1)
     }
 
     fn reconfigure(
@@ -122,11 +102,7 @@ impl Mechanism for WqtH {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
-        if self.nest.is_none() {
-            self.nest = nest::find_two_level(shape);
-        }
-        let nest = self.nest.clone()?;
-
+        let c = self.two.consult(snap, current, shape)?;
         // Count observed tasks (dispatches) since our last observation.
         let observed = snap
             .dispatches_since_reconfig
@@ -134,7 +110,7 @@ impl Mechanism for WqtH {
             .max(1);
         self.last_dispatches = snap.dispatches_since_reconfig;
 
-        let occ = snap.queue.occupancy;
+        let occ = c.occupancy;
         let mode_before = self.mode;
         match self.mode {
             Mode::Seq if occ < self.threshold => {
@@ -153,10 +129,7 @@ impl Mechanism for WqtH {
             }
             _ => self.streak = 0,
         }
-
         let width = self.target_width();
-        let cur_width = nest::width_of(current, &nest);
-        let changed = cur_width != width;
 
         // Audit trail: the machine only ever weighs its two states.
         let flipped = self.mode != mode_before;
@@ -165,36 +138,17 @@ impl Mechanism for WqtH {
             (false, s) if s > 0 => Rationale::HysteresisPending,
             _ => Rationale::Hold,
         };
-        let base = realized_throughput(snap).filter(|_| cur_width > 0);
-        let predict = |w: u32| base.map(|t| t * f64::from(w) / f64::from(cur_width));
-        let chosen = if changed {
-            format!("width={width}")
-        } else {
-            "hold".to_string()
-        };
-        let mut trace = DecisionTrace::new(rationale, chosen)
-            .observing("queue_occupancy", occ)
+        let mut trace = c
+            .trace(rationale, width)
             .observing("threshold", self.threshold)
             .observing("streak", self.streak as f64)
-            .observing("current_width", f64::from(cur_width));
+            .observing("current_width", f64::from(c.width));
         for w in [1, self.m_max] {
             let on_side = (w == 1) == (occ > self.threshold);
-            let mut candidate =
-                DecisionCandidate::new(format!("width={w}"), if on_side { 1.0 } else { 0.0 });
-            if let Some(t) = predict(w) {
-                candidate = candidate.predicting(t);
-            }
-            trace = trace.candidate(candidate);
+            let score = if on_side { 1.0 } else { 0.0 };
+            trace = trace.candidate(c.candidate(format!("width={w}"), score, w));
         }
-        if let Some(t) = predict(width) {
-            trace = trace.predicting(t);
-        }
-        self.last_decision = Some(trace);
-
-        if !changed {
-            return None;
-        }
-        Some(nest::config_for_width(shape, &nest, res.threads, width))
+        self.two.decide(&c, trace, width, shape, res)
     }
 
     fn applied(&mut self, _config: &Config) {
@@ -202,14 +156,14 @@ impl Mechanism for WqtH {
     }
 
     fn explain(&self) -> Option<DecisionTrace> {
-        self.last_decision.clone()
+        self.two.explain()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{ShapeNode, TaskKind};
+    use dope_core::{nest, ShapeNode, TaskKind};
 
     fn shape() -> ProgramShape {
         ProgramShape::new(vec![ShapeNode {

@@ -136,6 +136,11 @@ fn drive_and_audit(
             "{} explained an unlabeled decision",
             mech.name()
         );
+        assert!(
+            proposal.is_none() || trace.chosen != "hold",
+            "{} audited a proposal as `hold`",
+            mech.name()
+        );
         assert_eq!(
             Rationale::from_code(trace.rationale.code()),
             Some(trace.rationale),
