@@ -25,7 +25,8 @@ fn count(bytes: usize) {
     });
 }
 
-/// The system allocator, counting every `alloc` and `realloc`.
+/// The system allocator, counting every `alloc` and `realloc`; the bytes
+/// of a `realloc` are booked only when it grows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Counting;
 
@@ -44,7 +45,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        // A shrink (`shrink_to_fit`) hands memory back; it requests none.
+        let grows = new_size > layout.size();
+        count(if grows { new_size } else { 0 });
         // SAFETY: `ptr`/`layout` came from `System`; the caller vouches
         // for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }

@@ -103,9 +103,16 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, JsonError> {
 /// Returns the first [`JsonError`], annotated with the 1-based line
 /// number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
-    let mut records = Vec::new();
+    /// No record line is shorter than its bare envelope, so valid text
+    /// never meets this bound, and junk lines cannot make the reservation
+    /// larger than a few times the text.
+    const SHORTEST_LINE: usize = r#"{"v":1,"seq":0,"t":0,"kind":""}"#.len();
+    let blank = |line: &str| line.trim().is_empty();
+    // Sized once, from the line count, rather than grown by doubling.
+    let lines = text.lines().filter(|line| !blank(line)).count();
+    let mut records = Vec::with_capacity(lines.min(text.len() / SHORTEST_LINE));
     for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+        if blank(line) {
             continue;
         }
         records.push(

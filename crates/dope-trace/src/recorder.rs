@@ -179,12 +179,17 @@ impl Recorder {
         })
     }
 
-    /// Removes and returns the retained records, oldest first.
+    /// Removes and returns the retained records, oldest first, in a `Vec`
+    /// exactly as large as its contents.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceRecord> {
-        // The ring's own buffer is handed over, not copied record by record.
         self.inner.as_ref().map_or_else(Vec::new, |inner| {
-            Vec::from(std::mem::take(&mut inner.ring.lock().records))
+            // The ring's own buffer is handed over, not copied record by
+            // record, then trimmed in place: it grew by doubling, and a kept
+            // recording would hold up to half of it empty.
+            let mut records = Vec::from(std::mem::take(&mut inner.ring.lock().records));
+            records.shrink_to_fit();
+            records
         })
     }
 

@@ -193,8 +193,11 @@ fn cloning_an_eight_candidate_decision_costs_its_two_vectors() {
     );
 }
 
+/// A drained recording holds only what it recorded. The ring's buffer is
+/// handed over and trimmed in place (one shrinking `realloc`, which
+/// requests no bytes), never copied into a fresh one.
 #[test]
-fn drain_hands_the_ring_over_without_allocating() {
+fn drain_hands_over_exactly_what_it_holds() {
     for n in [100_u64, 10_000] {
         let recorder = Recorder::bounded(1 << 14);
         for completed in 0..n {
@@ -209,10 +212,33 @@ fn drain_hands_the_ring_over_without_allocating() {
         }
         let (records, allocs, bytes) = measure(|| recorder.drain());
         assert_eq!(records.len() as u64, n);
-        assert_eq!(records[0].seq, 0);
+        assert_eq!(records.capacity(), records.len(), "draining {n} records");
+        assert!(records.iter().map(|r| r.seq).eq(0..n), "out of seq order");
         assert!(recorder.is_empty());
-        assert_eq!((allocs, bytes), (0, 0), "draining {n} records");
+        assert_eq!(bytes, 0, "draining {n} records requested bytes");
+        assert!(allocs <= 1, "{allocs} allocator calls draining {n} records");
     }
+}
+
+/// Decoding sizes its output once: the records of a recorded point come
+/// back in a `Vec` exactly as large as its contents.
+#[test]
+fn a_decoded_recording_is_sized_once() {
+    let (records, _, _) = wq_linear_point(200);
+    let decoded = parse_jsonl(&to_jsonl(&records)).expect("the recording decodes");
+    assert_eq!(decoded, records);
+    assert_eq!(decoded.capacity(), decoded.len());
+
+    // Junk text fails at its first line having reserved a few times its
+    // length, not 168 B for every two bytes of it.
+    let junk = "x\n".repeat(10_000);
+    let (parsed, _, bytes) = measure(|| parse_jsonl(&junk));
+    assert!(parsed.is_err());
+    assert!(
+        bytes <= 8 * junk.len() as u64,
+        "{bytes} B reserved for {} B of junk",
+        junk.len()
+    );
 }
 
 /// The verify hop of a control period: the rule walk renders no text and
