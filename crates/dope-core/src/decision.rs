@@ -199,7 +199,8 @@ impl DecisionTrace {
 
 /// The realized throughput a prediction is scored against: the
 /// bottleneck (minimum) per-task throughput across tasks that actually
-/// ran since the last reconfiguration.
+/// ran since the last reconfiguration. On the live side each task's
+/// throughput is its completions over the last control period.
 ///
 /// In steady state every stage of a pipeline passes the same items, so
 /// the minimum per-stage rate approximates the end-to-end rate — the

@@ -93,19 +93,17 @@ fn mean_join(handles: Vec<std::thread::JoinHandle<f64>>) -> f64 {
 /// `threads` concurrent writers on one task path.
 #[must_use]
 pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
-    let window = Duration::from_secs(10);
     let exec = Duration::from_micros(5);
     let threads = threads.max(1);
 
     // Sharded, one writer.
-    let monitor = Monitor::new(window, FeatureRegistry::new());
+    let monitor = Monitor::new(FeatureRegistry::new());
     let shard = monitor.stats_for(&TaskPath::root().child(0)).shard();
-    let now = Instant::now();
-    let sharded_single_ns = time_per_op(iters, |_| shard.record(exec, now, window));
+    let sharded_single_ns = time_per_op(iters, |_| shard.record(exec));
 
     // Sharded, contended: every writer has its own shard of the same
     // path — the contention the design is supposed to have eliminated.
-    let monitor = Monitor::new(window, FeatureRegistry::new());
+    let monitor = Monitor::new(FeatureRegistry::new());
     let barrier = Arc::new(Barrier::new(threads as usize));
     let mut handles = Vec::new();
     for _ in 0..threads {
@@ -113,9 +111,8 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             let shard = monitor.stats_for(&TaskPath::root().child(0)).shard();
-            let now = Instant::now();
             barrier.wait();
-            time_per_op(iters, |_| shard.record(exec, now, window))
+            time_per_op(iters, |_| shard.record(exec))
         }));
     }
     let sharded_contended_ns = mean_join(handles);
@@ -134,8 +131,7 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
 /// rule must time).
 #[must_use]
 pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
-    let window = Duration::from_secs(10);
-    let monitor = Monitor::new(window, FeatureRegistry::new());
+    let monitor = Monitor::new(FeatureRegistry::new());
     let path = TaskPath::root().child(0);
     let stats = monitor.stats_for(&path);
     let slot = WorkerSlot {
@@ -146,7 +142,7 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let iters = iters.max(1);
     // One fresh context per phase, as a relaunched replica would have.
     let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
-        let mut cx = LiveCx::new(&monitor, Arc::default(), &path, slot, window);
+        let mut cx = LiveCx::new(&monitor, Arc::default(), &path, slot);
         let before = stats.total_timings();
         let ns = time_per_op(n, |_| each(&mut cx));
         (ns, (stats.total_timings() - before) as f64 / n as f64)
@@ -183,13 +179,11 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
 /// `samples` snapshots.
 #[must_use]
 pub fn bench_snapshot(paths: u32, records_per_path: u64, samples: u32) -> SnapshotReport {
-    let window = Duration::from_secs(10);
-    let monitor = Monitor::new(window, FeatureRegistry::new());
-    let now = Instant::now();
+    let monitor = Monitor::new(FeatureRegistry::new());
     for p in 0..paths {
         let shard = monitor.stats_for(&TaskPath::root_child(p as u16)).shard();
         for i in 0..records_per_path {
-            shard.record(Duration::from_nanos(1_000 + i % 1_000), now, window);
+            shard.record(Duration::from_nanos(1_000 + i % 1_000));
         }
     }
 
