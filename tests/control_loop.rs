@@ -1,18 +1,18 @@
 //! Control-loop regression tests for bugs the full-epoch drain used to
 //! hide: tick starvation under completion floods, restart backoff
 //! blocking shutdown, a stop waiting for a tick, and the final decision
-//! audit going missing.
+//! audit going missing or being scored over a sliver of a period.
 
 use dope_core::{
     body_fn, Config, DecisionTrace, FailurePolicy, FailureVerdict, Goal, Mechanism,
-    MonitorSnapshot, ProgramShape, Rationale, Resources, TaskBody, TaskCx, TaskKind, TaskSpec,
-    TaskStatus, WorkerSlot,
+    MonitorSnapshot, ProgramShape, Rationale, Resources, TaskBody, TaskCx, TaskKind, TaskPath,
+    TaskSpec, TaskStatus, WorkerSlot,
 };
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
 use dope_workload::{Waited, WorkQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Counts consults; never proposes, always explains.
@@ -205,5 +205,106 @@ fn every_consult_reaches_the_decision_trace() {
     assert!(
         decisions.last().is_some_and(Option::is_some),
         "the final flushed decision is scored against a last snapshot"
+    );
+}
+
+/// Holds at every consult, and hands each tick to a waiting test thread.
+struct Ticker {
+    ticks: mpsc::SyncSender<()>,
+}
+
+impl Mechanism for Ticker {
+    fn name(&self) -> &'static str {
+        "Ticker"
+    }
+    fn reconfigure(
+        &mut self,
+        _snap: &MonitorSnapshot,
+        _current: &Config,
+        _shape: &ProgramShape,
+        _res: &Resources,
+    ) -> Option<Config> {
+        // Only a receiver already waiting takes it: the control thread
+        // never blocks here.
+        let _ = self.ticks.try_send(());
+        None
+    }
+    fn explain(&self) -> Option<DecisionTrace> {
+        Some(DecisionTrace::new(Rationale::Hold, "hold"))
+    }
+}
+
+/// A read a moment after a tick, and the held decision a stop right then
+/// leaves to be scored, cover a whole control period, not the sliver
+/// since the tick: the saturated leaf reads busy, and completing at the
+/// rate the tick saw.
+#[test]
+fn a_stop_right_after_a_tick_scores_over_a_whole_period() {
+    let (tx, ticks) = mpsc::sync_channel(0);
+    let spec = TaskSpec::leaf("spin", TaskKind::Par, |_slot: WorkerSlot| {
+        Box::new(body_fn(|cx: &mut dyn TaskCx| {
+            let directive = cx.begin();
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(50) {
+                std::hint::spin_loop();
+            }
+            cx.end();
+            if directive.wants_suspend() {
+                TaskStatus::Suspended
+            } else {
+                TaskStatus::Executing
+            }
+        })) as Box<dyn TaskBody>
+    });
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 1 })
+        .mechanism(Box::new(Ticker { ticks: tx }))
+        .control_period(Duration::from_millis(20))
+        .recorder(recorder.clone())
+        .launch(vec![spec])
+        .expect("launch");
+    for _ in 0..5 {
+        ticks.recv().expect("a tick");
+    }
+    let read = dope.monitor().snapshot();
+    dope.stop();
+    dope.wait().expect("stops cleanly");
+
+    let path: TaskPath = "0".parse().unwrap();
+    let records = recorder.records();
+    let tick_rate = records
+        .iter()
+        .rev()
+        .find_map(|r| match &r.event {
+            TraceEvent::SnapshotTaken { snapshot } => Some(snapshot.task(&path)?.throughput),
+            _ => None,
+        })
+        .expect("ticks were recorded");
+    let scored = records
+        .iter()
+        .rev()
+        .find_map(|r| match &r.event {
+            TraceEvent::DecisionTraced {
+                realized_throughput,
+                ..
+            } => Some(*realized_throughput),
+            _ => None,
+        })
+        .expect("the held decision is scored");
+    let sane = |rate: f64| rate > tick_rate / 2.0 && rate < tick_rate * 2.0;
+    let row = read.task(&path).expect("the leaf ran");
+    assert!(
+        row.utilization >= 0.8,
+        "the spinning leaf reads utilization {:.3}",
+        row.utilization
+    );
+    assert!(
+        sane(row.throughput),
+        "read {:.0}/s against the tick's {tick_rate:.0}/s",
+        row.throughput
+    );
+    assert!(
+        scored.is_some_and(sane),
+        "scored {scored:?} against the tick's {tick_rate:.0}/s"
     );
 }
