@@ -199,8 +199,10 @@ impl DecisionTrace {
 
 /// The realized throughput a prediction is scored against: the
 /// bottleneck (minimum) per-task throughput across tasks that actually
-/// ran since the last reconfiguration. On the live side each task's
-/// throughput is its completions over the last control period.
+/// ran since the last reconfiguration. Live and in the pipeline
+/// simulator each task's throughput is its completions over the last
+/// control period; in the system simulator, which consults on every
+/// arrival, it is the completions of the trailing 60 s.
 ///
 /// In steady state every stage of a pipeline passes the same items, so
 /// the minimum per-stage rate approximates the end-to-end rate — the

@@ -23,17 +23,22 @@ pub struct TaskStats {
     /// previous control tick (or since the task's measurement cell was
     /// created, if later) over the time since. A live read between two
     /// ticks measures from the tick before the last instead, so it covers
-    /// at least one whole period. The system simulator still counts a
-    /// sliding 60 s window.
+    /// at least one whole period. The pipeline simulator counts the same
+    /// period; the system simulator, which consults on every arrival,
+    /// counts the completions of the trailing 60 s instead.
     pub throughput: f64,
     /// Most recent `LoadCB` sample (typically input-queue occupancy).
     pub load: f64,
-    /// Fraction of wall-clock time the task's live workers spent inside
-    /// `begin`/`end`, in `[0, 1]`, averaged over the same period as
-    /// `throughput` with the workers live at the reading. Live, a timed
-    /// invocation under way counts from its begin, so one longer than the
-    /// period is busy in every period it spans. The simulators still
-    /// report the busy fraction at the consult instant instead.
+    /// Fraction of the task's capacity that was busy since the previous
+    /// consult, in `[0, 1]`: busy capacity-seconds over (the time since ×
+    /// capacity), capped at 1, in every producer. Live, the busy time is
+    /// spent inside `begin`/`end` over the last control period (as for
+    /// `throughput`) and the capacity is the workers live at the reading;
+    /// a timed invocation under way counts from its begin, so one longer
+    /// than the period is busy in every period it spans. The pipeline
+    /// simulator averages a stage's busy workers over the period against
+    /// its extent, the system simulator its busy contexts since the
+    /// previous arrival against its budget.
     pub utilization: f64,
     /// Median per-invocation execution time, in seconds.
     ///

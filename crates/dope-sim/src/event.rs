@@ -1,4 +1,4 @@
-//! Event time and the event agenda both simulators run on.
+//! Event time, the event agenda and the time average the simulators use.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -154,6 +154,64 @@ impl<E> Agenda<E> {
     }
 }
 
+/// A level held over simulated time, and its time average: the one rule
+/// both simulators measure busy capacity and power draw by. A change
+/// charges the level held so far up to `now`, then moves it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Accrual<L> {
+    level: L,
+    /// Up to when `level` is charged into `area`.
+    since: f64,
+    /// Level-seconds since the window opened at `from`.
+    area: f64,
+    from: f64,
+}
+
+impl<L: Copy + Into<f64>> Accrual<L> {
+    /// `level`, held from `now`.
+    pub(crate) fn new(now: f64, level: L) -> Self {
+        Accrual {
+            level,
+            since: now,
+            area: 0.0,
+            from: now,
+        }
+    }
+
+    /// The level held now.
+    pub(crate) fn level(&self) -> L {
+        self.level
+    }
+
+    /// Charges the level held so far up to `now`, then moves it to `level`.
+    pub(crate) fn set(&mut self, now: f64, level: L) {
+        self.area += self.level.into() * (now - self.since);
+        self.since = now;
+        self.level = level;
+    }
+
+    /// The time average of the level since the previous call (or since
+    /// [`new`](Self::new)), and a new window from `now`. An empty window
+    /// reads the level held now.
+    pub(crate) fn mean(&mut self, now: f64) -> f64 {
+        self.set(now, self.level);
+        let span = now - std::mem::replace(&mut self.from, now);
+        let area = std::mem::take(&mut self.area);
+        if span > 0.0 {
+            area / span
+        } else {
+            self.level.into()
+        }
+    }
+
+    /// A snapshot row's `utilization`: the mean busy level since the
+    /// previous consult over `capacity`, capped at 1, as the live monitor
+    /// reads it.
+    pub(crate) fn utilization(&mut self, now: f64, capacity: u32) -> f64 {
+        (self.mean(now) / f64::from(capacity.max(1))).min(1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +246,20 @@ mod tests {
             ]
         );
         assert_eq!(agenda.peek_time(), None);
+    }
+
+    #[test]
+    fn an_accrual_charges_the_level_held_before_each_change() {
+        let mut busy = Accrual::new(0.0, 0_u32);
+        busy.set(0.25, 2);
+        busy.set(0.375, 0);
+        assert_eq!(busy.level(), 0);
+        // 2 for 0.125 s of the first 0.5 s.
+        assert_eq!(busy.mean(0.5), 0.5);
+        busy.set(0.5, 1);
+        assert_eq!(busy.utilization(1.0, 2), 0.5);
+        // An empty window reads the level held now.
+        assert_eq!(busy.mean(1.0), 1.0);
     }
 
     #[test]

@@ -12,8 +12,13 @@
 //!   factor plus a context-switch penalty (the `Pthreads-OS` baseline);
 //! * **power** — a [`PowerSensor`] samples a linear power model at the
 //!   PDU's limited rate, feeding the TPC controller (§7.3, Figure 14).
+//!
+//! A stage's row reads like a live one over the control period:
+//! `throughput` is its completions since the previous tick, `utilization`
+//! its busy workers time-averaged since then over its extent at the tick.
+//! Busy workers and power draw are integrated by one accrual rule.
 
-use crate::event::Agenda;
+use crate::event::{Accrual, Agenda};
 use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::{
     Config, Ewma, Mechanism, MonitorSnapshot, ProgramShape, Resources, ShapeNode, TaskConfig,
@@ -336,7 +341,8 @@ struct Item {
 #[derive(Debug)]
 struct StageState {
     queue: VecDeque<Item>,
-    busy: u32,
+    /// Busy workers.
+    busy: Accrual<u32>,
     extent: u32,
     mean_service: f64,
     completions: u64,
@@ -383,8 +389,8 @@ struct Sim<'a> {
     throughput_series: TimeSeries,
     power_series: TimeSeries,
     sensor: Option<PowerSensor>,
-    power_integral: f64,
-    last_power_time: f64,
+    /// Expected power draw in watts (held at 0 without a meter).
+    draw: Accrual<f64>,
     sink_at_tick: u64,
 }
 
@@ -413,7 +419,7 @@ impl<'a> Sim<'a> {
     fn try_start(&mut self, stage: usize) {
         loop {
             let st = &self.stages[stage];
-            if st.busy >= st.extent {
+            if st.busy.level() >= st.extent {
                 return;
             }
             let item = if stage == 0 && self.saturated {
@@ -425,9 +431,9 @@ impl<'a> Sim<'a> {
                 self.stages[stage].queue.pop_front()
             };
             let Some(item) = item else { return };
-            self.stages[stage].busy += 1;
-            self.global_busy += 1;
-            self.accumulate_power();
+            let st = &mut self.stages[stage];
+            st.busy.set(self.now, st.busy.level() + 1);
+            self.set_global_busy(self.global_busy + 1);
             if stage == 0 {
                 self.dispatches_since_reconfig += 1;
             }
@@ -442,16 +448,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn accumulate_power(&mut self) {
+    /// Moves the machine's busy workers to `busy`, and its power draw
+    /// with them.
+    fn set_global_busy(&mut self, busy: u32) {
+        self.global_busy = busy;
         if let Some(power) = &self.params.power {
-            let busy = self.global_busy.min(self.params.contexts);
-            // The integral uses the *previous* busy level up to now; the
-            // caller mutates busy right before/after calling this, so we
-            // approximate with the current level — adequate at the event
-            // densities simulated here.
-            self.power_integral +=
-                power.model.expected_power(busy) * (self.now - self.last_power_time);
-            self.last_power_time = self.now;
+            let watts = power.model.expected_power(busy.min(self.params.contexts));
+            self.draw.set(self.now, watts);
         }
     }
 
@@ -478,7 +481,7 @@ impl<'a> Sim<'a> {
         snap.dispatches_since_reconfig = self.dispatches_since_reconfig;
         snap.queue.occupancy = self.stages[0].queue.len() as f64;
         snap.queue.completed = self.completed;
-        for (s, st) in self.stages.iter().enumerate() {
+        for (s, st) in self.stages.iter_mut().enumerate() {
             let path = TaskPath::root_child(0).child(s as u16);
             let window = self.params.control_period_secs;
             let rate = (st.completions - st.completions_at_tick) as f64 / window;
@@ -489,7 +492,7 @@ impl<'a> Sim<'a> {
                     mean_exec_secs: st.exec_ewma.value_or(st.mean_service),
                     throughput: rate,
                     load: st.queue.len() as f64,
-                    utilization: f64::from(st.busy) / f64::from(st.extent.max(1)),
+                    utilization: st.busy.utilization(self.now, st.extent),
                     // The analytic simulator does not model latency
                     // distributions; percentile fields stay at their
                     // "not measured" default of 0.0.
@@ -522,7 +525,7 @@ impl<'a> Sim<'a> {
             .zip(&nest.tasks)
             .map(|(p, t)| StageState {
                 queue: VecDeque::new(),
-                busy: 0,
+                busy: Accrual::new(self.now, 0),
                 extent: t.extent,
                 mean_service: p.mean_service_secs,
                 completions: 0,
@@ -625,8 +628,7 @@ pub fn run_pipeline_observed(
         sensor: params
             .power
             .map(|p| PowerSensor::new(p.model, p.sample_interval_secs, p.seed)),
-        power_integral: 0.0,
-        last_power_time: 0.0,
+        draw: Accrual::new(0.0, params.power.map_or(0.0, |p| p.model.idle_watts())),
         sink_at_tick: 0,
     };
     observer.launched(mechanism.name(), res.threads, shape, &initial);
@@ -675,11 +677,10 @@ pub fn run_pipeline_observed(
                 stage,
                 item,
             } => {
-                sim.accumulate_power();
-                sim.global_busy = sim.global_busy.saturating_sub(1);
+                sim.set_global_busy(sim.global_busy.saturating_sub(1));
                 if generation == sim.generation {
                     let st = &mut sim.stages[stage];
-                    st.busy = st.busy.saturating_sub(1);
+                    st.busy.set(sim.now, st.busy.level().saturating_sub(1));
                     st.completions += 1;
                     let len = sim.stages.len();
                     sim.deliver(stage, len, item);
@@ -725,14 +726,7 @@ pub fn run_pipeline_observed(
 
     let control = core.finish(sim.now, None);
     let horizon = sim.now.min(params.horizon_secs).max(f64::MIN_POSITIVE);
-    let mean_power = params.power.map(|p| {
-        if sim.now > 0.0 {
-            sim.accumulate_power();
-            sim.power_integral / sim.now
-        } else {
-            p.model.idle_watts()
-        }
-    });
+    let mean_power = params.power.map(|_| sim.draw.mean(sim.now));
     PipelineOutcome {
         completed: sim.completed,
         horizon_secs: horizon,
@@ -879,6 +873,81 @@ mod tests {
         let model_power = PowerModel::default();
         assert!(mean >= model_power.idle_watts() * 0.99, "mean {mean}");
         assert!(mean <= model_power.peak_power() * 1.01, "mean {mean}");
+    }
+
+    /// One sequential stage serving `count` items 0.25 s apart in 0.125 s
+    /// each: busy half of every gap.
+    fn half_busy(
+        count: usize,
+        mech: &mut dyn Mechanism,
+        power: Option<PowerSim>,
+    ) -> PipelineOutcome {
+        let model = PipelineModel::new("p", vec![StageProfile::seq("s", 0.125)]);
+        run_pipeline(
+            &model,
+            &Source::Open(ArrivalSchedule::uniform(0.25, count)),
+            mech,
+            Resources::threads(24),
+            &PipelineParams {
+                power,
+                ..PipelineParams::default()
+            },
+        )
+    }
+
+    /// Holds, noting the first stage's utilization at each tick.
+    struct UtilizationWatch(Vec<f64>);
+
+    impl Mechanism for UtilizationWatch {
+        fn name(&self) -> &'static str {
+            "UtilizationWatch"
+        }
+
+        fn reconfigure(
+            &mut self,
+            snap: &MonitorSnapshot,
+            _current: &Config,
+            _shape: &ProgramShape,
+            _res: &Resources,
+        ) -> Option<Config> {
+            let stage = TaskPath::root_child(0).child(0);
+            self.0.push(
+                snap.tasks
+                    .get(&stage)
+                    .map_or(f64::NAN, |row| row.utilization),
+            );
+            None
+        }
+    }
+
+    #[test]
+    fn utilization_averages_busy_workers_over_the_period() {
+        let mut watch = UtilizationWatch(Vec::new());
+        let out = half_busy(40, &mut watch, None);
+        assert_eq!(out.completed, 40);
+        // Each tick lands just before an arrival, with the stage idle. The
+        // first period holds three services (arrivals start at 0.25 s),
+        // the nine after it four each.
+        let mut expected = vec![0.5; 10];
+        expected[0] = 0.375;
+        assert_eq!(watch.0, expected);
+    }
+
+    #[test]
+    fn mean_power_charges_each_interval_at_the_level_held_in_it() {
+        let model = PowerModel::new(500.0, 8.0, 24, 0.0);
+        let power = PowerSim {
+            model,
+            sample_interval_secs: 1.0,
+            seed: 1,
+        };
+        let out = half_busy(40, &mut UtilizationWatch(Vec::new()), Some(power));
+        // 40 services of 0.125 s with one context busy, until the last
+        // leaves at 10.125 s; idle otherwise.
+        assert_eq!(out.horizon_secs, 10.125);
+        let expected = 500.0 + 8.0 * (40.0 * 0.125) / 10.125;
+        let mean = out.mean_power_watts.unwrap();
+        assert!((mean - expected).abs() < 1e-9, "{mean} vs {expected}");
     }
 
     /// A four-stage pipeline whose second alternative fuses its middle

@@ -7,8 +7,13 @@
 //! `DoP_outer` transactions run concurrently. A [`Mechanism`] is consulted
 //! on every arrival — the paper's per-task adaptation granularity — and
 //! may change the configuration for subsequent dispatches.
+//!
+//! The row's `utilization` is the busy contexts time-averaged since the
+//! previous arrival's consult, over the budget. Its `throughput` counts the
+//! trailing 60 s instead: one inter-arrival gap holds too few completions
+//! to score a decision against.
 
-use crate::event::Agenda;
+use crate::event::{Accrual, Agenda};
 use crate::profile::AmdahlProfile;
 use dope_core::control::{ControlCore, ControlSink, NullSink};
 use dope_core::nest::{self, TwoLevelNest};
@@ -145,8 +150,8 @@ impl TwoLevelModel {
     }
 }
 
-/// The sliding window the snapshot's throughput estimate counts
-/// completions over.
+/// The trailing window the snapshot's throughput counts completions
+/// over, pruned at each consult.
 const THROUGHPUT_WINDOW_SECS: f64 = 60.0;
 
 /// Fixed parameters of a system simulation.
@@ -310,7 +315,8 @@ pub fn run_system_observed(
     let mut held: VecDeque<f64> = VecDeque::new();
     let mut in_flight: Agenda<Job> = Agenda::new();
     let mut now = 0.0_f64;
-    let mut free = budget;
+    // Busy contexts.
+    let mut busy = Accrual::new(0.0, 0_u32);
     let mut active: u32 = 0;
 
     let mut response = ResponseStats::new();
@@ -363,6 +369,10 @@ pub fn run_system_observed(
                 0.0
             };
             snap.dispatches_since_reconfig = dispatches_since_reconfig;
+            let cutoff = now - THROUGHPUT_WINDOW_SECS;
+            while recent_completions.front().is_some_and(|&t| t < cutoff) {
+                recent_completions.pop_front();
+            }
             let window = THROUGHPUT_WINDOW_SECS.min(now.max(1e-9));
             snap.tasks.insert(
                 model.nest().outer.clone(),
@@ -371,7 +381,7 @@ pub fn run_system_observed(
                     mean_exec_secs: exec_ewma.value_or(exec),
                     throughput: recent_completions.len() as f64 / window,
                     load: queued,
-                    utilization: f64::from(budget - free) / f64::from(budget),
+                    utilization: busy.utilization(now, budget),
                     // Percentile fields stay 0.0: the simulator's
                     // monitor is analytic and does not measure latency
                     // distributions.
@@ -387,15 +397,11 @@ pub fn run_system_observed(
             }
         } else {
             let (_, job) = in_flight.pop().expect("departure event exists");
-            free += job.width;
+            busy.set(now, busy.level() - job.width);
             active -= 1;
             completed += 1;
             response.record(now - job.submit);
             recent_completions.push_back(now);
-            let cutoff = now - THROUGHPUT_WINDOW_SECS;
-            while recent_completions.front().is_some_and(|&t| t < cutoff) {
-                recent_completions.pop_front();
-            }
         }
 
         // Dispatch as many queued transactions as resources allow,
@@ -411,7 +417,7 @@ pub fn run_system_observed(
                 gate.offer_at(offered_at, offered_at);
                 progressed = true;
             }
-            while active < outer_cap && free >= width && !gate.is_empty() {
+            while active < outer_cap && budget - busy.level() >= width && !gate.is_empty() {
                 let DequeueOutcome::Item(submit) = gate.take_at(now, Duration::ZERO) else {
                     break;
                 };
@@ -421,7 +427,7 @@ pub fn run_system_observed(
                 dispatched += 1;
                 dispatches_since_reconfig += 1;
                 exec_ewma.update(service);
-                free -= width;
+                busy.set(now, busy.level() + width);
                 active += 1;
                 in_flight.push(now + service, Job { submit, width });
             }
@@ -512,6 +518,64 @@ mod tests {
         // its instant has completed.
         assert_eq!(watch.0, [0, 0, 1, 2, 3]);
         assert_eq!(out.mean_response(), 1.0);
+    }
+
+    /// Holds `.0`, noting the outer task's row at each consult.
+    struct RowWatch(Config, Vec<TaskStats>);
+    impl Mechanism for RowWatch {
+        fn name(&self) -> &'static str {
+            "RowWatch"
+        }
+        fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
+            Some(self.0.clone())
+        }
+        fn reconfigure(
+            &mut self,
+            snap: &MonitorSnapshot,
+            _current: &Config,
+            _shape: &ProgramShape,
+            _res: &Resources,
+        ) -> Option<Config> {
+            self.1.extend(snap.tasks.iter().map(|(_, row)| *row));
+            None
+        }
+    }
+
+    /// The rows consulted on while `width`-wide transactions of `model`
+    /// serve `schedule` on `budget` contexts.
+    fn rows(
+        model: &TwoLevelModel,
+        budget: u32,
+        width: u32,
+        schedule: &ArrivalSchedule,
+    ) -> Vec<TaskStats> {
+        let mut watch = RowWatch(model.config_for_width(budget, width), Vec::new());
+        let res = Resources::threads(budget);
+        run_system(model, schedule, &mut watch, res, &SystemParams::default());
+        watch.1
+    }
+
+    #[test]
+    fn utilization_averages_busy_contexts_since_the_previous_consult() {
+        // Width 2 of 4 contexts, busy 0.125 s of every 0.25 s gap: each
+        // consult after the first reads 2 × 0.125 / (0.25 × 4), though the
+        // transaction before it has already left.
+        let m = TwoLevelModel::doall("half", AmdahlProfile::new(0.25, 1.0, 0.0, 0.0));
+        assert_eq!(m.exec_time(2), 0.125);
+        let rows = rows(&m, 4, 2, &ArrivalSchedule::uniform(0.25, 5));
+        let utilization: Vec<f64> = rows.iter().map(|row| row.utilization).collect();
+        assert_eq!(utilization, [0.0, 0.25, 0.25, 0.25, 0.25]);
+    }
+
+    #[test]
+    fn throughput_counts_only_the_last_window_of_completions() {
+        // The one completion, at 101 s, is more than a window before the
+        // second arrival at 200 s, and no departure came between to prune it.
+        let m = TwoLevelModel::doall("short", AmdahlProfile::new(1.0, 0.9, 0.0, 0.0));
+        let rows = rows(&m, 1, 1, &ArrivalSchedule::uniform(100.0, 2));
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].invocations, 1);
+        assert_eq!(rows[1].throughput, 0.0);
     }
 
     #[test]

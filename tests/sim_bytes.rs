@@ -10,10 +10,16 @@
 //! of drifting a figure. A deliberate change updates the constant and
 //! says why.
 //!
-//! The constants last moved when a period stopped writing copies of its
-//! snapshot: each recording, decoded, is the one before with every
-//! `FeatureRead` and `AdmissionDecision` removed, `seq` renumbered and
-//! `Launched.admission` carrying the declared policy (`""` when none).
+//! The constants last moved when both simulators began to read a row's
+//! `utilization` as the busy capacity time-averaged since the previous
+//! consult, and the system simulator to prune its 60 s throughput window
+//! at the consult: each recording, decoded, is the one before, record for
+//! record and `time_secs` bit for bit, except in the `utilization` of
+//! `SnapshotTaken` task rows, the `throughput` of the four system-model
+//! recordings' rows, and what `DecisionTraced` derives from that
+//! throughput (`realized_throughput`, `prediction_error`, and the
+//! predictions that scale it). The open pipeline's response mean did not
+//! move.
 
 use dope_apps::{ferret, transcode};
 use dope_core::{AdmissionPolicy, Resources};
@@ -75,7 +81,7 @@ fn the_benchmark_grid_point_records_the_same_bytes() {
     assert_pinned(
         "transcode, WQ-Linear, 200 requests",
         &records,
-        0xb5bd_c610_ed5f_3e85,
+        0xdbb5_0717_184a_6030,
     );
 }
 
@@ -87,7 +93,7 @@ fn shed_recording_is_pinned() {
         "{:?}",
         outcome.admission
     );
-    assert_pinned("Shed", &records, 0xec42_04b0_7168_6682);
+    assert_pinned("Shed", &records, 0xd6d3_7088_e180_eb9e);
 }
 
 /// A held offer is counted as `offered` when it reaches the gate, not on
@@ -98,7 +104,7 @@ fn shed_recording_is_pinned() {
 fn block_recording_is_pinned() {
     let (records, outcome) = overloaded_recording(AdmissionPolicy::Block { capacity: 8 });
     assert_eq!(outcome.completed, 200);
-    assert_pinned("Block", &records, 0x0c0b_3574_416a_b915);
+    assert_pinned("Block", &records, 0xb327_1a84_d264_0054);
 }
 
 #[test]
@@ -110,7 +116,7 @@ fn deadline_recording_is_pinned() {
         "{:?}",
         outcome.admission
     );
-    assert_pinned("Deadline", &records, 0xc79d_3ffe_d7fb_4c90);
+    assert_pinned("Deadline", &records, 0x2d0b_d145_87de_91c1);
 }
 
 #[test]
@@ -133,7 +139,7 @@ fn pipeline_recording_is_pinned() {
     assert_pinned(
         "ferret, TPC, saturated",
         &recorder.drain(),
-        0x60fa_7847_c54d_ed57,
+        0x8210_c908_2281_78cd,
     );
 }
 
@@ -161,5 +167,5 @@ fn open_pipeline_recording_and_responses_are_pinned() {
     assert_eq!(outcome.completed, 300);
     let mean = outcome.response.mean().expect("responses recorded");
     let text = format!("{}{:#x}\n", to_jsonl(&recorder.drain()), mean.to_bits());
-    assert_pinned_text("ferret, Proportional, open", &text, 0x9945_3d07_47ff_83bb);
+    assert_pinned_text("ferret, Proportional, open", &text, 0x9f6e_08e1_adf2_f732);
 }
