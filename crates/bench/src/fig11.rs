@@ -4,7 +4,7 @@
 use dope_core::{Mechanism, Resources, StaticMechanism};
 use dope_mechanisms::{WqLinear, WqtH};
 use dope_sim::system::{run_system, SystemParams, TwoLevelModel};
-use dope_workload::{ArrivalSchedule, ResponseStats};
+use dope_workload::ArrivalSchedule;
 
 /// Mechanism column labels, in `rows` order.
 pub const MECHANISMS: [&str; 4] = ["static-seq", "static-par", "WQT-H", "WQ-Linear"];
@@ -33,10 +33,6 @@ pub struct AppSweep {
     /// Same shape as `rows` but reporting the p99 response time
     /// (histogram-backed, see `dope_workload::ResponseStats`).
     pub p99_rows: Vec<(f64, f64, f64, f64, f64)>,
-    /// Per-mechanism response statistics merged across the load sweep,
-    /// in [`MECHANISMS`] order — the source of the `--metrics` registry
-    /// dump.
-    pub responses: Vec<(&'static str, ResponseStats)>,
 }
 
 /// The four applications with their tunings.
@@ -97,31 +93,22 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<AppSweep> {
         .into_iter()
         .map(|(name, model, tuning)| {
             let max_thr = model.max_throughput(24, 1);
-            let mut merged: Vec<(&'static str, ResponseStats)> = MECHANISMS
-                .iter()
-                .map(|&mech| (mech, ResponseStats::new()))
-                .collect();
             let mut rows = Vec::with_capacity(loads.len());
             let mut p99_rows = Vec::with_capacity(loads.len());
             for &load in loads {
                 let schedule = ArrivalSchedule::for_load_factor(load, max_thr, requests, 7);
-                let mut run_mech = |slot: usize, mech: &mut dyn Mechanism| {
+                let run_mech = |mech: &mut dyn Mechanism| {
                     let out = run_system(&model, &schedule, mech, res, &params);
-                    merged[slot].1.merge(&out.response);
                     let p99 = out.response.percentile(0.99).unwrap_or(0.0);
                     (out.mean_response(), p99)
                 };
-                let static_seq =
-                    run_mech(0, &mut StaticMechanism::new(model.config_for_width(24, 1)));
-                let static_par = run_mech(
-                    1,
-                    &mut StaticMechanism::new(model.config_for_width(24, tuning.m_max)),
-                );
-                let wqt_h = run_mech(2, &mut WqtH::new(tuning.threshold, tuning.m_max, 4, 4));
-                let wq_linear = run_mech(
-                    3,
-                    &mut WqLinear::new(tuning.m_min, tuning.m_max, tuning.q_max),
-                );
+                let static_seq = run_mech(&mut StaticMechanism::new(model.config_for_width(24, 1)));
+                let static_par = run_mech(&mut StaticMechanism::new(
+                    model.config_for_width(24, tuning.m_max),
+                ));
+                let wqt_h = run_mech(&mut WqtH::new(tuning.threshold, tuning.m_max, 4, 4));
+                let wq_linear =
+                    run_mech(&mut WqLinear::new(tuning.m_min, tuning.m_max, tuning.q_max));
                 rows.push((load, static_seq.0, static_par.0, wqt_h.0, wq_linear.0));
                 p99_rows.push((load, static_seq.1, static_par.1, wqt_h.1, wq_linear.1));
             }
@@ -129,7 +116,6 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<AppSweep> {
                 name,
                 rows,
                 p99_rows,
-                responses: merged,
             }
         })
         .collect()
@@ -152,9 +138,8 @@ fn print_panel(title: &str, rows: &[(f64, f64, f64, f64, f64)]) {
 
 /// Runs and prints all four panels: the paper's mean response times plus
 /// a histogram-backed p99 panel per application.
-pub fn report(quick: bool) -> Vec<AppSweep> {
-    let sweeps = run(&crate::load_factors(quick), crate::REQUESTS);
-    for sweep in &sweeps {
+pub fn report(quick: bool) {
+    for sweep in &run(&crate::load_factors(quick), crate::REQUESTS) {
         print_panel(
             &format!("== Figure 11: {} — mean response time (s) ==", sweep.name),
             &sweep.rows,
@@ -167,7 +152,6 @@ pub fn report(quick: bool) -> Vec<AppSweep> {
             &sweep.p99_rows,
         );
     }
-    sweeps
 }
 
 /// Checks the paper's qualitative claims.
@@ -195,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn p99_panel_and_merged_responses_are_populated() {
+    fn p99_panel_is_populated() {
         let loads = [0.5, 1.0];
         let requests = 200;
         let sweeps = run(&loads, requests);
@@ -218,15 +202,6 @@ mod tests {
                         sweep.name
                     );
                 }
-            }
-            assert_eq!(sweep.responses.len(), MECHANISMS.len());
-            for (mech, response) in &sweep.responses {
-                assert_eq!(
-                    response.count(),
-                    loads.len() * requests,
-                    "{}/{mech}: responses must merge across the sweep",
-                    sweep.name
-                );
             }
         }
     }

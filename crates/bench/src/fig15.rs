@@ -126,7 +126,7 @@ pub fn normalized(results: &AppResults, mechanism: &str) -> f64 {
 }
 
 /// Runs and prints the normalized table.
-pub fn report(quick: bool) -> Vec<AppResults> {
+pub fn report(quick: bool) {
     let results = run(quick);
     let mut header = vec!["app"];
     header.extend(results[0].rows.iter().map(|(m, _)| *m));
@@ -146,7 +146,6 @@ pub fn report(quick: bool) -> Vec<AppResults> {
     let geomean =
         (normalized(&results[0], "DoPE-TBF") * normalized(&results[1], "DoPE-TBF")).sqrt();
     println!("\nDoPE-TBF geomean improvement: {geomean:.2}x (paper: 2.36x)");
-    results
 }
 
 /// The paper's qualitative claims.

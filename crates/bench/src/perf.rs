@@ -326,7 +326,7 @@ fn paced_run(rate: f64, items: usize, park: Park) -> Option<[f64; 3]> {
                     Park::Untimed => queue
                         .dequeue()
                         .map_or(DequeueOutcome::Drained, DequeueOutcome::Item),
-                    Park::ForCx => match queue.dequeue_for(&mut NullCx::default()) {
+                    Park::ForCx => match queue.dequeue_for(&mut NullCx) {
                         Waited::Item(item) => DequeueOutcome::Item(item),
                         Waited::Suspended | Waited::Closed => DequeueOutcome::Drained,
                     },

@@ -262,15 +262,11 @@ mod tests {
         let mut bodies: Vec<Box<dyn TaskBody>> = factories
             .iter()
             .map(|s| match s.work() {
-                Work::Leaf(f) => f.make_body(WorkerSlot {
-                    replica: 0,
-                    worker: 0,
-                    extent: 1,
-                }),
+                Work::Leaf(f) => f.make_body(WorkerSlot { worker: 0 }),
                 Work::Nest(_) => unreachable!(),
             })
             .collect();
-        let mut cx = NullCx::default();
+        let mut cx = NullCx;
         for b in &mut bodies {
             b.init();
         }

@@ -303,15 +303,11 @@ mod tests {
         let mut bodies: Vec<Box<dyn TaskBody>> = specs
             .iter()
             .map(|s| match s.work() {
-                Work::Leaf(f) => f.make_body(WorkerSlot {
-                    replica: 0,
-                    worker: 0,
-                    extent: 1,
-                }),
+                Work::Leaf(f) => f.make_body(WorkerSlot { worker: 0 }),
                 Work::Nest(_) => unreachable!(),
             })
             .collect();
-        let mut cx = dope_core::task::NullCx::default();
+        let mut cx = dope_core::task::NullCx;
         for b in &mut bodies {
             b.init();
         }

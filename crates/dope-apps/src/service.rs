@@ -402,12 +402,8 @@ mod tests {
             dope_core::Work::Leaf(f) => Arc::clone(f),
             dope_core::Work::Nest(_) => unreachable!(),
         };
-        let mut body = factory.make_body(WorkerSlot {
-            replica: 0,
-            worker: 0,
-            extent: 1,
-        });
-        let mut cx = dope_core::task::NullCx::default();
+        let mut body = factory.make_body(WorkerSlot { worker: 0 });
+        let mut cx = dope_core::task::NullCx;
         assert_eq!(body.invoke(&mut cx), TaskStatus::Executing);
         assert_eq!(body.invoke(&mut cx), TaskStatus::Finished);
         assert_eq!(service.stats.completed(), 1);

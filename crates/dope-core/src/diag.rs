@@ -162,8 +162,8 @@ impl fmt::Display for Severity {
 /// rule's own data and no rendered text: what
 /// [`Config::check`](crate::Config::check) hands its visitor.
 /// `task` is always the *configured* task's name. [`Display`](fmt::Display)
-/// renders the analyzer's message, [`to_error`](Finding::to_error) the
-/// validator's [`Error`].
+/// renders the message, which the analyzer reports and the validator's
+/// [`Error`] ([`to_error`](Finding::to_error)) carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Finding<'a> {
     /// DV011: a level configures `found` tasks where the chosen
@@ -269,41 +269,16 @@ impl Finding<'_> {
         }
     }
 
-    /// The [`Error`] `Config::validate` returns for this finding at
-    /// `path`: `None` for a warning, and for an error whose rule has no
-    /// variant of its own an [`Error::ShapeMismatch`] carrying the code.
+    /// This finding at `path` as the [`Error::Invalid`] that carries its
+    /// code and message: what `Config::validate` returns for the first
+    /// error-severity finding.
     #[must_use]
-    pub fn to_error(&self, path: &TaskPath) -> Option<Error> {
-        let code = self.code();
-        if code.default_severity() == Severity::Warning {
-            return None;
+    pub fn to_error(&self, path: &TaskPath) -> Error {
+        Error::Invalid {
+            path: path.clone(),
+            code: self.code(),
+            detail: self.to_string(),
         }
-        let path = path.clone();
-        Some(match *self {
-            Finding::ZeroExtent { .. } => Error::ZeroExtent { path },
-            Finding::SequentialExtent { extent, .. } => Error::SequentialExtent { path, extent },
-            Finding::UnknownAlternative {
-                requested,
-                available,
-                ..
-            } => Error::UnknownAlternative {
-                path,
-                requested,
-                available,
-            },
-            Finding::BudgetExceeded {
-                required,
-                available,
-            } => Error::BudgetExceeded {
-                required,
-                available,
-            },
-            _ => Error::ShapeMismatch {
-                path,
-                code,
-                detail: self.to_string(),
-            },
-        })
     }
 }
 

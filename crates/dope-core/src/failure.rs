@@ -103,8 +103,8 @@ pub enum FailurePolicy {
     },
     /// Drop the failed replica's degree of parallelism and continue:
     /// the next epoch runs with the failed task's extent reduced by the
-    /// number of lost replicas (validated through `Config::validate`
-    /// and the debug verify gate). If a task loses *all* its replicas
+    /// number of lost replicas (validated through `Config::validate`,
+    /// as every configuration is). If a task loses *all* its replicas
     /// the run aborts — a pipeline with a missing stage cannot make
     /// progress.
     Degrade,

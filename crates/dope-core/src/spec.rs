@@ -35,18 +35,16 @@ impl std::fmt::Display for TaskKind {
     }
 }
 
-/// Identifies one worker slot of a task instance.
+/// Identifies one worker of a task instance.
 ///
-/// Passed to [`BodyFactory::make_body`] so per-worker bodies know their
-/// place (e.g. to partition a DOALL iteration space).
+/// Passed to [`BodyFactory::make_body`] when the worker's body is built.
+/// It carries no extent: the executive changes a task's extent at run
+/// time, so a body must not hold a copy of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkerSlot {
-    /// Which replica of the task (outer-loop instance) this worker serves.
-    pub replica: u32,
-    /// Index of the worker within the task's extent.
+    /// Index of the worker among the task's concurrent workers (per
+    /// replica of an enclosing nest), from 0.
     pub worker: u32,
-    /// Total number of workers assigned to this task instance.
-    pub extent: u32,
 }
 
 /// Creates per-worker [`TaskBody`] instances for a leaf task.
@@ -309,18 +307,14 @@ mod tests {
     #[test]
     fn body_factory_from_closure() {
         let factory = |slot: WorkerSlot| {
-            let extent = slot.extent;
+            let worker = slot.worker;
             Box::new(body_fn(move |_cx| {
-                assert!(extent >= 1);
+                assert_eq!(worker, 1);
                 TaskStatus::Finished
             })) as Box<dyn TaskBody>
         };
-        let mut body = factory.make_body(WorkerSlot {
-            replica: 0,
-            worker: 0,
-            extent: 2,
-        });
-        let mut cx = NullCx::default();
+        let mut body = factory.make_body(WorkerSlot { worker: 1 });
+        let mut cx = NullCx;
         assert_eq!(body.invoke(&mut cx), TaskStatus::Finished);
     }
 

@@ -11,10 +11,10 @@ use std::sync::Arc;
 /// record execution times, and both calls return a [`Directive`] through
 /// which the executive conveys its intent to reconfigure.
 ///
-/// The context also tells the body where it sits in the current parallelism
-/// configuration: which replica of the task it belongs to, which of the
-/// `extent` concurrent workers it is, and the extent itself — enough for a
-/// DOALL body to partition an iteration space.
+/// The context says nothing about the configuration the body runs in: a
+/// task's extent is the executive's to change at any drain, so a body
+/// that needs its place learns it once, from the
+/// [`WorkerSlot`](crate::WorkerSlot) its factory is handed.
 pub trait TaskCx {
     /// Signals that the CPU-intensive part of an invocation begins.
     ///
@@ -42,15 +42,6 @@ pub trait TaskCx {
     fn parking(&mut self, queue: &Arc<dyn ParkedQueue>) {
         let _ = queue;
     }
-
-    /// The replica of this task the body belongs to (outer-loop instance).
-    fn replica(&self) -> u32;
-
-    /// Index of this worker within the task's extent, in `0..extent()`.
-    fn worker(&self) -> u32;
-
-    /// Number of workers concurrently invoking this task's body.
-    fn extent(&self) -> u32;
 }
 
 /// A queue a task body parks on, as its context sees it: what a suspend
@@ -98,7 +89,7 @@ pub trait ParkedQueue: Send + Sync {
 ///         TaskStatus::Executing
 ///     }
 /// });
-/// # let mut cx = dope_core::task::NullCx::default();
+/// # let mut cx = dope_core::task::NullCx;
 /// # assert_eq!(body.invoke(&mut cx), TaskStatus::Executing);
 /// ```
 pub trait TaskBody: Send {
@@ -166,15 +157,8 @@ where
 /// A context that never suspends and records nothing.
 ///
 /// Useful for unit-testing bodies in isolation, outside any executive.
-#[derive(Debug, Default, Clone)]
-pub struct NullCx {
-    /// Replica index reported to the body.
-    pub replica: u32,
-    /// Worker index reported to the body.
-    pub worker: u32,
-    /// Extent reported to the body (defaults to 1 via [`NullCx::default`]).
-    pub extent: u32,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NullCx;
 
 impl TaskCx for NullCx {
     fn begin(&mut self) -> Directive {
@@ -187,18 +171,6 @@ impl TaskCx for NullCx {
 
     fn directive(&self) -> Directive {
         Directive::Continue
-    }
-
-    fn replica(&self) -> u32 {
-        self.replica
-    }
-
-    fn worker(&self) -> u32 {
-        self.worker
-    }
-
-    fn extent(&self) -> u32 {
-        self.extent.max(1)
     }
 }
 
@@ -217,29 +189,11 @@ mod tests {
                 TaskStatus::Finished
             }
         });
-        let mut cx = NullCx::default();
+        let mut cx = NullCx;
+        assert_eq!(cx.directive(), Directive::Continue);
         assert_eq!(body.invoke(&mut cx), TaskStatus::Executing);
         assert_eq!(body.invoke(&mut cx), TaskStatus::Executing);
         assert_eq!(body.invoke(&mut cx), TaskStatus::Finished);
-    }
-
-    #[test]
-    fn null_cx_reports_slot() {
-        let cx = NullCx {
-            replica: 2,
-            worker: 1,
-            extent: 4,
-        };
-        assert_eq!(cx.replica(), 2);
-        assert_eq!(cx.worker(), 1);
-        assert_eq!(cx.extent(), 4);
-        assert_eq!(cx.directive(), Directive::Continue);
-    }
-
-    #[test]
-    fn default_null_cx_extent_is_at_least_one() {
-        let cx = NullCx::default();
-        assert_eq!(cx.extent(), 1);
     }
 
     #[test]

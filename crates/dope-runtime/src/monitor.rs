@@ -834,15 +834,10 @@ mod tests {
     #[test]
     fn a_sampled_period_counts_every_invocation() {
         use crate::instance::LiveCx;
-        use dope_core::{TaskCx, WorkerSlot};
+        use dope_core::TaskCx;
         let m = monitor();
         let p = path("0");
-        let slot = WorkerSlot {
-            replica: 0,
-            worker: 0,
-            extent: 1,
-        };
-        let mut cx = LiveCx::new(&m, Arc::default(), &p, slot);
+        let mut cx = LiveCx::new(&m, Arc::default(), &p);
         let mut invoke = |n: u32| {
             for _ in 0..n {
                 cx.begin();

@@ -12,7 +12,7 @@
 
 use crate::instance::LiveCx;
 use crate::monitor::Monitor;
-use dope_core::{TaskCx, TaskPath, WorkerSlot};
+use dope_core::{TaskCx, TaskPath};
 use dope_platform::FeatureRegistry;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -134,15 +134,10 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
     let monitor = Monitor::new(FeatureRegistry::new());
     let path = TaskPath::root().child(0);
     let stats = monitor.stats_for(&path);
-    let slot = WorkerSlot {
-        replica: 0,
-        worker: 0,
-        extent: 1,
-    };
     let iters = iters.max(1);
     // One fresh context per phase, as a relaunched replica would have.
     let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
-        let mut cx = LiveCx::new(&monitor, Arc::default(), &path, slot);
+        let mut cx = LiveCx::new(&monitor, Arc::default(), &path);
         let before = stats.total_timings();
         let ns = time_per_op(n, |_| each(&mut cx));
         (ns, (stats.total_timings() - before) as f64 / n as f64)

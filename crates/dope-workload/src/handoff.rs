@@ -462,15 +462,6 @@ pub(crate) mod scenarios {
                 Directive::Continue
             }
         }
-        fn replica(&self) -> u32 {
-            0
-        }
-        fn worker(&self) -> u32 {
-            0
-        }
-        fn extent(&self) -> u32 {
-            1
-        }
         fn parking(&mut self, queue: &Arc<dyn ParkedQueue>) {
             self.0.watch(queue);
         }

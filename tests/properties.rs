@@ -246,7 +246,7 @@ proptest! {
     /// so over randomly (mis)configured trees they agree exactly:
     /// `validate` rejects iff the report holds a config-level error
     /// (anything after the shape's own lints), and with that first
-    /// error's code.
+    /// error's code, path and message.
     #[test]
     fn analyzer_agrees_with_validator(
         outer in 0u32..6,
@@ -259,7 +259,7 @@ proptest! {
         drop_stage in any::<bool>(),
         hollow in any::<bool>(),
     ) {
-        use dope_core::{Resources, TaskConfig};
+        use dope_core::{Error, Resources, TaskConfig};
 
         let shape = ProgramShape::new(vec![ShapeNode {
             name: "txn".into(),
@@ -296,7 +296,14 @@ proptest! {
         let first_error = report.diagnostics[shape_lints..].iter().find(|d| d.is_error());
         match (config.validate(&shape, threads), first_error) {
             (Ok(()), None) => {}
-            (Err(err), Some(diag)) => prop_assert_eq!(err.code(), diag.code, "{} for {}", err, config),
+            (Err(err), Some(diag)) => {
+                prop_assert_eq!(err.code(), diag.code, "{} for {}", err, config);
+                let Error::Invalid { path, .. } = &err else {
+                    return Err(TestCaseError::fail(format!("{err:?} is not a broken rule")));
+                };
+                prop_assert_eq!(path, &diag.path, "{} for {}", err, config);
+                prop_assert!(err.to_string().ends_with(&diag.message), "{} vs {}", err, diag.message);
+            }
             (verdict, diag) => prop_assert!(
                 false,
                 "validate says {:?}, the analyzer {:?}, for {}",
