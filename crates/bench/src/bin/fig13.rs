@@ -1,5 +1,5 @@
 //! Regenerates the paper's fig13 artifact. Run with --release.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let _ = dope_bench::fig13::report(quick);
+    dope_bench::fig13::report(quick);
 }

@@ -1,4 +1,4 @@
 //! Regenerates the paper's Table 3 (mechanism lines of code).
 fn main() {
-    let _ = dope_bench::tables::report_table3();
+    dope_bench::tables::report_table3();
 }

@@ -65,7 +65,7 @@ pub fn run(loads: &[f64], requests: usize) -> Vec<LoadPoint> {
 }
 
 /// Runs and prints the three Figure 2 panels.
-pub fn report(quick: bool) -> Vec<LoadPoint> {
+pub fn report(quick: bool) {
     let points = run(&crate::load_factors(quick), crate::REQUESTS);
     let header = [
         "load",
@@ -104,7 +104,6 @@ pub fn report(quick: bool) -> Vec<LoadPoint> {
             ]
         }),
     );
-    points
 }
 
 /// Sanity checks the paper's qualitative claims on a sweep result.

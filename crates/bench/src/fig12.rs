@@ -80,7 +80,7 @@ pub fn run(loads: &[f64], requests: usize, quick: bool) -> Vec<Row> {
 }
 
 /// Runs and prints the sweep.
-pub fn report(quick: bool) -> Vec<Row> {
+pub fn report(quick: bool) {
     let rows = run(&crate::load_factors(quick), crate::REQUESTS, quick);
     crate::print_table(
         "== Figure 12: ferret mean response time (s) vs load ==",
@@ -91,7 +91,6 @@ pub fn report(quick: bool) -> Vec<Row> {
             cells
         }),
     );
-    rows
 }
 
 /// The qualitative claims this model reproduces: both oversubscription

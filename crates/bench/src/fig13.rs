@@ -27,7 +27,7 @@ pub fn run(quick: bool) -> PipelineOutcome {
 }
 
 /// Runs and prints the throughput time series.
-pub fn report(quick: bool) -> PipelineOutcome {
+pub fn report(quick: bool) {
     let out = run(quick);
     crate::print_table(
         "== Figure 13: ferret throughput (queries/s) over time, DoPE-TBF ==",
@@ -41,7 +41,6 @@ pub fn report(quick: bool) -> PipelineOutcome {
         out.config_history.len(),
         out.stable_throughput(out.horizon_secs * 0.5)
     );
-    out
 }
 
 /// Search-then-stabilize: the stable region outperforms the first seconds

@@ -38,7 +38,7 @@ pub fn run(quick: bool) -> PipelineOutcome {
 }
 
 /// Runs and prints the power/throughput time series.
-pub fn report(quick: bool) -> PipelineOutcome {
+pub fn report(quick: bool) {
     let out = run(quick);
     let target = power_target();
     let thr: std::collections::BTreeMap<u64, f64> = out
@@ -63,7 +63,6 @@ pub fn report(quick: bool) -> PipelineOutcome {
         out.mean_power_watts.unwrap_or(0.0),
         out.stable_throughput(out.horizon_secs * 0.5)
     );
-    out
 }
 
 /// Ramp then stabilize under the budget: power approaches the target from

@@ -22,10 +22,9 @@
 //!    invocations timed back to back and 2 ms apart
 //!    ([`dope_runtime::perf::bench_invoke`]), and a gate offer that
 //!    stamps every item next to one that stamps a sample;
-//! 4. **paced** — what a parked consumer pays per item, by how it parks
-//!    (`bench_paced`): a 2 ms poll, a timer that never fires, untimed, and
-//!    in `dequeue_for` as a task body waits; skipped where
-//!    `/proc/thread-self/schedstat` is absent.
+//! 4. **paced** — what a parked consumer pays per item, in `dequeue_for`
+//!    as every task body waits and untimed in `dequeue()` (`bench_paced`);
+//!    skipped where `/proc/thread-self/schedstat` is absent.
 //!
 //! The report states `nproc`, the core count it was taken on, and is
 //! strict-codec JSON (`dope_core::json`). Its history is
@@ -42,7 +41,7 @@ use dope_core::{
 use dope_mechanisms::WqLinear;
 use dope_sim::system::{run_system_observed, SystemParams};
 use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
-use dope_workload::{AdmissionQueue, ArrivalSchedule, DequeueOutcome, Waited, WorkQueue};
+use dope_workload::{AdmissionQueue, ArrivalSchedule, Waited, WorkQueue};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -74,7 +73,7 @@ pub fn run(quick: bool) -> Value {
     println!("perf: monitor (timed vs untimed invocation, stamped vs sampled offer)");
     let monitor = bench_monitor(quick);
 
-    println!("perf: paced (one consumer parked between Poisson arrivals, four ways)");
+    println!("perf: paced (one consumer parked between Poisson arrivals, two ways)");
     let paced = bench_paced(quick);
 
     let mut sections = vec![
@@ -296,53 +295,34 @@ fn thread_cpu_ns() -> Option<u64> {
     stat.split_whitespace().next()?.parse().ok()
 }
 
-/// How the paced consumer waits for its next item.
-#[derive(Clone, Copy)]
-enum Park {
-    /// `dequeue_timeout`, re-called whenever it expires.
-    Timed(Duration),
-    /// `dequeue()`.
-    Untimed,
-    /// `dequeue_for` under a [`NullCx`], as a task body waits.
-    ForCx,
-}
-
 /// `pipe_paced`'s idle side in miniature: a Poisson producer at
 /// `rate`/s hands `items` items through a [`WorkQueue`] to one consumer
-/// that works ~4 µs on each and waits for the next as `park` says.
-/// Returns the consumer's and the producer's CPU µs per item and the
-/// consumer's expired parks per item.
-fn paced_run(rate: f64, items: usize, park: Park) -> Option<[f64; 3]> {
+/// that works ~4 µs on each and waits for the next in `dequeue_for`
+/// under a [`NullCx`] (as a task body waits) or, if `untimed`, in
+/// `dequeue()`. Returns the consumer's and the producer's CPU µs per
+/// item.
+fn paced_run(rate: f64, items: usize, untimed: bool) -> Option<[f64; 2]> {
     thread_cpu_ns()?;
     let queue = WorkQueue::new();
     let consumer = {
         let queue = queue.clone();
         std::thread::spawn(move || {
             let cpu0 = thread_cpu_ns()?;
-            let mut expired = 0u64;
             loop {
-                let item = match park {
-                    Park::Timed(timeout) => queue.dequeue_timeout(timeout),
-                    Park::Untimed => queue
-                        .dequeue()
-                        .map_or(DequeueOutcome::Drained, DequeueOutcome::Item),
-                    Park::ForCx => match queue.dequeue_for(&mut NullCx) {
-                        Waited::Item(item) => DequeueOutcome::Item(item),
-                        Waited::Suspended | Waited::Closed => DequeueOutcome::Drained,
-                    },
+                let got = if untimed {
+                    queue.dequeue().is_some()
+                } else {
+                    matches!(queue.dequeue_for(&mut NullCx), Waited::Item(_))
                 };
-                match item {
-                    DequeueOutcome::Item(_) => {
-                        let t0 = Instant::now();
-                        while t0.elapsed() < Duration::from_micros(4) {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    DequeueOutcome::TimedOut => expired += 1,
-                    DequeueOutcome::Drained => break,
+                if !got {
+                    break;
+                }
+                let t0 = Instant::now();
+                while t0.elapsed() < Duration::from_micros(4) {
+                    std::hint::spin_loop();
                 }
             }
-            Some((thread_cpu_ns()? - cpu0, expired))
+            thread_cpu_ns().map(|cpu| cpu - cpu0)
         })
     };
     let schedule = ArrivalSchedule::poisson(rate, items, 7);
@@ -354,35 +334,24 @@ fn paced_run(rate: f64, items: usize, park: Park) -> Option<[f64; 3]> {
     }
     let producer = thread_cpu_ns()? - cpu0;
     queue.close();
-    let (consumer, expired) = consumer.join().ok()??;
-    let per_item = |x: u64| x as f64 / items as f64;
-    Some([
-        per_item(consumer) / 1e3,
-        per_item(producer) / 1e3,
-        per_item(expired),
-    ])
+    let consumer = consumer.join().ok()??;
+    let us_per_item = |ns: u64| ns as f64 / items as f64 / 1e3;
+    Some([us_per_item(consumer), us_per_item(producer)])
 }
 
 /// The paced hop of the ledger: [`paced_run`] at 500 items/s with the
-/// consumer parked by a 2 ms poll (what the frozen benchmark's bodies
-/// do), by a 1 s timeout that never expires, untimed, and in
-/// `dequeue_for` (what every in-tree body does). `None` where thread CPU
-/// cannot be read.
+/// consumer in `dequeue_for` (what every in-tree body does) and untimed
+/// in `dequeue()`, the bare park it must cost no more than. `None` where
+/// thread CPU cannot be read.
 fn bench_paced(quick: bool) -> Option<Value> {
     const RATE: f64 = 500.0;
     let items = if quick { 500 } else { 5_000 };
     let mut fields = vec![("items".to_string(), Value::Number(items as u64))];
-    for (name, park) in [
-        ("poll_2ms", Park::Timed(Duration::from_millis(2))),
-        ("timer_1s", Park::Timed(Duration::from_secs(1))),
-        ("untimed", Park::Untimed),
-        ("dequeue_for", Park::ForCx),
-    ] {
-        let [consumer, producer, expired] = paced_run(RATE, items, park)?;
+    for (name, untimed) in [("untimed", true), ("dequeue_for", false)] {
+        let [consumer, producer] = paced_run(RATE, items, untimed)?;
         fields.extend([
             (format!("{name}_consumer_us"), Value::from_f64(consumer)),
             (format!("{name}_producer_us"), Value::from_f64(producer)),
-            (format!("{name}_expired_per_item"), Value::from_f64(expired)),
         ]);
     }
     Some(Value::Object(fields))
@@ -504,10 +473,6 @@ pub fn summary(report: &Value) -> String {
         ("monitor", "timed_share_paced"),
         ("monitor", "offer_stamped_ns"),
         ("monitor", "offer_unstamped_ns"),
-        ("paced", "poll_2ms_consumer_us"),
-        ("paced", "poll_2ms_producer_us"),
-        ("paced", "poll_2ms_expired_per_item"),
-        ("paced", "timer_1s_consumer_us"),
         ("paced", "untimed_consumer_us"),
         ("paced", "untimed_producer_us"),
         ("paced", "dequeue_for_consumer_us"),

@@ -71,7 +71,7 @@ pub fn table3() -> Vec<MechanismLoc> {
 }
 
 /// Prints Table 3, with the shared helpers as a footer row.
-pub fn report_table3() -> Vec<MechanismLoc> {
+pub fn report_table3() {
     let rows = table3();
     let helpers: usize = HELPER_SOURCES.iter().map(|s| effective_loc(s)).sum();
     let footer = ["helpers".into(), helpers.to_string(), "-".into()];
@@ -82,7 +82,6 @@ pub fn report_table3() -> Vec<MechanismLoc> {
             .map(|r| [r.name.to_string(), r.ours.to_string(), r.paper.to_string()])
             .chain([footer]),
     );
-    rows
 }
 
 /// Prints Table 4 (application metadata).

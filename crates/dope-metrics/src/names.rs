@@ -68,9 +68,6 @@ metric_names! {
     /// Platform power draw gauge (watts), mirrored from the `SystemPower`
     /// feature when one is registered.
     POWER_WATTS = "dope_power_watts";
-    /// Pipeline sink throughput gauge (items per second), labelled
-    /// `app`/`mechanism` by the `power_capped` example's one-shot dump.
-    PIPELINE_THROUGHPUT = "dope_pipeline_throughput";
     /// Task replicas that failed (panicked or vanished) during the run.
     TASK_FAILURES_TOTAL = "dope_task_failures_total";
     /// Failed replicas the `Restart` failure policy re-instantiated.
@@ -139,7 +136,6 @@ mod tests {
                 "dope_queue_enqueued_total",
                 "dope_queue_completed_total",
                 "dope_power_watts",
-                "dope_pipeline_throughput",
                 "dope_task_failures_total",
                 "dope_task_restarts_total",
                 "dope_task_failed_replicas",

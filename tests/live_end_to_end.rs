@@ -369,10 +369,12 @@ fn early_stop_is_orderly() {
     assert!(report.elapsed >= Duration::from_millis(50));
 }
 
-/// A stage path's statistics count items, not idle polls: fed 20 items at
-/// least 5 ms apart, each stage waits out two or three 2 ms polls between
-/// items, and still ends with exactly 20 invocations of a microsecond or
-/// so each.
+/// A stage path's statistics count items, not idle waits: fed 20 items at
+/// least 5 ms apart, each stage parks between items and still ends with
+/// exactly 20 invocations of a microsecond or so each. The time bound is
+/// on the median, so a few invocations preempted for milliseconds on a
+/// loaded host cannot turn it red, while a stage that timed its ~5 ms
+/// wait would.
 #[test]
 fn stage_paths_count_items_not_idle_polls() {
     const ITEMS: u64 = 20;
@@ -406,6 +408,9 @@ fn stage_paths_count_items_not_idle_polls() {
     assert_eq!(stage_rows.len(), 2, "{:?}", snapshot.tasks);
     for (path, stats) in stage_rows {
         assert_eq!(stats.invocations, ITEMS, "{path}: {stats:?}");
-        assert!(stats.mean_exec_secs < 1e-3, "{path}: {stats:?}");
+        assert!(
+            stats.p50_exec_secs > 0.0 && stats.p50_exec_secs < 1e-3,
+            "{path}: {stats:?}"
+        );
     }
 }

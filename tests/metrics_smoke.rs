@@ -103,15 +103,17 @@ fn live_scrape_is_well_formed_and_canonical() {
         "{final_scrape}"
     );
     // The catalogue holds nothing a run never registers: by now every
-    // family is exposed but the one the `power_capped` example's dump
-    // owns (exported and asserted there).
+    // family is exposed.
     let exposed = exposed_families(&final_scrape);
     let unregistered: Vec<&str> = names::ALL
         .iter()
         .copied()
         .filter(|name| !exposed.iter().any(|family| family == name))
         .collect();
-    assert_eq!(unregistered, [names::PIPELINE_THROUGHPUT]);
+    assert!(
+        unregistered.is_empty(),
+        "never registered: {unregistered:?}"
+    );
     server.shutdown();
 }
 
