@@ -18,7 +18,7 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
-LOC_CEILING=21224
+LOC_CEILING=21220
 
 step "loc: non-test Rust lines per crate (ceiling $LOC_CEILING)"
 # Tracked crates/<crate>/src/**/*.rs, each file counted up to its

@@ -138,10 +138,7 @@ impl LivePipeline {
                 }) as Arc<dyn NestFactory>
             })
             .collect();
-        let occupancy = self.source.clone();
-        vec![TaskSpec::nest_choice(name, TaskKind::Par, factories)
-            .with_max_extent(1)
-            .with_load(move || occupancy.occupancy())]
+        vec![TaskSpec::nest_choice(name, TaskKind::Par, factories).with_max_extent(1)]
     }
 
     /// A probe for `DopeBuilder::queue_probe`.

@@ -139,7 +139,6 @@ impl TwoLevelService {
         let stats = Arc::clone(&self.stats);
         let queue_seq = self.queue.clone();
         let stats_seq = Arc::clone(&self.stats);
-        let source_occupancy = self.queue.clone();
 
         let parallel: Arc<dyn dope_core::NestFactory> = Arc::new(move |_replica: u32| {
             parallel_nest(queue.clone(), Arc::clone(&stats), work_cap)
@@ -147,10 +146,11 @@ impl TwoLevelService {
         let sequential: Arc<dyn dope_core::NestFactory> = Arc::new(move |_replica: u32| {
             vec![whole_task(queue_seq.clone(), Arc::clone(&stats_seq))]
         });
-        vec![
-            TaskSpec::nest_choice(outer_name, TaskKind::Par, vec![parallel, sequential])
-                .with_load(move || source_occupancy.occupancy()),
-        ]
+        vec![TaskSpec::nest_choice(
+            outer_name,
+            TaskKind::Par,
+            vec![parallel, sequential],
+        )]
     }
 
     /// A probe for `DopeBuilder::queue_probe` reporting this service's

@@ -204,7 +204,8 @@ impl TaskSpec {
     }
 
     /// Attaches the paper's `LoadCB`: a callback reporting the current load
-    /// on the task (typically the occupancy of its input queue).
+    /// on the task (typically the occupancy of its input queue). A snapshot
+    /// sums a leaf's over its replicas; a nest's is never called.
     #[must_use]
     pub fn with_load<F>(mut self, load: F) -> Self
     where

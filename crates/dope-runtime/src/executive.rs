@@ -303,7 +303,7 @@ impl Dope {
         DopeBuilder::new(goal)
     }
 
-    /// The live monitor (snapshots, feature registry).
+    /// The live monitor (snapshots, overhead meter, dead replicas).
     #[must_use]
     pub fn monitor(&self) -> Monitor {
         self.shared.monitor.clone()
@@ -882,19 +882,21 @@ impl Executive {
         Ok(())
     }
 
-    /// Submits one relaunch's worker jobs, wiring each body to its
-    /// top-level path's suspend flag and the run's done channel.
+    /// Submits one relaunch's worker jobs, wiring each body to its leaf's
+    /// row, its top-level path's suspend flag and the run's done channel.
     fn submit(&self, jobs: Vec<WorkerJob>) -> Result<()> {
         for job in jobs {
+            let Some(stats) = self.shared.monitor.stats_for(&job.path) else {
+                return Err(Error::UnknownPath { path: job.path });
+            };
             let suspend = Arc::clone(&self.suspend[job.path.top_index()]);
-            let monitor = self.shared.monitor.clone();
             let report = Report {
                 notes: self.shared.notes.clone(),
                 path: job.path,
                 outcome: None,
             };
             self.pool.try_submit(move || {
-                let mut cx = LiveCx::new(&monitor, suspend, &report.path);
+                let mut cx = LiveCx::new(&stats, suspend);
                 let mut body = job.body;
                 // The paper's TaskExecutor (Figure 4a): re-invoke while the
                 // body reports EXECUTING. The suspend directive reaches the
@@ -1381,9 +1383,9 @@ mod tests {
     }
 
     /// The lock-rank guard checks the acquisitions a run actually makes,
-    /// so this run makes all of them: launch, a snapshot and a scrape
-    /// from this thread, a partial reconfiguration, a replica failure
-    /// with a restart, and the final drain. A descending acquisition on
+    /// so this run makes all of them: launch, a partial reconfiguration,
+    /// a snapshot and a scrape from this thread, a replica failure with a
+    /// restart, and the final drain. A descending acquisition on
     /// the executive thread would surface from `wait()`, one on a worker
     /// as a surplus task failure; this thread's own chains are asserted.
     #[test]
@@ -1457,10 +1459,12 @@ mod tests {
             fast.enqueue(i).unwrap();
         }
 
-        // Workers create their path's cell when they start: wait for both.
+        // The failure comes after the partial boundary, so both the splice
+        // and the failure path's full relaunch run under the guard.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while dope.monitor().snapshot().tasks.len() < 2 {
-            assert!(Instant::now() < deadline, "replicas never started");
+        let partial = |r: &dope_trace::TraceRecord| matches!(&r.event, TraceEvent::ReconfigureEpoch { scope, .. } if scope == "partial");
+        while !recorder.records().iter().any(partial) {
+            assert!(Instant::now() < deadline, "no partial reconfiguration");
             std::thread::sleep(Duration::from_millis(1));
         }
         let before = chains_on_this_thread();
@@ -1479,16 +1483,9 @@ mod tests {
                 row.0
             );
         }
-        let nested = vec![rank::PATHS.0, rank::EPOCH.0, rank::SHARDS.0];
+        let nested = vec![rank::PATHS.0, rank::SHARDS.0];
         assert!(acquired.contains(&nested), "{acquired:?}");
 
-        // The failure comes after the partial boundary, so both the splice
-        // and the failure path's full relaunch run under the guard.
-        let partial = |r: &dope_trace::TraceRecord| matches!(&r.event, TraceEvent::ReconfigureEpoch { scope, .. } if scope == "partial");
-        while !recorder.records().iter().any(partial) {
-            assert!(Instant::now() < deadline, "no partial reconfiguration");
-            std::thread::sleep(Duration::from_millis(1));
-        }
         slow.enqueue(POISON).unwrap();
         slow.close();
         fast.close();

@@ -1,7 +1,7 @@
 //! Instantiation of a task nest under a concrete configuration, and the
 //! live task context workers run with.
 
-use crate::monitor::{Monitor, RunningTask};
+use crate::monitor::{PathStats, RunningTask};
 use crate::shard::RecorderShard;
 use dope_core::{
     BodyFactory, Config, DiagCode, Directive, Error, Finding, ParkedQueue, Result, TaskBody,
@@ -18,8 +18,8 @@ pub(crate) struct WorkerJob {
     pub body: Box<dyn TaskBody>,
 }
 
-/// Everything one relaunch instantiated: the worker jobs, and per task
-/// path (nested ones included) what the monitor reads beside its cell.
+/// Everything one relaunch instantiated: the worker jobs, and per leaf
+/// path what the monitor's row for it holds beside its cell.
 #[derive(Default)]
 pub(crate) struct Launch {
     pub jobs: Vec<WorkerJob>,
@@ -75,21 +75,12 @@ fn instantiate_task(
         }
         .to_error(path));
     }
-    let running = launch
-        .tasks
-        .entry(path.clone())
-        .or_insert_with(|| RunningTask {
-            name: cfg.name.clone(),
-            extent: 0,
-            load_cbs: Vec::new(),
-            failed: 0,
-        });
-    running.extent += cfg.extent;
-    if let Some(cb) = spec.load_cb() {
-        running.load_cbs.push(Arc::clone(cb));
-    }
     match (spec.work(), &cfg.nested) {
         (Work::Leaf(factory), None) => {
+            let fresh = || RunningTask::new(cfg.name.clone(), 0);
+            let running = launch.tasks.entry(path.clone()).or_insert_with(fresh);
+            running.extent += cfg.extent;
+            running.load_cbs.extend(spec.load_cb().cloned());
             push_workers(launch, path, factory.as_ref(), cfg.extent);
         }
         (Work::Nest(alts), Some(nest)) => {
@@ -177,9 +168,9 @@ enum Began {
 /// failure, a stop — flips for exactly the paths it suspends.
 ///
 /// Construction resolves the calling worker thread's private
-/// [`RecorderShard`] once (the only locking step); every `begin`..`end`
-/// interval afterwards goes straight into the shard with zero lock
-/// acquisitions.
+/// [`RecorderShard`] in the leaf's cell once (the only locking step);
+/// every `begin`..`end` interval afterwards goes straight into the shard
+/// with zero lock acquisitions.
 ///
 /// Every invocation is *counted*; one in `stride` is *timed* (see
 /// [`next_stride`]) and recorded with the weight of the untimed
@@ -209,8 +200,8 @@ impl LiveCx {
     /// Must be called on the worker thread that will run the task body:
     /// the resolved shard is keyed by the calling thread's id, and its
     /// single-writer contract assumes that thread does the recording.
-    pub fn new(monitor: &Monitor, suspend: Arc<SuspendFlag>, path: &TaskPath) -> Self {
-        let shard = monitor.stats_for(path).shard();
+    pub fn new(stats: &PathStats, suspend: Arc<SuspendFlag>) -> Self {
+        let shard = stats.shard();
         // Back-to-back reads: the gap between two is what one costs (the
         // smaller of two gaps, in case something came between).
         let reads = [Instant::now(), Instant::now(), Instant::now()];
@@ -343,6 +334,7 @@ impl TaskCx for LiveCx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::Monitor;
     use dope_core::control::Scope;
     use dope_core::{body_fn, Config, TaskKind, TaskStatus};
     use dope_platform::FeatureRegistry;
@@ -357,6 +349,17 @@ mod tests {
     /// What the launch instantiates: every top-level path.
     fn instantiate(specs: &[TaskSpec], config: &Config) -> Result<Launch> {
         instantiate_paths(specs, config, &Scope::Full.paths(config))
+    }
+
+    /// A bare monitor with the row of a one-worker leaf at `0`, installed
+    /// as its launch installs it, and the row's cell.
+    fn installed_leaf() -> (Monitor, Arc<PathStats>) {
+        let config = Config::new(vec![TaskConfig::leaf("leaf", 1)]);
+        let launch = instantiate(&[leaf("leaf", TaskKind::Par)], &config).unwrap();
+        let monitor = Monitor::new(FeatureRegistry::new());
+        monitor.install(&Scope::Full.paths(&config), launch.tasks);
+        let stats = monitor.stats_for(&TaskPath::root_child(0)).unwrap();
+        (monitor, stats)
     }
 
     fn extent(launch: &Launch, path: &str) -> Option<u32> {
@@ -402,7 +405,7 @@ mod tests {
         assert_eq!(made.load(Ordering::SeqCst), 3, "one nest per replica");
         assert_eq!(epoch.jobs.len(), 6, "3 replicas x 2 workers");
         assert_eq!(extent(&epoch, "0.0"), Some(6));
-        assert_eq!(extent(&epoch, "0"), Some(3));
+        assert_eq!(extent(&epoch, "0"), None, "rows are booked for leaves only");
     }
 
     #[test]
@@ -473,10 +476,10 @@ mod tests {
 
     #[test]
     fn live_cx_records_and_suspends() {
-        let monitor = Monitor::new(FeatureRegistry::new());
+        let (monitor, stats) = installed_leaf();
         let suspend = Arc::new(SuspendFlag::default());
         let path: TaskPath = "0".parse().unwrap();
-        let mut cx = LiveCx::new(&monitor, Arc::clone(&suspend), &path);
+        let mut cx = LiveCx::new(&stats, Arc::clone(&suspend));
         assert_eq!(cx.begin(), Directive::Continue);
         assert_eq!(cx.end(), Directive::Continue);
         suspend.set();
@@ -540,7 +543,7 @@ mod tests {
         let monitor = dope.monitor();
         dope.wait().unwrap();
         let path: TaskPath = "0".parse().unwrap();
-        let stats = monitor.stats_for(&path);
+        let stats = monitor.stats_for(&path).unwrap();
         let snap = monitor.snapshot();
         (
             *snap.task(&path).unwrap(),
@@ -612,10 +615,8 @@ mod tests {
 
     #[test]
     fn an_idle_invoke_flushes_the_tail_and_retimes_the_next_invocation() {
-        let monitor = Monitor::new(FeatureRegistry::new());
-        let path: TaskPath = "0".parse().unwrap();
-        let mut cx = LiveCx::new(&monitor, Arc::default(), &path);
-        let stats = monitor.stats_for(&path);
+        let (_monitor, stats) = installed_leaf();
+        let mut cx = LiveCx::new(&stats, Arc::default());
         // Saturated: far more invocations than timings, and part of them
         // not yet covered by one.
         for _ in 0..1_000 {
@@ -650,14 +651,12 @@ mod tests {
     )]
     fn a_context_parked_for_work_has_flushed_its_tail() {
         use dope_workload::{Waited, WorkQueue};
-        let monitor = Monitor::new(FeatureRegistry::new());
-        let path: TaskPath = "0".parse().unwrap();
-        let stats = monitor.stats_for(&path);
+        let (_monitor, stats) = installed_leaf();
         let queue = WorkQueue::new();
         let worker = {
-            let (monitor, path, queue) = (monitor.clone(), path.clone(), queue.clone());
+            let (stats, queue) = (Arc::clone(&stats), queue.clone());
             std::thread::spawn(move || {
-                let mut cx = LiveCx::new(&monitor, Arc::default(), &path);
+                let mut cx = LiveCx::new(&stats, Arc::default());
                 for _ in 0..1_000 {
                     cx.begin();
                     cx.end();
@@ -707,10 +706,7 @@ mod tests {
         // A top-level nest relaunches as a unit: its inner paths with it.
         let nest = instantiate_paths(&specs, &config, &["1".parse().unwrap()]).unwrap();
         assert_eq!(nest.jobs.len(), 2, "2 replicas x 1 worker");
-        assert_eq!(
-            (extent(&nest, "1"), extent(&nest, "1.0")),
-            (Some(2), Some(2))
-        );
+        assert_eq!((extent(&nest, "1"), extent(&nest, "1.0")), (None, Some(2)));
         assert_eq!(extent(&nest, "0"), None);
         // A nested path cannot relaunch apart from its nest.
         let nested = instantiate_paths(&specs, &config, &["1.0".parse().unwrap()]);

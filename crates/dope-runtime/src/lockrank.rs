@@ -35,11 +35,9 @@ pub(crate) mod rank {
     }
 
     lock_order! {
-        /// `MonitorShared::paths`.
+        /// `MonitorShared::paths` (one row per running leaf: its task,
+        /// extent, load callbacks, failure marks, cell and period marks).
         PATHS = 10, "paths";
-        /// `MonitorShared::epoch` (each running task's name, extent, load
-        /// callbacks and failure marks — installed and read together).
-        EPOCH = 20, "epoch";
         /// `PathStats::shards` (the per-path shard list; the shards
         /// themselves are lock-free).
         SHARDS = 70, "shards";

@@ -15,8 +15,9 @@
 //! atomic arithmetic — **zero lock acquisitions**, enforced by the
 //! `record_path_acquires_no_locks` test via
 //! `lockrank::acquisitions_on_this_thread`. Locks appear only on cold
-//! paths: shard lookup when a context is created at epoch launch, and
-//! shard aggregation when [`Monitor::snapshot`] or a metrics scrape
+//! paths: a relaunch installing its rows (`Monitor::install`, the one
+//! place rows are made), a new context's shard lookup in its row's cell,
+//! and shard aggregation when [`Monitor::snapshot`] or a metrics scrape
 //! merges per-worker state into one per-path view. See
 //! `docs/performance.md` for the design and the memory-ordering
 //! argument.
@@ -39,6 +40,7 @@ use crate::shard::RecorderShard;
 use dope_core::{AdmissionStats, Label, MonitorSnapshot, QueueStats, TaskPath, TaskStats};
 use dope_metrics::{names, Counter, LocalHistogram, MetricsRegistry};
 use dope_platform::FeatureRegistry;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,7 +73,7 @@ struct PathAggregate {
 }
 
 /// A path's totals when a control period began: at a control tick, or
-/// at the cell's creation if that came later. A snapshot's rates are
+/// at the row's installation if that came later. A snapshot's rates are
 /// what the totals gained since.
 #[derive(Clone, Copy)]
 struct Mark {
@@ -191,20 +193,18 @@ pub(crate) type QueueProbe = Arc<dyn Fn() -> QueueStats + Send + Sync>;
 /// The admission-gate probe behind `snapshot().admission`.
 pub(crate) type AdmissionProbe = Arc<dyn Fn() -> AdmissionStats + Send + Sync>;
 
-/// Registers one task path's scrape series on `registry`.
+/// Registers one task path's scrape series on the run's registry, if any.
 ///
 /// Both series are render-time *sources*: each scrape merges the path's
 /// live shards on demand (and counts the merges into `shard_merges`),
 /// so the record path stays free of shared scrape state.
-fn register_path_series(
-    registry: &MetricsRegistry,
-    shard_merges: &Arc<Counter>,
-    path: &TaskPath,
-    stats: &Arc<PathStats>,
-) {
+fn register_path_series(shared: &MonitorShared, path: &TaskPath, stats: &Arc<PathStats>) {
+    let Some(registry) = &shared.registry else {
+        return;
+    };
     let label = path.to_string();
     let hist_stats = Arc::clone(stats);
-    let merges = Arc::clone(shard_merges);
+    let merges = Arc::clone(&shared.shard_merges);
     registry.register_histogram_source(
         names::TASK_EXEC_SECONDS,
         "Per-invocation task execution latency",
@@ -224,25 +224,39 @@ fn register_path_series(
     );
 }
 
-/// What the monitor knows of one running task path beside its cell.
+/// What a relaunch instantiated at one running leaf.
 pub(crate) struct RunningTask {
     /// The task's name: a relaunch that gives the path another task
-    /// starts the path's cell afresh.
+    /// starts the path's row afresh.
     pub name: Label,
-    /// Workers (or nest replicas) at the path, summed over the replicas
-    /// of the enclosing nest.
+    /// Workers at the leaf, summed over the replicas of the enclosing
+    /// nest.
     pub extent: u32,
     /// One load probe per replica that registered one; a snapshot sums
     /// them.
     pub load_cbs: Vec<LoadCallback>,
-    /// Replicas that failed (panicked or vanished) since the path was
-    /// last relaunched. Snapshots exclude them from per-task statistics
-    /// so mechanisms don't steer toward ghosts.
-    pub failed: u32,
 }
 
-/// One task path's measurement cell and its last two period marks.
-struct Cell {
+impl RunningTask {
+    /// `extent` workers of the task `name`, with no load probe yet.
+    pub(crate) fn new(name: Label, extent: u32) -> Self {
+        let load_cbs = Vec::new();
+        RunningTask {
+            name,
+            extent,
+            load_cbs,
+        }
+    }
+}
+
+/// One running leaf: what its relaunch installed, its dead replicas,
+/// its measurement cell and its last two period marks.
+struct Row {
+    task: RunningTask,
+    /// Replicas that failed (panicked or vanished) since the leaf was
+    /// last relaunched. Snapshots exclude them from per-task statistics
+    /// so mechanisms don't steer toward ghosts.
+    failed: u32,
     stats: Arc<PathStats>,
     /// The marks of the period before the current one and of the current
     /// one: the control tick measures from the second, an outside read
@@ -250,13 +264,13 @@ struct Cell {
     marks: [Mark; 2],
 }
 
-/// The measurement cells, with the one histogram every snapshot merges
-/// each path's shards through in turn: a 2-3 KB buffer kept across
-/// ticks instead of built per path per tick.
+/// The rows, with the one histogram every snapshot merges each path's
+/// shards through in turn: a 2-3 KB buffer kept across ticks instead of
+/// built per path per tick.
 #[derive(Default)]
-struct PathCells {
-    cells: HashMap<TaskPath, Cell>,
-    /// Busy time of the cells relaunches dropped: application work the
+struct PathRows {
+    rows: HashMap<TaskPath, Row>,
+    /// Busy time of the rows relaunches dropped: application work the
     /// overhead ratio still counts.
     retired_busy_nanos: u64,
     merge_scratch: LocalHistogram,
@@ -264,9 +278,7 @@ struct PathCells {
 
 struct MonitorShared {
     start: Instant,
-    paths: RankedMutex<PathCells>,
-    /// Every running task path, installed and read as one unit.
-    epoch: RankedMutex<HashMap<TaskPath, RunningTask>>,
+    paths: RankedMutex<PathRows>,
     queue_probe: Option<QueueProbe>,
     admission_probe: Option<AdmissionProbe>,
     features: FeatureRegistry,
@@ -277,8 +289,8 @@ struct MonitorShared {
     /// merges_total`); monitor-owned so it counts even with no registry
     /// attached.
     shard_merges: Arc<Counter>,
-    /// Where each task path's scrape sources register as its cell is
-    /// created. Everything else a run exports is written by the control
+    /// Where each task path's scrape sources register as its row is
+    /// made. Everything else a run exports is written by the control
     /// thread, from the snapshots this monitor returns.
     registry: Option<MetricsRegistry>,
 }
@@ -286,26 +298,23 @@ struct MonitorShared {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("paths", &self.shared.paths.lock().cells.len())
+            .field("paths", &self.shared.paths.lock().rows.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Monitor {
-    /// A monitor without probes or a metrics registry. Execution times
-    /// smooth with [`Ewma::ALPHA`].
-    ///
-    /// [`Ewma::ALPHA`]: dope_core::Ewma::ALPHA
-    #[must_use]
-    pub fn new(features: FeatureRegistry) -> Self {
+    /// A monitor without probes, a metrics registry or rows: only
+    /// [`Monitor::install`] makes a row, as a launch does.
+    pub(crate) fn new(features: FeatureRegistry) -> Self {
         Monitor::with_sources(features, None, None, None)
     }
 
     /// The monitor of a launched run, built once from what the builder
     /// knows: the probes behind `snapshot().queue` / `.admission`, and
     /// the registry each task path's `dope_task_exec_seconds{path=...}`
-    /// histogram and invocation counter register on as its cell is
-    /// created (plus the shard-merge counter, now).
+    /// histogram and invocation counter register on as its row is made
+    /// (plus the shard-merge counter, now).
     pub(crate) fn with_sources(
         features: FeatureRegistry,
         queue_probe: Option<QueueProbe>,
@@ -324,8 +333,7 @@ impl Monitor {
         Monitor {
             shared: Arc::new(MonitorShared {
                 start: Instant::now(),
-                paths: RankedMutex::new(rank::PATHS, PathCells::default()),
-                epoch: RankedMutex::new(rank::EPOCH, HashMap::new()),
+                paths: RankedMutex::new(rank::PATHS, PathRows::default()),
                 queue_probe,
                 admission_probe,
                 features,
@@ -346,56 +354,60 @@ impl Monitor {
             .map_or(0, |probe| probe().completed)
     }
 
-    /// The measurement cell for `path`, created on first use.
-    pub(crate) fn stats_for(&self, path: &TaskPath) -> Arc<PathStats> {
+    /// The measurement cell of the running leaf at `path`, if a
+    /// relaunch installed one.
+    pub(crate) fn stats_for(&self, path: &TaskPath) -> Option<Arc<PathStats>> {
+        let paths = self.shared.paths.lock();
+        paths.rows.get(path).map(|row| Arc::clone(&row.stats))
+    }
+
+    /// Installs what a relaunch of the top-level paths `relaunched`
+    /// instantiated: one row per running leaf under them, in place of
+    /// every row that ran there, with the relaunch's extent and load
+    /// probes and no failure marks. A row keeps its cell and period marks
+    /// only if its leaf still runs the same task: an extent-only relaunch
+    /// keeps its statistics, a leaf the new configuration lacks leaves
+    /// the snapshot, and one whose task changed starts afresh. Rows are
+    /// made here and nowhere else.
+    pub(crate) fn install(&self, relaunched: &[TaskPath], tasks: HashMap<TaskPath, RunningTask>) {
+        let under = |path: &TaskPath| relaunched.iter().any(|top| top.is_prefix_of(path));
         let mut paths = self.shared.paths.lock();
-        if let Some(cell) = paths.cells.get(path) {
-            return Arc::clone(&cell.stats);
-        }
-        let stats = Arc::new(PathStats::new(Arc::clone(&self.shared.overhead_nanos)));
-        if let Some(registry) = &self.shared.registry {
-            register_path_series(registry, &self.shared.shard_merges, path, &stats);
-        }
+        let PathRows {
+            rows,
+            retired_busy_nanos,
+            ..
+        } = &mut *paths;
+        rows.retain(|path, row| {
+            let same_task = |new: &RunningTask| new.name == row.task.name;
+            let keep = !under(path) || tasks.get(path).is_some_and(same_task);
+            if !keep {
+                *retired_busy_nanos += row.stats.total_busy_nanos();
+            }
+            keep
+        });
         let mark = Mark {
             at: Instant::now(),
             invocations: 0,
             busy_nanos: 0,
         };
-        let cell = Cell {
-            stats: Arc::clone(&stats),
-            marks: [mark; 2],
-        };
-        paths.cells.insert(path.clone(), cell);
-        stats
-    }
-
-    /// Installs what a relaunch of the top-level paths `relaunched`
-    /// instantiated, replacing everything that ran under them: the
-    /// paths' load probes, extents and failure marks. A cell under them
-    /// stays only if the path still runs the same task — an extent-only
-    /// relaunch keeps its statistics, a path the new configuration lacks
-    /// leaves the snapshot, and one whose task changed starts afresh. A
-    /// kept cell keeps its period marks too.
-    pub(crate) fn install(&self, relaunched: &[TaskPath], tasks: HashMap<TaskPath, RunningTask>) {
-        let under = |path: &TaskPath| relaunched.iter().any(|top| top.is_prefix_of(path));
-        let mut paths = self.shared.paths.lock();
-        let mut epoch = self.shared.epoch.lock();
-        let PathCells {
-            cells,
-            retired_busy_nanos,
-            ..
-        } = &mut *paths;
-        cells.retain(|path, cell| {
-            let same_task =
-                |new: &RunningTask| epoch.get(path).is_none_or(|old| old.name == new.name);
-            let keep = !under(path) || tasks.get(path).is_some_and(same_task);
-            if !keep {
-                *retired_busy_nanos += cell.stats.total_busy_nanos();
+        for (path, task) in tasks {
+            match rows.entry(path) {
+                Entry::Occupied(mut kept) => {
+                    let row = kept.get_mut();
+                    (row.task, row.failed) = (task, 0);
+                }
+                Entry::Vacant(new) => {
+                    let stats = Arc::new(PathStats::new(Arc::clone(&self.shared.overhead_nanos)));
+                    register_path_series(&self.shared, new.key(), &stats);
+                    new.insert(Row {
+                        task,
+                        failed: 0,
+                        stats,
+                        marks: [mark; 2],
+                    });
+                }
             }
-            keep
-        });
-        epoch.retain(|path, _| !under(path));
-        epoch.extend(tasks);
+        }
     }
 
     /// Marks one replica of `path` as dead until the path is relaunched.
@@ -405,26 +417,16 @@ impl Monitor {
     /// path with no survivors vanishes from `snapshot().tasks` entirely
     /// so mechanisms don't steer threads toward ghosts.
     pub(crate) fn mark_failed(&self, path: &TaskPath) {
-        if let Some(task) = self.shared.epoch.lock().get_mut(path) {
-            task.failed += 1;
+        if let Some(row) = self.shared.paths.lock().rows.get_mut(path) {
+            row.failed += 1;
         }
     }
 
     /// Replicas currently marked dead.
     #[must_use]
     pub fn failed_replicas(&self) -> u32 {
-        self.shared
-            .epoch
-            .lock()
-            .values()
-            .map(|task| task.failed)
-            .sum()
-    }
-
-    /// The platform feature registry (paper Figure 9).
-    #[must_use]
-    pub fn features(&self) -> &FeatureRegistry {
-        &self.shared.features
+        let paths = self.shared.paths.lock();
+        paths.rows.values().map(|row| row.failed).sum()
     }
 
     /// Marks a reconfiguration: resets the dispatches-since-reconfig
@@ -461,9 +463,9 @@ impl Monitor {
         let overhead = self.monitoring_overhead_secs();
         let paths = self.shared.paths.lock();
         let live: u64 = paths
-            .cells
+            .rows
             .values()
-            .map(|cell| cell.stats.total_busy_nanos())
+            .map(|row| row.stats.total_busy_nanos())
             .sum();
         let busy_secs = (paths.retired_busy_nanos + live) as f64 / 1e9;
         overhead / busy_secs.max(self.elapsed_secs()).max(1e-9)
@@ -480,7 +482,7 @@ impl Monitor {
     /// A row's `throughput` and `utilization` are rates over the last
     /// whole control period and the part of the current one that has
     /// passed, even a moment after a tick: what the path's totals gained
-    /// since the tick before the last (or since its cell was created, if
+    /// since the tick before the last (or since its row was installed, if
     /// later) over the time since. Busy time counts the timed
     /// invocations still under way.
     ///
@@ -495,7 +497,7 @@ impl Monitor {
     }
 
     /// The control tick's snapshot: rates over exactly the period since
-    /// the previous tick (or the cell's creation), and in the same pass
+    /// the previous tick (or the row's installation), and in the same pass
     /// over the shards every path's period mark moves to now, so the
     /// next tick's rates cover exactly the period between them.
     pub(crate) fn close_period(&self) -> MonitorSnapshot {
@@ -512,41 +514,35 @@ impl Monitor {
 
         let mut merged = 0u64;
         {
-            // Per-task loads (summed across replicas), extents, and
-            // failure marks are installed together and read together,
-            // in place: load callbacks run under both locks and must not
+            // Each row is read in place: its load callbacks (summed
+            // across replicas) run under the `paths` lock and must not
             // call back into the monitor.
             let mut paths = shared.paths.lock();
-            let PathCells {
-                cells,
+            let PathRows {
+                rows,
                 merge_scratch,
                 ..
             } = &mut *paths;
-            let epoch = shared.epoch.lock();
-            for (path, cell) in cells.iter_mut() {
-                let agg = cell.stats.aggregate(merge_scratch, now);
+            for (path, row) in rows.iter_mut() {
+                let agg = row.stats.aggregate(merge_scratch, now);
                 merged += agg.shards_merged;
-                let since = cell.marks[usize::from(close_period)];
+                let since = row.marks[usize::from(close_period)];
                 if close_period {
                     let mark = Mark {
                         at: now,
                         invocations: agg.invocations,
                         busy_nanos: agg.busy_nanos,
                     };
-                    cell.marks = [cell.marks[1], mark];
+                    row.marks = [row.marks[1], mark];
                 }
-                let task = epoch.get(path);
-                let extent = task.map_or(1, |task| task.extent).max(1);
                 // Dead replicas leave the statistics: a fully failed path
                 // is a ghost no mechanism should feed threads to, and a
                 // partly failed path only counts its survivors in the
                 // utilization denominator.
-                let dead = task.map_or(0, |task| task.failed);
-                let alive = extent.saturating_sub(dead);
-                if dead > 0 && alive == 0 {
+                let alive = row.task.extent.max(1).saturating_sub(row.failed);
+                if row.failed > 0 && alive == 0 {
                     continue;
                 }
-                let load_cbs = task.map_or(&[][..], |task| &task.load_cbs);
                 let period_secs = now.saturating_duration_since(since.at).as_secs_f64();
                 let per_sec = |total: u64, then: u64| {
                     total.saturating_sub(then) as f64 / period_secs.max(1e-9)
@@ -561,7 +557,7 @@ impl Monitor {
                         invocations: agg.invocations,
                         mean_exec_secs: agg.mean_exec_secs,
                         throughput: per_sec(agg.invocations, since.invocations),
-                        load: load_cbs.iter().map(|cb| cb()).sum(),
+                        load: row.task.load_cbs.iter().map(|cb| cb()).sum(),
                         utilization: (busy / f64::from(alive)).min(1.0),
                         p50_exec_secs: p50,
                         p95_exec_secs: p95,
@@ -615,27 +611,33 @@ mod tests {
     /// What a relaunch instantiates for a path: `extent` workers of the
     /// task `name`, each replica registering one of `loads`.
     fn task(name: &str, extent: u32, loads: &[f64]) -> RunningTask {
-        let load_cbs = loads
-            .iter()
-            .map(|&load| Arc::new(move || load) as LoadCallback)
-            .collect();
-        RunningTask {
-            name: name.into(),
-            extent,
-            load_cbs,
-            failed: 0,
-        }
+        let mut task = RunningTask::new(name.into(), extent);
+        let probe = |&load: &f64| Arc::new(move || load) as LoadCallback;
+        task.load_cbs = loads.iter().map(probe).collect();
+        task
     }
 
-    /// Relaunches the top-level paths of `tasks` with what they name.
+    /// Relaunches the top-level paths of the leaves `tasks` names, with
+    /// those leaves.
     fn relaunch(m: &Monitor, tasks: Vec<(&str, RunningTask)>) {
-        let relaunched: Vec<TaskPath> = tasks
+        let mut relaunched: Vec<TaskPath> = tasks
             .iter()
-            .filter(|(text, _)| !text.contains('.'))
-            .map(|(text, _)| path(text))
+            .map(|(text, _)| TaskPath::root_child(path(text).top_index() as u16))
             .collect();
+        relaunched.dedup();
         let tasks = tasks.into_iter().map(|(text, task)| (path(text), task));
         m.install(&relaunched, tasks.collect());
+    }
+
+    /// A bare monitor with a one-worker row of task `leaf` at each of
+    /// `leaves`, as their launch installs them.
+    fn installed(leaves: &[&str]) -> Monitor {
+        let m = monitor();
+        relaunch(
+            &m,
+            leaves.iter().map(|&l| (l, task("leaf", 1, &[]))).collect(),
+        );
+        m
     }
 
     /// A monitor built the way `Dope::launch` builds it.
@@ -654,9 +656,9 @@ mod tests {
 
     #[test]
     fn records_invocations_and_exec_time() {
-        let m = monitor();
+        let m = installed(&["0.1"]);
         let path: TaskPath = "0.1".parse().unwrap();
-        let stats = m.stats_for(&path);
+        let stats = m.stats_for(&path).unwrap();
         stats.record(Duration::from_millis(10));
         stats.record(Duration::from_millis(30));
         let snap = m.snapshot();
@@ -668,9 +670,9 @@ mod tests {
 
     #[test]
     fn snapshot_carries_exec_percentiles() {
-        let m = monitor();
+        let m = installed(&["0"]);
         let path: TaskPath = "0".parse().unwrap();
-        let stats = m.stats_for(&path);
+        let stats = m.stats_for(&path).unwrap();
         // 99 fast invocations and one slow outlier: the mean hides the
         // tail, the percentiles must expose it.
         for _ in 0..99 {
@@ -695,18 +697,18 @@ mod tests {
 
     /// Where `path`'s current period began.
     fn mark_of(m: &Monitor, path: &TaskPath) -> Instant {
-        m.shared.paths.lock().cells[path].marks[1].at
+        m.shared.paths.lock().rows[path].marks[1].at
     }
 
-    /// A cell younger than the last tick divides by its own age: 50
+    /// A row younger than the last tick divides by its own age: 50
     /// completions in its first second read 50/s, where dividing by the
     /// time since the tick would under-report them.
     #[test]
     fn a_fresh_cell_divides_by_its_age() {
-        let m = monitor();
-        let _ = m.stats_for(&path("0"));
+        let m = installed(&["0"]);
         let _ = m.close_period();
-        let stats = m.stats_for(&path("1"));
+        relaunch(&m, vec![("1", task("b", 1, &[]))]);
+        let stats = m.stats_for(&path("1")).unwrap();
         for _ in 0..50 {
             stats.record(Duration::from_micros(10));
         }
@@ -722,7 +724,7 @@ mod tests {
         let m = monitor();
         let p = path("0");
         relaunch(&m, vec![("0", task("a", 2, &[]))]);
-        let stats = m.stats_for(&p);
+        let stats = m.stats_for(&p).unwrap();
         for _ in 0..40 {
             stats.record(Duration::from_millis(5));
         }
@@ -759,7 +761,7 @@ mod tests {
         let m = monitor();
         let p = path("0");
         relaunch(&m, vec![("0", task("a", 1, &[]))]);
-        let stats = m.stats_for(&p);
+        let stats = m.stats_for(&p).unwrap();
         let first = mark_of(&m, &p) + Duration::from_secs(1);
         let _ = m.read(first, true);
         for _ in 0..100 {
@@ -783,7 +785,7 @@ mod tests {
         let m = monitor();
         let p = path("0");
         relaunch(&m, vec![("0", task("a", 1, &[]))]);
-        let shard = m.stats_for(&p).shard();
+        let shard = m.stats_for(&p).unwrap().shard();
         let began = Instant::now();
         let _ = m.read(began, true);
         shard.set_in_flight(Some(began));
@@ -811,7 +813,7 @@ mod tests {
         let m = monitor();
         let p = path("0");
         relaunch(&m, vec![("0", task("a", 1, &[]))]);
-        let stats = m.stats_for(&p);
+        let stats = m.stats_for(&p).unwrap();
         stats.record(Duration::from_secs(10));
         let grown = mark_of(&m, &p) + Duration::from_secs(10);
         let _ = m.read(grown, true);
@@ -835,9 +837,10 @@ mod tests {
     fn a_sampled_period_counts_every_invocation() {
         use crate::instance::LiveCx;
         use dope_core::TaskCx;
-        let m = monitor();
+        let m = installed(&["0"]);
         let p = path("0");
-        let mut cx = LiveCx::new(&m, Arc::default(), &p);
+        let stats = m.stats_for(&p).unwrap();
+        let mut cx = LiveCx::new(&stats, Arc::default());
         let mut invoke = |n: u32| {
             for _ in 0..n {
                 cx.begin();
@@ -848,7 +851,6 @@ mod tests {
         let tick = mark_of(&m, &p) + Duration::from_secs(1);
         let _ = m.read(tick, true);
         invoke(1_000);
-        let stats = m.stats_for(&p);
         assert!(stats.total_timings() < 500, "sampled");
         assert!(stats.merged_hist().0.count() < 2_000, "a tail unrecorded");
         let period = Duration::from_secs(2);
@@ -859,10 +861,26 @@ mod tests {
     #[test]
     fn load_callbacks_sum_across_replicas() {
         let m = monitor();
-        let _ = m.stats_for(&path("0"));
         relaunch(&m, vec![("0", task("a", 2, &[2.0, 3.0]))]);
+        m.stats_for(&path("0"))
+            .unwrap()
+            .record(Duration::from_millis(1));
         let snap = m.snapshot();
         assert_eq!(snap.task(&path("0")).unwrap().load, 5.0);
+    }
+
+    /// A relaunched leaf's row stands from its relaunch, before any
+    /// replica records: its load is read, its count is zero. A path no
+    /// relaunch installed has no row, and looking it up makes none.
+    #[test]
+    fn an_installed_leaf_reads_its_load_before_its_first_record() {
+        let m = monitor();
+        relaunch(&m, vec![("0", task("a", 2, &[2.0, 3.0]))]);
+        let snap = m.snapshot();
+        let row = snap.task(&path("0")).unwrap();
+        assert_eq!((row.load, row.invocations), (5.0, 0));
+        assert!(m.stats_for(&path("1")).is_none());
+        assert_eq!(m.snapshot().tasks.len(), 1);
     }
 
     #[test]
@@ -903,7 +921,7 @@ mod tests {
         assert_eq!(m.snapshot().power_watts, Some(612.5));
     }
 
-    /// A snapshot is a read: it takes the three monitor locks in rank
+    /// A snapshot is a read: it takes the two monitor locks in rank
     /// order and nothing else, and moves no exported series but the
     /// shard-merge counter it feeds.
     #[test]
@@ -911,7 +929,7 @@ mod tests {
         not(debug_assertions),
         ignore = "the lock-rank guard is compiled out in release builds"
     )]
-    fn snapshot_acquires_only_paths_epoch_and_shards() {
+    fn snapshot_acquires_only_paths_and_shards() {
         use crate::lockrank::chains_on_this_thread;
         let queue = QueueStats {
             occupancy: 7.0,
@@ -924,8 +942,8 @@ mod tests {
         };
         let registry = MetricsRegistry::new();
         let m = monitor_with(Some(queue), Some(gate), Some(registry.clone()));
-        let path: TaskPath = "0".parse().unwrap();
-        let stats = m.stats_for(&path);
+        relaunch(&m, vec![("0", task("a", 1, &[]))]);
+        let stats = m.stats_for(&path("0")).unwrap();
         stats.record(Duration::from_millis(5));
         let families = registry.family_names();
         let before = chains_on_this_thread();
@@ -936,11 +954,8 @@ mod tests {
             .filter(|(chain, count)| before.get(chain) != Some(count))
             .map(|(chain, _)| chain)
             .collect();
-        let (paths, epoch, shards) = (rank::PATHS.0, rank::EPOCH.0, rank::SHARDS.0);
-        assert_eq!(
-            acquired,
-            [vec![paths], vec![paths, epoch], vec![paths, epoch, shards]]
-        );
+        let (paths, shards) = (rank::PATHS.0, rank::SHARDS.0);
+        assert_eq!(acquired, [vec![paths], vec![paths, shards]]);
         assert_eq!(registry.family_names(), families);
         assert!(registry
             .render()
@@ -952,10 +967,10 @@ mod tests {
         let m = monitor();
         let alive: TaskPath = "0".parse().unwrap();
         let doomed: TaskPath = "1".parse().unwrap();
-        for path in [&alive, &doomed] {
-            m.stats_for(path).record(Duration::from_millis(2));
-        }
         relaunch(&m, vec![("0", task("a", 2, &[])), ("1", task("b", 1, &[]))]);
+        for path in [&alive, &doomed] {
+            m.stats_for(path).unwrap().record(Duration::from_millis(2));
+        }
         assert_eq!(m.failed_replicas(), 0);
         // One of `alive`'s two replicas dies: the path stays, but its
         // utilization denominator shrinks to the single survivor.
@@ -984,8 +999,6 @@ mod tests {
     fn install_replaces_only_the_relaunched_paths() {
         let m = monitor();
         let (kept, drained) = (path("0"), path("1"));
-        let _ = m.stats_for(&kept);
-        let _ = m.stats_for(&drained);
         relaunch(
             &m,
             vec![("0", task("k", 2, &[1.0])), ("1", task("d", 1, &[2.0]))],
@@ -1009,19 +1022,20 @@ mod tests {
         assert!((snap.task(&drained).unwrap().load - 5.0).abs() < 1e-9);
     }
 
-    /// A relaunch keeps a cell only while its path runs the same task: a
-    /// nest switching from `[a, b]` to `[fused]` drops `b`'s row and
-    /// starts `0.0` afresh, and an extent-only relaunch keeps its stats.
+    /// A relaunch keeps a row's cell only while its path runs the same
+    /// task: a nest switching from `[a, b]` to `[fused]` drops `b`'s row
+    /// and starts `0.0` afresh, and an extent-only relaunch keeps its
+    /// stats.
     #[test]
     fn install_drops_the_cells_a_relaunch_no_longer_runs() {
         let m = monitor();
         let record = |text: &str| {
-            m.stats_for(&path(text)).record(Duration::from_millis(1));
+            let stats = m.stats_for(&path(text)).unwrap();
+            stats.record(Duration::from_millis(1));
         };
         relaunch(
             &m,
             vec![
-                ("0", task("outer", 1, &[])),
                 ("0.0", task("a", 1, &[])),
                 ("0.1", task("b", 1, &[])),
                 ("1", task("sink", 1, &[])),
@@ -1032,13 +1046,11 @@ mod tests {
         }
         assert_eq!(m.snapshot().tasks.len(), 3);
 
-        relaunch(
-            &m,
-            vec![("0", task("outer", 1, &[])), ("0.0", task("fused", 1, &[]))],
-        );
+        relaunch(&m, vec![("0.0", task("fused", 1, &[]))]);
         let snap = m.snapshot();
         assert!(snap.task(&path("0.1")).is_none(), "b left with its nest");
-        assert!(snap.task(&path("0.0")).is_none(), "fused has not run yet");
+        let fused = snap.task(&path("0.0")).unwrap();
+        assert_eq!(fused.invocations, 0, "fused starts afresh");
         assert_eq!(snap.task(&path("1")).unwrap().invocations, 1, "untouched");
         record("0.0");
         assert_eq!(m.snapshot().task(&path("0.0")).unwrap().invocations, 1);
@@ -1053,25 +1065,25 @@ mod tests {
 
     #[test]
     fn same_path_shares_cell() {
-        let m = monitor();
+        let m = installed(&["1"]);
         let p: TaskPath = "1".parse().unwrap();
-        let a = m.stats_for(&p);
-        let b = m.stats_for(&p);
+        let a = m.stats_for(&p).unwrap();
+        let b = m.stats_for(&p).unwrap();
         a.record(Duration::from_millis(1));
         assert_eq!(b.total_invocations(), 1);
         // `Debug` takes `paths` on its own: the one lock site no run hits.
         assert!(format!("{m:?}").contains("paths: 1"), "{m:?}");
     }
 
-    /// Every path's scrape sources register as its cell is created.
+    /// Every path's scrape sources register as its row is made.
     #[test]
     fn attached_registry_sees_per_path_series() {
         let registry = MetricsRegistry::new();
         let m = monitor_with(None, None, Some(registry.clone()));
+        relaunch(&m, vec![("0", task("a", 1, &[])), ("1", task("b", 1, &[]))]);
         for (name, millis) in [("0", 2), ("1", 4)] {
-            let path: TaskPath = name.parse().unwrap();
             let exec = Duration::from_millis(millis);
-            m.stats_for(&path).record(exec);
+            m.stats_for(&path(name)).unwrap().record(exec);
         }
         let _ = m.snapshot();
         let text = registry.render();
@@ -1093,9 +1105,8 @@ mod tests {
 
     #[test]
     fn overhead_meter_accumulates_and_stays_small() {
-        let m = monitor();
-        let path: TaskPath = "0".parse().unwrap();
-        let stats = m.stats_for(&path);
+        let m = installed(&["0"]);
+        let stats = m.stats_for(&path("0")).unwrap();
         assert_eq!(m.monitoring_overhead_secs(), 0.0);
         for _ in 0..100 {
             // 1 ms of (claimed) work per 1 record call.
@@ -1110,9 +1121,8 @@ mod tests {
 
     #[test]
     fn record_path_acquires_no_locks() {
-        let m = monitor();
-        let path: TaskPath = "0".parse().unwrap();
-        let shard = m.stats_for(&path).shard();
+        let m = installed(&["0"]);
+        let shard = m.stats_for(&path("0")).unwrap().shard();
         let before = crate::lockrank::acquisitions_on_this_thread();
         for _ in 0..1000 {
             shard.record(Duration::from_micros(5));
@@ -1134,16 +1144,16 @@ mod tests {
             1_000 + (thread * 31 + i) % 997
         }
 
-        let m = monitor();
+        let m = installed(&["0"]);
         let path: TaskPath = "0".parse().unwrap();
-        let stats = m.stats_for(&path);
+        let stats = m.stats_for(&path).unwrap();
 
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let m = m.clone();
             let path = path.clone();
             handles.push(std::thread::spawn(move || {
-                let shard = m.stats_for(&path).shard();
+                let shard = m.stats_for(&path).unwrap().shard();
                 for i in 0..PER_THREAD {
                     shard.record(Duration::from_nanos(exec_nanos(t, i)));
                 }

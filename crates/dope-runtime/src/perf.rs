@@ -11,7 +11,7 @@
 //! these are cheap wall-clock probes.
 
 use crate::instance::LiveCx;
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, PathStats, RunningTask};
 use dope_core::{TaskCx, TaskPath};
 use dope_platform::FeatureRegistry;
 use std::sync::{Arc, Barrier};
@@ -88,6 +88,18 @@ fn mean_join(handles: Vec<std::thread::JoinHandle<f64>>) -> f64 {
     }
 }
 
+/// A bare monitor with a one-worker leaf row at each of `0..leaves`,
+/// installed as a launch installs them, and the rows' cells.
+fn installed(leaves: u16) -> (Monitor, Vec<Arc<PathStats>>) {
+    let monitor = Monitor::new(FeatureRegistry::new());
+    let paths: Vec<TaskPath> = (0..leaves).map(TaskPath::root_child).collect();
+    let leaf = |path: &TaskPath| (path.clone(), RunningTask::new("leaf".into(), 1));
+    monitor.install(&paths, paths.iter().map(leaf).collect());
+    let cells = paths.iter().filter_map(|path| monitor.stats_for(path));
+    let cells = cells.collect();
+    (monitor, cells)
+}
+
 /// Measures the task-completion record path — one private
 /// `RecorderShard` per writer, zero locks — single-threaded and with
 /// `threads` concurrent writers on one task path.
@@ -97,20 +109,20 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
     let threads = threads.max(1);
 
     // Sharded, one writer.
-    let monitor = Monitor::new(FeatureRegistry::new());
-    let shard = monitor.stats_for(&TaskPath::root().child(0)).shard();
+    let (_monitor, cells) = installed(1);
+    let shard = cells[0].shard();
     let sharded_single_ns = time_per_op(iters, |_| shard.record(exec));
 
     // Sharded, contended: every writer has its own shard of the same
     // path — the contention the design is supposed to have eliminated.
-    let monitor = Monitor::new(FeatureRegistry::new());
+    let (_monitor, cells) = installed(1);
     let barrier = Arc::new(Barrier::new(threads as usize));
     let mut handles = Vec::new();
     for _ in 0..threads {
-        let monitor = monitor.clone();
+        let stats = Arc::clone(&cells[0]);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
-            let shard = monitor.stats_for(&TaskPath::root().child(0)).shard();
+            let shard = stats.shard();
             barrier.wait();
             time_per_op(iters, |_| shard.record(exec))
         }));
@@ -131,13 +143,12 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
 /// rule must time).
 #[must_use]
 pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
-    let monitor = Monitor::new(FeatureRegistry::new());
-    let path = TaskPath::root().child(0);
-    let stats = monitor.stats_for(&path);
+    let (_monitor, cells) = installed(1);
+    let stats = &cells[0];
     let iters = iters.max(1);
     // One fresh context per phase, as a relaunched replica would have.
     let timed_share = |n: u64, each: &dyn Fn(&mut LiveCx)| {
-        let mut cx = LiveCx::new(&monitor, Arc::default(), &path);
+        let mut cx = LiveCx::new(stats, Arc::default());
         let before = stats.total_timings();
         let ns = time_per_op(n, |_| each(&mut cx));
         (ns, (stats.total_timings() - before) as f64 / n as f64)
@@ -174,9 +185,9 @@ pub fn bench_invoke(iters: u64, paced: u32) -> InvokeReport {
 /// `samples` snapshots.
 #[must_use]
 pub fn bench_snapshot(paths: u32, records_per_path: u64, samples: u32) -> SnapshotReport {
-    let monitor = Monitor::new(FeatureRegistry::new());
-    for p in 0..paths {
-        let shard = monitor.stats_for(&TaskPath::root_child(p as u16)).shard();
+    let (monitor, cells) = installed(paths as u16);
+    for stats in &cells {
+        let shard = stats.shard();
         for i in 0..records_per_path {
             shard.record(Duration::from_nanos(1_000 + i % 1_000));
         }

@@ -58,7 +58,6 @@ fn main() {
         let gate_outer = gate.clone();
         let mid_outer = mid.clone();
         let served_outer = Arc::clone(&served);
-        let gate_load = gate.clone();
         TaskSpec::nest("service", TaskKind::Par, move |_replica: u32| {
             let admit = {
                 let gate_factory = gate_outer.clone();
@@ -119,7 +118,6 @@ fn main() {
             vec![admit, serve]
         })
         .with_max_extent(1)
-        .with_load(move || gate_load.len() as f64)
     };
 
     let recorder = Recorder::bounded(65_536);

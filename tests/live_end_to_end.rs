@@ -4,12 +4,14 @@
 use dope_apps::kernels::search::Corpus;
 use dope_apps::pipeline_live::{LivePipeline, PipeItem, StageDef};
 use dope_apps::{dedup, ferret, swaptions, transcode};
+use dope_core::TaskPath;
 use dope_core::{AdmissionPolicy, Goal, Resources};
 use dope_mechanisms::{for_goal, Tbf, Tpc, WqLinear, WqtH};
 use dope_platform::FeatureRegistry;
 use dope_runtime::Dope;
-use dope_trace::{Recorder, RecordingObserver, TraceRecord};
+use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
 use dope_workload::{AdmissionQueue, ArrivalSchedule};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,6 +118,56 @@ fn ferret_conserves_queries_across_reconfigurations() {
     // TBF balances or fuses; either way it must have acted at least once
     // (the initial even split is not balanced for ferret).
     assert!(report.reconfigurations >= 1);
+}
+
+/// A live snapshot has one row per running leaf: every `SnapshotTaken`
+/// names exactly the leaf paths of the configuration in force when it
+/// was taken, each leaf's row from its relaunch on, across TBF's
+/// rebalancing and its switch to the fused alternative.
+#[test]
+fn every_live_snapshot_names_the_leaves_in_force() {
+    let corpus = Arc::new(Corpus::synthetic(1500, 3));
+    let (pipe, descriptor) = ferret::live_pipeline(corpus);
+    ferret::submit_queries(&pipe, 2_000);
+    pipe.source.close();
+    let recorder = Recorder::bounded(1 << 14);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 6 })
+        .mechanism(Box::new(Tbf::new()))
+        .control_period(Duration::from_millis(2))
+        .queue_probe(pipe.queue_probe())
+        .recorder(recorder.clone())
+        .launch(descriptor)
+        .expect("launch");
+    dope.wait().expect("batch completes");
+
+    let mut in_force = None;
+    let mut alternatives = BTreeSet::new();
+    let mut snapshots = 0;
+    for record in recorder.records() {
+        match &record.event {
+            TraceEvent::Launched { config, .. } | TraceEvent::ReconfigureEpoch { config, .. } => {
+                let nest = config.tasks[0].nested.as_ref().expect("ferret is one nest");
+                alternatives.insert(nest.alternative);
+                in_force = Some(Arc::clone(config));
+            }
+            TraceEvent::SnapshotTaken { snapshot } => {
+                let config = in_force.as_ref().expect("a snapshot after launch");
+                let rows: Vec<&TaskPath> = snapshot.tasks.iter().map(|(path, _)| path).collect();
+                let mut leaves = config.leaf_paths();
+                leaves.sort();
+                assert_eq!(
+                    rows,
+                    leaves.iter().collect::<Vec<_>>(),
+                    "at {}",
+                    snapshot.time_secs
+                );
+                snapshots += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(snapshots > 2, "{snapshots} snapshots");
+    assert_eq!(alternatives.len(), 2, "no switch to the fused alternative");
 }
 
 #[test]
