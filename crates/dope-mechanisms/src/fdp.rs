@@ -104,6 +104,8 @@ impl Mechanism for Fdp {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
+        // A consult before every stage is measured holds, and says so.
+        self.last_decision = Some(DecisionTrace::new(Rationale::Hold, "hold"));
         let (alt, views, throughput) = pipeline_util::observed_stages(snap, current, shape)?;
 
         // Audit trail: every arm of the state machine records what it saw

@@ -47,6 +47,8 @@ impl Mechanism for Proportional {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
+        // A consult before every stage is measured holds, and says so.
+        self.last_decision = Some(DecisionTrace::new(Rationale::Hold, "hold"));
         let (alt, views) = pipeline_util::stages(snap, current, shape)?;
         // Nothing observed yet: keep the current configuration.
         if views.iter().all(|v| v.mean_exec <= 0.0) {

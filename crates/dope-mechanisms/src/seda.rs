@@ -74,6 +74,8 @@ impl Mechanism for Seda {
         shape: &ProgramShape,
         _res: &Resources,
     ) -> Option<Config> {
+        // A consult before every stage is measured holds, and says so.
+        self.last_decision = Some(DecisionTrace::new(Rationale::Hold, "hold"));
         let (alt, views) = pipeline_util::stages(snap, current, shape)?;
         if views.iter().all(|v| v.mean_exec <= 0.0) {
             return None;

@@ -93,6 +93,9 @@ impl Mechanism for Tpc {
         shape: &ProgramShape,
         res: &Resources,
     ) -> Option<Config> {
+        // Every branch below explains itself; a consult with no power
+        // budget, reading or measured stage holds, and says so.
+        self.last_decision = Some(DecisionTrace::new(Rationale::Hold, "hold"));
         let budget_watts = res.power_budget_watts?;
         let power = snap.power_watts?;
         // A stale meter reading carries no new information: hold state.

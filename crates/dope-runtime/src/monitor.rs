@@ -282,7 +282,8 @@ struct MonitorShared {
     queue_probe: Option<QueueProbe>,
     admission_probe: Option<AdmissionProbe>,
     features: FeatureRegistry,
-    completed_at_reconfig: AtomicU64,
+    /// Work-queue dispatches at the last applied reconfiguration.
+    dispatched_at_reconfig: AtomicU64,
     /// Nanoseconds spent inside monitoring code, summed across threads.
     overhead_nanos: Arc<AtomicU64>,
     /// Shards merged by snapshots and scrapes (`dope_monitor_shard_
@@ -337,7 +338,7 @@ impl Monitor {
                 queue_probe,
                 admission_probe,
                 features,
-                completed_at_reconfig: AtomicU64::new(0),
+                dispatched_at_reconfig: AtomicU64::new(0),
                 overhead_nanos: Arc::new(AtomicU64::new(0)),
                 shard_merges,
                 registry,
@@ -432,9 +433,10 @@ impl Monitor {
     /// Marks a reconfiguration: resets the dispatches-since-reconfig
     /// counter.
     pub(crate) fn mark_reconfig(&self) {
+        let queue = self.shared.queue_probe.as_ref().map(|probe| probe());
         self.shared
-            .completed_at_reconfig
-            .store(self.queue_completed(), Ordering::Relaxed);
+            .dispatched_at_reconfig
+            .store(queue.as_ref().map_or(0, dispatched), Ordering::Relaxed);
     }
 
     /// Seconds since the monitor was created.
@@ -571,10 +573,8 @@ impl Monitor {
         if let Some(probe) = &shared.queue_probe {
             snap.queue = probe();
         }
-        snap.dispatches_since_reconfig = snap
-            .queue
-            .completed
-            .saturating_sub(shared.completed_at_reconfig.load(Ordering::Relaxed));
+        snap.dispatches_since_reconfig = dispatched(&snap.queue)
+            .saturating_sub(shared.dispatched_at_reconfig.load(Ordering::Relaxed));
         snap.power_watts = shared.features.value("SystemPower");
         if let Some(probe) = &shared.admission_probe {
             snap.admission = probe();
@@ -584,6 +584,12 @@ impl Monitor {
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         snap
     }
+}
+
+/// Items taken off the work queue so far: what was enqueued less what
+/// still waits, as the simulators count dispatches.
+fn dispatched(queue: &QueueStats) -> u64 {
+    queue.enqueued.saturating_sub(queue.occupancy as u64)
 }
 
 #[cfg(test)]
@@ -883,18 +889,20 @@ mod tests {
         assert_eq!(m.snapshot().tasks.len(), 1);
     }
 
+    /// Dispatches are what left the queue (enqueued less occupancy), as in
+    /// the simulators, not what completed: 6 of 10 left, 3 finished.
     #[test]
     fn queue_probe_feeds_snapshot() {
         let queue = QueueStats {
-            occupancy: 7.0,
+            occupancy: 4.0,
             arrival_rate: 2.0,
             enqueued: 10,
             completed: 3,
         };
         let m = monitor_with(Some(queue), None, None);
         let snap = m.snapshot();
-        assert_eq!(snap.queue.occupancy, 7.0);
-        assert_eq!(snap.dispatches_since_reconfig, 3);
+        assert_eq!(snap.queue.occupancy, 4.0);
+        assert_eq!(snap.dispatches_since_reconfig, 6);
         m.mark_reconfig();
         assert_eq!(m.snapshot().dispatches_since_reconfig, 0);
     }

@@ -62,27 +62,13 @@ struct ReplayMechanism {
 }
 
 impl ReplayMechanism {
-    /// Builds a replayer from the records of one trace.
-    ///
-    /// Returns `None` if the trace has no `Launched` event (there is
-    /// nothing to anchor the replay to).
-    #[must_use]
-    fn from_records(records: &[TraceRecord]) -> Option<Self> {
-        let mut initial = None;
-        let mut queued = std::collections::VecDeque::new();
-        for record in records {
-            // Only the two kinds that carry an applied configuration
-            // matter to replay; everything else is evidence, not input.
-            match &record.event {
-                TraceEvent::Launched { config, .. } => initial = Some(config.clone()),
-                TraceEvent::ReconfigureEpoch { config, .. } => queued.push_back(config.clone()),
-                _ => {}
-            }
+    /// Launches under `initial`, then re-proposes `queued` in order: a
+    /// trace's [`accepted_configs`] after the first.
+    fn new(initial: Arc<Config>, queued: &[Arc<Config>]) -> Self {
+        ReplayMechanism {
+            initial,
+            queued: queued.iter().cloned().collect(),
         }
-        Some(ReplayMechanism {
-            initial: initial?,
-            queued,
-        })
     }
 }
 
@@ -150,10 +136,15 @@ impl ReplayOutcome {
 /// Returns a description of the problem when the trace has no `Launched`
 /// event or its shape contains no two-level nest the simulator can model.
 pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String> {
-    let (shape, threads) = records
+    let (shape, threads, launch) = records
         .iter()
         .find_map(|record| match &record.event {
-            TraceEvent::Launched { shape, threads, .. } => Some((shape.clone(), *threads)),
+            TraceEvent::Launched {
+                shape,
+                threads,
+                config,
+                ..
+            } => Some((shape.clone(), *threads, Arc::clone(config))),
             _ => None,
         })
         .ok_or_else(|| "trace has no Launched event".to_string())?;
@@ -161,9 +152,9 @@ pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String>
         return Err("trace shape has no two-level nest the simulator can model".to_string());
     }
 
+    // `recorded` opens with `launch`.
     let recorded = accepted_configs(records);
-    let mut mechanism = ReplayMechanism::from_records(records)
-        .ok_or_else(|| "trace has no Launched event".to_string())?;
+    let mut mechanism = ReplayMechanism::new(launch, &recorded[1..]);
 
     // A mild profile: replay checks *decisions*, not service times.
     let model = TwoLevelModel::custom("replay", shape, AmdahlProfile::new(1.0, 0.9, 0.05, 0.02));
@@ -266,7 +257,9 @@ mod tests {
         // Widths 4 and 6 map to distinct parallel configurations (width 2
         // would clamp to the sequential alternative and record nothing).
         let records = record_pipeline_run(&[4, 6]);
-        let mut mech = ReplayMechanism::from_records(&records).expect("mechanism");
+        let accepted = accepted_configs(&records);
+        let (initial, queued) = accepted.split_first().expect("launch");
+        let mut mech = ReplayMechanism::new(Arc::clone(initial), queued);
         assert_eq!(mech.queued.len(), 2);
         let shape = ProgramShape::new(vec![]);
         let res = Resources::threads(8);

@@ -1,62 +1,13 @@
-//! Mechanism conformance: drive a mechanism over synthetic monitoring
-//! data and statically analyze every configuration it proposes.
+//! The synthetic monitoring data mechanisms are tested on.
 //!
-//! A mechanism is *conformant* when, for every snapshot in a grid of
-//! synthetic [`MonitorSnapshot`]s, each proposal it returns produces no
-//! error-severity diagnostics under [`analyze`]
-//! (codes on the mechanism's documented exemption list excluded — SEDA
-//! is uncoordinated by design and exempt from the budget check
-//! [`DiagCode::BudgetExceeded`]; the executive clamps its proposals at
-//! the reconfiguration gate instead).
-//!
-//! The harness lives in the library (not the test tree) so the runtime
-//! crate and downstream applications can reuse it for their own
-//! mechanisms.
+//! [`snapshot_grid`] is a deterministic sequence of [`MonitorSnapshot`]s
+//! covering the regimes mechanisms branch on. The umbrella crate's
+//! `tests/mechanisms.rs` drives every shipped mechanism over it through
+//! the control core (`dope_core::ControlCore`), and checks that the
+//! analyzer finds no error in anything the core evaluated; the frozen
+//! benchmark times mechanism consults on it.
 
-use std::fmt;
-
-use dope_core::diag::{DiagCode, Diagnostic};
-use dope_core::{Config, Mechanism, MonitorSnapshot, ProgramShape, Resources, TaskPath, TaskStats};
-
-use crate::analyze;
-
-/// Evidence that a mechanism proposed a non-conformant configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// `Mechanism::name()` of the offender.
-    pub mechanism: String,
-    /// Index into the snapshot sequence at which the proposal was made
-    /// (`usize::MAX` for the initial configuration).
-    pub step: usize,
-    /// The offending configuration.
-    pub config: Config,
-    /// Error-severity diagnostics, exemptions already removed.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.step == usize::MAX {
-            write!(
-                f,
-                "mechanism {} proposed non-conformant initial config {}:",
-                self.mechanism, self.config
-            )?;
-        } else {
-            write!(
-                f,
-                "mechanism {} proposed non-conformant config {} at step {}:",
-                self.mechanism, self.config, self.step
-            )?;
-        }
-        for d in &self.diagnostics {
-            write!(f, "\n  {d}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for Violation {}
+use dope_core::{MonitorSnapshot, ProgramShape, TaskPath, TaskStats};
 
 /// Builds a deterministic grid of synthetic snapshots exercising the
 /// regimes mechanisms branch on: idle and saturated queues, balanced and
@@ -105,64 +56,10 @@ pub fn snapshot_grid(shape: &ProgramShape, steps: usize) -> Vec<MonitorSnapshot>
         .collect()
 }
 
-/// Drives `mech` over `snaps` and statically analyzes every
-/// configuration it proposes (including its initial configuration).
-///
-/// Returns the number of proposals that were made and accepted. Codes
-/// in `exempt` are ignored at error severity — the caller documents
-/// why (e.g. SEDA's budget exemption). Warnings never fail conformance.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] carrying the offending configuration and the
-/// non-exempt error diagnostics as soon as one proposal fails analysis.
-pub fn verify_mechanism(
-    mech: &mut dyn Mechanism,
-    shape: &ProgramShape,
-    fallback: Config,
-    resources: &Resources,
-    snaps: &[MonitorSnapshot],
-    exempt: &[DiagCode],
-) -> Result<usize, Box<Violation>> {
-    let name = mech.name().to_string();
-    let check = move |config: &Config, step: usize| -> Result<(), Box<Violation>> {
-        let report = analyze(shape, config, resources);
-        let errors: Vec<Diagnostic> = report.errors_excluding(exempt).cloned().collect();
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(Box::new(Violation {
-                mechanism: name.clone(),
-                step,
-                config: config.clone(),
-                diagnostics: errors,
-            }))
-        }
-    };
-
-    let mut current = match mech.initial(shape, resources) {
-        Some(initial) => {
-            check(&initial, usize::MAX)?;
-            initial
-        }
-        None => fallback,
-    };
-    let mut accepted = 0usize;
-    for (step, snap) in snaps.iter().enumerate() {
-        if let Some(proposal) = mech.reconfigure(snap, &current, shape, resources) {
-            check(&proposal, step)?;
-            current = proposal;
-            mech.applied(&current);
-            accepted += 1;
-        }
-    }
-    Ok(accepted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{ShapeNode, StaticMechanism, TaskConfig, TaskKind};
+    use dope_core::{ShapeNode, TaskKind};
 
     fn shape() -> ProgramShape {
         ProgramShape::new(vec![
@@ -188,79 +85,5 @@ mod tests {
         // And both power regimes.
         assert!(a.iter().any(|s| s.power_watts.is_none()));
         assert!(a.iter().any(|s| s.power_watts.is_some()));
-    }
-
-    #[test]
-    fn static_mechanism_is_conformant() {
-        let shape = shape();
-        let good = Config::new(vec![
-            TaskConfig::leaf("in", 1),
-            TaskConfig::leaf("work", 6),
-            TaskConfig::leaf("out", 1),
-        ]);
-        let mut mech = StaticMechanism::new(good.clone());
-        let snaps = snapshot_grid(&shape, 16);
-        let accepted =
-            verify_mechanism(&mut mech, &shape, good, &Resources::threads(8), &snaps, &[]).unwrap();
-        // A static mechanism proposes nothing after launch.
-        assert_eq!(accepted, 0);
-    }
-
-    #[test]
-    fn over_budget_initial_is_reported() {
-        let shape = shape();
-        let wide = Config::new(vec![
-            TaskConfig::leaf("in", 1),
-            TaskConfig::leaf("work", 64),
-            TaskConfig::leaf("out", 1),
-        ]);
-        let mut mech = StaticMechanism::new(wide.clone());
-        let snaps = snapshot_grid(&shape, 4);
-        let violation =
-            verify_mechanism(&mut mech, &shape, wide, &Resources::threads(8), &snaps, &[])
-                .unwrap_err();
-        assert_eq!(violation.step, usize::MAX);
-        assert!(violation
-            .diagnostics
-            .iter()
-            .any(|d| d.code == DiagCode::BudgetExceeded));
-        let text = violation.to_string();
-        assert!(text.contains("initial"), "{text}");
-        assert!(text.contains("DV001"), "{text}");
-    }
-
-    #[test]
-    fn exemptions_silence_the_named_code_only() {
-        let shape = shape();
-        let wide = Config::new(vec![
-            TaskConfig::leaf("in", 1),
-            TaskConfig::leaf("work", 64),
-            TaskConfig::leaf("out", 1),
-        ]);
-        let mut mech = StaticMechanism::new(wide.clone());
-        let snaps = snapshot_grid(&shape, 4);
-        verify_mechanism(
-            &mut mech,
-            &shape,
-            wide.clone(),
-            &Resources::threads(8),
-            &snaps,
-            &[DiagCode::BudgetExceeded],
-        )
-        .unwrap();
-
-        // A name mismatch is not covered by the budget exemption.
-        let mut broken = wide;
-        broken.tasks[1].name = "werk".into();
-        let mut mech = StaticMechanism::new(broken.clone());
-        assert!(verify_mechanism(
-            &mut mech,
-            &shape,
-            broken,
-            &Resources::threads(8),
-            &snaps,
-            &[DiagCode::BudgetExceeded],
-        )
-        .is_err());
     }
 }

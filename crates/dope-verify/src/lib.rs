@@ -20,6 +20,11 @@
 //! lints ([`lint_shape`]: empty or duplicate alternatives, duplicate
 //! sibling names), which exist before any configuration is chosen.
 //!
+//! [`snapshot_grid`] is the deterministic monitoring data the mechanisms
+//! are tested on: the umbrella crate's `tests/mechanisms.rs` drives each
+//! one over it through the control core and analyzes everything the core
+//! evaluated.
+//!
 //! The catalogue is shared with the runtime, but not every code is
 //! static: [`DiagCode::TaskFailed`] (DV016) is emitted only by the
 //! runtime's supervision layer when a task body fails mid-run — this
@@ -64,7 +69,7 @@ pub mod conformance;
 pub mod json;
 pub mod report;
 
-pub use conformance::{snapshot_grid, verify_mechanism, Violation};
+pub use conformance::snapshot_grid;
 pub use report::Report;
 
 use dope_core::diag::{DiagCode, Diagnostic, Finding};

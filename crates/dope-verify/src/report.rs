@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dope_core::diag::{DiagCode, Diagnostic, Severity};
+use dope_core::diag::{Diagnostic, Severity};
 
 /// The result of one analysis pass: every diagnostic found, in
 /// traversal order (shape lints first, then the config walk, then
@@ -44,17 +44,6 @@ impl Report {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Warning)
-    }
-
-    /// Error-severity diagnostics whose code is **not** in `exempt`.
-    ///
-    /// Used by the conformance harness: uncoordinated mechanisms (SEDA)
-    /// are exempt from specific codes by documented contract.
-    pub fn errors_excluding<'a>(
-        &'a self,
-        exempt: &'a [DiagCode],
-    ) -> impl Iterator<Item = &'a Diagnostic> {
-        self.errors().filter(move |d| !exempt.contains(&d.code))
     }
 
     /// Renders the report as an aligned text table (used by the CLI).
@@ -124,6 +113,7 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dope_core::diag::DiagCode;
     use dope_core::TaskPath;
 
     fn sample() -> Report {
@@ -149,16 +139,6 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.errors().count(), 1);
         assert_eq!(report.warnings().count(), 1);
-    }
-
-    #[test]
-    fn exemptions_filter_errors() {
-        let report = sample();
-        assert_eq!(
-            report.errors_excluding(&[DiagCode::BudgetExceeded]).count(),
-            0
-        );
-        assert_eq!(report.errors_excluding(&[]).count(), 1);
     }
 
     #[test]

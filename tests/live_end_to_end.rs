@@ -102,9 +102,11 @@ fn ferret_conserves_queries_across_reconfigurations() {
     ferret::submit_queries(&pipe, 600);
     pipe.source.close();
 
+    // A release build serves the 600 queries in tens of milliseconds: a
+    // 2 ms period reaches ticks before they are done in either build.
     let dope = Dope::builder(Goal::MaxThroughput { threads: 6 })
         .mechanism(Box::new(Tbf::new()))
-        .control_period(Duration::from_millis(20))
+        .control_period(Duration::from_millis(2))
         .queue_probe(pipe.queue_probe())
         .launch(descriptor)
         .expect("launch");
