@@ -1,5 +1,6 @@
 //! The DoPE-Executive: launch, monitor, reconfigure, finish.
 
+use crate::carrier::{self, Joiner};
 use crate::instance::{instantiate_paths, LiveCx, WorkerJob};
 use crate::monitor::{AdmissionProbe, Monitor, QueueProbe};
 use crate::pool::WorkerPool;
@@ -16,7 +17,6 @@ use dope_workload::{DequeueOutcome, SuspendFlag, WorkQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Report returned when a DoPE-managed application finishes.
@@ -158,7 +158,10 @@ impl DopeBuilder {
     }
 
     /// Overrides the worker-pool size (defaults to the goal's thread
-    /// budget). Values above the budget let baselines oversubscribe.
+    /// budget). It may only oversubscribe, as baselines do: `launch`
+    /// refuses a size below the budget with [`Error::Usage`], since
+    /// replicas of a configuration within the budget could then wait for
+    /// a thread forever.
     #[must_use]
     pub fn pool_threads(mut self, threads: u32) -> Self {
         self.pool_threads = Some(threads);
@@ -230,7 +233,8 @@ impl DopeBuilder {
     /// # Errors
     ///
     /// Returns an error if the descriptor declares no tasks (a run with
-    /// nothing to execute would never finish), the initial configuration
+    /// nothing to execute would never finish), [`pool_threads`](Self::pool_threads)
+    /// is below the goal's thread budget, the initial configuration
     /// fails validation, or the descriptor cannot be instantiated.
     pub fn launch(self, descriptor: Vec<TaskSpec>) -> Result<Dope> {
         Dope::launch(self, descriptor)
@@ -286,7 +290,7 @@ impl Drop for Report {
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Dope {
-    control: Option<JoinHandle<Result<RunReport>>>,
+    control: Option<Joiner<Result<RunReport>>>,
     shared: Arc<Shared>,
 }
 
@@ -349,6 +353,13 @@ impl Dope {
         builder.admission.validate()?;
         let goal = builder.goal;
         let budget = goal.threads().max(1);
+        let pool_threads = builder.pool_threads.unwrap_or(budget);
+        if pool_threads < budget {
+            return Err(Error::Usage(format!(
+                "pool_threads({pool_threads}) is below the goal's thread budget of {budget}: \
+                 replicas of a configuration within the budget would never run"
+            )));
+        }
         let shape = ProgramShape::of_specs(&descriptor);
         let res = Resources {
             threads: budget,
@@ -363,8 +374,7 @@ impl Dope {
             .initial(&shape, &res)
             .unwrap_or_else(|| Config::even(&shape, budget))
             .into();
-        let launch_budget = builder.pool_threads.unwrap_or(budget).max(budget);
-        initial.validate(&shape, launch_budget)?;
+        initial.validate(&shape, pool_threads)?;
 
         let monitor = Monitor::with_sources(
             builder.features,
@@ -396,7 +406,7 @@ impl Dope {
             notes,
         });
 
-        let pool = WorkerPool::new(builder.pool_threads.unwrap_or(budget).max(1));
+        let pool = WorkerPool::new(pool_threads);
         if let Some(registry) = &builder.metrics {
             pool.register_metrics(registry);
         }
@@ -415,10 +425,10 @@ impl Dope {
             },
             metrics: builder.metrics.as_ref().map(ExecMetrics::new),
         };
-        let control = std::thread::Builder::new()
-            .name("dope-executive".to_string())
-            .spawn(move || executive.run(mechanism, initial, observer))
-            .map_err(|err| Error::Usage(format!("spawning the executive thread failed: {err}")))?;
+        let control = carrier::spawn(&carrier::EXECUTIVE, move || {
+            executive.run(mechanism, initial, observer)
+        })
+        .map_err(|err| Error::Usage(format!("spawning the executive thread failed: {err}")))?;
 
         Ok(Dope {
             control: Some(control),
@@ -1055,6 +1065,29 @@ mod tests {
         }
     }
 
+    /// A pool smaller than the budget would leave replicas of the even
+    /// split queued behind the ones it can run: with 4 threads of budget,
+    /// one pool thread and two leaves, 3 of the 4 replicas never started.
+    /// `launch` refuses it and names both numbers.
+    #[test]
+    fn launch_refuses_a_pool_below_the_budget() {
+        let leaf = |name: &str| drain_spec(name, WorkQueue::new(), Arc::default(), Duration::ZERO);
+        let refused = Dope::builder(Goal::MaxThroughput { threads: 4 })
+            .pool_threads(1)
+            .launch(vec![leaf("a"), leaf("b")]);
+        match refused {
+            Err(Error::Usage(text)) => {
+                assert!(text.contains("pool_threads(1)"), "{text}");
+                assert!(text.contains("budget of 4"), "{text}");
+            }
+            Err(err) => panic!("refused for another reason: {err}"),
+            Ok(dope) => {
+                dope.stop();
+                panic!("a 1-thread pool launched under a 4-thread budget");
+            }
+        }
+    }
+
     /// An empty alternative the configuration does not select is the
     /// analyzer's lint (DV008), not a reason to refuse the launch: the
     /// verdict is `Config::validate`'s, in debug and release alike.
@@ -1441,6 +1474,9 @@ mod tests {
         });
         let recorder = Recorder::bounded(4096);
         let registry = MetricsRegistry::new();
+        // Launch takes the idle carriers; the snapshot and the scrape
+        // below take the monitor's locks.
+        let before = chains_on_this_thread();
         let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
             .mechanism(Box::new(Widen(false)))
             .control_period(Duration::from_millis(5))
@@ -1467,7 +1503,6 @@ mod tests {
             assert!(Instant::now() < deadline, "no partial reconfiguration");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let before = chains_on_this_thread();
         let _ = dope.monitor().snapshot();
         assert!(registry.render().contains(names::TASK_INVOCATIONS_TOTAL));
         let acquired: Vec<Vec<u32>> = chains_on_this_thread()

@@ -55,6 +55,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+mod carrier;
 pub mod executive;
 pub mod instance;
 mod lockrank;

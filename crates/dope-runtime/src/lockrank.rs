@@ -41,6 +41,9 @@ pub(crate) mod rank {
         /// `PathStats::shards` (the per-path shard list; the shards
         /// themselves are lock-free).
         SHARDS = 70, "shards";
+        /// `carrier::Role::idle` (the idle carriers of one role; held
+        /// only to push or pop one).
+        CARRIERS = 80, "carriers";
     }
 }
 
@@ -86,7 +89,7 @@ pub(crate) struct RankedMutex<T> {
 
 impl<T> RankedMutex<T> {
     /// Wraps `value` in a mutex at `rank` of the lock order.
-    pub(crate) fn new(rank: Rank, value: T) -> Self {
+    pub(crate) const fn new(rank: Rank, value: T) -> Self {
         RankedMutex {
             rank,
             raw: Mutex::new(value),

@@ -70,24 +70,6 @@ fn time_per_op(iters: u64, mut op: impl FnMut(u64)) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Joins per-thread ns/op results into their mean (panicked threads are
-/// skipped; an empty join set reports 0).
-fn mean_join(handles: Vec<std::thread::JoinHandle<f64>>) -> f64 {
-    let mut total = 0.0;
-    let mut joined = 0u32;
-    for handle in handles {
-        if let Ok(ns) = handle.join() {
-            total += ns;
-            joined += 1;
-        }
-    }
-    if joined == 0 {
-        0.0
-    } else {
-        total / f64::from(joined)
-    }
-}
-
 /// A bare monitor with a one-worker leaf row at each of `0..leaves`,
 /// installed as a launch installs them, and the rows' cells.
 fn installed(leaves: u16) -> (Monitor, Vec<Arc<PathStats>>) {
@@ -116,18 +98,21 @@ pub fn bench_record_path(iters: u64, threads: u32) -> RecordPathReport {
     // Sharded, contended: every writer has its own shard of the same
     // path — the contention the design is supposed to have eliminated.
     let (_monitor, cells) = installed(1);
-    let barrier = Arc::new(Barrier::new(threads as usize));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let stats = Arc::clone(&cells[0]);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let shard = stats.shard();
-            barrier.wait();
-            time_per_op(iters, |_| shard.record(exec))
-        }));
-    }
-    let sharded_contended_ns = mean_join(handles);
+    let barrier = Barrier::new(threads as usize);
+    let writers_ns: Vec<f64> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let shard = cells[0].shard();
+                    barrier.wait();
+                    time_per_op(iters, |_| shard.record(exec))
+                })
+            })
+            .collect();
+        // A writer that panicked is left out of the mean.
+        writers.into_iter().filter_map(|w| w.join().ok()).collect()
+    });
+    let sharded_contended_ns = writers_ns.iter().sum::<f64>() / writers_ns.len().max(1) as f64;
 
     RecordPathReport {
         iters_per_thread: iters.max(1),

@@ -14,19 +14,21 @@
 //! executive's task loops) catch the unwind themselves first; the pool's
 //! net is the last line of defence.
 //!
-//! Worker threads are long-lived: a pool spawns its threads once and
-//! they survive until `shutdown`, running many jobs each. The monitor's
-//! sharded recorders (`docs/performance.md`) lean on this — shards are
-//! keyed by `ThreadId`, so stable worker threads keep the per-path
-//! shard count bounded by the pool size instead of growing with the
-//! job count.
+//! Workers run on carrier threads (`crate::carrier`): a pool starts one
+//! worker loop per thread on an idle `dope-worker` carrier, and
+//! `shutdown` joins the loops, each carrier parking again for the next
+//! pool instead of exiting. A loop runs many jobs on one thread. The
+//! monitor's sharded recorders (`docs/performance.md`) lean on this —
+//! shards are keyed by `ThreadId`, so stable worker threads keep the
+//! per-path shard count bounded by the pool size instead of growing
+//! with the job count.
 
+use crate::carrier::{self, Joiner};
 use dope_core::Error;
 use dope_metrics::{names, Counter, MetricsRegistry};
 use dope_workload::WorkQueue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -53,7 +55,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 #[derive(Debug)]
 pub struct WorkerPool {
     jobs: WorkQueue<Job>,
-    handles: Vec<JoinHandle<()>>,
+    loops: Vec<Joiner<()>>,
     /// Jobs a worker actually started executing.
     dispatched: Arc<Counter>,
     /// Times a worker finished a job and went back to waiting on the
@@ -85,34 +87,32 @@ impl WorkerPool {
             clippy::expect_used,
             reason = "spawn failure during pool construction is unrecoverable and is the constructor's documented panic contract"
         )]
-        let handles = (0..threads)
-            .map(|i| {
+        let loops = (0..threads)
+            .map(|_| {
                 let jobs = jobs.clone();
                 let dispatched = Arc::clone(&dispatched);
                 let parks = Arc::clone(&parks);
                 let panics_caught = Arc::clone(&panics_caught);
-                std::thread::Builder::new()
-                    .name(format!("dope-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = jobs.dequeue() {
-                            dispatched.inc();
-                            // Supervision: a panicking job must not kill
-                            // this thread, or the pool silently loses
-                            // capacity for the rest of the run. Jobs are
-                            // FnOnce and dropped either way, so unwind
-                            // safety reduces to "the panic is contained".
-                            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                panics_caught.inc();
-                            }
-                            parks.inc();
+                carrier::spawn(&carrier::WORKER, move || {
+                    while let Some(job) = jobs.dequeue() {
+                        dispatched.inc();
+                        // Supervision: a panicking job must not end this
+                        // loop, or the pool silently loses capacity for
+                        // the rest of the run. Jobs are FnOnce and
+                        // dropped either way, so unwind safety reduces to
+                        // "the panic is contained".
+                        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                            panics_caught.inc();
                         }
-                    })
-                    .expect("spawning a worker thread")
+                        parks.inc();
+                    }
+                })
+                .expect("spawning a worker thread")
             })
             .collect();
         WorkerPool {
             jobs,
-            handles,
+            loops,
             dispatched,
             parks,
             panics_caught,
@@ -164,7 +164,7 @@ impl WorkerPool {
     /// Number of worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.handles.len()
+        self.loops.len()
     }
 
     /// Total jobs submitted over the pool's lifetime — across epochs,
@@ -215,8 +215,8 @@ impl WorkerPool {
 
     fn shutdown_inner(&mut self) {
         self.jobs.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for worker in self.loops.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -326,6 +326,21 @@ mod tests {
         assert_eq!(pool.dispatched(), 7);
         assert_eq!(pool.parks(), 7);
         assert_eq!(pool.panics_caught.get(), 1);
+        pool.shutdown();
+    }
+
+    /// A payload whose drop panics unwinds out of the worker loop itself,
+    /// past the job's containment: `shutdown` must still return.
+    #[test]
+    fn a_worker_loop_that_unwinds_still_lets_shutdown_return() {
+        struct Detonator;
+        impl Drop for Detonator {
+            fn drop(&mut self) {
+                panic!("the payload's drop panicked");
+            }
+        }
+        let pool = WorkerPool::new(1);
+        pool.submit(|| std::panic::panic_any(Detonator));
         pool.shutdown();
     }
 
