@@ -143,14 +143,7 @@ impl LivePipeline {
 
     /// A probe for `DopeBuilder::queue_probe`.
     pub fn queue_probe(&self) -> impl Fn() -> QueueStats + Send + Sync + 'static {
-        let queue = self.source.clone();
-        let stats = Arc::clone(&self.stats);
-        move || QueueStats {
-            occupancy: queue.occupancy(),
-            arrival_rate: queue.total_enqueued() as f64 / stats.elapsed_secs().max(1e-9),
-            enqueued: queue.total_enqueued(),
-            completed: stats.completed(),
-        }
+        crate::service::queue_probe(&self.source, &self.stats)
     }
 }
 

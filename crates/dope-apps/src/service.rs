@@ -156,17 +156,21 @@ impl TwoLevelService {
     /// A probe for `DopeBuilder::queue_probe` reporting this service's
     /// work queue.
     pub fn queue_probe(&self) -> impl Fn() -> QueueStats + Send + Sync + 'static {
-        let queue = self.queue.clone();
-        let stats = Arc::clone(&self.stats);
-        move || QueueStats {
-            occupancy: queue.occupancy(),
-            arrival_rate: {
-                let elapsed = stats.elapsed_secs().max(1e-9);
-                queue.total_enqueued() as f64 / elapsed
-            },
-            enqueued: queue.total_enqueued(),
-            completed: stats.completed(),
-        }
+        queue_probe(&self.queue, &self.stats)
+    }
+}
+
+/// A queue probe over `queue`, whose items complete into `stats`.
+pub(crate) fn queue_probe<T: Send + 'static>(
+    queue: &WorkQueue<T>,
+    stats: &Arc<ServiceStats>,
+) -> impl Fn() -> QueueStats + Send + Sync + 'static {
+    let (queue, stats) = (queue.clone(), Arc::clone(stats));
+    move || QueueStats {
+        occupancy: queue.occupancy(),
+        arrival_rate: queue.total_enqueued() as f64 / stats.elapsed_secs().max(1e-9),
+        enqueued: queue.total_enqueued(),
+        completed: stats.completed(),
     }
 }
 

@@ -11,49 +11,17 @@
 //! recorded while the drain is in flight carry monotone cumulative
 //! counters that satisfy the conservation invariant at every row.
 
-use dope_core::{
-    body_fn, AdmissionPolicy, AdmissionStats, Config, Goal, Mechanism, MonitorSnapshot,
-    ProgramShape, Resources, TaskBody, TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus,
-    WorkerSlot,
-};
+use dope_core::{AdmissionPolicy, AdmissionStats, Config, Goal, TaskConfig};
 use dope_metrics::{names, MetricsRegistry};
 use dope_runtime::Dope;
 use dope_trace::{render_timeline, summarize, Recorder, TraceEvent, TraceRecord};
-use dope_workload::{AdmissionQueue, Waited, WorkQueue};
+use dope_workload::AdmissionQueue;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use support::{check, closed_queue, Leaf, Scripted};
 
-/// Pins a starting configuration, proposes one target at the first
-/// consult, then holds.
-struct OneBump {
-    fired: bool,
-    start: Config,
-    target: Config,
-}
-
-impl Mechanism for OneBump {
-    fn name(&self) -> &'static str {
-        "OneBump"
-    }
-    fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
-        Some(self.start.clone())
-    }
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        if self.fired {
-            None
-        } else {
-            self.fired = true;
-            Some(self.target.clone())
-        }
-    }
-}
+mod support;
 
 /// The gate's counters in each recorded period whose gate saw traffic:
 /// the periods a reader derives an `AdmissionDecision` row from.
@@ -84,70 +52,28 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
     let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 32 });
     let served = Arc::new(AtomicU64::new(0));
 
-    // The gated path: drains the admission queue, one item per invoke.
-    let gated = {
-        let gate_factory = gate.clone();
-        let served = Arc::clone(&served);
-        TaskSpec::leaf("gated", TaskKind::Par, move |_slot: WorkerSlot| {
-            let gate = gate_factory.clone();
-            let served = Arc::clone(&served);
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                match gate.take_for(cx) {
-                    Waited::Item(_) => {
-                        cx.begin();
-                        served.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(1));
-                        cx.end();
-                        TaskStatus::Executing
-                    }
-                    Waited::Suspended => TaskStatus::Suspended,
-                    Waited::Closed => TaskStatus::Finished,
-                }
-            })) as Box<dyn TaskBody>
-        })
+    // The gated path drains the admission queue, one item per invoke; an
+    // untouched path makes the extent bump on `gated` delta-scoped, and its
+    // replica must run straight through the epoch boundary.
+    let gated = Leaf::new("gated", gate.clone())
+        .work(Duration::from_millis(1))
+        .hits(&served)
+        .spec();
+    let background = Leaf::new("background", closed_queue(40))
+        .work(Duration::from_millis(3))
+        .spec();
+    let pair = |gated| {
+        Config::new(vec![
+            TaskConfig::leaf("gated", gated),
+            TaskConfig::leaf("background", 1),
+        ])
     };
-
-    // An untouched path, so the extent bump on `gated` is delta-scoped:
-    // this replica must run straight through the epoch boundary.
-    let background_queue: WorkQueue<u64> = WorkQueue::new();
-    for i in 0..40u64 {
-        background_queue.enqueue(i).unwrap();
-    }
-    background_queue.close();
-    let background = {
-        let queue = background_queue.clone();
-        TaskSpec::leaf("background", TaskKind::Par, move |_slot: WorkerSlot| {
-            let queue = queue.clone();
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                match queue.dequeue_for(cx) {
-                    Waited::Item(_) => {
-                        cx.begin();
-                        std::thread::sleep(Duration::from_millis(3));
-                        cx.end();
-                        TaskStatus::Executing
-                    }
-                    Waited::Suspended => TaskStatus::Suspended,
-                    Waited::Closed => TaskStatus::Finished,
-                }
-            })) as Box<dyn TaskBody>
-        })
-    };
-
-    let start = Config::new(vec![
-        TaskConfig::leaf("gated", 1),
-        TaskConfig::leaf("background", 1),
-    ]);
-    let target = Config::new(vec![
-        TaskConfig::leaf("gated", 2),
-        TaskConfig::leaf("background", 1),
-    ]);
+    let target = pair(2);
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
-        .mechanism(Box::new(OneBump {
-            fired: false,
-            start,
-            target: target.clone(),
-        }))
+        .mechanism(Box::new(
+            Scripted::once(0, target.clone()).starting(pair(1)),
+        ))
         .control_period(Duration::from_millis(10))
         .admission(gate.policy())
         .admission_probe(gate.stats_probe())
@@ -175,8 +101,9 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
     // The extent bump raced the storm and was applied as a delta epoch.
     assert_eq!(report.reconfigurations, 1);
     assert_eq!(report.final_config, target);
-    let epochs: Vec<(String, u64)> = recorder
-        .records()
+    let records = recorder.records();
+    check(&records, true);
+    let epochs: Vec<(String, u64)> = records
         .iter()
         .filter_map(|r| match &r.event {
             TraceEvent::ReconfigureEpoch {
@@ -211,11 +138,7 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
 
     // Every period recorded while the race was in flight holds gate
     // counters that are internally consistent and never regress, and
-    // each is read as one derived row. The recording holds no copy.
-    let records = recorder.records();
-    assert!(records
-        .iter()
-        .all(|r| !matches!(r.event.kind(), "AdmissionDecision" | "FeatureRead")));
+    // each is read as one derived row (`check` refuses a written copy).
     let periods = pressured(&records);
     let mut last = AdmissionStats::default();
     for gate_now in &periods {
@@ -269,23 +192,7 @@ fn admission_counters_stay_coherent_across_a_partial_drain() {
 #[test]
 fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
     let gate: AdmissionQueue<u64> = AdmissionQueue::new(AdmissionPolicy::Shed { high_water: 8 });
-    let spec = {
-        let gate = gate.clone();
-        TaskSpec::leaf("gated", TaskKind::Par, move |_slot: WorkerSlot| {
-            let gate = gate.clone();
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                match gate.take_for(cx) {
-                    Waited::Item(_) => {
-                        cx.begin();
-                        cx.end();
-                        TaskStatus::Executing
-                    }
-                    Waited::Suspended => TaskStatus::Suspended,
-                    Waited::Closed => TaskStatus::Finished,
-                }
-            })) as Box<dyn TaskBody>
-        })
-    };
+    let spec = Leaf::new("gated", gate.clone()).spec();
     let recorder = Recorder::bounded(8192);
     let registry = MetricsRegistry::new();
     let dope = Dope::builder(Goal::MaxThroughput { threads: 1 })
@@ -325,10 +232,7 @@ fn outside_snapshots_leave_no_record_and_steal_no_shed_window() {
     // carries its snapshot's counters and judges the window since the
     // previous recorded *period*.
     let records = recorder.records();
-    let periods = records
-        .iter()
-        .filter(|r| r.event.kind() == "SnapshotTaken")
-        .count();
+    let periods = check(&records, true).kind("SnapshotTaken");
     let pressured = pressured(&records);
     let verdicts = verdicts(&records);
     assert_eq!(

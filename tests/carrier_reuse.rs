@@ -7,16 +7,16 @@
 //! `std` never reuses a `ThreadId`, so "the second launch ran on a subset
 //! of the first launch's threads" means it started none of its own.
 
-use dope_core::{
-    body_fn, Config, Error, Goal, Mechanism, MonitorSnapshot, ProgramShape, Resources, TaskBody,
-    TaskKind, TaskSpec, TaskStatus, WorkerSlot,
-};
+use dope_core::{body_fn, Error, Goal, TaskBody, TaskKind, TaskSpec, TaskStatus, WorkerSlot};
 use dope_runtime::Dope;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
+use support::Scripted;
+
+mod support;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -37,31 +37,6 @@ impl Seen {
 
     fn threads(&self) -> HashSet<ThreadId> {
         self.threads.lock().unwrap().clone()
-    }
-}
-
-/// Records the control thread, then holds, or panics if `explode`.
-struct Recording {
-    seen: Arc<Seen>,
-    explode: bool,
-}
-
-impl Mechanism for Recording {
-    fn name(&self) -> &'static str {
-        "Recording"
-    }
-
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        self.seen.record();
-        self.seen.consulted.store(true, Ordering::Release);
-        assert!(!self.explode, "mechanism exploded");
-        None
     }
 }
 
@@ -91,11 +66,16 @@ fn leaf(name: &str, seen: &Arc<Seen>) -> TaskSpec {
 /// Launches the two-leaf program on a 2-thread budget and waits for it.
 fn run(explode: bool) -> (Arc<Seen>, dope_core::Result<()>) {
     let seen = Arc::new(Seen::default());
+    // Records the control thread, then holds, or panics if `explode`.
+    let consulted = Arc::clone(&seen);
+    let mechanism = Scripted::new(move |_, _| {
+        consulted.record();
+        consulted.consulted.store(true, Ordering::Release);
+        assert!(!explode, "mechanism exploded");
+        None
+    });
     let result = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(Recording {
-            seen: Arc::clone(&seen),
-            explode,
-        }))
+        .mechanism(Box::new(mechanism))
         .control_period(Duration::from_millis(1))
         .launch(vec![leaf("a", &seen), leaf("b", &seen)])
         .and_then(Dope::wait)

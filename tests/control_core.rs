@@ -7,9 +7,11 @@
 //! suspended, failed, or lost without an outcome), stops, lets
 //! relaunches fail — against a scripted mechanism (hold / unchanged /
 //! reject / accept-partial / accept-full, sometimes unexplained), under
-//! all three failure policies with delta reconfiguration on and off, and
+//! all three failure policies with delta reconfiguration on and off,
 //! checks the protocol's invariants against its own books after every
-//! step and at `finish`. The interleavings the live suites
+//! step and at `finish`, and holds every run's recording (made by the
+//! simulators' `RecordingObserver`) to the trace rules of
+//! `tests/support`'s `check`. The interleavings the live suites
 //! (`control_loop.rs`, `failure_injection.rs`, `partial_reconfig.rs`)
 //! can only hope to hit by racing threads are enumerated here; the ones
 //! that were once bugs are pinned as named schedules below.
@@ -22,10 +24,13 @@ use dope_core::{
     ProgramShape, Rationale, Resources, ShapeNode, TaskConfig, TaskKind, TaskOutcome, TaskPath,
     TaskStats, TaskStatus,
 };
+use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
+use support::{broken, check, Counts, Rule};
+
+mod support;
 
 const BUDGET: u32 = 16;
 
@@ -175,73 +180,6 @@ impl Mechanism for Scripted {
 
     fn explain(&self) -> Option<DecisionTrace> {
         self.last.clone()
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Event {
-    Snapshot,
-    Decision {
-        at: f64,
-        scored: bool,
-    },
-    Proposal {
-        config: Config,
-        verdict: Verdict,
-    },
-    Reconfigured {
-        config: Config,
-        scope: Scope,
-        timing: DrainTiming,
-    },
-}
-
-#[derive(Default)]
-struct Log(Vec<Event>);
-
-impl ControlSink for Log {
-    fn snapshot_taken(&mut self, _snapshot: &MonitorSnapshot) {
-        self.0.push(Event::Snapshot);
-    }
-
-    fn decision_scored(
-        &mut self,
-        at: f64,
-        _mech: &str,
-        _trace: DecisionTrace,
-        realized: Option<f64>,
-    ) {
-        self.0.push(Event::Decision {
-            at,
-            scored: realized.is_some(),
-        });
-    }
-
-    fn proposal_evaluated(
-        &mut self,
-        _time: f64,
-        _mech: &str,
-        proposal: &Arc<Config>,
-        verdict: Verdict,
-    ) {
-        self.0.push(Event::Proposal {
-            config: Config::clone(proposal),
-            verdict,
-        });
-    }
-
-    fn reconfigured(
-        &mut self,
-        _time: f64,
-        config: &Arc<Config>,
-        scope: &Scope,
-        timing: DrainTiming,
-    ) {
-        self.0.push(Event::Reconfigured {
-            config: Config::clone(config),
-            scope: scope.clone(),
-            timing,
-        });
     }
 }
 
@@ -583,10 +521,19 @@ fn check_finish_from_running(driver: &Driver, step: Step, action: &Action) {
 /// (the pause runs from the latest request).
 fn check_pauses(run: &Run) {
     let timings: Vec<DrainTiming> = run
-        .events
+        .records
         .iter()
-        .filter_map(|event| match event {
-            Event::Reconfigured { timing, .. } => Some(*timing),
+        .filter_map(|record| match record.event {
+            TraceEvent::ReconfigureEpoch {
+                pause_secs,
+                relaunch_secs,
+                jobs,
+                ..
+            } => Some(DrainTiming {
+                pause_secs,
+                relaunch_secs,
+                jobs,
+            }),
             _ => None,
         })
         .collect();
@@ -596,7 +543,9 @@ fn check_pauses(run: &Run) {
 
 /// Everything one finished schedule left behind.
 struct Run {
-    events: Vec<Event>,
+    /// Its recording, checked, and what it counts.
+    records: Vec<TraceRecord>,
+    counts: Counts,
     report: ControlReport,
     consults: usize,
     explained: usize,
@@ -611,22 +560,37 @@ struct Run {
 }
 
 impl Run {
-    fn verdicts(&self) -> Vec<Verdict> {
-        self.events
-            .iter()
-            .filter_map(|event| match event {
-                Event::Proposal { verdict, .. } => Some(*verdict),
+    fn verdicts(&self) -> &[Verdict] {
+        &self.counts.verdicts
+    }
+
+    fn count_actions(&self, pick: impl Fn(&Action) -> bool) -> usize {
+        self.actions.iter().filter(|action| pick(action)).count()
+    }
+
+    /// The `(time, scored)` of every decision, in order.
+    fn decisions(&self) -> Vec<(f64, bool)> {
+        (self.records.iter())
+            .filter_map(|record| match record.event {
+                TraceEvent::DecisionTraced {
+                    realized_throughput,
+                    ..
+                } => Some((record.time_secs, realized_throughput.is_some())),
                 _ => None,
             })
             .collect()
     }
 
-    fn count(&self, pick: impl Fn(&Event) -> bool) -> usize {
-        self.events.iter().filter(|event| pick(event)).count()
-    }
-
-    fn count_actions(&self, pick: impl Fn(&Action) -> bool) -> usize {
-        self.actions.iter().filter(|action| pick(action)).count()
+    /// The `(config, scope)` of every reconfiguration, in order.
+    fn reconfigured(&self) -> Vec<(Config, &str)> {
+        (self.records.iter())
+            .filter_map(|record| match &record.event {
+                TraceEvent::ReconfigureEpoch { config, scope, .. } => {
+                    Some((Config::clone(config), scope.as_str()))
+                }
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -636,17 +600,20 @@ impl Run {
 fn run(rules: Rules, script: Vec<(Move, bool)>, steps: &[Step]) -> Run {
     let shape = shape();
     let mut mechanism = Scripted::new(script);
-    let mut log = Log::default();
+    let recorder = Recorder::bounded(1 << 10);
+    let mut observer = RecordingObserver::new(recorder.clone());
+    let initial = config(2, 2, 1).into();
+    observer.launched(mechanism.name(), BUDGET, &shape, &initial);
     let mut actions = Vec::new();
     let mut driver = Driver::default();
     let report = {
         let mut core = ControlCore::new(
             &mut mechanism,
-            &mut log,
+            &mut observer,
             &shape,
             Resources::threads(BUDGET),
             rules,
-            config(2, 2, 1).into(),
+            initial,
         );
         driver.relaunch(&mut core, 0.0, &top_level());
         let mut now = 0.0;
@@ -686,8 +653,18 @@ fn run(rules: Rules, script: Vec<(Move, bool)>, steps: &[Step]) -> Run {
     if owed == Owed::Relaunch && driver.owed.is_none() {
         owed = Owed::Nothing;
     }
+    // The run ended cleanly if the core finished it before any abort.
+    let ended = actions
+        .iter()
+        .find(|a| matches!(a, Action::Finish | Action::Abort(_)));
+    let clean = ended == Some(&Action::Finish);
+    if clean {
+        observer.finished(0, report.reconfigurations);
+    }
+    let records = recorder.records();
     let run = Run {
-        events: log.0,
+        counts: check(&records, clean),
+        records,
         report,
         consults: mechanism.consults,
         explained: mechanism.explained,
@@ -747,59 +724,24 @@ fn check_suspend_requests(run: &Run, steps: &[Step], rules: Rules) {
     }
 }
 
-/// The invariants every schedule must satisfy once finished.
+/// The invariants every schedule must satisfy once finished, beyond the
+/// trace rules `check` holds its recording to.
 fn check_closing_invariants(run: &Run, rules: Rules) {
-    let events = &run.events;
-    // One snapshot event per consult; one decision per explained consult.
-    assert_eq!(run.count(|e| *e == Event::Snapshot), run.consults);
+    // One snapshot per consult; one decision per explained consult.
+    assert_eq!(run.counts.kind("SnapshotTaken"), run.consults);
     assert_eq!(
-        run.count(|e| matches!(e, Event::Decision { .. })),
+        run.counts.kind("DecisionTraced"),
         run.explained,
-        "every consult that explained itself yields exactly one decision: {events:?}"
+        "every consult that explained itself yields exactly one decision: {:?}",
+        run.counts
     );
-    // Decisions leave the hold in the order they were taken.
-    let stamps: Vec<f64> = events
-        .iter()
-        .filter_map(|event| match event {
-            Event::Decision { at, .. } => Some(*at),
-            _ => None,
-        })
-        .collect();
-    assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
-
-    // Every accepted target is applied or superseded, exactly once, and
-    // never while another is in flight.
-    let mut in_flight: Option<&Config> = None;
-    let mut reconfigured = Vec::new();
-    for event in events {
-        match event {
-            Event::Proposal { config, verdict } => match verdict {
-                Verdict::Accepted => {
-                    assert!(in_flight.is_none(), "two targets in flight: {events:?}");
-                    in_flight = Some(config);
-                }
-                Verdict::Superseded => {
-                    assert_eq!(in_flight.take(), Some(config), "{events:?}");
-                }
-                Verdict::Unchanged | Verdict::Rejected { .. } => {}
-            },
-            Event::Reconfigured { config, scope, .. } => {
-                match in_flight.take() {
-                    Some(target) => assert_eq!(target, config, "{events:?}"),
-                    // Only a Degrade shrink reconfigures unproposed.
-                    None => assert_eq!(rules.policy, FailurePolicy::Degrade, "{events:?}"),
-                }
-                if !rules.delta {
-                    assert_eq!(*scope, Scope::Full);
-                }
-                reconfigured.push(config.clone());
-            }
-            Event::Snapshot | Event::Decision { .. } => {}
-        }
+    let reconfigured = run.reconfigured();
+    if !rules.delta {
+        assert!(reconfigured.iter().all(|(_, scope)| *scope == "full"));
     }
-    assert!(in_flight.is_none(), "accepted target left open: {events:?}");
+    let reconfigured: Vec<Config> = reconfigured.into_iter().map(|(config, _)| config).collect();
 
-    // The books agree with the events.
+    // The books agree with the recording.
     let report = &run.report;
     let history: Vec<Config> = report
         .config_history
@@ -811,12 +753,7 @@ fn check_closing_invariants(run: &Run, rules: Rules) {
     assert_eq!(run.applied, reconfigured, "mechanism hears every apply");
     assert_eq!(history.last(), Some(&report.final_config));
     assert!(report.config_history.windows(2).all(|w| w[0].0 < w[1].0));
-    let rejected = run
-        .verdicts()
-        .iter()
-        .filter(|v| matches!(v, Verdict::Rejected { .. }))
-        .count();
-    assert_eq!(report.rejected as usize, rejected);
+    assert_eq!(report.rejected as usize, run.counts.rejected());
     if let FailurePolicy::Restart { max_retries, .. } = rules.policy {
         assert!(report.restarts <= u64::from(max_retries));
     } else {
@@ -954,14 +891,14 @@ fn seeded_schedules_keep_every_invariant() {
     let mut reached = [0usize; 12];
     for seed in 0..4000 {
         let run = explore(seed);
-        let proposed = run.verdicts();
-        let accepted = proposed.iter().filter(|v| **v == Verdict::Accepted).count();
-        let superseded = proposed
-            .iter()
-            .filter(|v| **v == Verdict::Superseded)
-            .count();
+        let accepted = run.counts.verdict(Verdict::Accepted);
+        let superseded = run.counts.verdict(Verdict::Superseded);
+        let scopes = run.reconfigured();
         let applies = |partial: bool| {
-            run.count(|e| matches!(e, Event::Reconfigured { scope, .. } if (*scope != Scope::Full) == partial))
+            let scopes = scopes.iter();
+            scopes
+                .filter(|(_, scope)| (*scope == "partial") == partial)
+                .count()
         };
         reached[0] += superseded;
         reached[1] += applies(true);
@@ -969,7 +906,7 @@ fn seeded_schedules_keep_every_invariant() {
         reached[3] += applies(true) + applies(false) + superseded - accepted;
         reached[4] += run.report.restarts as usize;
         reached[5] += run.count_actions(|a| matches!(a, Action::Abort(_)));
-        reached[6] += run.count(|e| matches!(e, Event::Decision { scored: false, .. }));
+        reached[6] += run.decisions().iter().filter(|(_, scored)| !scored).count();
         for (total, n) in reached[7..].iter_mut().zip(run.reached) {
             *total += n;
         }
@@ -1005,7 +942,7 @@ fn pr9_every_running_tick_consults() {
         ],
     );
     assert_eq!(run.consults, 5);
-    assert_eq!(run.count(|e| matches!(e, Event::Decision { .. })), 5);
+    assert_eq!(run.counts.kind("DecisionTraced"), 5);
 }
 
 /// PR 9 bug 2: a failure racing a partial drain escalates to a full
@@ -1033,7 +970,7 @@ fn pr9_failure_during_partial_drain_supersedes_the_target() {
         run.verdicts(),
         [Verdict::Accepted, Verdict::Superseded],
         "{:?}",
-        run.events
+        run.counts
     );
     assert_eq!(run.report.final_config, config(1, 2, 1));
     assert_eq!(run.report.failure_verdict, FailureVerdict::Degraded);
@@ -1122,28 +1059,10 @@ fn pr9_last_decision_is_flushed_at_finish() {
                 Step::Finish(with_snapshot),
             ],
         );
-        let decisions: Vec<&Event> = run
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::Decision { .. }))
-            .collect();
-        assert_eq!(
-            decisions,
-            [
-                &Event::Decision {
-                    at: 1.0,
-                    scored: true
-                },
-                &Event::Decision {
-                    at: 3.0,
-                    scored: with_snapshot
-                },
-            ]
-        );
+        assert_eq!(run.decisions(), [(1.0, true), (3.0, with_snapshot)]);
         // A scored decision precedes the snapshot that scored it.
-        assert_eq!(run.events[0], Event::Snapshot);
-        assert!(matches!(run.events[1], Event::Decision { at, .. } if at == 1.0));
-        assert_eq!(run.events[2], Event::Snapshot);
+        let kinds: Vec<&str> = run.records[1..4].iter().map(|r| r.event.kind()).collect();
+        assert_eq!(kinds, ["SnapshotTaken", "DecisionTraced", "SnapshotTaken"]);
     }
 }
 
@@ -1213,7 +1132,7 @@ fn abort_keeps_the_audit_trail() {
         run.actions
     );
     assert_eq!(run.verdicts(), [Verdict::Accepted, Verdict::Superseded]);
-    assert_eq!(run.count(|e| matches!(e, Event::Decision { .. })), 1);
+    assert_eq!(run.counts.kind("DecisionTraced"), 1);
     assert_eq!(run.report.reconfigurations, 0);
     assert_eq!(run.report.task_failures, 1);
 
@@ -1316,4 +1235,130 @@ fn policies_give_up_loudly() {
         err.to_string().contains("restart budget of 2 exhausted"),
         "{err}"
     );
+}
+
+/// The first record of `kind` in `records`.
+fn first(records: &[TraceRecord], kind: &str) -> usize {
+    let at = records.iter().position(|r| r.event.kind() == kind);
+    at.unwrap_or_else(|| panic!("no {kind}"))
+}
+
+/// Each trace rule `check` states turns red on a hand-mutated recording
+/// of a named schedule, one input per rule (three for the target rule),
+/// while the recording as made keeps every rule.
+#[test]
+fn each_trace_rule_breaks_on_its_mutated_recording() {
+    // Launched, SnapshotTaken, ProposalEvaluated (accepted),
+    // ReconfigureEpoch, Finished.
+    let applied = run(
+        rules(FailurePolicy::Abort, true),
+        vec![(Move::AcceptPartial, !EXPLAINED)],
+        &[
+            vec![Step::Tick],
+            reports(&["0", "0"], Suspended),
+            vec![Step::Relaunched],
+            reports(&["0", "0", "0", "1", "1", "2.0"], Finished),
+        ]
+        .concat(),
+    );
+    // Launched, SnapshotTaken, ProposalEvaluated (accepted), TaskFailed,
+    // ProposalEvaluated (superseded), DecisionTraced: no Finished.
+    let aborted = run(
+        rules(FailurePolicy::Abort, true),
+        vec![(Move::AcceptPartial, EXPLAINED)],
+        &[
+            vec![Step::Tick, Step::Report("0", Failed)],
+            reports(&["0", "1", "1", "2.0"], Suspended),
+        ]
+        .concat(),
+    );
+    type Mutation = Box<dyn Fn(&mut Vec<TraceRecord>)>;
+    let cases: [(&str, &Run, Rule, Mutation); 7] = [
+        (
+            "a Finished on a run that ended in error",
+            &aborted,
+            Rule::Ends,
+            Box::new(|records| {
+                let finished = TraceEvent::Finished {
+                    completed: 0,
+                    reconfigurations: 0,
+                    dropped_events: 0,
+                };
+                let (seq, time_secs) = (records.len() as u64, 9.0);
+                records.push(TraceRecord {
+                    seq,
+                    time_secs,
+                    event: finished,
+                });
+            }),
+        ),
+        (
+            "a proposal before its snapshot",
+            &applied,
+            Rule::Period,
+            Box::new(|records| records.swap(1, 2)),
+        ),
+        (
+            "a DecisionTraced stamped with no snapshot's time",
+            &aborted,
+            Rule::DecisionTime,
+            Box::new(|records| {
+                let at = first(records, "DecisionTraced");
+                records[at].time_secs += 0.5;
+            }),
+        ),
+        (
+            "a dropped ReconfigureEpoch",
+            &applied,
+            Rule::Target,
+            Box::new(|records| drop(records.remove(first(records, "ReconfigureEpoch")))),
+        ),
+        (
+            "a second Accepted while the first is in flight",
+            &applied,
+            Rule::Target,
+            Box::new(|records| {
+                let at = first(records, "ProposalEvaluated");
+                records.insert(at, records[at].clone());
+            }),
+        ),
+        (
+            "a Superseded of a different configuration",
+            &aborted,
+            Rule::Target,
+            Box::new(|records| {
+                let at = records.len() - 2;
+                if let TraceEvent::ProposalEvaluated { proposal, .. } = &mut records[at].event {
+                    *proposal = config(1, 1, 1).into();
+                }
+            }),
+        ),
+        (
+            "an epoch with no proposal behind it, not under Degrade",
+            &applied,
+            Rule::Unproposed,
+            Box::new(|records| {
+                if let TraceEvent::ProposalEvaluated { verdict, .. } = &mut records[2].event {
+                    *verdict = Verdict::Unchanged;
+                }
+            }),
+        ),
+    ];
+    for (what, run, rule, mutate) in cases {
+        let clean = run.counts.kind("Finished") == 1;
+        assert_eq!(
+            broken(&run.records, clean),
+            None,
+            "{what}: {:?}",
+            run.counts
+        );
+        let mut records = run.records.clone();
+        mutate(&mut records);
+        let found = broken(&records, clean);
+        assert_eq!(
+            found.as_ref().map(|(rule, _)| *rule),
+            Some(rule),
+            "{what}: {found:?}"
+        );
+    }
 }

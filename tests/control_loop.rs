@@ -4,39 +4,29 @@
 //! audit going missing or being scored over a sliver of a period.
 
 use dope_core::{
-    body_fn, Config, DecisionTrace, FailurePolicy, FailureVerdict, Goal, Mechanism,
-    MonitorSnapshot, ProgramShape, Rationale, Resources, TaskBody, TaskCx, TaskKind, TaskPath,
-    TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, FailurePolicy, FailureVerdict, Goal, TaskBody, TaskCx, TaskKind, TaskPath, TaskSpec,
+    TaskStatus, WorkerSlot,
 };
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{Waited, WorkQueue};
+use dope_workload::WorkQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+use support::{check, closed_queue, Leaf, Scripted};
 
-/// Counts consults; never proposes, always explains.
-struct Auditor {
-    consults: Arc<AtomicU64>,
-}
+mod support;
 
-impl Mechanism for Auditor {
-    fn name(&self) -> &'static str {
-        "Auditor"
-    }
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        self.consults.fetch_add(1, Ordering::SeqCst);
-        None
-    }
-    fn explain(&self) -> Option<DecisionTrace> {
-        Some(DecisionTrace::new(Rationale::Hold, "hold"))
-    }
+/// Counts consults into `consults`; never proposes, always explains.
+fn auditor(consults: &Arc<AtomicU64>) -> Box<Scripted> {
+    let consults = Arc::clone(consults);
+    Box::new(
+        Scripted::new(move |_, _| {
+            consults.fetch_add(1, Ordering::SeqCst);
+            None
+        })
+        .explained(),
+    )
 }
 
 /// Replica completions arriving faster than the control period must not
@@ -57,9 +47,7 @@ fn control_ticks_survive_completion_floods() {
         })) as Box<dyn TaskBody>
     });
     let dope = Dope::builder(Goal::MaxThroughput { threads: 16 })
-        .mechanism(Box::new(Auditor {
-            consults: Arc::clone(&consults),
-        }))
+        .mechanism(auditor(&consults))
         .control_period(Duration::from_millis(10))
         .launch(vec![spec])
         .expect("launch");
@@ -103,26 +91,6 @@ fn restart_backoff_yields_to_stop() {
     assert!(report.failure_verdict >= FailureVerdict::Recovered);
 }
 
-/// A leaf that waits on `queue`, works `work` per item and suspends when
-/// asked.
-fn waiting_leaf(name: &str, queue: WorkQueue<u64>, work: Duration) -> TaskSpec {
-    TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
-        let queue = queue.clone();
-        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            match queue.dequeue_for(cx) {
-                Waited::Item(_) => {
-                    cx.begin();
-                    std::thread::sleep(work);
-                    cx.end();
-                    TaskStatus::Executing
-                }
-                Waited::Suspended => TaskStatus::Suspended,
-                Waited::Closed => TaskStatus::Finished,
-            }
-        })) as Box<dyn TaskBody>
-    })
-}
-
 /// A stop wakes the control thread itself: with a 10 s control period no
 /// tick comes to notice it, yet every path — a nest's replicas and a
 /// leaf — suspends, and `wait()` returns promptly with nothing lost.
@@ -133,9 +101,9 @@ fn stop_lands_without_waiting_for_a_tick() {
     let inner = queue.clone();
     let specs = vec![
         TaskSpec::nest("outer", TaskKind::Par, move |_replica: u32| {
-            vec![waiting_leaf("inner", inner.clone(), Duration::ZERO)]
+            vec![Leaf::new("inner", inner.clone()).spec()]
         }),
-        waiting_leaf("leaf", queue, Duration::ZERO),
+        Leaf::new("leaf", queue).spec(),
     ];
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
         .control_period(Duration::from_secs(10))
@@ -167,22 +135,18 @@ fn stop_lands_without_waiting_for_a_tick() {
 #[test]
 fn every_consult_reaches_the_decision_trace() {
     let consults = Arc::new(AtomicU64::new(0));
-    let queue = WorkQueue::new();
-    for i in 0..120u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
-    let spec = waiting_leaf("drain", queue.clone(), Duration::from_millis(1));
+    let spec = Leaf::new("drain", closed_queue(120))
+        .work(Duration::from_millis(1))
+        .spec();
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(Auditor {
-            consults: Arc::clone(&consults),
-        }))
+        .mechanism(auditor(&consults))
         .control_period(Duration::from_millis(10))
         .recorder(recorder.clone())
         .launch(vec![spec])
         .expect("launch");
     dope.wait().expect("completes");
+    check(&recorder.records(), true);
 
     let decisions: Vec<Option<f64>> = recorder
         .records()
@@ -206,32 +170,6 @@ fn every_consult_reaches_the_decision_trace() {
         decisions.last().is_some_and(Option::is_some),
         "the final flushed decision is scored against a last snapshot"
     );
-}
-
-/// Holds at every consult, and hands each tick to a waiting test thread.
-struct Ticker {
-    ticks: mpsc::SyncSender<()>,
-}
-
-impl Mechanism for Ticker {
-    fn name(&self) -> &'static str {
-        "Ticker"
-    }
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        // Only a receiver already waiting takes it: the control thread
-        // never blocks here.
-        let _ = self.ticks.try_send(());
-        None
-    }
-    fn explain(&self) -> Option<DecisionTrace> {
-        Some(DecisionTrace::new(Rationale::Hold, "hold"))
-    }
 }
 
 /// A read a moment after a tick, and the held decision a stop right then
@@ -258,7 +196,16 @@ fn a_stop_right_after_a_tick_scores_over_a_whole_period() {
     });
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 1 })
-        .mechanism(Box::new(Ticker { ticks: tx }))
+        // Holds at every consult, and hands each tick to a waiting test
+        // thread: only a receiver already waiting takes it, so the control
+        // thread never blocks.
+        .mechanism(Box::new(
+            Scripted::new(move |_, _| {
+                let _ = tx.try_send(());
+                None
+            })
+            .explained(),
+        ))
         .control_period(Duration::from_millis(20))
         .recorder(recorder.clone())
         .launch(vec![spec])
@@ -272,6 +219,7 @@ fn a_stop_right_after_a_tick_scores_over_a_whole_period() {
 
     let path: TaskPath = "0".parse().unwrap();
     let records = recorder.records();
+    check(&records, true);
     let tick_rate = records
         .iter()
         .rev()

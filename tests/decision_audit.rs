@@ -12,6 +12,9 @@ use dope_metrics::{names, MetricsRegistry};
 use dope_runtime::Dope;
 use dope_trace::{explain, parse_jsonl, Recorder, TraceEvent};
 use std::time::{Duration, Instant};
+use support::check;
+
+mod support;
 
 #[test]
 fn live_run_records_scored_decisions_and_prediction_metrics() {
@@ -60,6 +63,7 @@ fn live_run_records_scored_decisions_and_prediction_metrics() {
     dope.wait().expect("drains");
 
     let records = parse_jsonl(&recorder.to_jsonl()).expect("live trace parses strictly");
+    check(&records, true);
     let decisions: Vec<_> = records
         .iter()
         .filter(|r| matches!(r.event, TraceEvent::DecisionTraced { .. }))

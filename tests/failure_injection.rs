@@ -3,70 +3,33 @@
 //! meter goes quiet.
 
 use dope_core::{
-    body_fn, Config, DiagCode, FailurePolicy, FailureVerdict, Goal, Mechanism, MonitorSnapshot,
-    ProgramShape, Resources, TaskBody, TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus,
-    WorkerSlot,
+    body_fn, Config, DiagCode, FailurePolicy, FailureVerdict, Goal, Resources, TaskBody,
+    TaskConfig, TaskCx, TaskKind, TaskSpec, TaskStatus, Verdict, WorkerSlot,
 };
 use dope_metrics::MetricsRegistry;
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{Waited, WorkQueue};
+use dope_workload::WorkQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::{check, closed_queue, counter_value, Leaf, Point, Scripted};
 
-/// A mechanism that always proposes a configuration violating the budget.
-#[derive(Debug)]
-struct Hostile;
+mod support;
 
-impl Mechanism for Hostile {
-    fn name(&self) -> &'static str {
-        "Hostile"
-    }
-
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        // 1000 workers on a tiny budget: must be rejected, not applied.
-        Some(Config::new(vec![TaskConfig::leaf("drain", 1000)]))
-    }
-}
-
-fn drain_spec(queue: WorkQueue<u64>, hits: Arc<AtomicU64>) -> TaskSpec {
-    TaskSpec::leaf("drain", TaskKind::Par, move |_slot: WorkerSlot| {
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            match queue.dequeue_for(cx) {
-                Waited::Item(_) => {
-                    cx.begin();
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    cx.end();
-                    TaskStatus::Executing
-                }
-                Waited::Suspended => TaskStatus::Suspended,
-                Waited::Closed => TaskStatus::Finished,
-            }
-        })) as Box<dyn TaskBody>
-    })
+fn drain(threads: u32) -> Config {
+    Config::new(vec![TaskConfig::leaf("drain", threads)])
 }
 
 #[test]
 fn invalid_proposals_are_rejected_and_counted() {
-    let queue = WorkQueue::new();
-    for i in 0..300u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
+    let spec = Leaf::new("drain", closed_queue(300)).hits(&hits).spec();
+    // 1000 workers on a tiny budget: must be rejected, not applied.
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(Hostile))
+        .mechanism(Box::new(Scripted::new(|_, _| Some(drain(1000)))))
         .control_period(Duration::from_millis(5))
-        .launch(vec![drain_spec(queue, Arc::clone(&hits))])
+        .launch(vec![spec])
         .expect("launch");
     let report = dope.wait().expect("completes despite hostile mechanism");
     assert_eq!(hits.load(Ordering::Relaxed), 300);
@@ -77,78 +40,16 @@ fn invalid_proposals_are_rejected_and_counted() {
 /// the executive must wait for it, not lose its work.
 #[test]
 fn slow_suspenders_drain_before_relaunch() {
-    struct Flipper {
-        target: Config,
-        flipped: bool,
-    }
-    impl std::fmt::Debug for Flipper {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Flipper")
-        }
-    }
-    impl Mechanism for Flipper {
-        fn name(&self) -> &'static str {
-            "Flipper"
-        }
-        fn reconfigure(
-            &mut self,
-            _snap: &MonitorSnapshot,
-            current: &Config,
-            _shape: &ProgramShape,
-            _res: &Resources,
-        ) -> Option<Config> {
-            if self.flipped || *current == self.target {
-                return None;
-            }
-            self.flipped = true;
-            Some(self.target.clone())
-        }
-    }
-
-    let queue = WorkQueue::new();
-    for i in 0..400u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
-    let spec = {
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        TaskSpec::leaf("drain", TaskKind::Par, move |_slot: WorkerSlot| {
-            let queue = queue.clone();
-            let hits = Arc::clone(&hits);
-            let mut ignored_suspends = 0u32;
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                let item = match queue.dequeue_for(cx) {
-                    Waited::Item(item) => Some(item),
-                    // Slow to yield: honour only the fourth suspend, and
-                    // keep taking (the queue is closed) until then.
-                    Waited::Suspended => {
-                        ignored_suspends += 1;
-                        if ignored_suspends >= 4 {
-                            return TaskStatus::Suspended;
-                        }
-                        queue.dequeue()
-                    }
-                    Waited::Closed => None,
-                };
-                if item.is_none() {
-                    return TaskStatus::Finished;
-                }
-                cx.begin();
-                hits.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(300));
-                cx.end();
-                TaskStatus::Executing
-            })) as Box<dyn TaskBody>
-        })
-    };
-
+    // Slow to yield: honour only the fourth suspend, and keep taking (the
+    // queue is closed) until then.
+    let spec = Leaf::new("drain", closed_queue(400))
+        .work(Duration::from_micros(300))
+        .hits(&hits)
+        .fault(|replica, point| point != Point::Asked || replica.asked >= 4)
+        .spec();
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(Flipper {
-            target: Config::new(vec![TaskConfig::leaf("drain", 1)]),
-            flipped: false,
-        }))
+        .mechanism(Box::new(Scripted::once(0, drain(1))))
         .control_period(Duration::from_millis(5))
         .launch(vec![spec])
         .expect("launch");
@@ -162,82 +63,39 @@ fn slow_suspenders_drain_before_relaunch() {
     assert_eq!(report.final_config.total_threads(), 1);
 }
 
-/// A task whose replica 0 of the *first* instantiation panics before
-/// touching the queue; every later instantiation behaves. `armed`
-/// counts factory calls so re-instantiated epochs run clean bodies.
-/// Told to suspend, a replica first drains its (closed) queue: under
-/// `Abort` nothing relaunches, and the survivor draining everything is
-/// the evidence that its worker thread lived.
-fn bomb_once_spec(
-    name: &str,
-    queue: WorkQueue<u64>,
-    hits: Arc<AtomicU64>,
-    armed: Arc<AtomicU64>,
-) -> TaskSpec {
-    TaskSpec::leaf(name, TaskKind::Par, move |slot: WorkerSlot| {
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        let instance = armed.fetch_add(1, Ordering::SeqCst);
-        let exploding = instance == 0 && slot.worker == 0;
-        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            if exploding {
+/// A leaf over `items` queued whose replica 0 of the *first*
+/// instantiation panics before touching the queue; every later
+/// instantiation behaves. Told to suspend, a replica first drains its
+/// (closed) queue: under `Abort` nothing relaunches, and the survivor
+/// draining everything is the evidence that its worker thread lived.
+fn bomb_once(items: u64, hits: &Arc<AtomicU64>) -> TaskSpec {
+    Leaf::new("drain", closed_queue(items))
+        .hits(hits)
+        .fault(|replica, point| {
+            if point == Point::Invoked && replica.instance == 0 && replica.worker == 0 {
                 panic!("injected failure");
             }
-            let item = match queue.dequeue_for(cx) {
-                Waited::Item(item) => Some(item),
-                Waited::Suspended => queue.dequeue(),
-                Waited::Closed => None,
-            };
-            if item.is_none() {
-                return TaskStatus::Finished;
-            }
-            cx.begin();
-            hits.fetch_add(1, Ordering::Relaxed);
-            cx.end();
-            TaskStatus::Executing
-        })) as Box<dyn TaskBody>
-    })
+            point != Point::Asked
+        })
+        .spec()
 }
 
-/// A leaf draining `queue` at ~200 µs an item whose worker 0 panics the
-/// first time it is told to suspend (once per run, counted in `exploded`).
-fn bomb_at_the_drain_spec(
-    queue: WorkQueue<u64>,
-    hits: Arc<AtomicU64>,
-    exploded: Arc<AtomicU64>,
-) -> TaskSpec {
-    TaskSpec::leaf("drain", TaskKind::Par, move |slot: WorkerSlot| {
-        let (queue, hits, exploded) = (queue.clone(), Arc::clone(&hits), Arc::clone(&exploded));
-        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            match queue.dequeue_for(cx) {
-                Waited::Item(_) => {
-                    cx.begin();
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(200));
-                    cx.end();
-                    TaskStatus::Executing
-                }
-                Waited::Suspended
-                    if slot.worker == 0
-                        && exploded
-                            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok() =>
-                {
-                    panic!("panicked at the suspension point")
-                }
-                Waited::Suspended => TaskStatus::Suspended,
-                Waited::Closed => TaskStatus::Finished,
+/// A leaf draining 400 items at ~200 µs an item whose worker 0 panics
+/// the first time it is told to suspend (once per run, counted in
+/// `exploded`).
+fn bomb_at_the_drain(hits: &Arc<AtomicU64>, exploded: &Arc<AtomicU64>) -> TaskSpec {
+    let exploded = Arc::clone(exploded);
+    Leaf::new("drain", closed_queue(400))
+        .work(Duration::from_micros(200))
+        .hits(hits)
+        .fault(move |replica, point| {
+            let armed = || exploded.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
+            if point == Point::Asked && replica.worker == 0 && armed().is_ok() {
+                panic!("panicked at the suspension point");
             }
-        })) as Box<dyn TaskBody>
-    })
-}
-
-fn counter_value(render: &str, metric: &str) -> Option<f64> {
-    render
-        .lines()
-        .find(|l| l.starts_with(metric) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
+            true
+        })
+        .spec()
 }
 
 /// Tentpole acceptance: a replica panics mid-run; no worker thread dies
@@ -246,13 +104,7 @@ fn counter_value(render: &str, metric: &str) -> Option<f64> {
 /// `TaskFailed` event is recorded, and the failure counter fires.
 #[test]
 fn panicking_replica_aborts_without_killing_workers() {
-    let queue = WorkQueue::new();
-    for i in 0..300u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
-    let armed = Arc::new(AtomicU64::new(0));
     let recorder = Recorder::bounded(4096);
     let registry = MetricsRegistry::new();
     // threads=2 over one leaf: extent 2, worker 0 explodes, worker 1
@@ -261,12 +113,7 @@ fn panicking_replica_aborts_without_killing_workers() {
         .control_period(Duration::from_millis(5))
         .recorder(recorder.clone())
         .metrics(registry.clone())
-        .launch(vec![bomb_once_spec(
-            "drain",
-            queue,
-            Arc::clone(&hits),
-            Arc::clone(&armed),
-        )])
+        .launch(vec![bomb_once(300, &hits)])
         .expect("launch");
     let err = dope.wait().expect_err("abort policy fails the run");
     assert_eq!(err.code(), DiagCode::TaskFailed);
@@ -295,7 +142,8 @@ fn panicking_replica_aborts_without_killing_workers() {
     // The error exit goes through the control core's `finish`: whatever
     // consults preceded the abort each reached the trace, yet an aborted
     // run is not a complete trace.
-    assert_audit_trail_closed(&recorder);
+    let counts = check(&recorder.records(), false);
+    assert_eq!(counts.kind("DecisionTraced"), counts.kind("SnapshotTaken"));
     let render = registry.render();
     assert_eq!(
         counter_value(&render, "dope_task_failures_total"),
@@ -357,26 +205,6 @@ fn a_fini_panic_after_a_clean_finish_fails_the_run_promptly() {
     );
 }
 
-/// The audit-trail invariants of a run that ended in an error: one
-/// `DecisionTraced` per consult, every accepted proposal applied or
-/// superseded, and no `Finished` record.
-fn assert_audit_trail_closed(recorder: &Recorder) {
-    let records = recorder.records();
-    let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
-    assert_eq!(count("DecisionTraced"), count("SnapshotTaken"));
-    assert_eq!(count("Finished"), 0);
-    let verdicts = |wanted: &str| {
-        records
-            .iter()
-            .filter(|r| matches!(&r.event, TraceEvent::ProposalEvaluated { verdict, .. } if format!("{verdict:?}") == wanted))
-            .count()
-    };
-    assert_eq!(
-        verdicts("Accepted"),
-        verdicts("Superseded") + count("ReconfigureEpoch")
-    );
-}
-
 /// The abort-path hole: a proposal is accepted, the replica it steers
 /// to a consistent point detonates, and the default `Abort` policy
 /// fails the run. The consult that preceded the failure must still
@@ -384,30 +212,6 @@ fn assert_audit_trail_closed(recorder: &Recorder) {
 /// as `superseded` before the error propagates.
 #[test]
 fn abort_after_an_accepted_proposal_keeps_the_audit_trail() {
-    struct NarrowOnce {
-        fired: bool,
-    }
-    impl Mechanism for NarrowOnce {
-        fn name(&self) -> &'static str {
-            "NarrowOnce"
-        }
-        fn reconfigure(
-            &mut self,
-            _snap: &MonitorSnapshot,
-            _current: &Config,
-            _shape: &ProgramShape,
-            _res: &Resources,
-        ) -> Option<Config> {
-            (!std::mem::replace(&mut self.fired, true))
-                .then(|| Config::new(vec![TaskConfig::leaf("drain", 2)]))
-        }
-        fn explain(&self) -> Option<dope_core::DecisionTrace> {
-            Some(dope_core::DecisionTrace::new(
-                dope_core::Rationale::Hold,
-                "narrow",
-            ))
-        }
-    }
     // Never closed: replicas spin until told to suspend, and the first
     // one to see the directive panics instead.
     let queue: WorkQueue<u64> = WorkQueue::new();
@@ -423,36 +227,24 @@ fn abort_after_an_accepted_proposal_keeps_the_audit_trail() {
     });
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
-        .mechanism(Box::new(NarrowOnce { fired: false }))
+        .mechanism(Box::new(Scripted::once(0, drain(2)).explained()))
         .control_period(Duration::from_millis(5))
         .recorder(recorder.clone())
         .launch(vec![spec])
         .expect("launch");
     let err = dope.wait().expect_err("abort policy fails the run");
     assert_eq!(err.code(), DiagCode::TaskFailed);
-    assert_audit_trail_closed(&recorder);
-    let kinds: Vec<&str> = recorder.records().iter().map(|r| r.event.kind()).collect();
-    assert!(kinds.contains(&"DecisionTraced"), "{kinds:?}");
-    assert!(
-        recorder.records().iter().any(|r| matches!(
-            &r.event,
-            TraceEvent::ProposalEvaluated { verdict, .. } if format!("{verdict:?}") == "Superseded"
-        )),
-        "{kinds:?}"
-    );
+    let counts = check(&recorder.records(), false);
+    assert_eq!(counts.kind("DecisionTraced"), counts.kind("SnapshotTaken"));
+    assert!(counts.kind("DecisionTraced") > 0, "{counts:?}");
+    assert_eq!(counts.verdict(Verdict::Superseded), 1, "{counts:?}");
 }
 
 /// Under `Restart` the failed replica is re-instantiated next epoch and
 /// the run completes, reporting an honest `Recovered` verdict.
 #[test]
 fn restart_policy_reinstates_the_replica_and_completes() {
-    let queue = WorkQueue::new();
-    for i in 0..200u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
-    let armed = Arc::new(AtomicU64::new(0));
     let recorder = Recorder::bounded(4096);
     let registry = MetricsRegistry::new();
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
@@ -463,12 +255,7 @@ fn restart_policy_reinstates_the_replica_and_completes() {
         })
         .recorder(recorder.clone())
         .metrics(registry.clone())
-        .launch(vec![bomb_once_spec(
-            "drain",
-            queue,
-            Arc::clone(&hits),
-            Arc::clone(&armed),
-        )])
+        .launch(vec![bomb_once(200, &hits)])
         .expect("launch");
     let report = dope.wait().expect("restart recovers the run");
     assert_eq!(hits.load(Ordering::Relaxed), 200, "no work lost");
@@ -476,7 +263,9 @@ fn restart_policy_reinstates_the_replica_and_completes() {
     assert_eq!(report.task_restarts, 1);
     assert_eq!(report.lost_jobs, 0);
     assert_eq!(report.failure_verdict, FailureVerdict::Recovered);
-    assert!(recorder.records().iter().any(|r| matches!(
+    let records = recorder.records();
+    check(&records, true);
+    assert!(records.iter().any(|r| matches!(
         &r.event,
         TraceEvent::TaskFailed { policy, .. } if policy == "restart"
     )));
@@ -544,24 +333,13 @@ fn restart_budget_exhaustion_aborts_the_run() {
 /// relaunches with the survivors only.
 #[test]
 fn degrade_policy_drops_the_failed_replicas_dop() {
-    let queue = WorkQueue::new();
-    for i in 0..200u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
-    let armed = Arc::new(AtomicU64::new(0));
     let recorder = Recorder::bounded(4096);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
         .control_period(Duration::from_millis(5))
         .failure_policy(FailurePolicy::Degrade)
         .recorder(recorder.clone())
-        .launch(vec![bomb_once_spec(
-            "drain",
-            queue,
-            Arc::clone(&hits),
-            Arc::clone(&armed),
-        )])
+        .launch(vec![bomb_once(200, &hits)])
         .expect("launch");
     let report = dope.wait().expect("degrade keeps the run alive");
     assert_eq!(hits.load(Ordering::Relaxed), 200, "survivors drain it all");
@@ -577,7 +355,9 @@ fn degrade_policy_drops_the_failed_replicas_dop() {
         report.reconfigurations >= 1,
         "degrading is a reconfiguration"
     );
-    assert!(recorder.records().iter().any(|r| matches!(
+    let records = recorder.records();
+    check(&records, true);
+    assert!(records.iter().any(|r| matches!(
         &r.event,
         TraceEvent::TaskFailed { policy, .. } if policy == "degrade"
     )));
@@ -611,46 +391,26 @@ fn degrade_with_no_survivors_aborts() {
 /// with nothing lost.
 #[test]
 fn panic_during_reconfiguration_drain_is_handled_first() {
-    struct Widen {
-        target: Config,
-    }
-    impl Mechanism for Widen {
-        fn name(&self) -> &'static str {
-            "Widen"
-        }
-        fn reconfigure(
-            &mut self,
-            _snap: &MonitorSnapshot,
-            current: &Config,
-            _shape: &ProgramShape,
-            _res: &Resources,
-        ) -> Option<Config> {
-            (*current != self.target).then(|| self.target.clone())
-        }
-    }
-
-    let queue = WorkQueue::new();
-    for i in 0..400u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
     let exploded = Arc::new(AtomicU64::new(0));
+    let target = drain(2);
+    let recorder = Recorder::bounded(8192);
     // The first replica to observe the drain directive blows up exactly
     // at the suspension point (once per run).
-    let spec = bomb_at_the_drain_spec(queue, Arc::clone(&hits), Arc::clone(&exploded));
     let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
-        .mechanism(Box::new(Widen {
-            target: Config::new(vec![TaskConfig::leaf("drain", 2)]),
-        }))
+        .mechanism(Box::new(Scripted::new(move |_, current| {
+            (*current != target).then(|| target.clone())
+        })))
         .control_period(Duration::from_millis(5))
         .failure_policy(FailurePolicy::Restart {
             max_retries: 4,
             backoff: Duration::ZERO,
         })
-        .launch(vec![spec])
+        .recorder(recorder.clone())
+        .launch(vec![bomb_at_the_drain(&hits, &exploded)])
         .expect("launch");
     let report = dope.wait().expect("restart absorbs the race");
+    check(&recorder.records(), true);
     assert_eq!(hits.load(Ordering::Relaxed), 400, "no items lost");
     // The panic may land before, during, or after the drain settles, so
     // only the honest accounting is asserted, not the exact schedule.
@@ -673,51 +433,18 @@ fn panic_during_reconfiguration_drain_is_handled_first() {
 /// the failed path — all without losing a single item.
 #[test]
 fn failure_during_partial_drain_supersedes_the_target() {
-    struct Narrow {
-        fired: bool,
-        target: Config,
-    }
-    impl Mechanism for Narrow {
-        fn name(&self) -> &'static str {
-            "Narrow"
-        }
-        fn reconfigure(
-            &mut self,
-            _snap: &MonitorSnapshot,
-            _current: &Config,
-            _shape: &ProgramShape,
-            _res: &Resources,
-        ) -> Option<Config> {
-            if self.fired {
-                None
-            } else {
-                self.fired = true;
-                Some(self.target.clone())
-            }
-        }
-    }
-
-    let queue = WorkQueue::new();
-    for i in 0..400u64 {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
     let hits = Arc::new(AtomicU64::new(0));
     let exploded = Arc::new(AtomicU64::new(0));
     // Detonate exactly at the partial drain's suspension point (once per
     // run): the per-path flag is the only suspend source until the failure
     // escalates it.
-    let spec = bomb_at_the_drain_spec(queue, Arc::clone(&hits), Arc::clone(&exploded));
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 4 })
-        .mechanism(Box::new(Narrow {
-            fired: false,
-            target: Config::new(vec![TaskConfig::leaf("drain", 2)]),
-        }))
+        .mechanism(Box::new(Scripted::once(0, drain(2))))
         .control_period(Duration::from_millis(5))
         .failure_policy(FailurePolicy::Degrade)
         .recorder(recorder.clone())
-        .launch(vec![spec])
+        .launch(vec![bomb_at_the_drain(&hits, &exploded)])
         .expect("launch");
     let report = dope.wait().expect("degrade absorbs the race");
 
@@ -730,21 +457,13 @@ fn failure_during_partial_drain_supersedes_the_target() {
     // replica; the superseded target was never applied.
     assert_eq!(report.final_config.total_threads(), 3);
 
-    let verdicts: Vec<String> = recorder
-        .records()
-        .iter()
-        .filter_map(|r| match &r.event {
-            TraceEvent::ProposalEvaluated { verdict, .. } => Some(format!("{verdict:?}")),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        verdicts.iter().any(|v| v.contains("Accepted")),
-        "the proposal was accepted first: {verdicts:?}"
-    );
-    assert!(
-        verdicts.iter().any(|v| v.contains("Superseded")),
-        "the discarded target must be traced as superseded: {verdicts:?}"
+    // The proposal was accepted first, and the discarded target is traced
+    // as superseded.
+    let counts = check(&recorder.records(), true);
+    assert_eq!(
+        counts.verdicts,
+        [Verdict::Accepted, Verdict::Superseded],
+        "{counts:?}"
     );
 }
 

@@ -9,50 +9,29 @@ use dope_core::{AdmissionPolicy, Goal, Resources};
 use dope_mechanisms::{for_goal, Tbf, Tpc, WqLinear, WqtH};
 use dope_platform::FeatureRegistry;
 use dope_runtime::Dope;
-use dope_trace::{Recorder, RecordingObserver, TraceEvent, TraceRecord};
+use dope_trace::{Recorder, RecordingObserver, TraceEvent};
 use dope_workload::{AdmissionQueue, ArrivalSchedule};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
+use support::{check, Counts};
 
-/// The one grammar of a recording, live or simulated: `Launched`, then
-/// control periods that each read `DecisionTraced? SnapshotTaken
-/// ProposalEvaluated? ReconfigureEpoch?`, then the run's last decision
-/// and `Finished`. A period's power reading and gate counters live in its
-/// snapshot: no `FeatureRead` or `AdmissionDecision` is written. Returns
-/// the body as one letter per record (`D S P R`).
-fn assert_period_grammar(records: &[TraceRecord]) -> String {
-    /// Each letter of `s` appears in `of`, at most once and in order.
-    fn subsequence(of: &str, s: &str) -> bool {
-        let mut rest = of.chars();
-        s.chars().all(|c| rest.any(|o| o == c))
+mod support;
+
+/// The record kinds of a control period, each of which a busy run writes.
+const PERIOD: [&str; 4] = [
+    "DecisionTraced",
+    "SnapshotTaken",
+    "ProposalEvaluated",
+    "ReconfigureEpoch",
+];
+
+/// Every kind of a control period appears, over at least two periods.
+fn assert_every_period_kind(counts: &Counts) {
+    assert!(counts.kind("SnapshotTaken") >= 2, "{counts:?}");
+    for kind in PERIOD {
+        assert!(counts.kind(kind) > 0, "no {kind} in {counts:?}");
     }
-    let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
-    assert_eq!(kinds.first(), Some(&"Launched"), "{kinds:?}");
-    assert_eq!(kinds.last(), Some(&"Finished"), "{kinds:?}");
-    let body: String = kinds[1..kinds.len() - 1]
-        .iter()
-        .map(|kind| match *kind {
-            "DecisionTraced" => 'D',
-            "SnapshotTaken" => 'S',
-            "ProposalEvaluated" => 'P',
-            "ReconfigureEpoch" => 'R',
-            other => panic!("{other} inside a clean run's control periods"),
-        })
-        .collect();
-    // Splitting at each snapshot leaves the tail of one period joined to
-    // the head of the next.
-    let between: Vec<&str> = body.split('S').collect();
-    assert!(between.len() > 2, "fewer than two control periods: {body}");
-    for (i, part) in between.iter().enumerate() {
-        let allowed = if i == 0 { "D" } else { "PRD" };
-        assert!(
-            subsequence(allowed, part),
-            "`{part}` between snapshots {i} and {} is not of `{allowed}`: {body}",
-            i + 1
-        );
-    }
-    body
 }
 
 #[test]
@@ -141,6 +120,7 @@ fn every_live_snapshot_names_the_leaves_in_force() {
         .launch(descriptor)
         .expect("launch");
     dope.wait().expect("batch completes");
+    check(&recorder.records(), true);
 
     let mut in_force = None;
     let mut alternatives = BTreeSet::new();
@@ -298,14 +278,9 @@ fn recorded_live_trace_replays_identically() {
     // The flight recording round-trips through the JSONL wire format.
     let jsonl = recorder.to_jsonl();
     let records = dope_trace::parse_jsonl(&jsonl).expect("live trace parses");
-    assert_eq!(records[0].event.kind(), "Launched");
-    assert_eq!(records.last().unwrap().event.kind(), "Finished");
 
     // A live period reads like a simulated one, every kind in its place.
-    let body = assert_period_grammar(&records);
-    for kind in "DSPR".chars() {
-        assert!(body.contains(kind), "no `{kind}` record in {body}");
-    }
+    assert_every_period_kind(&check(&records, true));
 
     // The human-readable timeline renders every phase of the decision loop.
     let timeline = dope_trace::render_timeline(&records);
@@ -315,8 +290,8 @@ fn recorded_live_trace_replays_identically() {
     assert!(timeline.contains("EPOCH"));
     assert!(timeline.contains("FINISH"));
     // A control period is one record: the task rows, the queue, the power
-    // reading and the gate's window render from the snapshot, and no
-    // flattened sample rides beside it.
+    // reading and the gate's window render from the snapshot (`check`
+    // refuses a flattened sample beside it).
     for tag in [
         "STATS",
         "QUEUE",
@@ -325,9 +300,6 @@ fn recorded_live_trace_replays_identically() {
     ] {
         assert!(timeline.contains(tag), "no {tag} in {timeline}");
     }
-    assert!(records
-        .iter()
-        .all(|r| !matches!(r.event.kind(), "TaskStatsSample" | "QueueSample")));
 
     // Replaying the trace through dope-sim reproduces the exact sequence
     // of accepted configurations the live executive committed.
@@ -345,7 +317,7 @@ fn recorded_live_trace_replays_identically() {
     );
 }
 
-/// The simulators' recordings hold to the same grammar: the system
+/// The simulators' recordings hold to the same rules: the system
 /// simulator under a shedding gate, the pipeline simulator with a power
 /// meter.
 #[test]
@@ -372,10 +344,7 @@ fn simulated_recordings_share_the_live_period_grammar() {
     );
     observer.finished(outcome.completed, outcome.config_changes);
     let records = recorder.records();
-    let body = assert_period_grammar(&records);
-    for kind in "DSPR".chars() {
-        assert!(body.contains(kind), "no `{kind}` record in {body}");
-    }
+    assert_every_period_kind(&check(&records, true));
     assert!(dope_trace::render_timeline(&records).contains("ADMIT    shed verdict=shed"));
 
     let recorder = Recorder::bounded(1 << 14);
@@ -394,7 +363,7 @@ fn simulated_recordings_share_the_live_period_grammar() {
     );
     observer.finished(outcome.completed, outcome.config_history.len() as u64);
     let records = recorder.records();
-    assert_period_grammar(&records);
+    assert!(check(&records, true).kind("SnapshotTaken") >= 2);
     assert!(dope_trace::render_timeline(&records).contains("FEATURE  SystemPower="));
 }
 

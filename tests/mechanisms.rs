@@ -35,7 +35,10 @@ use dope_mechanisms::{Fdp, Oracle, Proportional, Seda, Tbf, Tpc, WqLinear, WqLin
 use dope_trace::{Recorder, RecordingObserver, TraceEvent};
 use dope_verify::{analyze, snapshot_grid};
 use proptest::prelude::*;
+use support::{check, Counts};
 use Kind::{Pipeline, TwoLevel};
+
+mod support;
 
 const STEPS: usize = 48;
 /// The largest inner width of the grid's two-level instances.
@@ -211,13 +214,14 @@ struct Run {
     /// Mechanism and budget, for failure messages.
     label: String,
     records: Vec<dope_trace::TraceRecord>,
+    counts: Counts,
     /// The launch configuration, then the one in force after each step.
     configs: Vec<Config>,
 }
 
 impl Run {
     /// Launches under `start`, else the mechanism's initial configuration,
-    /// else `kind`'s, and consults once per snapshot.
+    /// else `kind`'s, consults once per snapshot, and checks the recording.
     fn new(
         mechanism: &mut dyn Mechanism,
         kind: Kind,
@@ -246,10 +250,13 @@ impl Run {
             core.config().clone()
         }));
         let last = snaps.last().expect("at least one snapshot");
-        core.finish(last.time_secs, Some(last));
+        let report = core.finish(last.time_secs, Some(last));
+        sink.finished(0, report.reconfigurations);
+        let records = recorder.records();
         Run {
             label,
-            records: recorder.records(),
+            counts: check(&records, true),
+            records,
             configs,
         }
     }
@@ -297,13 +304,13 @@ impl Run {
     /// Checks the decision audit and returns whether an observed signal,
     /// a candidate set and a prediction were each seen.
     fn audit(&self) -> [bool; 3] {
-        let at = |kind: &str| -> Vec<f64> {
-            let records = self.records.iter().filter(|r| r.event.kind() == kind);
-            records.map(|r| r.time_secs).collect()
-        };
+        // `check` tied each decision to a distinct snapshot.
+        let (decisions, snapshots) = (
+            self.counts.kind("DecisionTraced"),
+            self.counts.kind("SnapshotTaken"),
+        );
         assert_eq!(
-            at("DecisionTraced"),
-            at("SnapshotTaken"),
+            decisions, snapshots,
             "{}: a consult went unexplained",
             self.label
         );

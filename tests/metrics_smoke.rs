@@ -13,6 +13,9 @@ use dope_mechanisms::WqLinear;
 use dope_metrics::{names, scrape, MetricsRegistry, MetricsServer};
 use dope_runtime::Dope;
 use std::time::Duration;
+use support::check;
+
+mod support;
 
 /// Every metric family name declared by a `# TYPE` exposition line.
 fn exposed_families(text: &str) -> Vec<String> {
@@ -305,6 +308,7 @@ fn pre_percentile_traces_still_replay_and_summarize() {
         &mut observer,
     );
     observer.finished(outcome.completed, outcome.config_changes);
+    check(&recorder.records(), true);
 
     // Age the recording: drop every percentile field, as a trace written
     // before the metrics plane existed would lack them.

@@ -4,168 +4,40 @@
 //! disabled-delta transitions drain and relaunch every top-level path.
 
 use dope_core::{
-    body_fn, Config, Goal, Mechanism, MonitorSnapshot, NestFactory, ProgramShape, Resources,
-    TaskBody, TaskConfig, TaskCx, TaskKind, TaskPath, TaskSpec, TaskStatus, WorkerSlot,
+    body_fn, Config, Goal, NestFactory, TaskBody, TaskConfig, TaskCx, TaskKind, TaskPath, TaskSpec,
+    TaskStatus, WorkerSlot,
 };
 use dope_metrics::MetricsRegistry;
 use dope_runtime::Dope;
 use dope_trace::{Recorder, TraceEvent};
-use dope_workload::{Waited, WorkQueue};
+use dope_workload::WorkQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::{check, closed_queue, counter_value, Counts, Leaf, Point, Scripted};
 
-/// Pins a starting configuration, holds for `holds` consults, proposes
-/// one target at the next, then holds.
-struct OneBump {
-    holds: u32,
-    fired: bool,
-    start: Config,
-    target: Config,
+mod support;
+
+/// `fast` and `slow` leaves at these extents.
+fn pair(fast: u32, slow: u32) -> Config {
+    Config::new(vec![
+        TaskConfig::leaf("fast", fast),
+        TaskConfig::leaf("slow", slow),
+    ])
 }
 
-impl Mechanism for OneBump {
-    fn name(&self) -> &'static str {
-        "OneBump"
-    }
-    fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
-        Some(self.start.clone())
-    }
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        _current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        if self.fired {
-            None
-        } else if self.holds > 0 {
-            self.holds -= 1;
-            None
-        } else {
-            self.fired = true;
-            Some(self.target.clone())
-        }
+/// Waits up to 10 s for the first `ReconfigureEpoch` in `recorder`.
+fn await_epoch(recorder: &Recorder) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Counts::of(&recorder.records()).kind("ReconfigureEpoch") == 0 {
+        assert!(Instant::now() < deadline, "the nest never switched");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
-/// A leaf draining its own queue at a fixed per-item cost, honoring the
-/// suspend directive before every item, counting factory invocations so
-/// the test can tell which paths were relaunched.
-fn counted_drain_spec(
-    name: &'static str,
-    queue: WorkQueue<u64>,
-    work: Duration,
-    factory_calls: Arc<AtomicU64>,
-    hits: Arc<AtomicU64>,
-) -> TaskSpec {
-    TaskSpec::leaf(name, TaskKind::Par, move |_slot: WorkerSlot| {
-        factory_calls.fetch_add(1, Ordering::SeqCst);
-        let queue = queue.clone();
-        let hits = Arc::clone(&hits);
-        Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-            match queue.dequeue_for(cx) {
-                Waited::Item(_) => {
-                    cx.begin();
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(work);
-                    cx.end();
-                    TaskStatus::Executing
-                }
-                Waited::Suspended => TaskStatus::Suspended,
-                Waited::Closed => TaskStatus::Finished,
-            }
-        })) as Box<dyn TaskBody>
-    })
-}
-
-fn counter_value(render: &str, metric: &str) -> Option<f64> {
-    render
-        .lines()
-        .find(|l| l.starts_with(metric) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-}
-
-fn closed_queue(items: u64) -> WorkQueue<u64> {
-    let queue = WorkQueue::new();
-    for i in 0..items {
-        queue.enqueue(i).unwrap();
-    }
-    queue.close();
-    queue
-}
-
-/// Tentpole acceptance: bumping the fast leaf's extent drains only that
-/// path. The slow leaf's replica is instantiated exactly once — it runs
-/// across the boundary — while the fast leaf is rebuilt at the new
-/// extent; the `ReconfigureEpoch` record says `scope: "partial"` with
-/// one path drained, and the partial counter metric fires.
-#[test]
-fn partial_reconfig_keeps_untouched_paths_running() {
-    let fast_queue = closed_queue(200);
-    let slow_queue = closed_queue(25);
-    let fast_factory = Arc::new(AtomicU64::new(0));
-    let slow_factory = Arc::new(AtomicU64::new(0));
-    let fast_hits = Arc::new(AtomicU64::new(0));
-    let slow_hits = Arc::new(AtomicU64::new(0));
-    let specs = vec![
-        counted_drain_spec(
-            "fast",
-            fast_queue,
-            Duration::from_millis(1),
-            Arc::clone(&fast_factory),
-            Arc::clone(&fast_hits),
-        ),
-        counted_drain_spec(
-            "slow",
-            slow_queue,
-            Duration::from_millis(10),
-            Arc::clone(&slow_factory),
-            Arc::clone(&slow_hits),
-        ),
-    ];
-    let start = Config::new(vec![
-        TaskConfig::leaf("fast", 1),
-        TaskConfig::leaf("slow", 1),
-    ]);
-    let target = Config::new(vec![
-        TaskConfig::leaf("fast", 2),
-        TaskConfig::leaf("slow", 1),
-    ]);
-    let registry = MetricsRegistry::new();
-    let recorder = Recorder::bounded(8192);
-    let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
-        .mechanism(Box::new(OneBump {
-            holds: 0,
-            fired: false,
-            start,
-            target: target.clone(),
-        }))
-        .control_period(Duration::from_millis(10))
-        .metrics(registry.clone())
-        .recorder(recorder.clone())
-        .launch(specs)
-        .expect("launch");
-    let report = dope.wait().expect("completes");
-
-    assert_eq!(fast_hits.load(Ordering::Relaxed), 200, "fast items drained");
-    assert_eq!(slow_hits.load(Ordering::Relaxed), 25, "slow items drained");
-    assert_eq!(report.reconfigurations, 1);
-    assert_eq!(report.final_config, target);
-    assert_eq!(
-        slow_factory.load(Ordering::SeqCst),
-        1,
-        "the untouched path's replica must run through the boundary, not relaunch"
-    );
-    assert_eq!(
-        fast_factory.load(Ordering::SeqCst),
-        3,
-        "the changed path relaunches at the new extent (1 initial + 2 relaunched)"
-    );
-
-    let epochs: Vec<(String, u64)> = recorder
+/// The `(scope, paths_drained)` of every epoch in `recorder`.
+fn epochs(recorder: &Recorder) -> Vec<(String, u64)> {
+    recorder
         .records()
         .iter()
         .filter_map(|r| match &r.event {
@@ -176,9 +48,58 @@ fn partial_reconfig_keeps_untouched_paths_running() {
             } => Some((scope.to_string(), *paths_drained)),
             _ => None,
         })
-        .collect();
+        .collect()
+}
+
+/// Tentpole acceptance: bumping the fast leaf's extent drains only that
+/// path. The slow leaf's replica is instantiated exactly once — it runs
+/// across the boundary — while the fast leaf is rebuilt at the new
+/// extent; the `ReconfigureEpoch` record says `scope: "partial"` with
+/// one path drained, and the partial counter metric fires.
+#[test]
+fn partial_reconfig_keeps_untouched_paths_running() {
+    let [fast_made, slow_made, fast_hits, slow_hits] =
+        [(); 4].map(|()| Arc::new(AtomicU64::new(0)));
+    let specs = vec![
+        Leaf::new("fast", closed_queue(200))
+            .work(Duration::from_millis(1))
+            .hits(&fast_hits)
+            .made(&fast_made)
+            .spec(),
+        Leaf::new("slow", closed_queue(25))
+            .work(Duration::from_millis(10))
+            .hits(&slow_hits)
+            .made(&slow_made)
+            .spec(),
+    ];
+    let registry = MetricsRegistry::new();
+    let recorder = Recorder::bounded(8192);
+    let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
+        .mechanism(Box::new(Scripted::once(0, pair(2, 1)).starting(pair(1, 1))))
+        .control_period(Duration::from_millis(10))
+        .metrics(registry.clone())
+        .recorder(recorder.clone())
+        .launch(specs)
+        .expect("launch");
+    let report = dope.wait().expect("completes");
+    check(&recorder.records(), true);
+
+    assert_eq!(fast_hits.load(Ordering::Relaxed), 200, "fast items drained");
+    assert_eq!(slow_hits.load(Ordering::Relaxed), 25, "slow items drained");
+    assert_eq!(report.reconfigurations, 1);
+    assert_eq!(report.final_config, pair(2, 1));
     assert_eq!(
-        epochs,
+        slow_made.load(Ordering::SeqCst),
+        1,
+        "the untouched path's replica must run through the boundary, not relaunch"
+    );
+    assert_eq!(
+        fast_made.load(Ordering::SeqCst),
+        3,
+        "the changed path relaunches at the new extent (1 initial + 2 relaunched)"
+    );
+    assert_eq!(
+        epochs(&recorder),
         vec![("partial".to_string(), 1)],
         "exactly one boundary, delta-scoped, one path drained"
     );
@@ -200,68 +121,38 @@ fn partial_reconfig_keeps_untouched_paths_running() {
 /// says so.
 #[test]
 fn disabling_delta_falls_back_to_the_full_drain() {
-    let fast_queue = closed_queue(120);
-    let slow_queue = closed_queue(15);
-    let fast_factory = Arc::new(AtomicU64::new(0));
-    let slow_factory = Arc::new(AtomicU64::new(0));
-    let fast_hits = Arc::new(AtomicU64::new(0));
-    let slow_hits = Arc::new(AtomicU64::new(0));
+    let [slow_made, fast_hits, slow_hits] = [(); 3].map(|()| Arc::new(AtomicU64::new(0)));
     let specs = vec![
-        counted_drain_spec(
-            "fast",
-            fast_queue,
-            Duration::from_millis(1),
-            Arc::clone(&fast_factory),
-            Arc::clone(&fast_hits),
-        ),
-        counted_drain_spec(
-            "slow",
-            slow_queue,
-            Duration::from_millis(8),
-            Arc::clone(&slow_factory),
-            Arc::clone(&slow_hits),
-        ),
+        Leaf::new("fast", closed_queue(120))
+            .work(Duration::from_millis(1))
+            .hits(&fast_hits)
+            .spec(),
+        Leaf::new("slow", closed_queue(15))
+            .work(Duration::from_millis(8))
+            .hits(&slow_hits)
+            .made(&slow_made)
+            .spec(),
     ];
-    let start = Config::new(vec![
-        TaskConfig::leaf("fast", 1),
-        TaskConfig::leaf("slow", 1),
-    ]);
-    let target = Config::new(vec![
-        TaskConfig::leaf("fast", 2),
-        TaskConfig::leaf("slow", 1),
-    ]);
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
-        .mechanism(Box::new(OneBump {
-            holds: 0,
-            fired: false,
-            start,
-            target: target.clone(),
-        }))
+        .mechanism(Box::new(Scripted::once(0, pair(2, 1)).starting(pair(1, 1))))
         .control_period(Duration::from_millis(10))
         .delta_reconfig(false)
         .recorder(recorder.clone())
         .launch(specs)
         .expect("launch");
     let report = dope.wait().expect("completes");
+    check(&recorder.records(), true);
 
     assert_eq!(fast_hits.load(Ordering::Relaxed), 120);
     assert_eq!(slow_hits.load(Ordering::Relaxed), 15);
     assert_eq!(report.reconfigurations, 1);
-    assert_eq!(report.final_config, target);
+    assert_eq!(report.final_config, pair(2, 1));
     assert!(
-        slow_factory.load(Ordering::SeqCst) >= 2,
+        slow_made.load(Ordering::SeqCst) >= 2,
         "a full drain rebuilds the untouched path too"
     );
-    let scopes: Vec<String> = recorder
-        .records()
-        .iter()
-        .filter_map(|r| match &r.event {
-            TraceEvent::ReconfigureEpoch { scope, .. } => Some(scope.to_string()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(scopes, vec!["full".to_string()]);
+    assert_eq!(epochs(&recorder), vec![("full".to_string(), 2)]);
 }
 
 /// A leaf whose every invocation takes ~1 ms and is counted into `hits`
@@ -320,29 +211,19 @@ fn a_structural_relaunch_drops_the_rows_it_no_longer_runs() {
     )]);
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 3 })
-        .mechanism(Box::new(OneBump {
-            holds: 0,
-            fired: false,
-            start,
-            target: target.clone(),
-        }))
+        .mechanism(Box::new(Scripted::once(0, target.clone()).starting(start)))
         .control_period(Duration::from_millis(20))
         .recorder(recorder.clone())
         .launch(vec![spec])
         .expect("launch");
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let switched =
-        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
-    while !recorder.records().iter().any(switched) {
-        assert!(Instant::now() < deadline, "the nest never switched");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_epoch(&recorder);
     std::thread::sleep(Duration::from_millis(50));
     let snap = dope.monitor().snapshot();
     let fused_ran = fused.load(Ordering::SeqCst);
     dope.stop();
     let report = dope.wait().expect("stops cleanly");
+    check(&recorder.records(), true);
 
     assert_eq!(report.final_config, target);
     assert!(a.load(Ordering::SeqCst) > 0 && b.load(Ordering::SeqCst) > 0);
@@ -401,28 +282,20 @@ fn a_relaunched_path_reads_utilization_over_the_last_period() {
     };
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(OneBump {
-            holds: 24,
-            fired: false,
-            start: nest(0, "a"),
-            target: nest(1, "fused"),
-        }))
+        .mechanism(Box::new(
+            Scripted::once(24, nest(1, "fused")).starting(nest(0, "a")),
+        ))
         .control_period(Duration::from_millis(20))
         .recorder(recorder.clone())
         .launch(vec![spec])
         .expect("launch");
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let switched =
-        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
-    while !recorder.records().iter().any(switched) {
-        assert!(Instant::now() < deadline, "the nest never switched");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_epoch(&recorder);
     std::thread::sleep(Duration::from_millis(100));
     let snap = dope.monitor().snapshot();
     dope.stop();
     dope.wait().expect("stops cleanly");
+    check(&recorder.records(), true);
 
     let row = snap.task(&"0.0".parse::<TaskPath>().unwrap()).unwrap();
     assert!(
@@ -442,43 +315,30 @@ fn a_busy_path_suspends_within_one_item_of_its_flag() {
     // Items that finished with the flag already set.
     let late = Arc::new(AtomicU64::new(0));
     let spec = {
-        let (queue, late) = (queue.clone(), Arc::clone(&late));
-        TaskSpec::leaf("busy", TaskKind::Par, move |_slot: WorkerSlot| {
-            let (queue, late) = (queue.clone(), Arc::clone(&late));
-            Box::new(body_fn(move |cx: &mut dyn TaskCx| {
-                match queue.dequeue_for(cx) {
-                    Waited::Item(_) => {
-                        cx.begin();
-                        std::thread::sleep(Duration::from_micros(200));
-                        if cx.end().wants_suspend() {
-                            late.fetch_add(1, Ordering::SeqCst);
-                        }
-                        TaskStatus::Executing
-                    }
-                    Waited::Suspended => TaskStatus::Suspended,
-                    Waited::Closed => TaskStatus::Finished,
+        let late = Arc::clone(&late);
+        Leaf::new("busy", queue.clone())
+            .work(Duration::from_micros(200))
+            .fault(move |_, point| {
+                if point == (Point::Ended { asked: true }) {
+                    late.fetch_add(1, Ordering::SeqCst);
                 }
-            })) as Box<dyn TaskBody>
-        })
+                true
+            })
+            .spec()
     };
+    let busy = |extent| Config::new(vec![TaskConfig::leaf("busy", extent)]);
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(OneBump {
-            holds: 2,
-            fired: false,
-            start: Config::new(vec![TaskConfig::leaf("busy", 1)]),
-            target: Config::new(vec![TaskConfig::leaf("busy", 2)]),
-        }))
+        .mechanism(Box::new(Scripted::once(2, busy(2)).starting(busy(1))))
         .control_period(Duration::from_millis(10))
         .recorder(recorder.clone())
         .launch(vec![spec])
         .expect("launch");
     // Keep the queue from running dry until the boundary lands.
     let deadline = Instant::now() + Duration::from_secs(5);
-    let boundary =
-        |r: &dope_trace::TraceRecord| matches!(r.event, TraceEvent::ReconfigureEpoch { .. });
     let mut next = 0u64;
-    while !recorder.records().iter().any(boundary) && Instant::now() < deadline {
+    while Counts::of(&recorder.records()).kind("ReconfigureEpoch") == 0 && Instant::now() < deadline
+    {
         while queue.len() < 8 {
             queue.enqueue(next).unwrap();
             next += 1;
@@ -487,32 +347,11 @@ fn a_busy_path_suspends_within_one_item_of_its_flag() {
     }
     queue.close();
     let report = dope.wait().expect("completes");
+    check(&recorder.records(), true);
 
     assert_eq!(report.reconfigurations, 1);
     let late = late.load(Ordering::SeqCst);
     assert!(late <= 1, "{late} items finished after the flag was set");
-}
-
-/// Flips the `idle` leaf between extents 1 and 2 at every consult.
-struct Flip;
-
-impl Mechanism for Flip {
-    fn name(&self) -> &'static str {
-        "Flip"
-    }
-    fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
-        Some(Config::new(vec![TaskConfig::leaf("idle", 1)]))
-    }
-    fn reconfigure(
-        &mut self,
-        _snap: &MonitorSnapshot,
-        current: &Config,
-        _shape: &ProgramShape,
-        _res: &Resources,
-    ) -> Option<Config> {
-        let extent = 3 - current.tasks[0].extent;
-        Some(Config::new(vec![TaskConfig::leaf("idle", extent)]))
-    }
 }
 
 /// A partial drain of an idle path is a wake-up, not a poll period: its
@@ -520,16 +359,13 @@ impl Mechanism for Flip {
 #[test]
 fn an_idle_path_pauses_for_a_wake_up_not_a_poll() {
     // Never fed: every replica is parked whenever it is asked to suspend.
-    let spec = counted_drain_spec(
-        "idle",
-        WorkQueue::new(),
-        Duration::ZERO,
-        Arc::default(),
-        Arc::default(),
-    );
+    let spec = Leaf::new("idle", WorkQueue::new()).spec();
+    let idle = |extent| Config::new(vec![TaskConfig::leaf("idle", extent)]);
+    // Flips the leaf between extents 1 and 2 at every consult.
+    let flip = Scripted::new(move |_, current| Some(idle(3 - current.tasks[0].extent)));
     let recorder = Recorder::bounded(8192);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 2 })
-        .mechanism(Box::new(Flip))
+        .mechanism(Box::new(flip.starting(idle(1))))
         .control_period(Duration::from_millis(5))
         .recorder(recorder.clone())
         .launch(vec![spec])
@@ -557,6 +393,7 @@ fn an_idle_path_pauses_for_a_wake_up_not_a_poll() {
     }
     dope.stop();
     dope.wait().expect("stops cleanly");
+    check(&recorder.records(), true);
 
     let mut pauses = pauses();
     pauses.sort_by(f64::total_cmp);

@@ -28,6 +28,9 @@ use dope_sim::pipeline::{run_pipeline_observed, PipelineParams, PowerSim, Source
 use dope_sim::system::{run_system_observed, SystemOutcome, SystemParams};
 use dope_trace::{to_jsonl, Recorder, RecordingObserver, TraceRecord};
 use dope_workload::ArrivalSchedule;
+use support::check;
+
+mod support;
 
 /// 64-bit FNV-1a: stable across toolchains, unlike `DefaultHasher`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -36,7 +39,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Checks the trace rules on `records`, then pins their bytes.
 fn assert_pinned(name: &str, records: &[TraceRecord], expected: u64) {
+    check(records, true);
     assert_pinned_text(name, &to_jsonl(records), expected);
 }
 
@@ -166,6 +171,8 @@ fn open_pipeline_recording_and_responses_are_pinned() {
     observer.finished(outcome.completed, outcome.config_history.len() as u64);
     assert_eq!(outcome.completed, 300);
     let mean = outcome.response.mean().expect("responses recorded");
-    let text = format!("{}{:#x}\n", to_jsonl(&recorder.drain()), mean.to_bits());
+    let records = recorder.drain();
+    check(&records, true);
+    let text = format!("{}{:#x}\n", to_jsonl(&records), mean.to_bits());
     assert_pinned_text("ferret, Proportional, open", &text, 0x9f6e_08e1_adf2_f732);
 }
