@@ -18,7 +18,7 @@ QUICK=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
-LOC_CEILING=21227
+LOC_CEILING=21178
 
 step "loc: non-test Rust lines per crate (ceiling $LOC_CEILING)"
 # Tracked crates/<crate>/src/**/*.rs, each file counted up to its
@@ -155,6 +155,9 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
     explain "$TRACE_TMP/decisions.jsonl" > "$TRACE_TMP/audit-rt.txt"
   grep -q "decision audit:" "$TRACE_TMP/audit-rt.txt"
+  # The same recording replays through the control core.
+  cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
+    replay "$FIG11_TRACE" > /dev/null
 
   step "overload smoke: shedding gate storm -> admission stats -> decision audit"
   # The live overload example (docs/overload.md) storms a Shed-gated
@@ -162,7 +165,8 @@ if [[ "$QUICK" -eq 0 ]]; then
   # in-process; the trace it writes declares the gate in Launched and
   # keeps its counters in every snapshot, from which stats derives the
   # admission section with the gate's totals, and it carries a non-empty
-  # decision audit from the ShedAware-wrapped mechanism.
+  # decision audit from the ShedAware-wrapped mechanism; the control core
+  # replays it.
   OVERLOAD_TRACE="$TRACE_TMP/overload.jsonl"
   cargo run -q --release --offline --example overload -- "$OVERLOAD_TRACE" > /dev/null
   cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
@@ -171,6 +175,8 @@ if [[ "$QUICK" -eq 0 ]]; then
   grep -q "totals: 20000 offered" "$TRACE_TMP/overload-stats.txt"
   cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
     explain "$OVERLOAD_TRACE" | grep -q "decision audit:"
+  cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
+    replay "$OVERLOAD_TRACE" > /dev/null
   cargo test -q --release --offline --test admission_overload
 
   step "perf smoke: overload frontier, control/monitor ledger, allocation budgets"

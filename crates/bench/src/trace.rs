@@ -13,8 +13,7 @@
 //! Run `cargo run -p dope-bench --release --bin fig11 -- --trace` (or
 //! `--trace=PATH`) to write the capture next to the figure output, then
 //! inspect it with `dope-trace timeline PATH` or check determinism with
-//! `dope-trace replay PATH` (system traces only; pipeline shapes have no
-//! two-level nest to rebuild).
+//! `dope-trace replay PATH` (either figure's capture).
 
 use dope_core::Resources;
 use dope_mechanisms::{Tbf, WqLinear};
@@ -106,5 +105,7 @@ mod tests {
             .filter(|r| matches!(r.event, TraceEvent::ReconfigureEpoch { .. }))
             .count();
         assert!(epochs >= 1, "TBF must reconfigure the ferret pipeline");
+        let outcome = replay_into_sim(&records).expect("replay");
+        assert!(outcome.matches(), "a pipeline trace replays too");
     }
 }

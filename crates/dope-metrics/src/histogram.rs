@@ -223,24 +223,6 @@ impl Histogram {
         self.record_nanos(secs_to_nanos(secs));
     }
 
-    /// Absorbs every recorded value of a [`LocalHistogram`] into this
-    /// atomic histogram (the inverse of [`Histogram::snapshot`]): used to
-    /// expose offline accumulators — e.g. a bounded `ResponseStats` — on
-    /// a scrapeable registry.
-    pub fn merge_local(&self, other: &LocalHistogram) {
-        for (i, &c) in other.buckets.iter().enumerate() {
-            if c > 0 {
-                self.buckets[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        if other.count > 0 {
-            self.count.fetch_add(other.count, Ordering::Relaxed);
-            self.sum_nanos.fetch_add(other.sum_nanos, Ordering::Relaxed);
-            self.min_nanos.fetch_min(other.min_nanos, Ordering::Relaxed);
-            self.max_nanos.fetch_max(other.max_nanos, Ordering::Relaxed);
-        }
-    }
-
     /// A point-in-time single-threaded copy of this histogram.
     #[must_use]
     pub fn snapshot(&self) -> LocalHistogram {
@@ -595,27 +577,6 @@ mod tests {
         b.add_bucket(500, 1);
         b.buckets[500] = 0;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn merge_local_round_trips_through_snapshot() {
-        let mut local = LocalHistogram::new();
-        for v in [100u64, 2_000, 30_000_000] {
-            local.record_nanos(v);
-        }
-        let h = Histogram::new();
-        h.record_nanos(7);
-        h.merge_local(&local);
-        let reading = h.snapshot();
-        assert_eq!(reading.count(), 4);
-        assert_eq!(reading.min_secs(), Some(7e-9));
-        assert_eq!(reading.max_secs(), Some(0.03));
-        let mut expected = local.clone();
-        expected.record_nanos(7);
-        assert_eq!(reading, expected);
-        // Merging an empty histogram is a no-op.
-        h.merge_local(&LocalHistogram::new());
-        assert_eq!(h.snapshot(), expected);
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl PowerModel {
         self.contexts
     }
 
-    /// Standard deviation of measurement noise, in watts.
-    #[must_use]
-    pub fn noise_sd_watts(&self) -> f64 {
-        self.noise_sd_watts
-    }
-
     /// A noisy sample of the power with `busy` active contexts.
     #[must_use]
     pub fn sample(&self, busy: u32, rng: &mut impl Rng) -> f64 {

@@ -85,8 +85,7 @@ impl TwoLevelModel {
     /// # Panics
     ///
     /// Panics if the shape contains no nested task.
-    #[must_use]
-    pub fn custom(name: &str, shape: ProgramShape, profile: AmdahlProfile) -> Self {
+    fn custom(name: &str, shape: ProgramShape, profile: AmdahlProfile) -> Self {
         let nest = nest::find_two_level(&shape).expect("shape must contain a two-level nest");
         TwoLevelModel {
             name: name.to_string(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dope-trace record [OUT]            record a built-in adaptive scenario
-//! dope-trace replay <TRACE>          replay a JSONL trace into dope-sim
+//! dope-trace replay <TRACE>          replay a JSONL trace through the control core
 //! dope-trace timeline <TRACE>        render a JSONL trace as ASCII
 //! dope-trace stats <TRACE>           histogram summaries of a trace
 //! dope-trace explain <TRACE> [--json]  decision audit of a trace
@@ -30,7 +30,7 @@ use dope_workload::ArrivalSchedule;
 const USAGE: &str =
     "usage: dope-trace <record [OUT] | replay <TRACE> | timeline <TRACE> | stats <TRACE> | explain <TRACE> [--json]>
   record [OUT]       record a built-in adaptive scenario as JSONL (stdout when OUT omitted)
-  replay <TRACE>     replay a JSONL trace into dope-sim; exit 0 iff the decision sequence matches
+  replay <TRACE>     replay a JSONL trace through the control core; exit 0 iff the decision sequence matches
   timeline <TRACE>   render a JSONL trace as an ASCII timeline
   stats <TRACE>      histogram summaries (counts, mean, p50/p95/p99, max) of a trace
   explain <TRACE>    decision audit: rationale, candidate table, predicted-vs-realized error
@@ -98,8 +98,8 @@ fn record(out: Option<&str>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Replays `records` into dope-sim; a diverged decision sequence is an
-/// error.
+/// Replays `records` through the control core; a diverged decision
+/// sequence is an error.
 fn replay(records: &[TraceRecord]) -> Result<String, String> {
     let outcome = replay_into_sim(records)?;
     if outcome.matches() {

@@ -17,9 +17,10 @@
 //! * [`RecordingObserver`] — the control-core sink
 //!   ([`ControlSink`](dope_core::control::ControlSink)) that records
 //!   `dope-sim` runs;
-//! * [`replay_into_sim`] — deterministic replay: rebuilds a simulated
-//!   system from a trace and asserts it re-applies the identical
-//!   accepted-configuration sequence;
+//! * [`replay_into_sim`] — deterministic replay: puts a trace's recorded
+//!   configurations to a fresh [`ControlCore`](dope_core::ControlCore)
+//!   launched as the trace was, and checks the core applies the identical
+//!   configuration sequence;
 //! * [`render_timeline`] — an ASCII timeline for humans;
 //! * [`summarize`] — offline histogram summaries (latency percentiles
 //!   for exec/pause/relaunch, queue and feature distributions) of a
@@ -86,6 +87,6 @@ pub use event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
 pub use explain::{explain, ExplainReport};
 pub use observer::RecordingObserver;
 pub use recorder::Recorder;
-pub use replay::{accepted_configs, replay_into_sim, ReplayOutcome};
+pub use replay::{replay_into_sim, ReplayOutcome};
 pub use stats::{summarize, TraceSummary};
 pub use timeline::render_timeline;

@@ -1,75 +1,69 @@
-//! Deterministic replay of a recorded trace into `dope-sim`.
+//! Deterministic replay of a recorded trace through the control core.
 //!
-//! A trace fixes three things: the program **shape** (from the `Launched`
-//! event), the **initial configuration** (ditto), and the ordered
-//! sequence of **accepted configurations** (the `ReconfigureEpoch`
-//! events). [`replay_into_sim`] rebuilds a simulated system around that
-//! shape, drives it with a mechanism that re-proposes exactly
-//! the recorded configurations in order, and returns a [`ReplayOutcome`]
-//! comparing the recorded accepted-config sequence against the one the
-//! simulator actually applied. A faithful trace replays to an identical
-//! sequence — [`ReplayOutcome::matches`] is the regression check the
-//! test-suite (and `dope-trace replay`) asserts.
+//! A trace fixes three things: the program **shape** and the thread
+//! **budget** (from the `Launched` event), the **launch configuration**
+//! (ditto), and the ordered sequence of **applied configurations** (the
+//! `ReconfigureEpoch` events). [`replay_into_sim`] builds a
+//! [`ControlCore`] over that shape and budget, launched under the
+//! recorded configuration exactly as recorded, and has a mechanism
+//! propose each recorded epoch's configuration in turn, one instant tick
+//! each. The core judges every proposal by the rule the live executive
+//! and both simulators run — equality first, validation against the
+//! budget, drain, relaunch — so a faithful recording replays to an
+//! identical sequence: [`ReplayOutcome::matches`] is the regression
+//! check the test harness (and `dope-trace replay`) asserts. Any shape
+//! replays; nothing is simulated.
 //!
 //! # Example
 //!
 //! ```
-//! use dope_core::{Mechanism, Resources, StaticMechanism};
-//! use dope_sim::profile::AmdahlProfile;
-//! use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
-//! use dope_trace::{replay_into_sim, Recorder, RecordingObserver};
-//! use dope_workload::ArrivalSchedule;
+//! use dope_core::control::{DrainTiming, Scope};
+//! use dope_core::{Config, ProgramShape, ShapeNode, TaskConfig, TaskKind};
+//! use dope_trace::{replay_into_sim, TraceEvent, TraceRecord};
+//! use std::sync::Arc;
 //!
-//! // Record a short run...
-//! let model = TwoLevelModel::pipeline("transcode", AmdahlProfile::new(4.0, 0.9, 0.1, 0.05));
-//! let mut mech = StaticMechanism::new(model.config_for_width(8, 4));
-//! let recorder = Recorder::bounded(4096);
-//! let mut observer = RecordingObserver::new(recorder.clone());
-//! run_system_observed(
-//!     &model,
-//!     &ArrivalSchedule::uniform(1.0, 5),
-//!     &mut mech,
-//!     Resources::threads(8),
-//!     &SystemParams::default(),
-//!     &mut observer,
-//! );
+//! // A two-stage pipeline launched at one thread a stage, then widened.
+//! let shape = ProgramShape::new(vec![
+//!     ShapeNode::leaf("read", TaskKind::Seq),
+//!     ShapeNode::leaf("work", TaskKind::Par),
+//! ]);
+//! let pipeline = |work| Arc::new(Config::new(vec![
+//!     TaskConfig::leaf("read", 1),
+//!     TaskConfig::leaf("work", work),
+//! ]));
+//! let records = [
+//!     TraceEvent::Launched {
+//!         mechanism: "Static".into(),
+//!         goal: String::new(),
+//!         threads: 4,
+//!         shape,
+//!         config: pipeline(1),
+//!         admission: "".into(),
+//!     },
+//!     TraceEvent::reconfigured(&pipeline(3), &Scope::Full, DrainTiming::default()),
+//! ]
+//! .into_iter()
+//! .enumerate()
+//! .map(|(seq, event)| TraceRecord { seq: seq as u64, time_secs: seq as f64, event })
+//! .collect::<Vec<_>>();
 //!
-//! // ...then replay it: the accepted-config sequences must agree.
-//! let outcome = replay_into_sim(&recorder.records()).unwrap();
+//! let outcome = replay_into_sim(&records).unwrap();
+//! assert_eq!(outcome.replayed.len(), 2);
 //! assert!(outcome.matches());
 //! ```
 
-use dope_core::nest;
-use dope_core::{Config, Mechanism, MonitorSnapshot, ProgramShape, Resources};
-use dope_sim::profile::AmdahlProfile;
-use dope_sim::system::{run_system, SystemParams, TwoLevelModel};
-use dope_workload::ArrivalSchedule;
+use dope_core::control::{ControlCore, NullSink, Rules};
+use dope_core::{Config, FailurePolicy, Mechanism, MonitorSnapshot, ProgramShape, Resources};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::event::{TraceEvent, TraceRecord};
 
-/// A [`Mechanism`] that re-proposes the configurations of a recorded
-/// trace, in order.
-///
-/// [`initial`](Mechanism::initial) returns the trace's launch
-/// configuration; each subsequent [`reconfigure`](Mechanism::reconfigure)
-/// call pops the next recorded `ReconfigureEpoch` configuration until the
-/// queue is exhausted, then proposes nothing.
+/// A [`Mechanism`] that proposes the configurations of a recorded
+/// trace's epochs, one per consult, in order, then nothing.
 #[derive(Debug, Clone)]
 struct ReplayMechanism {
-    initial: Arc<Config>,
-    queued: std::collections::VecDeque<Arc<Config>>,
-}
-
-impl ReplayMechanism {
-    /// Launches under `initial`, then re-proposes `queued` in order: a
-    /// trace's [`accepted_configs`] after the first.
-    fn new(initial: Arc<Config>, queued: &[Arc<Config>]) -> Self {
-        ReplayMechanism {
-            initial,
-            queued: queued.iter().cloned().collect(),
-        }
-    }
+    queued: VecDeque<Arc<Config>>,
 }
 
 impl Mechanism for ReplayMechanism {
@@ -86,37 +80,16 @@ impl Mechanism for ReplayMechanism {
     ) -> Option<Config> {
         self.queued.pop_front().map(Arc::unwrap_or_clone)
     }
-
-    fn initial(&mut self, _shape: &ProgramShape, _res: &Resources) -> Option<Config> {
-        Some(Config::clone(&self.initial))
-    }
 }
 
-/// The accepted-configuration sequence of a trace: the launch
-/// configuration followed by every `ReconfigureEpoch` configuration, in
-/// record order.
-#[must_use]
-pub fn accepted_configs(records: &[TraceRecord]) -> Vec<Arc<Config>> {
-    let mut configs = Vec::new();
-    for record in records {
-        match &record.event {
-            TraceEvent::Launched { config, .. } | TraceEvent::ReconfigureEpoch { config, .. } => {
-                configs.push(config.clone());
-            }
-            _ => {}
-        }
-    }
-    configs
-}
-
-/// Result of replaying a trace through the simulator.
+/// Result of replaying a trace through the control core.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    /// Accepted-config sequence read from the trace, the launch
+    /// Applied-config sequence read from the trace, the launch
     /// configuration first.
     pub recorded: Vec<Arc<Config>>,
-    /// Accepted-config sequence the simulator applied on replay (launch
-    /// included).
+    /// Applied-config sequence the control core produced on replay
+    /// (launch included).
     pub replayed: Vec<Arc<Config>>,
 }
 
@@ -129,12 +102,16 @@ impl ReplayOutcome {
     }
 }
 
-/// Replays a recorded trace into a fresh simulated system.
+/// Replays a recorded trace through a fresh [`ControlCore`]: the core is
+/// launched under the recorded shape, budget and configuration (with
+/// delta drains and the `Abort` failure policy), each recorded epoch's
+/// configuration is proposed at one instant tick, and the configurations
+/// the core applied are compared with the recorded ones.
 ///
 /// # Errors
 ///
 /// Returns a description of the problem when the trace has no `Launched`
-/// event or its shape contains no two-level nest the simulator can model.
+/// event.
 pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String> {
     let (shape, threads, launch) = records
         .iter()
@@ -144,105 +121,138 @@ pub fn replay_into_sim(records: &[TraceRecord]) -> Result<ReplayOutcome, String>
                 threads,
                 config,
                 ..
-            } => Some((shape.clone(), *threads, Arc::clone(config))),
+            } => Some((shape, *threads, config)),
             _ => None,
         })
         .ok_or_else(|| "trace has no Launched event".to_string())?;
-    if nest::find_two_level(&shape).is_none() {
-        return Err("trace shape has no two-level nest the simulator can model".to_string());
-    }
+    let queued: VecDeque<Arc<Config>> = (records.iter())
+        .filter_map(|record| match &record.event {
+            TraceEvent::ReconfigureEpoch { config, .. } => Some(Arc::clone(config)),
+            _ => None,
+        })
+        .collect();
+    let recorded: Vec<Arc<Config>> = std::iter::once(Arc::clone(launch))
+        .chain(queued.iter().cloned())
+        .collect();
 
-    // `recorded` opens with `launch`.
-    let recorded = accepted_configs(records);
-    let mut mechanism = ReplayMechanism::new(launch, &recorded[1..]);
-
-    // A mild profile: replay checks *decisions*, not service times.
-    let model = TwoLevelModel::custom("replay", shape, AmdahlProfile::new(1.0, 0.9, 0.05, 0.02));
-    // The mechanism is consulted once per arrival; two spare arrivals
-    // guarantee every queued configuration gets a consult even if the
-    // first arrival's consult happens before the launch config settles.
-    let schedule = ArrivalSchedule::uniform(0.5, recorded.len() + 2);
-    let params = SystemParams {
-        contexts: threads.max(1),
-        ..SystemParams::default()
+    let mut mechanism = ReplayMechanism { queued };
+    let rules = Rules {
+        budget: threads,
+        delta: true,
+        policy: FailurePolicy::Abort,
     };
-    let outcome = run_system(
-        &model,
-        &schedule,
-        &mut mechanism,
-        Resources::threads(threads.max(1)),
-        &params,
-    );
+    let (res, initial) = (Resources::threads(threads), Arc::clone(launch));
+    let mut sink = NullSink;
+    let mut core = ControlCore::new(&mut mechanism, &mut sink, shape, res, rules, initial);
+    let snapshot = MonitorSnapshot::default();
+    for epoch in 1..recorded.len() {
+        core.tick_instant(epoch as f64, &snapshot);
+    }
+    let report = core.finish(recorded.len() as f64, None);
 
     Ok(ReplayOutcome {
         recorded,
-        replayed: outcome.config_history.into_iter().map(|(_, c)| c).collect(),
+        replayed: report.config_history.into_iter().map(|(_, c)| c).collect(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
-    use crate::RecordingObserver;
-    use dope_core::StaticMechanism;
-    use dope_sim::system::run_system_observed;
+    use dope_core::control::{DrainTiming, Scope};
+    use dope_core::{nest, ShapeNode, TaskConfig, TaskKind};
 
-    fn record_pipeline_run(widths: &[u32]) -> Vec<TraceRecord> {
-        let model = TwoLevelModel::pipeline("transcode", AmdahlProfile::new(2.0, 0.9, 0.05, 0.02));
-        let recorder = Recorder::bounded(4096);
-        let mut observer = RecordingObserver::new(recorder.clone());
-        // A scripted mechanism: propose each width once, in order.
-        struct Script {
-            configs: std::collections::VecDeque<Config>,
-        }
-        impl Mechanism for Script {
-            fn name(&self) -> &'static str {
-                "Script"
-            }
-            fn reconfigure(
-                &mut self,
-                _snap: &MonitorSnapshot,
-                _current: &Config,
-                _shape: &ProgramShape,
-                _res: &Resources,
-            ) -> Option<Config> {
-                self.configs.pop_front()
-            }
-        }
-        let mut mech = Script {
-            configs: widths
-                .iter()
-                .map(|w| model.config_for_width(8, *w))
-                .collect(),
+    /// A recording that launched `launch` under `threads` on `shape` and
+    /// then applied each of `epochs`.
+    fn recording(
+        shape: ProgramShape,
+        threads: u32,
+        launch: Config,
+        epochs: &[Config],
+    ) -> Vec<TraceRecord> {
+        let launched = TraceEvent::Launched {
+            mechanism: "Scripted".into(),
+            goal: String::new(),
+            threads,
+            shape,
+            config: Arc::new(launch),
+            admission: "".into(),
         };
-        let _ = run_system_observed(
-            &model,
-            &ArrivalSchedule::uniform(0.5, widths.len() + 3),
-            &mut mech,
-            Resources::threads(8),
-            &SystemParams {
-                contexts: 8,
-                ..SystemParams::default()
-            },
-            &mut observer,
-        );
-        recorder.records()
+        let applied = (epochs.iter()).map(|config| {
+            TraceEvent::reconfigured(
+                &Arc::new(config.clone()),
+                &Scope::Full,
+                DrainTiming::default(),
+            )
+        });
+        std::iter::once(launched)
+            .chain(applied)
+            .enumerate()
+            .map(|(seq, event)| TraceRecord {
+                seq: seq as u64,
+                time_secs: seq as f64,
+                event,
+            })
+            .collect()
+    }
+
+    fn flat() -> ProgramShape {
+        ProgramShape::new(vec![
+            ShapeNode::leaf("read", TaskKind::Seq),
+            ShapeNode::leaf("work", TaskKind::Par),
+        ])
+    }
+
+    fn pipeline(work: u32) -> Config {
+        Config::new(vec![
+            TaskConfig::leaf("read", 1),
+            TaskConfig::leaf("work", work),
+        ])
+    }
+
+    /// A transaction loop whose body is one parallel leaf, at `threads`
+    /// split into transactions of `width`.
+    fn doall(threads: u32, width: u32) -> (ProgramShape, Config) {
+        let shape = ProgramShape::new(vec![ShapeNode::nest(
+            "txn",
+            TaskKind::Par,
+            vec![ShapeNode::leaf("chunk", TaskKind::Par)],
+        )]);
+        let nest = nest::find_two_level(&shape).expect("a two-level nest");
+        let config = nest::config_for_width(&shape, &nest, threads, width);
+        (shape, config)
     }
 
     #[test]
     fn replay_reproduces_the_accepted_sequence() {
-        let records = record_pipeline_run(&[4, 6, 1]);
-        let outcome = replay_into_sim(&records).expect("replay");
-        assert!(outcome.recorded.len() >= 2, "run must reconfigure");
+        let (shape, launch) = doall(8, 1);
+        let epochs = [doall(8, 4).1, doall(8, 2).1, doall(8, 1).1];
+        let outcome = replay_into_sim(&recording(shape, 8, launch, &epochs)).expect("replay");
+        assert_eq!(outcome.recorded.len(), 4);
         assert!(outcome.matches(), "replayed sequence diverged");
     }
 
     #[test]
     fn replay_of_static_run_matches_trivially() {
-        let records = record_pipeline_run(&[]);
-        let outcome = replay_into_sim(&records).expect("replay");
+        let outcome = replay_into_sim(&recording(flat(), 4, pipeline(1), &[])).expect("replay");
         assert_eq!(outcome.recorded.len(), 1);
+        assert!(outcome.matches());
+    }
+
+    #[test]
+    fn a_flat_shape_replays() {
+        let records = recording(flat(), 4, pipeline(1), &[pipeline(3), pipeline(2)]);
+        let outcome = replay_into_sim(&records).expect("any shape replays");
+        assert_eq!(outcome.replayed.len(), 3);
+        assert!(outcome.matches());
+    }
+
+    #[test]
+    fn a_launch_over_the_recorded_budget_replays_as_recorded() {
+        let (shape, launch) = doall(8, 2);
+        let records = recording(shape, 4, launch.clone(), &[doall(4, 2).1]);
+        let outcome = replay_into_sim(&records).expect("replay");
+        assert_eq!(*outcome.replayed[0], launch);
         assert!(outcome.matches());
     }
 
@@ -250,25 +260,5 @@ mod tests {
     fn replay_without_launch_is_an_error() {
         let err = replay_into_sim(&[]).unwrap_err();
         assert!(err.contains("Launched"), "{err}");
-    }
-
-    #[test]
-    fn replay_mechanism_pops_in_order() {
-        // Widths 4 and 6 map to distinct parallel configurations (width 2
-        // would clamp to the sequential alternative and record nothing).
-        let records = record_pipeline_run(&[4, 6]);
-        let accepted = accepted_configs(&records);
-        let (initial, queued) = accepted.split_first().expect("launch");
-        let mut mech = ReplayMechanism::new(Arc::clone(initial), queued);
-        assert_eq!(mech.queued.len(), 2);
-        let shape = ProgramShape::new(vec![]);
-        let res = Resources::threads(8);
-        let snap = MonitorSnapshot::at(0.0);
-        let current = Config::default();
-        let first = mech.reconfigure(&snap, &current, &shape, &res).unwrap();
-        let second = mech.reconfigure(&snap, &current, &shape, &res).unwrap();
-        assert_ne!(first, second);
-        assert!(mech.reconfigure(&snap, &current, &shape, &res).is_none());
-        let _ = StaticMechanism::new(first);
     }
 }

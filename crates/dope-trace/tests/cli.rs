@@ -63,7 +63,7 @@ fn an_unreadable_trace_exits_one() {
 }
 
 /// A trace that claims an epoch re-applied the launch configuration: the
-/// simulator judges that proposal unchanged, so the replay cannot
+/// control core judges that proposal unchanged, so the replay cannot
 /// reproduce it.
 #[test]
 fn a_diverged_replay_exits_one() {

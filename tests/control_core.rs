@@ -1273,7 +1273,7 @@ fn each_trace_rule_breaks_on_its_mutated_recording() {
         .concat(),
     );
     type Mutation = Box<dyn Fn(&mut Vec<TraceRecord>)>;
-    let cases: [(&str, &Run, Rule, Mutation); 7] = [
+    let cases: [(&str, &Run, Rule, Mutation); 8] = [
         (
             "a Finished on a run that ended in error",
             &aborted,
@@ -1340,6 +1340,16 @@ fn each_trace_rule_breaks_on_its_mutated_recording() {
             Box::new(|records| {
                 if let TraceEvent::ProposalEvaluated { verdict, .. } = &mut records[2].event {
                     *verdict = Verdict::Unchanged;
+                }
+            }),
+        ),
+        (
+            "an epoch the recorded budget refuses",
+            &applied,
+            Rule::Replays,
+            Box::new(|records| {
+                if let TraceEvent::Launched { threads, .. } = &mut records[0].event {
+                    *threads = 1;
                 }
             }),
         ),

@@ -292,7 +292,7 @@ fn pre_percentile_traces_still_replay_and_summarize() {
     use dope_core::{Resources, StaticMechanism};
     use dope_sim::profile::AmdahlProfile;
     use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
-    use dope_trace::{parse_jsonl, replay_into_sim, summarize, Recorder, RecordingObserver};
+    use dope_trace::{parse_jsonl, summarize, Recorder, RecordingObserver};
     use dope_workload::ArrivalSchedule;
 
     let model = TwoLevelModel::pipeline("transcode", AmdahlProfile::new(4.0, 0.9, 0.1, 0.05));
@@ -319,8 +319,7 @@ fn pre_percentile_traces_still_replay_and_summarize() {
     );
 
     let records = parse_jsonl(&aged).expect("old dialect still parses");
-    let replay = replay_into_sim(&records).expect("old dialect still replays");
-    assert!(replay.matches(), "replay must reproduce accepted configs");
+    check(&records, true);
 
     let summary = summarize(&records);
     assert!(

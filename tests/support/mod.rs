@@ -57,6 +57,11 @@ pub enum Rule {
     /// `_ => self.switch_to(Arc::clone(&self.config), Scope::Full, false),`
     /// for `_ => Action::Relaunch(Scope::Full),` in `ControlCore::boundary`.
     Unproposed,
+    /// The control core, launched as the run was and offered the run's
+    /// epochs in order, applies exactly the run's configurations
+    /// (`dope_trace::replay_into_sim`). Turned red by `2..recorded.len()`
+    /// for `1..recorded.len()` in `replay_into_sim`.
+    Replays,
 }
 
 /// Checks every [`Rule`] on `records`, the recording of a run that ended
@@ -159,7 +164,17 @@ pub fn broken(records: &[TraceRecord], clean: bool) -> Option<(Rule, String)> {
     if let Some(target) = in_flight {
         return Some((Rule::Target, format!("{target} left in flight")));
     }
-    None
+    let replay = match dope_trace::replay_into_sim(records) {
+        Ok(replay) if replay.matches() => return None,
+        Ok(replay) => replay,
+        Err(err) => return Some((Rule::Replays, err)),
+    };
+    let list = |configs: &[Arc<Config>]| configs.iter().map(|c| format!("{c}")).collect::<Vec<_>>();
+    let (ran, replayed) = (list(&replay.recorded), list(&replay.replayed));
+    Some((
+        Rule::Replays,
+        format!("the run applied {ran:?}, the core {replayed:?}"),
+    ))
 }
 
 /// What a recording holds: a count per record kind, and the verdict of
