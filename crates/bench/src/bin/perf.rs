@@ -5,15 +5,10 @@
 //! cargo run --release -p dope-bench --bin perf -- [--quick] [--out=PATH]
 //! ```
 //!
-//! Exits non-zero when the overload frontier does not hold
-//! ([`perf::gate_failures`]).
-//!
-//! `--check-history=PATH` runs no probes: it validates every line of the
-//! per-PR ledger `results/perf-history.jsonl` (strict codec, a `pr`
-//! number, a hexadecimal `parent` and — once backfilled — `commit`).
+//! Exits non-zero only on an unknown argument or a failed write: the
+//! report is a reading, not a gate.
 
 use dope_bench::perf;
-use dope_core::json::parse;
 use std::process::ExitCode;
 
 /// Counts allocations for the `control` section's per-consult readings.
@@ -26,15 +21,10 @@ fn main() -> ExitCode {
     for arg in std::env::args().skip(1) {
         if arg == "--quick" {
             quick = true;
-        } else if let Some(path) = arg.strip_prefix("--check-history=") {
-            return check_history(path);
         } else if let Some(path) = arg.strip_prefix("--out=") {
             out_path = path.to_string();
         } else {
-            eprintln!(
-                "perf: unknown argument `{arg}` \
-                 (expected --quick, --out=PATH, --check-history=PATH)"
-            );
+            eprintln!("perf: unknown argument `{arg}` (expected --quick, --out=PATH)");
             return ExitCode::FAILURE;
         }
     }
@@ -48,53 +38,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("perf: report written to {out_path}");
-
-    let failures = perf::gate_failures(&report);
-    for failure in &failures {
-        eprintln!("perf: GATE FAILURE: {failure}");
-    }
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Validates the per-PR perf ledger: every line must parse under the
-/// strict codec and pass [`perf::history_row_pr`].
-fn check_history(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("perf: failed to read {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut last = None;
-    for (at, line) in text.lines().enumerate() {
-        match parse(line).map(|row| perf::history_row_pr(&row)) {
-            Ok(Ok(pr)) => last = Some(pr),
-            Ok(Err(why)) => {
-                eprintln!("perf: {path}:{}: {why}", at + 1);
-                return ExitCode::FAILURE;
-            }
-            Err(err) => {
-                eprintln!(
-                    "perf: {path}:{}: rejected by the strict codec: {err}",
-                    at + 1
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match last {
-        Some(pr) => {
-            println!("perf: every row of {path} is valid; the newest is PR {pr}");
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("perf: {path} has no rows");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::SUCCESS
 }

@@ -16,8 +16,7 @@
 //! | [`tables`] | Tables 3 (mechanism LoC) and 4 (application metadata) |
 //! | [`ablations`] | sensitivity sweeps of the mechanisms' knobs (beyond the paper) |
 //! | [`trace`] | flight-recorder captures of representative fig11/fig15 runs |
-//! | [`perf`] | perf ledger: the three probes the repo benchmark cannot host, emitting `BENCH_perf.json` (beyond the paper) |
-//! | [`overload`] | overload probe: admission policies under 10x offered load (beyond the paper) |
+//! | [`perf`] | perf ledger: the three probes the repo benchmark cannot host (control tick, sampled timing, paced park), emitting `BENCH_perf.json` (beyond the paper) |
 //! | [`alloc`] | counting allocator behind the allocation budgets of a control period (beyond the paper) |
 //!
 //! Run any artifact with `cargo run -p dope-bench --release --bin <id>`.
@@ -32,7 +31,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
-pub mod overload;
 pub mod perf;
 pub mod tables;
 pub mod trace;

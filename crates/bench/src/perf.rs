@@ -4,31 +4,26 @@
 //! The repo benchmark (`benchmark/`, `BENCHMARK.json`) prints a per-layer
 //! metric for the record path, the snapshot, the reconfiguration pauses,
 //! the queue hand-offs and the simulator sweep on every change, so none
-//! of those is probed again here. Four probes stay (see
-//! `docs/performance.md`):
+//! of those is probed again here. Three probes stay (see
+//! `docs/performance.md`), each a host reading, none a gate:
 //!
-//! 1. **overload** — admission policies under 10x offered load
-//!    ([`crate::overload`]), the one gated probe: with `Shed`, the p99
-//!    of admitted requests must stay bounded (at least 4x under the open
-//!    queue's p99) while goodput holds at >= 90 % of saturation
-//!    throughput, and `Block` must complete every offered request
-//!    ([`gate_failures`]);
-//! 2. **control** — one `ControlCore` tick on an 8-path snapshot against
+//! 1. **control** — one `ControlCore` tick on an 8-path snapshot against
 //!    a no-op sink: the consult/judge hop of a control period, holding
 //!    and accepting; and what one recorded simulator consult allocates
 //!    and leaves ([`record_sim_point`], budgeted by `tests/alloc_budget.rs`);
-//! 3. **monitor** — what "time one in k" costs and buys: a timed and an
+//! 2. **monitor** — what "time one in k" costs and buys: a timed and an
 //!    untimed `begin`..`end` on the live task context, the share of
 //!    invocations timed back to back and 2 ms apart
 //!    ([`dope_runtime::perf::bench_invoke`]), and a gate offer that
 //!    stamps every item next to one that stamps a sample;
-//! 4. **paced** — what a parked consumer pays per item, in `dequeue_for`
+//! 3. **paced** — what a parked consumer pays per item, in `dequeue_for`
 //!    as every task body waits and untimed in `dequeue()` (`bench_paced`);
 //!    skipped where `/proc/thread-self/schedstat` is absent.
 //!
 //! The report states `nproc`, the core count it was taken on, and is
 //! strict-codec JSON (`dope_core::json`). Its history is
-//! `results/perf-history.jsonl`, one row per PR ([`history_row_pr`]).
+//! `results/perf-history.jsonl`, one row per PR, each row held to the
+//! ledger rule by this module's tests.
 
 use dope_apps::transcode;
 use dope_core::control::{ControlCore, NullSink, Rules};
@@ -64,9 +59,6 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// stable numbers.
 #[must_use]
 pub fn run(quick: bool) -> Value {
-    println!("perf: overload (admission policies at 10x offered load)");
-    let overload = crate::overload::run(quick);
-
     println!("perf: control (one core tick on an 8-path snapshot)");
     let control = bench_control(quick);
 
@@ -83,7 +75,6 @@ pub fn run(quick: bool) -> Value {
             "nproc",
             Value::Number(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
         ),
-        ("overload", overload),
         ("control", control),
         ("monitor", monitor),
     ];
@@ -361,107 +352,11 @@ fn metric(report: &Value, section: &str, key: &str) -> Option<f64> {
     report.get(section)?.get(key)?.as_f64()
 }
 
-/// The in-run invariants of the overload frontier, each measured in the
-/// same process on the same machine: bounded shed p99, goodput floor,
-/// lossless `Block`. Returns violation messages (empty = pass).
-#[must_use]
-pub fn gate_failures(report: &Value) -> Vec<String> {
-    let mut failures = Vec::new();
-    match (
-        metric(report, "overload", "open_p99_secs"),
-        metric(report, "overload", "shed_p99_secs"),
-    ) {
-        (Some(open), Some(shed)) if shed > 0.0 => {
-            let ratio = open / shed;
-            if ratio < crate::overload::P99_RATIO_FLOOR {
-                failures.push(format!(
-                    "overload: shed p99 {shed:.2} s is only {ratio:.1}x under the \
-                     open queue's {open:.2} s (the gate must bound admitted-request \
-                     latency at least {:.0}x below open admission)",
-                    crate::overload::P99_RATIO_FLOOR
-                ));
-            }
-        }
-        _ => failures.push(
-            "report is missing or zeroed overload.open_p99_secs / overload.shed_p99_secs"
-                .to_string(),
-        ),
-    }
-    match (
-        metric(report, "overload", "saturation_throughput"),
-        metric(report, "overload", "shed_goodput_throughput"),
-    ) {
-        (Some(saturation), Some(goodput)) if saturation > 0.0 => {
-            let fraction = goodput / saturation;
-            if fraction < crate::overload::GOODPUT_FLOOR {
-                failures.push(format!(
-                    "overload: shed goodput {goodput:.2}/s is only {:.0} % of the \
-                     saturation throughput {saturation:.2}/s (must hold >= {:.0} %)",
-                    fraction * 100.0,
-                    crate::overload::GOODPUT_FLOOR * 100.0
-                ));
-            }
-        }
-        _ => failures.push(
-            "report is missing or zeroed overload.saturation_throughput / \
-             overload.shed_goodput_throughput"
-                .to_string(),
-        ),
-    }
-    match metric(report, "overload", "block_lost") {
-        Some(lost) => {
-            if lost != 0.0 {
-                failures.push(format!(
-                    "overload: Block admission lost {lost:.0} request(s) — closed-loop \
-                     backpressure must complete every offer"
-                ));
-            }
-        }
-        None => failures.push("report is missing overload.block_lost".to_string()),
-    }
-    failures
-}
-
-/// Checks one row of the per-PR ledger (`results/perf-history.jsonl`)
-/// and returns its `pr` number: `pr` must be a number, `parent` a commit
-/// id of 7-40 hex digits, and so must `commit` when the row has one — a
-/// row is written before its own commit exists, so the next PR
-/// backfills it, and a placeholder can never stand in.
-///
-/// # Errors
-///
-/// Says which field is missing or malformed.
-pub fn history_row_pr(row: &Value) -> Result<f64, String> {
-    let pr = row
-        .get("pr")
-        .and_then(Value::as_f64)
-        .ok_or("no numeric `pr` field")?;
-    let is_commit_id = |id: &Value| {
-        id.as_str().is_some_and(|id| {
-            (7..=40).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_hexdigit())
-        })
-    };
-    for (key, required) in [("parent", true), ("commit", false)] {
-        match row.get(key) {
-            Some(id) if is_commit_id(id) => {}
-            None if !required => {}
-            Some(_) => return Err(format!("`{key}` is not a commit id of 7-40 hex digits")),
-            None => return Err(format!("no `{key}` commit id")),
-        }
-    }
-    Ok(pr)
-}
-
 /// Renders the report as a short human-readable summary.
 #[must_use]
 pub fn summary(report: &Value) -> String {
     let mut out = String::from("== perf ledger ==\n");
     for &(section, key) in &[
-        ("overload", "saturation_throughput"),
-        ("overload", "open_p99_secs"),
-        ("overload", "shed_p99_secs"),
-        ("overload", "shed_goodput_throughput"),
-        ("overload", "shed_fraction"),
         ("control", "tick_hold_ns"),
         ("control", "tick_accept_ns"),
         ("control", "allocs_per_consult"),
@@ -500,35 +395,45 @@ pub fn to_validated_json(report: &Value) -> String {
 mod tests {
     use super::*;
 
-    fn with_overload(shed_p99: f64, goodput: f64, lost: f64) -> Value {
-        obj(vec![
-            ("schema", Value::String(SCHEMA.to_string())),
-            (
-                "overload",
-                obj(vec![
-                    ("open_p99_secs", Value::from_f64(40.0)),
-                    ("shed_p99_secs", Value::from_f64(shed_p99)),
-                    ("saturation_throughput", Value::from_f64(10.0)),
-                    ("shed_goodput_throughput", Value::from_f64(goodput)),
-                    ("block_lost", Value::from_f64(lost)),
-                ]),
-            ),
-        ])
+    /// Checks one row of the per-PR ledger (`results/perf-history.jsonl`)
+    /// and returns its `pr` number: `pr` must be a number, `parent` a
+    /// commit id of 7-40 hex digits, and so must `commit` when the row has
+    /// one — a row is written before its own commit exists, so the next PR
+    /// backfills it, and a placeholder can never stand in.
+    fn history_row_pr(row: &Value) -> Result<f64, String> {
+        let pr = row
+            .get("pr")
+            .and_then(Value::as_f64)
+            .ok_or("no numeric `pr` field")?;
+        let is_commit_id = |id: &Value| {
+            id.as_str().is_some_and(|id| {
+                (7..=40).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_hexdigit())
+            })
+        };
+        for (key, required) in [("parent", true), ("commit", false)] {
+            match row.get(key) {
+                Some(id) if is_commit_id(id) => {}
+                None if !required => {}
+                Some(_) => return Err(format!("`{key}` is not a commit id of 7-40 hex digits")),
+                None => return Err(format!("no `{key}` commit id")),
+            }
+        }
+        Ok(pr)
     }
 
     #[test]
-    fn gate_enforces_the_overload_frontier() {
-        // Bounded p99, healthy goodput, lossless block: pass.
-        assert!(gate_failures(&with_overload(2.0, 9.5, 0.0)).is_empty());
-        // p99 only 2x under open: the latency bound fails.
-        assert_eq!(gate_failures(&with_overload(20.0, 9.5, 0.0)).len(), 1);
-        // Goodput collapsed to 50 % of saturation: the goodput floor fails.
-        assert_eq!(gate_failures(&with_overload(2.0, 5.0, 0.0)).len(), 1);
-        // Block lost requests: closed-loop backpressure is broken.
-        assert_eq!(gate_failures(&with_overload(2.0, 9.5, 3.0)).len(), 1);
-        // A report without the probe is three failures, not a pass.
-        let sparse = obj(vec![("schema", Value::String(SCHEMA.to_string()))]);
-        assert_eq!(gate_failures(&sparse).len(), 3);
+    fn every_ledger_row_parses_and_names_real_commits() {
+        let ledger = include_str!("../../../results/perf-history.jsonl");
+        for (at, line) in ledger.lines().enumerate() {
+            let at = at + 1;
+            let row = parse(line).unwrap_or_else(|err| {
+                panic!("results/perf-history.jsonl:{at}: rejected by the strict codec: {err}")
+            });
+            if let Err(why) = history_row_pr(&row) {
+                panic!("results/perf-history.jsonl:{at}: {why}");
+            }
+        }
+        assert!(ledger.lines().next().is_some(), "the ledger has no rows");
     }
 
     #[test]
@@ -554,9 +459,15 @@ mod tests {
 
     #[test]
     fn report_round_trips_the_strict_codec() {
-        let report = with_overload(2.0, 9.5, 0.0);
+        let report = obj(vec![
+            ("schema", Value::String(SCHEMA.to_string())),
+            (
+                "control",
+                obj(vec![("tick_hold_ns", Value::from_f64(11.5))]),
+            ),
+        ]);
         let text = to_validated_json(&report);
         assert_eq!(parse(text.trim()).expect("parse"), report);
-        assert!(summary(&report).contains("shed_p99_secs"));
+        assert!(summary(&report).contains("tick_hold_ns"));
     }
 }

@@ -718,6 +718,34 @@ mod tests {
             open.admission.mean_queue_delay_secs
         );
         assert!(shed.goodput_fraction() < 1.0);
+
+        // The frontier at 10x offered load (docs/overload.md), over a
+        // short and a long storm: goodput is measured over the whole
+        // makespan, so the storm must outlast the drain tail.
+        let p99 = |out: &SystemOutcome| out.response.percentile(0.99).expect("served requests");
+        for requests in [2_000, 10_000] {
+            let saturation = run_overloaded(AdmissionPolicy::Open, 1.0, requests, 7);
+            let open = run_overloaded(AdmissionPolicy::Open, 10.0, requests, 7);
+            let shed = run_overloaded(AdmissionPolicy::Shed { high_water: 8 }, 10.0, requests, 7);
+            let block = run_overloaded(AdmissionPolicy::Block { capacity: 8 }, 10.0, requests, 7);
+            let (open_p99, shed_p99) = (p99(&open), p99(&shed));
+            assert!(
+                open_p99 >= 4.0 * shed_p99,
+                "{requests}: shed p99 {shed_p99} s vs open {open_p99} s"
+            );
+            let (goodput, ceiling) = (shed.system_throughput(), saturation.system_throughput());
+            assert!(
+                goodput >= 0.9 * ceiling,
+                "{requests}: shed goodput {goodput}/s vs saturation {ceiling}/s"
+            );
+            // Against the schedule, not `offered`: a held offer counts as
+            // offered only once it reaches the gate.
+            assert_eq!(
+                block.completed, requests as u64,
+                "{requests}: Block lost requests"
+            );
+            assert!(shed.admission.shed() > 0, "{requests}: 10x load must shed");
+        }
     }
 
     #[test]

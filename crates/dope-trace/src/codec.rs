@@ -358,90 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn old_traces_without_percentile_fields_still_parse() {
-        // A pre-metrics v1 line: `stats` carries only the original five
-        // fields. The additive `p*_exec_secs` must default to 0.0.
-        let line = r#"{"v": 1, "seq": 3, "t": 0.5, "kind": "TaskStatsSample", "path": "0.1", "stats": {"invocations": 9, "mean_exec_secs": 0.02, "throughput": 45.0, "load": 1.0, "utilization": 0.9}}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::TaskStatsSample { stats, .. } = record.event else {
-            panic!("wrong kind");
-        };
-        assert_eq!(stats.invocations, 9);
-        assert_eq!(stats.p50_exec_secs, 0.0);
-        assert_eq!(stats.p95_exec_secs, 0.0);
-        assert_eq!(stats.p99_exec_secs, 0.0);
-
-        // Explicit null is also accepted (producers that know the field
-        // but did not measure).
-        let line = r#"{"v": 1, "seq": 4, "t": 0.5, "kind": "TaskStatsSample", "path": "0.1", "stats": {"invocations": 1, "mean_exec_secs": 0.02, "throughput": 45.0, "load": 1.0, "utilization": 0.9, "p99_exec_secs": null}}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::TaskStatsSample { stats, .. } = record.event else {
-            panic!("wrong kind");
-        };
-        assert_eq!(stats.p99_exec_secs, 0.0);
-
-        // Present-but-mistyped still errors: additive, not lax.
-        let line = r#"{"v": 1, "seq": 5, "t": 0.5, "kind": "TaskStatsSample", "path": "0.1", "stats": {"invocations": 1, "mean_exec_secs": 0.02, "throughput": 45.0, "load": 1.0, "utilization": 0.9, "p99_exec_secs": "fast"}}"#;
-        assert!(parse_line(line).is_err());
-    }
-
-    #[test]
-    fn old_traces_without_reconfigure_scope_still_parse() {
-        // A pre-delta v1 line: no `scope` / `paths_drained`. They must
-        // decode to "full" / 0 — every old epoch was a full drain.
-        let line = r#"{"v": 1, "seq": 5, "t": 0.5, "kind": "ReconfigureEpoch", "pause_secs": 0.004, "relaunch_secs": 0.001, "jobs": 4, "config": {"tasks": [{"name": "t", "extent": 1}]}}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::ReconfigureEpoch {
-            scope,
-            paths_drained,
-            ..
-        } = record.event
-        else {
-            panic!("wrong kind");
-        };
-        assert_eq!(scope, "full");
-        assert_eq!(paths_drained, 0);
-
-        // Explicit null is also accepted.
-        let line = r#"{"v": 1, "seq": 6, "t": 0.5, "kind": "ReconfigureEpoch", "pause_secs": 0.004, "relaunch_secs": 0.001, "jobs": 4, "config": {"tasks": [{"name": "t", "extent": 1}]}, "scope": null, "paths_drained": null}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::ReconfigureEpoch { scope, .. } = record.event else {
-            panic!("wrong kind");
-        };
-        assert_eq!(scope, "full");
-
-        // Present-but-mistyped still errors: additive, not lax.
-        let line = r#"{"v": 1, "seq": 7, "t": 0.5, "kind": "ReconfigureEpoch", "pause_secs": 0.004, "relaunch_secs": 0.001, "jobs": 4, "config": {"tasks": [{"name": "t", "extent": 1}]}, "scope": 3}"#;
-        assert!(parse_line(line).is_err());
-        let line = r#"{"v": 1, "seq": 8, "t": 0.5, "kind": "ReconfigureEpoch", "pause_secs": 0.004, "relaunch_secs": 0.001, "jobs": 4, "config": {"tasks": [{"name": "t", "extent": 1}]}, "paths_drained": "one"}"#;
-        assert!(parse_line(line).is_err());
-    }
-
-    #[test]
-    fn old_snapshots_without_admission_still_parse() {
-        // A pre-admission v1 snapshot: no `admission` object. It must
-        // decode as all-zero — exactly what "no gate installed" means.
-        let line = r#"{"v": 1, "seq": 1, "t": 0.5, "kind": "SnapshotTaken", "snapshot": {"time_secs": 0.5, "tasks": [], "queue": {"occupancy": 0.0, "arrival_rate": 0.0, "enqueued": 0, "completed": 0}, "power_watts": null, "dispatches_since_reconfig": 0}}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::SnapshotTaken { snapshot } = record.event else {
-            panic!("wrong kind");
-        };
-        assert_eq!(snapshot.admission, AdmissionStats::default());
-
-        // Explicit null is also accepted.
-        let line = r#"{"v": 1, "seq": 2, "t": 0.5, "kind": "SnapshotTaken", "snapshot": {"time_secs": 0.5, "tasks": [], "queue": {"occupancy": 0.0, "arrival_rate": 0.0, "enqueued": 0, "completed": 0}, "power_watts": null, "dispatches_since_reconfig": 0, "admission": null}}"#;
-        let record = parse_line(line).unwrap();
-        let TraceEvent::SnapshotTaken { snapshot } = record.event else {
-            panic!("wrong kind");
-        };
-        assert_eq!(snapshot.admission, AdmissionStats::default());
-
-        // Present-but-mistyped still errors: additive, not lax.
-        let line = r#"{"v": 1, "seq": 3, "t": 0.5, "kind": "SnapshotTaken", "snapshot": {"time_secs": 0.5, "tasks": [], "queue": {"occupancy": 0.0, "arrival_rate": 0.0, "enqueued": 0, "completed": 0}, "power_watts": null, "dispatches_since_reconfig": 0, "admission": "open"}}"#;
-        assert!(parse_line(line).is_err());
-    }
-
-    #[test]
     fn task_rows_decode_sorted_last_wins_and_encode_in_path_order() {
         // Rows out of path order, `0.1` twice: the table keeps one row
         // per path — the last one given — and is written back sorted.

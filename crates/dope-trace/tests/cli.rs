@@ -32,17 +32,32 @@ fn recorded() -> String {
     String::from_utf8(out.stdout).expect("utf-8 trace")
 }
 
+/// A recording of two replica failures: `record` cannot inject a panic,
+/// so the reading half of failure accounting takes a fixture.
+const FAILURES: &str = concat!(
+    r#"{"v": 1, "seq": 0, "t": 0.1, "kind": "FeatureRead", "feature": "SystemPower", "value": 612.5}"#,
+    "\n",
+    r#"{"v": 1, "seq": 1, "t": 0.5, "kind": "TaskFailed", "path": "0.1", "reason": "worker panicked: boom", "policy": "restart"}"#,
+    "\n",
+    r#"{"v": 1, "seq": 2, "t": 0.9, "kind": "TaskFailed", "path": "0.1", "reason": "worker panicked: boom again", "policy": "restart"}"#,
+    "\n",
+    r#"{"v": 1, "seq": 3, "t": 1.5, "kind": "Finished", "completed": 48, "reconfigurations": 1, "dropped_events": 0}"#,
+    "\n",
+);
+
 #[test]
 fn every_subcommand_exits_zero_on_a_good_trace() {
     let trace = recorded();
-    for (args, needle) in [
-        (&["stats", "-"][..], "finished:"),
-        (&["timeline", "-"][..], "LAUNCH"),
-        (&["explain", "-"][..], "decision audit:"),
-        (&["explain", "-", "--json"][..], "DecisionTraced"),
-        (&["replay", "-"][..], "replay OK"),
+    for (input, args, needle) in [
+        (&*trace, &["stats", "-"][..], "finished:"),
+        (&trace, &["timeline", "-"][..], "LAUNCH"),
+        (&trace, &["explain", "-"][..], "decision audit:"),
+        (&trace, &["explain", "-", "--json"][..], "DecisionTraced"),
+        (&trace, &["replay", "-"][..], "replay OK"),
+        (FAILURES, &["stats", "-"][..], "2 failed replica(s)"),
+        (FAILURES, &["timeline", "-"][..], "FAILED"),
     ] {
-        let out = run(args, &trace);
+        let out = run(args, input);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
         assert!(stdout.contains(needle), "{args:?} printed:\n{stdout}");

@@ -15,8 +15,8 @@
 //! * [`dope_apps`] — the six benchmark applications;
 //! * [`dope_trace`] — the flight recorder: structured executive events,
 //!   the JSONL codec, deterministic replay, and the timeline CLI;
-//! * [`dope_bench`] — the figure/table harness and the perf gate
-//!   (`BENCH_perf.json` microbench reports and baseline diffing).
+//! * [`dope_bench`] — the figure/table harness and the perf ledger
+//!   (`BENCH_perf.json`, host readings the repo benchmark cannot take).
 //!
 //! The prose documentation under `docs/` is embedded below (see
 //! [`docs`]) so that every example in the book compiles and runs as a
